@@ -56,7 +56,7 @@ class DataBundle:
     u_clean: list                   # forward solutions on the data mesh
     H_clean: list                   # clean data on the data mesh
     reports: list
-    _locator: object = None
+    locator: object = None          # data-mesh locator, built when the crime guard is on
 
     @property
     def crime_guard(self) -> bool:
@@ -69,10 +69,8 @@ class DataBundle:
         for j, H in enumerate(self.H_clean):
             noisy = add_noise(H, epsilon, noise_stream_seed(seed, j, epsilon))
             if self.crime_guard:
-                if self._locator is None:
-                    self._locator = transfer.make_locator(self.data_mesh)
                 noisy = transfer.transfer_field(self.data_mesh, self.mesh, noisy,
-                                                locator=self._locator)
+                                                locator=self.locator)
             fields.append(noisy)
             meta.append({"epsilon": epsilon, "seed": seed})
         return DatumSet(sources=list(self.sources), data=fields, meta=meta)
@@ -105,10 +103,12 @@ def prepare_data(cfg: ExperimentConfig, newton: NewtonConfig | None = None,
     u_clean = [u for u, _ in results]
     reports = [r for _, r in results]
     H_clean = [compute_datum(data_coeffs, u) for u in u_clean]
+    # built here, before any job thread can reach datum_set
+    locator = transfer.make_locator(data_mesh) if data_mesh is not mesh else None
     return DataBundle(config=cfg, mesh=mesh, data_mesh=data_mesh, coeffs=coeffs,
                       data_coeffs=data_coeffs, sources=sources,
                       data_sources=data_sources, u_clean=u_clean,
-                      H_clean=H_clean, reports=reports)
+                      H_clean=H_clean, reports=reports, locator=locator)
 
 
 def lsq_config_from(cfg: ExperimentConfig, mesh: Mesh, data: DatumSet,

@@ -71,13 +71,20 @@ class LsqReport:
     message: str = ""
 
     def save(self, path):
-        lines = ["iteration,objective,grad_norm,step_length"]
+        """Per-iteration history; the last row also carries the run's status.
+
+        ``converged`` (0/1) and ``message`` (the stop reason, empty on
+        convergence) are left empty on every earlier row.
+        """
+        lines = ["iteration,objective,grad_norm,step_length,converged,message"]
+        last = len(self.objective_history) - 1
         for k, obj in enumerate(self.objective_history):
             gn = self.grad_norm_history[k] if k < len(self.grad_norm_history) else ""
             st = self.step_lengths[k - 1] if 0 < k <= len(self.step_lengths) else ""
             gn = f"{gn:.17g}" if gn != "" else ""
             st = f"{st:.17g}" if st != "" else ""
-            lines.append(f"{k},{obj:.17g},{gn},{st}")
+            status = f"{int(self.converged)},{self.message}" if k == last else ","
+            lines.append(f"{k},{obj:.17g},{gn},{st},{status}")
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
 

@@ -76,17 +76,14 @@ class Mesh:
                 f"triangle {bad} has non-positive signed area {areas[bad]:g}")
         # Conformity: each edge in at most two triangles; edges seen once are
         # exactly the declared boundary edges.
-        counts: dict[tuple[int, int], int] = {}
-        for a, b, c in self.triangles:
-            for e in ((a, b), (b, c), (c, a)):
-                key = (min(e), max(e))
-                counts[key] = counts.get(key, 0) + 1
-        if any(v > 2 for v in counts.values()):
+        t = self.triangles
+        edges, counts = np.unique(
+            _edge_keys(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), n),
+            return_counts=True)
+        if np.any(counts > 2):
             raise ValidationError("an edge is shared by more than two triangles")
-        once = {k for k, v in counts.items() if v == 1}
-        declared = {(min(int(a), int(b)), max(int(a), int(b)))
-                    for a, b in self.boundary_edges}
-        if once != declared:
+        declared = np.unique(_edge_keys(self.boundary_edges, n))
+        if not np.array_equal(edges[counts == 1], declared):
             raise ValidationError(
                 "boundary_edges do not match the edges incident to exactly one triangle")
 
@@ -116,6 +113,11 @@ class Mesh:
                       - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
 
 
+def _edge_keys(pairs: np.ndarray, node_count: int) -> np.ndarray:
+    """One integer per undirected edge: min * node_count + max."""
+    return pairs.min(axis=1) * node_count + pairs.max(axis=1)
+
+
 def build_square_mesh(n: int) -> Mesh:
     """Structured triangulation of (-1, 1)^2 with n subdivisions per side.
 
@@ -132,26 +134,22 @@ def build_square_mesh(n: int) -> Mesh:
     xx, yy = np.meshgrid(coords, coords)           # row-major: index = j*(n+1)+i
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
 
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            ll = j * (n + 1) + i
-            lr = ll + 1
-            ul = ll + (n + 1)
-            ur = ul + 1
-            tris.append((ll, lr, ur))
-            tris.append((ll, ur, ul))
+    # cell (i, j) in row-major order, lower-left corner ll, split into
+    # (ll, lr, ur) then (ll, ur, ul)
+    ll = np.arange(n * (n + 1)).reshape(n, n + 1)[:, :n].ravel()
+    lr, ul = ll + 1, ll + (n + 1)
+    ur = ul + 1
+    tris = np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
 
-    bedges = []
-    for i in range(n):                              # bottom, then top
-        bedges.append((i, i + 1))
-        bedges.append((n * (n + 1) + i, n * (n + 1) + i + 1))
-    for j in range(n):                              # left, then right
-        bedges.append((j * (n + 1), (j + 1) * (n + 1)))
-        bedges.append((j * (n + 1) + n, (j + 1) * (n + 1) + n))
+    i = np.arange(n)
+    top = n * (n + 1)
+    left = i * (n + 1)
+    bedges = np.concatenate([
+        np.column_stack([i, i + 1, top + i, top + i + 1]),              # bottom, top
+        np.column_stack([left, left + (n + 1), left + n, left + (n + 1) + n]),  # left, right
+    ]).reshape(-1, 2)
 
-    return Mesh(nodes=np.asarray(nodes), triangles=np.asarray(tris),
-                boundary_edges=np.asarray(bedges))
+    return Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges)
 
 
 def save_mesh(mesh: Mesh, path) -> None:

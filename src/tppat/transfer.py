@@ -1,11 +1,15 @@
 """Piecewise-linear transfer of nodal fields between meshes.
 
 Used to break the inversion crime: data generated on one mesh can be
-interpolated onto a different reconstruction mesh. Each target node is located
-in a source triangle (with a uniform bucket grid to keep the search fast) and
-the field is evaluated with barycentric weights. Target points that fall
+interpolated onto a different reconstruction mesh. All target nodes are
+located at once with array code. A uniform bucket grid over the source mesh
+lists, for each bucket, the triangles whose bounding box meets it (CSR
+arrays, ascending triangle index). Each target node takes the first of its
+bucket's triangles that contains it, and its field value is the barycentric
+combination of the triangle's vertex values. Target points that fall
 marginally outside the source mesh, from floating-point boundary jitter, are
-assigned to the triangle with the least barycentric violation.
+assigned to the triangle with the least barycentric violation (the first
+one on ties); a point in an empty bucket is tested against every triangle.
 """
 
 from __future__ import annotations
@@ -17,72 +21,109 @@ from .fem import as_field
 from .mesh import Mesh
 
 _EDGE_TOL = 1e-12
+_OUTSIDE_TOL = 1e-6
 
 
 class _TriangleLocator:
-    def __init__(self, mesh: Mesh, buckets_per_side: int | None = None):
-        self.mesh = mesh
+    def __init__(self, mesh: Mesh):
         t = mesh.triangles
         p = mesh.nodes
         self.a = p[t[:, 0]]
         self.b = p[t[:, 1]]
         self.c = p[t[:, 2]]
-        det = (self.b[:, 0] - self.a[:, 0]) * (self.c[:, 1] - self.a[:, 1]) \
+        self.det = (self.b[:, 0] - self.a[:, 0]) * (self.c[:, 1] - self.a[:, 1]) \
             - (self.c[:, 0] - self.a[:, 0]) * (self.b[:, 1] - self.a[:, 1])
-        self.det = det
 
         self.lo = p.min(axis=0)
-        self.hi = p.max(axis=0)
-        if buckets_per_side is None:
-            buckets_per_side = max(1, int(np.sqrt(len(t) / 2.0)))
-        self.nb = buckets_per_side
-        self.buckets = {}
-        span = np.maximum(self.hi - self.lo, 1e-300)
+        self.span = np.maximum(p.max(axis=0) - self.lo, 1e-300)
+        self.nb = max(1, int(np.sqrt(len(t) / 2.0)))
         tmin = np.minimum(np.minimum(self.a, self.b), self.c)
         tmax = np.maximum(np.maximum(self.a, self.b), self.c)
-        i0 = np.clip(((tmin - self.lo) / span * self.nb).astype(int), 0, self.nb - 1)
-        i1 = np.clip(((tmax - self.lo) / span * self.nb).astype(int), 0, self.nb - 1)
-        for k in range(len(t)):
-            for bx in range(i0[k, 0], i1[k, 0] + 1):
-                for by in range(i0[k, 1], i1[k, 1] + 1):
-                    self.buckets.setdefault((bx, by), []).append(k)
+        i0 = self._cells(tmin)
+        i1 = self._cells(tmax)
+        # every (bucket, triangle) pair of each triangle's bounding-box range;
+        # a stable sort keeps ascending triangle order inside each bucket
+        height = i1[:, 1] - i0[:, 1] + 1
+        tri, offset = _expand((i1[:, 0] - i0[:, 0] + 1) * height)
+        bucket = ((i0[tri, 0] + offset // height[tri]) * self.nb
+                  + i0[tri, 1] + offset % height[tri])
+        self.bucket_tris = tri[np.argsort(bucket, kind="stable")]
+        self.bucket_ptr = np.zeros(self.nb * self.nb + 1, dtype=np.int64)
+        np.cumsum(np.bincount(bucket, minlength=self.nb * self.nb),
+                  out=self.bucket_ptr[1:])
 
-    def _bary(self, k: int, x: float, y: float):
-        ax, ay = self.a[k]
-        bx, by = self.b[k]
-        cx, cy = self.c[k]
-        l1 = ((by - cy) * (x - cx) + (cx - bx) * (y - cy)) / self.det[k]
-        l2 = ((cy - ay) * (x - cx) + (ax - cx) * (y - cy)) / self.det[k]
+    def _cells(self, xy: np.ndarray) -> np.ndarray:
+        """Bucket column and row of each point, clipped to the grid."""
+        return np.clip((xy - self.lo) / self.span * self.nb,
+                       0, self.nb - 1).astype(np.int64)
+
+    def _bary(self, k: np.ndarray, x: np.ndarray, y: np.ndarray):
+        ax, ay = self.a[k, 0], self.a[k, 1]
+        bx, by = self.b[k, 0], self.b[k, 1]
+        cx, cy = self.c[k, 0], self.c[k, 1]
+        det = self.det[k]
+        l1 = ((by - cy) * (x - cx) + (cx - bx) * (y - cy)) / det
+        l2 = ((cy - ay) * (x - cx) + (ax - cx) * (y - cy)) / det
         return l1, l2, 1.0 - l1 - l2
 
-    def locate(self, x: float, y: float):
-        """Containing triangle and barycentric weights; nearest on miss."""
-        span = np.maximum(self.hi - self.lo, 1e-300)
-        bx = int(np.clip((x - self.lo[0]) / span[0] * self.nb, 0, self.nb - 1))
-        by = int(np.clip((y - self.lo[1]) / span[1] * self.nb, 0, self.nb - 1))
-        best = None
-        best_violation = np.inf
-        for k in self.buckets.get((bx, by), []):
-            lams = self._bary(k, x, y)
-            violation = -min(lams)
-            if violation <= _EDGE_TOL:
-                return k, lams
-            if violation < best_violation:
-                best_violation = violation
-                best = (k, lams)
-        if best is None:                       # empty bucket: scan everything
-            for k in range(len(self.det)):
-                lams = self._bary(k, x, y)
-                violation = -min(lams)
-                if violation <= _EDGE_TOL:
-                    return k, lams
-                if violation < best_violation:
-                    best_violation = violation
-                    best = (k, lams)
-        if best is None or best_violation > 1e-6:
-            raise ValidationError(
-                f"point ({x:g}, {y:g}) lies outside the source mesh")
-        return best
+    def _pick(self, points: np.ndarray, counts: np.ndarray, cand: np.ndarray):
+        """Best candidate per point; ``cand`` lists each point's ``counts`` triangles.
+
+        The first candidate within ``_EDGE_TOL`` wins; failing that, the one
+        with the least violation, the first one on ties.
+        """
+        owner, _ = _expand(counts)
+        lams = self._bary(cand, points[owner, 0], points[owner, 1])
+        violation = -np.minimum(np.minimum(lams[0], lams[1]), lams[2])
+        key = np.where(violation <= _EDGE_TOL, -np.inf, violation)
+        starts = np.cumsum(counts) - counts
+        least = np.minimum.reduceat(key, starts)
+        position = np.arange(len(cand))
+        first = np.minimum.reduceat(
+            np.where(key == least[owner], position, len(cand)), starts)
+        return cand[first], np.column_stack([lam[first] for lam in lams]), \
+            violation[first]
+
+    def locate(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Source triangle and barycentric weights (M, 3) of each of M points.
+
+        Raises ``ValidationError`` naming the first point that lies outside the
+        source mesh by more than the boundary-jitter tolerance.
+        """
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        if not np.isfinite(points).all():
+            raise ValidationError("target points must have finite coordinates")
+        cell = self._cells(points)
+        bucket = cell[:, 0] * self.nb + cell[:, 1]
+        begin = self.bucket_ptr[bucket]
+        counts = self.bucket_ptr[bucket + 1] - begin
+        tri = np.empty(len(points), dtype=np.int64)
+        lams = np.empty((len(points), 3))
+        violation = np.empty(len(points))
+
+        hit = np.flatnonzero(counts)
+        if hit.size:
+            owner, offset = _expand(counts[hit])
+            cand = self.bucket_tris[begin[hit][owner] + offset]
+            tri[hit], lams[hit], violation[hit] = self._pick(points[hit], counts[hit], cand)
+
+        every = np.arange(len(self.det))
+        for i in np.flatnonzero(counts == 0):       # empty bucket: scan everything
+            k, lam, v = self._pick(points[i:i + 1], np.array([len(every)]), every)
+            tri[i], lams[i], violation[i] = k[0], lam[0], v[0]
+
+        outside = np.flatnonzero(violation > _OUTSIDE_TOL)
+        if outside.size:
+            x, y = points[outside[0]]
+            raise ValidationError(f"point ({x:g}, {y:g}) lies outside the source mesh")
+        return tri, lams
+
+
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each of sum(counts) slots, its group and its offset in the group."""
+    group = np.repeat(np.arange(len(counts)), counts)
+    offset = np.arange(len(group)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return group, offset
 
 
 def transfer_field(source_mesh: Mesh, target_mesh: Mesh, values,
@@ -95,18 +136,16 @@ def transfer_field(source_mesh: Mesh, target_mesh: Mesh, values,
     """
     values = as_field(source_mesh, values)
     loc = locator or _TriangleLocator(source_mesh)
-    out = np.empty(target_mesh.node_count)
-    tris = source_mesh.triangles
-    for i, (x, y) in enumerate(target_mesh.nodes):
-        k, lams = loc.locate(float(x), float(y))
-        # snap to a vertex when the point is one, for bitwise round trips
-        jmax = int(np.argmax(lams))
-        if lams[jmax] >= 1.0 - 1e-12:
-            out[i] = values[tris[k, jmax]]
-        else:
-            out[i] = (lams[0] * values[tris[k, 0]]
-                      + lams[1] * values[tris[k, 1]]
-                      + lams[2] * values[tris[k, 2]])
+    tri, lams = loc.locate(target_mesh.nodes)
+    verts = source_mesh.triangles[tri]
+    out = (lams[:, 0] * values[verts[:, 0]]
+           + lams[:, 1] * values[verts[:, 1]]
+           + lams[:, 2] * values[verts[:, 2]])
+    # snap to a vertex when the point is one, for bitwise round trips
+    rows = np.arange(len(tri))
+    jmax = np.argmax(lams, axis=1)
+    snap = lams[rows, jmax] >= 1.0 - 1e-12
+    out[snap] = values[verts[rows[snap], jmax[snap]]]
     return out
 
 

@@ -211,8 +211,11 @@ def test_report_csv_format(bundle8, tmp_path):
     path = tmp_path / "report.csv"
     report.save(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,objective,grad_norm,step_length"
+    assert lines[0] == "iteration,objective,grad_norm,step_length,converged,message"
     assert len(lines) == len(report.objective_history) + 1
+    # the run's status sits on the last row only
+    assert all(ln.endswith(",,") for ln in lines[1:-1])
+    assert lines[-1].split(",")[4:] == [str(int(report.converged)), report.message]
 
 
 def test_auto_kappa_scales_with_data(bundle8):

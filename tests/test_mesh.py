@@ -144,3 +144,35 @@ def test_interior_and_boundary_partition():
     m = build_square_mesh(4)
     assert len(m.interior_list) + len(m.boundary_list) == m.node_count
     assert set(m.interior_list).isdisjoint(m.boundary_nodes)
+
+
+def _square_mesh_loops(n):
+    """Loop-built triangle and boundary-edge lists of build_square_mesh (oracle)."""
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            ll = j * (n + 1) + i
+            ul = ll + (n + 1)
+            tris += [(ll, ll + 1, ul + 1), (ll, ul + 1, ul)]
+    bedges = []
+    for i in range(n):
+        bedges += [(i, i + 1), (n * (n + 1) + i, n * (n + 1) + i + 1)]
+    for j in range(n):
+        bedges += [(j * (n + 1), (j + 1) * (n + 1)),
+                   (j * (n + 1) + n, (j + 1) * (n + 1) + n)]
+    return np.array(tris), np.array(bedges)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 32])
+def test_square_mesh_order_matches_loop_construction(n):
+    m = build_square_mesh(n)
+    tris, bedges = _square_mesh_loops(n)
+    assert np.array_equal(m.triangles, tris)
+    assert np.array_equal(m.boundary_edges, bedges)
+
+
+def test_edge_in_three_triangles_rejected():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, 3.0]])
+    tris = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+    with pytest.raises(ValidationError, match="more than two"):
+        Mesh(nodes=nodes, triangles=tris, boundary_edges=np.array([[0, 2]]))

@@ -1,10 +1,100 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tppat.config import default_config
+from tppat.errors import ValidationError
 from tppat.experiments import prepare_data, run_experiment
-from tppat.mesh import build_square_mesh
+from tppat.mesh import Mesh, build_square_mesh
 from tppat.transfer import make_locator, transfer_field
+
+
+class ScalarLocator:
+    """Reference point-by-point locator: the loop form of transfer's locator.
+
+    Buckets list triangles in ascending index order; a point takes the first
+    triangle of its bucket within 1e-12, else the least violation (first on
+    ties), scanning every triangle when its bucket is empty.
+    """
+
+    def __init__(self, mesh):
+        t, p = mesh.triangles, mesh.nodes
+        self.a, self.b, self.c = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
+        self.det = (self.b[:, 0] - self.a[:, 0]) * (self.c[:, 1] - self.a[:, 1]) \
+            - (self.c[:, 0] - self.a[:, 0]) * (self.b[:, 1] - self.a[:, 1])
+        self.lo = p.min(axis=0)
+        self.hi = p.max(axis=0)
+        self.nb = max(1, int(np.sqrt(len(t) / 2.0)))
+        self.buckets = {}
+        span = np.maximum(self.hi - self.lo, 1e-300)
+        tmin = np.minimum(np.minimum(self.a, self.b), self.c)
+        tmax = np.maximum(np.maximum(self.a, self.b), self.c)
+        i0 = np.clip(((tmin - self.lo) / span * self.nb).astype(int), 0, self.nb - 1)
+        i1 = np.clip(((tmax - self.lo) / span * self.nb).astype(int), 0, self.nb - 1)
+        for k in range(len(t)):
+            for bx in range(i0[k, 0], i1[k, 0] + 1):
+                for by in range(i0[k, 1], i1[k, 1] + 1):
+                    self.buckets.setdefault((bx, by), []).append(k)
+
+    def _bary(self, k, x, y):
+        ax, ay = self.a[k]
+        bx, by = self.b[k]
+        cx, cy = self.c[k]
+        l1 = ((by - cy) * (x - cx) + (cx - bx) * (y - cy)) / self.det[k]
+        l2 = ((cy - ay) * (x - cx) + (ax - cx) * (y - cy)) / self.det[k]
+        return l1, l2, 1.0 - l1 - l2
+
+    def _best(self, candidates, x, y):
+        best, best_violation = None, np.inf
+        for k in candidates:
+            lams = self._bary(k, x, y)
+            violation = -min(lams)
+            if violation <= 1e-12:
+                return (k, lams), violation
+            if violation < best_violation:
+                best, best_violation = (k, lams), violation
+        return best, best_violation
+
+    def locate(self, x, y):
+        span = np.maximum(self.hi - self.lo, 1e-300)
+        bx = int(np.clip((x - self.lo[0]) / span[0] * self.nb, 0, self.nb - 1))
+        by = int(np.clip((y - self.lo[1]) / span[1] * self.nb, 0, self.nb - 1))
+        best, violation = self._best(self.buckets.get((bx, by), []), x, y)
+        if best is None:
+            best, violation = self._best(range(len(self.det)), x, y)
+        if violation > 1e-6:
+            raise ValidationError(f"point ({x:g}, {y:g}) lies outside the source mesh")
+        return best
+
+
+def scalar_transfer(source, target, values):
+    """Reference transfer: one located target node at a time."""
+    loc = ScalarLocator(source)
+    out = np.empty(target.node_count)
+    for i, (x, y) in enumerate(target.nodes):
+        k, lams = loc.locate(float(x), float(y))
+        tri = source.triangles[k]
+        jmax = int(np.argmax(lams))
+        if lams[jmax] >= 1.0 - 1e-12:
+            out[i] = values[tri[jmax]]
+        else:
+            out[i] = lams[0] * values[tri[0]] + lams[1] * values[tri[1]] \
+                + lams[2] * values[tri[2]]
+    return out
+
+
+def mesh_from_triangles(nodes, tris):
+    """Mesh whose boundary edges are the edges of exactly one triangle."""
+    tris = np.asarray(tris)
+    edges = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]),
+                    axis=1)
+    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    return Mesh(nodes=np.asarray(nodes, dtype=float), triangles=tris,
+                boundary_edges=uniq[counts == 1])
+
+
+def bitwise_equal(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
 def test_identity_on_same_mesh():
@@ -87,3 +177,85 @@ def test_crime_guard_flag_in_bundle():
     assert bundle.data_mesh.node_count == 13 * 13
     ds = bundle.datum_set(0.0, 1)
     assert ds.data[0].shape == (bundle.mesh.node_count,)
+
+
+# source n, target n: either n can be any size, or the target nests in the source
+MESH_PAIRS = st.one_of(
+    st.tuples(st.integers(1, 24), st.integers(1, 24)),
+    st.integers(1, 12).flatmap(
+        lambda nt: st.tuples(st.integers(1, 24 // nt).map(lambda f: f * nt), st.just(nt))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=MESH_PAIRS, stretch=st.sampled_from([0.0, 1e-13, 1e-9]),
+       seed=st.integers(0, 2**32 - 1),
+       coeffs=st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+def test_vectorized_transfer_matches_scalar_oracle(pair, stretch, seed, coeffs):
+    # a stretched target puts boundary nodes just outside the source mesh,
+    # where the least-violation rule picks the triangle
+    ns, nt = pair
+    src = build_square_mesh(ns)
+    square = build_square_mesh(nt)
+    dst = Mesh(nodes=square.nodes * (1.0 + stretch), triangles=square.triangles,
+               boundary_edges=square.boundary_edges)
+    f = np.random.default_rng(seed).standard_normal(src.node_count)
+    assert bitwise_equal(transfer_field(src, dst, f), scalar_transfer(src, dst, f))
+
+    c0, cx, cy = coeffs
+    linear = c0 + cx * src.nodes[:, 0] + cy * src.nodes[:, 1]
+    expected = c0 + cx * dst.nodes[:, 0] + cy * dst.nodes[:, 1]
+    scale = 1.0 + abs(c0) + abs(cx) + abs(cy)
+    assert np.abs(transfer_field(src, dst, linear) - expected).max() \
+        <= 1e-12 * scale + 2.0 * stretch * (abs(cx) + abs(cy))
+
+
+def _l_shaped_source():
+    # bottom row of three unit-wide cells of height h, a column of two cells on
+    # the left above it; the bucket grid is 2 x 2 over [0, 3]^2, and h stops
+    # just short of the bucket edge y = 1.5, so bucket (1, 1) stays empty
+    h = 1.5 - 1e-9
+    xs, ys = [0.0, 1.0, 2.0, 3.0], [0.0, h, 2.0, 3.0]
+    nodes = [(x, y) for y in ys for x in xs]
+    cells = [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)]
+    tris = []
+    for i, j in cells:
+        ll = 4 * j + i
+        tris += [(ll, ll + 1, ll + 5), (ll, ll + 5, ll + 4)]
+    return mesh_from_triangles(nodes, tris)
+
+
+def test_point_in_empty_bucket_scans_every_triangle():
+    src = _l_shaped_source()
+    # (2.5, 1.5) is in the empty bucket, 1e-9 above the bottom row
+    dst = mesh_from_triangles([(0.5, 0.5), (2.5, 0.5), (2.5, 1.5)], [(0, 1, 2)])
+    loc = make_locator(src)
+    bucket = loc._cells(dst.nodes[2:])[0]
+    lo, hi = loc.bucket_ptr[bucket[0] * loc.nb + bucket[1]:][:2]
+    assert lo == hi                                     # the bucket is empty
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal(src.node_count)
+    out = transfer_field(src, dst, f, locator=loc)
+    assert bitwise_equal(out, scalar_transfer(src, dst, f))
+    linear = 1.0 + 2.0 * src.nodes[:, 0] - 0.5 * src.nodes[:, 1]
+    expected = 1.0 + 2.0 * dst.nodes[:, 0] - 0.5 * dst.nodes[:, 1]
+    assert np.abs(transfer_field(src, dst, linear) - expected).max() <= 1e-8
+
+
+@pytest.mark.parametrize("far", [(2.5, 2.5), (-2.0, 1.0)])
+def test_outside_error_names_the_point(far):
+    # (2.5, 2.5) is in the empty bucket, (-2, 1) is clipped into a full one
+    src = _l_shaped_source()
+    dst = mesh_from_triangles([(0.5, 0.5), (1.0, 0.5), far], [(0, 1, 2)])
+    with pytest.raises(ValidationError, match=rf"point \({far[0]:g}, {far[1]:g}\)"):
+        transfer_field(src, dst, np.ones(src.node_count))
+
+
+def test_non_finite_target_point_rejected():
+    src = build_square_mesh(3)
+    dst = build_square_mesh(2)
+    nodes = dst.nodes.copy()
+    nodes[4] = np.nan
+    bad = Mesh(nodes=nodes, triangles=dst.triangles, boundary_edges=dst.boundary_edges)
+    with pytest.raises(ValidationError, match="finite"):
+        transfer_field(src, bad, np.ones(src.node_count))
