@@ -19,11 +19,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__, direct, fem, lsq, transfer
-from .config import default_config, load_config, write_config
+from . import __version__, direct, fem, transfer
+from .config import default_config, load_config, parse_number_list, write_config
 from .errors import SolverError, ValidationError
-from .experiments import (lsq_config_from, prepare_data, run_experiment,
-                          run_forward, write_manifest, _midpoint_init)
+from .experiments import (prepare_data, reconstruct, run_experiment, run_forward,
+                          write_manifest)
 from .gradcheck import gradient_check
 from .mesh import build_square_mesh, load_mesh, save_mesh
 from .metrics import relative_l2_error
@@ -35,7 +35,7 @@ def _load_config(args):
     else:
         cfg = default_config()
     if getattr(args, "noise", None):
-        cfg.noise_levels = [float(e) for e in args.noise.split(",") if e.strip()]
+        cfg.noise_levels = parse_number_list(args.noise, "--noise")
     if getattr(args, "seed", None) is not None:
         cfg.seeds = [args.seed]
     return cfg.validate()
@@ -68,20 +68,19 @@ def _recon_common(args, algorithm):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     bundle = prepare_data(cfg, threads=args.threads)
-    eps = float(args.noise) if args.noise else 0.0
+    eps = 0.0
+    if args.noise:
+        if len(cfg.noise_levels) != 1:
+            raise ValidationError(f"recon-{algorithm} takes one --noise level")
+        eps = cfg.noise_levels[0]
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     datum_set = bundle.datum_set(eps, seed)
     mesh = bundle.mesh
-    Gamma, gamma = bundle.coeffs.gruneisen, bundle.coeffs.diffusion
 
-    if algorithm == "direct":
-        sigma, mu, report = direct.recover_pair(mesh, Gamma, gamma, datum_set)
-        report.save(outdir / "condition_report.csv")
-    else:
-        lcfg = lsq_config_from(cfg, mesh, datum_set)
-        init = (_midpoint_init(cfg, mesh), _midpoint_init(cfg, mesh))
-        sigma, mu, report = lsq.run_lsq(mesh, (Gamma, gamma), datum_set, init, lcfg)
-        report.save(outdir / "lsq_report.csv")
+    fields = reconstruct("III" if algorithm == "direct" else "IV", bundle, datum_set)
+    sigma, mu = fields["sigma"], fields["mu"]
+    report = "condition_report" if algorithm == "direct" else "lsq_report"
+    fields[report].save(outdir / f"{report}.csv")
 
     fem.save_field(outdir / "sigma.csv", sigma)
     fem.save_field(outdir / "mu.csv", mu)

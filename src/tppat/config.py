@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .forward import BoundarySource
+from .lsq import LsqConfig
 from .mesh import Mesh
 from .phantoms import Inclusion, Phantom, PhantomField
 
@@ -68,27 +70,6 @@ class SourceSpec:
 
 
 @dataclass
-class LsqSettings:
-    kappa: str | float = "auto"      # "auto" = 1e-8 * (datum scale)^2
-    grad_tol: float = 1e-6
-    max_iterations: int = 300
-    history: int = 10
-    bound_floor: float = 0.02
-    bound_ceiling: float = 0.5
-
-    def __post_init__(self):
-        if isinstance(self.kappa, str):
-            if self.kappa != "auto":
-                raise ValidationError("lsq kappa must be a number or 'auto'")
-        elif float(self.kappa) < 0.0:
-            raise ValidationError("lsq kappa must be nonnegative")
-        if self.bound_floor <= 0.0 or self.bound_ceiling <= self.bound_floor:
-            raise ValidationError("lsq bounds must satisfy 0 < floor < ceiling")
-        if self.max_iterations < 1 or self.history < 1 or self.grad_tol <= 0.0:
-            raise ValidationError("lsq iteration settings must be positive")
-
-
-@dataclass
 class ExperimentConfig:
     mesh_n: int = 32
     data_mesh_n: int | None = None       # different mesh = inversion-crime guard on
@@ -96,7 +77,7 @@ class ExperimentConfig:
     sources: list = field(default_factory=list)
     noise_levels: list = field(default_factory=lambda: [0.0, 1.0, 2.0, 5.0])
     seeds: list = field(default_factory=lambda: list(range(101, 111)))
-    lsq: LsqSettings = field(default_factory=LsqSettings)
+    lsq: LsqConfig = field(default_factory=LsqConfig)
 
     def validate(self):
         if self.mesh_n < 1:
@@ -107,10 +88,13 @@ class ExperimentConfig:
             raise ValidationError("config needs a phantom")
         if not self.sources:
             raise ValidationError("config needs at least one source")
-        if any(e < 0 for e in self.noise_levels):
-            raise ValidationError("noise levels must be nonnegative")
+        # noise seed material includes round(1000 * level)
+        if not all(e >= 0.0 and math.isfinite(1000.0 * e) for e in self.noise_levels):
+            raise ValidationError("noise levels must be finite and nonnegative")
         if not self.seeds:
             raise ValidationError("config needs at least one seed")
+        if any(s < 0 for s in self.seeds):
+            raise ValidationError("seeds must be nonnegative")
         return self
 
     def canonical_text(self) -> str:
@@ -201,7 +185,7 @@ def _parse_phantom_field(section, heading: str) -> PhantomField:
     return PhantomField(background=background, inclusions=inclusions)
 
 
-def _parse_number_list(text: str, context: str, conv=float) -> list:
+def parse_number_list(text: str, context: str, conv=float) -> list:
     out = []
     for item in text.split(","):
         item = item.strip()
@@ -254,33 +238,23 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     if parser.has_section("noise"):
         sec = parser["noise"]
         if "levels" in sec:
-            cfg.noise_levels = _parse_number_list(sec["levels"], "[noise] levels")
+            cfg.noise_levels = parse_number_list(sec["levels"], "[noise] levels")
         if "seeds" in sec:
-            cfg.seeds = _parse_number_list(sec["seeds"], "[noise] seeds", conv=int)
+            cfg.seeds = parse_number_list(sec["seeds"], "[noise] seeds", conv=int)
 
     if parser.has_section("lsq"):
         sec = parser["lsq"]
-        kwargs = {}
-        if "kappa" in sec:
-            raw = sec["kappa"].strip()
-            kwargs["kappa"] = raw if raw == "auto" else _as_float(raw, "[lsq] kappa")
-        for key, name, conv in (("grad_tol", "grad_tol", float),
-                                ("max_iterations", "max_iterations", int),
-                                ("history", "history", int),
-                                ("bound_floor", "bound_floor", float),
-                                ("bound_ceiling", "bound_ceiling", float)):
-            if key in sec:
-                kwargs[name] = _conv(sec[key], f"[lsq] {key}", conv)
-        cfg.lsq = LsqSettings(**kwargs)
+        convs = {"kappa": _kappa, "grad_tol": float, "max_iterations": int,
+                 "history": int, "bound_floor": float, "bound_ceiling": float}
+        cfg.lsq = LsqConfig(**{key: _conv(sec[key], f"[lsq] {key}", conv)
+                               for key, conv in convs.items() if key in sec})
 
     return cfg.validate()
 
 
-def _as_float(text, context):
-    try:
-        return float(text)
-    except ValueError:
-        raise ValidationError(f"{context}: bad number {text!r}") from None
+def _kappa(text):
+    text = text.strip()
+    return text if text == "auto" else float(text)
 
 
 def _conv(text, context, conv):

@@ -54,7 +54,7 @@ class DatumSet:
         for k, H in enumerate(self.data):
             self.data[k] = as_field(mesh, H)
         for g in self.sources:
-            if set(g.values) != set(mesh.boundary_nodes):
+            if g.values.shape != mesh.boundary_list.shape:
                 raise ValidationError("a source does not match the mesh boundary")
         return self
 

@@ -30,7 +30,6 @@ from .config import ExperimentConfig
 from .direct import DatumSet
 from .errors import ValidationError
 from .forward import NewtonConfig, add_noise, compute_datum, solve_semilinear
-from .lsq import LsqConfig
 from .mesh import Mesh, build_square_mesh, save_mesh
 from .metrics import relative_l2_error
 
@@ -111,25 +110,12 @@ def prepare_data(cfg: ExperimentConfig, newton: NewtonConfig | None = None,
                       H_clean=H_clean, reports=reports, locator=locator)
 
 
-def lsq_config_from(cfg: ExperimentConfig, mesh: Mesh, data: DatumSet,
-                    mu_only: bool = False, newton: NewtonConfig | None = None) -> LsqConfig:
-    ls = cfg.lsq
-    kappa = lsq.auto_kappa(mesh, data) if ls.kappa == "auto" else float(ls.kappa)
-    return LsqConfig(
-        kappa=kappa, grad_tol=ls.grad_tol,
-        max_bfgs_iterations=ls.max_iterations, history_size=ls.history,
-        bound_floor=ls.bound_floor, bound_ceiling=ls.bound_ceiling,
-        optimize_sigma=not mu_only, optimize_mu=True,
-        newton=newton or NewtonConfig())
-
-
-def _midpoint_init(cfg: ExperimentConfig, mesh: Mesh) -> np.ndarray:
-    mid = 0.5 * (cfg.lsq.bound_floor + cfg.lsq.bound_ceiling)
-    return np.full(mesh.node_count, mid)
-
-
 def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
-    """Run one experiment's reconstruction. Returns {coefficient: field}."""
+    """Run one experiment's reconstruction. Returns {coefficient: field}.
+
+    The least-squares experiments start every fitted field at the midpoint of
+    the bounds; II holds sigma at its true value and returns it as well.
+    """
     cfg = bundle.config
     mesh = bundle.mesh
     Gamma = bundle.coeffs.gruneisen
@@ -141,19 +127,13 @@ def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
     if which == "III":
         sigma, mu, report = direct.recover_pair(mesh, Gamma, gamma, datum_set)
         return {"sigma": sigma, "mu": mu, "condition_report": report}
-    if which == "II":
-        lcfg = lsq_config_from(cfg, mesh, datum_set, mu_only=True)
-        sigma0 = bundle.coeffs.single_photon
-        mu0 = _midpoint_init(cfg, mesh)
+    if which in ("II", "IV"):
+        mu_only = which == "II"
+        mid = np.full(mesh.node_count,
+                      0.5 * (cfg.lsq.bound_floor + cfg.lsq.bound_ceiling))
+        sigma0 = bundle.coeffs.single_photon if mu_only else mid
         sigma, mu, report = lsq.run_lsq(mesh, (Gamma, gamma), datum_set,
-                                        (sigma0, mu0), lcfg)
-        return {"mu": mu, "lsq_report": report}
-    if which == "IV":
-        lcfg = lsq_config_from(cfg, mesh, datum_set, mu_only=False)
-        sigma0 = _midpoint_init(cfg, mesh)
-        mu0 = _midpoint_init(cfg, mesh)
-        sigma, mu, report = lsq.run_lsq(mesh, (Gamma, gamma), datum_set,
-                                        (sigma0, mu0), lcfg)
+                                        (sigma0, mid), cfg.lsq, mu_only=mu_only)
         return {"sigma": sigma, "mu": mu, "lsq_report": report}
     raise ValidationError(f"unknown experiment {which!r}; expected one of "
                           f"{', '.join(EXPERIMENTS)}")

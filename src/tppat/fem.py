@@ -125,13 +125,6 @@ def lumped_mass(mesh: Mesh) -> np.ndarray:
     return m
 
 
-def load_from_field(mesh: Mesh, values, lumped: np.ndarray | None = None) -> np.ndarray:
-    """Load vector of a nodal source field under lumped quadrature: b_i = m_i f_i."""
-    f = as_field(mesh, values)
-    m = lumped_mass(mesh) if lumped is None else lumped
-    return m * f
-
-
 def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
     t = mesh.triangles
     rows = np.repeat(t, 3, axis=1).ravel()
@@ -180,7 +173,7 @@ def apply_dirichlet(A: sp.spmatrix, b: np.ndarray, boundary_values: dict,
 
 
 def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
-                 max_iterations: int | None = None, x0: np.ndarray | None = None):
+                 max_iterations: int | None = None):
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
     Returns x with relative residual ||Ax - b|| / ||b|| <= tol (x = 0 when
@@ -200,7 +193,7 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
         raise SolverError("matrix diagonal must be positive for Jacobi-CG")
     inv_diag = 1.0 / diag
 
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(n)
     r = b - A @ x
     z = inv_diag * r
     p = z.copy()
@@ -247,10 +240,8 @@ class DirichletSystem:
         self.K_ii = K[self.interior][:, self.interior].tocsr()
         self.K_ib = K[self.interior][:, self.boundary].tocsr()
 
-    def operator(self, reaction_diag_interior=None) -> sp.csr_matrix:
+    def operator(self, reaction_diag_interior) -> sp.csr_matrix:
         """Interior block of K plus a diagonal reaction term."""
-        if reaction_diag_interior is None:
-            return self.K_ii
         return (self.K_ii + sp.diags(reaction_diag_interior)).tocsr()
 
     def expand(self, x_interior: np.ndarray, boundary_values: np.ndarray) -> np.ndarray:

@@ -29,48 +29,36 @@ from .mesh import Mesh
 class BoundarySource:
     """Photon source strength g on the boundary nodes of a mesh.
 
-    values maps every boundary node index to a real strength. The source is
-    flagged strictly positive when min g > 0; several reconstruction routines
-    require that.
+    values holds one real strength per boundary node, in mesh.boundary_list
+    order (read-only). Several reconstruction routines require g > 0; see
+    require_strictly_positive.
     """
 
-    def __init__(self, mesh: Mesh, values: dict):
-        keys = {int(k) for k in values}
-        if keys != set(mesh.boundary_nodes):
-            missing = sorted(set(mesh.boundary_nodes) - keys)[:5]
-            extra = sorted(keys - set(mesh.boundary_nodes))[:5]
+    def __init__(self, mesh: Mesh, values):
+        values = np.array(values, dtype=float)
+        if values.shape != mesh.boundary_list.shape:
             raise ValidationError(
-                f"boundary source must cover exactly the boundary nodes "
-                f"(missing {missing}, extra {extra})")
+                f"boundary source needs one value per boundary node "
+                f"({len(mesh.boundary_list)}), got shape {values.shape}")
+        values.setflags(write=False)
         self.mesh = mesh
-        self.values = {int(k): float(v) for k, v in values.items()}
-        self._ordered = np.array([self.values[int(i)] for i in mesh.boundary_list])
+        self.values = values
 
     @classmethod
     def constant(cls, mesh: Mesh, value: float) -> "BoundarySource":
-        return cls(mesh, {int(i): float(value) for i in mesh.boundary_nodes})
+        return cls(mesh, np.full(len(mesh.boundary_list), float(value)))
 
     @classmethod
     def from_function(cls, mesh: Mesh, fn) -> "BoundarySource":
-        return cls(mesh, {int(i): float(fn(mesh.nodes[i, 0], mesh.nodes[i, 1]))
-                          for i in mesh.boundary_nodes})
-
-    @property
-    def ordered_values(self) -> np.ndarray:
-        """Values in the order of mesh.boundary_list."""
-        return self._ordered
+        return cls(mesh, [float(fn(x, y)) for x, y in mesh.nodes[mesh.boundary_list]])
 
     @property
     def min_value(self) -> float:
-        return float(self._ordered.min())
+        return float(self.values.min())
 
     @property
     def max_value(self) -> float:
-        return float(self._ordered.max())
-
-    @property
-    def is_strictly_positive(self) -> bool:
-        return self.min_value > 0.0
+        return float(self.values.max())
 
     def require_strictly_positive(self, epsilon: float = 0.0):
         if self.min_value <= epsilon:
@@ -133,12 +121,10 @@ class ForwardOperator:
         w = (self.lumped * self.jacobian_weight(u, sigma, mu))[self.interior]
         return self.split.operator(w)
 
-    def solve_linearized(self, u, sigma, mu, rhs_interior, tol=None,
-                         x0=None) -> np.ndarray:
+    def solve_linearized(self, u, sigma, mu, rhs_interior, tol=None) -> np.ndarray:
         """Solve the linearized equation with homogeneous Dirichlet data."""
         A = self.linearized_matrix(u, sigma, mu)
-        x = fem.solve_linear(A, rhs_interior, self.linear_tol if tol is None else tol,
-                             x0=x0)
+        x = fem.solve_linear(A, rhs_interior, self.linear_tol if tol is None else tol)
         return self.split.expand(x, np.zeros(len(self.boundary)))
 
     def solve_reaction(self, weight, g: BoundarySource, load_nodal=None,
@@ -146,15 +132,11 @@ class ForwardOperator:
         """Solve -div(gamma grad u) + weight * u = load with u = g on the boundary."""
         w = (self.lumped * as_field(self.mesh, weight))[self.interior]
         A = self.split.operator(w)
-        rhs = -(self.K_ib @ g.ordered_values)
+        rhs = -(self.split.K_ib @ g.values)
         if load_nodal is not None:
             rhs = rhs + (self.lumped * as_field(self.mesh, load_nodal))[self.interior]
         x = fem.solve_linear(A, rhs, self.linear_tol if tol is None else tol)
-        return self.split.expand(x, g.ordered_values)
-
-    @property
-    def K_ib(self):
-        return self.split.K_ib
+        return self.split.expand(x, g.values)
 
 
 def solve_semilinear(mesh: Mesh, coeffs: CoefficientSet, g: BoundarySource,
@@ -170,7 +152,7 @@ def solve_semilinear(mesh: Mesh, coeffs: CoefficientSet, g: BoundarySource,
     """
     cfg = cfg or NewtonConfig()
     coeffs.validate(mesh)
-    if g.mesh is not mesh and set(g.values) != set(mesh.boundary_nodes):
+    if g.values.shape != mesh.boundary_list.shape:
         raise ValidationError("boundary source does not match the mesh")
     if operator is not None and not np.array_equal(operator.gamma,
                                                    coeffs.diffusion):
@@ -184,7 +166,7 @@ def solve_semilinear(mesh: Mesh, coeffs: CoefficientSet, g: BoundarySource,
         u = op.solve_reaction(sigma, g, tol=cfg.linear_tol)
     else:
         u = as_field(mesh, u0)
-        u[op.boundary] = g.ordered_values
+        u[op.boundary] = g.values
 
     report = SolverReport()
     F = op.residual_interior(u, sigma, mu)

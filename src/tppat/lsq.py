@@ -19,6 +19,7 @@ gradient norms mesh-resolution invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,31 +34,27 @@ from .mesh import Mesh
 
 @dataclass
 class LsqConfig:
-    kappa: float = 0.0
+    """Least-squares settings; the fields are the keys of a config's [lsq] section."""
+
+    kappa: str | float = "auto"      # "auto" = auto_kappa(mesh, data)
     grad_tol: float = 1e-6
-    max_bfgs_iterations: int = 200
-    history_size: int = 10
-    bound_floor: float = 0.01
-    bound_ceiling: float = 2.0
-    optimize_sigma: bool = True
-    optimize_mu: bool = True
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
+    max_iterations: int = 300
+    history: int = 10
+    bound_floor: float = 0.02
+    bound_ceiling: float = 0.5
 
     def __post_init__(self):
-        if self.grad_tol <= 0.0:
-            raise ValidationError("grad_tol must be positive")
-        if self.kappa < 0.0:
-            raise ValidationError("kappa must be nonnegative")
-        if self.bound_floor <= 0.0:
-            raise ValidationError("bound_floor must be positive (coefficient bounds)")
-        if self.bound_ceiling <= self.bound_floor:
-            raise ValidationError("bound_ceiling must exceed bound_floor")
-        if self.max_bfgs_iterations < 1:
-            raise ValidationError("max_bfgs_iterations must be >= 1")
-        if self.history_size < 1:
-            raise ValidationError("history_size must be >= 1")
-        if not (self.optimize_sigma or self.optimize_mu):
-            raise ValidationError("at least one coefficient must be optimized")
+        if isinstance(self.kappa, str):
+            if self.kappa != "auto":
+                raise ValidationError("lsq kappa must be a number or 'auto'")
+        elif not (math.isfinite(self.kappa) and self.kappa >= 0.0):
+            raise ValidationError("lsq kappa must be finite and nonnegative")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
+            raise ValidationError("lsq grad_tol must be finite and positive")
+        if not (0.0 < self.bound_floor < self.bound_ceiling < math.inf):
+            raise ValidationError("lsq bounds must satisfy 0 < floor < ceiling < inf")
+        if self.max_iterations < 1 or self.history < 1:
+            raise ValidationError("lsq max_iterations and history must be >= 1")
 
 
 @dataclass
@@ -178,39 +175,12 @@ class Evaluator:
         return g_sigma, g_mu
 
 
-def objective(mesh: Mesh, coeffs_trial, fixed, data: DatumSet, kappa: float,
-              newton: NewtonConfig | None = None):
-    """Phi(sigma, mu) and per-source misfits for trial coefficients."""
-    sigma, mu = coeffs_trial
-    gruneisen, gamma = fixed
-    ev = Evaluator(mesh, gruneisen, gamma, data, kappa, newton)
-    return ev.objective(sigma, mu)
-
-
-def solve_adjoint(mesh: Mesh, coeffs: CoefficientSet, u_j, z_j,
-                  operator: ForwardOperator | None = None) -> np.ndarray:
-    """Adjoint solve against a given residual field z_j at state u_j."""
-    coeffs.validate(mesh)
-    u_j = as_field(mesh, u_j)
-    z_j = as_field(mesh, z_j)
-    op = operator or ForwardOperator(mesh, coeffs.diffusion)
-    sigma, mu = coeffs.single_photon, coeffs.two_photon
-    fz = sigma + 2.0 * mu * np.abs(u_j)
-    rhs = -(op.lumped * z_j * coeffs.gruneisen * fz)[op.interior]
-    return op.solve_linearized(u_j, sigma, mu, rhs)
-
-
-def gradient(mesh: Mesh, coeffs: CoefficientSet, data: DatumSet, kappa: float,
-             newton: NewtonConfig | None = None):
-    """Gradient fields of Phi at (coeffs.single_photon, coeffs.two_photon)."""
-    ev = Evaluator(mesh, coeffs.gruneisen, coeffs.diffusion, data, kappa, newton)
-    return ev.gradient(coeffs.single_photon, coeffs.two_photon)
-
-
-def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig):
+def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig, *,
+            mu_only: bool = False, newton: NewtonConfig | None = None):
     """Projected limited-memory BFGS minimization of Phi.
 
-    fixed = (Gamma, gamma); init = (sigma0, mu0) within the bounds. Returns
+    fixed = (Gamma, gamma); init = (sigma0, mu0) within the bounds. With
+    mu_only, sigma stays at sigma0 and only mu is fitted. Returns
     (sigma, mu, LsqReport). Terminates when the lumped-L2 gradient norm drops
     below grad_tol times its initial value, at the iteration cap, or when the
     line search cannot make progress (best iterate returned,
@@ -218,38 +188,24 @@ def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig):
     accepted steps.
     """
     gruneisen, gamma = fixed
-    ev = Evaluator(mesh, gruneisen, gamma, data, cfg.kappa, cfg.newton)
+    kappa = auto_kappa(mesh, data) if cfg.kappa == "auto" else float(cfg.kappa)
+    ev = Evaluator(mesh, gruneisen, gamma, data, kappa, newton)
     sigma = as_field(mesh, init[0])
     mu = as_field(mesh, init[1])
     for name, arr in (("sigma", sigma), ("mu", mu)):
         if arr.min() < cfg.bound_floor - 1e-15 or arr.max() > cfg.bound_ceiling + 1e-15:
             raise ValidationError(f"initial {name} violates the projection bounds")
 
+    # the iterate x is mu alone, or sigma and mu stacked; w holds its metric weights
     n = mesh.node_count
-    blocks = []
-    if cfg.optimize_sigma:
-        blocks.append("sigma")
-    if cfg.optimize_mu:
-        blocks.append("mu")
-    w = np.concatenate([ev.lumped] * len(blocks))     # metric weights
+    x = mu if mu_only else np.concatenate([sigma, mu])
+    w = ev.lumped if mu_only else np.concatenate([ev.lumped, ev.lumped])
 
     def pack(gs, gm):
-        parts = []
-        if cfg.optimize_sigma:
-            parts.append(gs)
-        if cfg.optimize_mu:
-            parts.append(gm)
-        return np.concatenate(parts)
+        return gm if mu_only else np.concatenate([gs, gm])
 
     def fields_of(x):
-        k = 0
-        s, m = sigma0.copy(), mu0.copy()
-        if cfg.optimize_sigma:
-            s = x[k * n:(k + 1) * n]
-            k += 1
-        if cfg.optimize_mu:
-            m = x[k * n:(k + 1) * n]
-        return s, m
+        return (sigma, x) if mu_only else (x[:n], x[n:])
 
     def dot(a, b):
         return float((w * a * b).sum())
@@ -257,9 +213,7 @@ def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig):
     def project(x):
         return np.clip(x, cfg.bound_floor, cfg.bound_ceiling)
 
-    sigma0, mu0 = sigma, mu
-    x = pack(sigma, mu)
-    report = LsqReport(kappa=cfg.kappa)
+    report = LsqReport(kappa=kappa)
 
     def evaluate(xv, need_grad):
         s, m = fields_of(xv)
@@ -285,7 +239,7 @@ def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig):
     y_hist: list[np.ndarray] = []
     rho_hist: list[float] = []
 
-    for it in range(cfg.max_bfgs_iterations):
+    for it in range(cfg.max_iterations):
         gnorm = report.grad_norm_history[-1]
         if gnorm <= cfg.grad_tol * gnorm0:
             report.converged = True
@@ -336,7 +290,7 @@ def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig):
             s_hist.append(s_vec)
             y_hist.append(y_vec)
             rho_hist.append(1.0 / sy)
-            if len(s_hist) > cfg.history_size:
+            if len(s_hist) > cfg.history:
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)

@@ -36,12 +36,17 @@ class Mesh:
     triangles : (T, 3) int array of node indices, counterclockwise.
     boundary_edges : (B, 2) int array of node-index pairs on the boundary.
     boundary_nodes : frozenset of node indices on the boundary.
+    boundary_list : read-only int array of the boundary nodes, increasing
+        (the stable ordering for I/O and boundary data).
+    interior_list : read-only int array of the other nodes, increasing.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
     boundary_nodes: frozenset = field(init=False)
+    boundary_list: np.ndarray = field(init=False, repr=False)
+    interior_list: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
@@ -56,10 +61,15 @@ class Mesh:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "triangles", tris)
         object.__setattr__(self, "boundary_edges", bedges)
-        object.__setattr__(self, "boundary_nodes",
-                           frozenset(int(i) for i in bedges.ravel()))
         self._validate()
-        for arr in (self.nodes, self.triangles, self.boundary_edges):
+        boundary = np.unique(bedges)
+        interior = np.ones(len(nodes), dtype=bool)
+        interior[boundary] = False
+        object.__setattr__(self, "boundary_nodes", frozenset(boundary.tolist()))
+        object.__setattr__(self, "boundary_list", boundary)
+        object.__setattr__(self, "interior_list", np.nonzero(interior)[0])
+        for arr in (self.nodes, self.triangles, self.boundary_edges,
+                    self.boundary_list, self.interior_list):
             arr.setflags(write=False)
 
     def _validate(self):
@@ -94,17 +104,6 @@ class Mesh:
     @property
     def triangle_count(self):
         return len(self.triangles)
-
-    @property
-    def boundary_list(self):
-        """Boundary node indices in increasing order (stable ordering for I/O)."""
-        return np.array(sorted(self.boundary_nodes), dtype=np.int64)
-
-    @property
-    def interior_list(self):
-        mask = np.ones(self.node_count, dtype=bool)
-        mask[list(self.boundary_nodes)] = False
-        return np.nonzero(mask)[0]
 
     def signed_areas(self):
         p = self.nodes

@@ -110,8 +110,8 @@ def boundary_traces(dH1: np.ndarray, dH2: np.ndarray, g1: BoundarySource,
     g1.require_strictly_positive()
     g2.require_strictly_positive()
     bl = mesh.boundary_list
-    a1 = g1.ordered_values
-    a2 = g2.ordered_values
+    a1 = g1.values
+    a2 = g2.values
     h1 = np.asarray(dH1, dtype=float)[bl]
     h2 = np.asarray(dH2, dtype=float)[bl]
     G = np.asarray(Gamma, dtype=float)[bl]

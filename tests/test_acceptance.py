@@ -217,7 +217,7 @@ def test_criterion_7_oracle_equivalence():
     m = lumped_mass(mesh)
     bl = mesh.boundary_list
     u_dense = np.zeros(n)
-    u_dense[bl] = g.ordered_values
+    u_dense[bl] = g.values
     for _ in range(100):
         F = K @ u_dense + m * (coeffs.single_photon * u_dense
                                + coeffs.two_photon * np.abs(u_dense) * u_dense)

@@ -1,9 +1,15 @@
+import configparser
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tppat.cli import main
-from tppat.config import SourceSpec, default_config, load_config, write_config
+from tppat.config import (SourceSpec, default_config, load_config, parse_config,
+                          write_config)
 from tppat.errors import ValidationError
+from tppat.experiments import noise_stream_seed
 from tppat.mesh import build_square_mesh, load_mesh
 
 
@@ -53,6 +59,38 @@ def test_config_negative_noise_rejected(tmp_path):
     path.write_text(cfgtext)
     with pytest.raises(ValidationError):
         load_config(path)
+
+
+NUMBERISH = st.sampled_from(["nan", "inf", "-inf", "1e400", "1e306", "-1", "0", "-0",
+                             "1e-300", "0.3", " 2 ", "7", "1_0", "auto", "", "1,2"])
+TEXT = st.one_of(st.text(max_size=20), NUMBERISH,
+                 st.lists(NUMBERISH, max_size=4).map(", ".join))
+LSQ_KEYS = ("kappa", "grad_tol", "max_iterations", "history", "bound_floor",
+            "bound_ceiling")
+
+
+@settings(max_examples=300, deadline=None)
+@given(noise=st.dictionaries(st.sampled_from(["levels", "seeds"]), TEXT, max_size=2),
+       lsq=st.dictionaries(st.sampled_from(LSQ_KEYS), TEXT, max_size=6))
+def test_parse_config_returns_in_range_values_or_raises_validation_error(noise, lsq):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(default_config().canonical_text())
+    for section, values in (("noise", noise), ("lsq", lsq)):
+        for key, value in values.items():
+            parser.set(section, key, value)
+    try:
+        cfg = parse_config(parser)
+    except ValidationError:
+        return
+    assert all(math.isfinite(e) and e >= 0.0 for e in cfg.noise_levels)
+    assert cfg.seeds and all(s >= 0 for s in cfg.seeds)
+    for e in cfg.noise_levels:                   # the noise streams can be seeded
+        np.random.default_rng(noise_stream_seed(cfg.seeds[0], 0, e))
+    ls = cfg.lsq
+    assert ls.kappa == "auto" or (math.isfinite(ls.kappa) and ls.kappa >= 0.0)
+    assert math.isfinite(ls.grad_tol) and ls.grad_tol > 0.0
+    assert ls.max_iterations >= 1 and ls.history >= 1
+    assert 0.0 < ls.bound_floor < ls.bound_ceiling < math.inf
 
 
 def test_source_spec_validation():
@@ -210,3 +248,15 @@ def test_cli_noise_and_seed_overrides(tmp_path):
     noisy = [p.name for p in out.iterdir() if "_eps" in p.name]
     assert len(noisy) == 8             # 4 sources x 2 levels
     assert all("seed42" in n for n in noisy)
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--which", "III", "--noise", "nan"],
+    ["experiment", "--which", "III", "--noise", "inf"],
+    ["experiment", "--which", "III", "--noise", "abc"],
+    ["experiment", "--which", "III", "--seed", "-1"],
+    ["recon-direct", "--noise", "0,2"],
+])
+def test_cli_bad_noise_or_seed_exits_1(tmp_path, argv):
+    cfg_path = small_config(tmp_path, n=4)
+    assert main(argv + ["--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1

@@ -38,7 +38,7 @@ def test_mu_zero_matches_linear_solve():
     # independent path: assemble and solve the linear system directly
     K = fem.assemble_stiffness(mesh, gamma)
     A = K + sp.diags(fem.lumped_mass(mesh) * sigma)
-    bc = {int(i): g.values[int(i)] for i in mesh.boundary_nodes}
+    bc = dict(zip(mesh.boundary_list.tolist(), g.values))
     A, b = fem.apply_dirichlet(A, np.zeros(n), bc, mesh=mesh)
     u_linear = fem.solve_linear(A, b, 1e-13)
 
@@ -54,7 +54,7 @@ def dense_newton_oracle(mesh, coeffs, g, tol=1e-14):
     K = fem.assemble_stiffness(mesh, coeffs.diffusion).toarray()
     m = fem.lumped_mass(mesh)
     bl = mesh.boundary_list
-    gvals = g.ordered_values
+    gvals = g.values
     u = np.zeros(n)
     u[bl] = gvals
 
@@ -93,7 +93,7 @@ def test_boundary_values_exact():
     coeffs = constant_coeffs(mesh)
     g = BoundarySource.from_function(mesh, lambda x, y: 1.0 + 0.5 * x * y + y)
     u, _ = solve_semilinear(mesh, coeffs, g)
-    assert np.array_equal(u[mesh.boundary_list], g.ordered_values)
+    assert np.array_equal(u[mesh.boundary_list], g.values)
 
 
 def test_residual_history_monotone():
@@ -128,13 +128,32 @@ def test_newton_config_validation():
 def test_boundary_source_validation():
     mesh = build_square_mesh(2)
     with pytest.raises(ValidationError):
-        BoundarySource(mesh, {0: 1.0})               # incomplete coverage
-    interiorful = {int(i): 1.0 for i in range(mesh.node_count)}
+        BoundarySource(mesh, [1.0])                  # too few values
     with pytest.raises(ValidationError):
-        BoundarySource(mesh, interiorful)            # covers interior nodes too
+        BoundarySource(mesh, np.ones(mesh.node_count))   # one per node
+    with pytest.raises(ValidationError):
+        BoundarySource(mesh, np.ones((len(mesh.boundary_list), 1)))
     g = BoundarySource.constant(mesh, 0.0)
     with pytest.raises(ValidationError):
         g.require_strictly_positive()
+
+
+def test_boundary_source_values_are_read_only_and_in_boundary_order():
+    mesh = build_square_mesh(3)
+    g = BoundarySource.from_function(mesh, lambda x, y: x + 10.0 * y)
+    x, y = mesh.nodes[mesh.boundary_list].T
+    assert np.array_equal(g.values, x + 10.0 * y)
+    assert np.array_equal(BoundarySource.constant(mesh, 0.7).values,
+                          BoundarySource.from_function(mesh, lambda x, y: 0.7).values)
+    with pytest.raises(ValueError):
+        g.values[0] = 1.0
+
+
+def test_source_from_another_mesh_rejected():
+    mesh = build_square_mesh(3)
+    g = BoundarySource.constant(build_square_mesh(4), 1.0)
+    with pytest.raises(ValidationError, match="does not match the mesh"):
+        solve_semilinear(mesh, constant_coeffs(mesh), g)
 
 
 def test_datum_arithmetic():

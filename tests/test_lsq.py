@@ -8,8 +8,7 @@ from tppat.errors import ValidationError
 from tppat.experiments import prepare_data
 from tppat.forward import NewtonConfig
 from tppat.gradcheck import gradient_check
-from tppat.lsq import (Evaluator, LsqConfig, auto_kappa, gradient, objective,
-                       run_lsq, solve_adjoint)
+from tppat.lsq import Evaluator, LsqConfig, auto_kappa, run_lsq
 
 TIGHT = NewtonConfig(residual_tol=1e-12, linear_tol=1e-12)
 
@@ -25,12 +24,16 @@ def datum(bundle, eps=0.0, seed=1):
     return bundle.datum_set(eps, seed)
 
 
+def evaluator(bundle, kappa=0.0, newton=TIGHT):
+    """A fresh (cold-started) evaluator at the bundle's true Gamma and gamma."""
+    return Evaluator(bundle.mesh, bundle.coeffs.gruneisen, bundle.coeffs.diffusion,
+                     datum(bundle), kappa=kappa, newton=newton)
+
+
 def test_objective_zero_at_truth(bundle8):
     b = bundle8
-    value, misfits = objective(
-        b.mesh, (b.coeffs.single_photon, b.coeffs.two_photon),
-        (b.coeffs.gruneisen, b.coeffs.diffusion), datum(b), kappa=0.0,
-        newton=TIGHT)
+    value, misfits = evaluator(b).objective(b.coeffs.single_photon,
+                                            b.coeffs.two_photon)
     scale = max(float(np.abs(H).max()) for H in b.H_clean) ** 2
     assert value <= 1e-16 * scale
     assert len(misfits) == 4
@@ -40,10 +43,8 @@ def test_regularizer_vanishes_for_constants(bundle8):
     b = bundle8
     n = b.mesh.node_count
     trial = (np.full(n, 0.2), np.full(n, 0.08))
-    v0, _ = objective(b.mesh, trial, (b.coeffs.gruneisen, b.coeffs.diffusion),
-                      datum(b), kappa=0.0, newton=TIGHT)
-    v1, _ = objective(b.mesh, trial, (b.coeffs.gruneisen, b.coeffs.diffusion),
-                      datum(b), kappa=10.0, newton=TIGHT)
+    v0, _ = evaluator(b, kappa=0.0).objective(*trial)
+    v1, _ = evaluator(b, kappa=10.0).objective(*trial)
     assert v1 == v0
 
 
@@ -53,19 +54,17 @@ def test_objective_affine_in_kappa(bundle8):
     n = b.mesh.node_count
     trial = (b.coeffs.single_photon * (1 + 0.1 * rng.uniform(-1, 1, n)),
              b.coeffs.two_photon * (1 + 0.1 * rng.uniform(-1, 1, n)))
-    ev = Evaluator(b.mesh, b.coeffs.gruneisen, b.coeffs.diffusion, datum(b),
-                   kappa=0.0, newton=TIGHT)
-    R = ev.regularizer(*trial)
-    fixed = (b.coeffs.gruneisen, b.coeffs.diffusion)
-    v1, _ = objective(b.mesh, trial, fixed, datum(b), kappa=0.5, newton=TIGHT)
-    v2, _ = objective(b.mesh, trial, fixed, datum(b), kappa=1.0, newton=TIGHT)
+    R = evaluator(b).regularizer(*trial)
+    v1, _ = evaluator(b, kappa=0.5).objective(*trial)
+    v2, _ = evaluator(b, kappa=1.0).objective(*trial)
     assert v2 - v1 == pytest.approx(0.5 * R, rel=1e-12)
 
 
 def test_adjoint_zero_residual(bundle8):
     b = bundle8
-    v = solve_adjoint(b.mesh, b.coeffs, b.u_clean[0],
-                      np.zeros(b.mesh.node_count))
+    ev = evaluator(b, newton=NewtonConfig())
+    v = ev.solve_adjoint(b.coeffs.single_photon, b.coeffs.two_photon,
+                         b.u_clean[0], np.zeros(b.mesh.node_count))
     assert np.all(v == 0.0)
 
 
@@ -73,14 +72,16 @@ def test_adjoint_linear_in_residual(bundle8):
     b = bundle8
     rng = np.random.default_rng(1)
     z = rng.uniform(-1, 1, b.mesh.node_count)
-    v1 = solve_adjoint(b.mesh, b.coeffs, b.u_clean[0], z)
-    v2 = solve_adjoint(b.mesh, b.coeffs, b.u_clean[0], 2.0 * z)
+    ev = evaluator(b, newton=NewtonConfig())
+    sigma, mu, u = b.coeffs.single_photon, b.coeffs.two_photon, b.u_clean[0]
+    v1 = ev.solve_adjoint(sigma, mu, u, z)
+    v2 = ev.solve_adjoint(sigma, mu, u, 2.0 * z)
     assert np.abs(v2 - 2.0 * v1).max() <= 1e-9 * np.abs(v1).max()
 
 
 def test_gradient_vanishes_at_noiseless_truth(bundle8):
     b = bundle8
-    g_sigma, g_mu = gradient(b.mesh, b.coeffs, datum(b), kappa=0.0, newton=TIGHT)
+    g_sigma, g_mu = evaluator(b).gradient(b.coeffs.single_photon, b.coeffs.two_photon)
     scale = float(np.abs(b.coeffs.single_photon).max())
     assert np.abs(g_sigma).max() <= 1e-8 * scale
     assert np.abs(g_mu).max() <= 1e-8 * scale
@@ -114,10 +115,10 @@ def test_kappa_only_gradient_is_stiffness_term(bundle8):
 
 def test_run_lsq_stationary_at_truth(bundle8):
     b = bundle8
-    cfg = LsqConfig(kappa=0.0, bound_floor=0.01, bound_ceiling=1.0, newton=TIGHT)
+    cfg = LsqConfig(kappa=0.0, bound_floor=0.01, bound_ceiling=1.0)
     sigma, mu, report = run_lsq(
         b.mesh, (b.coeffs.gruneisen, b.coeffs.diffusion), datum(b),
-        (b.coeffs.single_photon, b.coeffs.two_photon), cfg)
+        (b.coeffs.single_photon, b.coeffs.two_photon), cfg, newton=TIGHT)
     assert report.iterations <= 1
     assert report.converged
     assert np.array_equal(sigma, b.coeffs.single_photon)
@@ -128,11 +129,11 @@ def test_run_lsq_objective_strictly_decreasing(bundle8):
     b = bundle8
     n = b.mesh.node_count
     cfg = LsqConfig(kappa=auto_kappa(b.mesh, datum(b)), grad_tol=1e-3,
-                    max_bfgs_iterations=25, bound_floor=0.02,
-                    bound_ceiling=0.5, newton=TIGHT)
+                    max_iterations=25, bound_floor=0.02,
+                    bound_ceiling=0.5)
     init = (np.full(n, 0.26), np.full(n, 0.26))
     _, _, report = run_lsq(b.mesh, (b.coeffs.gruneisen, b.coeffs.diffusion),
-                           datum(b), init, cfg)
+                           datum(b), init, cfg, newton=TIGHT)
     hist = report.objective_history
     assert len(hist) >= 2
     assert all(hist[k + 1] < hist[k] for k in range(len(hist) - 1))
@@ -143,11 +144,11 @@ def test_run_lsq_deep_misfit_reduction(bundle8):
     # solver-noise floor, far below 1e-10 of its initial value
     b = bundle8
     n = b.mesh.node_count
-    cfg = LsqConfig(kappa=0.0, grad_tol=1e-30, max_bfgs_iterations=800,
-                    bound_floor=0.02, bound_ceiling=0.5, newton=TIGHT)
+    cfg = LsqConfig(kappa=0.0, grad_tol=1e-30, max_iterations=800,
+                    bound_floor=0.02, bound_ceiling=0.5)
     init = (np.full(n, 0.26), np.full(n, 0.26))
     _, _, report = run_lsq(b.mesh, (b.coeffs.gruneisen, b.coeffs.diffusion),
-                           datum(b), init, cfg)
+                           datum(b), init, cfg, newton=TIGHT)
     hist = report.objective_history
     assert hist[-1] <= 1e-10 * hist[0]
 
@@ -155,11 +156,11 @@ def test_run_lsq_deep_misfit_reduction(bundle8):
 def test_run_lsq_respects_bounds(bundle8):
     b = bundle8
     n = b.mesh.node_count
-    cfg = LsqConfig(kappa=0.0, grad_tol=1e-4, max_bfgs_iterations=40,
-                    bound_floor=0.1, bound_ceiling=0.2, newton=TIGHT)
+    cfg = LsqConfig(kappa=0.0, grad_tol=1e-4, max_iterations=40,
+                    bound_floor=0.1, bound_ceiling=0.2)
     init = (np.full(n, 0.15), np.full(n, 0.15))
     sigma, mu, _ = run_lsq(b.mesh, (b.coeffs.gruneisen, b.coeffs.diffusion),
-                           datum(b), init, cfg)
+                           datum(b), init, cfg, newton=TIGHT)
     assert sigma.min() >= 0.1 and sigma.max() <= 0.2
     assert mu.min() >= 0.1 and mu.max() <= 0.2
 
@@ -176,13 +177,12 @@ def test_run_lsq_rejects_out_of_bounds_init(bundle8):
 def test_mu_only_mode_keeps_sigma_fixed(bundle8):
     b = bundle8
     n = b.mesh.node_count
-    cfg = LsqConfig(kappa=0.0, grad_tol=1e-6, max_bfgs_iterations=60,
-                    bound_floor=0.02, bound_ceiling=0.5,
-                    optimize_sigma=False, newton=TIGHT)
+    cfg = LsqConfig(kappa=0.0, grad_tol=1e-6, max_iterations=60,
+                    bound_floor=0.02, bound_ceiling=0.5)
     init = (b.coeffs.single_photon, np.full(n, 0.26))
     sigma, mu, report = run_lsq(b.mesh,
                                 (b.coeffs.gruneisen, b.coeffs.diffusion),
-                                datum(b), init, cfg)
+                                datum(b), init, cfg, mu_only=True, newton=TIGHT)
     assert np.array_equal(sigma, b.coeffs.single_photon)
     assert report.objective_history[-1] < report.objective_history[0]
 
@@ -197,17 +197,41 @@ def test_lsq_config_validation():
     with pytest.raises(ValidationError):
         LsqConfig(kappa=-1.0)
     with pytest.raises(ValidationError):
-        LsqConfig(optimize_sigma=False, optimize_mu=False)
+        LsqConfig(kappa="tiny")
+    with pytest.raises(ValidationError):
+        LsqConfig(max_iterations=0)
+    with pytest.raises(ValidationError):
+        LsqConfig(history=0)
+    for bad in (float("nan"), float("inf")):
+        for name in ("kappa", "grad_tol", "bound_floor", "bound_ceiling"):
+            with pytest.raises(ValidationError):
+                LsqConfig(**{name: bad})
+
+
+def test_lsq_config_defaults_are_the_experiment_defaults():
+    cfg = LsqConfig()
+    assert (cfg.kappa, cfg.grad_tol, cfg.max_iterations, cfg.history,
+            cfg.bound_floor, cfg.bound_ceiling) == ("auto", 1e-6, 300, 10, 0.02, 0.5)
+
+
+def test_run_lsq_resolves_auto_kappa(bundle8):
+    b = bundle8
+    n = b.mesh.node_count
+    ds = datum(b)
+    init = (np.full(n, 0.26), np.full(n, 0.26))
+    _, _, report = run_lsq(b.mesh, (b.coeffs.gruneisen, b.coeffs.diffusion), ds,
+                           init, LsqConfig(max_iterations=1), newton=TIGHT)
+    assert report.kappa == auto_kappa(b.mesh, ds)
 
 
 def test_report_csv_format(bundle8, tmp_path):
     b = bundle8
     n = b.mesh.node_count
-    cfg = LsqConfig(kappa=0.0, grad_tol=1e-3, max_bfgs_iterations=5,
-                    bound_floor=0.02, bound_ceiling=0.5, newton=TIGHT)
+    cfg = LsqConfig(kappa=0.0, grad_tol=1e-3, max_iterations=5,
+                    bound_floor=0.02, bound_ceiling=0.5)
     init = (np.full(n, 0.26), np.full(n, 0.26))
     _, _, report = run_lsq(b.mesh, (b.coeffs.gruneisen, b.coeffs.diffusion),
-                           datum(b), init, cfg)
+                           datum(b), init, cfg, newton=TIGHT)
     path = tmp_path / "report.csv"
     report.save(path)
     lines = path.read_text().splitlines()

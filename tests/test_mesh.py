@@ -144,6 +144,18 @@ def test_interior_and_boundary_partition():
     m = build_square_mesh(4)
     assert len(m.interior_list) + len(m.boundary_list) == m.node_count
     assert set(m.interior_list).isdisjoint(m.boundary_nodes)
+    assert m.boundary_list.tolist() == sorted(m.boundary_nodes)
+    assert np.all(np.diff(m.interior_list) > 0)
+
+
+def test_node_lists_are_computed_once_and_read_only():
+    m = build_square_mesh(3)
+    for name in ("boundary_list", "interior_list"):
+        first = getattr(m, name)
+        assert getattr(m, name) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1
 
 
 def _square_mesh_loops(n):
