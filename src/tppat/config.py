@@ -210,7 +210,7 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     cfg = ExperimentConfig(phantom=None)
 
     if parser.has_section("mesh"):
-        sec = parser["mesh"]
+        sec = _known_keys(parser, "mesh", ("n", "data_n"))
         if "n" in sec:
             try:
                 cfg.mesh_n = int(sec["n"])
@@ -236,20 +236,29 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
         cfg.sources.append(SourceSpec(kind=packed["kind"], params=packed["params"]))
 
     if parser.has_section("noise"):
-        sec = parser["noise"]
+        sec = _known_keys(parser, "noise", ("levels", "seeds"))
         if "levels" in sec:
             cfg.noise_levels = parse_number_list(sec["levels"], "[noise] levels")
         if "seeds" in sec:
             cfg.seeds = parse_number_list(sec["seeds"], "[noise] seeds", conv=int)
 
     if parser.has_section("lsq"):
-        sec = parser["lsq"]
         convs = {"kappa": _kappa, "grad_tol": float, "max_iterations": int,
                  "history": int, "bound_floor": float, "bound_ceiling": float}
+        sec = _known_keys(parser, "lsq", convs)
         cfg.lsq = LsqConfig(**{key: _conv(sec[key], f"[lsq] {key}", conv)
                                for key, conv in convs.items() if key in sec})
 
     return cfg.validate()
+
+
+def _known_keys(parser, heading, keys):
+    """The section, after rejecting any key not in keys."""
+    sec = parser[heading]
+    for key in sec:
+        if key not in keys:
+            raise ValidationError(f"[{heading}] unknown key {key!r}")
+    return sec
 
 
 def _kappa(text):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .direct import DatumSet
+from .errors import ValidationError
 from .experiments import prepare_data
 from .forward import NewtonConfig
 from .lsq import Evaluator, auto_kappa
@@ -50,14 +51,15 @@ def gradient_check(cfg: ExperimentConfig, directions: int = 20, seed: int = 7,
     coefficients, so the misfit (and its gradient) is genuinely nonzero.
     The FD step is step_scale times the coefficient field scale.
     """
+    if cfg.data_mesh_n not in (None, cfg.mesh_n):
+        raise ValidationError("gradient check expects data and reconstruction "
+                              "on the same mesh; leave [mesh] data_n unset "
+                              "or equal to n")
     newton = NewtonConfig(residual_tol=1e-12, linear_tol=1e-12)
     bundle = prepare_data(cfg, newton=newton)
     mesh = bundle.mesh
     data = DatumSet(sources=list(bundle.sources),
                     data=[H.copy() for H in bundle.H_clean])
-    if bundle.crime_guard:
-        raise ValueError("gradient check expects data and reconstruction "
-                         "on the same mesh")
     kap = auto_kappa(mesh, data) if kappa == "auto" else float(kappa)
 
     rng = np.random.default_rng(seed)

@@ -14,7 +14,11 @@ the forward discretization.
 
 The optimizer is limited-memory BFGS with projection onto the bounds and
 Armijo backtracking. Inner products use the lumped-mass metric, which makes
-gradient norms mesh-resolution invariant.
+gradient norms mesh-resolution invariant. The initial inverse Hessian of the
+two-loop recursion is the pointwise Gauss-Newton metric of the data term
+(see gauss_newton_metric): for fixed photon densities the datum fixes
+(sigma, mu) node by node, so this metric captures most of the misfit Hessian
+and the iteration count stays nearly flat in the mesh size.
 """
 
 from __future__ import annotations
@@ -175,15 +179,65 @@ class Evaluator:
         return g_sigma, g_mu
 
 
+def gauss_newton_metric(gruneisen, us, reg, mu_only: bool = False):
+    """Initial L-BFGS inverse metric q -> H0 q from the forward states us.
+
+    At node i, a_j = Gamma_i u_j,i and b_j = Gamma_i |u_j,i| u_j,i are the
+    derivatives of the residual z_j with respect to sigma_i and mu_i with u
+    frozen. B_i = sum_j [a_j, b_j]^T [a_j, b_j] + reg_i I, with reg =
+    kappa * diag(K1) / m, is the pointwise Gauss-Newton matrix (its (2, 2)
+    entry alone with mu_only), and H0 applies B_i^-1 to the components of
+    node i; q is mu alone or (sigma, mu) stacked, as in run_lsq. The gradient
+    is the lumped-metric Riesz representer, so H0 g is the Gauss-Newton step
+    of the data term, and H0 is self-adjoint in the lumped metric because
+    sigma_i and mu_i share the weight m_i.
+
+    Where B_i is singular or nearly so (det B_i <= 1e-12 (tr B_i)^2, e.g.
+    one source with kappa = 0, equal |u_j| at the node, or Gamma_i = 0), it
+    is replaced by beta I, with beta the mean eigenvalue of the regular
+    blocks (1 if there are none), so H0 is finite and positive definite at
+    every node.
+    """
+    a = np.asarray(gruneisen) * np.asarray(us)
+    b = a * np.abs(us)
+    bb = (b * b).sum(axis=0) + reg
+    if mu_only:
+        with np.errstate(divide="ignore"):
+            c22 = 1.0 / bb
+        ok = np.isfinite(c22) & (c22 > 0.0)
+        c22[~ok] = 1.0 / bb[ok].mean() if ok.any() else 1.0
+        return lambda q: c22 * q
+
+    aa = (a * a).sum(axis=0) + reg
+    ab = (a * b).sum(axis=0)
+    det = aa * bb - ab * ab
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c11, c12, c22 = bb / det, -ab / det, aa / det
+        ok = det > 1e-12 * (aa + bb) ** 2
+    ok &= np.isfinite(c11) & np.isfinite(c12) & np.isfinite(c22)
+    beta = float(0.5 * (aa + bb)[ok].mean()) if ok.any() else 1.0
+    c11[~ok] = c22[~ok] = 1.0 / beta
+    c12[~ok] = 0.0
+    n = len(c11)
+
+    def apply(q):
+        qs, qm = q[:n], q[n:]
+        return np.concatenate([c11 * qs + c12 * qm, c12 * qs + c22 * qm])
+    return apply
+
+
 def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig, *,
             mu_only: bool = False, newton: NewtonConfig | None = None):
     """Projected limited-memory BFGS minimization of Phi.
 
     fixed = (Gamma, gamma); init = (sigma0, mu0) within the bounds. With
     mu_only, sigma stays at sigma0 and only mu is fitted. Returns
-    (sigma, mu, LsqReport). Terminates when the lumped-L2 gradient norm drops
-    below grad_tol times its initial value, at the iteration cap, or when the
-    line search cannot make progress (best iterate returned,
+    (sigma, mu, LsqReport). Inner products use the lumped-mass metric. The
+    two-loop recursion starts from gauss_newton_metric, rebuilt from the
+    forward states of each accepted iterate (no extra solve) and scaled by
+    s.y / y.H0y once history exists. Terminates when the lumped-L2 gradient
+    norm drops below grad_tol times its initial value, at the iteration cap,
+    or when the line search cannot make progress (best iterate returned,
     converged=False). The objective history is strictly decreasing over
     accepted steps.
     """
@@ -200,6 +254,7 @@ def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig, *,
     n = mesh.node_count
     x = mu if mu_only else np.concatenate([sigma, mu])
     w = ev.lumped if mu_only else np.concatenate([ev.lumped, ev.lumped])
+    reg = kappa * ev.K1.diagonal() / ev.lumped
 
     def pack(gs, gm):
         return gm if mu_only else np.concatenate([gs, gm])
@@ -220,11 +275,12 @@ def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig, *,
         states = ev.forward_states(s, m)
         val, _ = ev.objective(s, m, states=states)
         if not need_grad:
-            return val, None
+            return val, None, None
         gs, gm = ev.gradient(s, m, states=states)
-        return val, pack(gs, gm)
+        h0 = gauss_newton_metric(ev.gruneisen, states[0], reg, mu_only)
+        return val, pack(gs, gm), h0
 
-    f, g = evaluate(x, True)
+    f, g, h0 = evaluate(x, True)
     gnorm0 = np.sqrt(dot(g, g))
     report.objective_history.append(f)
     report.grad_norm_history.append(gnorm0)
@@ -252,8 +308,9 @@ def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig, *,
             ai = ri * dot(si, q)
             alphas.append(ai)
             q -= ai * yi
+        q = h0(q)
         if y_hist:
-            q *= dot(s_hist[-1], y_hist[-1]) / dot(y_hist[-1], y_hist[-1])
+            q *= dot(s_hist[-1], y_hist[-1]) / dot(y_hist[-1], h0(y_hist[-1]))
         for si, yi, ri, ai in zip(s_hist, y_hist, rho_hist, reversed(alphas)):
             bi = ri * dot(yi, q)
             q += (ai - bi) * si
@@ -270,7 +327,7 @@ def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig, *,
             if slope >= 0.0:
                 alpha *= 0.5
                 continue
-            f_trial, _ = evaluate(x_trial, False)
+            f_trial, _, _ = evaluate(x_trial, False)
             if f_trial <= f + 1e-4 * slope:
                 accepted = True
                 break
@@ -281,7 +338,7 @@ def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig, *,
 
         # keep the Armijo-tested value so the recorded history is strictly
         # decreasing even at the solver-noise floor
-        _, g_new = evaluate(x_trial, True)
+        _, g_new, h0 = evaluate(x_trial, True)
         f_new = f_trial
         s_vec = x_trial - x
         y_vec = g_new - g

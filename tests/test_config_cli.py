@@ -93,6 +93,16 @@ def test_parse_config_returns_in_range_values_or_raises_validation_error(noise, 
     assert 0.0 < ls.bound_floor < ls.bound_ceiling < math.inf
 
 
+@pytest.mark.parametrize("section,key", [("mesh", "size"), ("noise", "level"),
+                                         ("lsq", "max_iter")])
+def test_parse_config_rejects_unknown_keys(section, key):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(default_config().canonical_text())
+    parser.set(section, key, "5")
+    with pytest.raises(ValidationError, match=rf"\[{section}\] unknown key '{key}'"):
+        parse_config(parser)
+
+
 def test_source_spec_validation():
     with pytest.raises(ValidationError):
         SourceSpec("constant", {})
@@ -193,6 +203,13 @@ def test_cli_gradcheck(tmp_path):
     lines = (out / "gradcheck.csv").read_text().splitlines()
     assert lines[0] == "direction,adjoint,fd,relative_error"
     assert len(lines) == 4
+
+
+def test_cli_gradcheck_rejects_crime_guard_config(tmp_path):
+    cfg_path = small_config(tmp_path, n=4, data_n=6)
+    assert main(["gradcheck", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "gc"), "--directions", "1"]) == 1
+    assert not (tmp_path / "gc").exists()
 
 
 def test_cli_transfer_roundtrip(tmp_path):

@@ -4,10 +4,11 @@ import scipy.sparse as sp
 
 from tppat import fem
 from tppat.errors import MeshFormatError, SolverError, ValidationError
-from tppat.fem import (CoefficientSet, apply_dirichlet, assemble_stiffness,
-                       assemble_weighted_mass, load_field, lumped_mass,
-                       save_field, solve_linear)
+from tppat.fem import (CoefficientSet, assemble_stiffness, assemble_weighted_mass,
+                       load_field, lumped_mass, save_field, solve_linear)
 from tppat.mesh import build_square_mesh
+
+from oracle import apply_dirichlet
 
 # Degree-5 Gauss rule on the triangle (7 points, barycentric), used as an
 # independent quadrature oracle for mass-matrix entries (cubic integrands).

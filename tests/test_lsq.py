@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tppat import fem
 from tppat.config import default_config
 from tppat.direct import DatumSet
 from tppat.errors import ValidationError
-from tppat.experiments import prepare_data
+from tppat.experiments import prepare_data, reconstruct
 from tppat.forward import NewtonConfig
 from tppat.gradcheck import gradient_check
-from tppat.lsq import Evaluator, LsqConfig, auto_kappa, run_lsq
+from tppat.lsq import Evaluator, LsqConfig, auto_kappa, gauss_newton_metric, run_lsq
+from tppat.mesh import build_square_mesh
 
 TIGHT = NewtonConfig(residual_tol=1e-12, linear_tol=1e-12)
 
@@ -261,3 +263,73 @@ def test_forward_failure_names_source(bundle8):
     with pytest.raises(SolverError) as err:
         ev.forward_states(b.coeffs.single_photon, b.coeffs.two_photon)
     assert "source 0" in str(err.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 5), sources=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       kappa=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]), mu_only=st.booleans(),
+       equal_abs=st.booleans(), zero_gruneisen=st.booleans())
+def test_gauss_newton_metric_is_finite_self_adjoint_and_positive(
+        n, sources, seed, kappa, mu_only, equal_abs, zero_gruneisen):
+    # the degenerate cases: one source with kappa = 0, equal |u_j| at every
+    # node (det B_i = 0), Gamma_i = 0 at some nodes, and mu-only mode
+    mesh = build_square_mesh(n)
+    nodes = mesh.node_count
+    rng = np.random.default_rng(seed)
+    us = rng.uniform(0.1, 3.0, (sources, nodes))
+    if equal_abs:
+        us[:] = us[0]
+    gruneisen = rng.uniform(0.5, 2.0, nodes)
+    if zero_gruneisen:
+        gruneisen[rng.random(nodes) < 0.5] = 0.0
+    m = fem.lumped_mass(mesh)
+    reg = kappa * fem.assemble_stiffness(mesh, np.ones(nodes)).diagonal() / m
+    w = m if mu_only else np.concatenate([m, m])
+    h0 = gauss_newton_metric(gruneisen, us, reg, mu_only)
+
+    def dot(a, b):
+        return float((w * a * b).sum())
+
+    p, q = rng.normal(size=(2, len(w)))
+    hp, hq = h0(p), h0(q)
+    assert np.all(np.isfinite(hp)) and np.all(np.isfinite(hq))
+    assert dot(q, hq) > 0.0 and dot(p, hp) > 0.0
+    # positive at every node, not only in sum
+    assert np.all((q * hq).reshape(-1, nodes).sum(axis=0) > 0.0)
+    assert abs(dot(p, hq) - dot(hp, q)) <= 1e-12 * np.sqrt(dot(p, hp) * dot(q, hq))
+
+
+def test_gauss_newton_metric_inverts_the_pointwise_normal_matrix():
+    # node 1 has two distinct |u_j|: H0 is B_1^-1 there. Node 0 has equal
+    # |u_j| and kappa = 0, so B_0 is singular: only node 0 falls back to
+    # beta I, with beta the mean eigenvalue of the regular block B_1
+    us = np.array([[1.0, 2.0], [1.0, 0.5]])
+    gruneisen = np.array([1.0, 2.0])
+    reg = np.array([0.0, 0.1])
+    h0 = gauss_newton_metric(gruneisen, us, reg)
+    a = gruneisen[1] * us[:, 1]
+    J = np.column_stack([a, a * np.abs(us[:, 1])])
+    B1 = J.T @ J + reg[1] * np.eye(2)
+    for e in np.eye(2):
+        q = np.zeros(4)
+        q[[1, 3]] = e
+        out = h0(q)
+        assert np.allclose(B1 @ out[[1, 3]], e, rtol=0, atol=1e-12)
+        assert np.all(out[[0, 2]] == 0.0)
+        q = np.zeros(4)
+        q[[0, 2]] = e
+        assert np.allclose(h0(q)[[0, 2]], 2.0 / np.trace(B1) * e, rtol=1e-14, atol=0)
+    # one source and kappa = 0: every block is singular, H0 is one scalar
+    h0 = gauss_newton_metric(gruneisen, us[:1], np.zeros(2))
+    q = np.array([1.0, -2.0, 3.0, 0.5])
+    assert np.allclose(h0(q), h0(np.ones(4))[0] * q, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_noiseless_experiment_iv_converges_in_few_iterations(n):
+    cfg = default_config()
+    cfg.mesh_n = n
+    b = prepare_data(cfg)
+    report = reconstruct("IV", b, b.datum_set(0.0, 1))["lsq_report"]
+    assert report.converged
+    assert report.iterations <= 25
