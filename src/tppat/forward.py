@@ -11,6 +11,11 @@ the symmetric operator K + diag(m * (sigma + 2 mu |u|)), i.e. precisely the
 discretization of the linearized equation used by the sensitivity and adjoint
 solves. Newton with backtracking damping is then globally robust and the
 adjoint gradients downstream are exact for the discrete objective.
+
+Every linear solve (Newton step, linearized and reaction solves) goes through
+fem.DirichletSystem.solve: preconditioned CG on the interior block, with the
+sine-transform preconditioner on the build_square_mesh grid and Jacobi on
+other meshes.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem
 from .errors import SolverError, ValidationError
@@ -102,8 +106,8 @@ class ForwardOperator:
     def __init__(self, mesh: Mesh, gamma, linear_tol: float = fem.DEFAULT_TOL):
         self.mesh = mesh
         self.gamma = as_field(mesh, gamma)
-        self.K = fem.assemble_stiffness(mesh, self.gamma)
-        self.split = fem.DirichletSystem(mesh, self.K)
+        self.split = fem.DirichletSystem(mesh, self.gamma)
+        self.K = self.split.K
         self.lumped = fem.lumped_mass(mesh)
         self.interior = self.split.interior
         self.boundary = self.split.boundary
@@ -113,29 +117,24 @@ class ForwardOperator:
         nonlin = self.lumped * (sigma * u + mu * np.abs(u) * u)
         return (self.K @ u)[self.interior] + nonlin[self.interior]
 
-    def jacobian_weight(self, u, sigma, mu):
-        """Nodal weight sigma + 2 mu |u| of the linearized operator."""
-        return sigma + 2.0 * mu * np.abs(u)
-
-    def linearized_matrix(self, u, sigma, mu) -> sp.csr_matrix:
-        w = (self.lumped * self.jacobian_weight(u, sigma, mu))[self.interior]
-        return self.split.operator(w)
+    def jacobian_diag(self, u, sigma, mu):
+        """Interior reaction diagonal m (sigma + 2 mu |u|) of the linearized operator."""
+        return (self.lumped * (sigma + 2.0 * mu * np.abs(u)))[self.interior]
 
     def solve_linearized(self, u, sigma, mu, rhs_interior, tol=None) -> np.ndarray:
         """Solve the linearized equation with homogeneous Dirichlet data."""
-        A = self.linearized_matrix(u, sigma, mu)
-        x = fem.solve_linear(A, rhs_interior, self.linear_tol if tol is None else tol)
+        x = self.split.solve(self.jacobian_diag(u, sigma, mu), rhs_interior,
+                             self.linear_tol if tol is None else tol)
         return self.split.expand(x, np.zeros(len(self.boundary)))
 
     def solve_reaction(self, weight, g: BoundarySource, load_nodal=None,
                        tol=None) -> np.ndarray:
         """Solve -div(gamma grad u) + weight * u = load with u = g on the boundary."""
         w = (self.lumped * as_field(self.mesh, weight))[self.interior]
-        A = self.split.operator(w)
         rhs = -(self.split.K_ib @ g.values)
         if load_nodal is not None:
             rhs = rhs + (self.lumped * as_field(self.mesh, load_nodal))[self.interior]
-        x = fem.solve_linear(A, rhs, self.linear_tol if tol is None else tol)
+        x = self.split.solve(w, rhs, self.linear_tol if tol is None else tol)
         return self.split.expand(x, g.values)
 
 
@@ -159,8 +158,8 @@ def solve_semilinear(mesh: Mesh, coeffs: CoefficientSet, g: BoundarySource,
         raise ValidationError(
             "cached operator was assembled for a different diffusion field")
     op = operator or ForwardOperator(mesh, coeffs.diffusion, cfg.linear_tol)
-    sigma = as_field(mesh, coeffs.single_photon)
-    mu = as_field(mesh, coeffs.two_photon)
+    sigma = coeffs.single_photon
+    mu = coeffs.two_photon
 
     if u0 is None:
         u = op.solve_reaction(sigma, g, tol=cfg.linear_tol)
@@ -177,8 +176,7 @@ def solve_semilinear(mesh: Mesh, coeffs: CoefficientSet, g: BoundarySource,
         if rnorm <= cfg.residual_tol:
             report.converged = True
             return u, report
-        A = op.linearized_matrix(u, sigma, mu)
-        delta_i = fem.solve_linear(A, -F, cfg.linear_tol)
+        delta_i = op.split.solve(op.jacobian_diag(u, sigma, mu), -F, cfg.linear_tol)
         delta = op.split.expand(delta_i, np.zeros(len(op.boundary)))
 
         alpha = 1.0

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tppat
 from tppat.config import default_config
 from tppat.errors import ValidationError
 from tppat.experiments import (noise_stream_seed, prepare_data,
@@ -100,3 +106,19 @@ def test_bundle_datum_set_matches_noise_model():
     expected = add_noise(bundle.H_clean[0], 2.0, noise_stream_seed(9, 0, 2.0))
     assert np.array_equal(ds.data[0], expected)
     assert ds.meta[0] == {"epsilon": 2.0, "seed": 9}
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    src = str(Path(tppat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, tppat.experiments; "
+            "print(' '.join(m for m in ('scipy.linalg', 'scipy.sparse.linalg') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout.split()
+    assert out == [], (
+        f"import tppat.experiments loads {out}: with one BLAS thread, scipy.linalg "
+        f"adds ~7.4 MB and scipy.sparse.linalg ~9.2 MB of resident memory, more "
+        f"than the 10 % peak_rss_mb bound of the lsq_pair benchmark workload "
+        f"leaves (~5.6 MB); solves use the numpy-only preconditioned CG instead")

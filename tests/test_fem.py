@@ -230,6 +230,64 @@ def test_coefficient_set_bounds():
         bad.validate(m)
 
 
+def test_coefficient_set_validate_coerces_only_what_it_must():
+    m = build_square_mesh(2)
+    n = m.node_count
+    fields = [np.ones(n), np.full(n, 2.0), np.full(n, 3.0), np.full(n, 4.0)]
+    coeffs = CoefficientSet(*fields).validate(m)
+    kept = (coeffs.gruneisen, coeffs.diffusion, coeffs.single_photon, coeffs.two_photon)
+    assert all(a is b for a, b in zip(kept, fields))
+    mixed = CoefficientSet(1, [2] * n, np.full(n, 3, dtype=np.int64),
+                           np.full(n, 4.0, dtype=np.float32)).validate(m)
+    for name, value in [("gruneisen", 1.0), ("diffusion", 2.0),
+                        ("single_photon", 3.0), ("two_photon", 4.0)]:
+        field = getattr(mixed, name)
+        assert field.dtype == np.float64 and field.shape == (n,)
+        assert np.all(field == value)
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        vals = np.ones(n)
+        vals[3] = bad
+        with pytest.raises(ValidationError):
+            CoefficientSet(np.ones(n), vals, np.ones(n), np.ones(n)).validate(m)
+    with pytest.raises(ValidationError):
+        CoefficientSet(np.ones(n), np.ones(n + 1), np.ones(n), np.ones(n)).validate(m)
+
+
+@pytest.mark.parametrize("reaction", [0.0, 0.07])
+@pytest.mark.parametrize("n", [2, 3, 8, 17])
+def test_sine_preconditioner_inverts_constant_coefficient_grid_operator(n, reaction):
+    system = fem.DirichletSystem(build_square_mesh(n), 0.3)
+    w = np.full(len(system.interior), reaction)
+    x = np.random.default_rng(n).standard_normal(len(system.interior))
+    apply = system.preconditioner(w)
+    assert apply is not None
+    assert np.linalg.norm(apply(system.operator(w) @ x) - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_sine_preconditioner_falls_back_to_jacobi_when_indefinite():
+    system = fem.DirichletSystem(build_square_mesh(8), 0.3)
+    m = len(system.interior)
+    assert system.preconditioner(np.full(m, 1.0)) is not None
+    assert system.preconditioner(np.full(m, -1.0)) is None
+
+
+def test_solve_linear_takes_a_preconditioner():
+    rng = np.random.default_rng(9)
+    B = rng.standard_normal((30, 30))
+    A = B @ B.T + 30.0 * np.eye(30)
+    b = rng.standard_normal(30)
+    inverse = np.linalg.inv(A)
+    applications = []
+
+    def exact(r):
+        applications.append(1)
+        return inverse @ r
+
+    x = solve_linear(sp.csr_matrix(A), b, 1e-12, preconditioner=exact)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert len(applications) <= 3
+
+
 def test_field_shape_check():
     m = build_square_mesh(2)
     with pytest.raises(ValidationError):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from tppat import fem
+from tppat.config import default_config
 from tppat.errors import SolverError, ValidationError
 from tppat.fem import CoefficientSet
-from tppat.forward import (BoundarySource, NewtonConfig, add_noise,
+from tppat.forward import (BoundarySource, ForwardOperator, NewtonConfig, add_noise,
                            compute_datum, solve_semilinear)
-from tppat.mesh import build_square_mesh
+from tppat.mesh import Mesh, build_square_mesh
 
 from oracle import apply_dirichlet
 
@@ -88,6 +90,87 @@ def test_matches_dense_newton_oracle_on_n2():
                                  NewtonConfig(residual_tol=1e-13, linear_tol=1e-14))
     assert report.converged
     assert np.abs(u - u_oracle).max() <= 1e-10
+
+
+def test_non_grid_mesh_takes_the_jacobi_path_and_matches_dense_oracle():
+    base = build_square_mesh(6)
+    nodes = base.nodes.copy()
+    rng = np.random.default_rng(8)
+    nodes[base.interior_list] += rng.uniform(-0.05, 0.05, (len(base.interior_list), 2))
+    mesh = Mesh(nodes=nodes, triangles=base.triangles, boundary_edges=base.boundary_edges)
+    coeffs = constant_coeffs(mesh, diffusion=0.3, sigma=0.2, mu=0.15)
+    op = ForwardOperator(mesh, coeffs.diffusion)
+    assert ForwardOperator(base, coeffs.diffusion).split.sine is not None
+    assert op.split.sine is None
+    assert op.split.preconditioner(np.ones(len(mesh.interior_list))) is None
+
+    g = BoundarySource.from_function(mesh, lambda x, y: 1.0 + 0.5 * x - 0.2 * y)
+    u_oracle = dense_newton_oracle(mesh, coeffs, g)
+    u, report = solve_semilinear(mesh, coeffs, g,
+                                 NewtonConfig(residual_tol=1e-13, linear_tol=1e-14),
+                                 operator=op)
+    assert report.converged
+    assert np.abs(u - u_oracle).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_grid_solves_need_few_preconditioner_applications(n, monkeypatch):
+    applications = []          # one entry per preconditioned solve
+    build = fem.DirichletSystem.preconditioner
+
+    def counting(self, w):
+        apply = build(self, w)
+        assert apply is not None
+        applications.append(0)
+
+        def counted(r):
+            applications[-1] += 1
+            return apply(r)
+        return counted
+
+    monkeypatch.setattr(fem.DirichletSystem, "preconditioner", counting)
+    cfg = default_config()
+    mesh = build_square_mesh(n)
+    coeffs = cfg.phantom.coefficients(mesh)
+    op = ForwardOperator(mesh, coeffs.diffusion)
+    rhs = np.random.default_rng(n).standard_normal(len(mesh.interior_list))
+    for spec in cfg.sources:
+        g = spec.build(mesh)
+        u, _ = solve_semilinear(mesh, coeffs, g, operator=op)
+        op.solve_linearized(u, coeffs.single_photon, coeffs.two_photon, rhs)
+        op.solve_reaction(np.zeros(mesh.node_count), g, load_nodal=-u)
+    assert len(applications) >= 3 * len(cfg.sources)
+    assert max(applications) <= 20, applications
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
+       contrast=st.floats(1.0, 10.0))
+def test_grid_solves_match_dense_solves_and_newton_descends(n, seed, contrast):
+    mesh = build_square_mesh(n)
+    rng = np.random.default_rng(seed)
+
+    def field(low):
+        return low * rng.uniform(1.0, contrast, mesh.node_count)
+
+    coeffs = CoefficientSet(np.ones(mesh.node_count), field(0.1), field(0.05), field(0.02))
+    op = ForwardOperator(mesh, coeffs.diffusion)
+    assert op.split.sine is not None
+    tol = 1e-10
+    for w in (np.zeros(len(op.interior)), (op.lumped * coeffs.single_photon)[op.interior]):
+        rhs = rng.standard_normal(len(op.interior))
+        x = op.split.solve(w, rhs, tol)
+        A = op.split.operator(w).toarray()
+        x_dense = np.linalg.solve(A, rhs)
+        assert np.linalg.norm(A @ x - rhs) <= tol * np.linalg.norm(rhs)
+        assert np.linalg.norm(x - x_dense) <= (
+            tol * np.linalg.cond(A) * np.linalg.norm(x_dense))
+
+    g = BoundarySource(mesh, rng.uniform(0.5, 3.0, len(mesh.boundary_list)))
+    _, report = solve_semilinear(mesh, coeffs, g, operator=op)
+    hist = report.residual_history
+    assert report.converged
+    assert all(hist[k + 1] <= hist[k] for k in range(len(hist) - 1))
 
 
 def test_boundary_values_exact():
