@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .fem import as_field
-from .forward import BoundarySource, ForwardOperator
+from .fem import as_field, write_columns
+from .forward import BoundarySource, ForwardOperator, operator_for
 from .mesh import Mesh
 
 SPREAD_THRESHOLD = 1e-6
@@ -73,28 +73,27 @@ class ConditionReport:
     flagged: np.ndarray
     filled_from: np.ndarray
 
-    def rows(self):
-        for i in range(len(self.condition)):
-            yield i, float(self.condition[i]), int(self.flagged[i])
-
     def save(self, path):
-        lines = ["node,condition,flag"]
-        for i, cond, flag in self.rows():
-            lines.append(f"{i},{cond:.17g},{flag}")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """CSV ``node,condition,flag``, one row per node."""
+        write_columns(path, "node,condition,flag", "%d,%.17g,%d\n",
+                      range(len(self.condition)),
+                      np.asarray(self.condition, dtype=float).tolist(),
+                      np.asarray(self.flagged, dtype=np.int64).tolist())
 
 
 def recover_field(mesh: Mesh, Gamma, gamma, H, g: BoundarySource,
                   operator: ForwardOperator | None = None,
                   tol: float | None = None) -> np.ndarray:
-    """Photon density u* from one datum: -div(gamma grad u*) = -H/Gamma, u* = g."""
+    """Photon density u* from one datum: -div(gamma grad u*) = -H/Gamma, u* = g.
+
+    operator, when given, must have been assembled for gamma on this mesh.
+    """
     Gamma = as_field(mesh, Gamma)
     gamma = as_field(mesh, gamma)
     H = as_field(mesh, H)
     if Gamma.min() <= 0.0 or gamma.min() <= 0.0:
         raise ValidationError("Gamma and gamma must be positive")
-    op = operator or ForwardOperator(mesh, gamma)
+    op = operator_for(mesh, gamma, operator)
     return op.solve_reaction(np.zeros(mesh.node_count), g,
                              load_nodal=-H / Gamma, tol=tol)
 
@@ -130,24 +129,30 @@ def recover_mu(H, Gamma, u_star, sigma_known,
 
 
 def recover_all_fields(mesh: Mesh, Gamma, gamma, data: DatumSet,
-                       tol: float | None = None) -> list:
-    """One linear solve per datum; shares the assembled operator."""
+                       tol: float | None = None,
+                       operator: ForwardOperator | None = None) -> list:
+    """One linear solve per datum, all with one operator for gamma.
+
+    operator, when given, must have been assembled for gamma on this mesh;
+    otherwise one is built here.
+    """
     data.validate(mesh)
-    op = ForwardOperator(mesh, as_field(mesh, gamma))
+    op = operator_for(mesh, as_field(mesh, gamma), operator)
     return [recover_field(mesh, Gamma, gamma, H, g, operator=op, tol=tol)
             for g, H in zip(data.sources, data.data)]
 
 
 def recover_mu_from_set(mesh: Mesh, Gamma, gamma, data: DatumSet, sigma_known,
-                        tol: float | None = None) -> np.ndarray:
+                        tol: float | None = None,
+                        operator: ForwardOperator | None = None) -> np.ndarray:
     """mu with sigma known, stacked over all data in least-squares sense.
 
     Minimizes sum_j (mu |u_j*| - (r_j - sigma))^2 per node, with
-    r_j = H_j / (Gamma u_j*).
+    r_j = H_j / (Gamma u_j*). operator is passed to recover_all_fields.
     """
     Gamma = as_field(mesh, Gamma)
     sigma_known = as_field(mesh, sigma_known)
-    stars = recover_all_fields(mesh, Gamma, gamma, data, tol=tol)
+    stars = recover_all_fields(mesh, Gamma, gamma, data, tol=tol, operator=operator)
     num = np.zeros(mesh.node_count)
     den = np.zeros(mesh.node_count)
     for H, u_star in zip(data.data, stars):
@@ -219,19 +224,21 @@ def fit_pair_pointwise(mesh: Mesh, u_stars: list, ratios: list,
 
 def recover_pair(mesh: Mesh, Gamma, gamma, data: DatumSet,
                  spread_threshold: float = SPREAD_THRESHOLD,
-                 tol: float | None = None):
+                 tol: float | None = None,
+                 operator: ForwardOperator | None = None):
     """Simultaneous (sigma, mu) by pointwise least squares over all J data.
 
     Returns (sigma, mu, ConditionReport). Requires J >= 2 strictly positive
     sources. One linear solve per datum recovers u_j*, then each node solves
-    its small least-squares system (see fit_pair_pointwise).
+    its small least-squares system (see fit_pair_pointwise). operator is
+    passed to recover_all_fields.
     """
     if data.size < 2:
         raise ValidationError("pair reconstruction needs at least two data sets")
     for g in data.sources:
         g.require_strictly_positive()
     Gamma = as_field(mesh, Gamma)
-    stars = recover_all_fields(mesh, Gamma, gamma, data, tol=tol)
+    stars = recover_all_fields(mesh, Gamma, gamma, data, tol=tol, operator=operator)
     ratios = [H / (Gamma * u) for H, u in zip(data.data, stars)]
     return fit_pair_pointwise(mesh, stars, ratios, spread_threshold)
 

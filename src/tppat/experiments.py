@@ -29,7 +29,8 @@ from . import direct, fem, lsq, transfer
 from .config import ExperimentConfig
 from .direct import DatumSet
 from .errors import ValidationError
-from .forward import NewtonConfig, add_noise, compute_datum, solve_semilinear
+from .forward import (ForwardOperator, NewtonConfig, add_noise, compute_datum,
+                      solve_semilinear)
 from .mesh import Mesh, build_square_mesh, save_mesh
 from .metrics import relative_l2_error
 
@@ -43,7 +44,13 @@ def noise_stream_seed(base_seed: int, source_index: int, epsilon: float) -> list
 
 @dataclass
 class DataBundle:
-    """Clean synthetic data plus everything needed to reconstruct."""
+    """Clean synthetic data plus everything needed to reconstruct.
+
+    operator is the forward operator of the true diffusion on the
+    reconstruction mesh, built once by prepare_data. Every reconstruction job
+    solves with it, including jobs running at once on the thread pool, so it
+    is read-only: nothing may modify it or its arrays.
+    """
 
     config: ExperimentConfig
     mesh: Mesh                      # reconstruction mesh
@@ -55,6 +62,7 @@ class DataBundle:
     u_clean: list                   # forward solutions on the data mesh
     H_clean: list                   # clean data on the data mesh
     reports: list
+    operator: ForwardOperator
     locator: object = None          # data-mesh locator, built when the crime guard is on
 
     @property
@@ -77,7 +85,12 @@ class DataBundle:
 
 def prepare_data(cfg: ExperimentConfig, newton: NewtonConfig | None = None,
                  threads: int = 1) -> DataBundle:
-    """Solve the forward problems at the true coefficients."""
+    """Solve the forward problems at the true coefficients.
+
+    Builds one forward operator per mesh. The data-mesh operator serves the
+    setup Newton solves; with the crime guard it is dropped before the
+    reconstruction-mesh operator is built, so the two never coexist.
+    """
     cfg.validate()
     mesh = build_square_mesh(cfg.mesh_n)
     if cfg.data_mesh_n is not None and cfg.data_mesh_n != cfg.mesh_n:
@@ -90,9 +103,10 @@ def prepare_data(cfg: ExperimentConfig, newton: NewtonConfig | None = None,
     data_sources = ([s.build(data_mesh) for s in cfg.sources]
                     if data_mesh is not mesh else sources)
     newton = newton or NewtonConfig()
+    operator = ForwardOperator(data_mesh, data_coeffs.diffusion)
 
     def solve_one(g):
-        return solve_semilinear(data_mesh, data_coeffs, g, newton)
+        return solve_semilinear(data_mesh, data_coeffs, g, newton, operator=operator)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -102,12 +116,16 @@ def prepare_data(cfg: ExperimentConfig, newton: NewtonConfig | None = None,
     u_clean = [u for u, _ in results]
     reports = [r for _, r in results]
     H_clean = [compute_datum(data_coeffs, u) for u in u_clean]
+    if data_mesh is not mesh:
+        operator = None         # release the data-mesh operator before the next
+        operator = ForwardOperator(mesh, coeffs.diffusion)
     # built here, before any job thread can reach datum_set
     locator = transfer.make_locator(data_mesh) if data_mesh is not mesh else None
     return DataBundle(config=cfg, mesh=mesh, data_mesh=data_mesh, coeffs=coeffs,
                       data_coeffs=data_coeffs, sources=sources,
                       data_sources=data_sources, u_clean=u_clean,
-                      H_clean=H_clean, reports=reports, locator=locator)
+                      H_clean=H_clean, reports=reports, operator=operator,
+                      locator=locator)
 
 
 def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
@@ -122,10 +140,12 @@ def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
     gamma = bundle.coeffs.diffusion
     if which == "I":
         mu = direct.recover_mu_from_set(mesh, Gamma, gamma, datum_set,
-                                        bundle.coeffs.single_photon)
+                                        bundle.coeffs.single_photon,
+                                        operator=bundle.operator)
         return {"mu": mu}
     if which == "III":
-        sigma, mu, report = direct.recover_pair(mesh, Gamma, gamma, datum_set)
+        sigma, mu, report = direct.recover_pair(mesh, Gamma, gamma, datum_set,
+                                                operator=bundle.operator)
         return {"sigma": sigma, "mu": mu, "condition_report": report}
     if which in ("II", "IV"):
         mu_only = which == "II"
@@ -133,7 +153,8 @@ def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
                       0.5 * (cfg.lsq.bound_floor + cfg.lsq.bound_ceiling))
         sigma0 = bundle.coeffs.single_photon if mu_only else mid
         sigma, mu, report = lsq.run_lsq(mesh, (Gamma, gamma), datum_set,
-                                        (sigma0, mid), cfg.lsq, mu_only=mu_only)
+                                        (sigma0, mid), cfg.lsq, mu_only=mu_only,
+                                        operator=bundle.operator)
         return {"sigma": sigma, "mu": mu, "lsq_report": report}
     raise ValidationError(f"unknown experiment {which!r}; expected one of "
                           f"{', '.join(EXPERIMENTS)}")
@@ -191,6 +212,10 @@ def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
         for seed in seeds:
             jobs.append((eps, seed))
 
+    # for the error table; assembled before any job result is held, because
+    # its assembly temporaries set the sweep's peak memory at large n
+    mass = fem.assemble_weighted_mass(bundle.mesh, np.ones(bundle.mesh.node_count))
+
     def run_job(job):
         eps, seed = job
         datum_set = bundle.datum_set(eps, seed)
@@ -205,8 +230,8 @@ def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
     keep_fields: dict = {}
     for (eps, seed), fields in zip(jobs, outcomes):
         for coeff in COEFFS_RECOVERED[which]:
-            table.add(coeff, eps, seed,
-                      relative_l2_error(fields[coeff], truth[coeff], bundle.mesh))
+            table.add(coeff, eps, seed, relative_l2_error(
+                fields[coeff], truth[coeff], bundle.mesh, mass=mass))
         if seed == cfg.seeds[0]:
             keep_fields[eps] = fields
 

@@ -283,14 +283,27 @@ class DirichletSystem:
         return full
 
 
-def save_field(path, values) -> None:
-    """Write a nodal field as CSV with header ``node,value``."""
-    values = np.asarray(values, dtype=float)
-    lines = ["node,value"]
-    for i, v in enumerate(values):
-        lines.append(f"{i},{v:.17g}")
+def write_columns(path, header: str, row_format: str, *columns) -> None:
+    """Write equal-length columns as CSV: header line, then one row_format per row.
+
+    All rows are formatted in one %-format call, which is far cheaper than a
+    Python loop over rows and gives the same bytes.
+    """
+    n = len(columns[0])
+    cells = [None] * (len(columns) * n)
+    for k, column in enumerate(columns):
+        cells[k::len(columns)] = column
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n" + (row_format * n) % tuple(cells))
+
+
+def save_field(path, values) -> None:
+    """Write a nodal field as CSV with header ``node,value``.
+
+    Values are written with ``%.17g``, which round-trips every float64.
+    """
+    values = np.asarray(values, dtype=float)
+    write_columns(path, "node,value", "%d,%.17g\n", range(len(values)), values.tolist())
 
 
 def load_field(path, mesh: Mesh | None = None) -> np.ndarray:

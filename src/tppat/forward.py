@@ -100,10 +100,11 @@ class ForwardOperator:
 
     The stiffness matrix and its Dirichlet split depend only on gamma, so the
     Newton loop, the repeated solves inside the least-squares iteration, and
-    the direct-reconstruction solve all share them.
+    the direct-reconstruction solve all share them. The operator holds no
+    per-solve state: one instance can serve many solves and threads at once.
     """
 
-    def __init__(self, mesh: Mesh, gamma, linear_tol: float = fem.DEFAULT_TOL):
+    def __init__(self, mesh: Mesh, gamma):
         self.mesh = mesh
         self.gamma = as_field(mesh, gamma)
         self.split = fem.DirichletSystem(mesh, self.gamma)
@@ -111,7 +112,6 @@ class ForwardOperator:
         self.lumped = fem.lumped_mass(mesh)
         self.interior = self.split.interior
         self.boundary = self.split.boundary
-        self.linear_tol = linear_tol
 
     def residual_interior(self, u, sigma, mu):
         nonlin = self.lumped * (sigma * u + mu * np.abs(u) * u)
@@ -122,20 +122,40 @@ class ForwardOperator:
         return (self.lumped * (sigma + 2.0 * mu * np.abs(u)))[self.interior]
 
     def solve_linearized(self, u, sigma, mu, rhs_interior, tol=None) -> np.ndarray:
-        """Solve the linearized equation with homogeneous Dirichlet data."""
+        """Solve the linearized equation with homogeneous Dirichlet data.
+
+        tol is the relative residual of the linear solve (fem.DEFAULT_TOL if None).
+        """
         x = self.split.solve(self.jacobian_diag(u, sigma, mu), rhs_interior,
-                             self.linear_tol if tol is None else tol)
+                             fem.DEFAULT_TOL if tol is None else tol)
         return self.split.expand(x, np.zeros(len(self.boundary)))
 
     def solve_reaction(self, weight, g: BoundarySource, load_nodal=None,
                        tol=None) -> np.ndarray:
-        """Solve -div(gamma grad u) + weight * u = load with u = g on the boundary."""
+        """Solve -div(gamma grad u) + weight * u = load with u = g on the boundary.
+
+        tol is the relative residual of the linear solve (fem.DEFAULT_TOL if None).
+        """
         w = (self.lumped * as_field(self.mesh, weight))[self.interior]
         rhs = -(self.split.K_ib @ g.values)
         if load_nodal is not None:
             rhs = rhs + (self.lumped * as_field(self.mesh, load_nodal))[self.interior]
-        x = self.split.solve(w, rhs, self.linear_tol if tol is None else tol)
+        x = self.split.solve(w, rhs, fem.DEFAULT_TOL if tol is None else tol)
         return self.split.expand(x, g.values)
+
+
+def operator_for(mesh: Mesh, gamma, operator: ForwardOperator | None = None
+                 ) -> ForwardOperator:
+    """operator, checked to be assembled for gamma, or a new one for (mesh, gamma).
+
+    Raises ValidationError if operator was assembled for another gamma.
+    """
+    if operator is None:
+        return ForwardOperator(mesh, gamma)
+    if not np.array_equal(operator.gamma, gamma):
+        raise ValidationError(
+            "cached operator was assembled for a different diffusion field")
+    return operator
 
 
 def solve_semilinear(mesh: Mesh, coeffs: CoefficientSet, g: BoundarySource,
@@ -153,11 +173,7 @@ def solve_semilinear(mesh: Mesh, coeffs: CoefficientSet, g: BoundarySource,
     coeffs.validate(mesh)
     if g.values.shape != mesh.boundary_list.shape:
         raise ValidationError("boundary source does not match the mesh")
-    if operator is not None and not np.array_equal(operator.gamma,
-                                                   coeffs.diffusion):
-        raise ValidationError(
-            "cached operator was assembled for a different diffusion field")
-    op = operator or ForwardOperator(mesh, coeffs.diffusion, cfg.linear_tol)
+    op = operator_for(mesh, coeffs.diffusion, operator)
     sigma = coeffs.single_photon
     mu = coeffs.two_photon
 

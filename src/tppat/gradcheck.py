@@ -72,12 +72,12 @@ def gradient_check(cfg: ExperimentConfig, directions: int = 20, seed: int = 7,
 
     def phi(x):
         ev = Evaluator(mesh, bundle.coeffs.gruneisen, bundle.coeffs.diffusion,
-                       data, kap, newton)
+                       data, kap, newton, bundle.operator)
         value, _ = ev.objective(x[:n], x[n:])
         return value
 
     ev = Evaluator(mesh, bundle.coeffs.gruneisen, bundle.coeffs.diffusion,
-                   data, kap, newton)
+                   data, kap, newton, bundle.operator)
     g_sigma, g_mu = ev.gradient(sigma, mu)
     weights = np.concatenate([ev.lumped, ev.lumped])
     grad = np.concatenate([g_sigma, g_mu])

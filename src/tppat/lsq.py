@@ -31,7 +31,7 @@ import numpy as np
 from . import fem
 from .errors import SolverError, ValidationError
 from .fem import CoefficientSet, as_field
-from .forward import ForwardOperator, NewtonConfig, solve_semilinear
+from .forward import ForwardOperator, NewtonConfig, operator_for, solve_semilinear
 from .direct import DatumSet
 from .mesh import Mesh
 
@@ -101,12 +101,15 @@ def auto_kappa(mesh: Mesh, data: DatumSet) -> float:
 class Evaluator:
     """Objective/gradient engine for fixed (mesh, Gamma, gamma, data, kappa).
 
-    Caches the stiffness operator (gamma is fixed) and warm-starts the
-    per-source Newton solves from the previous evaluation.
+    Uses one forward operator for the fixed gamma, the given one (which must
+    have been assembled for gamma on this mesh) or one built here, and
+    warm-starts the per-source Newton solves from the previous evaluation.
+    Forward and adjoint solves both run to newton.linear_tol.
     """
 
     def __init__(self, mesh: Mesh, gruneisen, gamma, data: DatumSet, kappa: float,
-                 newton: NewtonConfig | None = None):
+                 newton: NewtonConfig | None = None,
+                 operator: ForwardOperator | None = None):
         self.mesh = mesh
         self.gruneisen = as_field(mesh, gruneisen)
         self.gamma = as_field(mesh, gamma)
@@ -114,7 +117,7 @@ class Evaluator:
         self.data = data
         self.kappa = float(kappa)
         self.newton = newton or NewtonConfig()
-        self.op = ForwardOperator(mesh, self.gamma, self.newton.linear_tol)
+        self.op = operator_for(mesh, self.gamma, operator)
         self.K1 = fem.assemble_stiffness(mesh, np.ones(mesh.node_count))
         self.lumped = self.op.lumped
         self._warm = [None] * data.size
@@ -156,7 +159,7 @@ class Evaluator:
         """Adjoint state v: linearized operator, source -z Gamma (sigma + 2 mu |u|)."""
         fz = sigma + 2.0 * mu * np.abs(u)
         rhs = -(self.lumped * z * self.gruneisen * fz)[self.op.interior]
-        return self.op.solve_linearized(u, sigma, mu, rhs)
+        return self.op.solve_linearized(u, sigma, mu, rhs, tol=self.newton.linear_tol)
 
     def gradient(self, sigma, mu, states=None):
         """Riesz representers (g_sigma, g_mu) of the derivative of Phi.
@@ -227,7 +230,8 @@ def gauss_newton_metric(gruneisen, us, reg, mu_only: bool = False):
 
 
 def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig, *,
-            mu_only: bool = False, newton: NewtonConfig | None = None):
+            mu_only: bool = False, newton: NewtonConfig | None = None,
+            operator: ForwardOperator | None = None):
     """Projected limited-memory BFGS minimization of Phi.
 
     fixed = (Gamma, gamma); init = (sigma0, mu0) within the bounds. With
@@ -239,11 +243,12 @@ def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig, *,
     norm drops below grad_tol times its initial value, at the iteration cap,
     or when the line search cannot make progress (best iterate returned,
     converged=False). The objective history is strictly decreasing over
-    accepted steps.
+    accepted steps. operator is passed to Evaluator; the gradient at an
+    accepted point reuses the forward states of its line-search trial.
     """
     gruneisen, gamma = fixed
     kappa = auto_kappa(mesh, data) if cfg.kappa == "auto" else float(cfg.kappa)
-    ev = Evaluator(mesh, gruneisen, gamma, data, kappa, newton)
+    ev = Evaluator(mesh, gruneisen, gamma, data, kappa, newton, operator)
     sigma = as_field(mesh, init[0])
     mu = as_field(mesh, init[1])
     for name, arr in (("sigma", sigma), ("mu", mu)):
@@ -270,17 +275,20 @@ def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig, *,
 
     report = LsqReport(kappa=kappa)
 
-    def evaluate(xv, need_grad):
+    def evaluate(xv):
+        """Objective value and the forward states it was computed from."""
         s, m = fields_of(xv)
         states = ev.forward_states(s, m)
         val, _ = ev.objective(s, m, states=states)
-        if not need_grad:
-            return val, None, None
-        gs, gm = ev.gradient(s, m, states=states)
-        h0 = gauss_newton_metric(ev.gruneisen, states[0], reg, mu_only)
-        return val, pack(gs, gm), h0
+        return val, states
 
-    f, g, h0 = evaluate(x, True)
+    def derivatives(xv, states):
+        """Gradient and initial inverse metric from the forward states at xv."""
+        gs, gm = ev.gradient(*fields_of(xv), states=states)
+        return pack(gs, gm), gauss_newton_metric(ev.gruneisen, states[0], reg, mu_only)
+
+    f, states = evaluate(x)
+    g, h0 = derivatives(x, states)
     gnorm0 = np.sqrt(dot(g, g))
     report.objective_history.append(f)
     report.grad_norm_history.append(gnorm0)
@@ -327,7 +335,7 @@ def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig, *,
             if slope >= 0.0:
                 alpha *= 0.5
                 continue
-            f_trial, _, _ = evaluate(x_trial, False)
+            f_trial, states = evaluate(x_trial)
             if f_trial <= f + 1e-4 * slope:
                 accepted = True
                 break
@@ -336,10 +344,7 @@ def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig, *,
             report.message = "line search failed; returning best iterate"
             break
 
-        # keep the Armijo-tested value so the recorded history is strictly
-        # decreasing even at the solver-noise floor
-        _, g_new, h0 = evaluate(x_trial, True)
-        f_new = f_trial
+        g_new, h0 = derivatives(x_trial, states)
         s_vec = x_trial - x
         y_vec = g_new - g
         sy = dot(s_vec, y_vec)
@@ -352,7 +357,7 @@ def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig, *,
                 y_hist.pop(0)
                 rho_hist.pop(0)
 
-        x, f, g = x_trial, f_new, g_new
+        x, f, g = x_trial, f_trial, g_new
         report.iterations += 1
         report.objective_history.append(f)
         report.grad_norm_history.append(np.sqrt(dot(g, g)))

@@ -22,7 +22,7 @@ import numpy as np
 from . import fem
 from .errors import ValidationError
 from .fem import CoefficientSet, as_field
-from .forward import BoundarySource, ForwardOperator
+from .forward import BoundarySource, ForwardOperator, operator_for
 from .mesh import Mesh
 
 
@@ -64,7 +64,7 @@ def solve_sensitivity(mesh: Mesh, coeffs: CoefficientSet, u: np.ndarray,
     coeffs.validate(mesh)
     pert.validate(mesh)
     u = as_field(mesh, u)
-    op = operator or ForwardOperator(mesh, coeffs.diffusion)
+    op = operator_for(mesh, coeffs.diffusion, operator)
     sigma = coeffs.single_photon
     mu = coeffs.two_photon
 

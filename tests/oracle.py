@@ -1,8 +1,11 @@
-"""Independent oracle for Dirichlet boundary conditions in the tests.
+"""Independent oracles the tests compare the library against.
 
 The library imposes Dirichlet data by splitting the system into interior and
-boundary blocks (fem.DirichletSystem). This helper does it the other way, by
-symmetric elimination on the full matrix, so tests can compare the two.
+boundary blocks (fem.DirichletSystem). apply_dirichlet does it the other way,
+by symmetric elimination on the full matrix, so tests can compare the two.
+
+The library writes CSV columns with one %-format call per file; the
+per-row f-string writers below are the reference for their bytes.
 """
 
 import numpy as np
@@ -48,3 +51,23 @@ def apply_dirichlet(A: sp.spmatrix, b: np.ndarray, boundary_values: dict,
     A = A + sp.diags(mask.astype(float))
     A.eliminate_zeros()
     return A.tocsr(), b
+
+
+def save_field_rows(path, values) -> None:
+    """fem.save_field, one f-string per row."""
+    values = np.asarray(values, dtype=float)
+    lines = ["node,value"]
+    for i, v in enumerate(values):
+        lines.append(f"{i},{v:.17g}")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def save_condition_rows(path, report) -> None:
+    """direct.ConditionReport.save, one f-string per row."""
+    lines = ["node,condition,flag"]
+    for i in range(len(report.condition)):
+        cond, flag = float(report.condition[i]), int(report.flagged[i])
+        lines.append(f"{i},{cond:.17g},{flag}")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")

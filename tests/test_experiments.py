@@ -6,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import weakref
+
 import tppat
+from tppat import direct, forward, lsq
 from tppat.config import default_config
 from tppat.errors import ValidationError
 from tppat.experiments import (noise_stream_seed, prepare_data,
@@ -122,3 +125,69 @@ def test_import_leaves_scipy_linalg_unloaded():
         f"adds ~7.4 MB and scipy.sparse.linalg ~9.2 MB of resident memory, more "
         f"than the 10 % peak_rss_mb bound of the lsq_pair benchmark workload "
         f"leaves (~5.6 MB); solves use the numpy-only preconditioned CG instead")
+
+
+@pytest.mark.parametrize("which", ["I", "II", "III", "IV"])
+@pytest.mark.parametrize("data_n, builds", [(None, 1), (11, 2)])
+def test_sweep_builds_one_operator_per_mesh(monkeypatch, which, data_n, builds):
+    built = []              # weak references to every operator, in build order
+    alive_at_build = []     # earlier operators still alive when each was built
+    init = forward.ForwardOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        built.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(forward.ForwardOperator, "__init__", counting_init)
+    cfg = quick_config(n=8, levels=(0.0, 2.0), seeds=(3, 4))
+    cfg.data_mesh_n = data_n
+    bundle = prepare_data(cfg)
+    run_experiment(which, cfg, bundle=bundle)
+    assert len(built) == builds
+    # with the crime guard, the data-mesh operator is gone before the next exists
+    assert alive_at_build == [0] * builds
+    assert built[-1]() is bundle.operator
+
+
+def test_operator_for_another_diffusion_is_rejected():
+    bundle = prepare_data(quick_config(n=6))
+    mesh, coeffs = bundle.mesh, bundle.coeffs
+    Gamma, gamma = coeffs.gruneisen, coeffs.diffusion
+    ds = bundle.datum_set(0.0, 3)
+    other = forward.ForwardOperator(mesh, 1.5 * gamma)
+    entry_points = {
+        "recover_all_fields": lambda: direct.recover_all_fields(
+            mesh, Gamma, gamma, ds, operator=other),
+        "recover_pair": lambda: direct.recover_pair(
+            mesh, Gamma, gamma, ds, operator=other),
+        "recover_mu_from_set": lambda: direct.recover_mu_from_set(
+            mesh, Gamma, gamma, ds, coeffs.single_photon, operator=other),
+        "Evaluator": lambda: lsq.Evaluator(mesh, Gamma, gamma, ds, 0.0,
+                                           operator=other),
+        "run_lsq": lambda: lsq.run_lsq(
+            mesh, (Gamma, gamma), ds, (coeffs.single_photon, coeffs.two_photon),
+            bundle.config.lsq, operator=other),
+        "solve_semilinear": lambda: forward.solve_semilinear(
+            mesh, coeffs, ds.sources[0], operator=other),
+    }
+    for name, call in entry_points.items():
+        with pytest.raises(ValidationError, match="different diffusion"):
+            call()
+    # the bundle's own operator is accepted and gives bitwise the same fields
+    shared = direct.recover_pair(mesh, Gamma, gamma, ds, operator=bundle.operator)
+    fresh = direct.recover_pair(mesh, Gamma, gamma, ds)
+    assert np.array_equal(shared[0], fresh[0]) and np.array_equal(shared[1], fresh[1])
+
+
+@pytest.mark.parametrize("which", ["III", "IV"])
+def test_threads_share_the_bundle_operator_without_changing_outputs(which, tmp_path):
+    cfg = quick_config(n=8, levels=(0.0, 1.0, 2.0, 5.0), seeds=(3, 4))
+    bundle = prepare_data(cfg)
+    trees = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        run_experiment(which, cfg, output_dir=out, threads=threads, bundle=bundle)
+        trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert "errors.csv" in trees[0]
+    assert trees[0] == trees[1]

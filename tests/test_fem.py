@@ -1,14 +1,20 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tppat import fem
+from tppat.direct import ConditionReport
 from tppat.errors import MeshFormatError, SolverError, ValidationError
 from tppat.fem import (CoefficientSet, assemble_stiffness, assemble_weighted_mass,
                        load_field, lumped_mass, save_field, solve_linear)
 from tppat.mesh import build_square_mesh
 
-from oracle import apply_dirichlet
+from oracle import apply_dirichlet, save_condition_rows, save_field_rows
 
 # Degree-5 Gauss rule on the triangle (7 points, barycentric), used as an
 # independent quadrature oracle for mass-matrix entries (cubic integrands).
@@ -327,3 +333,43 @@ def test_field_csv_mesh_size_mismatch(tmp_path):
     save_field(path, np.ones(m_big.node_count))
     with pytest.raises(MeshFormatError):
         load_field(path, m_small)
+
+
+# -- column writers: one %-format call per file, bytes of the per-row writers --
+
+ANY_FLOAT64 = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+# signed zeros, subnormals, extreme exponents, non-finite, non-terminating binary
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                    1e300, -1e300, 1e-300, -1e-300, np.inf, -np.inf, np.nan,
+                    0.1, 1.0 / 3.0, -123456789.125])
+
+
+def written_bytes(writer, *args) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "out.csv")
+        writer(path, *args)
+        return path.read_bytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=hnp.arrays(np.float64, st.integers(0, 40), elements=ANY_FLOAT64))
+@example(values=np.array([]))
+@example(values=np.array([-0.0]))
+@example(values=np.array([5e-324]))
+@example(values=SPECIAL)
+def test_save_field_writes_the_bytes_of_the_row_writer(values):
+    assert written_bytes(save_field, values) == written_bytes(save_field_rows, values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(columns=st.integers(0, 40).flatmap(lambda n: st.tuples(
+    hnp.arrays(np.float64, n, elements=ANY_FLOAT64), hnp.arrays(np.bool_, n))))
+@example(columns=(np.array([]), np.array([], dtype=bool)))
+@example(columns=(np.array([np.inf]), np.array([True])))
+@example(columns=(SPECIAL, np.arange(len(SPECIAL)) % 2 == 0))
+def test_condition_report_writes_the_bytes_of_the_row_writer(columns):
+    condition, flagged = columns
+    report = ConditionReport(condition=condition, flagged=flagged,
+                             filled_from=np.arange(len(condition)))
+    assert (written_bytes(lambda path: report.save(path))
+            == written_bytes(save_condition_rows, report))

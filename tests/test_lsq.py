@@ -127,6 +127,33 @@ def test_run_lsq_stationary_at_truth(bundle8):
     assert np.array_equal(mu, b.coeffs.two_photon)
 
 
+def test_run_lsq_solves_each_trial_point_once(bundle8, monkeypatch):
+    b = bundle8
+    points, gradient_states = [], []
+    forward_states, gradient = Evaluator.forward_states, Evaluator.gradient
+
+    def recording_forward_states(self, sigma, mu):
+        points.append(np.concatenate([sigma, mu]))
+        return forward_states(self, sigma, mu)
+
+    def recording_gradient(self, sigma, mu, states=None):
+        gradient_states.append(states is not None)
+        return gradient(self, sigma, mu, states=states)
+
+    monkeypatch.setattr(Evaluator, "forward_states", recording_forward_states)
+    monkeypatch.setattr(Evaluator, "gradient", recording_gradient)
+    n = b.mesh.node_count
+    cfg = LsqConfig(kappa=auto_kappa(b.mesh, datum(b)), max_iterations=25)
+    _, _, report = run_lsq(b.mesh, (b.coeffs.gruneisen, b.coeffs.diffusion),
+                           datum(b), (np.full(n, 0.26), np.full(n, 0.26)), cfg,
+                           newton=TIGHT, operator=b.operator)
+    assert report.iterations >= 5
+    # one gradient per accepted point, from the states of its Armijo trial
+    assert gradient_states == [True] * (report.iterations + 1)
+    assert len(points) >= report.iterations + 1
+    assert not any(np.array_equal(p, q) for p, q in zip(points, points[1:]))
+
+
 def test_run_lsq_objective_strictly_decreasing(bundle8):
     b = bundle8
     n = b.mesh.node_count
