@@ -47,9 +47,11 @@ class DataBundle:
     """Clean synthetic data plus everything needed to reconstruct.
 
     operator is the forward operator of the true diffusion on the
-    reconstruction mesh, built once by prepare_data. Every reconstruction job
-    solves with it, including jobs running at once on the thread pool, so it
-    is read-only: nothing may modify it or its arrays.
+    reconstruction mesh, and locator (crime guard only) the reconstruction
+    nodes located in the data mesh; prepare_data builds each once. Every
+    reconstruction job uses them, including jobs running at once on the
+    thread pool, so they are read-only: nothing may modify them or their
+    arrays.
     """
 
     config: ExperimentConfig
@@ -63,7 +65,9 @@ class DataBundle:
     H_clean: list                   # clean data on the data mesh
     reports: list
     operator: ForwardOperator
-    locator: object = None          # data-mesh locator, built when the crime guard is on
+    # mesh nodes located in data_mesh, for every datum's transfer; None
+    # unless the crime guard is on
+    locator: transfer.PairLocator | None = None
 
     @property
     def crime_guard(self) -> bool:
@@ -120,7 +124,7 @@ def prepare_data(cfg: ExperimentConfig, newton: NewtonConfig | None = None,
         operator = None         # release the data-mesh operator before the next
         operator = ForwardOperator(mesh, coeffs.diffusion)
     # built here, before any job thread can reach datum_set
-    locator = transfer.make_locator(data_mesh) if data_mesh is not mesh else None
+    locator = transfer.make_locator(data_mesh, mesh) if data_mesh is not mesh else None
     return DataBundle(config=cfg, mesh=mesh, data_mesh=data_mesh, coeffs=coeffs,
                       data_coeffs=data_coeffs, sources=sources,
                       data_sources=data_sources, u_clean=u_clean,

@@ -1,15 +1,20 @@
 """Piecewise-linear transfer of nodal fields between meshes.
 
 Used to break the inversion crime: data generated on one mesh can be
-interpolated onto a different reconstruction mesh. All target nodes are
-located at once with array code. A uniform bucket grid over the source mesh
-lists, for each bucket, the triangles whose bounding box meets it (CSR
-arrays, ascending triangle index). Each target node takes the first of its
-bucket's triangles that contains it, and its field value is the barycentric
-combination of the triangle's vertex values. Target points that fall
-marginally outside the source mesh, from floating-point boundary jitter, are
-assigned to the triangle with the least barycentric violation (the first
-one on ties); a point in an empty bucket is tested against every triangle.
+interpolated onto a different reconstruction mesh. The transfer is a fixed
+linear map for a given (source, target) mesh pair, so a locator finds the
+target nodes in the source mesh once per pair and every field moved between
+the two meshes only gathers with the weights it keeps.
+
+All target nodes are located at once with array code. A uniform bucket grid
+over the source mesh lists, for each bucket, the triangles whose bounding box
+meets it (CSR arrays, ascending triangle index). Each target node takes the
+first of its bucket's triangles that contains it, and its field value is the
+barycentric combination of the triangle's vertex values, or the vertex value
+itself when the node is one. Target points that fall marginally outside the
+source mesh, from floating-point boundary jitter, are assigned to the
+triangle with the least barycentric violation (the first one on ties); a
+point in an empty bucket is tested against every triangle.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ _OUTSIDE_TOL = 1e-6
 
 
 class _TriangleLocator:
+    """Bucket table of a mesh's triangles, for locating points in the mesh."""
+
     def __init__(self, mesh: Mesh):
         t = mesh.triangles
         p = mesh.nodes
@@ -126,29 +133,59 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return group, offset
 
 
+class PairLocator:
+    """The nodes of a target mesh, located in a source mesh.
+
+    Keeps each target node's source-triangle vertices and barycentric
+    weights, and the nodes that coincide with a source vertex (the snap
+    mask) with that vertex; the bucket table is dropped once the nodes are
+    located. Built once, then only read: one locator serves every field
+    moved between the two meshes, also from several threads at once.
+    """
+
+    def __init__(self, source_mesh: Mesh, target_mesh: Mesh):
+        self.source, self.target = source_mesh, target_mesh
+        tri, self.weights = _TriangleLocator(source_mesh).locate(target_mesh.nodes)
+        self.vertices = source_mesh.triangles[tri]
+        rows = np.arange(len(tri))
+        jmax = np.argmax(self.weights, axis=1)
+        self.snap = self.weights[rows, jmax] >= 1.0 - 1e-12
+        self.snap_vertices = self.vertices[rows[self.snap], jmax[self.snap]]
+
+    def made_for(self, source_mesh: Mesh, target_mesh: Mesh) -> bool:
+        """Whether the locator was made for meshes equal to this pair."""
+        pairs = ((self.source.nodes, source_mesh.nodes),
+                 (self.source.triangles, source_mesh.triangles),
+                 (self.target.nodes, target_mesh.nodes))
+        return all(a is b or np.array_equal(a, b) for a, b in pairs)
+
+
+def make_locator(source_mesh: Mesh, target_mesh: Mesh) -> PairLocator:
+    """Locate target_mesh's nodes in source_mesh, once for every field moved
+    between the two meshes."""
+    return PairLocator(source_mesh, target_mesh)
+
+
 def transfer_field(source_mesh: Mesh, target_mesh: Mesh, values,
-                   locator: _TriangleLocator | None = None) -> np.ndarray:
+                   locator: PairLocator | None = None) -> np.ndarray:
     """Interpolate a nodal field from source_mesh onto target_mesh nodes.
 
-    Exact for target nodes that coincide with source nodes (hence the
-    identity on matching meshes) and exact for fields that are linear on each
-    source triangle.
+    locator, from make_locator(source_mesh, target_mesh), lets many fields
+    share one location of the target nodes; without one, the pair is located
+    for this call. Raises ValidationError if locator was made for another
+    mesh pair. Exact for target nodes that coincide with source nodes (hence
+    the identity on matching meshes) and exact for fields that are linear on
+    each source triangle.
     """
     values = as_field(source_mesh, values)
-    loc = locator or _TriangleLocator(source_mesh)
-    tri, lams = loc.locate(target_mesh.nodes)
-    verts = source_mesh.triangles[tri]
+    if locator is None:
+        locator = make_locator(source_mesh, target_mesh)
+    elif not locator.made_for(source_mesh, target_mesh):
+        raise ValidationError("locator was made for a different mesh pair")
+    lams, verts = locator.weights, locator.vertices
     out = (lams[:, 0] * values[verts[:, 0]]
            + lams[:, 1] * values[verts[:, 1]]
            + lams[:, 2] * values[verts[:, 2]])
     # snap to a vertex when the point is one, for bitwise round trips
-    rows = np.arange(len(tri))
-    jmax = np.argmax(lams, axis=1)
-    snap = lams[rows, jmax] >= 1.0 - 1e-12
-    out[snap] = values[verts[rows[snap], jmax[snap]]]
+    out[locator.snap] = values[locator.snap_vertices]
     return out
-
-
-def make_locator(mesh: Mesh) -> _TriangleLocator:
-    """Reusable locator when transferring several fields between the same meshes."""
-    return _TriangleLocator(mesh)

@@ -9,7 +9,7 @@ import pytest
 import weakref
 
 import tppat
-from tppat import direct, forward, lsq
+from tppat import direct, forward, lsq, transfer
 from tppat.config import default_config
 from tppat.errors import ValidationError
 from tppat.experiments import (noise_stream_seed, prepare_data,
@@ -139,11 +139,22 @@ def test_sweep_builds_one_operator_per_mesh(monkeypatch, which, data_n, builds):
         built.append(weakref.ref(self))
         init(self, *args, **kwargs)
 
+    located = []            # point counts of every location in a mesh
+    locate = transfer._TriangleLocator.locate
+
+    def counting_locate(self, points):
+        located.append(len(points))
+        return locate(self, points)
+
     monkeypatch.setattr(forward.ForwardOperator, "__init__", counting_init)
+    monkeypatch.setattr(transfer._TriangleLocator, "locate", counting_locate)
     cfg = quick_config(n=8, levels=(0.0, 2.0), seeds=(3, 4))
     cfg.data_mesh_n = data_n
     bundle = prepare_data(cfg)
+    # with the crime guard, the reconstruction nodes are located once, in setup
+    assert located == ([bundle.mesh.node_count] if data_n else [])
     run_experiment(which, cfg, bundle=bundle)
+    assert len(located) == (1 if data_n else 0)
     assert len(built) == builds
     # with the crime guard, the data-mesh operator is gone before the next exists
     assert alive_at_build == [0] * builds
@@ -180,9 +191,15 @@ def test_operator_for_another_diffusion_is_rejected():
     assert np.array_equal(shared[0], fresh[0]) and np.array_equal(shared[1], fresh[1])
 
 
-@pytest.mark.parametrize("which", ["III", "IV"])
-def test_threads_share_the_bundle_operator_without_changing_outputs(which, tmp_path):
+@pytest.mark.parametrize("which, data_n", [
+    pytest.param("III", None, id="III"),
+    pytest.param("IV", None, id="IV"),
+    pytest.param("III", 11, id="III-crime-guard"),
+])
+def test_threads_share_the_bundle_operator_without_changing_outputs(which, data_n,
+                                                                   tmp_path):
     cfg = quick_config(n=8, levels=(0.0, 1.0, 2.0, 5.0), seeds=(3, 4))
+    cfg.data_mesh_n = data_n
     bundle = prepare_data(cfg)
     trees = []
     for threads in (1, 2):

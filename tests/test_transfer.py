@@ -6,7 +6,7 @@ from tppat.config import default_config
 from tppat.errors import ValidationError
 from tppat.experiments import prepare_data, run_experiment
 from tppat.mesh import Mesh, build_square_mesh
-from tppat.transfer import make_locator, transfer_field
+from tppat.transfer import _TriangleLocator, make_locator, transfer_field
 
 
 class ScalarLocator:
@@ -139,9 +139,23 @@ def test_locator_reuse_matches_direct_call():
     dst = build_square_mesh(5)
     rng = np.random.default_rng(2)
     f = rng.standard_normal(src.node_count)
-    loc = make_locator(src)
+    loc = make_locator(src, dst)
     assert np.array_equal(transfer_field(src, dst, f, locator=loc),
                           transfer_field(src, dst, f))
+
+
+def test_locator_for_another_mesh_pair_is_rejected():
+    src = build_square_mesh(6)
+    dst = build_square_mesh(5)
+    f = 1.0 + 2.0 * src.nodes[:, 0] - 0.5 * src.nodes[:, 1]
+    for loc in (make_locator(build_square_mesh(4), dst),
+                make_locator(src, build_square_mesh(4))):
+        with pytest.raises(ValidationError, match="different mesh pair"):
+            transfer_field(src, dst, f, locator=loc)
+    # a locator made for equal meshes fits
+    loc = make_locator(build_square_mesh(6), build_square_mesh(5))
+    expected = 1.0 + 2.0 * dst.nodes[:, 0] - 0.5 * dst.nodes[:, 1]
+    assert np.abs(transfer_field(src, dst, f, locator=loc) - expected).max() <= 1e-12
 
 
 def test_crime_free_reconstruction_stays_accurate():
@@ -199,8 +213,16 @@ def test_vectorized_transfer_matches_scalar_oracle(pair, stretch, seed, coeffs):
     square = build_square_mesh(nt)
     dst = Mesh(nodes=square.nodes * (1.0 + stretch), triangles=square.triangles,
                boundary_edges=square.boundary_edges)
-    f = np.random.default_rng(seed).standard_normal(src.node_count)
-    assert bitwise_equal(transfer_field(src, dst, f), scalar_transfer(src, dst, f))
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(src.node_count)
+    oracle = scalar_transfer(src, dst, f)
+    assert bitwise_equal(transfer_field(src, dst, f), oracle)
+    # one locator serves several fields
+    loc = make_locator(src, dst)
+    g = rng.standard_normal(src.node_count)
+    assert bitwise_equal(transfer_field(src, dst, f, locator=loc), oracle)
+    assert bitwise_equal(transfer_field(src, dst, g, locator=loc),
+                         scalar_transfer(src, dst, g))
 
     c0, cx, cy = coeffs
     linear = c0 + cx * src.nodes[:, 0] + cy * src.nodes[:, 1]
@@ -229,10 +251,11 @@ def test_point_in_empty_bucket_scans_every_triangle():
     src = _l_shaped_source()
     # (2.5, 1.5) is in the empty bucket, 1e-9 above the bottom row
     dst = mesh_from_triangles([(0.5, 0.5), (2.5, 0.5), (2.5, 1.5)], [(0, 1, 2)])
-    loc = make_locator(src)
-    bucket = loc._cells(dst.nodes[2:])[0]
-    lo, hi = loc.bucket_ptr[bucket[0] * loc.nb + bucket[1]:][:2]
+    grid = _TriangleLocator(src)
+    bucket = grid._cells(dst.nodes[2:])[0]
+    lo, hi = grid.bucket_ptr[bucket[0] * grid.nb + bucket[1]:][:2]
     assert lo == hi                                     # the bucket is empty
+    loc = make_locator(src, dst)
     rng = np.random.default_rng(3)
     f = rng.standard_normal(src.node_count)
     out = transfer_field(src, dst, f, locator=loc)
