@@ -141,13 +141,16 @@ def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
 
 
 def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
-                 max_iterations: int | None = None, preconditioner=None):
-    """Preconditioned conjugate gradients for SPD systems.
+                 max_iterations: int | None = None, preconditioner=None, shift=0.0):
+    """Preconditioned conjugate gradients for the SPD system (A + diag(shift)) x = b.
 
+    shift (an array of one value per row, or a scalar) is added to the
+    diagonal without forming the sum: CG applies A @ p + shift * p.
     preconditioner maps a residual r to z = P^-1 r for a symmetric positive
-    definite P; the default is Jacobi, z = r / diag(A). Returns x with
-    relative residual ||Ax - b|| / ||b|| <= tol (x = 0 when b = 0). Raises
-    SolverError with the final residual on non-convergence.
+    definite P; the default is Jacobi, z = r / (diag(A) + shift). Returns x
+    with relative residual ||(A + diag(shift)) x - b|| / ||b|| <= tol (x = 0
+    when b = 0). Raises SolverError with the final residual on
+    non-convergence.
     """
     A = A.tocsr()
     b = np.asarray(b, dtype=float)
@@ -158,7 +161,7 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     if max_iterations is None:
         max_iterations = max(1000, 20 * n)
 
-    diag = A.diagonal()
+    diag = A.diagonal() + shift
     if np.any(diag <= 0.0):
         raise SolverError("matrix diagonal must be positive for CG")
     if preconditioner is None:
@@ -168,7 +171,7 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
             return inv_diag * r
 
     x = np.zeros(n)
-    r = b - A @ x
+    r = b.copy()
     z = preconditioner(r)
     p = z.copy()
     rz = float(r @ z)
@@ -177,7 +180,7 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     for _ in range(max_iterations):
         if np.linalg.norm(r) <= target:
             return x
-        Ap = A @ p
+        Ap = A @ p + shift * p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             raise SolverError("matrix is not positive definite (p^T A p <= 0)",
@@ -190,7 +193,7 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
         p = z + (rz_new / rz) * p
         rz = rz_new
 
-    res = float(np.linalg.norm(b - A @ x)) / bnorm
+    res = float(np.linalg.norm(b - (A @ x + shift * x))) / bnorm
     if res <= tol:
         return x
     raise SolverError(
@@ -226,9 +229,12 @@ class DirichletSystem:
 
     Precomputes the interior block and the interior-boundary coupling so that
     solves with varying diagonal reaction terms or right-hand sides reuse the
-    sparse structure. On the build_square_mesh grid (recognized from the node
-    coordinates in row-major order) the right triangles' hypotenuse couplings
-    vanish, so for constant gamma K_ii is gamma times the 5-point operator
+    sparse structure; a solve hands K_ii and the reaction diagonal w to CG
+    separately, so no matrix is built per solve. On the build_square_mesh
+    grid (recognized from the node coordinates in row-major order) the right
+    triangles' hypotenuse couplings vanish; assembly stores them as 0.0 and
+    K_ii drops them, which leaves its matvec bitwise unchanged and cheaper.
+    So for constant gamma K_ii is gamma times the 5-point operator
     T (x) I + I (x) T, which the sine transform diagonalizes. Solves there are
     preconditioned with the exact inverse of mean(gamma) (T (x) I + I (x) T)
     + mean(w) I; for gamma and w bounded above and below it is spectrally
@@ -242,19 +248,13 @@ class DirichletSystem:
         self.boundary = mesh.boundary_list
         self.K = assemble_stiffness(mesh, gamma)
         self.K_ii = self.K[self.interior][:, self.interior].tocsr()
+        self.K_ii.eliminate_zeros()
         self.K_ib = self.K[self.interior][:, self.boundary].tocsr()
-        self.K_ii_diag = self.K_ii.diagonal()
         self.gamma_mean = float(gamma.mean())
         self.sine = _grid_sine_basis(mesh)
 
-    def operator(self, reaction_diag_interior) -> sp.csr_matrix:
-        """Interior block of K plus a diagonal reaction term."""
-        A = self.K_ii.copy()
-        A.setdiag(self.K_ii_diag + reaction_diag_interior)
-        return A
-
     def preconditioner(self, reaction_diag_interior):
-        """Sine-transform preconditioner for operator(w), or None (Jacobi).
+        """Sine-transform preconditioner for K_ii + diag(w), or None (Jacobi).
 
         None off the grid, and where mean(w) makes the constant-coefficient
         operator indefinite.
@@ -273,8 +273,9 @@ class DirichletSystem:
 
     def solve(self, reaction_diag_interior, rhs: np.ndarray, tol: float) -> np.ndarray:
         """Interior x with (K_ii + diag(w)) x = rhs to relative residual tol."""
-        return solve_linear(self.operator(reaction_diag_interior), rhs, tol,
-                            preconditioner=self.preconditioner(reaction_diag_interior))
+        return solve_linear(self.K_ii, rhs, tol,
+                            preconditioner=self.preconditioner(reaction_diag_interior),
+                            shift=reaction_diag_interior)
 
     def expand(self, x_interior: np.ndarray, boundary_values: np.ndarray) -> np.ndarray:
         full = np.empty(self.mesh.node_count)

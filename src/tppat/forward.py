@@ -15,7 +15,13 @@ adjoint gradients downstream are exact for the discrete objective.
 Every linear solve (Newton step, linearized and reaction solves) goes through
 fem.DirichletSystem.solve: preconditioned CG on the interior block, with the
 sine-transform preconditioner on the build_square_mesh grid and Jacobi on
-other meshes.
+other meshes. Newton is inexact (Dembo, Eisenstat & Steihaug 1982): step k
+solves its linear system only to the relative residual
+eta_k = min(FORCING_MAX, max(||F_k||, FORCING_SAFETY * residual_tol / ||F_k||)),
+never below linear_tol. The first term keeps the local convergence
+quadratic, the second stops a step from solving past the nonlinear target.
+The initial linear solve and the linearized (adjoint) solves run to their
+given tolerance.
 """
 
 from __future__ import annotations
@@ -72,8 +78,21 @@ class BoundarySource:
         return self
 
 
+# Forcing term of the inexact Newton step (see the module docstring).
+FORCING_MAX = 0.01
+FORCING_SAFETY = 0.1
+
+
 @dataclass
 class NewtonConfig:
+    """Newton settings for solve_semilinear.
+
+    residual_tol bounds the interior residual norm at convergence; damping is
+    the backtracking factor. linear_tol is the floor of every Newton step's
+    forcing term and the relative tolerance of the initial linear solve and
+    of the adjoint solves of the least-squares gradient.
+    """
+
     residual_tol: float = 1e-10
     max_iterations: int = 50
     damping: float = 0.5
@@ -165,9 +184,11 @@ def solve_semilinear(mesh: Mesh, coeffs: CoefficientSet, g: BoundarySource,
 
     Returns (u, report) with u matching g exactly on boundary nodes and the
     interior residual norm at most cfg.residual_tol. Accepted steps never
-    increase the residual norm (backtracking with factor cfg.damping). The
-    initial iterate is the solution of the linear problem with mu = 0, unless
-    a warm start u0 is supplied.
+    increase the residual norm (backtracking with factor cfg.damping). Each
+    step's linear solve runs only to the relative residual eta_k of the
+    module docstring, never below cfg.linear_tol. The initial iterate is the
+    solution of the linear problem with mu = 0 (solved to cfg.linear_tol),
+    unless a warm start u0 is supplied.
     """
     cfg = cfg or NewtonConfig()
     coeffs.validate(mesh)
@@ -192,7 +213,9 @@ def solve_semilinear(mesh: Mesh, coeffs: CoefficientSet, g: BoundarySource,
         if rnorm <= cfg.residual_tol:
             report.converged = True
             return u, report
-        delta_i = op.split.solve(op.jacobian_diag(u, sigma, mu), -F, cfg.linear_tol)
+        eta = min(FORCING_MAX, max(rnorm, FORCING_SAFETY * cfg.residual_tol / rnorm))
+        delta_i = op.split.solve(op.jacobian_diag(u, sigma, mu), -F,
+                                 max(eta, cfg.linear_tol))
         delta = op.split.expand(delta_i, np.zeros(len(op.boundary)))
 
         alpha = 1.0

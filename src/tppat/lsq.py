@@ -104,7 +104,10 @@ class Evaluator:
     Uses one forward operator for the fixed gamma, the given one (which must
     have been assembled for gamma on this mesh) or one built here, and
     warm-starts the per-source Newton solves from the previous evaluation.
-    Forward and adjoint solves both run to newton.linear_tol.
+    Forward solves stop at newton.residual_tol, with each Newton step's
+    linear solve only as tight as its forcing term (solve_semilinear); the
+    adjoint solves run to newton.linear_tol, which keeps the gradient exact
+    for the discrete objective to that tolerance.
     """
 
     def __init__(self, mesh: Mesh, gruneisen, gamma, data: DatumSet, kappa: float,

@@ -267,7 +267,25 @@ def test_sine_preconditioner_inverts_constant_coefficient_grid_operator(n, react
     x = np.random.default_rng(n).standard_normal(len(system.interior))
     apply = system.preconditioner(w)
     assert apply is not None
-    assert np.linalg.norm(apply(system.operator(w) @ x) - x) <= 1e-12 * np.linalg.norm(x)
+    A = system.K_ii + sp.diags(w)
+    assert np.linalg.norm(apply(A @ x) - x) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("n", [2, 7, 32])
+def test_grid_interior_block_stores_no_zeros_and_keeps_its_matvec(n):
+    mesh = build_square_mesh(n)
+    rng = np.random.default_rng(n)
+    gamma = rng.uniform(0.1, 1.0, mesh.node_count)
+    system = fem.DirichletSystem(mesh, gamma)
+    inner = system.interior
+    unpruned = assemble_stiffness(mesh, gamma)[inner][:, inner].tocsr()
+    m = n - 1
+    assert np.all(system.K_ii.data != 0.0)
+    assert system.K_ii.nnz == 5 * m * m - 4 * m          # the 5-point stencil
+    assert abs(system.K_ii - unpruned).max() == 0.0
+    for _ in range(3):
+        p = rng.standard_normal(len(inner))
+        assert np.array_equal(system.K_ii @ p, unpruned @ p)
 
 
 def test_sine_preconditioner_falls_back_to_jacobi_when_indefinite():

@@ -7,11 +7,21 @@ from tppat import fem
 from tppat.config import default_config
 from tppat.errors import SolverError, ValidationError
 from tppat.fem import CoefficientSet
-from tppat.forward import (BoundarySource, ForwardOperator, NewtonConfig, add_noise,
-                           compute_datum, solve_semilinear)
+from tppat.forward import (FORCING_MAX, BoundarySource, ForwardOperator, NewtonConfig,
+                           add_noise, compute_datum, solve_semilinear)
 from tppat.mesh import Mesh, build_square_mesh
 
 from oracle import apply_dirichlet
+
+
+def jittered_mesh(n, seed, amplitude):
+    """build_square_mesh(n) with interior nodes moved by up to amplitude (Jacobi path)."""
+    base = build_square_mesh(n)
+    nodes = base.nodes.copy()
+    rng = np.random.default_rng(seed)
+    nodes[base.interior_list] += rng.uniform(-amplitude, amplitude,
+                                             (len(base.interior_list), 2))
+    return Mesh(nodes=nodes, triangles=base.triangles, boundary_edges=base.boundary_edges)
 
 
 def constant_coeffs(mesh, gruneisen=1.0, diffusion=0.2, sigma=0.1, mu=0.05):
@@ -94,10 +104,7 @@ def test_matches_dense_newton_oracle_on_n2():
 
 def test_non_grid_mesh_takes_the_jacobi_path_and_matches_dense_oracle():
     base = build_square_mesh(6)
-    nodes = base.nodes.copy()
-    rng = np.random.default_rng(8)
-    nodes[base.interior_list] += rng.uniform(-0.05, 0.05, (len(base.interior_list), 2))
-    mesh = Mesh(nodes=nodes, triangles=base.triangles, boundary_edges=base.boundary_edges)
+    mesh = jittered_mesh(6, 8, 0.05)
     coeffs = constant_coeffs(mesh, diffusion=0.3, sigma=0.2, mu=0.15)
     op = ForwardOperator(mesh, coeffs.diffusion)
     assert ForwardOperator(base, coeffs.diffusion).split.sine is not None
@@ -113,9 +120,9 @@ def test_non_grid_mesh_takes_the_jacobi_path_and_matches_dense_oracle():
     assert np.abs(u - u_oracle).max() <= 1e-10
 
 
-@pytest.mark.parametrize("n", [8, 32, 64])
-def test_grid_solves_need_few_preconditioner_applications(n, monkeypatch):
-    applications = []          # one entry per preconditioned solve
+def count_grid_preconditioner_applications(monkeypatch):
+    """List that gains one entry per sine-preconditioned solve, counting its applications."""
+    applications = []
     build = fem.DirichletSystem.preconditioner
 
     def counting(self, w):
@@ -129,6 +136,12 @@ def test_grid_solves_need_few_preconditioner_applications(n, monkeypatch):
         return counted
 
     monkeypatch.setattr(fem.DirichletSystem, "preconditioner", counting)
+    return applications
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_grid_solves_need_few_preconditioner_applications(n, monkeypatch):
+    applications = count_grid_preconditioner_applications(monkeypatch)
     cfg = default_config()
     mesh = build_square_mesh(n)
     coeffs = cfg.phantom.coefficients(mesh)
@@ -141,6 +154,88 @@ def test_grid_solves_need_few_preconditioner_applications(n, monkeypatch):
         op.solve_reaction(np.zeros(mesh.node_count), g, load_nodal=-u)
     assert len(applications) >= 3 * len(cfg.sources)
     assert max(applications) <= 20, applications
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.04], ids=["grid", "jittered"])
+def test_shifted_cg_matches_dense_solve(jitter):
+    mesh = jittered_mesh(8, 5, jitter)
+    rng = np.random.default_rng(11)
+    system = fem.DirichletSystem(mesh, rng.uniform(0.1, 1.0, mesh.node_count))
+    m = len(system.interior)
+    w = rng.uniform(0.0, 0.3, m)
+    b = rng.standard_normal(m)
+    preconditioner = system.preconditioner(w)
+    assert (preconditioner is None) == (jitter > 0.0)     # sine on the grid, else Jacobi
+    tol = 1e-12
+    x = fem.solve_linear(system.K_ii, b, tol, preconditioner=preconditioner, shift=w)
+    A = (system.K_ii + sp.diags(w)).toarray()
+    x_dense = np.linalg.solve(A, b)
+    assert np.linalg.norm(A @ x - b) <= tol * np.linalg.norm(b)
+    assert np.linalg.norm(x - x_dense) <= tol * np.linalg.cond(A) * np.linalg.norm(x_dense)
+    assert np.array_equal(system.solve(w, b, tol), x)
+
+
+def test_shifted_cg_rejects_nonpositive_diagonal():
+    system = fem.DirichletSystem(build_square_mesh(6), 0.3)
+    diag = system.K_ii.diagonal()
+    b = np.ones(len(diag))
+    one_below = np.zeros(len(diag))
+    one_below[3] = -diag[3] - 1e-3
+    for w in (-diag, one_below):
+        for preconditioner in (None, system.preconditioner(np.zeros(len(diag)))):
+            with pytest.raises(SolverError, match="diagonal must be positive"):
+                fem.solve_linear(system.K_ii, b, 1e-10, preconditioner=preconditioner,
+                                 shift=w)
+
+
+def test_inexact_newton_needs_fewer_preconditioner_applications(monkeypatch):
+    applications = count_grid_preconditioner_applications(monkeypatch)
+    tols = []
+    solve = fem.DirichletSystem.solve
+
+    def recording(self, w, rhs, tol):
+        tols.append(tol)
+        return solve(self, w, rhs, tol)
+
+    monkeypatch.setattr(fem.DirichletSystem, "solve", recording)
+    cfg = default_config()
+    newton = NewtonConfig()
+    mesh = build_square_mesh(32)
+    coeffs = cfg.phantom.coefficients(mesh)
+    op = ForwardOperator(mesh, coeffs.diffusion)
+    for spec in cfg.sources:
+        tols.clear()
+        _, report = solve_semilinear(mesh, coeffs, spec.build(mesh), newton, operator=op)
+        assert report.converged
+        assert tols[0] == newton.linear_tol                  # the initial linear solve
+        assert all(newton.linear_tol <= t <= FORCING_MAX for t in tols[1:])
+    # Every step solved to linear_tol took 34 + 46 + 46 + 46 = 172 (10-12 per solve);
+    # with the forcing term the four cold solves take 98.
+    assert sum(applications) <= 110, applications
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       contrast=st.floats(1.0, 10.0), grid=st.booleans())
+def test_inexact_newton_keeps_the_newton_contract(n, seed, contrast, grid):
+    mesh = build_square_mesh(n) if grid else jittered_mesh(n, seed, 0.3 / n)
+    rng = np.random.default_rng(seed)
+
+    def field(low):
+        return low * rng.uniform(1.0, contrast, mesh.node_count)
+
+    coeffs = CoefficientSet(np.ones(mesh.node_count), field(0.1), field(0.05), field(0.2))
+    g = BoundarySource(mesh, rng.uniform(0.5, 4.0, len(mesh.boundary_list)))
+    op = ForwardOperator(mesh, coeffs.diffusion)
+    assert (op.split.sine is not None) == grid
+    for residual_tol in (1e-10, 1e-13):
+        u, report = solve_semilinear(mesh, coeffs, g, NewtonConfig(residual_tol=residual_tol),
+                                     operator=op)
+        hist = report.residual_history
+        assert report.converged
+        assert all(hist[k + 1] <= hist[k] for k in range(len(hist) - 1))
+        assert hist[-1] <= residual_tol
+    assert np.abs(u - dense_newton_oracle(mesh, coeffs, g)).max() <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,7 +255,7 @@ def test_grid_solves_match_dense_solves_and_newton_descends(n, seed, contrast):
     for w in (np.zeros(len(op.interior)), (op.lumped * coeffs.single_photon)[op.interior]):
         rhs = rng.standard_normal(len(op.interior))
         x = op.split.solve(w, rhs, tol)
-        A = op.split.operator(w).toarray()
+        A = (op.split.K_ii + sp.diags(w)).toarray()
         x_dense = np.linalg.solve(A, rhs)
         assert np.linalg.norm(A @ x - rhs) <= tol * np.linalg.norm(rhs)
         assert np.linalg.norm(x - x_dense) <= (

@@ -89,6 +89,23 @@ def test_gradient_vanishes_at_noiseless_truth(bundle8):
     assert np.abs(g_mu).max() <= 1e-8 * scale
 
 
+def test_adjoint_solves_run_at_linear_tol(bundle8, monkeypatch):
+    b = bundle8
+    ev = evaluator(b)
+    sigma, mu = b.coeffs.single_photon * 1.1, b.coeffs.two_photon * 0.9
+    states = ev.forward_states(sigma, mu)
+    tols = []
+    solve = fem.DirichletSystem.solve
+
+    def recording(self, w, rhs, tol):
+        tols.append(tol)
+        return solve(self, w, rhs, tol)
+
+    monkeypatch.setattr(fem.DirichletSystem, "solve", recording)
+    ev.gradient(sigma, mu, states)
+    assert tols == [TIGHT.linear_tol] * 4
+
+
 def test_gradient_matches_finite_differences_small():
     cfg = default_config()
     cfg.mesh_n = 8
