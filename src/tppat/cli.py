@@ -19,7 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__, direct, fem, transfer
+from . import __version__, fem, transfer
 from .config import default_config, load_config, parse_number_list, write_config
 from .errors import SolverError, ValidationError
 from .experiments import (prepare_data, reconstruct, run_experiment, run_forward,
@@ -82,10 +82,8 @@ def _recon_common(args, algorithm):
     report = "condition_report" if algorithm == "direct" else "lsq_report"
     fields[report].save(outdir / f"{report}.csv")
 
-    fem.save_field(outdir / "sigma.csv", sigma)
-    fem.save_field(outdir / "mu.csv", mu)
-    fem.save_field(outdir / "sigma_clipped.csv", direct.clip_nonnegative(sigma))
-    fem.save_field(outdir / "mu_clipped.csv", direct.clip_nonnegative(mu))
+    fem.save_field(outdir / "sigma.csv", sigma, clipped_path=outdir / "sigma_clipped.csv")
+    fem.save_field(outdir / "mu.csv", mu, clipped_path=outdir / "mu_clipped.csv")
     err_s = relative_l2_error(sigma, bundle.coeffs.single_photon, mesh)
     err_m = relative_l2_error(mu, bundle.coeffs.two_photon, mesh)
     lines = ["coefficient,epsilon,seed,error_percent",

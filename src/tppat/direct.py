@@ -241,8 +241,3 @@ def recover_pair(mesh: Mesh, Gamma, gamma, data: DatumSet,
     stars = recover_all_fields(mesh, Gamma, gamma, data, tol=tol, operator=operator)
     ratios = [H / (Gamma * u) for H, u in zip(data.data, stars)]
     return fit_pair_pointwise(mesh, stars, ratios, spread_threshold)
-
-
-def clip_nonnegative(values: np.ndarray) -> np.ndarray:
-    """Physical companion field: negative reconstructed values clipped to zero."""
-    return np.maximum(np.asarray(values, dtype=float), 0.0)

@@ -246,9 +246,8 @@ def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
         for eps, fields in keep_fields.items():
             tag = f"eps{eps:g}"
             for coeff in COEFFS_RECOVERED[which]:
-                fem.save_field(outdir / f"recon_{coeff}_{tag}.csv", fields[coeff])
-                fem.save_field(outdir / f"recon_{coeff}_{tag}_clipped.csv",
-                               direct.clip_nonnegative(fields[coeff]))
+                fem.save_field(outdir / f"recon_{coeff}_{tag}.csv", fields[coeff],
+                               clipped_path=outdir / f"recon_{coeff}_{tag}_clipped.csv")
             if "condition_report" in fields:
                 fields["condition_report"].save(outdir / f"condition_{tag}.csv")
             if "lsq_report" in fields:

@@ -145,7 +145,8 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     """Preconditioned conjugate gradients for the SPD system (A + diag(shift)) x = b.
 
     shift (an array of one value per row, or a scalar) is added to the
-    diagonal without forming the sum: CG applies A @ p + shift * p.
+    diagonal without forming the sum: CG applies A @ p + shift * p, or
+    A @ p alone when shift is zero everywhere.
     preconditioner maps a residual r to z = P^-1 r for a symmetric positive
     definite P; the default is Jacobi, z = r / (diag(A) + shift). Returns x
     with relative residual ||(A + diag(shift)) x - b|| / ||b|| <= tol (x = 0
@@ -164,6 +165,11 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     diag = A.diagonal() + shift
     if np.any(diag <= 0.0):
         raise SolverError("matrix diagonal must be positive for CG")
+    if np.any(shift):
+        def matvec(p):
+            return A @ p + shift * p
+    else:
+        matvec = A.dot
     if preconditioner is None:
         inv_diag = 1.0 / diag
 
@@ -180,7 +186,7 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     for _ in range(max_iterations):
         if np.linalg.norm(r) <= target:
             return x
-        Ap = A @ p + shift * p
+        Ap = matvec(p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             raise SolverError("matrix is not positive definite (p^T A p <= 0)",
@@ -193,7 +199,7 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
         p = z + (rz_new / rz) * p
         rz = rz_new
 
-    res = float(np.linalg.norm(b - (A @ x + shift * x))) / bnorm
+    res = float(np.linalg.norm(b - matvec(x))) / bnorm
     if res <= tol:
         return x
     raise SolverError(
@@ -284,8 +290,8 @@ class DirichletSystem:
         return full
 
 
-def write_columns(path, header: str, row_format: str, *columns) -> None:
-    """Write equal-length columns as CSV: header line, then one row_format per row.
+def format_columns(row_format: str, *columns) -> str:
+    """Equal-length columns formatted as rows, one row_format per row.
 
     All rows are formatted in one %-format call, which is far cheaper than a
     Python loop over rows and gives the same bytes.
@@ -294,17 +300,44 @@ def write_columns(path, header: str, row_format: str, *columns) -> None:
     cells = [None] * (len(columns) * n)
     for k, column in enumerate(columns):
         cells[k::len(columns)] = column
+    return (row_format * n) % tuple(cells)
+
+
+def write_columns(path, header: str, row_format: str, *columns) -> None:
+    """Write equal-length columns as CSV: header line, then the format_columns rows."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n" + (row_format * n) % tuple(cells))
+        fh.write(header + "\n" + format_columns(row_format, *columns))
 
 
-def save_field(path, values) -> None:
+def clip_nonnegative(values: np.ndarray) -> np.ndarray:
+    """Physical companion field: negative reconstructed values clipped to zero."""
+    return np.maximum(np.asarray(values, dtype=float), 0.0)
+
+
+def save_field(path, values, clipped_path=None) -> None:
     """Write a nodal field as CSV with header ``node,value``.
 
-    Values are written with ``%.17g``, which round-trips every float64.
+    Values are written with ``%.17g``, which round-trips every float64. With
+    clipped_path, the companion field clip_nonnegative(values) is written
+    there from the same formatted rows: only rows whose clipped value differs
+    bitwise from the raw one (negatives and -0.0) are formatted again, so its
+    bytes are those of a separate save_field call on the clipped values.
     """
     values = np.asarray(values, dtype=float)
-    write_columns(path, "node,value", "%d,%.17g\n", range(len(values)), values.tolist())
+    rows = format_columns("%d,%.17g\n", range(len(values)), values.tolist())
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("node,value\n" + rows)
+    if clipped_path is None:
+        return
+    clipped = clip_nonnegative(values)
+    changed = np.flatnonzero(clipped.view(np.int64) != values.view(np.int64))
+    if changed.size:
+        lines = rows.split("\n")
+        for i in changed.tolist():
+            lines[i] = "%d,%.17g" % (i, clipped[i])
+        rows = "\n".join(lines)
+    with open(clipped_path, "w", encoding="ascii") as fh:
+        fh.write("node,value\n" + rows)
 
 
 def load_field(path, mesh: Mesh | None = None) -> np.ndarray:

@@ -152,18 +152,17 @@ def build_square_mesh(n: int) -> Mesh:
 
 
 def save_mesh(mesh: Mesh, path) -> None:
-    """Write a mesh in the plain-text format documented in the module docstring."""
-    lines = [f"nodes {mesh.node_count}"]
-    for x, y in mesh.nodes:
-        lines.append(f"{x:.17g} {y:.17g}")
-    lines.append(f"triangles {mesh.triangle_count}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"{a} {b} {c}")
-    lines.append(f"boundary_edges {len(mesh.boundary_edges)}")
-    for a, b in mesh.boundary_edges:
-        lines.append(f"{a} {b}")
+    """Write a mesh in the plain-text format documented in the module docstring.
+
+    Each section's rows are formatted in one %-format call.
+    """
+    sections = (("nodes", "%.17g %.17g\n", mesh.nodes),
+                ("triangles", "%d %d %d\n", mesh.triangles),
+                ("boundary_edges", "%d %d\n", mesh.boundary_edges))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for keyword, row_format, rows in sections:
+            fh.write(f"{keyword} {len(rows)}\n"
+                     + (row_format * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _expect_header(token_line, keyword, lineno):

@@ -71,3 +71,18 @@ def save_condition_rows(path, report) -> None:
         lines.append(f"{i},{cond:.17g},{flag}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def save_mesh_rows(mesh, path) -> None:
+    """mesh.save_mesh, one f-string per row."""
+    lines = [f"nodes {mesh.node_count}"]
+    for x, y in mesh.nodes:
+        lines.append(f"{x:.17g} {y:.17g}")
+    lines.append(f"triangles {mesh.triangle_count}")
+    for a, b, c in mesh.triangles:
+        lines.append(f"{a} {b} {c}")
+    lines.append(f"boundary_edges {len(mesh.boundary_edges)}")
+    for a, b in mesh.boundary_edges:
+        lines.append(f"{a} {b}")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")

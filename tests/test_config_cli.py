@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tppat import fem
 from tppat.cli import main
 from tppat.config import (SourceSpec, default_config, load_config, parse_config,
                           write_config)
@@ -161,6 +162,32 @@ def test_cli_recon_direct(tmp_path):
             "condition_report.csv", "errors.csv", "manifest.txt"} <= names
     header = (out / "condition_report.csv").read_text().splitlines()[0]
     assert header == "node,condition,flag"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["experiment", "--which", "III"], id="experiment-III"),
+    pytest.param(["recon-direct", "--noise", "40"], id="recon-direct"),
+])
+def test_clipped_companions_match_the_two_call_writer(argv, tmp_path, monkeypatch):
+    # noise 40 drives some reconstructed values negative, so the companions
+    # hold rows formatted again as well as rows copied from the raw fields
+    cfg_path = small_config(tmp_path, n=8, levels="0, 2, 40", seeds="5, 6")
+    argv = argv + ["--config", str(cfg_path), "--out"]
+    assert main(argv + [str(tmp_path / "one_call")]) == 0
+    save_field = fem.save_field
+
+    def two_calls(path, values, clipped_path=None):
+        save_field(path, values)
+        if clipped_path is not None:
+            save_field(clipped_path, fem.clip_nonnegative(values))
+
+    monkeypatch.setattr(fem, "save_field", two_calls)
+    assert main(argv + [str(tmp_path / "two_calls")]) == 0
+    tree = read_tree(tmp_path / "one_call")
+    assert tree == read_tree(tmp_path / "two_calls")
+    companions = [name for name in tree if name.endswith("_clipped.csv")]
+    assert len(companions) >= 2
+    assert any(tree[name] != tree[name.replace("_clipped", "")] for name in companions)
 
 
 def test_cli_recon_lsq(tmp_path):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from tppat.config import default_config
-from tppat.direct import (DatumSet, clip_nonnegative, fit_pair_pointwise,
-                          recover_field, recover_mu, recover_mu_from_set,
-                          recover_pair, recover_sigma)
+from tppat.direct import (DatumSet, fit_pair_pointwise, recover_field, recover_mu,
+                          recover_mu_from_set, recover_pair, recover_sigma)
 from tppat.errors import ValidationError
 from tppat.experiments import prepare_data
+from tppat.fem import clip_nonnegative
 from tppat.forward import BoundarySource
 from tppat.mesh import build_square_mesh
 from tppat.metrics import relative_l2_error

@@ -11,7 +11,8 @@ from tppat import fem
 from tppat.direct import ConditionReport
 from tppat.errors import MeshFormatError, SolverError, ValidationError
 from tppat.fem import (CoefficientSet, assemble_stiffness, assemble_weighted_mass,
-                       load_field, lumped_mass, save_field, solve_linear)
+                       clip_nonnegative, load_field, lumped_mass, save_field,
+                       solve_linear)
 from tppat.mesh import build_square_mesh
 
 from oracle import apply_dirichlet, save_condition_rows, save_field_rows
@@ -377,6 +378,28 @@ def written_bytes(writer, *args) -> bytes:
 @example(values=SPECIAL)
 def test_save_field_writes_the_bytes_of_the_row_writer(values):
     assert written_bytes(save_field, values) == written_bytes(save_field_rows, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=hnp.arrays(np.float64, st.integers(0, 40), elements=ANY_FLOAT64),
+       signs=st.sampled_from(["as drawn", "all negative", "none negative"]))
+@example(values=np.array([]), signs="as drawn")
+@example(values=np.array([-0.0]), signs="as drawn")
+@example(values=np.array([-5e-324, -np.inf, -np.nan]), signs="as drawn")
+@example(values=SPECIAL, signs="as drawn")
+@example(values=SPECIAL, signs="all negative")
+@example(values=SPECIAL, signs="none negative")
+def test_save_field_writes_the_clipped_companion_of_the_row_writer(values, signs):
+    # all negative: every companion row is formatted again; none negative
+    # (abs also clears the sign of -0.0): every row is copied from the raw field
+    values = {"as drawn": values, "all negative": -np.abs(values),
+              "none negative": np.abs(values)}[signs]
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, clipped = Path(tmp, "raw.csv"), Path(tmp, "clipped.csv")
+        save_field(raw, values, clipped_path=clipped)
+        assert raw.read_bytes() == written_bytes(save_field_rows, values)
+        assert clipped.read_bytes() == written_bytes(save_field_rows,
+                                                     clip_nonnegative(values))
 
 
 @settings(max_examples=80, deadline=None)

@@ -175,6 +175,20 @@ def test_shifted_cg_matches_dense_solve(jitter):
     assert np.array_equal(system.solve(w, b, tol), x)
 
 
+@pytest.mark.parametrize("jitter", [0.0, 0.04], ids=["grid", "jittered"])
+def test_all_zero_shift_solves_bitwise_as_no_shift(jitter):
+    mesh = jittered_mesh(8, 5, jitter)
+    rng = np.random.default_rng(12)
+    system = fem.DirichletSystem(mesh, rng.uniform(0.1, 1.0, mesh.node_count))
+    zeros = np.zeros(len(system.interior))
+    b = rng.standard_normal(len(zeros))
+    preconditioner = system.preconditioner(zeros)
+    x = fem.solve_linear(system.K_ii, b, 1e-12, preconditioner=preconditioner, shift=0.0)
+    assert fem.solve_linear(system.K_ii, b, 1e-12, preconditioner=preconditioner,
+                            shift=zeros).tobytes() == x.tobytes()
+    assert system.solve(zeros, b, 1e-12).tobytes() == x.tobytes()
+
+
 def test_shifted_cg_rejects_nonpositive_diagonal():
     system = fem.DirichletSystem(build_square_mesh(6), 0.3)
     diag = system.K_ii.diagonal()
@@ -413,3 +427,58 @@ def test_warm_start_converges_to_same_solution():
     u_warm, report = solve_semilinear(mesh, coeffs, g, cfg, u0=u_cold)
     assert report.iterations <= 1
     assert np.abs(u_warm - u_cold).max() <= 1e-9
+
+
+def far_start_case(n, seed):
+    """Coefficients spanning decades and a warm start far from the solution.
+
+    Per node: mu in 10^[-2, 4], sigma in 10^[-3, 2], gamma in 10^[-2, 1],
+    g in 10^[-1, 2] and u0 = +-10^[0, 3] with random signs. About 40 % of
+    such cases need at least one damped Newton step.
+    """
+    mesh = build_square_mesh(n)
+    rng = np.random.default_rng(seed)
+    m = mesh.node_count
+
+    def decades(low, high, size):
+        return 10.0 ** rng.uniform(low, high, size)
+
+    coeffs = CoefficientSet(np.ones(m), decades(-2, 1, m), decades(-3, 2, m),
+                            decades(-2, 4, m))
+    g = BoundarySource(mesh, decades(-1, 2, len(mesh.boundary_list)))
+    u0 = rng.choice([-1.0, 1.0], m) * decades(0, 3, m)
+    return mesh, coeffs, g, u0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_newton_from_a_far_start_converges_without_raising_the_residual(n, seed):
+    mesh, coeffs, g, u0 = far_start_case(n, seed)
+    cfg = NewtonConfig()
+    _, report = solve_semilinear(mesh, coeffs, g, cfg, u0=u0)
+    hist = report.residual_history
+    assert report.converged
+    assert hist[-1] <= cfg.residual_tol
+    assert all(hist[k + 1] <= hist[k] for k in range(len(hist) - 1))
+
+
+def test_newton_damps_a_step_that_would_raise_the_residual(monkeypatch):
+    evaluations = []
+    residual = ForwardOperator.residual_interior
+
+    def counting(self, u, sigma, mu):
+        evaluations.append(1)
+        return residual(self, u, sigma, mu)
+
+    monkeypatch.setattr(ForwardOperator, "residual_interior", counting)
+    mesh = build_square_mesh(4)
+    coeffs = constant_coeffs(mesh, diffusion=0.1, sigma=0.01, mu=1000.0)
+    g = BoundarySource.constant(mesh, 10.0)
+    u0 = np.full(mesh.node_count, -1000.0)
+    _, report = solve_semilinear(mesh, coeffs, g, u0=u0)
+    hist = report.residual_history
+    assert report.converged
+    assert all(hist[k + 1] < hist[k] for k in range(len(hist) - 1))
+    # one evaluation at the start and one per accepted full step; every
+    # rejected trial of a backtracking step adds one
+    assert len(evaluations) > report.iterations + 1

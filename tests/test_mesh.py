@@ -4,6 +4,8 @@ import pytest
 from tppat.errors import MeshFormatError, ValidationError
 from tppat.mesh import Mesh, build_square_mesh, load_mesh, save_mesh
 
+from oracle import save_mesh_rows
+
 
 def test_smallest_grid_counts():
     m = build_square_mesh(1)
@@ -97,6 +99,30 @@ def test_clockwise_triangle_is_reoriented(tmp_path):
     assert np.all(m2.signed_areas() > 0.0)
     assert {frozenset(t) for t in m2.triangles.tolist()} \
         == {frozenset(t) for t in m.triangles.tolist()}
+
+
+def written_bytes(writer, mesh, path):
+    writer(mesh, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 32, 128])
+def test_save_mesh_writes_the_bytes_of_the_row_writer(n, tmp_path):
+    m = build_square_mesh(n)
+    assert (written_bytes(save_mesh, m, tmp_path / "a.txt")
+            == written_bytes(save_mesh_rows, m, tmp_path / "b.txt"))
+
+
+def test_save_mesh_of_a_reoriented_load_writes_the_bytes_of_the_row_writer(tmp_path):
+    path = tmp_path / "mesh.txt"
+    path.write_text(
+        "nodes 5\n-1 -1\n1 -1\n-1 1\n1 1\n0.1 -0.30000000000000004\n"
+        "triangles 4\n0 4 1\n1 3 4\n3 4 2\n2 0 4\n"
+        "boundary_edges 4\n0 1\n1 3\n3 2\n2 0\n")
+    m = load_mesh(path)
+    assert m.triangles.tolist() == [[0, 1, 4], [1, 3, 4], [3, 2, 4], [2, 0, 4]]
+    assert (written_bytes(save_mesh, m, tmp_path / "a.txt")
+            == written_bytes(save_mesh_rows, m, tmp_path / "b.txt"))
 
 
 def test_degenerate_triangle_rejected(tmp_path):
