@@ -2,7 +2,8 @@
 
 With Gamma and gamma known, each datum H_j yields the photon density by one
 linear solve of -div(gamma grad u*) = -H_j / Gamma with u* = g_j on the
-boundary. The ratio H_j / (Gamma u_j*) equals sigma + mu |u_j*| nodewise, so:
+boundary, with the forward operator of gamma (forward.ForwardOperator). The
+ratio H_j / (Gamma u_j*) equals sigma + mu |u_j*| nodewise, so:
 
 * one coefficient with the other known follows from an explicit formula;
 * the pair (sigma, mu) follows from a per-node least-squares fit of the J x 2
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .fem import as_field, write_columns
-from .forward import BoundarySource, ForwardOperator, operator_for
+from .fem import DEFAULT_TOL, as_field, positive_field, write_columns
+from .forward import BoundarySource, ForwardOperator
 from .mesh import Mesh
 
 SPREAD_THRESHOLD = 1e-6
@@ -81,20 +82,15 @@ class ConditionReport:
                       np.asarray(self.flagged, dtype=np.int64).tolist())
 
 
-def recover_field(mesh: Mesh, Gamma, gamma, H, g: BoundarySource,
-                  operator: ForwardOperator | None = None,
-                  tol: float | None = None) -> np.ndarray:
+def recover_field(op: ForwardOperator, Gamma, H, g: BoundarySource,
+                  tol: float = DEFAULT_TOL) -> np.ndarray:
     """Photon density u* from one datum: -div(gamma grad u*) = -H/Gamma, u* = g.
 
-    operator, when given, must have been assembled for gamma on this mesh.
+    gamma is the diffusion of op; Gamma must be finite and positive.
     """
-    Gamma = as_field(mesh, Gamma)
-    gamma = as_field(mesh, gamma)
-    H = as_field(mesh, H)
-    if Gamma.min() <= 0.0 or gamma.min() <= 0.0:
-        raise ValidationError("Gamma and gamma must be positive")
-    op = operator_for(mesh, gamma, operator)
-    return op.solve_reaction(np.zeros(mesh.node_count), g,
+    Gamma = positive_field(op.mesh, Gamma, "gruneisen")
+    H = as_field(op.mesh, H)
+    return op.solve_reaction(np.zeros(op.mesh.node_count), g,
                              load_nodal=-H / Gamma, tol=tol)
 
 
@@ -128,31 +124,25 @@ def recover_mu(H, Gamma, u_star, sigma_known,
         - np.asarray(sigma_known, dtype=float) / np.abs(u_star)
 
 
-def recover_all_fields(mesh: Mesh, Gamma, gamma, data: DatumSet,
-                       tol: float | None = None,
-                       operator: ForwardOperator | None = None) -> list:
-    """One linear solve per datum, all with one operator for gamma.
-
-    operator, when given, must have been assembled for gamma on this mesh;
-    otherwise one is built here.
-    """
-    data.validate(mesh)
-    op = operator_for(mesh, as_field(mesh, gamma), operator)
-    return [recover_field(mesh, Gamma, gamma, H, g, operator=op, tol=tol)
+def recover_all_fields(op: ForwardOperator, Gamma, data: DatumSet,
+                       tol: float = DEFAULT_TOL) -> list:
+    """One linear solve per datum (recover_field), all with the operator op."""
+    data.validate(op.mesh)
+    return [recover_field(op, Gamma, H, g, tol=tol)
             for g, H in zip(data.sources, data.data)]
 
 
-def recover_mu_from_set(mesh: Mesh, Gamma, gamma, data: DatumSet, sigma_known,
-                        tol: float | None = None,
-                        operator: ForwardOperator | None = None) -> np.ndarray:
+def recover_mu_from_set(op: ForwardOperator, Gamma, data: DatumSet, sigma_known,
+                        tol: float = DEFAULT_TOL) -> np.ndarray:
     """mu with sigma known, stacked over all data in least-squares sense.
 
     Minimizes sum_j (mu |u_j*| - (r_j - sigma))^2 per node, with
-    r_j = H_j / (Gamma u_j*). operator is passed to recover_all_fields.
+    r_j = H_j / (Gamma u_j*) and u_j* from recover_all_fields.
     """
+    mesh = op.mesh
     Gamma = as_field(mesh, Gamma)
     sigma_known = as_field(mesh, sigma_known)
-    stars = recover_all_fields(mesh, Gamma, gamma, data, tol=tol, operator=operator)
+    stars = recover_all_fields(op, Gamma, data, tol=tol)
     num = np.zeros(mesh.node_count)
     den = np.zeros(mesh.node_count)
     for H, u_star in zip(data.data, stars):
@@ -222,22 +212,21 @@ def fit_pair_pointwise(mesh: Mesh, u_stars: list, ratios: list,
     return sigma, mu, report
 
 
-def recover_pair(mesh: Mesh, Gamma, gamma, data: DatumSet,
+def recover_pair(op: ForwardOperator, Gamma, data: DatumSet,
                  spread_threshold: float = SPREAD_THRESHOLD,
-                 tol: float | None = None,
-                 operator: ForwardOperator | None = None):
+                 tol: float = DEFAULT_TOL):
     """Simultaneous (sigma, mu) by pointwise least squares over all J data.
 
     Returns (sigma, mu, ConditionReport). Requires J >= 2 strictly positive
-    sources. One linear solve per datum recovers u_j*, then each node solves
-    its small least-squares system (see fit_pair_pointwise). operator is
-    passed to recover_all_fields.
+    sources. One linear solve per datum with op recovers u_j*
+    (recover_all_fields), then each node solves its small least-squares
+    system (see fit_pair_pointwise).
     """
     if data.size < 2:
         raise ValidationError("pair reconstruction needs at least two data sets")
     for g in data.sources:
         g.require_strictly_positive()
-    Gamma = as_field(mesh, Gamma)
-    stars = recover_all_fields(mesh, Gamma, gamma, data, tol=tol, operator=operator)
+    Gamma = as_field(op.mesh, Gamma)
+    stars = recover_all_fields(op, Gamma, data, tol=tol)
     ratios = [H / (Gamma * u) for H, u in zip(data.data, stars)]
-    return fit_pair_pointwise(mesh, stars, ratios, spread_threshold)
+    return fit_pair_pointwise(op.mesh, stars, ratios, spread_threshold)

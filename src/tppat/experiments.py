@@ -47,11 +47,13 @@ class DataBundle:
     """Clean synthetic data plus everything needed to reconstruct.
 
     operator is the forward operator of the true diffusion on the
-    reconstruction mesh, and locator (crime guard only) the reconstruction
-    nodes located in the data mesh; prepare_data builds each once. Every
+    reconstruction mesh, through which every reconstruction solve gets the
+    mesh and gamma, and locator (crime guard only) the reconstruction nodes
+    located in the data mesh; prepare_data builds each once. Every
     reconstruction job uses them, including jobs running at once on the
     thread pool, so they are read-only: nothing may modify them or their
-    arrays.
+    arrays. The one lazy member, operator.K1, is assembled by the first
+    least-squares job that needs it.
     """
 
     config: ExperimentConfig
@@ -110,7 +112,8 @@ def prepare_data(cfg: ExperimentConfig, newton: NewtonConfig | None = None,
     operator = ForwardOperator(data_mesh, data_coeffs.diffusion)
 
     def solve_one(g):
-        return solve_semilinear(data_mesh, data_coeffs, g, newton, operator=operator)
+        return solve_semilinear(operator, data_coeffs.single_photon,
+                                data_coeffs.two_photon, g, newton)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -139,26 +142,22 @@ def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
     the bounds; II holds sigma at its true value and returns it as well.
     """
     cfg = bundle.config
-    mesh = bundle.mesh
+    op = bundle.operator
     Gamma = bundle.coeffs.gruneisen
-    gamma = bundle.coeffs.diffusion
     if which == "I":
-        mu = direct.recover_mu_from_set(mesh, Gamma, gamma, datum_set,
-                                        bundle.coeffs.single_photon,
-                                        operator=bundle.operator)
+        mu = direct.recover_mu_from_set(op, Gamma, datum_set,
+                                        bundle.coeffs.single_photon)
         return {"mu": mu}
     if which == "III":
-        sigma, mu, report = direct.recover_pair(mesh, Gamma, gamma, datum_set,
-                                                operator=bundle.operator)
+        sigma, mu, report = direct.recover_pair(op, Gamma, datum_set)
         return {"sigma": sigma, "mu": mu, "condition_report": report}
     if which in ("II", "IV"):
         mu_only = which == "II"
-        mid = np.full(mesh.node_count,
+        mid = np.full(bundle.mesh.node_count,
                       0.5 * (cfg.lsq.bound_floor + cfg.lsq.bound_ceiling))
         sigma0 = bundle.coeffs.single_photon if mu_only else mid
-        sigma, mu, report = lsq.run_lsq(mesh, (Gamma, gamma), datum_set,
-                                        (sigma0, mid), cfg.lsq, mu_only=mu_only,
-                                        operator=bundle.operator)
+        sigma, mu, report = lsq.run_lsq(op, Gamma, datum_set, (sigma0, mid),
+                                        cfg.lsq, mu_only=mu_only)
         return {"sigma": sigma, "mu": mu, "lsq_report": report}
     raise ValidationError(f"unknown experiment {which!r}; expected one of "
                           f"{', '.join(EXPERIMENTS)}")

@@ -2,11 +2,13 @@
 
 Coefficients live as nodal fields (piecewise-linear interpolants). Stiffness
 and mass integrals of products of linears are evaluated exactly. The linear
-solver is preconditioned conjugate gradients, which is deterministic and keeps
-the Dirichlet-eliminated SPD structure assumptions explicit. Dirichlet solves
-on the build_square_mesh grid are preconditioned with the sine transform of
-the constant-coefficient operator (Concus & Golub 1973), which needs about ten
-iterations at any mesh size; every other mesh and matrix uses Jacobi.
+solver is preconditioned conjugate gradients (solve_linear), which is
+deterministic and keeps the Dirichlet-eliminated SPD structure assumptions
+explicit; its default preconditioner is Jacobi. grid_sine_basis gives the
+sine transform that diagonalizes the constant-coefficient operator on the
+build_square_mesh grid (Concus & Golub 1973). forward.ForwardOperator, which
+holds the Dirichlet operator of one diffusion field, preconditions its grid
+solves with it, so they need about ten iterations at any mesh size.
 
 Nodal fields serialize as CSV with header ``node,value``, one row per node in
 mesh order.
@@ -49,21 +51,28 @@ class CoefficientSet:
     single_photon: np.ndarray
     two_photon: np.ndarray
 
-    def validate(self, mesh: Mesh, floor: float = 0.0):
+    def validate(self, mesh: Mesh):
         """Check every field; coerce (and copy) only those not yet nodal float arrays."""
         for name in ("gruneisen", "diffusion", "single_photon", "two_photon"):
-            vals = getattr(self, name)
-            if not (isinstance(vals, np.ndarray) and vals.dtype == np.float64
-                    and vals.shape == (mesh.node_count,)):
-                vals = as_field(mesh, vals)
-                setattr(self, name, vals)
-            if not np.all(np.isfinite(vals)):
-                raise ValidationError(f"coefficient {name} has non-finite values")
-            if vals.min() <= floor:
-                raise ValidationError(
-                    f"coefficient {name} must exceed {floor:g} everywhere "
-                    f"(min is {vals.min():g})")
+            setattr(self, name, positive_field(mesh, getattr(self, name), name))
         return self
+
+
+def positive_field(mesh: Mesh, values, name: str) -> np.ndarray:
+    """values as a nodal float field, checked finite and positive everywhere.
+
+    Coerces (and copies) only values that are not yet a nodal float array.
+    name is the coefficient the ValidationError names.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.shape == (mesh.node_count,)):
+        values = as_field(mesh, values)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"coefficient {name} has non-finite values")
+    if values.min() <= 0.0:
+        raise ValidationError(f"coefficient {name} must be positive everywhere "
+                              f"(min is {values.min():g})")
+    return values
 
 
 def _triangle_geometry(mesh: Mesh):
@@ -207,7 +216,7 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
         f"(relative residual {res:.3e})", residual=res)
 
 
-def _grid_sine_basis(mesh: Mesh):
+def grid_sine_basis(mesh: Mesh):
     """(S, lambda_k + lambda_l) for the interior of a build_square_mesh grid.
 
     None when the nodes are not that grid in row-major order.
@@ -228,66 +237,6 @@ def _grid_sine_basis(mesh: Mesh):
     S = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n)
     lam = 2.0 - 2.0 * np.cos(np.pi * k / n)
     return S, lam[:, None] + lam[None, :]
-
-
-class DirichletSystem:
-    """Interior/boundary split of the stiffness operator of gamma for repeated solves.
-
-    Precomputes the interior block and the interior-boundary coupling so that
-    solves with varying diagonal reaction terms or right-hand sides reuse the
-    sparse structure; a solve hands K_ii and the reaction diagonal w to CG
-    separately, so no matrix is built per solve. On the build_square_mesh
-    grid (recognized from the node coordinates in row-major order) the right
-    triangles' hypotenuse couplings vanish; assembly stores them as 0.0 and
-    K_ii drops them, which leaves its matvec bitwise unchanged and cheaper.
-    So for constant gamma K_ii is gamma times the 5-point operator
-    T (x) I + I (x) T, which the sine transform diagonalizes. Solves there are
-    preconditioned with the exact inverse of mean(gamma) (T (x) I + I (x) T)
-    + mean(w) I; for gamma and w bounded above and below it is spectrally
-    equivalent to K_ii + diag(w) with bounds independent of h.
-    """
-
-    def __init__(self, mesh: Mesh, gamma):
-        gamma = as_field(mesh, gamma)
-        self.mesh = mesh
-        self.interior = mesh.interior_list
-        self.boundary = mesh.boundary_list
-        self.K = assemble_stiffness(mesh, gamma)
-        self.K_ii = self.K[self.interior][:, self.interior].tocsr()
-        self.K_ii.eliminate_zeros()
-        self.K_ib = self.K[self.interior][:, self.boundary].tocsr()
-        self.gamma_mean = float(gamma.mean())
-        self.sine = _grid_sine_basis(mesh)
-
-    def preconditioner(self, reaction_diag_interior):
-        """Sine-transform preconditioner for K_ii + diag(w), or None (Jacobi).
-
-        None off the grid, and where mean(w) makes the constant-coefficient
-        operator indefinite.
-        """
-        if self.sine is None:
-            return None
-        S, lam_sum = self.sine
-        eig = self.gamma_mean * lam_sum + float(np.mean(reaction_diag_interior))
-        if eig.min() <= 0.0:
-            return None
-        m = len(S)
-
-        def apply(r):
-            return (S @ (((S @ r.reshape(m, m)) @ S) / eig) @ S).ravel()
-        return apply
-
-    def solve(self, reaction_diag_interior, rhs: np.ndarray, tol: float) -> np.ndarray:
-        """Interior x with (K_ii + diag(w)) x = rhs to relative residual tol."""
-        return solve_linear(self.K_ii, rhs, tol,
-                            preconditioner=self.preconditioner(reaction_diag_interior),
-                            shift=reaction_diag_interior)
-
-    def expand(self, x_interior: np.ndarray, boundary_values: np.ndarray) -> np.ndarray:
-        full = np.empty(self.mesh.node_count)
-        full[self.interior] = x_interior
-        full[self.boundary] = boundary_values
-        return full
 
 
 def format_columns(row_format: str, *columns) -> str:

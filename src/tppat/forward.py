@@ -13,7 +13,7 @@ solves. Newton with backtracking damping is then globally robust and the
 adjoint gradients downstream are exact for the discrete objective.
 
 Every linear solve (Newton step, linearized and reaction solves) goes through
-fem.DirichletSystem.solve: preconditioned CG on the interior block, with the
+ForwardOperator.solve: preconditioned CG on the interior block, with the
 sine-transform preconditioner on the build_square_mesh grid and Jacobi on
 other meshes. Newton is inexact (Dembo, Eisenstat & Steihaug 1982): step k
 solves its linear system only to the relative residual
@@ -26,6 +26,7 @@ given tolerance.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,22 +116,86 @@ class SolverReport:
 
 
 class ForwardOperator:
-    """Cached discrete operators for one (mesh, gamma) pair.
+    """The discrete Dirichlet operator of -div(gamma grad .) for one (mesh, gamma).
 
-    The stiffness matrix and its Dirichlet split depend only on gamma, so the
-    Newton loop, the repeated solves inside the least-squares iteration, and
-    the direct-reconstruction solve all share them. The operator holds no
-    per-solve state: one instance can serve many solves and threads at once.
+    Every solve with the diffusion gamma goes through one instance: Newton
+    steps, linearized (sensitivity, adjoint) and reaction solves. It rejects
+    a gamma that is not finite and positive, and keeps the stiffness K, its
+    interior block K_ii and the interior-boundary coupling K_ib; a solve
+    hands K_ii and the reaction diagonal w to CG separately, so no matrix is
+    built per solve. On the build_square_mesh grid (recognized from the node
+    coordinates in row-major order) the hypotenuse couplings of the right
+    triangles vanish, and K_ii drops the stored zeros, which leaves its
+    matvec bitwise unchanged. For constant gamma K_ii is then gamma times
+    the 5-point operator T (x) I + I (x) T, which the sine transform
+    diagonalizes: grid solves are preconditioned with the exact inverse of
+    mean(gamma) (T (x) I + I (x) T) + mean(w) I, spectrally equivalent to
+    K_ii + diag(w) with h-independent bounds for gamma and w bounded above
+    and below. Other meshes use Jacobi.
+
+    The operator holds no per-solve state: one instance can serve many
+    solves and threads at once.
     """
 
     def __init__(self, mesh: Mesh, gamma):
+        gamma = fem.positive_field(mesh, gamma, "diffusion")
         self.mesh = mesh
-        self.gamma = as_field(mesh, gamma)
-        self.split = fem.DirichletSystem(mesh, self.gamma)
-        self.K = self.split.K
+        self.interior = mesh.interior_list
+        self.boundary = mesh.boundary_list
+        self.K = fem.assemble_stiffness(mesh, gamma)
+        self.K_ii = self.K[self.interior][:, self.interior].tocsr()
+        self.K_ii.eliminate_zeros()
+        self.K_ib = self.K[self.interior][:, self.boundary].tocsr()
+        self.gamma_mean = float(gamma.mean())
+        self.sine = fem.grid_sine_basis(mesh)
         self.lumped = fem.lumped_mass(mesh)
-        self.interior = self.split.interior
-        self.boundary = self.split.boundary
+        self._K1 = None
+        self._K1_lock = threading.Lock()
+
+    @property
+    def K1(self):
+        """Unit-diffusion stiffness of the mesh (the least-squares regularizer's).
+
+        Assembled once, on first use, so direct reconstructions never pay for
+        it; the lock keeps jobs that start at once on a thread pool from
+        assembling it twice.
+        """
+        with self._K1_lock:
+            if self._K1 is None:
+                self._K1 = fem.assemble_stiffness(self.mesh,
+                                                  np.ones(self.mesh.node_count))
+        return self._K1
+
+    def preconditioner(self, reaction_diag_interior):
+        """Sine-transform preconditioner for K_ii + diag(w), or None (Jacobi).
+
+        None off the grid, and where mean(w) makes the constant-coefficient
+        operator indefinite.
+        """
+        if self.sine is None:
+            return None
+        S, lam_sum = self.sine
+        eig = self.gamma_mean * lam_sum + float(np.mean(reaction_diag_interior))
+        if eig.min() <= 0.0:
+            return None
+        m = len(S)
+
+        def apply(r):
+            return (S @ (((S @ r.reshape(m, m)) @ S) / eig) @ S).ravel()
+        return apply
+
+    def solve(self, reaction_diag_interior, rhs: np.ndarray, tol: float) -> np.ndarray:
+        """Interior x with (K_ii + diag(w)) x = rhs to relative residual tol."""
+        return fem.solve_linear(
+            self.K_ii, rhs, tol, shift=reaction_diag_interior,
+            preconditioner=self.preconditioner(reaction_diag_interior))
+
+    def expand(self, x_interior: np.ndarray, boundary_values) -> np.ndarray:
+        """Nodal field from interior values and boundary values (array or scalar)."""
+        full = np.empty(self.mesh.node_count)
+        full[self.interior] = x_interior
+        full[self.boundary] = boundary_values
+        return full
 
     def residual_interior(self, u, sigma, mu):
         nonlin = self.lumped * (sigma * u + mu * np.abs(u) * u)
@@ -140,48 +205,34 @@ class ForwardOperator:
         """Interior reaction diagonal m (sigma + 2 mu |u|) of the linearized operator."""
         return (self.lumped * (sigma + 2.0 * mu * np.abs(u)))[self.interior]
 
-    def solve_linearized(self, u, sigma, mu, rhs_interior, tol=None) -> np.ndarray:
+    def solve_linearized(self, u, sigma, mu, rhs_interior,
+                         tol: float = fem.DEFAULT_TOL) -> np.ndarray:
         """Solve the linearized equation with homogeneous Dirichlet data.
 
-        tol is the relative residual of the linear solve (fem.DEFAULT_TOL if None).
+        tol is the relative residual of the linear solve.
         """
-        x = self.split.solve(self.jacobian_diag(u, sigma, mu), rhs_interior,
-                             fem.DEFAULT_TOL if tol is None else tol)
-        return self.split.expand(x, np.zeros(len(self.boundary)))
+        x = self.solve(self.jacobian_diag(u, sigma, mu), rhs_interior, tol)
+        return self.expand(x, 0.0)
 
     def solve_reaction(self, weight, g: BoundarySource, load_nodal=None,
-                       tol=None) -> np.ndarray:
+                       tol: float = fem.DEFAULT_TOL) -> np.ndarray:
         """Solve -div(gamma grad u) + weight * u = load with u = g on the boundary.
 
-        tol is the relative residual of the linear solve (fem.DEFAULT_TOL if None).
+        tol is the relative residual of the linear solve.
         """
         w = (self.lumped * as_field(self.mesh, weight))[self.interior]
-        rhs = -(self.split.K_ib @ g.values)
+        rhs = -(self.K_ib @ g.values)
         if load_nodal is not None:
             rhs = rhs + (self.lumped * as_field(self.mesh, load_nodal))[self.interior]
-        x = self.split.solve(w, rhs, fem.DEFAULT_TOL if tol is None else tol)
-        return self.split.expand(x, g.values)
+        x = self.solve(w, rhs, tol)
+        return self.expand(x, g.values)
 
 
-def operator_for(mesh: Mesh, gamma, operator: ForwardOperator | None = None
-                 ) -> ForwardOperator:
-    """operator, checked to be assembled for gamma, or a new one for (mesh, gamma).
+def solve_semilinear(op: ForwardOperator, sigma, mu, g: BoundarySource,
+                     cfg: NewtonConfig | None = None, u0: np.ndarray | None = None):
+    """Newton solve of the discrete semilinear problem with the diffusion of op.
 
-    Raises ValidationError if operator was assembled for another gamma.
-    """
-    if operator is None:
-        return ForwardOperator(mesh, gamma)
-    if not np.array_equal(operator.gamma, gamma):
-        raise ValidationError(
-            "cached operator was assembled for a different diffusion field")
-    return operator
-
-
-def solve_semilinear(mesh: Mesh, coeffs: CoefficientSet, g: BoundarySource,
-                     cfg: NewtonConfig | None = None, u0: np.ndarray | None = None,
-                     operator: ForwardOperator | None = None):
-    """Newton solve of the discrete semilinear problem.
-
+    sigma and mu must be finite and positive, and g a source on op's mesh.
     Returns (u, report) with u matching g exactly on boundary nodes and the
     interior residual norm at most cfg.residual_tol. Accepted steps never
     increase the residual norm (backtracking with factor cfg.damping). Each
@@ -191,12 +242,11 @@ def solve_semilinear(mesh: Mesh, coeffs: CoefficientSet, g: BoundarySource,
     unless a warm start u0 is supplied.
     """
     cfg = cfg or NewtonConfig()
-    coeffs.validate(mesh)
+    mesh = op.mesh
+    sigma = fem.positive_field(mesh, sigma, "single_photon")
+    mu = fem.positive_field(mesh, mu, "two_photon")
     if g.values.shape != mesh.boundary_list.shape:
         raise ValidationError("boundary source does not match the mesh")
-    op = operator_for(mesh, coeffs.diffusion, operator)
-    sigma = coeffs.single_photon
-    mu = coeffs.two_photon
 
     if u0 is None:
         u = op.solve_reaction(sigma, g, tol=cfg.linear_tol)
@@ -214,9 +264,8 @@ def solve_semilinear(mesh: Mesh, coeffs: CoefficientSet, g: BoundarySource,
             report.converged = True
             return u, report
         eta = min(FORCING_MAX, max(rnorm, FORCING_SAFETY * cfg.residual_tol / rnorm))
-        delta_i = op.split.solve(op.jacobian_diag(u, sigma, mu), -F,
-                                 max(eta, cfg.linear_tol))
-        delta = op.split.expand(delta_i, np.zeros(len(op.boundary)))
+        delta = op.expand(op.solve(op.jacobian_diag(u, sigma, mu), -F,
+                                   max(eta, cfg.linear_tol)), 0.0)
 
         alpha = 1.0
         accepted = False

@@ -71,13 +71,11 @@ def gradient_check(cfg: ExperimentConfig, directions: int = 20, seed: int = 7,
     step = step_scale * scale
 
     def phi(x):
-        ev = Evaluator(mesh, bundle.coeffs.gruneisen, bundle.coeffs.diffusion,
-                       data, kap, newton, bundle.operator)
+        ev = Evaluator(bundle.operator, bundle.coeffs.gruneisen, data, kap, newton)
         value, _ = ev.objective(x[:n], x[n:])
         return value
 
-    ev = Evaluator(mesh, bundle.coeffs.gruneisen, bundle.coeffs.diffusion,
-                   data, kap, newton, bundle.operator)
+    ev = Evaluator(bundle.operator, bundle.coeffs.gruneisen, data, kap, newton)
     g_sigma, g_mu = ev.gradient(sigma, mu)
     weights = np.concatenate([ev.lumped, ev.lumped])
     grad = np.concatenate([g_sigma, g_mu])

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import fem
 from .errors import SolverError, ValidationError
-from .fem import CoefficientSet, as_field
-from .forward import ForwardOperator, NewtonConfig, operator_for, solve_semilinear
+from .fem import as_field, positive_field
+from .forward import ForwardOperator, NewtonConfig, solve_semilinear
 from .direct import DatumSet
 from .mesh import Mesh
 
@@ -99,43 +99,36 @@ def auto_kappa(mesh: Mesh, data: DatumSet) -> float:
 
 
 class Evaluator:
-    """Objective/gradient engine for fixed (mesh, Gamma, gamma, data, kappa).
+    """Objective/gradient engine for fixed (op, Gamma, data, kappa).
 
-    Uses one forward operator for the fixed gamma, the given one (which must
-    have been assembled for gamma on this mesh) or one built here, and
-    warm-starts the per-source Newton solves from the previous evaluation.
+    The forward operator op fixes the mesh and the known diffusion gamma.
+    The per-source Newton solves warm-start from the previous evaluation.
     Forward solves stop at newton.residual_tol, with each Newton step's
     linear solve only as tight as its forcing term (solve_semilinear); the
     adjoint solves run to newton.linear_tol, which keeps the gradient exact
-    for the discrete objective to that tolerance.
+    for the discrete objective to that tolerance. The regularizer uses the
+    unit-diffusion stiffness op.K1.
     """
 
-    def __init__(self, mesh: Mesh, gruneisen, gamma, data: DatumSet, kappa: float,
-                 newton: NewtonConfig | None = None,
-                 operator: ForwardOperator | None = None):
-        self.mesh = mesh
-        self.gruneisen = as_field(mesh, gruneisen)
-        self.gamma = as_field(mesh, gamma)
-        data.validate(mesh)
+    def __init__(self, op: ForwardOperator, gruneisen, data: DatumSet, kappa: float,
+                 newton: NewtonConfig | None = None):
+        self.op = op
+        self.mesh = op.mesh
+        self.gruneisen = positive_field(op.mesh, gruneisen, "gruneisen")
+        data.validate(op.mesh)
         self.data = data
         self.kappa = float(kappa)
         self.newton = newton or NewtonConfig()
-        self.op = operator_for(mesh, self.gamma, operator)
-        self.K1 = fem.assemble_stiffness(mesh, np.ones(mesh.node_count))
-        self.lumped = self.op.lumped
+        self.lumped = op.lumped
         self._warm = [None] * data.size
-
-    def _coeffs(self, sigma, mu) -> CoefficientSet:
-        return CoefficientSet(self.gruneisen, self.gamma, sigma, mu)
 
     def forward_states(self, sigma, mu):
         """Solve the J forward problems; returns (us, zs)."""
-        coeffs = self._coeffs(sigma, mu)
         us, zs = [], []
         for j, (g, H) in enumerate(zip(self.data.sources, self.data.data)):
             try:
-                u, _ = solve_semilinear(self.mesh, coeffs, g, self.newton,
-                                        u0=self._warm[j], operator=self.op)
+                u, _ = solve_semilinear(self.op, sigma, mu, g, self.newton,
+                                        u0=self._warm[j])
             except SolverError as exc:
                 raise SolverError(
                     f"forward solve failed for source {j}: {exc}",
@@ -147,7 +140,8 @@ class Evaluator:
         return us, zs
 
     def regularizer(self, sigma, mu) -> float:
-        return 0.5 * (float(sigma @ (self.K1 @ sigma)) + float(mu @ (self.K1 @ mu)))
+        K1 = self.op.K1
+        return 0.5 * (float(sigma @ (K1 @ sigma)) + float(mu @ (K1 @ mu)))
 
     def objective(self, sigma, mu, states=None):
         """Phi value plus the per-source misfit contributions."""
@@ -180,8 +174,8 @@ class Evaluator:
             g_sigma += z * self.gruneisen * u + v * u
             g_mu += (z * self.gruneisen + v) * np.abs(u) * u
         if self.kappa != 0.0:
-            g_sigma += self.kappa * (self.K1 @ sigma) / self.lumped
-            g_mu += self.kappa * (self.K1 @ mu) / self.lumped
+            g_sigma += self.kappa * (self.op.K1 @ sigma) / self.lumped
+            g_mu += self.kappa * (self.op.K1 @ mu) / self.lumped
         return g_sigma, g_mu
 
 
@@ -232,12 +226,12 @@ def gauss_newton_metric(gruneisen, us, reg, mu_only: bool = False):
     return apply
 
 
-def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig, *,
-            mu_only: bool = False, newton: NewtonConfig | None = None,
-            operator: ForwardOperator | None = None):
+def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig, *,
+            mu_only: bool = False, newton: NewtonConfig | None = None):
     """Projected limited-memory BFGS minimization of Phi.
 
-    fixed = (Gamma, gamma); init = (sigma0, mu0) within the bounds. With
+    op is the forward operator of the known diffusion gamma and gruneisen the
+    known Gamma; init = (sigma0, mu0) within the bounds. With
     mu_only, sigma stays at sigma0 and only mu is fitted. Returns
     (sigma, mu, LsqReport). Inner products use the lumped-mass metric. The
     two-loop recursion starts from gauss_newton_metric, rebuilt from the
@@ -246,12 +240,12 @@ def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig, *,
     norm drops below grad_tol times its initial value, at the iteration cap,
     or when the line search cannot make progress (best iterate returned,
     converged=False). The objective history is strictly decreasing over
-    accepted steps. operator is passed to Evaluator; the gradient at an
-    accepted point reuses the forward states of its line-search trial.
+    accepted steps. The gradient at an accepted point reuses the forward
+    states of its line-search trial.
     """
-    gruneisen, gamma = fixed
+    mesh = op.mesh
     kappa = auto_kappa(mesh, data) if cfg.kappa == "auto" else float(cfg.kappa)
-    ev = Evaluator(mesh, gruneisen, gamma, data, kappa, newton, operator)
+    ev = Evaluator(op, gruneisen, data, kappa, newton)
     sigma = as_field(mesh, init[0])
     mu = as_field(mesh, init[1])
     for name, arr in (("sigma", sigma), ("mu", mu)):
@@ -262,7 +256,7 @@ def run_lsq(mesh: Mesh, fixed, data: DatumSet, init, cfg: LsqConfig, *,
     n = mesh.node_count
     x = mu if mu_only else np.concatenate([sigma, mu])
     w = ev.lumped if mu_only else np.concatenate([ev.lumped, ev.lumped])
-    reg = kappa * ev.K1.diagonal() / ev.lumped
+    reg = kappa * op.K1.diagonal() / ev.lumped
 
     def pack(gs, gm):
         return gm if mu_only else np.concatenate([gs, gm])

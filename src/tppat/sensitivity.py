@@ -21,8 +21,8 @@ import numpy as np
 
 from . import fem
 from .errors import ValidationError
-from .fem import CoefficientSet, as_field
-from .forward import BoundarySource, ForwardOperator, operator_for
+from .fem import CoefficientSet, as_field, positive_field
+from .forward import BoundarySource, ForwardOperator
 from .mesh import Mesh
 
 
@@ -53,20 +53,19 @@ def perturbed_coefficients(coeffs: CoefficientSet,
     )
 
 
-def solve_sensitivity(mesh: Mesh, coeffs: CoefficientSet, u: np.ndarray,
+def solve_sensitivity(op: ForwardOperator, sigma, mu, u: np.ndarray,
                       pert: CoefficientPerturbation,
-                      operator: ForwardOperator | None = None,
-                      tol: float | None = None) -> np.ndarray:
+                      tol: float = fem.DEFAULT_TOL) -> np.ndarray:
     """Solution perturbation v for the combined right-hand side, zero on boundary.
 
-    u must be a converged forward solution for coeffs.
+    u must be a converged forward solution for the diffusion of op and the
+    finite, positive sigma and mu (solve_semilinear).
     """
-    coeffs.validate(mesh)
+    mesh = op.mesh
+    sigma = positive_field(mesh, sigma, "single_photon")
+    mu = positive_field(mesh, mu, "two_photon")
     pert.validate(mesh)
     u = as_field(mesh, u)
-    op = operator_for(mesh, coeffs.diffusion, operator)
-    sigma = coeffs.single_photon
-    mu = coeffs.two_photon
 
     rhs = np.zeros(mesh.node_count)
     if np.any(pert.d_gamma != 0.0):

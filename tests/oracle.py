@@ -1,8 +1,9 @@
 """Independent oracles the tests compare the library against.
 
 The library imposes Dirichlet data by splitting the system into interior and
-boundary blocks (fem.DirichletSystem). apply_dirichlet does it the other way,
-by symmetric elimination on the full matrix, so tests can compare the two.
+boundary blocks (forward.ForwardOperator). apply_dirichlet does it the other
+way, by symmetric elimination on the full matrix, so tests can compare the
+two.
 
 The library writes CSV columns with one %-format call per file; the
 per-row f-string writers below are the reference for their bytes.

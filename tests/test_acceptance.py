@@ -13,8 +13,8 @@ from tppat.config import default_config, write_config
 from tppat.direct import recover_pair
 from tppat.experiments import prepare_data, run_experiment
 from tppat.fem import CoefficientSet, assemble_stiffness, lumped_mass
-from tppat.forward import (BoundarySource, NewtonConfig, compute_datum,
-                           solve_semilinear)
+from tppat.forward import (BoundarySource, ForwardOperator, NewtonConfig,
+                           compute_datum, solve_semilinear)
 from tppat.gradcheck import gradient_check
 from tppat.mesh import build_square_mesh
 from tppat.metrics import (check_comparison, check_max_principle,
@@ -43,8 +43,7 @@ def test_criterion_1_direct_noiseless_exact_recovery():
     cfg.mesh_n = 32
     bundle = prepare_data(cfg)                       # 4 strictly positive sources
     ds = bundle.datum_set(0.0, cfg.seeds[0])
-    sigma, mu, _ = recover_pair(bundle.mesh, bundle.coeffs.gruneisen,
-                                bundle.coeffs.diffusion, ds)
+    sigma, mu, _ = recover_pair(bundle.operator, bundle.coeffs.gruneisen, ds)
     err_s = relative_l2_error(sigma, bundle.coeffs.single_photon, bundle.mesh)
     err_m = relative_l2_error(mu, bundle.coeffs.two_photon, bundle.mesh)
     elapsed = time.monotonic() - start
@@ -99,7 +98,8 @@ def test_criterion_4_frechet_linearization_order():
         d_gamma=0.1 * coeffs.diffusion * rng.uniform(-1, 1, n),
         d_sigma=0.2 * coeffs.single_photon * rng.uniform(-1, 1, n),
         d_mu=0.2 * coeffs.two_photon * rng.uniform(-1, 1, n))
-    v = solve_sensitivity(mesh, coeffs, u, pert, tol=1e-13)
+    v = solve_sensitivity(bundle.operator, coeffs.single_photon, coeffs.two_photon,
+                          u, pert, tol=1e-13)
     dH = datum_derivative(coeffs, u, v, pert)
     H0 = compute_datum(coeffs, u)
 
@@ -111,7 +111,8 @@ def test_criterion_4_frechet_linearization_order():
     remainders = []
     for t in (1e-2, 5e-3, 2.5e-3):
         ct = perturbed_coefficients(coeffs, pert.scaled(t))
-        ut, _ = solve_semilinear(mesh, ct, g, newton)
+        ut, _ = solve_semilinear(ForwardOperator(mesh, ct.diffusion),
+                                 ct.single_photon, ct.two_photon, g, newton)
         remainders.append(l2(compute_datum(ct, ut) - H0 - t * dH))
     orders = [float(np.log2(remainders[i] / remainders[i + 1])) for i in range(2)]
     report(4, all(o >= 1.9 for o in orders),
@@ -152,8 +153,11 @@ def test_criterion_5_pde_theory_suite():
     failures = []
     for trial in range(50):
         mesh, coeffs, g_small, g_large = _random_theory_configuration(rng, meshes)
-        u_small, _ = solve_semilinear(mesh, coeffs, g_small)
-        u_large, _ = solve_semilinear(mesh, coeffs, g_large)
+        op = ForwardOperator(mesh, coeffs.diffusion)
+        u_small, _ = solve_semilinear(op, coeffs.single_photon, coeffs.two_photon,
+                                      g_small)
+        u_large, _ = solve_semilinear(op, coeffs.single_photon, coeffs.two_photon,
+                                      g_large)
         checks = {
             "maximum": check_max_principle(u_small, g_small, tol=1e-8),
             "positivity": check_positivity(u_small, epsilon=g_small.min_value),
@@ -231,7 +235,8 @@ def test_criterion_7_oracle_equivalence():
         J[bl, bl] = 1.0
         u_dense = u_dense - np.linalg.solve(J, F)
 
-    u, rep = solve_semilinear(mesh, coeffs, g,
+    u, rep = solve_semilinear(ForwardOperator(mesh, coeffs.diffusion),
+                              coeffs.single_photon, coeffs.two_photon, g,
                               NewtonConfig(residual_tol=1e-13, linear_tol=1e-14))
     gap = float(np.abs(u - u_dense).max())
 

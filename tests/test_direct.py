@@ -7,7 +7,7 @@ from tppat.direct import (DatumSet, fit_pair_pointwise, recover_field, recover_m
 from tppat.errors import ValidationError
 from tppat.experiments import prepare_data
 from tppat.fem import clip_nonnegative
-from tppat.forward import BoundarySource
+from tppat.forward import BoundarySource, ForwardOperator
 from tppat.mesh import build_square_mesh
 from tppat.metrics import relative_l2_error
 
@@ -21,8 +21,7 @@ def bundle16():
 
 def test_recover_field_matches_forward_solution(bundle16):
     b = bundle16
-    u_star = recover_field(b.mesh, b.coeffs.gruneisen, b.coeffs.diffusion,
-                           b.H_clean[0], b.sources[0])
+    u_star = recover_field(b.operator, b.coeffs.gruneisen, b.H_clean[0], b.sources[0])
     err = relative_l2_error(u_star, b.u_clean[0], b.mesh)
     assert err <= 1e-8 * 100.0
 
@@ -31,16 +30,25 @@ def test_recover_field_zero_datum_constant_source():
     mesh = build_square_mesh(5)
     n = mesh.node_count
     g = BoundarySource.constant(mesh, 2.5)
-    u_star = recover_field(mesh, np.ones(n), np.full(n, 0.3), np.zeros(n), g)
+    u_star = recover_field(ForwardOperator(mesh, 0.3), np.ones(n), np.zeros(n), g)
     assert np.abs(u_star - 2.5).max() <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_recover_field_rejects_a_nonpositive_or_nonfinite_gruneisen(bad):
+    mesh = build_square_mesh(3)
+    Gamma = np.ones(mesh.node_count)
+    Gamma[5] = bad
+    with pytest.raises(ValidationError, match="coefficient gruneisen"):
+        recover_field(ForwardOperator(mesh, 0.3), Gamma, np.zeros(mesh.node_count),
+                      BoundarySource.constant(mesh, 1.0))
 
 
 def test_recover_field_depends_only_on_ratio(bundle16):
     b = bundle16
-    u1 = recover_field(b.mesh, b.coeffs.gruneisen, b.coeffs.diffusion,
-                       b.H_clean[0], b.sources[0])
-    u2 = recover_field(b.mesh, 2.0 * b.coeffs.gruneisen, b.coeffs.diffusion,
-                       2.0 * b.H_clean[0], b.sources[0])
+    u1 = recover_field(b.operator, b.coeffs.gruneisen, b.H_clean[0], b.sources[0])
+    u2 = recover_field(b.operator, 2.0 * b.coeffs.gruneisen, 2.0 * b.H_clean[0],
+                       b.sources[0])
     assert np.array_equal(u1, u2)
 
 
@@ -86,8 +94,7 @@ def test_positivity_floor_error_names_nodes():
 def test_recover_mu_noiseless_full_field(bundle16):
     # single-datum formula applied to self-generated data recovers mu exactly
     b = bundle16
-    u_star = recover_field(b.mesh, b.coeffs.gruneisen, b.coeffs.diffusion,
-                           b.H_clean[1], b.sources[1])
+    u_star = recover_field(b.operator, b.coeffs.gruneisen, b.H_clean[1], b.sources[1])
     mu = recover_mu(b.H_clean[1], b.coeffs.gruneisen, u_star,
                     b.coeffs.single_photon)
     assert relative_l2_error(mu, b.coeffs.two_photon, b.mesh) <= 0.5
@@ -96,8 +103,7 @@ def test_recover_mu_noiseless_full_field(bundle16):
 def test_recover_mu_from_set_noiseless(bundle16):
     b = bundle16
     ds = b.datum_set(0.0, 1)
-    mu = recover_mu_from_set(b.mesh, b.coeffs.gruneisen, b.coeffs.diffusion,
-                             ds, b.coeffs.single_photon)
+    mu = recover_mu_from_set(b.operator, b.coeffs.gruneisen, ds, b.coeffs.single_photon)
     assert relative_l2_error(mu, b.coeffs.two_photon, b.mesh) <= 0.5
 
 
@@ -116,8 +122,7 @@ def test_pointwise_fit_two_by_two_inversion():
 def test_recover_pair_noiseless_exact(bundle16):
     b = bundle16
     ds = b.datum_set(0.0, 1)
-    sigma, mu, report = recover_pair(b.mesh, b.coeffs.gruneisen,
-                                     b.coeffs.diffusion, ds)
+    sigma, mu, report = recover_pair(b.operator, b.coeffs.gruneisen, ds)
     assert relative_l2_error(sigma, b.coeffs.single_photon, b.mesh) <= 0.5
     assert relative_l2_error(mu, b.coeffs.two_photon, b.mesh) <= 0.5
     assert not report.flagged.any()
@@ -128,7 +133,7 @@ def test_recover_pair_requires_two_sources(bundle16):
     b = bundle16
     ds = DatumSet(sources=[b.sources[0]], data=[b.H_clean[0]])
     with pytest.raises(ValidationError):
-        recover_pair(b.mesh, b.coeffs.gruneisen, b.coeffs.diffusion, ds)
+        recover_pair(b.operator, b.coeffs.gruneisen, ds)
 
 
 def test_recover_pair_identical_sources_degenerate(bundle16):
@@ -136,7 +141,7 @@ def test_recover_pair_identical_sources_degenerate(bundle16):
     ds = DatumSet(sources=[b.sources[0], b.sources[0]],
                   data=[b.H_clean[0], b.H_clean[0].copy()])
     with pytest.raises(ValidationError):
-        recover_pair(b.mesh, b.coeffs.gruneisen, b.coeffs.diffusion, ds)
+        recover_pair(b.operator, b.coeffs.gruneisen, ds)
 
 
 def test_recover_pair_flags_and_fills_degenerate_nodes(bundle16):
@@ -145,12 +150,11 @@ def test_recover_pair_flags_and_fills_degenerate_nodes(bundle16):
     b = bundle16
     ds = b.datum_set(0.0, 1)
     from tppat.direct import recover_all_fields
-    stars = recover_all_fields(b.mesh, b.coeffs.gruneisen, b.coeffs.diffusion, ds)
+    stars = recover_all_fields(b.operator, b.coeffs.gruneisen, ds)
     A = np.abs(np.stack(stars))
     rel_spread = (A.max(axis=0) - A.min(axis=0)) / A.max(axis=0)
     threshold = float(np.quantile(rel_spread, 0.3))
-    sigma, mu, report = recover_pair(b.mesh, b.coeffs.gruneisen,
-                                     b.coeffs.diffusion, ds,
+    sigma, mu, report = recover_pair(b.operator, b.coeffs.gruneisen, ds,
                                      spread_threshold=threshold)
     assert report.flagged.any()
     assert not report.flagged.all()
@@ -164,12 +168,10 @@ def test_recover_pair_flags_and_fills_degenerate_nodes(bundle16):
 def test_recover_pair_scale_invariance(bundle16):
     b = bundle16
     ds = b.datum_set(0.0, 1)
-    sigma1, mu1, _ = recover_pair(b.mesh, b.coeffs.gruneisen,
-                                  b.coeffs.diffusion, ds)
+    sigma1, mu1, _ = recover_pair(b.operator, b.coeffs.gruneisen, ds)
     scaled = DatumSet(sources=list(ds.sources),
                       data=[3.0 * H for H in ds.data])
-    sigma2, mu2, _ = recover_pair(b.mesh, 3.0 * b.coeffs.gruneisen,
-                                  b.coeffs.diffusion, scaled)
+    sigma2, mu2, _ = recover_pair(b.operator, 3.0 * b.coeffs.gruneisen, scaled)
     assert np.allclose(sigma1, sigma2, rtol=1e-12, atol=1e-14)
     assert np.allclose(mu1, mu2, rtol=1e-12, atol=1e-14)
 
@@ -182,8 +184,7 @@ def test_noise_error_roughly_linear_in_level(bundle16):
         errs = []
         for seed in range(5):
             ds = b.datum_set(eps, 100 + seed)
-            sigma, mu, _ = recover_pair(b.mesh, b.coeffs.gruneisen,
-                                        b.coeffs.diffusion, ds)
+            sigma, mu, _ = recover_pair(b.operator, b.coeffs.gruneisen, ds)
             errs.append(relative_l2_error(sigma, b.coeffs.single_photon, b.mesh)
                         + relative_l2_error(mu, b.coeffs.two_photon, b.mesh))
         ratios.append(np.mean(errs) / eps)

@@ -9,7 +9,7 @@ import pytest
 import weakref
 
 import tppat
-from tppat import direct, forward, lsq, transfer
+from tppat import direct, fem, forward, transfer
 from tppat.config import default_config
 from tppat.errors import ValidationError
 from tppat.experiments import (noise_stream_seed, prepare_data,
@@ -161,34 +161,32 @@ def test_sweep_builds_one_operator_per_mesh(monkeypatch, which, data_n, builds):
     assert built[-1]() is bundle.operator
 
 
-def test_operator_for_another_diffusion_is_rejected():
+def test_bundle_operator_gives_bitwise_the_fields_of_a_fresh_one():
     bundle = prepare_data(quick_config(n=6))
-    mesh, coeffs = bundle.mesh, bundle.coeffs
-    Gamma, gamma = coeffs.gruneisen, coeffs.diffusion
+    Gamma = bundle.coeffs.gruneisen
     ds = bundle.datum_set(0.0, 3)
-    other = forward.ForwardOperator(mesh, 1.5 * gamma)
-    entry_points = {
-        "recover_all_fields": lambda: direct.recover_all_fields(
-            mesh, Gamma, gamma, ds, operator=other),
-        "recover_pair": lambda: direct.recover_pair(
-            mesh, Gamma, gamma, ds, operator=other),
-        "recover_mu_from_set": lambda: direct.recover_mu_from_set(
-            mesh, Gamma, gamma, ds, coeffs.single_photon, operator=other),
-        "Evaluator": lambda: lsq.Evaluator(mesh, Gamma, gamma, ds, 0.0,
-                                           operator=other),
-        "run_lsq": lambda: lsq.run_lsq(
-            mesh, (Gamma, gamma), ds, (coeffs.single_photon, coeffs.two_photon),
-            bundle.config.lsq, operator=other),
-        "solve_semilinear": lambda: forward.solve_semilinear(
-            mesh, coeffs, ds.sources[0], operator=other),
-    }
-    for name, call in entry_points.items():
-        with pytest.raises(ValidationError, match="different diffusion"):
-            call()
-    # the bundle's own operator is accepted and gives bitwise the same fields
-    shared = direct.recover_pair(mesh, Gamma, gamma, ds, operator=bundle.operator)
-    fresh = direct.recover_pair(mesh, Gamma, gamma, ds)
+    shared = direct.recover_pair(bundle.operator, Gamma, ds)
+    fresh = direct.recover_pair(
+        forward.ForwardOperator(bundle.mesh, bundle.coeffs.diffusion), Gamma, ds)
     assert np.array_equal(shared[0], fresh[0]) and np.array_equal(shared[1], fresh[1])
+
+
+@pytest.mark.parametrize("which, assemblies", [("III", 1), ("IV", 2)])
+def test_sweep_assembles_each_stiffness_matrix_once(monkeypatch, which, assemblies):
+    # the operator's K, and for least squares its unit-diffusion K1 shared by
+    # every job; the direct sweep never assembles K1
+    assembled = []
+    assemble = fem.assemble_stiffness
+
+    def counting(mesh, gamma):
+        assembled.append(mesh.node_count)
+        return assemble(mesh, gamma)
+
+    monkeypatch.setattr(fem, "assemble_stiffness", counting)
+    cfg = quick_config(n=8, levels=(0.0, 2.0), seeds=(3, 4))
+    table = run_experiment(which, cfg)
+    assert len({(eps, seed) for _, eps, seed, _ in table.rows}) == 3
+    assert assembled == [81] * assemblies
 
 
 @pytest.mark.parametrize("which, data_n", [

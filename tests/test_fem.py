@@ -13,6 +13,7 @@ from tppat.errors import MeshFormatError, SolverError, ValidationError
 from tppat.fem import (CoefficientSet, assemble_stiffness, assemble_weighted_mass,
                        clip_nonnegative, load_field, lumped_mass, save_field,
                        solve_linear)
+from tppat.forward import ForwardOperator
 from tppat.mesh import build_square_mesh
 
 from oracle import apply_dirichlet, save_condition_rows, save_field_rows
@@ -263,7 +264,7 @@ def test_coefficient_set_validate_coerces_only_what_it_must():
 @pytest.mark.parametrize("reaction", [0.0, 0.07])
 @pytest.mark.parametrize("n", [2, 3, 8, 17])
 def test_sine_preconditioner_inverts_constant_coefficient_grid_operator(n, reaction):
-    system = fem.DirichletSystem(build_square_mesh(n), 0.3)
+    system = ForwardOperator(build_square_mesh(n), 0.3)
     w = np.full(len(system.interior), reaction)
     x = np.random.default_rng(n).standard_normal(len(system.interior))
     apply = system.preconditioner(w)
@@ -277,7 +278,7 @@ def test_grid_interior_block_stores_no_zeros_and_keeps_its_matvec(n):
     mesh = build_square_mesh(n)
     rng = np.random.default_rng(n)
     gamma = rng.uniform(0.1, 1.0, mesh.node_count)
-    system = fem.DirichletSystem(mesh, gamma)
+    system = ForwardOperator(mesh, gamma)
     inner = system.interior
     unpruned = assemble_stiffness(mesh, gamma)[inner][:, inner].tocsr()
     m = n - 1
@@ -290,7 +291,7 @@ def test_grid_interior_block_stores_no_zeros_and_keeps_its_matvec(n):
 
 
 def test_sine_preconditioner_falls_back_to_jacobi_when_indefinite():
-    system = fem.DirichletSystem(build_square_mesh(8), 0.3)
+    system = ForwardOperator(build_square_mesh(8), 0.3)
     m = len(system.interior)
     assert system.preconditioner(np.full(m, 1.0)) is not None
     assert system.preconditioner(np.full(m, -1.0)) is None

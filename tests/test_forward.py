@@ -1,3 +1,7 @@
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -30,11 +34,17 @@ def constant_coeffs(mesh, gruneisen=1.0, diffusion=0.2, sigma=0.1, mu=0.05):
                           np.full(n, sigma), np.full(n, mu))
 
 
+def solve(mesh, coeffs, g, cfg=None, u0=None):
+    """solve_semilinear for coeffs, with a new operator for coeffs.diffusion."""
+    return solve_semilinear(ForwardOperator(mesh, coeffs.diffusion),
+                            coeffs.single_photon, coeffs.two_photon, g, cfg, u0)
+
+
 def test_zero_source_gives_zero_solution():
     mesh = build_square_mesh(4)
     coeffs = constant_coeffs(mesh)
     g = BoundarySource.constant(mesh, 0.0)
-    u, report = solve_semilinear(mesh, coeffs, g)
+    u, report = solve(mesh, coeffs, g)
     assert report.converged
     assert report.iterations == 0
     assert np.all(u == 0.0)
@@ -56,8 +66,8 @@ def test_mu_zero_matches_linear_solve():
     A, b = apply_dirichlet(A, np.zeros(n), bc, mesh=mesh)
     u_linear = fem.solve_linear(A, b, 1e-13)
 
-    u, report = solve_semilinear(mesh, coeffs, g,
-                                 NewtonConfig(residual_tol=1e-12, linear_tol=1e-13))
+    u, report = solve(mesh, coeffs, g,
+                      NewtonConfig(residual_tol=1e-12, linear_tol=1e-13))
     assert report.converged
     assert np.abs(u - u_linear).max() <= 1e-10
 
@@ -96,8 +106,8 @@ def test_matches_dense_newton_oracle_on_n2():
     coeffs = constant_coeffs(mesh, diffusion=0.3, sigma=0.2, mu=0.15)
     g = BoundarySource.constant(mesh, 1.0)
     u_oracle = dense_newton_oracle(mesh, coeffs, g)
-    u, report = solve_semilinear(mesh, coeffs, g,
-                                 NewtonConfig(residual_tol=1e-13, linear_tol=1e-14))
+    u, report = solve(mesh, coeffs, g,
+                      NewtonConfig(residual_tol=1e-13, linear_tol=1e-14))
     assert report.converged
     assert np.abs(u - u_oracle).max() <= 1e-10
 
@@ -107,15 +117,14 @@ def test_non_grid_mesh_takes_the_jacobi_path_and_matches_dense_oracle():
     mesh = jittered_mesh(6, 8, 0.05)
     coeffs = constant_coeffs(mesh, diffusion=0.3, sigma=0.2, mu=0.15)
     op = ForwardOperator(mesh, coeffs.diffusion)
-    assert ForwardOperator(base, coeffs.diffusion).split.sine is not None
-    assert op.split.sine is None
-    assert op.split.preconditioner(np.ones(len(mesh.interior_list))) is None
+    assert ForwardOperator(base, coeffs.diffusion).sine is not None
+    assert op.sine is None
+    assert op.preconditioner(np.ones(len(mesh.interior_list))) is None
 
     g = BoundarySource.from_function(mesh, lambda x, y: 1.0 + 0.5 * x - 0.2 * y)
     u_oracle = dense_newton_oracle(mesh, coeffs, g)
-    u, report = solve_semilinear(mesh, coeffs, g,
-                                 NewtonConfig(residual_tol=1e-13, linear_tol=1e-14),
-                                 operator=op)
+    u, report = solve_semilinear(op, coeffs.single_photon, coeffs.two_photon, g,
+                                 NewtonConfig(residual_tol=1e-13, linear_tol=1e-14))
     assert report.converged
     assert np.abs(u - u_oracle).max() <= 1e-10
 
@@ -123,7 +132,7 @@ def test_non_grid_mesh_takes_the_jacobi_path_and_matches_dense_oracle():
 def count_grid_preconditioner_applications(monkeypatch):
     """List that gains one entry per sine-preconditioned solve, counting its applications."""
     applications = []
-    build = fem.DirichletSystem.preconditioner
+    build = ForwardOperator.preconditioner
 
     def counting(self, w):
         apply = build(self, w)
@@ -135,7 +144,7 @@ def count_grid_preconditioner_applications(monkeypatch):
             return apply(r)
         return counted
 
-    monkeypatch.setattr(fem.DirichletSystem, "preconditioner", counting)
+    monkeypatch.setattr(ForwardOperator, "preconditioner", counting)
     return applications
 
 
@@ -149,7 +158,7 @@ def test_grid_solves_need_few_preconditioner_applications(n, monkeypatch):
     rhs = np.random.default_rng(n).standard_normal(len(mesh.interior_list))
     for spec in cfg.sources:
         g = spec.build(mesh)
-        u, _ = solve_semilinear(mesh, coeffs, g, operator=op)
+        u, _ = solve_semilinear(op, coeffs.single_photon, coeffs.two_photon, g)
         op.solve_linearized(u, coeffs.single_photon, coeffs.two_photon, rhs)
         op.solve_reaction(np.zeros(mesh.node_count), g, load_nodal=-u)
     assert len(applications) >= 3 * len(cfg.sources)
@@ -160,7 +169,7 @@ def test_grid_solves_need_few_preconditioner_applications(n, monkeypatch):
 def test_shifted_cg_matches_dense_solve(jitter):
     mesh = jittered_mesh(8, 5, jitter)
     rng = np.random.default_rng(11)
-    system = fem.DirichletSystem(mesh, rng.uniform(0.1, 1.0, mesh.node_count))
+    system = ForwardOperator(mesh, rng.uniform(0.1, 1.0, mesh.node_count))
     m = len(system.interior)
     w = rng.uniform(0.0, 0.3, m)
     b = rng.standard_normal(m)
@@ -179,7 +188,7 @@ def test_shifted_cg_matches_dense_solve(jitter):
 def test_all_zero_shift_solves_bitwise_as_no_shift(jitter):
     mesh = jittered_mesh(8, 5, jitter)
     rng = np.random.default_rng(12)
-    system = fem.DirichletSystem(mesh, rng.uniform(0.1, 1.0, mesh.node_count))
+    system = ForwardOperator(mesh, rng.uniform(0.1, 1.0, mesh.node_count))
     zeros = np.zeros(len(system.interior))
     b = rng.standard_normal(len(zeros))
     preconditioner = system.preconditioner(zeros)
@@ -190,7 +199,7 @@ def test_all_zero_shift_solves_bitwise_as_no_shift(jitter):
 
 
 def test_shifted_cg_rejects_nonpositive_diagonal():
-    system = fem.DirichletSystem(build_square_mesh(6), 0.3)
+    system = ForwardOperator(build_square_mesh(6), 0.3)
     diag = system.K_ii.diagonal()
     b = np.ones(len(diag))
     one_below = np.zeros(len(diag))
@@ -205,13 +214,13 @@ def test_shifted_cg_rejects_nonpositive_diagonal():
 def test_inexact_newton_needs_fewer_preconditioner_applications(monkeypatch):
     applications = count_grid_preconditioner_applications(monkeypatch)
     tols = []
-    solve = fem.DirichletSystem.solve
+    linear_solve = ForwardOperator.solve
 
     def recording(self, w, rhs, tol):
         tols.append(tol)
-        return solve(self, w, rhs, tol)
+        return linear_solve(self, w, rhs, tol)
 
-    monkeypatch.setattr(fem.DirichletSystem, "solve", recording)
+    monkeypatch.setattr(ForwardOperator, "solve", recording)
     cfg = default_config()
     newton = NewtonConfig()
     mesh = build_square_mesh(32)
@@ -219,7 +228,8 @@ def test_inexact_newton_needs_fewer_preconditioner_applications(monkeypatch):
     op = ForwardOperator(mesh, coeffs.diffusion)
     for spec in cfg.sources:
         tols.clear()
-        _, report = solve_semilinear(mesh, coeffs, spec.build(mesh), newton, operator=op)
+        _, report = solve_semilinear(op, coeffs.single_photon, coeffs.two_photon,
+                                     spec.build(mesh), newton)
         assert report.converged
         assert tols[0] == newton.linear_tol                  # the initial linear solve
         assert all(newton.linear_tol <= t <= FORCING_MAX for t in tols[1:])
@@ -241,10 +251,10 @@ def test_inexact_newton_keeps_the_newton_contract(n, seed, contrast, grid):
     coeffs = CoefficientSet(np.ones(mesh.node_count), field(0.1), field(0.05), field(0.2))
     g = BoundarySource(mesh, rng.uniform(0.5, 4.0, len(mesh.boundary_list)))
     op = ForwardOperator(mesh, coeffs.diffusion)
-    assert (op.split.sine is not None) == grid
+    assert (op.sine is not None) == grid
     for residual_tol in (1e-10, 1e-13):
-        u, report = solve_semilinear(mesh, coeffs, g, NewtonConfig(residual_tol=residual_tol),
-                                     operator=op)
+        u, report = solve_semilinear(op, coeffs.single_photon, coeffs.two_photon, g,
+                                     NewtonConfig(residual_tol=residual_tol))
         hist = report.residual_history
         assert report.converged
         assert all(hist[k + 1] <= hist[k] for k in range(len(hist) - 1))
@@ -264,19 +274,19 @@ def test_grid_solves_match_dense_solves_and_newton_descends(n, seed, contrast):
 
     coeffs = CoefficientSet(np.ones(mesh.node_count), field(0.1), field(0.05), field(0.02))
     op = ForwardOperator(mesh, coeffs.diffusion)
-    assert op.split.sine is not None
+    assert op.sine is not None
     tol = 1e-10
     for w in (np.zeros(len(op.interior)), (op.lumped * coeffs.single_photon)[op.interior]):
         rhs = rng.standard_normal(len(op.interior))
-        x = op.split.solve(w, rhs, tol)
-        A = (op.split.K_ii + sp.diags(w)).toarray()
+        x = op.solve(w, rhs, tol)
+        A = (op.K_ii + sp.diags(w)).toarray()
         x_dense = np.linalg.solve(A, rhs)
         assert np.linalg.norm(A @ x - rhs) <= tol * np.linalg.norm(rhs)
         assert np.linalg.norm(x - x_dense) <= (
             tol * np.linalg.cond(A) * np.linalg.norm(x_dense))
 
     g = BoundarySource(mesh, rng.uniform(0.5, 3.0, len(mesh.boundary_list)))
-    _, report = solve_semilinear(mesh, coeffs, g, operator=op)
+    _, report = solve_semilinear(op, coeffs.single_photon, coeffs.two_photon, g)
     hist = report.residual_history
     assert report.converged
     assert all(hist[k + 1] <= hist[k] for k in range(len(hist) - 1))
@@ -286,7 +296,7 @@ def test_boundary_values_exact():
     mesh = build_square_mesh(5)
     coeffs = constant_coeffs(mesh)
     g = BoundarySource.from_function(mesh, lambda x, y: 1.0 + 0.5 * x * y + y)
-    u, _ = solve_semilinear(mesh, coeffs, g)
+    u, _ = solve(mesh, coeffs, g)
     assert np.array_equal(u[mesh.boundary_list], g.values)
 
 
@@ -294,7 +304,7 @@ def test_residual_history_monotone():
     mesh = build_square_mesh(8)
     coeffs = constant_coeffs(mesh, sigma=0.3, mu=0.4)
     g = BoundarySource.constant(mesh, 2.5)
-    _, report = solve_semilinear(mesh, coeffs, g)
+    _, report = solve(mesh, coeffs, g)
     hist = report.residual_history
     assert all(hist[k + 1] <= hist[k] for k in range(len(hist) - 1))
 
@@ -304,8 +314,8 @@ def test_nonconvergence_raises_with_report():
     coeffs = constant_coeffs(mesh, sigma=0.2, mu=1.5)
     g = BoundarySource.constant(mesh, 3.0)
     with pytest.raises(SolverError) as err:
-        solve_semilinear(mesh, coeffs, g,
-                         NewtonConfig(residual_tol=1e-14, max_iterations=1))
+        solve(mesh, coeffs, g,
+              NewtonConfig(residual_tol=1e-14, max_iterations=1))
     assert err.value.report is not None
     assert len(err.value.report.residual_history) >= 1
 
@@ -347,7 +357,7 @@ def test_source_from_another_mesh_rejected():
     mesh = build_square_mesh(3)
     g = BoundarySource.constant(build_square_mesh(4), 1.0)
     with pytest.raises(ValidationError, match="does not match the mesh"):
-        solve_semilinear(mesh, constant_coeffs(mesh), g)
+        solve(mesh, constant_coeffs(mesh), g)
 
 
 def test_datum_arithmetic():
@@ -408,14 +418,48 @@ def test_noise_rejects_negative_level():
         add_noise(np.ones(3), -1.0, seed=0)
 
 
-def test_mismatched_cached_operator_rejected():
-    from tppat.forward import ForwardOperator
+@pytest.mark.parametrize("bad", [0.0, -0.3, np.nan, np.inf])
+def test_operator_rejects_a_nonpositive_or_nonfinite_diffusion(bad):
     mesh = build_square_mesh(3)
-    coeffs = constant_coeffs(mesh, diffusion=0.2)
-    op = ForwardOperator(mesh, np.full(mesh.node_count, 0.7))
-    g = BoundarySource.constant(mesh, 1.0)
-    with pytest.raises(ValidationError):
-        solve_semilinear(mesh, coeffs, g, operator=op)
+    gamma = np.full(mesh.node_count, 0.2)
+    gamma[5] = bad
+    with pytest.raises(ValidationError, match="coefficient diffusion"):
+        ForwardOperator(mesh, gamma)
+
+
+def test_unit_stiffness_is_assembled_once_under_concurrent_first_use(monkeypatch):
+    assembled = []
+    assemble = fem.assemble_stiffness
+
+    def slow_counting(mesh, gamma):
+        assembled.append(1)
+        time.sleep(0.01)                # widen the window a lost check would need
+        return assemble(mesh, gamma)
+
+    mesh = build_square_mesh(4)
+    op = ForwardOperator(mesh, 0.3)
+    monkeypatch.setattr(fem, "assemble_stiffness", slow_counting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda: op.K1) for _ in range(32)]
+            matrices = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(assembled) == 1
+    assert all(K is matrices[0] for K in matrices)
+    assert abs(matrices[0] - assemble(mesh, np.ones(mesh.node_count))).max() == 0.0
+
+
+@pytest.mark.parametrize("name", ["single_photon", "two_photon"])
+@pytest.mark.parametrize("bad", [0.0, -0.3, np.nan, np.inf])
+def test_semilinear_solve_rejects_a_nonpositive_or_nonfinite_absorption(name, bad):
+    mesh = build_square_mesh(3)
+    coeffs = constant_coeffs(mesh)
+    getattr(coeffs, name)[5] = bad
+    with pytest.raises(ValidationError, match=f"coefficient {name}"):
+        solve(mesh, coeffs, BoundarySource.constant(mesh, 1.0))
 
 
 def test_warm_start_converges_to_same_solution():
@@ -423,8 +467,8 @@ def test_warm_start_converges_to_same_solution():
     coeffs = constant_coeffs(mesh, sigma=0.2, mu=0.2)
     g = BoundarySource.constant(mesh, 2.0)
     cfg = NewtonConfig(residual_tol=1e-12)
-    u_cold, _ = solve_semilinear(mesh, coeffs, g, cfg)
-    u_warm, report = solve_semilinear(mesh, coeffs, g, cfg, u0=u_cold)
+    u_cold, _ = solve(mesh, coeffs, g, cfg)
+    u_warm, report = solve(mesh, coeffs, g, cfg, u0=u_cold)
     assert report.iterations <= 1
     assert np.abs(u_warm - u_cold).max() <= 1e-9
 
@@ -455,7 +499,7 @@ def far_start_case(n, seed):
 def test_newton_from_a_far_start_converges_without_raising_the_residual(n, seed):
     mesh, coeffs, g, u0 = far_start_case(n, seed)
     cfg = NewtonConfig()
-    _, report = solve_semilinear(mesh, coeffs, g, cfg, u0=u0)
+    _, report = solve(mesh, coeffs, g, cfg, u0=u0)
     hist = report.residual_history
     assert report.converged
     assert hist[-1] <= cfg.residual_tol
@@ -475,7 +519,7 @@ def test_newton_damps_a_step_that_would_raise_the_residual(monkeypatch):
     coeffs = constant_coeffs(mesh, diffusion=0.1, sigma=0.01, mu=1000.0)
     g = BoundarySource.constant(mesh, 10.0)
     u0 = np.full(mesh.node_count, -1000.0)
-    _, report = solve_semilinear(mesh, coeffs, g, u0=u0)
+    _, report = solve(mesh, coeffs, g, u0=u0)
     hist = report.residual_history
     assert report.converged
     assert all(hist[k + 1] < hist[k] for k in range(len(hist) - 1))

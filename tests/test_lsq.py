@@ -7,10 +7,13 @@ from tppat.config import default_config
 from tppat.direct import DatumSet
 from tppat.errors import ValidationError
 from tppat.experiments import prepare_data, reconstruct
-from tppat.forward import NewtonConfig
+from tppat.forward import BoundarySource, ForwardOperator, NewtonConfig, solve_semilinear
 from tppat.gradcheck import gradient_check
 from tppat.lsq import Evaluator, LsqConfig, auto_kappa, gauss_newton_metric, run_lsq
 from tppat.mesh import build_square_mesh
+from tppat.metrics import fd_directional_derivative
+
+from test_forward import jittered_mesh
 
 TIGHT = NewtonConfig(residual_tol=1e-12, linear_tol=1e-12)
 
@@ -28,8 +31,8 @@ def datum(bundle, eps=0.0, seed=1):
 
 def evaluator(bundle, kappa=0.0, newton=TIGHT):
     """A fresh (cold-started) evaluator at the bundle's true Gamma and gamma."""
-    return Evaluator(bundle.mesh, bundle.coeffs.gruneisen, bundle.coeffs.diffusion,
-                     datum(bundle), kappa=kappa, newton=newton)
+    return Evaluator(bundle.operator, bundle.coeffs.gruneisen, datum(bundle),
+                     kappa=kappa, newton=newton)
 
 
 def test_objective_zero_at_truth(bundle8):
@@ -95,13 +98,13 @@ def test_adjoint_solves_run_at_linear_tol(bundle8, monkeypatch):
     sigma, mu = b.coeffs.single_photon * 1.1, b.coeffs.two_photon * 0.9
     states = ev.forward_states(sigma, mu)
     tols = []
-    solve = fem.DirichletSystem.solve
+    solve = ForwardOperator.solve
 
     def recording(self, w, rhs, tol):
         tols.append(tol)
         return solve(self, w, rhs, tol)
 
-    monkeypatch.setattr(fem.DirichletSystem, "solve", recording)
+    monkeypatch.setattr(ForwardOperator, "solve", recording)
     ev.gradient(sigma, mu, states)
     assert tols == [TIGHT.linear_tol] * 4
 
@@ -113,6 +116,47 @@ def test_gradient_matches_finite_differences_small():
     assert result.max_relative_error <= 1e-5
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), grid=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       kappa=st.sampled_from([0.0, 1e-3]))
+def test_adjoint_gradient_matches_central_differences_on_random_meshes(
+        n, grid, seed, kappa):
+    # the grid takes the sine-preconditioned solves, the jittered mesh Jacobi
+    mesh = build_square_mesh(n) if grid else jittered_mesh(n, seed, 0.3 / n)
+    rng = np.random.default_rng(seed)
+    m = mesh.node_count
+    op = ForwardOperator(mesh, rng.uniform(0.1, 0.5, m))
+    assert (op.sine is not None) == grid
+    gruneisen = rng.uniform(0.5, 1.5, m)
+    bounds = LsqConfig()
+
+    def in_bounds():
+        return rng.uniform(bounds.bound_floor, bounds.bound_ceiling, m)
+
+    # noiseless data of one in-bounds pair, derivatives at another
+    sources = [BoundarySource(mesh, rng.uniform(0.5, 3.0, len(mesh.boundary_list)))
+               for _ in range(2)]
+    sigma_true, mu_true = in_bounds(), in_bounds()
+    data = []
+    for g in sources:
+        u, _ = solve_semilinear(op, sigma_true, mu_true, g, TIGHT)
+        data.append(gruneisen * (sigma_true * u + mu_true * np.abs(u) * u))
+    data = DatumSet(sources=sources, data=data)
+    sigma, mu = in_bounds(), in_bounds()
+    x0 = np.concatenate([sigma, mu])
+    grad = np.concatenate(Evaluator(op, gruneisen, data, kappa, TIGHT).gradient(sigma, mu))
+    weights = np.concatenate([op.lumped, op.lumped])
+
+    def phi(x):
+        # a fresh evaluator per point: no warm start carries over
+        return Evaluator(op, gruneisen, data, kappa, TIGHT).objective(x[:m], x[m:])[0]
+
+    for d in rng.uniform(-1.0, 1.0, (2, 2 * m)):
+        adjoint = float((weights * grad * d).sum())
+        fd = fd_directional_derivative(phi, x0, d, 1e-6 * float(np.abs(x0).max()))
+        assert abs(adjoint - fd) <= 1e-5 * max(abs(adjoint), abs(fd))
+
+
 def test_kappa_only_gradient_is_stiffness_term(bundle8):
     # data consistent with the trial point makes the misfit part vanish,
     # leaving exactly kappa * M^-1 K1 applied to each field
@@ -120,8 +164,7 @@ def test_kappa_only_gradient_is_stiffness_term(bundle8):
     mesh = b.mesh
     ds = datum(b)
     kappa = 2.5
-    ev = Evaluator(mesh, b.coeffs.gruneisen, b.coeffs.diffusion, ds,
-                   kappa=kappa, newton=TIGHT)
+    ev = Evaluator(b.operator, b.coeffs.gruneisen, ds, kappa=kappa, newton=TIGHT)
     g_sigma, g_mu = ev.gradient(b.coeffs.single_photon, b.coeffs.two_photon)
     K1 = fem.assemble_stiffness(mesh, np.ones(mesh.node_count))
     m = fem.lumped_mass(mesh)
@@ -136,7 +179,7 @@ def test_run_lsq_stationary_at_truth(bundle8):
     b = bundle8
     cfg = LsqConfig(kappa=0.0, bound_floor=0.01, bound_ceiling=1.0)
     sigma, mu, report = run_lsq(
-        b.mesh, (b.coeffs.gruneisen, b.coeffs.diffusion), datum(b),
+        b.operator, b.coeffs.gruneisen, datum(b),
         (b.coeffs.single_photon, b.coeffs.two_photon), cfg, newton=TIGHT)
     assert report.iterations <= 1
     assert report.converged
@@ -161,9 +204,8 @@ def test_run_lsq_solves_each_trial_point_once(bundle8, monkeypatch):
     monkeypatch.setattr(Evaluator, "gradient", recording_gradient)
     n = b.mesh.node_count
     cfg = LsqConfig(kappa=auto_kappa(b.mesh, datum(b)), max_iterations=25)
-    _, _, report = run_lsq(b.mesh, (b.coeffs.gruneisen, b.coeffs.diffusion),
-                           datum(b), (np.full(n, 0.26), np.full(n, 0.26)), cfg,
-                           newton=TIGHT, operator=b.operator)
+    _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b),
+                           (np.full(n, 0.26), np.full(n, 0.26)), cfg, newton=TIGHT)
     assert report.iterations >= 5
     # one gradient per accepted point, from the states of its Armijo trial
     assert gradient_states == [True] * (report.iterations + 1)
@@ -178,8 +220,8 @@ def test_run_lsq_objective_strictly_decreasing(bundle8):
                     max_iterations=25, bound_floor=0.02,
                     bound_ceiling=0.5)
     init = (np.full(n, 0.26), np.full(n, 0.26))
-    _, _, report = run_lsq(b.mesh, (b.coeffs.gruneisen, b.coeffs.diffusion),
-                           datum(b), init, cfg, newton=TIGHT)
+    _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b), init, cfg,
+                           newton=TIGHT)
     hist = report.objective_history
     assert len(hist) >= 2
     assert all(hist[k + 1] < hist[k] for k in range(len(hist) - 1))
@@ -193,8 +235,8 @@ def test_run_lsq_deep_misfit_reduction(bundle8):
     cfg = LsqConfig(kappa=0.0, grad_tol=1e-30, max_iterations=800,
                     bound_floor=0.02, bound_ceiling=0.5)
     init = (np.full(n, 0.26), np.full(n, 0.26))
-    _, _, report = run_lsq(b.mesh, (b.coeffs.gruneisen, b.coeffs.diffusion),
-                           datum(b), init, cfg, newton=TIGHT)
+    _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b), init, cfg,
+                           newton=TIGHT)
     hist = report.objective_history
     assert hist[-1] <= 1e-10 * hist[0]
 
@@ -205,8 +247,8 @@ def test_run_lsq_respects_bounds(bundle8):
     cfg = LsqConfig(kappa=0.0, grad_tol=1e-4, max_iterations=40,
                     bound_floor=0.1, bound_ceiling=0.2)
     init = (np.full(n, 0.15), np.full(n, 0.15))
-    sigma, mu, _ = run_lsq(b.mesh, (b.coeffs.gruneisen, b.coeffs.diffusion),
-                           datum(b), init, cfg, newton=TIGHT)
+    sigma, mu, _ = run_lsq(b.operator, b.coeffs.gruneisen, datum(b), init, cfg,
+                           newton=TIGHT)
     assert sigma.min() >= 0.1 and sigma.max() <= 0.2
     assert mu.min() >= 0.1 and mu.max() <= 0.2
 
@@ -216,7 +258,7 @@ def test_run_lsq_rejects_out_of_bounds_init(bundle8):
     n = b.mesh.node_count
     cfg = LsqConfig(bound_floor=0.1, bound_ceiling=0.2)
     with pytest.raises(ValidationError):
-        run_lsq(b.mesh, (b.coeffs.gruneisen, b.coeffs.diffusion), datum(b),
+        run_lsq(b.operator, b.coeffs.gruneisen, datum(b),
                 (np.full(n, 0.5), np.full(n, 0.15)), cfg)
 
 
@@ -226,9 +268,8 @@ def test_mu_only_mode_keeps_sigma_fixed(bundle8):
     cfg = LsqConfig(kappa=0.0, grad_tol=1e-6, max_iterations=60,
                     bound_floor=0.02, bound_ceiling=0.5)
     init = (b.coeffs.single_photon, np.full(n, 0.26))
-    sigma, mu, report = run_lsq(b.mesh,
-                                (b.coeffs.gruneisen, b.coeffs.diffusion),
-                                datum(b), init, cfg, mu_only=True, newton=TIGHT)
+    sigma, mu, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b), init, cfg,
+                                mu_only=True, newton=TIGHT)
     assert np.array_equal(sigma, b.coeffs.single_photon)
     assert report.objective_history[-1] < report.objective_history[0]
 
@@ -265,7 +306,7 @@ def test_run_lsq_resolves_auto_kappa(bundle8):
     n = b.mesh.node_count
     ds = datum(b)
     init = (np.full(n, 0.26), np.full(n, 0.26))
-    _, _, report = run_lsq(b.mesh, (b.coeffs.gruneisen, b.coeffs.diffusion), ds,
+    _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, ds,
                            init, LsqConfig(max_iterations=1), newton=TIGHT)
     assert report.kappa == auto_kappa(b.mesh, ds)
 
@@ -276,8 +317,8 @@ def test_report_csv_format(bundle8, tmp_path):
     cfg = LsqConfig(kappa=0.0, grad_tol=1e-3, max_iterations=5,
                     bound_floor=0.02, bound_ceiling=0.5)
     init = (np.full(n, 0.26), np.full(n, 0.26))
-    _, _, report = run_lsq(b.mesh, (b.coeffs.gruneisen, b.coeffs.diffusion),
-                           datum(b), init, cfg, newton=TIGHT)
+    _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b), init, cfg,
+                           newton=TIGHT)
     path = tmp_path / "report.csv"
     report.save(path)
     lines = path.read_text().splitlines()
@@ -300,9 +341,8 @@ def test_auto_kappa_scales_with_data(bundle8):
 def test_forward_failure_names_source(bundle8):
     b = bundle8
     ds = datum(b)
-    ev = Evaluator(b.mesh, b.coeffs.gruneisen, b.coeffs.diffusion, ds,
-                   kappa=0.0, newton=NewtonConfig(residual_tol=1e-16,
-                                                  max_iterations=1))
+    ev = Evaluator(b.operator, b.coeffs.gruneisen, ds, kappa=0.0,
+                   newton=NewtonConfig(residual_tol=1e-16, max_iterations=1))
     from tppat.errors import SolverError
     with pytest.raises(SolverError) as err:
         ev.forward_states(b.coeffs.single_photon, b.coeffs.two_photon)

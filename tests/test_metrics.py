@@ -3,7 +3,7 @@ import pytest
 
 from tppat.errors import ValidationError
 from tppat.fem import CoefficientSet
-from tppat.forward import BoundarySource, solve_semilinear
+from tppat.forward import BoundarySource, ForwardOperator, solve_semilinear
 from tppat.mesh import Mesh, build_square_mesh
 from tppat.metrics import (check_comparison, check_max_principle,
                            check_positivity, fd_directional_derivative,
@@ -66,7 +66,8 @@ def forward_state(n=8, gmin=1.0):
     coeffs = CoefficientSet(np.ones(N), np.full(N, 0.25),
                             np.full(N, 0.12), np.full(N, 0.06))
     g = BoundarySource.from_function(mesh, lambda x, y: gmin + 0.4 * (x + 1.0))
-    u, _ = solve_semilinear(mesh, coeffs, g)
+    u, _ = solve_semilinear(ForwardOperator(mesh, coeffs.diffusion),
+                            coeffs.single_photon, coeffs.two_photon, g)
     return mesh, coeffs, g, u
 
 
@@ -124,7 +125,8 @@ def test_positivity_with_heterogeneous_coefficients():
         np.where((x - 0.4) ** 2 + (y - 0.4) ** 2 <= 0.09, 0.3, 0.15),
         np.where(np.maximum(np.abs(x), np.abs(y + 0.4)) <= 0.3, 0.1, 0.05))
     g = BoundarySource.constant(mesh, 0.5)
-    u, _ = solve_semilinear(mesh, coeffs, g)
+    u, _ = solve_semilinear(ForwardOperator(mesh, coeffs.diffusion),
+                            coeffs.single_photon, coeffs.two_photon, g)
     report = check_positivity(u, epsilon=0.5)
     assert report.passed
     assert report.value > 0.0

@@ -3,14 +3,26 @@ import pytest
 
 from tppat.errors import ValidationError
 from tppat.fem import CoefficientSet, assemble_weighted_mass
-from tppat.forward import (BoundarySource, NewtonConfig, compute_datum,
-                           solve_semilinear)
+from tppat.forward import (BoundarySource, ForwardOperator, NewtonConfig,
+                           compute_datum, solve_semilinear)
 from tppat.mesh import build_square_mesh
 from tppat.sensitivity import (CoefficientPerturbation, boundary_traces,
                                datum_derivative, perturbed_coefficients,
                                solve_sensitivity)
 
 TIGHT = NewtonConfig(residual_tol=1e-13, linear_tol=1e-13)
+
+
+def solve(mesh, coeffs, g):
+    """Tight forward solve for coeffs, with a new operator for coeffs.diffusion."""
+    return solve_semilinear(ForwardOperator(mesh, coeffs.diffusion),
+                            coeffs.single_photon, coeffs.two_photon, g, TIGHT)
+
+
+def sensitivity(mesh, coeffs, u, pert):
+    """solve_sensitivity to 1e-13 at coeffs, with a new operator for their diffusion."""
+    return solve_sensitivity(ForwardOperator(mesh, coeffs.diffusion), coeffs.single_photon,
+                             coeffs.two_photon, u, pert, tol=1e-13)
 
 
 def setup_state(n=8, seed=0):
@@ -23,7 +35,7 @@ def setup_state(n=8, seed=0):
         single_photon=rng.uniform(0.08, 0.2, N),
         two_photon=rng.uniform(0.04, 0.1, N))
     g = BoundarySource.from_function(mesh, lambda x, y: 1.5 + 0.4 * x - 0.3 * y)
-    u, _ = solve_semilinear(mesh, coeffs, g, TIGHT)
+    u, _ = solve(mesh, coeffs, g)
     pert = CoefficientPerturbation(
         d_gamma=0.1 * coeffs.diffusion * rng.uniform(-1, 1, N),
         d_sigma=0.2 * coeffs.single_photon * rng.uniform(-1, 1, N),
@@ -41,7 +53,7 @@ def test_zero_perturbation_gives_zero():
     zero = CoefficientPerturbation(np.zeros(mesh.node_count),
                                    np.zeros(mesh.node_count),
                                    np.zeros(mesh.node_count))
-    v = solve_sensitivity(mesh, coeffs, u, zero, tol=1e-13)
+    v = sensitivity(mesh, coeffs, u, zero)
     assert np.all(v == 0.0)
     dH = datum_derivative(coeffs, u, v, zero)
     assert np.all(dH == 0.0)
@@ -49,8 +61,8 @@ def test_zero_perturbation_gives_zero():
 
 def test_linearity_in_perturbation():
     mesh, coeffs, _, u, pert = setup_state()
-    v1 = solve_sensitivity(mesh, coeffs, u, pert, tol=1e-13)
-    v2 = solve_sensitivity(mesh, coeffs, u, pert.scaled(2.0), tol=1e-13)
+    v1 = sensitivity(mesh, coeffs, u, pert)
+    v2 = sensitivity(mesh, coeffs, u, pert.scaled(2.0))
     scale = np.abs(v1).max()
     assert np.abs(v2 - 2.0 * v1).max() <= 1e-10 * scale
 
@@ -61,25 +73,25 @@ def test_additivity_in_perturbation():
                                          pert.d_sigma, np.zeros_like(pert.d_mu))
     only_rest = CoefficientPerturbation(pert.d_gamma,
                                         np.zeros_like(pert.d_sigma), pert.d_mu)
-    v_sum = (solve_sensitivity(mesh, coeffs, u, only_sigma, tol=1e-13)
-             + solve_sensitivity(mesh, coeffs, u, only_rest, tol=1e-13))
-    v_all = solve_sensitivity(mesh, coeffs, u, pert, tol=1e-13)
+    v_sum = (sensitivity(mesh, coeffs, u, only_sigma)
+             + sensitivity(mesh, coeffs, u, only_rest))
+    v_all = sensitivity(mesh, coeffs, u, pert)
     assert np.abs(v_all - v_sum).max() <= 1e-10 * max(np.abs(v_all).max(), 1e-30)
 
 
 def test_sensitivity_boundary_is_zero():
     mesh, coeffs, _, u, pert = setup_state()
-    v = solve_sensitivity(mesh, coeffs, u, pert, tol=1e-13)
+    v = sensitivity(mesh, coeffs, u, pert)
     assert np.all(v[mesh.boundary_list] == 0.0)
 
 
 def test_solution_taylor_remainder_quadratic():
     mesh, coeffs, g, u, pert = setup_state()
-    v = solve_sensitivity(mesh, coeffs, u, pert, tol=1e-13)
+    v = sensitivity(mesh, coeffs, u, pert)
     rems = []
     for t in (1e-2, 5e-3):
         ct = perturbed_coefficients(coeffs, pert.scaled(t))
-        ut, _ = solve_semilinear(mesh, ct, g, TIGHT)
+        ut, _ = solve(mesh, ct, g)
         rems.append(l2norm(mesh, ut - u - t * v))
     ratio = rems[0] / rems[1]
     assert 3.5 <= ratio <= 4.5, f"remainders {rems}, ratio {ratio}"
@@ -87,13 +99,13 @@ def test_solution_taylor_remainder_quadratic():
 
 def test_datum_taylor_remainder_quadratic():
     mesh, coeffs, g, u, pert = setup_state(seed=5)
-    v = solve_sensitivity(mesh, coeffs, u, pert, tol=1e-13)
+    v = sensitivity(mesh, coeffs, u, pert)
     dH = datum_derivative(coeffs, u, v, pert)
     H0 = compute_datum(coeffs, u)
     rems = []
     for t in (1e-2, 5e-3):
         ct = perturbed_coefficients(coeffs, pert.scaled(t))
-        ut, _ = solve_semilinear(mesh, ct, g, TIGHT)
+        ut, _ = solve(mesh, ct, g)
         rems.append(l2norm(mesh, compute_datum(ct, ut) - H0 - t * dH))
     order = np.log2(rems[0] / rems[1])
     assert order >= 1.9, f"remainders {rems}, order {order}"
@@ -105,9 +117,9 @@ def test_datum_derivative_single_photon_specialization():
     N = mesh.node_count
     coeffs = CoefficientSet(coeffs.gruneisen, coeffs.diffusion,
                             coeffs.single_photon, np.full(N, 1e-300))
-    u, _ = solve_semilinear(mesh, coeffs, g, TIGHT)
+    u, _ = solve(mesh, coeffs, g)
     pert = CoefficientPerturbation(np.zeros(N), pert.d_sigma, np.zeros(N))
-    v = solve_sensitivity(mesh, coeffs, u, pert, tol=1e-13)
+    v = sensitivity(mesh, coeffs, u, pert)
     dH = datum_derivative(coeffs, u, v, pert)
     expected = coeffs.gruneisen * (pert.d_sigma * u + coeffs.single_photon * v)
     assert np.allclose(dH, expected, rtol=1e-9, atol=1e-12)
@@ -169,8 +181,8 @@ def test_boundary_traces_consistent_with_datum_derivative():
                                    0.01 * rng.uniform(-1, 1, N))
     dHs = []
     for g in (g1, g2):
-        u, _ = solve_semilinear(mesh, coeffs, g, TIGHT)
-        v = solve_sensitivity(mesh, coeffs, u, pert, tol=1e-13)
+        u, _ = solve(mesh, coeffs, g)
+        v = sensitivity(mesh, coeffs, u, pert)
         dHs.append(datum_derivative(coeffs, u, v, pert))
     phi2, phi3 = boundary_traces(dHs[0], dHs[1], g1, g2, coeffs.gruneisen)
     bl = mesh.boundary_list
