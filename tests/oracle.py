@@ -7,11 +7,17 @@ two.
 
 The library writes CSV columns with one %-format call per file; the
 per-row f-string writers below are the reference for their bytes.
+
+The library writes the local stiffness products out and sums the lumped
+mass with np.bincount; assemble_stiffness_einsum and lumped_mass_add_at are
+the np.einsum and np.add.at forms they replaced, the reference for their
+bits.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
+from tppat import fem
 from tppat.errors import ValidationError
 from tppat.mesh import Mesh
 
@@ -87,3 +93,20 @@ def save_mesh_rows(mesh, path) -> None:
         lines.append(f"{a} {b}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def assemble_stiffness_einsum(mesh, gamma) -> sp.csr_matrix:
+    """fem.assemble_stiffness with the local matrices from np.einsum."""
+    gamma = fem.as_field(mesh, gamma)
+    area, grads = fem._triangle_geometry(mesh)
+    gbar = gamma[mesh.triangles].mean(axis=1)
+    local = np.einsum("tid,tjd->tij", grads, grads) * (gbar * area)[:, None, None]
+    return fem._scatter(mesh, local)
+
+
+def lumped_mass_add_at(mesh) -> np.ndarray:
+    """fem.lumped_mass accumulated with np.add.at."""
+    area, _ = fem._triangle_geometry(mesh)
+    m = np.zeros(mesh.node_count)
+    np.add.at(m, mesh.triangles.ravel(), np.repeat(area / 3.0, 3))
+    return m

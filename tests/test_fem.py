@@ -16,7 +16,9 @@ from tppat.fem import (CoefficientSet, assemble_stiffness, assemble_weighted_mas
 from tppat.forward import ForwardOperator
 from tppat.mesh import build_square_mesh
 
-from oracle import apply_dirichlet, save_condition_rows, save_field_rows
+from oracle import (apply_dirichlet, assemble_stiffness_einsum, lumped_mass_add_at,
+                    save_condition_rows, save_field_rows)
+from test_forward import jittered_mesh
 
 # Degree-5 Gauss rule on the triangle (7 points, barycentric), used as an
 # independent quadrature oracle for mass-matrix entries (cubic integrands).
@@ -261,16 +263,55 @@ def test_coefficient_set_validate_coerces_only_what_it_must():
         CoefficientSet(np.ones(n), np.ones(n + 1), np.ones(n), np.ones(n)).validate(m)
 
 
+def float64_sine_inverse(mesh, gamma_mean, reaction_mean):
+    """The exact inverse of gamma_mean (T (x) I + I (x) T) + reaction_mean I, in float64."""
+    S, lam_sum = fem.grid_sine_basis(mesh)
+    eig = gamma_mean * lam_sum + reaction_mean
+    m = len(S)
+    return lambda r: (S @ (((S @ r.reshape(m, m)) @ S) / eig) @ S).ravel()
+
+
 @pytest.mark.parametrize("reaction", [0.0, 0.07])
 @pytest.mark.parametrize("n", [2, 3, 8, 17])
 def test_sine_preconditioner_inverts_constant_coefficient_grid_operator(n, reaction):
-    system = ForwardOperator(build_square_mesh(n), 0.3)
+    mesh = build_square_mesh(n)
+    system = ForwardOperator(mesh, 0.3)
     w = np.full(len(system.interior), reaction)
     x = np.random.default_rng(n).standard_normal(len(system.interior))
+    inverse = float64_sine_inverse(mesh, 0.3, reaction)
+    A = system.K_ii + sp.diags(w)
+    assert np.linalg.norm(inverse(A @ x) - x) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("reaction", [0.0, 0.07])
+@pytest.mark.parametrize("n", [2, 3, 8, 17, 64])
+def test_sine_preconditioner_applies_the_float64_inverse_in_single_precision(n, reaction):
+    mesh = build_square_mesh(n)
+    rng = np.random.default_rng(n)
+    gamma = rng.uniform(0.1, 1.0, mesh.node_count)
+    system = ForwardOperator(mesh, gamma)
+    w = rng.uniform(0.0, 2.0 * reaction, len(system.interior))
     apply = system.preconditioner(w)
     assert apply is not None
-    A = system.K_ii + sp.diags(w)
-    assert np.linalg.norm(apply(A @ x) - x) <= 1e-12 * np.linalg.norm(x)
+    inverse = float64_sine_inverse(mesh, float(gamma.mean()), float(w.mean()))
+    for _ in range(3):
+        r = rng.standard_normal(len(system.interior))
+        z = apply(r)
+        assert z.dtype == np.float64
+        assert np.linalg.norm(z - inverse(r)) <= 1e-5 * np.linalg.norm(inverse(r))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), jitter=st.sampled_from([0.0, 0.3]))
+@example(n=128, seed=1, jitter=0.0)
+@example(n=128, seed=2, jitter=0.3)
+def test_assembly_is_bitwise_the_einsum_and_add_at_forms(n, seed, jitter):
+    mesh = jittered_mesh(n, seed, jitter / n)
+    gamma = np.random.default_rng(seed).uniform(0.1, 1.0, mesh.node_count)
+    K, K_ref = assemble_stiffness(mesh, gamma), assemble_stiffness_einsum(mesh, gamma)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(K, name).tobytes() == getattr(K_ref, name).tobytes(), name
+    assert lumped_mass(mesh).tobytes() == lumped_mass_add_at(mesh).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 7, 32])

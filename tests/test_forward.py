@@ -148,7 +148,7 @@ def count_grid_preconditioner_applications(monkeypatch):
     return applications
 
 
-@pytest.mark.parametrize("n", [8, 32, 64])
+@pytest.mark.parametrize("n", [8, 32, 64, 128])
 def test_grid_solves_need_few_preconditioner_applications(n, monkeypatch):
     applications = count_grid_preconditioner_applications(monkeypatch)
     cfg = default_config()
@@ -264,8 +264,8 @@ def test_inexact_newton_keeps_the_newton_contract(n, seed, contrast, grid):
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
-       contrast=st.floats(1.0, 10.0))
-def test_grid_solves_match_dense_solves_and_newton_descends(n, seed, contrast):
+       contrast=st.floats(1.0, 10.0), decade=st.floats(-3.0, 2.0))
+def test_grid_solves_match_dense_solves_and_newton_descends(n, seed, contrast, decade):
     mesh = build_square_mesh(n)
     rng = np.random.default_rng(seed)
 
@@ -275,15 +275,17 @@ def test_grid_solves_match_dense_solves_and_newton_descends(n, seed, contrast):
     coeffs = CoefficientSet(np.ones(mesh.node_count), field(0.1), field(0.05), field(0.02))
     op = ForwardOperator(mesh, coeffs.diffusion)
     assert op.sine is not None
-    tol = 1e-10
-    for w in (np.zeros(len(op.interior)), (op.lumped * coeffs.single_photon)[op.interior]):
+    # reaction weights from none over five decades around the phantom's sigma
+    w_sigma = (op.lumped * coeffs.single_photon)[op.interior]
+    for w in (np.zeros(len(op.interior)), w_sigma, 10.0 ** decade * w_sigma):
         rhs = rng.standard_normal(len(op.interior))
-        x = op.solve(w, rhs, tol)
         A = (op.K_ii + sp.diags(w)).toarray()
         x_dense = np.linalg.solve(A, rhs)
-        assert np.linalg.norm(A @ x - rhs) <= tol * np.linalg.norm(rhs)
-        assert np.linalg.norm(x - x_dense) <= (
-            tol * np.linalg.cond(A) * np.linalg.norm(x_dense))
+        for tol in (1e-10, 1e-12):
+            x = op.solve(w, rhs, tol)
+            assert np.linalg.norm(A @ x - rhs) <= tol * np.linalg.norm(rhs)
+            assert np.linalg.norm(x - x_dense) <= (
+                tol * np.linalg.cond(A) * np.linalg.norm(x_dense))
 
     g = BoundarySource(mesh, rng.uniform(0.5, 3.0, len(mesh.boundary_list)))
     _, report = solve_semilinear(op, coeffs.single_photon, coeffs.two_photon, g)
