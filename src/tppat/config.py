@@ -53,7 +53,13 @@ class SourceSpec:
         if missing:
             raise ValidationError(
                 f"source {self.kind!r} missing parameters {sorted(missing)}")
-        self.params = {k: float(v) for k, v in self.params.items()}
+        try:
+            self.params = {k: float(v) for k, v in self.params.items()}
+        except ValueError:
+            raise ValidationError(f"source {self.kind!r}: bad number in "
+                                  f"{self.params}") from None
+        if not all(math.isfinite(v) for v in self.params.values()):
+            raise ValidationError(f"source {self.kind!r}: parameters must be finite")
 
     def build(self, mesh: Mesh) -> BoundarySource:
         if self.kind == "constant":
@@ -200,7 +206,10 @@ def parse_number_list(text: str, context: str, conv=float) -> list:
 
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ValidationError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ValidationError(f"cannot read config file {path}")
     return parse_config(parser)

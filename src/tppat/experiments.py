@@ -139,17 +139,15 @@ def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
     """Run one experiment's reconstruction. Returns {coefficient: field}.
 
     The least-squares experiments start every fitted field at the midpoint of
-    the bounds; II holds sigma at its true value and returns it as well.
+    the bounds. I and II hold sigma at its true value and return it as well.
     """
     cfg = bundle.config
     op = bundle.operator
     Gamma = bundle.coeffs.gruneisen
-    if which == "I":
-        mu = direct.recover_mu_from_set(op, Gamma, datum_set,
-                                        bundle.coeffs.single_photon)
-        return {"mu": mu}
-    if which == "III":
-        sigma, mu, report = direct.recover_pair(op, Gamma, datum_set)
+    if which in ("I", "III"):
+        sigma_known = bundle.coeffs.single_photon if which == "I" else None
+        sigma, mu, report = direct.recover_pair(op, Gamma, datum_set,
+                                                sigma_known=sigma_known)
         return {"sigma": sigma, "mu": mu, "condition_report": report}
     if which in ("II", "IV"):
         mu_only = which == "II"

@@ -8,6 +8,7 @@ within the positivity bounds enforced by CoefficientSet.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +31,10 @@ class Inclusion:
         if self.shape not in SHAPES:
             raise ValidationError(f"inclusion shape must be one of {SHAPES}, "
                                   f"got {self.shape!r}")
-        if self.size <= 0.0:
-            raise ValidationError("inclusion size must be positive")
-        if len(self.center) != 2:
-            raise ValidationError("inclusion center must be (x, y)")
+        if not 0.0 < self.size < math.inf:
+            raise ValidationError("inclusion size must be finite and positive")
+        if len(self.center) != 2 or not all(map(math.isfinite, self.center)):
+            raise ValidationError("inclusion center must be finite (x, y)")
 
     def contains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         cx, cy = self.center
@@ -48,11 +49,11 @@ class PhantomField:
     inclusions: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.background <= 0.0:
-            raise ValidationError("phantom background must be positive")
+        if not 0.0 < self.background < math.inf:
+            raise ValidationError("phantom background must be finite and positive")
         for inc in self.inclusions:
-            if inc.value <= 0.0:
-                raise ValidationError("inclusion values must be positive")
+            if not 0.0 < inc.value < math.inf:
+                raise ValidationError("inclusion values must be finite and positive")
 
     def sample(self, mesh: Mesh) -> np.ndarray:
         x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]

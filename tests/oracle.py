@@ -12,6 +12,10 @@ The library writes the local stiffness products out and sums the lumped
 mass with np.bincount; assemble_stiffness_einsum and lumped_mass_add_at are
 the np.einsum and np.add.at forms they replaced, the reference for their
 bits.
+
+The mu-only pointwise fit (direct.fit_pair_pointwise with sigma known) sums
+over the data in one reduction; mu_from_set_loop is the per-datum
+accumulation it replaced, the reference for its bits.
 """
 
 import numpy as np
@@ -110,3 +114,19 @@ def lumped_mass_add_at(mesh) -> np.ndarray:
     m = np.zeros(mesh.node_count)
     np.add.at(m, mesh.triangles.ravel(), np.repeat(area / 3.0, 3))
     return m
+
+
+def mu_from_set_loop(data, Gamma, u_stars, sigma_known) -> np.ndarray:
+    """mu with sigma known, accumulated one datum at a time.
+
+    Minimizes sum_j (mu |u_j*| - (r_j - sigma))^2 per node, with
+    r_j = H_j / (Gamma u_j*).
+    """
+    num = np.zeros(len(sigma_known))
+    den = np.zeros(len(sigma_known))
+    for H, u_star in zip(data, u_stars):
+        a = np.abs(u_star)
+        r = H / (Gamma * u_star)
+        num += a * (r - sigma_known)
+        den += a * a
+    return num / den

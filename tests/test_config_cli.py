@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from tppat import fem
 from tppat.cli import main
-from tppat.config import (SourceSpec, default_config, load_config, parse_config,
-                          write_config)
+from tppat.config import (COEFF_SECTIONS, SourceSpec, default_config, load_config,
+                          parse_config, write_config)
 from tppat.errors import ValidationError
 from tppat.experiments import noise_stream_seed
 from tppat.mesh import build_square_mesh, load_mesh
+from tppat.phantoms import SHAPES
 
 
 def small_config(tmp_path, n=6, levels="0, 2", seeds="5", data_n=None):
@@ -70,19 +71,60 @@ LSQ_KEYS = ("kappa", "grad_tol", "max_iterations", "history", "bound_floor",
             "bound_ceiling")
 
 
+BAD_NUMBER = st.sampled_from(["nan", "inf", "1e400", "-1", "0", "x"])
+
+
+def packed(kind, **params):
+    """'kind; key = value; ...' from valid parts, with the kind or one value
+    replaced by a BAD_NUMBER or any TEXT (a center by a pair with one
+    BAD_NUMBER, or any TEXT)."""
+    def build(key, bad, bad_pair):
+        values = dict(params)
+        if key in values:
+            values[key] = bad_pair if key == "center" else bad
+        head = bad if key == "kind" else kind
+        return "; ".join([head] + [f"{k} = {v}" for k, v in values.items()])
+
+    return st.builds(build, st.sampled_from([*params, "kind"]),
+                     st.one_of(BAD_NUMBER, TEXT),
+                     st.one_of(BAD_NUMBER.map("{}, 0.4".format),
+                               BAD_NUMBER.map("-0.2, {}".format), TEXT))
+
+
+SECTIONS = st.sampled_from(sorted(COEFF_SECTIONS.values()))
+EDIT = st.one_of(
+    st.tuples(SECTIONS, st.just("background"), st.one_of(BAD_NUMBER, TEXT)),
+    st.tuples(SECTIONS, st.sampled_from(["inclusion1", "inclusion2"]),
+              packed("disk", center="0.1, -0.2", size="0.3", value="0.2")),
+    st.tuples(st.just("sources"), st.sampled_from(["source1", "source5"]),
+              st.one_of(packed("constant", value="1.5"),
+                        packed("affine", a="2", bx="0.5", by="-0.5"))))
+
+
 @settings(max_examples=300, deadline=None)
 @given(noise=st.dictionaries(st.sampled_from(["levels", "seeds"]), TEXT, max_size=2),
-       lsq=st.dictionaries(st.sampled_from(LSQ_KEYS), TEXT, max_size=6))
-def test_parse_config_returns_in_range_values_or_raises_validation_error(noise, lsq):
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(default_config().canonical_text())
-    for section, values in (("noise", noise), ("lsq", lsq)):
-        for key, value in values.items():
-            parser.set(section, key, value)
-    try:
-        cfg = parse_config(parser)
-    except ValidationError:
-        return
+       lsq=st.dictionaries(st.sampled_from(LSQ_KEYS), TEXT, max_size=6),
+       edit=st.one_of(EDIT, st.none()))
+def test_parse_config_returns_in_range_values_or_raises_validation_error(
+        noise, lsq, edit):
+    changes = [(section, key, value) for section, values in (("noise", noise),
+                                                             ("lsq", lsq))
+               for key, value in values.items()]
+    edits = [edit] if edit else []          # a coefficient or source entry
+    # the edit alone too: an error in a later section would mask it
+    for applied in (edits, changes + edits):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(default_config().canonical_text())
+        for change in applied:
+            parser.set(*change)
+        try:
+            cfg = parse_config(parser)
+        except ValidationError:
+            continue
+        assert_in_range(cfg)
+
+
+def assert_in_range(cfg):
     assert all(math.isfinite(e) and e >= 0.0 for e in cfg.noise_levels)
     assert cfg.seeds and all(s >= 0 for s in cfg.seeds)
     for e in cfg.noise_levels:                   # the noise streams can be seeded
@@ -92,6 +134,46 @@ def test_parse_config_returns_in_range_values_or_raises_validation_error(noise, 
     assert math.isfinite(ls.grad_tol) and ls.grad_tol > 0.0
     assert ls.max_iterations >= 1 and ls.history >= 1
     assert 0.0 < ls.bound_floor < ls.bound_ceiling < math.inf
+    for name in COEFF_SECTIONS:
+        pf = getattr(cfg.phantom, name)
+        assert 0.0 < pf.background < math.inf
+        for inc in pf.inclusions:
+            assert inc.shape in SHAPES and 0.0 < inc.size < math.inf
+            assert len(inc.center) == 2 and all(map(math.isfinite, inc.center))
+            assert 0.0 < inc.value < math.inf
+    for src in cfg.sources:
+        assert src.kind in ("constant", "affine")
+        assert all(math.isfinite(v) for v in src.params.values())
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda text: text.replace("[mesh]\n", "", 1), id="no-section-header"),
+    pytest.param(lambda text: text + "\n[noise]\nlevels = 0\n", id="duplicate-section"),
+    pytest.param(lambda text: text.replace("n = 32", "n = 32\nn = 8", 1),
+                 id="duplicate-key"),
+])
+def test_load_config_rejects_malformed_ini(tmp_path, edit):
+    path = tmp_path / "cfg.ini"
+    path.write_text(edit(default_config().canonical_text()))
+    with pytest.raises(ValidationError, match="malformed config file"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("source1 = constant; value = 0.5", "source1 = constant; value = abc", "bad number"),
+    ("source1 = constant; value = 0.5", "source1 = constant; value = nan", "finite"),
+    ("size = 0.3", "size = nan", "size must be finite"),
+    ("center = -0.45, 0.4", "center = nan, 0.4", "center must be finite"),
+    ("size = 0.3; value = 0.3", "size = 0.3; value = inf", "values must be finite"),
+    ("background = 0.2", "background = nan", "background must be finite"),
+])
+def test_load_config_rejects_bad_packed_numbers(tmp_path, old, new, message):
+    text = default_config().canonical_text()
+    assert old in text
+    path = tmp_path / "cfg.ini"
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(ValidationError, match=message):
+        load_config(path)
 
 
 @pytest.mark.parametrize("section,key", [("mesh", "size"), ("noise", "level"),

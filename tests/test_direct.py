@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracle import mu_from_set_loop
 from tppat.config import default_config
-from tppat.direct import (DatumSet, fit_pair_pointwise, recover_field, recover_mu,
-                          recover_mu_from_set, recover_pair, recover_sigma)
+from tppat.direct import (DatumSet, fit_pair_pointwise, recover_all_fields,
+                          recover_field, recover_pair)
 from tppat.errors import ValidationError
 from tppat.experiments import prepare_data
 from tppat.fem import clip_nonnegative
@@ -53,58 +56,163 @@ def test_recover_field_depends_only_on_ratio(bundle16):
 
 
 def test_recover_sigma_arithmetic():
-    H = np.array([16.0])
-    sigma = recover_sigma(H, np.array([1.0]), np.array([2.0]), np.array([3.0]))
-    assert sigma[0] == pytest.approx(2.0, abs=1e-14)
+    # H = Gamma (sigma + mu |u|) u with Gamma = 1, sigma = 2, mu = 3 at u = 2
+    # and u = 4, so r = H / (Gamma u) is 8 and 14
+    mesh = build_square_mesh(1)
+    n = mesh.node_count
+    sigma, mu, _ = fit_pair_pointwise(mesh, [np.full(n, 2.0), np.full(n, 4.0)],
+                                      [np.full(n, 8.0), np.full(n, 14.0)])
+    assert np.allclose(sigma, 2.0, rtol=0.0, atol=1e-14)
+    assert np.allclose(mu, 3.0, rtol=0.0, atol=1e-14)
 
 
 def test_recover_sigma_mu_zero():
+    # mu = 0 makes every ratio equal to sigma
+    mesh = build_square_mesh(3)
     rng = np.random.default_rng(0)
-    H = rng.uniform(0.5, 1.5, 10)
-    Gamma = rng.uniform(0.8, 1.2, 10)
-    u = rng.uniform(0.5, 2.0, 10)
-    sigma = recover_sigma(H, Gamma, u, np.zeros(10))
-    assert np.allclose(sigma, H / (Gamma * u), rtol=1e-14)
+    sigma_true = rng.uniform(0.5, 1.5, mesh.node_count)
+    u = [rng.uniform(0.5, 2.0, mesh.node_count) for _ in range(3)]
+    sigma, mu, report = fit_pair_pointwise(mesh, u, [sigma_true] * 3)
+    assert np.allclose(sigma, sigma_true, rtol=1e-12)
+    assert np.abs(mu).max() <= 1e-12
+    assert not report.flagged.any()
 
 
 def test_recover_mu_arithmetic():
-    mu = recover_mu(np.array([16.0]), np.array([1.0]), np.array([2.0]),
-                    np.array([2.0]))
-    assert mu[0] == pytest.approx(3.0, abs=1e-14)
+    # J = 1 is the single-datum formula mu = H / (Gamma u |u|) - sigma / |u|:
+    # H = 16, Gamma = 1, u = 2, sigma = 2 give r = 8 and mu = 3
+    mesh = build_square_mesh(1)
+    n = mesh.node_count
+    sigma, mu, report = fit_pair_pointwise(mesh, [np.full(n, 2.0)], [np.full(n, 8.0)],
+                                           sigma_known=np.full(n, 2.0))
+    assert np.array_equal(mu, np.full(n, 3.0))
+    assert np.array_equal(sigma, np.full(n, 2.0))
+    assert np.array_equal(report.condition, np.ones(n))
+    assert not report.flagged.any()
 
 
 def test_recover_mu_consistency_zero():
+    mesh = build_square_mesh(3)
     rng = np.random.default_rng(1)
-    H = rng.uniform(0.5, 1.5, 10)
-    Gamma = rng.uniform(0.8, 1.2, 10)
-    u = rng.uniform(0.5, 2.0, 10)
-    mu = recover_mu(H, Gamma, u, H / (Gamma * u))
+    H = rng.uniform(0.5, 1.5, mesh.node_count)
+    Gamma = rng.uniform(0.8, 1.2, mesh.node_count)
+    u = rng.uniform(0.5, 2.0, mesh.node_count)
+    r = H / (Gamma * u)
+    _, mu, _ = fit_pair_pointwise(mesh, [u], [r], sigma_known=r)
     assert np.abs(mu).max() <= 1e-13
 
 
-def test_positivity_floor_error_names_nodes():
-    H = np.ones(5)
-    u = np.array([1.0, 1.0, -0.5, 1.0, 1e-14])
-    with pytest.raises(ValidationError) as err:
-        recover_sigma(H, np.ones(5), u, np.zeros(5))
-    msg = str(err.value)
-    assert "2" in msg and "4" in msg
+def test_nonpositive_density_nodes_are_flagged():
+    # u* = 0 at node 2 and u* < 0 at node 4: flagged and filled, not an error
+    mesh = build_square_mesh(2)
+    n = mesh.node_count
+    u = np.ones(n)
+    u[2], u[4] = -0.5, 0.0
+    ratios = np.linspace(1.0, 2.0, n)
+    for sigma_known in (np.zeros(n), None):
+        stars = [u, 2.0 * np.ones(n)] if sigma_known is None else [u]
+        rs = [ratios, 2.0 * ratios] if sigma_known is None else [ratios]
+        sigma, mu, report = fit_pair_pointwise(mesh, stars, rs, sigma_known=sigma_known)
+        assert np.nonzero(report.flagged)[0].tolist() == [2, 4]
+        assert np.all(np.isfinite(mu))
+        for i in (2, 4):
+            j = report.filled_from[i]
+            assert not report.flagged[j]
+            assert mu[i] == mu[j] and sigma[i] == sigma[j]
+
+
+MESH3 = build_square_mesh(3)      # a grid: equidistant nearest nodes are common
+
+
+def node_values(low, high):
+    return hnp.arrays(float, MESH3.node_count, elements=st.floats(low, high))
+
+
+@st.composite
+def pointwise_data(draw):
+    """Noiseless data H_j = Gamma (sigma + mu |u_j*|) u_j* on MESH3.
+
+    The |u_j*| at a node are spaced at least a quarter of the smallest apart,
+    so the pair fit is well conditioned; at the nodes in bad the first u_j*
+    is negated, which the fit must flag.
+    """
+    pair = draw(st.booleans())
+    J = draw(st.integers(2 if pair else 1, 5))
+    base = draw(node_values(0.5, 5.0))
+    gaps = draw(hnp.arrays(float, (J, MESH3.node_count), elements=st.floats(0.0, 0.25)))
+    A = base * (1.0 + 0.5 * np.arange(J)[:, None] + gaps)
+    sigma, mu, Gamma = (draw(node_values(0.05, 1.0)), draw(node_values(0.05, 1.0)),
+                        draw(node_values(0.5, 2.0)))
+    bad = draw(hnp.arrays(bool, MESH3.node_count))
+    stars = A.copy()
+    stars[0, bad] *= -1.0
+    H = Gamma * (sigma + mu * A) * stars
+    return pair, list(stars), list(H), Gamma, sigma, mu, bad
+
+
+def fit(pair, stars, H, Gamma, sigma):
+    ratios = [h / (Gamma * u) for h, u in zip(H, stars)]   # as recover_pair forms them
+    return fit_pair_pointwise(MESH3, stars, ratios,
+                              sigma_known=None if pair else sigma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pointwise_data())
+def test_pointwise_fit_recovers_noiseless_ratios_and_sums_as_the_loop(case):
+    pair, stars, H, Gamma, sigma_true, mu_true, bad = case
+    if bad.all():
+        with pytest.raises(ValidationError, match="every node"):
+            fit(pair, stars, H, Gamma, sigma_true)
+        return
+    sigma, mu, report = fit(pair, stars, H, Gamma, sigma_true)
+    assert np.array_equal(report.flagged, bad)
+    good = ~bad
+    assert np.all(np.abs(mu - mu_true)[good] <= 1e-10 * mu_true[good])
+    assert np.all(np.abs(sigma - sigma_true)[good] <= 1e-10 * sigma_true[good])
+    if not pair:
+        assert np.array_equal(sigma, sigma_true)
+        assert np.array_equal(mu[good],
+                              mu_from_set_loop(H, Gamma, stars, sigma_true)[good])
+        assert np.array_equal(report.condition, np.ones(MESH3.node_count))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pointwise_data())
+def test_pointwise_fit_fills_each_flagged_node_from_the_nearest_good_node(case):
+    pair, stars, H, Gamma, sigma_true, _, bad = case
+    if bad.all():
+        return
+    sigma, mu, report = fit(pair, stars, H, Gamma, sigma_true)
+    good = np.nonzero(~report.flagged)[0].tolist()
+    for i in range(MESH3.node_count):
+        d2 = ((MESH3.nodes - MESH3.nodes[i]) ** 2).sum(axis=1)
+        nearest = i if i in good else min(good, key=lambda k: (d2[k], k))
+        assert report.filled_from[i] == nearest
+        assert mu[i] == mu[nearest]
+        if pair:                        # a known sigma is returned as given
+            assert sigma[i] == sigma[nearest]
 
 
 def test_recover_mu_noiseless_full_field(bundle16):
-    # single-datum formula applied to self-generated data recovers mu exactly
+    # the J = 1 fit on self-generated data recovers mu exactly
     b = bundle16
     u_star = recover_field(b.operator, b.coeffs.gruneisen, b.H_clean[1], b.sources[1])
-    mu = recover_mu(b.H_clean[1], b.coeffs.gruneisen, u_star,
-                    b.coeffs.single_photon)
+    ratio = b.H_clean[1] / (b.coeffs.gruneisen * u_star)
+    _, mu, report = fit_pair_pointwise(b.mesh, [u_star], [ratio],
+                                       sigma_known=b.coeffs.single_photon)
     assert relative_l2_error(mu, b.coeffs.two_photon, b.mesh) <= 0.5
+    assert not report.flagged.any()
 
 
 def test_recover_mu_from_set_noiseless(bundle16):
     b = bundle16
     ds = b.datum_set(0.0, 1)
-    mu = recover_mu_from_set(b.operator, b.coeffs.gruneisen, ds, b.coeffs.single_photon)
+    sigma, mu, report = recover_pair(b.operator, b.coeffs.gruneisen, ds,
+                                     sigma_known=b.coeffs.single_photon)
     assert relative_l2_error(mu, b.coeffs.two_photon, b.mesh) <= 0.5
+    assert np.array_equal(sigma, b.coeffs.single_photon)
+    assert not report.flagged.any()
+    assert np.array_equal(report.condition, np.ones(b.mesh.node_count))
 
 
 def test_pointwise_fit_two_by_two_inversion():
@@ -149,7 +257,6 @@ def test_recover_pair_flags_and_fills_degenerate_nodes(bundle16):
     # fallback path on part of the mesh only
     b = bundle16
     ds = b.datum_set(0.0, 1)
-    from tppat.direct import recover_all_fields
     stars = recover_all_fields(b.operator, b.coeffs.gruneisen, ds)
     A = np.abs(np.stack(stars))
     rel_spread = (A.max(axis=0) - A.min(axis=0)) / A.max(axis=0)

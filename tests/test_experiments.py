@@ -12,7 +12,7 @@ import tppat
 from tppat import direct, fem, forward, transfer
 from tppat.config import default_config
 from tppat.errors import ValidationError
-from tppat.experiments import (noise_stream_seed, prepare_data,
+from tppat.experiments import (noise_stream_seed, prepare_data, reconstruct,
                                run_experiment, run_forward)
 
 
@@ -30,6 +30,25 @@ def test_experiment_i_direct_mu_only():
     means = table.mean_errors()
     assert set(k[0] for k in means) == {"mu"}
     assert means[("mu", 0.0)] <= 0.5
+
+
+def test_experiment_i_flags_and_fills_nonpositive_nodes_instead_of_aborting(tmp_path):
+    # a strongly absorbing background at 20 % noise drives the recovered
+    # density nonpositive at some nodes of both jobs
+    cfg = quick_config(n=8, levels=(0.0, 20.0), seeds=(101, 102))
+    cfg.phantom.single_photon.background = 20.0
+    bundle = prepare_data(cfg)
+    table = run_experiment("I", cfg, output_dir=tmp_path, bundle=bundle)
+    assert len(table.rows) == 3
+    report = reconstruct("I", bundle, bundle.datum_set(20.0, 101))["condition_report"]
+    rows = np.loadtxt(tmp_path / "condition_eps20.csv", delimiter=",", skiprows=1)
+    flagged = rows[:, 2].astype(bool)
+    assert flagged.any() and not flagged.all()
+    assert np.array_equal(flagged, report.flagged)
+    mu = fem.load_field(tmp_path / "recon_mu_eps20.csv", bundle.mesh)
+    for i in np.nonzero(flagged)[0]:
+        assert mu[i] == mu[report.filled_from[i]]
+        assert not flagged[report.filled_from[i]]
 
 
 def test_experiment_ii_lsq_mu_only():
@@ -190,6 +209,7 @@ def test_sweep_assembles_each_stiffness_matrix_once(monkeypatch, which, assembli
 
 
 @pytest.mark.parametrize("which, data_n", [
+    pytest.param("I", None, id="I"),
     pytest.param("III", None, id="III"),
     pytest.param("IV", None, id="IV"),
     pytest.param("III", 11, id="III-crime-guard"),
@@ -205,4 +225,5 @@ def test_threads_share_the_bundle_operator_without_changing_outputs(which, data_
         run_experiment(which, cfg, output_dir=out, threads=threads, bundle=bundle)
         trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert "errors.csv" in trees[0]
+    assert ("condition_eps5.csv" in trees[0]) == (which in ("I", "III"))
     assert trees[0] == trees[1]
