@@ -84,8 +84,9 @@ def _recon_common(args, algorithm):
 
     fem.save_field(outdir / "sigma.csv", sigma, clipped_path=outdir / "sigma_clipped.csv")
     fem.save_field(outdir / "mu.csv", mu, clipped_path=outdir / "mu_clipped.csv")
-    err_s = relative_l2_error(sigma, bundle.coeffs.single_photon, mesh)
-    err_m = relative_l2_error(mu, bundle.coeffs.two_photon, mesh)
+    mass = fem.assemble_weighted_mass(mesh, 1.0)
+    err_s = relative_l2_error(sigma, bundle.coeffs.single_photon, mesh, mass=mass)
+    err_m = relative_l2_error(mu, bundle.coeffs.two_photon, mesh, mass=mass)
     lines = ["coefficient,epsilon,seed,error_percent",
              f"sigma,{eps:g},{seed},{err_s:.17g}",
              f"mu,{eps:g},{seed},{err_m:.17g}"]

@@ -37,27 +37,29 @@ COEFF_SECTIONS = {
 }
 
 
+SOURCE_PARAMETERS = {"constant": ("value",), "affine": ("a", "bx", "by")}
+INCLUSION_PARAMETERS = ("center", "size", "value")
+
+
+def _expect_keys(params, keys, context):
+    """Reject packed parameters other than keys, naming the first odd key."""
+    odd = sorted(set(keys) ^ set(params))
+    if odd:
+        state = "unknown" if odd[0] in params else "missing"
+        raise ValidationError(f"{context}: {state} key {odd[0]!r}")
+
+
 @dataclass
 class SourceSpec:
     kind: str                      # "constant" | "affine"
     params: dict
 
     def __post_init__(self):
-        if self.kind == "constant":
-            required = {"value"}
-        elif self.kind == "affine":
-            required = {"a", "bx", "by"}
-        else:
+        if self.kind not in SOURCE_PARAMETERS:
             raise ValidationError(f"unknown source kind {self.kind!r}")
-        missing = required - set(self.params)
-        if missing:
-            raise ValidationError(
-                f"source {self.kind!r} missing parameters {sorted(missing)}")
-        try:
-            self.params = {k: float(v) for k, v in self.params.items()}
-        except ValueError:
-            raise ValidationError(f"source {self.kind!r}: bad number in "
-                                  f"{self.params}") from None
+        _expect_keys(self.params, SOURCE_PARAMETERS[self.kind], f"source {self.kind!r}")
+        self.params = {k: _conv(v, f"source {self.kind!r} {k}", float)
+                       for k, v in self.params.items()}
         if not all(math.isfinite(v) for v in self.params.values()):
             raise ValidationError(f"source {self.kind!r}: parameters must be finite")
 
@@ -152,42 +154,30 @@ def _parse_packed(value: str, context: str) -> dict:
 
 
 def _parse_float_pair(text: str, context: str):
-    parts = [p.strip() for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) != 2:
         raise ValidationError(f"{context}: expected 'x, y', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ValidationError(f"{context}: bad number in {text!r}") from None
+    return _conv(parts[0], context, float), _conv(parts[1], context, float)
 
 
 def _parse_phantom_field(section, heading: str) -> PhantomField:
     if "background" not in section:
         raise ValidationError(f"[{heading}] needs a 'background' value")
-    try:
-        background = float(section["background"])
-    except ValueError:
-        raise ValidationError(f"[{heading}] background must be a number") from None
+    background = _conv(section["background"], f"[{heading}] background", float)
     inclusions = []
     for key in section:
         if not key.startswith("inclusion"):
             if key != "background":
                 raise ValidationError(f"[{heading}] unknown key {key!r}")
             continue
-        packed = _parse_packed(section[key], f"[{heading}] {key}")
+        context = f"[{heading}] {key}"
+        packed = _parse_packed(section[key], context)
         params = packed["params"]
-        for req in ("center", "size", "value"):
-            if req not in params:
-                raise ValidationError(f"[{heading}] {key} missing {req!r}")
-        try:
-            size = float(params["size"])
-            value = float(params["value"])
-        except ValueError:
-            raise ValidationError(f"[{heading}] {key}: bad number") from None
+        _expect_keys(params, INCLUSION_PARAMETERS, context)
         inclusions.append(Inclusion(
-            shape=packed["kind"],
-            center=_parse_float_pair(params["center"], f"[{heading}] {key}"),
-            size=size, value=value))
+            shape=packed["kind"], center=_parse_float_pair(params["center"], context),
+            size=_conv(params["size"], context, float),
+            value=_conv(params["value"], context, float)))
     return PhantomField(background=background, inclusions=inclusions)
 
 
@@ -195,12 +185,8 @@ def parse_number_list(text: str, context: str, conv=float) -> list:
     out = []
     for item in text.split(","):
         item = item.strip()
-        if not item:
-            continue
-        try:
-            out.append(conv(item))
-        except ValueError:
-            raise ValidationError(f"{context}: bad number {item!r}") from None
+        if item:
+            out.append(_conv(item, context, conv))
     return out
 
 
@@ -221,15 +207,9 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     if parser.has_section("mesh"):
         sec = _known_keys(parser, "mesh", ("n", "data_n"))
         if "n" in sec:
-            try:
-                cfg.mesh_n = int(sec["n"])
-            except ValueError:
-                raise ValidationError("mesh n must be an integer") from None
+            cfg.mesh_n = _conv(sec["n"], "[mesh] n", int)
         if sec.get("data_n", "").strip():
-            try:
-                cfg.data_mesh_n = int(sec["data_n"])
-            except ValueError:
-                raise ValidationError("mesh data_n must be an integer") from None
+            cfg.data_mesh_n = _conv(sec["data_n"], "[mesh] data_n", int)
 
     fields = {}
     for name, heading in COEFF_SECTIONS.items():
@@ -242,7 +222,10 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
         raise ValidationError("config missing section [sources]")
     for key in parser["sources"]:
         packed = _parse_packed(parser["sources"][key], f"[sources] {key}")
-        cfg.sources.append(SourceSpec(kind=packed["kind"], params=packed["params"]))
+        try:
+            cfg.sources.append(SourceSpec(kind=packed["kind"], params=packed["params"]))
+        except ValidationError as exc:
+            raise ValidationError(f"[sources] {key}: {exc}") from None
 
     if parser.has_section("noise"):
         sec = _known_keys(parser, "noise", ("levels", "seeds"))
@@ -276,10 +259,11 @@ def _kappa(text):
 
 
 def _conv(text, context, conv):
+    """conv(text), or a ValidationError naming context and text."""
     try:
         return conv(text)
     except ValueError:
-        raise ValidationError(f"{context}: bad value {text!r}") from None
+        raise ValidationError(f"{context}: bad number {text!r}") from None
 
 
 def default_config() -> ExperimentConfig:

@@ -13,7 +13,7 @@ applies the transform in float32, while solve_linear keeps its iterates,
 residuals and stop test in float64.
 
 Nodal fields serialize as CSV with header ``node,value``, one row per node in
-mesh order.
+mesh order; load_field reads them with the row parser of mesh.load_mesh.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshFormatError, SolverError, ValidationError
-from .mesh import Mesh
+from .mesh import Mesh, _first, _parse_rows, _read_lines
 
 DEFAULT_TOL = 1e-10
 
@@ -294,29 +294,19 @@ def save_field(path, values, clipped_path=None) -> None:
 
 
 def load_field(path, mesh: Mesh | None = None) -> np.ndarray:
-    """Read a nodal field CSV; validates the header, node order and count."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != "node,value":
+    """Read a nodal field CSV: the header, then rows 'node,value' numbering
+    the nodes 0, 1, 2, ... (and, given a mesh, exactly its nodes). Blank lines
+    are skipped. Every error is a MeshFormatError naming its 1-based line; a
+    count off the mesh's names the first extra row or the end of the file."""
+    numbers, texts = _read_lines(path)
+    if numbers[0] != 1 or texts[:1] != ["node,value"]:
         raise MeshFormatError("expected header 'node,value'", line=1)
-    values = []
-    for lineno, ln in enumerate(raw[1:], start=2):
-        if not ln.strip():
-            continue
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise MeshFormatError(f"expected 'node,value', got {ln!r}", line=lineno)
-        try:
-            idx = int(parts[0])
-            val = float(parts[1])
-        except ValueError:
-            raise MeshFormatError(f"bad entry {ln!r}", line=lineno) from None
-        if idx != len(values):
-            raise MeshFormatError(
-                f"expected node {len(values)}, got {idx}", line=lineno)
-        values.append(val)
-    arr = np.asarray(values, dtype=float)
-    if mesh is not None and arr.shape != (mesh.node_count,):
+    node, values = _parse_rows(
+        numbers, texts, 1, len(texts) - 1, "node,value", (np.int64, float), sep=",",
+        check=lambda c: _first(c[0] != np.arange(len(c[0])),
+                               lambda k: f"expected node {k}, got {c[0][k]}"))
+    if mesh is not None and len(values) != mesh.node_count:
         raise MeshFormatError(
-            f"field has {arr.size} values, mesh has {mesh.node_count} nodes")
-    return arr
+            f"field has {len(values)} values, mesh has {mesh.node_count} nodes",
+            line=numbers[min(1 + mesh.node_count, len(texts))])
+    return values

@@ -15,11 +15,16 @@ Text file format (0-based indices)::
     i j k          (T lines)
     boundary_edges <B>
     i j            (B lines)
+
+load_mesh parses each section as one array with _parse_rows, the row parser
+fem.load_field shares; blank lines are skipped and every error names its
+1-based line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -106,10 +111,7 @@ class Mesh:
         return len(self.triangles)
 
     def signed_areas(self):
-        p = self.nodes
-        a, b, c = (p[self.triangles[:, k]] for k in range(3))
-        return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                      - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
+        return 0.5 * _doubled_areas(*self.nodes.T, *self.triangles.T)
 
 
 def _edge_keys(pairs: np.ndarray, node_count: int) -> np.ndarray:
@@ -165,103 +167,116 @@ def save_mesh(mesh: Mesh, path) -> None:
                      + (row_format * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-def _expect_header(token_line, keyword, lineno):
-    parts = token_line.split()
-    if len(parts) != 2 or parts[0] != keyword:
-        raise MeshFormatError(f"expected '{keyword} <count>', got {token_line!r}",
-                              line=lineno)
+def _read_lines(path):
+    """The 1-based numbers of a file's non-blank lines, then the number one
+    past its last line, and the stripped texts of those lines."""
+    with open(path, "r", encoding="ascii") as fh:
+        raw = fh.read().splitlines()
+    stripped = list(map(str.strip, raw))
+    numbers = list(compress(range(1, len(raw) + 1), stripped))
+    return numbers + [len(raw) + 1], list(compress(stripped, stripped))
+
+
+def _columns(texts, dtypes, sep):
+    """One array per column of rows of len(dtypes) tokens split at sep, or
+    None when a row has another width or a token does not convert as int()
+    or float() would. The rows are split as one string joined by '|' tokens;
+    dropping every (len(dtypes) + 1)-th token removes all the '|'s only when
+    every row has len(dtypes) tokens, and a '|' left over is no number."""
+    if not texts:
+        return [np.empty(0, dtype) for dtype in dtypes]
+    width = len(dtypes)
+    tokens = f"{sep or ' '}|{sep or ' '}".join(texts).split(sep)
+    if len(tokens) != len(texts) * (width + 1) - 1:
+        return None
+    del tokens[width::width + 1]
     try:
-        count = int(parts[1])
-    except ValueError:
-        raise MeshFormatError(f"bad count in {token_line!r}", line=lineno) from None
-    if count < 0:
-        raise MeshFormatError(f"negative count in {token_line!r}", line=lineno)
-    return count
+        return [np.array(tokens[j::width], dtype) for j, dtype in enumerate(dtypes)]
+    except (ValueError, OverflowError):
+        return None
+
+
+def _parse_rows(numbers, texts, start, count, form, dtypes, sep=None, check=None):
+    """Parse count rows of the given form, from non-blank line start on, into
+    one array per column. check(columns) may return (row, message) for the
+    first row that parses but is invalid. Only when the block does not
+    convert at once are its rows tried one by one. The first problem in file
+    order raises a MeshFormatError naming its line."""
+    texts = texts[start:start + count]
+    problem = None
+    if len(texts) < count:
+        problem = (len(texts), f"unexpected end of file, expected '{form}'")
+    columns = _columns(texts, dtypes, sep)
+    if columns is None:
+        k = next(k for k in range(len(texts)) if _columns(texts[k:k + 1], dtypes, sep) is None)
+        columns = _columns(texts[:k], dtypes, sep)
+        problem = (k, f"expected '{form}', got {texts[k]!r}")
+    problem = (check(columns) if check else None) or problem
+    if problem:
+        raise MeshFormatError(problem[1], line=numbers[start + problem[0]])
+    return columns
+
+
+def _first(bad, message):
+    """(row, message(row)) for the first row where bad is set, or None."""
+    rows = np.flatnonzero(bad)
+    return (int(rows[0]), message(int(rows[0]))) if rows.size else None
+
+
+def _index_problem(columns, node_count, what):
+    """The first row with a node index out of range, as for _first."""
+    idx = np.column_stack(columns)
+    out = (idx < 0) | (idx >= node_count)
+    return _first(out.any(axis=1), lambda k: f"{what} index {idx[k][out[k]][0]} "
+                                             f"out of range for {node_count} nodes")
+
+
+def _doubled_areas(x, y, a, b, c):
+    """Twice the signed areas of the triangles (a, b, c) of nodes (x, y)."""
+    return (x[b] - x[a]) * (y[c] - y[a]) - (x[c] - x[a]) * (y[b] - y[a])
 
 
 def load_mesh(path) -> Mesh:
     """Read a mesh file, validating counts and index ranges.
 
-    Clockwise triangles are reoriented to counterclockwise (documented policy);
-    degenerate triangles are rejected. Errors report the offending line number.
+    Blank lines are skipped. Clockwise triangles are reoriented to
+    counterclockwise; degenerate triangles are rejected. Every error is a
+    MeshFormatError naming its 1-based line: the first offending line, the
+    line past the end of a truncated file, or the boundary_edges header when
+    the mesh as a whole does not conform.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
+    numbers, texts = _read_lines(path)
     pos = 0
 
-    def next_line(what):
+    def section(keyword, form, dtype, check=None):
         nonlocal pos
-        if pos >= len(lines):
-            raise MeshFormatError(f"unexpected end of file, expected {what}",
-                                  line=len(raw) + 1)
-        item = lines[pos]
-        pos += 1
-        return item
+        header = f"{keyword} <count>"
+        _, (count,) = _parse_rows(
+            numbers, texts, pos, 1, header, (str, np.int64),
+            check=lambda c: _first((c[0] != keyword) | (c[1] < 0),
+                                   lambda k: f"expected '{header}', got {texts[pos]!r}"))
+        start, pos = pos + 1, pos + 1 + int(count)
+        return _parse_rows(numbers, texts, start, pos - start, form,
+                           (dtype,) * len(form.split()), check=check)
 
-    lineno, header = next_line("'nodes <N>'")
-    n_nodes = _expect_header(header, "nodes", lineno)
-    nodes = np.empty((n_nodes, 2))
-    for k in range(n_nodes):
-        lineno, ln = next_line("a node line")
-        parts = ln.split()
-        if len(parts) != 2:
-            raise MeshFormatError(f"expected 'x y', got {ln!r}", line=lineno)
-        try:
-            nodes[k] = [float(parts[0]), float(parts[1])]
-        except ValueError:
-            raise MeshFormatError(f"bad coordinate in {ln!r}", line=lineno) from None
+    x, y = section("nodes", "x y", float)
 
-    lineno, header = next_line("'triangles <T>'")
-    n_tris = _expect_header(header, "triangles", lineno)
-    tris = np.empty((n_tris, 3), dtype=np.int64)
-    for k in range(n_tris):
-        lineno, ln = next_line("a triangle line")
-        parts = ln.split()
-        if len(parts) != 3:
-            raise MeshFormatError(f"expected 'i j k', got {ln!r}", line=lineno)
-        try:
-            idx = [int(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError(f"bad index in {ln!r}", line=lineno) from None
-        for i in idx:
-            if i < 0 or i >= n_nodes:
-                raise MeshFormatError(
-                    f"triangle index {i} out of range for {n_nodes} nodes",
-                    line=lineno)
-        a, b, c = idx
-        area2 = ((nodes[b, 0] - nodes[a, 0]) * (nodes[c, 1] - nodes[a, 1])
-                 - (nodes[c, 0] - nodes[a, 0]) * (nodes[b, 1] - nodes[a, 1]))
-        if area2 == 0.0:
-            raise MeshFormatError(f"degenerate triangle {idx}", line=lineno)
-        if area2 < 0.0:
-            a, b, c = a, c, b      # reorient clockwise input
-        tris[k] = (a, b, c)
+    def triangle_problem(columns):
+        problem = _index_problem(columns, len(x), "triangle")
+        head = [c[:problem[0]] for c in columns] if problem else columns
+        return _first(_doubled_areas(x, y, *head) == 0.0,
+                      lambda k: f"degenerate triangle {[int(c[k]) for c in head]}") or problem
 
-    lineno, header = next_line("'boundary_edges <B>'")
-    n_bed = _expect_header(header, "boundary_edges", lineno)
-    bedges = np.empty((n_bed, 2), dtype=np.int64)
-    for k in range(n_bed):
-        lineno, ln = next_line("a boundary edge line")
-        parts = ln.split()
-        if len(parts) != 2:
-            raise MeshFormatError(f"expected 'i j', got {ln!r}", line=lineno)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MeshFormatError(f"bad index in {ln!r}", line=lineno) from None
-        for v in (i, j):
-            if v < 0 or v >= n_nodes:
-                raise MeshFormatError(
-                    f"boundary edge index {v} out of range for {n_nodes} nodes",
-                    line=lineno)
-        bedges[k] = (i, j)
-
-    if pos < len(lines):
-        lineno, ln = lines[pos]
-        raise MeshFormatError(f"trailing content {ln!r}", line=lineno)
-
+    a, b, c = section("triangles", "i j k", np.int64, triangle_problem)
+    boundary_header = pos
+    bedges = section("boundary_edges", "i j", np.int64,
+                     lambda columns: _index_problem(columns, len(x), "boundary edge"))
+    if pos < len(texts):
+        raise MeshFormatError(f"trailing content {texts[pos]!r}", line=numbers[pos])
+    clockwise = _doubled_areas(x, y, a, b, c) < 0.0
+    b, c = np.where(clockwise, c, b), np.where(clockwise, b, c)
     try:
-        return Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges)
+        return Mesh(nodes=np.column_stack([x, y]), triangles=np.column_stack([a, b, c]),
+                    boundary_edges=np.column_stack(bedges))
     except ValidationError as exc:
-        raise MeshFormatError(str(exc)) from exc
+        raise MeshFormatError(str(exc), line=numbers[boundary_header]) from exc

@@ -13,6 +13,10 @@ mass with np.bincount; assemble_stiffness_einsum and lumped_mass_add_at are
 the np.einsum and np.add.at forms they replaced, the reference for their
 bits.
 
+The library reads mesh and field files one section at a time as arrays;
+load_mesh_lines and load_field_lines are the per-line readers they replaced,
+the reference for their arrays and their error lines.
+
 The mu-only pointwise fit (direct.fit_pair_pointwise with sigma known) sums
 over the data in one reduction; mu_from_set_loop is the per-datum
 accumulation it replaced, the reference for its bits.
@@ -22,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from tppat import fem
-from tppat.errors import ValidationError
+from tppat.errors import MeshFormatError, ValidationError
 from tppat.mesh import Mesh
 
 
@@ -130,3 +134,130 @@ def mu_from_set_loop(data, Gamma, u_stars, sigma_known) -> np.ndarray:
         num += a * (r - sigma_known)
         den += a * a
     return num / den
+
+
+def _expect_header(token_line, keyword, lineno):
+    parts = token_line.split()
+    if len(parts) != 2 or parts[0] != keyword:
+        raise MeshFormatError(f"expected '{keyword} <count>', got {token_line!r}",
+                              line=lineno)
+    try:
+        count = int(parts[1])
+    except ValueError:
+        raise MeshFormatError(f"bad count in {token_line!r}", line=lineno) from None
+    if count < 0:
+        raise MeshFormatError(f"negative count in {token_line!r}", line=lineno)
+    return count
+
+
+def load_mesh_lines(path) -> Mesh:
+    """mesh.load_mesh, one line at a time."""
+    with open(path, "r", encoding="ascii") as fh:
+        raw = fh.read().splitlines()
+    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
+    pos = 0
+
+    def next_line(what):
+        nonlocal pos
+        if pos >= len(lines):
+            raise MeshFormatError(f"unexpected end of file, expected {what}",
+                                  line=len(raw) + 1)
+        item = lines[pos]
+        pos += 1
+        return item
+
+    lineno, header = next_line("'nodes <N>'")
+    n_nodes = _expect_header(header, "nodes", lineno)
+    nodes = np.empty((n_nodes, 2))
+    for k in range(n_nodes):
+        lineno, ln = next_line("a node line")
+        parts = ln.split()
+        if len(parts) != 2:
+            raise MeshFormatError(f"expected 'x y', got {ln!r}", line=lineno)
+        try:
+            nodes[k] = [float(parts[0]), float(parts[1])]
+        except ValueError:
+            raise MeshFormatError(f"bad coordinate in {ln!r}", line=lineno) from None
+
+    lineno, header = next_line("'triangles <T>'")
+    n_tris = _expect_header(header, "triangles", lineno)
+    tris = np.empty((n_tris, 3), dtype=np.int64)
+    for k in range(n_tris):
+        lineno, ln = next_line("a triangle line")
+        parts = ln.split()
+        if len(parts) != 3:
+            raise MeshFormatError(f"expected 'i j k', got {ln!r}", line=lineno)
+        try:
+            idx = [int(p) for p in parts]
+        except ValueError:
+            raise MeshFormatError(f"bad index in {ln!r}", line=lineno) from None
+        for i in idx:
+            if i < 0 or i >= n_nodes:
+                raise MeshFormatError(
+                    f"triangle index {i} out of range for {n_nodes} nodes",
+                    line=lineno)
+        a, b, c = idx
+        area2 = ((nodes[b, 0] - nodes[a, 0]) * (nodes[c, 1] - nodes[a, 1])
+                 - (nodes[c, 0] - nodes[a, 0]) * (nodes[b, 1] - nodes[a, 1]))
+        if area2 == 0.0:
+            raise MeshFormatError(f"degenerate triangle {idx}", line=lineno)
+        if area2 < 0.0:
+            a, b, c = a, c, b      # reorient clockwise input
+        tris[k] = (a, b, c)
+
+    lineno, header = next_line("'boundary_edges <B>'")
+    n_bed = _expect_header(header, "boundary_edges", lineno)
+    bedges = np.empty((n_bed, 2), dtype=np.int64)
+    for k in range(n_bed):
+        lineno, ln = next_line("a boundary edge line")
+        parts = ln.split()
+        if len(parts) != 2:
+            raise MeshFormatError(f"expected 'i j', got {ln!r}", line=lineno)
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise MeshFormatError(f"bad index in {ln!r}", line=lineno) from None
+        for v in (i, j):
+            if v < 0 or v >= n_nodes:
+                raise MeshFormatError(
+                    f"boundary edge index {v} out of range for {n_nodes} nodes",
+                    line=lineno)
+        bedges[k] = (i, j)
+
+    if pos < len(lines):
+        lineno, ln = lines[pos]
+        raise MeshFormatError(f"trailing content {ln!r}", line=lineno)
+
+    try:
+        return Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges)
+    except ValidationError as exc:
+        raise MeshFormatError(str(exc)) from exc
+
+
+def load_field_lines(path, mesh: Mesh | None = None) -> np.ndarray:
+    """fem.load_field, one line at a time."""
+    with open(path, "r", encoding="ascii") as fh:
+        raw = fh.read().splitlines()
+    if not raw or raw[0].strip() != "node,value":
+        raise MeshFormatError("expected header 'node,value'", line=1)
+    values = []
+    for lineno, ln in enumerate(raw[1:], start=2):
+        if not ln.strip():
+            continue
+        parts = ln.split(",")
+        if len(parts) != 2:
+            raise MeshFormatError(f"expected 'node,value', got {ln!r}", line=lineno)
+        try:
+            idx = int(parts[0])
+            val = float(parts[1])
+        except ValueError:
+            raise MeshFormatError(f"bad entry {ln!r}", line=lineno) from None
+        if idx != len(values):
+            raise MeshFormatError(
+                f"expected node {len(values)}, got {idx}", line=lineno)
+        values.append(val)
+    arr = np.asarray(values, dtype=float)
+    if mesh is not None and arr.shape != (mesh.node_count,):
+        raise MeshFormatError(
+            f"field has {arr.size} values, mesh has {mesh.node_count} nodes")
+    return arr

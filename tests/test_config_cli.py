@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from tppat import fem
 from tppat.cli import main
-from tppat.config import (COEFF_SECTIONS, SourceSpec, default_config, load_config,
-                          parse_config, write_config)
+from tppat.config import (COEFF_SECTIONS, SOURCE_PARAMETERS, SourceSpec, default_config,
+                          load_config, parse_config, write_config)
 from tppat.errors import ValidationError
 from tppat.experiments import noise_stream_seed
 from tppat.mesh import build_square_mesh, load_mesh
@@ -72,23 +72,27 @@ LSQ_KEYS = ("kappa", "grad_tol", "max_iterations", "history", "bound_floor",
 
 
 BAD_NUMBER = st.sampled_from(["nan", "inf", "1e400", "-1", "0", "x"])
+EXTRA_KEY = st.sampled_from(["colour", "bx", "size", "a", "Value"])
 
 
 def packed(kind, **params):
     """'kind; key = value; ...' from valid parts, with the kind or one value
     replaced by a BAD_NUMBER or any TEXT (a center by a pair with one
-    BAD_NUMBER, or any TEXT)."""
-    def build(key, bad, bad_pair):
+    BAD_NUMBER, or any TEXT), or with one EXTRA_KEY added."""
+    def build(key, bad, bad_pair, extra):
         values = dict(params)
         if key in values:
             values[key] = bad_pair if key == "center" else bad
+        elif key == "extra":
+            values.setdefault(extra, "0.5")
         head = bad if key == "kind" else kind
         return "; ".join([head] + [f"{k} = {v}" for k, v in values.items()])
 
-    return st.builds(build, st.sampled_from([*params, "kind"]),
+    return st.builds(build, st.sampled_from([*params, "kind", "extra"]),
                      st.one_of(BAD_NUMBER, TEXT),
                      st.one_of(BAD_NUMBER.map("{}, 0.4".format),
-                               BAD_NUMBER.map("-0.2, {}".format), TEXT))
+                               BAD_NUMBER.map("-0.2, {}".format), TEXT),
+                     EXTRA_KEY)
 
 
 SECTIONS = st.sampled_from(sorted(COEFF_SECTIONS.values()))
@@ -142,7 +146,7 @@ def assert_in_range(cfg):
             assert len(inc.center) == 2 and all(map(math.isfinite, inc.center))
             assert 0.0 < inc.value < math.inf
     for src in cfg.sources:
-        assert src.kind in ("constant", "affine")
+        assert sorted(src.params) == sorted(SOURCE_PARAMETERS[src.kind])
         assert all(math.isfinite(v) for v in src.params.values())
 
 
@@ -168,6 +172,23 @@ def test_load_config_rejects_malformed_ini(tmp_path, edit):
     ("background = 0.2", "background = nan", "background must be finite"),
 ])
 def test_load_config_rejects_bad_packed_numbers(tmp_path, old, new, message):
+    text = default_config().canonical_text()
+    assert old in text
+    path = tmp_path / "cfg.ini"
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(ValidationError, match=message):
+        load_config(path)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("size = 0.3; value = 0.1", "size = 0.3; value = 0.1; colour = red",
+     r"\[coefficients.two_photon\] inclusion1: unknown key 'colour'"),
+    ("source1 = constant; value = 0.5", "source1 = constant; value = 1.5; bx = 7",
+     r"\[sources\] source1: source 'constant': unknown key 'bx'"),
+    ("source3 = affine; a = 1.75; bx = 1; by = 0", "source3 = affine; a = 1.75; bx = 1",
+     r"\[sources\] source3: source 'affine': missing key 'by'"),
+])
+def test_load_config_rejects_unknown_or_missing_packed_keys(tmp_path, old, new, message):
     text = default_config().canonical_text()
     assert old in text
     path = tmp_path / "cfg.ini"
@@ -244,6 +265,21 @@ def test_cli_recon_direct(tmp_path):
             "condition_report.csv", "errors.csv", "manifest.txt"} <= names
     header = (out / "condition_report.csv").read_text().splitlines()[0]
     assert header == "node,condition,flag"
+
+
+def test_cli_recon_assembles_one_mass_matrix(tmp_path, monkeypatch):
+    assemble = fem.assemble_weighted_mass
+    meshes = []
+
+    def counting(mesh, weight):
+        meshes.append(mesh)
+        return assemble(mesh, weight)
+
+    monkeypatch.setattr(fem, "assemble_weighted_mass", counting)
+    cfg_path = small_config(tmp_path, n=6)
+    assert main(["recon-direct", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "rd")]) == 0
+    assert len(meshes) == 1 and meshes[0].node_count == 49
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tppat.config import default_config
 from tppat.errors import ValidationError
 from tppat.fem import CoefficientSet
 from tppat.forward import BoundarySource, ForwardOperator, solve_semilinear
@@ -8,6 +10,8 @@ from tppat.mesh import Mesh, build_square_mesh
 from tppat.metrics import (check_comparison, check_max_principle,
                            check_positivity, fd_directional_derivative,
                            relative_l2_error)
+
+from test_forward import jittered_mesh
 
 
 def test_relative_error_identical_fields():
@@ -185,3 +189,31 @@ def test_property_reports_csv(tmp_path):
     assert lines[0] == "check,passed,applicable,value,node"
     assert len(lines) == 3
     assert lines[1].startswith("maximum,1,1,")
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), grid=st.booleans(),
+       contrast=st.floats(1.0, 10.0), decade=st.floats(-2.0, 1.0),
+       floor=st.floats(1e-3, 1.0), gap=st.floats(1e-2, 1.0))
+def test_semilinear_solutions_keep_the_max_positivity_and_comparison_principles(
+        seed, grid, contrast, decade, floor, gap):
+    # the default n on the grid (sine-preconditioned solves), a jittered
+    # non-grid mesh (Jacobi-preconditioned solves) otherwise
+    n = default_config().mesh_n
+    mesh = build_square_mesh(n) if grid else jittered_mesh(n, seed, 0.3 / n)
+    rng = np.random.default_rng(seed)
+
+    def field(low):
+        return low * rng.uniform(1.0, contrast, mesh.node_count)
+
+    op = ForwardOperator(mesh, field(0.1))
+    sigma, mu = 10.0 ** decade * field(0.1), 10.0 ** decade * field(0.05)
+    g_small = BoundarySource(mesh, rng.uniform(floor, floor + 2.0, len(mesh.boundary_list)))
+    g_large = BoundarySource(mesh, g_small.values
+                             + rng.uniform(gap, 2.0 * gap, len(mesh.boundary_list)))
+    u_small, _ = solve_semilinear(op, sigma, mu, g_small)
+    u_large, _ = solve_semilinear(op, sigma, mu, g_large)
+    for u, g in ((u_small, g_small), (u_large, g_large)):
+        assert check_max_principle(u, g).passed
+        assert check_positivity(u, epsilon=g.min_value).passed
+    assert check_comparison(u_large, u_small, mesh).passed
