@@ -157,15 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="configuration file (INI); "
-                                            "defaults to the built-in phantom")
+    def common(p, threads=True):
+        p.add_argument("--config", help="configuration file (INI); "
+                                        "defaults to the built-in phantom")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="base RNG seed override")
         p.add_argument("--noise", help="comma-separated noise levels override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent jobs")
+        if threads:
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads for independent jobs")
 
     p = sub.add_parser("mesh", help="build a structured mesh of (-1,1)^2")
     p.add_argument("--n", type=int, required=True, help="subdivisions per side")
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recon_lsq)
 
     p = sub.add_parser("gradcheck", help="adjoint-gradient finite-difference check")
-    common(p)
+    common(p, threads=False)
     p.add_argument("--directions", type=int, default=20)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -139,7 +139,8 @@ class ExperimentConfig:
 
 
 def _parse_packed(value: str, context: str) -> dict:
-    """Parse 'kind; key = v; key = v' into {'kind': ..., params}."""
+    """Parse 'kind; key = v; key = v' into {'kind': ..., params}; a key may
+    appear once."""
     parts = [p.strip() for p in value.split(";") if p.strip()]
     if not parts:
         raise ValidationError(f"{context}: empty specification")
@@ -148,8 +149,10 @@ def _parse_packed(value: str, context: str) -> dict:
     for item in parts[1:]:
         if "=" not in item:
             raise ValidationError(f"{context}: expected 'key = value', got {item!r}")
-        key, val = item.split("=", 1)
-        params[key.strip()] = val.strip()
+        key, val = (part.strip() for part in item.split("=", 1))
+        if key in params:
+            raise ValidationError(f"{context}: repeated key {key!r}")
+        params[key] = val
     return {"kind": kind, "params": params}
 
 

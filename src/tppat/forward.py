@@ -67,10 +67,6 @@ class BoundarySource:
     def min_value(self) -> float:
         return float(self.values.min())
 
-    @property
-    def max_value(self) -> float:
-        return float(self.values.max())
-
     def require_strictly_positive(self, epsilon: float = 0.0):
         if self.min_value <= epsilon:
             raise ValidationError(

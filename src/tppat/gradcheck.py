@@ -3,7 +3,8 @@
 Evaluates the least-squares objective as a pure function of the stacked
 (sigma, mu) vector (fresh solver state per call, tight tolerances) and
 compares its central finite differences against the adjoint gradient in
-random directions. With the discretization used here the adjoint gradient is
+random directions (_fd_directional_derivative, the package's one finite
+difference). With the discretization used here the adjoint gradient is
 exact, so disagreement should sit at the solver-tolerance floor.
 """
 
@@ -19,7 +20,17 @@ from .errors import ValidationError
 from .experiments import prepare_data
 from .forward import NewtonConfig
 from .lsq import Evaluator, auto_kappa
-from .metrics import fd_directional_derivative
+
+
+def _fd_directional_derivative(functional, point, direction, step: float) -> float:
+    """Central difference (F(x + t d) - F(x - t d)) / (2 t)."""
+    if step <= 0.0:
+        raise ValidationError("finite-difference step must be positive")
+    point = np.asarray(point, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    fp = functional(point + step * direction)
+    fm = functional(point - step * direction)
+    return (fp - fm) / (2.0 * step)
 
 
 @dataclass
@@ -91,7 +102,7 @@ def gradient_check(cfg: ExperimentConfig, directions: int = 20, seed: int = 7,
         elif k % 3 == 1:
             d[:n] = 0.0
         adjoint_vals[k] = float((weights * grad * d).sum())
-        fd_vals[k] = fd_directional_derivative(phi, x0, d, step)
+        fd_vals[k] = _fd_directional_derivative(phi, x0, d, step)
         denom = max(abs(adjoint_vals[k]), abs(fd_vals[k]), 1e-300)
         rel[k] = abs(adjoint_vals[k] - fd_vals[k]) / denom
     return GradCheckResult(relative_errors=rel, adjoint_values=adjoint_vals,

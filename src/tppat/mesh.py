@@ -169,9 +169,15 @@ def save_mesh(mesh: Mesh, path) -> None:
 
 def _read_lines(path):
     """The 1-based numbers of a file's non-blank lines, then the number one
-    past its last line, and the stripped texts of those lines."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
+    past its last line, and the stripped texts of those lines. A byte that
+    is not ASCII raises a MeshFormatError naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        raw = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("ascii") + "x").splitlines())
+        raise MeshFormatError(f"non-ASCII byte {data[exc.start]:#04x}", line=line) from None
     stripped = list(map(str.strip, raw))
     numbers = list(compress(range(1, len(raw) + 1), stripped))
     return numbers + [len(raw) + 1], list(compress(stripped, stripped))
@@ -223,6 +229,12 @@ def _first(bad, message):
     return (int(rows[0]), message(int(rows[0]))) if rows.size else None
 
 
+def _non_finite_node(columns):
+    """The first node with a nan or infinite coordinate, as for _first."""
+    finite = np.isfinite(columns[0]) & np.isfinite(columns[1])
+    return _first(~finite, lambda k: f"node {k} has a non-finite coordinate")
+
+
 def _index_problem(columns, node_count, what):
     """The first row with a node index out of range, as for _first."""
     idx = np.column_stack(columns)
@@ -240,7 +252,8 @@ def load_mesh(path) -> Mesh:
     """Read a mesh file, validating counts and index ranges.
 
     Blank lines are skipped. Clockwise triangles are reoriented to
-    counterclockwise; degenerate triangles are rejected. Every error is a
+    counterclockwise; non-finite coordinates, degenerate triangles and bytes
+    that are not ASCII are rejected. Every error is a
     MeshFormatError naming its 1-based line: the first offending line, the
     line past the end of a truncated file, or the boundary_edges header when
     the mesh as a whole does not conform.
@@ -259,7 +272,7 @@ def load_mesh(path) -> Mesh:
         return _parse_rows(numbers, texts, start, pos - start, form,
                            (dtype,) * len(form.split()), check=check)
 
-    x, y = section("nodes", "x y", float)
+    x, y = section("nodes", "x y", float, _non_finite_node)
 
     def triangle_problem(columns):
         problem = _index_problem(columns, len(x), "triangle")

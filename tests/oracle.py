@@ -178,6 +178,8 @@ def load_mesh_lines(path) -> Mesh:
             nodes[k] = [float(parts[0]), float(parts[1])]
         except ValueError:
             raise MeshFormatError(f"bad coordinate in {ln!r}", line=lineno) from None
+        if not np.isfinite(nodes[k]).all():
+            raise MeshFormatError(f"node {k} has a non-finite coordinate", line=lineno)
 
     lineno, header = next_line("'triangles <T>'")
     n_tris = _expect_header(header, "triangles", lineno)

@@ -11,6 +11,10 @@ only consistent P1 realization). Because the operator here is exactly the
 Jacobian of the discrete forward residual, v is the exact derivative of the
 discrete solution map and the datum linearization below is second-order
 accurate.
+
+Nothing in the package solves these; the tests use them to check the
+linearization the paper's uniqueness and stability results rest on
+(acceptance criterion 4).
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fem
-from .errors import ValidationError
-from .fem import CoefficientSet, as_field, positive_field
-from .forward import BoundarySource, ForwardOperator
-from .mesh import Mesh
+from tppat import fem
+from tppat.errors import ValidationError
+from tppat.fem import CoefficientSet, as_field, positive_field
+from tppat.forward import BoundarySource, ForwardOperator
+from tppat.mesh import Mesh
 
 
 @dataclass

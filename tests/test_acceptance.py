@@ -17,11 +17,11 @@ from tppat.forward import (BoundarySource, ForwardOperator, NewtonConfig,
                            compute_datum, solve_semilinear)
 from tppat.gradcheck import gradient_check
 from tppat.mesh import build_square_mesh
-from tppat.metrics import (check_comparison, check_max_principle,
-                           check_positivity, relative_l2_error)
-from tppat.sensitivity import (CoefficientPerturbation, boundary_traces,
-                               datum_derivative, perturbed_coefficients,
-                               solve_sensitivity)
+from tppat.metrics import relative_l2_error
+
+from properties import check_comparison, check_max_principle, check_positivity
+from sensitivity import (CoefficientPerturbation, boundary_traces, datum_derivative,
+                         perturbed_coefficients, solve_sensitivity)
 
 # Reference results for this benchmark problem family: direct-method pair
 # reconstruction errors at 5% noise, and least-squares pair errors on

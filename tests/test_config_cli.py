@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tppat import fem
-from tppat.cli import main
+from tppat.cli import build_parser, main
 from tppat.config import (COEFF_SECTIONS, SOURCE_PARAMETERS, SourceSpec, default_config,
                           load_config, parse_config, write_config)
 from tppat.errors import ValidationError
@@ -187,6 +187,10 @@ def test_load_config_rejects_bad_packed_numbers(tmp_path, old, new, message):
      r"\[sources\] source1: source 'constant': unknown key 'bx'"),
     ("source3 = affine; a = 1.75; bx = 1; by = 0", "source3 = affine; a = 1.75; bx = 1",
      r"\[sources\] source3: source 'affine': missing key 'by'"),
+    ("source1 = constant; value = 0.5", "source1 = constant; value = 0.5; value = 9",
+     r"\[sources\] source1: repeated key 'value'"),
+    ("size = 0.3; value = 0.1", "size = 0.3; size = 0.3; value = 0.1",
+     r"\[coefficients.two_photon\] inclusion1: repeated key 'size'"),
 ])
 def test_load_config_rejects_unknown_or_missing_packed_keys(tmp_path, old, new, message):
     text = default_config().canonical_text()
@@ -355,6 +359,22 @@ def test_cli_gradcheck_rejects_crime_guard_config(tmp_path):
     assert main(["gradcheck", "--config", str(cfg_path),
                  "--out", str(tmp_path / "gc"), "--directions", "1"]) == 1
     assert not (tmp_path / "gc").exists()
+
+
+def test_cli_gradcheck_has_no_threads_option(tmp_path, capsys):
+    # gradcheck runs one job, so it takes no worker count
+    with pytest.raises(SystemExit) as exit_:
+        main(["gradcheck", "--out", str(tmp_path / "gc"), "--threads", "2"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "gc").exists()
+
+
+@pytest.mark.parametrize("command", [["forward"], ["recon-direct"], ["recon-lsq"],
+                                     ["experiment", "--which", "I"]])
+def test_cli_threads_option_is_on_the_job_commands(command):
+    args = build_parser().parse_args(command + ["--out", "o", "--threads", "2"])
+    assert args.threads == 2
 
 
 def test_cli_transfer_roundtrip(tmp_path):

@@ -8,10 +8,10 @@ from tppat.direct import DatumSet
 from tppat.errors import ValidationError
 from tppat.experiments import prepare_data, reconstruct
 from tppat.forward import BoundarySource, ForwardOperator, NewtonConfig, solve_semilinear
+from tppat.gradcheck import _fd_directional_derivative as fd_directional_derivative
 from tppat.gradcheck import gradient_check
 from tppat.lsq import Evaluator, LsqConfig, auto_kappa, gauss_newton_metric, run_lsq
 from tppat.mesh import build_square_mesh
-from tppat.metrics import fd_directional_derivative
 
 from test_forward import jittered_mesh
 

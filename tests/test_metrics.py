@@ -6,11 +6,11 @@ from tppat.config import default_config
 from tppat.errors import ValidationError
 from tppat.fem import CoefficientSet
 from tppat.forward import BoundarySource, ForwardOperator, solve_semilinear
+from tppat.gradcheck import _fd_directional_derivative as fd_directional_derivative
 from tppat.mesh import Mesh, build_square_mesh
-from tppat.metrics import (check_comparison, check_max_principle,
-                           check_positivity, fd_directional_derivative,
-                           relative_l2_error)
+from tppat.metrics import relative_l2_error
 
+from properties import check_comparison, check_max_principle, check_positivity
 from test_forward import jittered_mesh
 
 
@@ -84,7 +84,7 @@ def test_max_principle_fails_on_synthetic_violation():
     mesh, _, g, u = forward_state()
     bad = u.copy()
     victim = int(mesh.interior_list[0])
-    bad[victim] = g.max_value + 1.0
+    bad[victim] = float(g.values.max()) + 1.0
     report = check_max_principle(bad, g)
     assert not report.passed
     assert report.node == victim
@@ -174,21 +174,6 @@ def test_fd_step_halving_then_roundoff_plateau():
 def test_fd_rejects_nonpositive_step():
     with pytest.raises(ValidationError):
         fd_directional_derivative(lambda x: 0.0, np.zeros(2), np.ones(2), 0.0)
-
-
-def test_property_reports_csv(tmp_path):
-    from tppat.metrics import save_property_reports
-    _, _, g, u = forward_state()
-    reports = {
-        "maximum": check_max_principle(u, g),
-        "positivity": check_positivity(u, epsilon=g.min_value),
-    }
-    path = tmp_path / "reports.csv"
-    save_property_reports(path, reports)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "check,passed,applicable,value,node"
-    assert len(lines) == 3
-    assert lines[1].startswith("maximum,1,1,")
 
 
 @settings(max_examples=20, deadline=None)

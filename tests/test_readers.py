@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tppat.cli import main
 from tppat.errors import MeshFormatError
 from tppat.fem import load_field, save_field
 from tppat.mesh import Mesh, build_square_mesh, load_mesh, save_mesh
@@ -24,14 +25,9 @@ MESH4 = build_square_mesh(1)
 
 
 def outcome(reader, path, *args):
-    """What reader returns for path, or the MeshFormatError it raises.
-
-    Both mesh readers accept non-finite node coordinates; the area checks
-    then warn on their arithmetic, which the test settings turn into errors.
-    """
+    """What reader returns for path, or the MeshFormatError it raises."""
     try:
-        with np.errstate(all="ignore"):
-            return reader(path, *args)
+        return reader(path, *args)
     except MeshFormatError as exc:
         return exc
 
@@ -235,6 +231,10 @@ MESH4_TEXT = ("nodes 4\n-1 -1\n1 -1\n-1 1\n1 1\n"
     ("3 2\n2 0\n", "3 2\n2 0\n0 3\n", 14, "trailing content '0 3'"),
     ("3 2\n2 0\n", "3 2\n", 13, "unexpected end of file, expected 'i j'"),
     ("0 1\n1 3", "0 1 1\n3", 10, "expected 'i j', got '0 1 1'"),
+    ("nodes 4\n-1 -1", "nodes 4\n-1 -inf", 2, "node 0 has a non-finite coordinate"),
+    ("-1 1\n1 1", "-1 1\nnan 1", 5, "node 3 has a non-finite coordinate"),
+    ("-1 1\n1 1\ntriangles 2\n0 1 3", "-1 1\nnan 1\ntriangles 2\n0 1 x", 5,
+     "node 3 has a non-finite coordinate"),
     ("nodes 4", "nodes 4.0", 1, "expected 'nodes <count>', got 'nodes 4.0'"),
     ("triangles 2", "triangles -2", 6, "expected 'triangles <count>', got 'triangles -2'"),
     ("triangles 2", "triangle 2", 6, "expected 'triangles <count>', got 'triangle 2'"),
@@ -258,6 +258,34 @@ def test_a_count_far_beyond_the_rows_fails_at_the_first_line_that_is_no_row(tmp_
     path.write_text(MESH4_TEXT.replace("nodes 4", f"nodes {10**12}", 1))
     with pytest.raises(MeshFormatError, match="^line 6: expected 'x y'"):
         load_mesh(path)
+
+
+@pytest.mark.parametrize("old, new, line", [
+    (b"-1 1\n", b"-1 \xe91\n", 4),
+    (b"nodes 4\n", b"\xffnodes 4\n", 1),
+    (b"0 1\n", b"0 1\r\n\r\n\x80\n", 12),
+])
+def test_a_non_ascii_byte_in_a_mesh_file_fails_at_its_line(tmp_path, old, new, line):
+    path = tmp_path / "mesh.txt"
+    path.write_bytes(MESH4_TEXT.encode("ascii").replace(old, new, 1))
+    with pytest.raises(MeshFormatError, match=f"^line {line}: non-ASCII byte 0x") as err:
+        load_mesh(path)
+    assert err.value.line == line
+
+
+def test_a_non_ascii_byte_in_a_field_file_fails_at_its_line(tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_bytes(b"node,value\r\n0,1\r\n\n1,2\xe9\n")
+    with pytest.raises(MeshFormatError, match="^line 4: non-ASCII byte 0xe9$"):
+        load_field(path)
+
+
+def test_cli_transfer_reports_a_non_ascii_mesh_as_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "mesh.txt"
+    path.write_bytes(MESH4_TEXT.encode("ascii").replace(b"-1 1\n", b"-1 \xe91\n", 1))
+    assert main(["transfer", "--source-mesh", str(path), "--target-mesh", str(path),
+                 "--field", str(tmp_path / "f.csv"), "--out", str(tmp_path / "g.csv")]) == 1
+    assert "error: line 4: non-ASCII byte 0xe9" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, mesh, line, message", [

@@ -6,9 +6,9 @@ from tppat.fem import CoefficientSet, assemble_weighted_mass
 from tppat.forward import (BoundarySource, ForwardOperator, NewtonConfig,
                            compute_datum, solve_semilinear)
 from tppat.mesh import build_square_mesh
-from tppat.sensitivity import (CoefficientPerturbation, boundary_traces,
-                               datum_derivative, perturbed_coefficients,
-                               solve_sensitivity)
+
+from sensitivity import (CoefficientPerturbation, boundary_traces, datum_derivative,
+                         perturbed_coefficients, solve_sensitivity)
 
 TIGHT = NewtonConfig(residual_tol=1e-13, linear_tol=1e-13)
 
