@@ -20,12 +20,15 @@ solves its linear system only to the relative residual
 eta_k = min(FORCING_MAX, max(||F_k||, FORCING_SAFETY * residual_tol / ||F_k||)),
 never below linear_tol. The first term keeps the local convergence
 quadratic, the second stops a step from solving past the nonlinear target.
-The initial linear solve and the linearized (adjoint) solves run to their
-given tolerance.
+The cold start, the linear problem with mu = 0, differs from the answer by
+the whole mu |u| u term, so it too is solved only to FORCING_MAX (never
+below linear_tol). A warm start is taken as given, and the linearized
+(adjoint) solves run to their given tolerance.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -85,9 +88,10 @@ class NewtonConfig:
     """Newton settings for solve_semilinear.
 
     residual_tol bounds the interior residual norm at convergence; damping is
-    the backtracking factor. linear_tol is the floor of every Newton step's
-    forcing term and the relative tolerance of the initial linear solve and
-    of the adjoint solves of the least-squares gradient.
+    the backtracking factor. linear_tol is the floor of the forcing term of
+    every Newton step and of the cold start, and the relative tolerance of
+    the adjoint solves of the least-squares gradient. Both tolerances must
+    be finite and positive, and max_iterations an integer >= 1.
     """
 
     residual_tol: float = 1e-10
@@ -96,10 +100,14 @@ class NewtonConfig:
     linear_tol: float = fem.DEFAULT_TOL
 
     def __post_init__(self):
-        if self.residual_tol <= 0.0:
-            raise ValidationError("residual_tol must be positive")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
+        for name in ("residual_tol", "linear_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+        if (not isinstance(self.max_iterations, (int, np.integer))
+                or isinstance(self.max_iterations, bool) or self.max_iterations < 1):
+            raise ValidationError(
+                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
         if not 0.0 < self.damping < 1.0:
             raise ValidationError("damping factor must lie in (0, 1)")
 
@@ -242,8 +250,9 @@ def solve_semilinear(op: ForwardOperator, sigma, mu, g: BoundarySource,
     increase the residual norm (backtracking with factor cfg.damping). Each
     step's linear solve runs only to the relative residual eta_k of the
     module docstring, never below cfg.linear_tol. The initial iterate is the
-    solution of the linear problem with mu = 0 (solved to cfg.linear_tol),
-    unless a warm start u0 is supplied.
+    solution of the linear problem with mu = 0, solved only to the relative
+    residual max(FORCING_MAX, cfg.linear_tol), unless a warm start u0 is
+    supplied.
     """
     cfg = cfg or NewtonConfig()
     mesh = op.mesh
@@ -253,7 +262,7 @@ def solve_semilinear(op: ForwardOperator, sigma, mu, g: BoundarySource,
         raise ValidationError("boundary source does not match the mesh")
 
     if u0 is None:
-        u = op.solve_reaction(sigma, g, tol=cfg.linear_tol)
+        u = op.solve_reaction(sigma, g, tol=max(FORCING_MAX, cfg.linear_tol))
     else:
         u = as_field(mesh, u0)
         u[op.boundary] = g.values

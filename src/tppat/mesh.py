@@ -84,7 +84,16 @@ class Mesh:
         if self.boundary_edges.size and (self.boundary_edges.min() < 0
                                          or self.boundary_edges.max() >= n):
             raise ValidationError("boundary edge node index out of range")
+        finite = np.isfinite(self.nodes).all(axis=1)
+        if not finite.all():
+            raise ValidationError(
+                f"node {int(np.argmin(finite))} has a non-finite coordinate")
         areas = self.signed_areas()
+        finite = np.isfinite(areas)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValidationError(
+                f"triangle {bad} has a non-finite signed area {areas[bad]:g}")
         if np.any(areas <= 0.0):
             bad = int(np.argmin(areas))
             raise ValidationError(
@@ -244,19 +253,23 @@ def _index_problem(columns, node_count, what):
 
 
 def _doubled_areas(x, y, a, b, c):
-    """Twice the signed areas of the triangles (a, b, c) of nodes (x, y)."""
-    return (x[b] - x[a]) * (y[c] - y[a]) - (x[c] - x[a]) * (y[b] - y[a])
+    """Twice the signed areas of the triangles (a, b, c) of nodes (x, y).
+
+    Huge coordinates overflow to an infinite or NaN area without a warning;
+    the callers reject those."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (x[b] - x[a]) * (y[c] - y[a]) - (x[c] - x[a]) * (y[b] - y[a])
 
 
 def load_mesh(path) -> Mesh:
     """Read a mesh file, validating counts and index ranges.
 
     Blank lines are skipped. Clockwise triangles are reoriented to
-    counterclockwise; non-finite coordinates, degenerate triangles and bytes
-    that are not ASCII are rejected. Every error is a
-    MeshFormatError naming its 1-based line: the first offending line, the
-    line past the end of a truncated file, or the boundary_edges header when
-    the mesh as a whole does not conform.
+    counterclockwise; non-finite coordinates, degenerate triangles, triangles
+    whose signed area overflows and bytes that are not ASCII are rejected.
+    Every error is a MeshFormatError naming its 1-based line: the first
+    offending line, the line past the end of a truncated file, or the
+    boundary_edges header when the mesh as a whole does not conform.
     """
     numbers, texts = _read_lines(path)
     pos = 0
@@ -277,8 +290,14 @@ def load_mesh(path) -> Mesh:
     def triangle_problem(columns):
         problem = _index_problem(columns, len(x), "triangle")
         head = [c[:problem[0]] for c in columns] if problem else columns
-        return _first(_doubled_areas(x, y, *head) == 0.0,
-                      lambda k: f"degenerate triangle {[int(c[k]) for c in head]}") or problem
+        areas = _doubled_areas(x, y, *head)
+
+        def message(k):
+            corners = [int(c[k]) for c in head]
+            if areas[k] == 0.0:
+                return f"degenerate triangle {corners}"
+            return f"triangle {corners} has a non-finite signed area"
+        return _first((areas == 0.0) | ~np.isfinite(areas), message) or problem
 
     a, b, c = section("triangles", "i j k", np.int64, triangle_problem)
     boundary_header = pos

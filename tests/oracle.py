@@ -199,10 +199,14 @@ def load_mesh_lines(path) -> Mesh:
                     f"triangle index {i} out of range for {n_nodes} nodes",
                     line=lineno)
         a, b, c = idx
-        area2 = ((nodes[b, 0] - nodes[a, 0]) * (nodes[c, 1] - nodes[a, 1])
-                 - (nodes[c, 0] - nodes[a, 0]) * (nodes[b, 1] - nodes[a, 1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            area2 = ((nodes[b, 0] - nodes[a, 0]) * (nodes[c, 1] - nodes[a, 1])
+                     - (nodes[c, 0] - nodes[a, 0]) * (nodes[b, 1] - nodes[a, 1]))
         if area2 == 0.0:
             raise MeshFormatError(f"degenerate triangle {idx}", line=lineno)
+        if not np.isfinite(area2):
+            raise MeshFormatError(f"triangle {idx} has a non-finite signed area",
+                                  line=lineno)
         if area2 < 0.0:
             a, b, c = a, c, b      # reorient clockwise input
         tris[k] = (a, b, c)

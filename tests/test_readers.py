@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tppat.cli import main
-from tppat.errors import MeshFormatError
+from tppat.errors import MeshFormatError, ValidationError
 from tppat.fem import load_field, save_field
 from tppat.mesh import Mesh, build_square_mesh, load_mesh, save_mesh
 
@@ -250,6 +250,33 @@ def test_mesh_errors_name_their_line(tmp_path, old, new, line, message):
         load_mesh(path)
     assert err.value.line == line
     assert message in str(err.value)
+
+
+def mesh_file(nodes, triangles, boundary_edges):
+    """Mesh file text of the given arrays, which need not make a valid Mesh."""
+    sections = (("nodes", nodes), ("triangles", triangles), ("boundary_edges", boundary_edges))
+    return "".join(f"{keyword} {len(rows)}\n" + "".join(" ".join(map(str, row)) + "\n"
+                                                      for row in rows)
+                   for keyword, rows in sections)
+
+
+# corners at +-1e200 overflow the doubled area to inf; (0, 0), (2e200, 1e200),
+# (1e200, 2e200) give inf - inf = nan
+@pytest.mark.parametrize("arrays, line, area", [
+    ((1e200 * MESH4.nodes, MESH4.triangles, MESH4.boundary_edges), 7, "inf"),
+    (([[0, 0], [2e200, 1e200], [1e200, 2e200]], [[0, 1, 2]], [[0, 1], [1, 2], [2, 0]]),
+     6, "nan"),
+], ids=["inf", "nan"])
+def test_a_triangle_whose_signed_area_overflows_fails_at_its_line(tmp_path, arrays, line, area):
+    path = tmp_path / "mesh.txt"
+    path.write_text(mesh_file(*arrays))
+    corners = [int(k) for k in arrays[1][0]]
+    for reader in (load_mesh, load_mesh_lines):
+        with pytest.raises(MeshFormatError) as err:
+            reader(path)
+        assert str(err.value) == f"line {line}: triangle {corners} has a non-finite signed area"
+    with pytest.raises(ValidationError, match=f"triangle 0 has a non-finite signed area {area}"):
+        Mesh(*arrays)
 
 
 def test_a_count_far_beyond_the_rows_fails_at_the_first_line_that_is_no_row(tmp_path):

@@ -275,10 +275,14 @@ def test_outside_error_names_the_point(far):
 
 
 def test_non_finite_target_point_rejected():
-    src = build_square_mesh(3)
+    # a mesh cannot hold such a node, so the locator is given the points directly
     dst = build_square_mesh(2)
     nodes = dst.nodes.copy()
     nodes[4] = np.nan
-    bad = Mesh(nodes=nodes, triangles=dst.triangles, boundary_edges=dst.boundary_edges)
-    with pytest.raises(ValidationError, match="finite"):
-        transfer_field(src, bad, np.ones(src.node_count))
+    with pytest.raises(ValidationError, match="node 4 has a non-finite coordinate"):
+        Mesh(nodes=nodes, triangles=dst.triangles, boundary_edges=dst.boundary_edges)
+    locator = _TriangleLocator(build_square_mesh(3))
+    for bad in (np.nan, np.inf, -np.inf):
+        nodes[4] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            locator.locate(nodes)
