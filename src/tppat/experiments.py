@@ -138,8 +138,12 @@ def prepare_data(cfg: ExperimentConfig, newton: NewtonConfig | None = None,
 def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
     """Run one experiment's reconstruction. Returns {coefficient: field}.
 
-    The least-squares experiments start every fitted field at the midpoint of
-    the bounds. I and II hold sigma at its true value and return it as well.
+    The least-squares experiments start from the direct fit of the same
+    datum, clipped to the bounds: II from experiment I's fit (sigma known),
+    IV from experiment III's pair fit. Nodes the direct fit flags carry its
+    nearest-neighbour fill. With one source the pair fit does not exist, so
+    IV starts sigma at the midpoint of the bounds and mu from the fit with
+    that sigma. I and II hold sigma at its true value and return it as well.
     """
     cfg = bundle.config
     op = bundle.operator
@@ -151,10 +155,19 @@ def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
         return {"sigma": sigma, "mu": mu, "condition_report": report}
     if which in ("II", "IV"):
         mu_only = which == "II"
-        mid = np.full(bundle.mesh.node_count,
-                      0.5 * (cfg.lsq.bound_floor + cfg.lsq.bound_ceiling))
-        sigma0 = bundle.coeffs.single_photon if mu_only else mid
-        sigma, mu, report = lsq.run_lsq(op, Gamma, datum_set, (sigma0, mid),
+        lo, hi = cfg.lsq.bound_floor, cfg.lsq.bound_ceiling
+        if mu_only:
+            sigma_known = bundle.coeffs.single_photon
+        elif datum_set.size == 1:
+            sigma_known = np.full(bundle.mesh.node_count, 0.5 * (lo + hi))
+        else:
+            sigma_known = None
+        sigma0, mu0, _ = direct.recover_pair(op, Gamma, datum_set,
+                                             sigma_known=sigma_known)
+        if sigma_known is None:
+            sigma0 = np.clip(sigma0, lo, hi)
+        sigma, mu, report = lsq.run_lsq(op, Gamma, datum_set,
+                                        (sigma0, np.clip(mu0, lo, hi)),
                                         cfg.lsq, mu_only=mu_only)
         return {"sigma": sigma, "mu": mu, "lsq_report": report}
     raise ValidationError(f"unknown experiment {which!r}; expected one of "

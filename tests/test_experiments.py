@@ -65,6 +65,18 @@ def test_experiment_iv_recovers_both():
     assert all(np.isfinite(v) for v in means.values())
 
 
+@pytest.mark.parametrize("which", ["II", "IV"])
+def test_least_squares_runs_with_one_source(which):
+    # one datum has no pair fit to start from: IV starts sigma at the
+    # midpoint of the bounds and mu from the fit with that sigma
+    cfg = quick_config(n=8, levels=(0.0, 2.0))
+    cfg.sources = cfg.sources[:1]
+    bundle = prepare_data(cfg)
+    for eps in cfg.noise_levels:
+        fields = reconstruct(which, bundle, bundle.datum_set(eps, 3))
+        assert np.all(np.isfinite(fields["sigma"])) and np.all(np.isfinite(fields["mu"]))
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(ValidationError):
         run_experiment("V", quick_config())
