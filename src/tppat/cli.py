@@ -4,11 +4,16 @@ Subcommands::
 
     mesh          build and save a structured mesh of (-1, 1)^2
     forward       solve the forward problems, write clean and noisy data
-    recon-direct  direct reconstruction of (sigma, mu) from synthetic data
-    recon-lsq     least-squares reconstruction of (sigma, mu)
+    recon-direct  experiment III as one job: direct (sigma, mu) reconstruction
+    recon-lsq     experiment IV as one job: least-squares (sigma, mu)
     gradcheck     finite-difference verification of the adjoint gradient
     experiment    run experiment I, II, III or IV and tabulate errors
     transfer      interpolate a nodal field between two meshes
+
+recon-direct and recon-lsq run the one (noise level, seed) job of --noise
+(one level, 0 without it) and the first seed, and write that experiment's
+output tree and manifest. Only experiment runs several jobs, so only it
+takes --threads.
 
 Exit codes: 0 success, 1 validation error, 2 solver failure.
 """
@@ -22,11 +27,9 @@ from pathlib import Path
 from . import __version__, fem, transfer
 from .config import default_config, load_config, parse_number_list, write_config
 from .errors import SolverError, ValidationError
-from .experiments import (prepare_data, reconstruct, run_experiment, run_forward,
-                          write_manifest)
+from .experiments import run_experiment, run_forward, write_manifest
 from .gradcheck import gradient_check
 from .mesh import build_square_mesh, load_mesh, save_mesh
-from .metrics import relative_l2_error
 
 
 def _load_config(args):
@@ -56,53 +59,11 @@ def cmd_mesh(args):
 
 def cmd_forward(args):
     cfg = _load_config(args)
-    bundle = run_forward(cfg, args.out, base_seed=args.seed, threads=args.threads)
+    bundle = run_forward(cfg, args.out)
     n_noisy = len(cfg.noise_levels) * len(bundle.H_clean)
     print(f"forward: wrote {len(bundle.H_clean)} clean and {n_noisy} noisy datum "
           f"files to {args.out}")
     return 0
-
-
-def _recon_common(args, algorithm):
-    cfg = _load_config(args)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    bundle = prepare_data(cfg, threads=args.threads)
-    eps = 0.0
-    if args.noise:
-        if len(cfg.noise_levels) != 1:
-            raise ValidationError(f"recon-{algorithm} takes one --noise level")
-        eps = cfg.noise_levels[0]
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
-    datum_set = bundle.datum_set(eps, seed)
-    mesh = bundle.mesh
-
-    fields = reconstruct("III" if algorithm == "direct" else "IV", bundle, datum_set)
-    sigma, mu = fields["sigma"], fields["mu"]
-    report = "condition_report" if algorithm == "direct" else "lsq_report"
-    fields[report].save(outdir / f"{report}.csv")
-
-    fem.save_field(outdir / "sigma.csv", sigma, clipped_path=outdir / "sigma_clipped.csv")
-    fem.save_field(outdir / "mu.csv", mu, clipped_path=outdir / "mu_clipped.csv")
-    mass = fem.assemble_weighted_mass(mesh, 1.0)
-    err_s = relative_l2_error(sigma, bundle.coeffs.single_photon, mesh, mass=mass)
-    err_m = relative_l2_error(mu, bundle.coeffs.two_photon, mesh, mass=mass)
-    lines = ["coefficient,epsilon,seed,error_percent",
-             f"sigma,{eps:g},{seed},{err_s:.17g}",
-             f"mu,{eps:g},{seed},{err_m:.17g}"]
-    (outdir / "errors.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
-    write_manifest(outdir, cfg, command=f"recon-{algorithm}", base_seed=seed)
-    print(f"recon-{algorithm}: sigma error {err_s:.4f}%, mu error {err_m:.4f}% "
-          f"(epsilon={eps:g}, seed={seed})")
-    return 0
-
-
-def cmd_recon_direct(args):
-    return _recon_common(args, "direct")
-
-
-def cmd_recon_lsq(args):
-    return _recon_common(args, "lsq")
 
 
 def cmd_gradcheck(args):
@@ -118,12 +79,25 @@ def cmd_gradcheck(args):
     return 0
 
 
-def cmd_experiment(args):
+def cmd_recon(args):
+    """recon-direct and recon-lsq: experiment III or IV as one job."""
     cfg = _load_config(args)
-    table = run_experiment(args.which, cfg, output_dir=args.out,
-                           threads=args.threads)
+    if not args.noise:
+        cfg.noise_levels = [0.0]
+    elif len(cfg.noise_levels) != 1:
+        raise ValidationError(f"{args.command} takes one --noise level")
+    cfg.seeds = cfg.seeds[:1]
+    return _experiment(args.which, cfg, args.out)
+
+
+def cmd_experiment(args):
+    return _experiment(args.which, _load_config(args), args.out, args.threads)
+
+
+def _experiment(which, cfg, out, threads=1):
+    table = run_experiment(which, cfg, output_dir=out, threads=threads)
     for (coeff, eps), err in table.mean_errors().items():
-        print(f"experiment {args.which}: {coeff} mean error at epsilon={eps:g}: "
+        print(f"experiment {which}: {coeff} mean error at epsilon={eps:g}: "
               f"{err:.4f}%")
     return 0
 
@@ -157,15 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, threads=True):
+    def common(p):
         p.add_argument("--config", help="configuration file (INI); "
                                         "defaults to the built-in phantom")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="base RNG seed override")
         p.add_argument("--noise", help="comma-separated noise levels override")
-        if threads:
-            p.add_argument("--threads", type=int, default=1,
-                           help="worker threads for independent jobs")
 
     p = sub.add_parser("mesh", help="build a structured mesh of (-1,1)^2")
     p.add_argument("--n", type=int, required=True, help="subdivisions per side")
@@ -176,22 +147,24 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_forward)
 
-    p = sub.add_parser("recon-direct", help="direct (sigma, mu) reconstruction")
+    p = sub.add_parser("recon-direct", help="experiment III as one job")
     common(p)
-    p.set_defaults(func=cmd_recon_direct)
+    p.set_defaults(func=cmd_recon, which="III")
 
-    p = sub.add_parser("recon-lsq", help="least-squares (sigma, mu) reconstruction")
+    p = sub.add_parser("recon-lsq", help="experiment IV as one job")
     common(p)
-    p.set_defaults(func=cmd_recon_lsq)
+    p.set_defaults(func=cmd_recon, which="IV")
 
     p = sub.add_parser("gradcheck", help="adjoint-gradient finite-difference check")
-    common(p, threads=False)
+    common(p)
     p.add_argument("--directions", type=int, default=20)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("experiment", help="run experiment I, II, III or IV")
     p.add_argument("--which", required=True, choices=["I", "II", "III", "IV"])
     common(p)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for independent jobs")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("transfer", help="interpolate a field between meshes")

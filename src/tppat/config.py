@@ -99,10 +99,21 @@ class ExperimentConfig:
         # noise seed material includes round(1000 * level)
         if not all(e >= 0.0 and math.isfinite(1000.0 * e) for e in self.noise_levels):
             raise ValidationError("noise levels must be finite and nonnegative")
+        # two levels must not share an output file tag or a noise stream
+        seen: dict = {}
+        for e in self.noise_levels:
+            for key in (f"the file tag eps{e:g}", f"the noise stream {round(1000.0 * e)}"):
+                if key in seen:
+                    raise ValidationError(f"noise levels {seen[key]!r} and {e!r} "
+                                          f"share {key}")
+                seen[key] = e
         if not self.seeds:
             raise ValidationError("config needs at least one seed")
         if any(s < 0 for s in self.seeds):
             raise ValidationError("seeds must be nonnegative")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ValidationError(f"seeds repeat: {', '.join(map(str, repeated))}")
         return self
 
     def canonical_text(self) -> str:

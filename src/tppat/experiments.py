@@ -266,13 +266,13 @@ def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
     return table
 
 
-def run_forward(cfg: ExperimentConfig, output_dir, base_seed: int | None = None,
-                threads: int = 1) -> DataBundle:
-    """Generate and store synthetic data: clean and noisy datum files."""
+def run_forward(cfg: ExperimentConfig, output_dir) -> DataBundle:
+    """Generate and store synthetic data: clean and noisy datum files for the
+    first seed."""
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    bundle = prepare_data(cfg, threads=threads)
-    seed = cfg.seeds[0] if base_seed is None else int(base_seed)
+    bundle = prepare_data(cfg)
+    seed = cfg.seeds[0]
 
     save_mesh(bundle.mesh, outdir / "mesh.txt")
     if bundle.crime_guard:

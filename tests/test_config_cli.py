@@ -265,9 +265,10 @@ def test_cli_recon_direct(tmp_path):
     assert main(["recon-direct", "--config", str(cfg_path),
                  "--out", str(out)]) == 0
     names = {p.name for p in out.iterdir()}
-    assert {"sigma.csv", "mu.csv", "sigma_clipped.csv", "mu_clipped.csv",
-            "condition_report.csv", "errors.csv", "manifest.txt"} <= names
-    header = (out / "condition_report.csv").read_text().splitlines()[0]
+    assert {"recon_sigma_eps0.csv", "recon_mu_eps0.csv", "recon_sigma_eps0_clipped.csv",
+            "recon_mu_eps0_clipped.csv", "condition_eps0.csv", "errors.csv",
+            "manifest.txt"} <= names
+    header = (out / "condition_eps0.csv").read_text().splitlines()[0]
     assert header == "node,condition,flag"
 
 
@@ -317,7 +318,31 @@ def test_cli_recon_lsq(tmp_path):
     out = tmp_path / "rl"
     assert main(["recon-lsq", "--config", str(cfg_path), "--out", str(out)]) == 0
     names = {p.name for p in out.iterdir()}
-    assert {"sigma.csv", "mu.csv", "lsq_report.csv", "errors.csv"} <= names
+    assert {"recon_sigma_eps0.csv", "recon_mu_eps0.csv", "lsq_report_eps0.csv",
+            "errors.csv"} <= names
+
+
+@pytest.mark.parametrize("recon, experiment", [
+    pytest.param(["recon-direct", "--noise", "2", "--seed", "5"],
+                 ["experiment", "--which", "III", "--noise", "2", "--seed", "5"],
+                 id="direct"),
+    pytest.param(["recon-lsq", "--seed", "5"],
+                 ["experiment", "--which", "IV", "--noise", "0", "--seed", "5"],
+                 id="lsq"),
+    pytest.param(["recon-direct", "--noise", "2"],
+                 ["experiment", "--which", "III", "--noise", "2", "--seed", "3"],
+                 id="first-config-seed"),
+])
+def test_cli_recon_is_one_job_of_the_experiment(recon, experiment, tmp_path):
+    # the config sweeps two levels and two seeds; the recon command runs one job
+    cfg_path = small_config(tmp_path, n=6, levels="0, 2", seeds="3, 4")
+    trees = []
+    for tag, argv in (("recon", recon), ("experiment", experiment)):
+        out = tmp_path / tag
+        assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 0
+        trees.append(read_tree(out))
+    assert trees[0] == trees[1]
+    assert len(trees[0]["errors.csv"].splitlines()) == 3     # header, sigma, mu
 
 
 def test_cli_experiment_runs_and_tabulates(tmp_path):
@@ -361,20 +386,20 @@ def test_cli_gradcheck_rejects_crime_guard_config(tmp_path):
     assert not (tmp_path / "gc").exists()
 
 
-def test_cli_gradcheck_has_no_threads_option(tmp_path, capsys):
-    # gradcheck runs one job, so it takes no worker count
+@pytest.mark.parametrize("command", [["forward"], ["recon-direct"], ["recon-lsq"],
+                                     ["experiment", "--which", "I"], ["gradcheck"]])
+def test_cli_threads_option_is_on_the_job_commands(command, tmp_path, capsys):
+    # only experiment runs several jobs, so only it takes a worker count
+    out = tmp_path / "o"
+    argv = command + ["--out", str(out), "--threads", "2"]
+    if command[0] == "experiment":
+        assert build_parser().parse_args(argv).threads == 2
+        return
     with pytest.raises(SystemExit) as exit_:
-        main(["gradcheck", "--out", str(tmp_path / "gc"), "--threads", "2"])
+        main(argv)
     assert exit_.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
-    assert not (tmp_path / "gc").exists()
-
-
-@pytest.mark.parametrize("command", [["forward"], ["recon-direct"], ["recon-lsq"],
-                                     ["experiment", "--which", "I"]])
-def test_cli_threads_option_is_on_the_job_commands(command):
-    args = build_parser().parse_args(command + ["--out", "o", "--threads", "2"])
-    assert args.threads == 2
+    assert not out.exists()
 
 
 def test_cli_transfer_roundtrip(tmp_path):
@@ -438,7 +463,33 @@ def test_cli_noise_and_seed_overrides(tmp_path):
     ["experiment", "--which", "III", "--noise", "abc"],
     ["experiment", "--which", "III", "--seed", "-1"],
     ["recon-direct", "--noise", "0,2"],
+    ["experiment", "--which", "III", "--noise", "1.0000001,1.0000002,2,2"],
+    ["forward", "--noise", "0.0001,0.0002"],
+    ["recon-lsq", "--noise", "1,2"],
 ])
 def test_cli_bad_noise_or_seed_exits_1(tmp_path, argv):
     cfg_path = small_config(tmp_path, n=4)
-    assert main(argv + ["--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+    out = tmp_path / "x"
+    assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("levels, seeds, message", [
+    pytest.param([1.0000001, 1.0000002], [5],
+                 r"noise levels 1\.0000001 and 1\.0000002 share the file tag eps1$",
+                 id="file-tag"),
+    pytest.param([0.0, 2.0, 2.0], [5],
+                 r"noise levels 2\.0 and 2\.0 share the file tag eps2$", id="repeated-level"),
+    pytest.param([0.0001, 0.0002], [5],
+                 r"noise levels 0\.0001 and 0\.0002 share the noise stream 0$",
+                 id="noise-stream"),
+    pytest.param([0.0, 2.0], [5, 6, 5, 7, 6], r"seeds repeat: 5, 6$", id="seeds"),
+])
+def test_config_rejects_colliding_noise_levels_and_repeated_seeds(levels, seeds, message):
+    # colliding levels would overwrite each other's files and share noise draws;
+    # repeated seeds would duplicate error rows
+    cfg = default_config()
+    cfg.noise_levels = levels
+    cfg.seeds = seeds
+    with pytest.raises(ValidationError, match=message):
+        cfg.validate()

@@ -125,7 +125,8 @@ def test_noise_stream_seeds_distinct():
 
 def test_run_forward_reports_converged_solves(tmp_path):
     cfg = quick_config(levels=(0.0, 1.0))
-    bundle = run_forward(cfg, tmp_path, base_seed=11)
+    cfg.seeds = [11]
+    bundle = run_forward(cfg, tmp_path)
     assert all(r.converged for r in bundle.reports)
     lines = (tmp_path / "forward_report.csv").read_text().splitlines()
     assert lines[0] == "source,iterations,converged,final_residual"
