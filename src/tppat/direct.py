@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .fem import DEFAULT_TOL, as_field, positive_field, write_columns
+from .fem import as_field, positive_field, write_columns
 from .forward import BoundarySource, ForwardOperator
 from .mesh import Mesh
 
@@ -84,8 +84,7 @@ class ConditionReport:
                       np.asarray(self.flagged, dtype=np.int64).tolist())
 
 
-def recover_field(op: ForwardOperator, Gamma, H, g: BoundarySource,
-                  tol: float = DEFAULT_TOL) -> np.ndarray:
+def recover_field(op: ForwardOperator, Gamma, H, g: BoundarySource) -> np.ndarray:
     """Photon density u* from one datum: -div(gamma grad u*) = -H/Gamma, u* = g.
 
     gamma is the diffusion of op; Gamma must be finite and positive.
@@ -93,15 +92,13 @@ def recover_field(op: ForwardOperator, Gamma, H, g: BoundarySource,
     Gamma = positive_field(op.mesh, Gamma, "gruneisen")
     H = as_field(op.mesh, H)
     return op.solve_reaction(np.zeros(op.mesh.node_count), g,
-                             load_nodal=-H / Gamma, tol=tol)
+                             load_nodal=-H / Gamma)
 
 
-def recover_all_fields(op: ForwardOperator, Gamma, data: DatumSet,
-                       tol: float = DEFAULT_TOL) -> list:
+def recover_all_fields(op: ForwardOperator, Gamma, data: DatumSet) -> list:
     """One linear solve per datum (recover_field), all with the operator op."""
     data.validate(op.mesh)
-    return [recover_field(op, Gamma, H, g, tol=tol)
-            for g, H in zip(data.sources, data.data)]
+    return [recover_field(op, Gamma, H, g) for g, H in zip(data.sources, data.data)]
 
 
 def fit_pair_pointwise(mesh: Mesh, u_stars: list, ratios: list,
@@ -170,8 +167,7 @@ def fit_pair_pointwise(mesh: Mesh, u_stars: list, ratios: list,
 
 
 def recover_pair(op: ForwardOperator, Gamma, data: DatumSet,
-                 spread_threshold: float = SPREAD_THRESHOLD,
-                 tol: float = DEFAULT_TOL, sigma_known=None):
+                 spread_threshold: float = SPREAD_THRESHOLD, sigma_known=None):
     """(sigma, mu), or mu with sigma_known, by pointwise least squares.
 
     Returns (sigma, mu, ConditionReport). Requires strictly positive
@@ -182,7 +178,7 @@ def recover_pair(op: ForwardOperator, Gamma, data: DatumSet,
     for g in data.sources:
         g.require_strictly_positive()
     Gamma = as_field(op.mesh, Gamma)
-    stars = recover_all_fields(op, Gamma, data, tol=tol)
+    stars = recover_all_fields(op, Gamma, data)
     ratios = [H / (Gamma * u) for H, u in zip(data.data, stars)]
     return fit_pair_pointwise(op.mesh, stars, ratios, spread_threshold,
                               sigma_known=sigma_known)

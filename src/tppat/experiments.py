@@ -60,9 +60,7 @@ class DataBundle:
     mesh: Mesh                      # reconstruction mesh
     data_mesh: Mesh                 # equals mesh unless the crime guard is on
     coeffs: "fem.CoefficientSet"    # truth on the reconstruction mesh
-    data_coeffs: "fem.CoefficientSet"
     sources: list                   # BoundarySource on the reconstruction mesh
-    data_sources: list
     u_clean: list                   # forward solutions on the data mesh
     H_clean: list                   # clean data on the data mesh
     reports: list
@@ -129,10 +127,8 @@ def prepare_data(cfg: ExperimentConfig, newton: NewtonConfig | None = None,
     # built here, before any job thread can reach datum_set
     locator = transfer.make_locator(data_mesh, mesh) if data_mesh is not mesh else None
     return DataBundle(config=cfg, mesh=mesh, data_mesh=data_mesh, coeffs=coeffs,
-                      data_coeffs=data_coeffs, sources=sources,
-                      data_sources=data_sources, u_clean=u_clean,
-                      H_clean=H_clean, reports=reports, operator=operator,
-                      locator=locator)
+                      sources=sources, u_clean=u_clean, H_clean=H_clean,
+                      reports=reports, operator=operator, locator=locator)
 
 
 def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
@@ -212,10 +208,17 @@ class ExperimentTable:
 
 def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
                    threads: int = 1, bundle: DataBundle | None = None) -> ExperimentTable:
-    """Run one experiment across noise levels and seeds; optionally write files."""
+    """Run one experiment across noise levels and seeds; optionally write files.
+
+    bundle, when given, must be prepare_data's bundle of this cfg.
+    """
     if which not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {which!r}; expected one of "
                               f"{', '.join(EXPERIMENTS)}")
+    if not cfg.noise_levels:
+        raise ValidationError("an experiment needs at least one noise level")
+    if bundle is not None and bundle.config is not cfg:
+        raise ValidationError("the bundle was prepared from another config")
     bundle = bundle or prepare_data(cfg, threads=threads)
     truth = {"sigma": bundle.coeffs.single_photon, "mu": bundle.coeffs.two_photon}
     table = ExperimentTable(experiment=which)
@@ -225,10 +228,6 @@ def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
         seeds = [cfg.seeds[0]] if eps == 0.0 else cfg.seeds
         for seed in seeds:
             jobs.append((eps, seed))
-
-    # for the error table; assembled before any job result is held, because
-    # its assembly temporaries set the sweep's peak memory at large n
-    mass = fem.assemble_weighted_mass(bundle.mesh, np.ones(bundle.mesh.node_count))
 
     def run_job(job):
         eps, seed = job
@@ -245,7 +244,7 @@ def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
     for (eps, seed), fields in zip(jobs, outcomes):
         for coeff in COEFFS_RECOVERED[which]:
             table.add(coeff, eps, seed, relative_l2_error(
-                fields[coeff], truth[coeff], bundle.mesh, mass=mass))
+                fields[coeff], truth[coeff], bundle.mesh))
         if seed == cfg.seeds[0]:
             keep_fields[eps] = fields
 

@@ -1,16 +1,16 @@
 """P1 finite-element assembly and sparse linear solves.
 
 Coefficients live as nodal fields (piecewise-linear interpolants). Stiffness
-and mass integrals of products of linears are evaluated exactly. The linear
-solver is preconditioned conjugate gradients (solve_linear), which is
-deterministic and keeps the Dirichlet-eliminated SPD structure assumptions
-explicit; its default preconditioner is Jacobi. grid_sine_basis gives the
-sine transform that diagonalizes the constant-coefficient operator on the
-build_square_mesh grid (Concus & Golub 1973). forward.ForwardOperator, which
-holds the Dirichlet operator of one diffusion field, preconditions its grid
-solves with it, so they need about ten iterations at any mesh size; it
-applies the transform in float32, while solve_linear keeps its iterates,
-residuals and stop test in float64.
+integrals and the lumped mass are evaluated exactly, from the triangle areas
+the mesh keeps. The linear solver is preconditioned conjugate gradients
+(solve_linear), which is deterministic and keeps the Dirichlet-eliminated SPD
+structure assumptions explicit; its default preconditioner is Jacobi.
+grid_sine_basis gives the sine transform that diagonalizes the
+constant-coefficient operator on the build_square_mesh grid (Concus & Golub
+1973). forward.ForwardOperator, which holds the Dirichlet operator of one
+diffusion field, preconditions its grid solves with it, so they need about
+ten iterations at any mesh size; it applies the transform in float32, while
+solve_linear keeps its iterates, residuals and stop test in float64.
 
 Nodal fields serialize as CSV with header ``node,value``, one row per node in
 mesh order; load_field reads them with the row parser of mesh.load_mesh.
@@ -77,14 +77,11 @@ def positive_field(mesh: Mesh, values, name: str) -> np.ndarray:
     return values
 
 
-def _triangle_geometry(mesh: Mesh):
-    """Per-triangle areas and P1 gradient vectors, vectorized over triangles."""
+def _p1_gradients(mesh: Mesh) -> np.ndarray:
+    """(T, 3, 2) gradients of each triangle's three P1 basis functions."""
     p = mesh.nodes
     t = mesh.triangles
     a, b, c = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
-    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) \
-        - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
-    area = 0.5 * det
     # grad phi_i = perp(edge opposite i) / (2 area)
     grads = np.empty((len(t), 3, 2))
     grads[:, 0, 0] = b[:, 1] - c[:, 1]
@@ -93,8 +90,8 @@ def _triangle_geometry(mesh: Mesh):
     grads[:, 1, 1] = a[:, 0] - c[:, 0]
     grads[:, 2, 0] = a[:, 1] - b[:, 1]
     grads[:, 2, 1] = b[:, 0] - a[:, 0]
-    grads /= det[:, None, None]
-    return area, grads
+    grads /= (2.0 * mesh.areas)[:, None, None]
+    return grads
 
 
 def assemble_stiffness(mesh: Mesh, gamma) -> sp.csr_matrix:
@@ -105,42 +102,18 @@ def assemble_stiffness(mesh: Mesh, gamma) -> sp.csr_matrix:
     K is symmetric positive semidefinite with constants in its kernel.
     """
     gamma = as_field(mesh, gamma)
-    area, grads = _triangle_geometry(mesh)
+    grads = _p1_gradients(mesh)
     gbar = gamma[mesh.triangles].mean(axis=1)
     gx, gy = grads[:, :, 0], grads[:, :, 1]
     local = gx[:, :, None] * gx[:, None, :]
     local += gy[:, :, None] * gy[:, None, :]
-    local *= (gbar * area)[:, None, None]
-    return _scatter(mesh, local)
-
-
-def assemble_weighted_mass(mesh: Mesh, weight) -> sp.csr_matrix:
-    """Consistent mass matrix M[i,j] = ∫ w phi_i phi_j with w piecewise linear.
-
-    Exact closed form for products of three linears on a triangle:
-    diagonal (6 w_i + 2 w_j + 2 w_k)|T|/60, off-diagonal (2 w_i + 2 w_j + w_k)|T|/60.
-    """
-    weight = as_field(mesh, weight)
-    if not np.all(np.isfinite(weight)):
-        raise ValidationError("mass weight has non-finite values")
-    area, _ = _triangle_geometry(mesh)
-    w = weight[mesh.triangles]          # (T, 3)
-    local = np.empty((len(area), 3, 3))
-    for i in range(3):
-        for j in range(3):
-            k = 3 - i - j if i != j else (i + 1) % 3
-            if i == j:
-                coeff = 6.0 * w[:, i] + 2.0 * w[:, (i + 1) % 3] + 2.0 * w[:, (i + 2) % 3]
-            else:
-                coeff = 2.0 * w[:, i] + 2.0 * w[:, j] + w[:, k]
-            local[:, i, j] = coeff * area / 60.0
+    local *= (gbar * mesh.areas)[:, None, None]
     return _scatter(mesh, local)
 
 
 def lumped_mass(mesh: Mesh) -> np.ndarray:
     """Row-sum lumped unweighted mass: m_i = ∫ phi_i = sum of |T|/3 over incident T."""
-    area, _ = _triangle_geometry(mesh)
-    return np.bincount(mesh.triangles.ravel(), weights=np.repeat(area / 3.0, 3),
+    return np.bincount(mesh.triangles.ravel(), weights=np.repeat(mesh.areas / 3.0, 3),
                        minlength=mesh.node_count)
 
 

@@ -70,10 +70,10 @@ class BoundarySource:
     def min_value(self) -> float:
         return float(self.values.min())
 
-    def require_strictly_positive(self, epsilon: float = 0.0):
-        if self.min_value <= epsilon:
+    def require_strictly_positive(self):
+        if self.min_value <= 0.0:
             raise ValidationError(
-                f"boundary source must satisfy g > {epsilon:g} everywhere "
+                "boundary source must satisfy g > 0 everywhere "
                 f"(min is {self.min_value:g})")
         return self
 

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .direct import DatumSet
 from .errors import ValidationError
 from .experiments import prepare_data
 from .forward import NewtonConfig
 from .lsq import Evaluator, auto_kappa
+
+# finite-difference step, relative to the largest coefficient value
+STEP_SCALE = 1e-6
 
 
 def _fd_directional_derivative(functional, point, direction, step: float) -> float:
@@ -53,14 +55,14 @@ class GradCheckResult:
             fh.write("\n".join(lines) + "\n")
 
 
-def gradient_check(cfg: ExperimentConfig, directions: int = 20, seed: int = 7,
-                   step_scale: float = 1e-6,
-                   kappa: float | str = "auto") -> GradCheckResult:
+def gradient_check(cfg: ExperimentConfig, directions: int = 20,
+                   seed: int = 7) -> GradCheckResult:
     """Compare the adjoint gradient of Phi with central differences.
 
     The trial point is a random within-bounds perturbation of the true
     coefficients, so the misfit (and its gradient) is genuinely nonzero.
-    The FD step is step_scale times the coefficient field scale.
+    The data are the clean data, the weight is auto_kappa's, and the FD
+    step is STEP_SCALE times the coefficient field scale.
     """
     if cfg.data_mesh_n not in (None, cfg.mesh_n):
         raise ValidationError("gradient check expects data and reconstruction "
@@ -69,9 +71,8 @@ def gradient_check(cfg: ExperimentConfig, directions: int = 20, seed: int = 7,
     newton = NewtonConfig(residual_tol=1e-12, linear_tol=1e-12)
     bundle = prepare_data(cfg, newton=newton)
     mesh = bundle.mesh
-    data = DatumSet(sources=list(bundle.sources),
-                    data=[H.copy() for H in bundle.H_clean])
-    kap = auto_kappa(mesh, data) if kappa == "auto" else float(kappa)
+    data = bundle.datum_set(0.0, seed)
+    kap = auto_kappa(mesh, data)
 
     rng = np.random.default_rng(seed)
     n = mesh.node_count
@@ -79,7 +80,7 @@ def gradient_check(cfg: ExperimentConfig, directions: int = 20, seed: int = 7,
     mu = bundle.coeffs.two_photon * (1.0 + 0.3 * rng.uniform(-1, 1, n))
     x0 = np.concatenate([sigma, mu])
     scale = float(np.max(np.abs(x0)))
-    step = step_scale * scale
+    step = STEP_SCALE * scale
 
     def phi(x):
         ev = Evaluator(bundle.operator, bundle.coeffs.gruneisen, data, kap, newton)

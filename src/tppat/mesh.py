@@ -44,6 +44,8 @@ class Mesh:
     boundary_list : read-only int array of the boundary nodes, increasing
         (the stable ordering for I/O and boundary data).
     interior_list : read-only int array of the other nodes, increasing.
+    areas : read-only (T,) float array of the triangle areas, each positive
+        (the signed areas of the counterclockwise triangles).
     """
 
     nodes: np.ndarray
@@ -52,6 +54,7 @@ class Mesh:
     boundary_nodes: frozenset = field(init=False)
     boundary_list: np.ndarray = field(init=False, repr=False)
     interior_list: np.ndarray = field(init=False, repr=False)
+    areas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
@@ -74,7 +77,7 @@ class Mesh:
         object.__setattr__(self, "boundary_list", boundary)
         object.__setattr__(self, "interior_list", np.nonzero(interior)[0])
         for arr in (self.nodes, self.triangles, self.boundary_edges,
-                    self.boundary_list, self.interior_list):
+                    self.boundary_list, self.interior_list, self.areas):
             arr.setflags(write=False)
 
     def _validate(self):
@@ -88,7 +91,8 @@ class Mesh:
         if not finite.all():
             raise ValidationError(
                 f"node {int(np.argmin(finite))} has a non-finite coordinate")
-        areas = self.signed_areas()
+        areas = 0.5 * _doubled_areas(*self.nodes.T, *self.triangles.T)
+        object.__setattr__(self, "areas", areas)
         finite = np.isfinite(areas)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -118,9 +122,6 @@ class Mesh:
     @property
     def triangle_count(self):
         return len(self.triangles)
-
-    def signed_areas(self):
-        return 0.5 * _doubled_areas(*self.nodes.T, *self.triangles.T)
 
 
 def _edge_keys(pairs: np.ndarray, node_count: int) -> np.ndarray:

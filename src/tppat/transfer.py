@@ -38,8 +38,7 @@ class _TriangleLocator:
         self.a = p[t[:, 0]]
         self.b = p[t[:, 1]]
         self.c = p[t[:, 2]]
-        self.det = (self.b[:, 0] - self.a[:, 0]) * (self.c[:, 1] - self.a[:, 1]) \
-            - (self.c[:, 0] - self.a[:, 0]) * (self.b[:, 1] - self.a[:, 1])
+        self.det = 2.0 * mesh.areas
 
         self.lo = p.min(axis=0)
         self.span = np.maximum(p.max(axis=0) - self.lo, 1e-300)

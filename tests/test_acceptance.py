@@ -77,7 +77,7 @@ def test_criterion_3_gradient_correctness():
     start = time.monotonic()
     cfg = default_config()
     cfg.mesh_n = 16
-    result = gradient_check(cfg, directions=20, seed=7, step_scale=1e-6)
+    result = gradient_check(cfg, directions=20, seed=7)
     elapsed = time.monotonic() - start
     report(3, result.max_relative_error <= 1e-4 and elapsed < 120.0,
            f"adjoint vs central FD, 20 directions on n=16: max relative error "

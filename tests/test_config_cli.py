@@ -272,21 +272,6 @@ def test_cli_recon_direct(tmp_path):
     assert header == "node,condition,flag"
 
 
-def test_cli_recon_assembles_one_mass_matrix(tmp_path, monkeypatch):
-    assemble = fem.assemble_weighted_mass
-    meshes = []
-
-    def counting(mesh, weight):
-        meshes.append(mesh)
-        return assemble(mesh, weight)
-
-    monkeypatch.setattr(fem, "assemble_weighted_mass", counting)
-    cfg_path = small_config(tmp_path, n=6)
-    assert main(["recon-direct", "--config", str(cfg_path),
-                 "--out", str(tmp_path / "rd")]) == 0
-    assert len(meshes) == 1 and meshes[0].node_count == 49
-
-
 @pytest.mark.parametrize("argv", [
     pytest.param(["experiment", "--which", "III"], id="experiment-III"),
     pytest.param(["recon-direct", "--noise", "40"], id="recon-direct"),
@@ -466,12 +451,29 @@ def test_cli_noise_and_seed_overrides(tmp_path):
     ["experiment", "--which", "III", "--noise", "1.0000001,1.0000002,2,2"],
     ["forward", "--noise", "0.0001,0.0002"],
     ["recon-lsq", "--noise", "1,2"],
+    ["experiment", "--which", "III", "--noise", ","],
 ])
 def test_cli_bad_noise_or_seed_exits_1(tmp_path, argv):
     cfg_path = small_config(tmp_path, n=4)
     out = tmp_path / "x"
     assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_cli_experiment_needs_a_noise_level_and_forward_does_not(tmp_path):
+    # an empty levels entry: the sweep has no job, so it is an error before
+    # any setup solve; forward writes the clean data alone
+    cfg_path = small_config(tmp_path, n=4)
+    text = cfg_path.read_text()
+    cfg_path.write_text(text.replace("levels = 0, 2\n", "levels =\n"))
+    assert load_config(cfg_path).noise_levels == []
+    out = tmp_path / "x"
+    assert main(["experiment", "--which", "I", "--config", str(cfg_path),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert main(["forward", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert not any("_eps" in p.name for p in out.iterdir())
+    assert (out / "H1.csv").exists()
 
 
 @pytest.mark.parametrize("levels, seeds, message", [

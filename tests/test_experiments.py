@@ -9,7 +9,7 @@ import pytest
 import weakref
 
 import tppat
-from tppat import direct, fem, forward, transfer
+from tppat import direct, experiments, fem, forward, transfer
 from tppat.config import default_config
 from tppat.errors import ValidationError
 from tppat.experiments import (noise_stream_seed, prepare_data, reconstruct,
@@ -80,6 +80,28 @@ def test_least_squares_runs_with_one_source(which):
 def test_unknown_experiment_rejected():
     with pytest.raises(ValidationError):
         run_experiment("V", quick_config())
+
+
+def test_sweep_without_noise_levels_rejected_before_setup(monkeypatch, tmp_path):
+    def no_setup(*args, **kwargs):
+        raise AssertionError("prepare_data ran")
+
+    monkeypatch.setattr(experiments, "prepare_data", no_setup)
+    with pytest.raises(ValidationError, match="at least one noise level"):
+        run_experiment("III", quick_config(levels=()), output_dir=tmp_path / "x")
+    assert not (tmp_path / "x").exists()
+
+
+def test_bundle_of_another_config_rejected(tmp_path):
+    # noise levels and seeds come from cfg, the phantom, sources and [lsq]
+    # settings from the bundle's: one sweep would mix two configs
+    bundle = prepare_data(quick_config())
+    other = quick_config()
+    other.phantom.two_photon.background = 0.07
+    with pytest.raises(ValidationError, match="another config"):
+        run_experiment("III", other, output_dir=tmp_path / "x", bundle=bundle)
+    assert not (tmp_path / "x").exists()
+    assert run_experiment("III", bundle.config, bundle=bundle).rows
 
 
 def test_experiment_outputs_reconstruction_files(tmp_path):

@@ -10,14 +10,13 @@ from hypothesis.extra import numpy as hnp
 from tppat import fem
 from tppat.direct import ConditionReport
 from tppat.errors import MeshFormatError, SolverError, ValidationError
-from tppat.fem import (CoefficientSet, assemble_stiffness, assemble_weighted_mass,
-                       clip_nonnegative, load_field, lumped_mass, save_field,
-                       solve_linear)
+from tppat.fem import (CoefficientSet, assemble_stiffness, clip_nonnegative, load_field,
+                       lumped_mass, save_field, solve_linear)
 from tppat.forward import ForwardOperator
 from tppat.mesh import build_square_mesh
 
-from oracle import (apply_dirichlet, assemble_stiffness_einsum, lumped_mass_add_at,
-                    save_condition_rows, save_field_rows)
+from oracle import (apply_dirichlet, assemble_stiffness_einsum, assemble_weighted_mass,
+                    lumped_mass_add_at, save_condition_rows, save_field_rows)
 from test_forward import jittered_mesh
 
 # Degree-5 Gauss rule on the triangle (7 points, barycentric), used as an
@@ -38,7 +37,7 @@ def quadrature_mass_oracle(mesh, weight):
     """Dense mass matrix via numerical quadrature, independent of the assembly."""
     n = mesh.node_count
     M = np.zeros((n, n))
-    for tri, area in zip(mesh.triangles, mesh.signed_areas()):
+    for tri, area in zip(mesh.triangles, mesh.areas):
         wv = weight[tri]
         for lam, qw in zip(_Q7_L, _Q7_W):
             wxy = lam @ wv

@@ -38,7 +38,7 @@ def test_rejects_bad_subdivisions():
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21])
 def test_total_area_is_four(n):
     m = build_square_mesh(n)
-    assert abs(m.signed_areas().sum() - 4.0) <= 1e-12 * 4.0
+    assert abs(m.areas.sum() - 4.0) <= 1e-12 * 4.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21])
@@ -51,7 +51,7 @@ def test_boundary_edge_count(n):
 
 def test_all_triangles_counterclockwise():
     m = build_square_mesh(4)
-    assert np.all(m.signed_areas() > 0.0)
+    assert np.all(m.areas > 0.0)
 
 
 def test_roundtrip_identity(tmp_path):
@@ -96,7 +96,7 @@ def test_clockwise_triangle_is_reoriented(tmp_path):
     lines[6] = f"{i} {k} {j}"          # flip to clockwise
     path.write_text("\n".join(lines) + "\n")
     m2 = load_mesh(path)
-    assert np.all(m2.signed_areas() > 0.0)
+    assert np.all(m2.areas > 0.0)
     assert {frozenset(t) for t in m2.triangles.tolist()} \
         == {frozenset(t) for t in m.triangles.tolist()}
 
@@ -176,7 +176,7 @@ def test_interior_and_boundary_partition():
 
 def test_node_lists_are_computed_once_and_read_only():
     m = build_square_mesh(3)
-    for name in ("boundary_list", "interior_list"):
+    for name in ("boundary_list", "interior_list", "areas"):
         first = getattr(m, name)
         assert getattr(m, name) is first
         assert not first.flags.writeable

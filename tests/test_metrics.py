@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +10,10 @@ from tppat.errors import ValidationError
 from tppat.fem import CoefficientSet
 from tppat.forward import BoundarySource, ForwardOperator, solve_semilinear
 from tppat.gradcheck import _fd_directional_derivative as fd_directional_derivative
-from tppat.mesh import Mesh, build_square_mesh
-from tppat.metrics import relative_l2_error
+from tppat.mesh import Mesh, build_square_mesh, load_mesh
+from tppat.metrics import _squared_l2_norm, relative_l2_error
 
+from oracle import assemble_weighted_mass
 from properties import check_comparison, check_max_principle, check_positivity
 from test_forward import jittered_mesh
 
@@ -62,6 +66,55 @@ def test_relative_error_invariant_under_node_permutation():
               boundary_edges=inv[m.boundary_edges])
     assert relative_l2_error(r, t, m) == pytest.approx(
         relative_l2_error(r[perm], t[perm], m2), rel=1e-12)
+
+
+def loaded_mesh(n, seed, directory):
+    """A jittered mesh read back from a file that lists its nodes in random
+    order and about half its triangles clockwise (load_mesh reorients them)."""
+    base = jittered_mesh(n, seed, 0.3 / n)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(base.node_count)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(base.node_count)
+    tris = inv[base.triangles]
+    flip = rng.random(len(tris)) < 0.5
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+    lines = [f"nodes {base.node_count}"]
+    lines += [f"{x!r} {y!r}" for x, y in base.nodes[perm].tolist()]
+    lines += [f"triangles {len(tris)}"] + [f"{a} {b} {c}" for a, b, c in tris.tolist()]
+    edges = inv[base.boundary_edges]
+    lines += [f"boundary_edges {len(edges)}"] + [f"{a} {b}" for a, b in edges.tolist()]
+    path = Path(directory) / "mesh.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return load_mesh(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       kind=st.sampled_from(["grid", "jittered", "loaded"]),
+       offset=st.floats(-2.0, 2.0), decade=st.floats(-8.0, 1.0))
+def test_relative_error_equals_the_consistent_mass_matrix_norms(seed, n, kind, offset,
+                                                                 decade):
+    # differential test: the triangle rule against the quadratic forms of the
+    # assembled consistent mass matrix
+    if kind == "grid":
+        mesh = build_square_mesh(n)
+    elif kind == "jittered":
+        mesh = jittered_mesh(n, seed, 0.3 / n)
+    else:
+        with tempfile.TemporaryDirectory() as directory:
+            mesh = loaded_mesh(n, seed, directory)
+    rng = np.random.default_rng(seed)
+    truth = offset + rng.uniform(-1.0, 1.0, mesh.node_count)
+    reconstructed = truth + 10.0 ** decade * rng.uniform(-1.0, 1.0, mesh.node_count)
+    M = assemble_weighted_mass(mesh, np.ones(mesh.node_count))
+    d = reconstructed - truth
+    expected = 100.0 * np.sqrt((d @ (M @ d)) / (truth @ (M @ truth)))
+    assert relative_l2_error(reconstructed, truth, mesh) == pytest.approx(
+        expected, rel=1e-13, abs=0.0)
+    # each norm alone, which a ratio of two equally wrong norms would hide
+    assert _squared_l2_norm(truth, mesh) == pytest.approx(
+        truth @ (M @ truth), rel=1e-13, abs=0.0)
 
 
 def forward_state(n=8, gmin=1.0):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from tppat.errors import ValidationError
-from tppat.fem import CoefficientSet, assemble_weighted_mass
+from tppat.fem import CoefficientSet
 from tppat.forward import (BoundarySource, ForwardOperator, NewtonConfig,
                            compute_datum, solve_semilinear)
 from tppat.mesh import build_square_mesh
 
+from oracle import assemble_weighted_mass
 from sensitivity import (CoefficientPerturbation, boundary_traces, datum_derivative,
                          perturbed_coefficients, solve_sensitivity)
 
