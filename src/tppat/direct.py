@@ -14,20 +14,32 @@ reconstructions (fit_pair_pointwise):
 Nodes where some recovered density is not positive, or (pair only) where
 the |u_j*| spread degenerates (possible under noise), are flagged in the
 condition report and filled from the nearest well-conditioned node.
+
+Each density is solved only as accurately as its datum is known, in the
+spirit of the inexact Newton forcing terms of forward.py: with noise level
+epsilon (percent, DatumSet.noise_level) the solve stops at the relative
+residual max(fem.DEFAULT_TOL, NOISE_SAFETY * epsilon / 100), a thousand
+times below the relative perturbation that add_noise puts on the right-hand
+side. Noiseless data, and data without noise metadata, are solved to
+fem.DEFAULT_TOL, so noiseless recovery stays exact to solver precision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fem
 from .errors import ValidationError
 from .fem import as_field, positive_field, write_columns
 from .forward import BoundarySource, ForwardOperator
 from .mesh import Mesh
 
 SPREAD_THRESHOLD = 1e-6
+# ratio of the direct solves' relative residual to the data's noise level
+NOISE_SAFETY = 1e-3
 
 
 @dataclass
@@ -51,6 +63,19 @@ class DatumSet:
     @property
     def size(self) -> int:
         return len(self.sources)
+
+    @property
+    def noise_level(self) -> float:
+        """Largest meta "epsilon" (percent), or 0 when no entry has one.
+
+        Raises ValidationError on a negative or non-finite epsilon.
+        """
+        levels = [float(m["epsilon"]) for m in self.meta if "epsilon" in m]
+        for eps in levels:
+            if not (math.isfinite(eps) and eps >= 0.0):
+                raise ValidationError(
+                    f"datum noise level must be finite and nonnegative, got {eps!r}")
+        return max(levels, default=0.0)
 
     def validate(self, mesh: Mesh):
         for k, H in enumerate(self.data):
@@ -84,21 +109,31 @@ class ConditionReport:
                       np.asarray(self.flagged, dtype=np.int64).tolist())
 
 
-def recover_field(op: ForwardOperator, Gamma, H, g: BoundarySource) -> np.ndarray:
+def recover_field(op: ForwardOperator, Gamma, H, g: BoundarySource,
+                  tol: float = fem.DEFAULT_TOL) -> np.ndarray:
     """Photon density u* from one datum: -div(gamma grad u*) = -H/Gamma, u* = g.
 
-    gamma is the diffusion of op; Gamma must be finite and positive.
+    gamma is the diffusion of op; Gamma must be finite and positive. tol is
+    the relative residual of the linear solve.
     """
     Gamma = positive_field(op.mesh, Gamma, "gruneisen")
     H = as_field(op.mesh, H)
     return op.solve_reaction(np.zeros(op.mesh.node_count), g,
-                             load_nodal=-H / Gamma)
+                             load_nodal=-H / Gamma, tol=tol)
 
 
 def recover_all_fields(op: ForwardOperator, Gamma, data: DatumSet) -> list:
-    """One linear solve per datum (recover_field), all with the operator op."""
+    """One linear solve per datum (recover_field), all with the operator op.
+
+    Each solve runs to the relative residual
+    max(fem.DEFAULT_TOL, NOISE_SAFETY * epsilon / 100) for the noise level
+    epsilon of the data (DatumSet.noise_level): fem.DEFAULT_TOL for
+    noiseless data or data without noise metadata, 2e-5 at epsilon = 2.
+    """
     data.validate(op.mesh)
-    return [recover_field(op, Gamma, H, g) for g, H in zip(data.sources, data.data)]
+    tol = max(fem.DEFAULT_TOL, NOISE_SAFETY * data.noise_level / 100.0)
+    return [recover_field(op, Gamma, H, g, tol)
+            for g, H in zip(data.sources, data.data)]
 
 
 def fit_pair_pointwise(mesh: Mesh, u_stars: list, ratios: list,

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check they share."""
+
+import numbers
 
 
 class TppatError(Exception):
@@ -17,6 +19,12 @@ class MeshFormatError(ValidationError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def require_count(value, name: str) -> None:
+    """Raise ValidationError unless value is an integer >= 1 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class SolverError(TppatError):

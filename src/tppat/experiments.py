@@ -28,7 +28,7 @@ from . import __version__
 from . import direct, fem, lsq, transfer
 from .config import ExperimentConfig
 from .direct import DatumSet
-from .errors import ValidationError
+from .errors import ValidationError, require_count
 from .forward import (ForwardOperator, NewtonConfig, add_noise, compute_datum,
                       solve_semilinear)
 from .mesh import Mesh, build_square_mesh, save_mesh
@@ -93,8 +93,10 @@ def prepare_data(cfg: ExperimentConfig, newton: NewtonConfig | None = None,
 
     Builds one forward operator per mesh. The data-mesh operator serves the
     setup Newton solves; with the crime guard it is dropped before the
-    reconstruction-mesh operator is built, so the two never coexist.
+    reconstruction-mesh operator is built, so the two never coexist. threads
+    (an integer >= 1) is the number of workers for those solves.
     """
+    require_count(threads, "threads")
     cfg.validate()
     mesh = build_square_mesh(cfg.mesh_n)
     if cfg.data_mesh_n is not None and cfg.data_mesh_n != cfg.mesh_n:
@@ -210,8 +212,10 @@ def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
                    threads: int = 1, bundle: DataBundle | None = None) -> ExperimentTable:
     """Run one experiment across noise levels and seeds; optionally write files.
 
-    bundle, when given, must be prepare_data's bundle of this cfg.
+    bundle, when given, must be prepare_data's bundle of this cfg, and
+    threads (the number of job workers) an integer >= 1.
     """
+    require_count(threads, "threads")
     if which not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {which!r}; expected one of "
                               f"{', '.join(EXPERIMENTS)}")

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, require_count
 from .fem import CoefficientSet, as_field
 from .mesh import Mesh
 
@@ -104,10 +104,7 @@ class NewtonConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{name} must be finite and positive, got {value!r}")
-        if (not isinstance(self.max_iterations, (int, np.integer))
-                or isinstance(self.max_iterations, bool) or self.max_iterations < 1):
-            raise ValidationError(
-                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        require_count(self.max_iterations, "max_iterations")
         if not 0.0 < self.damping < 1.0:
             raise ValidationError("damping factor must lie in (0, 1)")
 

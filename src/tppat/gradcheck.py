@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import ValidationError
+from .errors import ValidationError, require_count
 from .experiments import prepare_data
 from .forward import NewtonConfig
 from .lsq import Evaluator, auto_kappa
@@ -62,8 +62,10 @@ def gradient_check(cfg: ExperimentConfig, directions: int = 20,
     The trial point is a random within-bounds perturbation of the true
     coefficients, so the misfit (and its gradient) is genuinely nonzero.
     The data are the clean data, the weight is auto_kappa's, and the FD
-    step is STEP_SCALE times the coefficient field scale.
+    step is STEP_SCALE times the coefficient field scale. directions must
+    be an integer >= 1.
     """
+    require_count(directions, "directions")
     if cfg.data_mesh_n not in (None, cfg.mesh_n):
         raise ValidationError("gradient check expects data and reconstruction "
                               "on the same mesh; leave [mesh] data_n unset "

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, require_count
 from .fem import as_field, positive_field
 from .forward import ForwardOperator, NewtonConfig, solve_semilinear
 from .direct import DatumSet
@@ -63,10 +63,7 @@ class LsqConfig:
         if not (0.0 < self.bound_floor < self.bound_ceiling < math.inf):
             raise ValidationError("lsq bounds must satisfy 0 < floor < ceiling < inf")
         for name in ("max_iterations", "history"):
-            value = getattr(self, name)
-            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-                    or value < 1):
-                raise ValidationError(f"lsq {name} must be an integer >= 1, got {value!r}")
+            require_count(getattr(self, name), f"lsq {name}")
 
 
 @dataclass

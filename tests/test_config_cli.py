@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tppat import fem
+from tppat import fem, gradcheck
 from tppat.cli import build_parser, main
 from tppat.config import (COEFF_SECTIONS, SOURCE_PARAMETERS, SourceSpec, default_config,
                           load_config, parse_config, write_config)
@@ -369,6 +369,35 @@ def test_cli_gradcheck_rejects_crime_guard_config(tmp_path):
     assert main(["gradcheck", "--config", str(cfg_path),
                  "--out", str(tmp_path / "gc"), "--directions", "1"]) == 1
     assert not (tmp_path / "gc").exists()
+
+
+@pytest.mark.parametrize("directions", ["0", "-2"])
+def test_cli_gradcheck_rejects_fewer_than_one_direction(tmp_path, directions):
+    cfg_path = small_config(tmp_path, n=4)
+    out = tmp_path / "gc"
+    assert main(["gradcheck", "--config", str(cfg_path), "--out", str(out),
+                 "--directions", directions]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("directions", [0, -2, 1.5, True])
+def test_gradient_check_rejects_a_bad_direction_count_before_setup(directions,
+                                                                   monkeypatch):
+    def no_setup(*args, **kwargs):
+        raise AssertionError("prepare_data ran")
+
+    monkeypatch.setattr(gradcheck, "prepare_data", no_setup)
+    with pytest.raises(ValidationError, match="directions must be an integer >= 1"):
+        gradcheck.gradient_check(default_config(), directions=directions)
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_cli_experiment_rejects_fewer_than_one_thread(tmp_path, threads):
+    cfg_path = small_config(tmp_path, n=4)
+    out = tmp_path / "x"
+    assert main(["experiment", "--which", "III", "--config", str(cfg_path),
+                 "--out", str(out), "--threads", threads]) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["forward"], ["recon-direct"], ["recon-lsq"],

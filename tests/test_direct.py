@@ -1,16 +1,20 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracle import mu_from_set_loop
+from test_forward import count_grid_preconditioner_applications, jittered_mesh
 from tppat.config import default_config
 from tppat.direct import (DatumSet, fit_pair_pointwise, recover_all_fields,
                           recover_field, recover_pair)
 from tppat.errors import ValidationError
-from tppat.experiments import prepare_data
+from tppat.experiments import noise_stream_seed, prepare_data
 from tppat.fem import clip_nonnegative
-from tppat.forward import BoundarySource, ForwardOperator
+from tppat.forward import (BoundarySource, ForwardOperator, add_noise, compute_datum,
+                           solve_semilinear)
 from tppat.mesh import build_square_mesh
 from tppat.metrics import relative_l2_error
 
@@ -309,3 +313,108 @@ def test_datum_set_validation(bundle16):
 def test_clip_nonnegative():
     out = clip_nonnegative(np.array([-0.2, 0.0, 0.7]))
     assert np.array_equal(out, [0.0, 0.0, 0.7])
+
+
+@pytest.mark.parametrize("meta, level", [
+    ([], 0.0),
+    ([{}, {"seed": 3}], 0.0),
+    ([{"epsilon": 0.0}, {"epsilon": 0.0}], 0.0),
+    ([{"epsilon": 2}, {}], 2.0),
+    ([{"epsilon": 1.0}, {"epsilon": 5.0}], 5.0),
+])
+def test_datum_set_noise_level_is_the_largest_epsilon(bundle16, meta, level):
+    b = bundle16
+    J = len(meta) or 2
+    data = DatumSet(sources=b.sources[:J], data=b.H_clean[:J], meta=meta)
+    assert data.noise_level == level
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, np.inf])
+def test_datum_set_noise_level_rejects_a_negative_or_nonfinite_epsilon(bundle16, bad):
+    b = bundle16
+    data = DatumSet(sources=b.sources[:2], data=b.H_clean[:2],
+                    meta=[{"epsilon": 1.0}, {"epsilon": bad}])
+    with pytest.raises(ValidationError, match="noise level must be finite and nonnegative"):
+        data.noise_level
+    with pytest.raises(ValidationError, match="noise level must be finite and nonnegative"):
+        recover_pair(b.operator, b.coeffs.gruneisen, data)
+
+
+def test_direct_solves_run_to_the_noise_matched_tolerance(bundle16, monkeypatch):
+    # max(DEFAULT_TOL, NOISE_SAFETY * epsilon / 100): noiseless data and data
+    # without noise metadata keep the 1e-10 solves
+    b = bundle16
+    received = []
+    solve = ForwardOperator.solve
+
+    def recording(self, w, rhs, tol):
+        received.append(tol)
+        return solve(self, w, rhs, tol)
+
+    monkeypatch.setattr(ForwardOperator, "solve", recording)
+    J = len(b.sources)
+    for data, tol in [(b.datum_set(0.0, 5), 1e-10),
+                      (DatumSet(sources=list(b.sources), data=list(b.H_clean)), 1e-10),
+                      (b.datum_set(2.0, 5), 2e-5)]:
+        received.clear()
+        recover_pair(b.operator, b.coeffs.gruneisen, data)
+        assert received == [tol] * J
+
+
+@pytest.fixture(scope="module")
+def bundle32():
+    cfg = default_config()
+    cfg.mesh_n = 32
+    return prepare_data(cfg)
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 2.0, 5.0])
+def test_noisy_direct_solves_need_few_preconditioner_applications(bundle32, epsilon,
+                                                                   monkeypatch):
+    # each direct solve takes 10 applications at DEFAULT_TOL at n = 32
+    b = bundle32
+    applications = count_grid_preconditioner_applications(monkeypatch)
+    recover_pair(b.operator, b.coeffs.gruneisen, b.datum_set(epsilon, 7))
+    assert len(applications) == len(b.sources)
+    assert max(applications) <= 6, applications
+
+
+@functools.lru_cache(maxsize=None)
+def clean_problem(n, mesh_seed):
+    """(operator, coefficients, sources, clean data) of the default phantom
+    on the grid (mesh_seed None) or a jittered mesh (Jacobi path)."""
+    mesh = build_square_mesh(n) if mesh_seed is None else jittered_mesh(n, mesh_seed, 0.3 / n)
+    cfg = default_config()
+    coeffs = cfg.phantom.coefficients(mesh)
+    sources = [spec.build(mesh) for spec in cfg.sources]
+    op = ForwardOperator(mesh, coeffs.diffusion)
+    H = [compute_datum(coeffs, solve_semilinear(op, coeffs.single_photon,
+                                                coeffs.two_photon, g)[0])
+         for g in sources]
+    return op, coeffs, sources, H
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(4, 24), mesh_seed=st.one_of(st.none(), st.integers(0, 3)),
+       epsilon=st.floats(0.0, 20.0, exclude_min=True), seed=st.integers(0, 2**16))
+def test_noise_matched_recovery_moves_far_less_than_the_noise(n, mesh_seed, epsilon,
+                                                              seed):
+    # experiments I and III: the fields at the noise-matched tolerance lie
+    # within 1 % of the noise's own effect of a DEFAULT_TOL recovery of the
+    # same datum (no meta, so noise_level 0), in the max norm
+    op, coeffs, sources, H = clean_problem(n, mesh_seed)
+    noisy = [add_noise(h, epsilon, noise_stream_seed(seed, j, epsilon))
+             for j, h in enumerate(H)]
+    matched = DatumSet(sources=list(sources), data=noisy,
+                       meta=[{"epsilon": epsilon, "seed": seed}] * len(H))
+    tight = DatumSet(sources=list(sources), data=list(noisy))
+    clean = DatumSet(sources=list(sources), data=list(H),
+                     meta=[{"epsilon": 0.0}] * len(H))
+    Gamma = coeffs.gruneisen
+    for sigma_known in (coeffs.single_photon, None):
+        fields = [recover_pair(op, Gamma, data, sigma_known=sigma_known)
+                  for data in (matched, tight, clean)]
+        for k in (0, 1):
+            moved = np.abs(fields[0][k] - fields[1][k]).max()
+            noise_effect = np.abs(fields[1][k] - fields[2][k]).max()
+            assert moved <= 0.01 * noise_effect, (k, moved, noise_effect)

@@ -92,6 +92,26 @@ def test_sweep_without_noise_levels_rejected_before_setup(monkeypatch, tmp_path)
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("threads", [0, -4, 1.5, True])
+def test_a_worker_count_below_one_or_not_an_integer_is_rejected(threads, monkeypatch,
+                                                                tmp_path):
+    cfg = quick_config()
+    bundle = prepare_data(cfg)
+    with pytest.raises(ValidationError, match="threads must be an integer >= 1"):
+        prepare_data(cfg, threads=threads)
+    with pytest.raises(ValidationError, match="threads must be an integer >= 1"):
+        run_experiment("III", cfg, output_dir=tmp_path / "x", threads=threads,
+                       bundle=bundle)
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("prepare_data ran")
+
+    monkeypatch.setattr(experiments, "prepare_data", no_setup)
+    with pytest.raises(ValidationError, match="threads must be an integer >= 1"):
+        run_experiment("III", cfg, output_dir=tmp_path / "x", threads=threads)
+    assert not (tmp_path / "x").exists()
+
+
 def test_bundle_of_another_config_rejected(tmp_path):
     # noise levels and seeds come from cfg, the phantom, sources and [lsq]
     # settings from the bundle's: one sweep would mix two configs
