@@ -202,18 +202,22 @@ def fit_pair_pointwise(mesh: Mesh, u_stars: list, ratios: list,
 
 
 def recover_pair(op: ForwardOperator, Gamma, data: DatumSet,
-                 spread_threshold: float = SPREAD_THRESHOLD, sigma_known=None):
+                 spread_threshold: float = SPREAD_THRESHOLD, sigma_known=None,
+                 stars=None):
     """(sigma, mu), or mu with sigma_known, by pointwise least squares.
 
     Returns (sigma, mu, ConditionReport). Requires strictly positive
     sources, J >= 2 of them for the pair. One linear solve per datum with op
     recovers u_j* (recover_all_fields), then each node solves its small
-    least-squares system over all J data (see fit_pair_pointwise).
+    least-squares system over all J data (see fit_pair_pointwise). stars,
+    when given, must be recover_all_fields(op, Gamma, data), which is then
+    not solved again.
     """
     for g in data.sources:
         g.require_strictly_positive()
     Gamma = as_field(op.mesh, Gamma)
-    stars = recover_all_fields(op, Gamma, data)
+    if stars is None:
+        stars = recover_all_fields(op, Gamma, data)
     ratios = [H / (Gamma * u) for H, u in zip(data.data, stars)]
     return fit_pair_pointwise(op.mesh, stars, ratios, spread_threshold,
                               sigma_known=sigma_known)

@@ -32,7 +32,7 @@ from .errors import ValidationError, require_count
 from .forward import (ForwardOperator, NewtonConfig, add_noise, compute_datum,
                       solve_semilinear)
 from .mesh import Mesh, build_square_mesh, save_mesh
-from .metrics import relative_l2_error
+from .metrics import relative_l2_error, squared_l2_norm
 
 EXPERIMENTS = ("I", "II", "III", "IV")
 
@@ -138,8 +138,10 @@ def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
 
     The least-squares experiments start from the direct fit of the same
     datum, clipped to the bounds: II from experiment I's fit (sigma known),
-    IV from experiment III's pair fit. Nodes the direct fit flags carry its
-    nearest-neighbour fill. With one source the pair fit does not exist, so
+    IV from experiment III's pair fit, and their first forward solves from
+    its densities u_j*, solved once for both. Nodes the direct fit flags
+    carry its nearest-neighbour fill. With one source the pair fit does not
+    exist, so
     IV starts sigma at the midpoint of the bounds and mu from the fit with
     that sigma. I and II hold sigma at its true value and return it as well.
     """
@@ -160,13 +162,14 @@ def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
             sigma_known = np.full(bundle.mesh.node_count, 0.5 * (lo + hi))
         else:
             sigma_known = None
+        stars = direct.recover_all_fields(op, Gamma, datum_set)
         sigma0, mu0, _ = direct.recover_pair(op, Gamma, datum_set,
-                                             sigma_known=sigma_known)
+                                             sigma_known=sigma_known, stars=stars)
         if sigma_known is None:
             sigma0 = np.clip(sigma0, lo, hi)
         sigma, mu, report = lsq.run_lsq(op, Gamma, datum_set,
                                         (sigma0, np.clip(mu0, lo, hi)),
-                                        cfg.lsq, mu_only=mu_only)
+                                        cfg.lsq, mu_only=mu_only, u0=stars)
         return {"sigma": sigma, "mu": mu, "lsq_report": report}
     raise ValidationError(f"unknown experiment {which!r}; expected one of "
                           f"{', '.join(EXPERIMENTS)}")
@@ -225,6 +228,8 @@ def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
         raise ValidationError("the bundle was prepared from another config")
     bundle = bundle or prepare_data(cfg, threads=threads)
     truth = {"sigma": bundle.coeffs.single_photon, "mu": bundle.coeffs.two_photon}
+    truth_norms = {coeff: squared_l2_norm(truth[coeff], bundle.mesh)
+                   for coeff in COEFFS_RECOVERED[which]}
     table = ExperimentTable(experiment=which)
 
     jobs = []
@@ -248,7 +253,7 @@ def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
     for (eps, seed), fields in zip(jobs, outcomes):
         for coeff in COEFFS_RECOVERED[which]:
             table.add(coeff, eps, seed, relative_l2_error(
-                fields[coeff], truth[coeff], bundle.mesh))
+                fields[coeff], truth[coeff], bundle.mesh, truth_norms[coeff]))
         if seed == cfg.seeds[0]:
             keep_fields[eps] = fields
 

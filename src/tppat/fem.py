@@ -18,6 +18,7 @@ mesh order; load_field reads them with the row parser of mesh.load_mesh.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,9 +137,12 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     preconditioner maps a residual r to z = P^-1 r for a symmetric positive
     definite P; the default is Jacobi, z = r / (diag(A) + shift). Returns x
     with relative residual ||(A + diag(shift)) x - b|| / ||b|| <= tol (x = 0
-    when b = 0). Raises SolverError with the final residual on
+    when b = 0). Raises ValidationError, before any iteration, unless tol is
+    finite and positive, and SolverError with the final residual on
     non-convergence.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"CG tolerance must be finite and positive, got {tol!r}")
     A = A.tocsr()
     b = np.asarray(b, dtype=float)
     n = A.shape[0]

@@ -24,21 +24,45 @@ The stop test compares the gradient norm with grad_tol times a reference
 taken at the midpoint of the bounds, not at the start (see run_lsq), so a
 start near the minimizer, such as the direct fit of the same datum, stops
 early instead of chasing a tolerance set by its own small gradient.
+
+On noisy data (DatumSet.noise_level > 0) each PDE is solved only as
+accurately as the fit needs, by two rules; the first states and the first
+gradient of a run keep newton's tolerances. The adjoint solves of every
+later gradient stop at the relative residual
+
+    tau = min(FORCING_MAX, max(linear_tol,
+                               GRADIENT_SHARE * max(threshold, ||g_prev||) / ||A_prev||)),
+
+with g_prev the previous gradient and A_prev = sum_j v_j (u_j, |u_j| u_j)
+its adjoint part: the gradient error stays a share of the gradient it
+perturbs (inexact gradients, Carter 1991). A line-search trial with Armijo
+slope s solves source j to the interior residual
+max(residual_tol, ARMIJO_SHARE * 1e-4 |s| / (J ||v_j||)), with v_j from the
+last gradient: to first order a Newton residual F_j moves Phi by <v_j, F_j>,
+so the objective error stays a share of the Armijo decrease. Noiseless data,
+and data without noise metadata, keep newton's tolerances throughout, as
+direct.NOISE_SAFETY does for the direct solves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import fem
 from .errors import SolverError, ValidationError, require_count
 from .fem import as_field, positive_field
-from .forward import ForwardOperator, NewtonConfig, solve_semilinear
+from .forward import FORCING_MAX, ForwardOperator, NewtonConfig, solve_semilinear
 from .direct import DatumSet
 from .mesh import Mesh
+
+# Shares of the least-squares tolerance rules for noisy data (module docstring):
+# the adjoint error's share of the gradient norm it may perturb, and the
+# forward error's share of the Armijo decrease of a line-search trial.
+GRADIENT_SHARE = 0.1
+ARMIJO_SHARE = 0.1
 
 
 @dataclass
@@ -112,8 +136,9 @@ class Evaluator:
     Forward solves stop at newton.residual_tol, with each Newton step's
     linear solve only as tight as its forcing term (solve_semilinear); the
     adjoint solves run to newton.linear_tol, which keeps the gradient exact
-    for the discrete objective to that tolerance. The regularizer uses the
-    unit-diffusion stiffness op.K1.
+    for the discrete objective to that tolerance. forward_states and
+    gradient take looser per-call tolerances (run_lsq's rules for noisy
+    data). The regularizer uses the unit-diffusion stiffness op.K1.
     """
 
     def __init__(self, op: ForwardOperator, gruneisen, data: DatumSet, kappa: float,
@@ -127,13 +152,21 @@ class Evaluator:
         self.newton = newton or NewtonConfig()
         self.lumped = op.lumped
         self._warm = [None] * data.size
+        self.adjoints = []      # the adjoint states v_j of the last gradient
 
-    def forward_states(self, sigma, mu):
-        """Solve the J forward problems; returns (us, zs)."""
+    def forward_states(self, sigma, mu, residual_tols=None):
+        """Solve the J forward problems; returns (us, zs).
+
+        residual_tols, when given, holds one interior residual tolerance per
+        source in place of newton.residual_tol.
+        """
         us, zs = [], []
         for j, (g, H) in enumerate(zip(self.data.sources, self.data.data)):
+            newton = self.newton
+            if residual_tols is not None:
+                newton = replace(newton, residual_tol=residual_tols[j])
             try:
-                u, _ = solve_semilinear(self.op, sigma, mu, g, self.newton,
+                u, _ = solve_semilinear(self.op, sigma, mu, g, newton,
                                         u0=self._warm[j])
             except SolverError as exc:
                 raise SolverError(
@@ -158,25 +191,33 @@ class Evaluator:
         value = sum(misfits) + self.kappa * self.regularizer(sigma, mu)
         return value, misfits
 
-    def solve_adjoint(self, sigma, mu, u, z) -> np.ndarray:
-        """Adjoint state v: linearized operator, source -z Gamma (sigma + 2 mu |u|)."""
+    def solve_adjoint(self, sigma, mu, u, z, tol=None) -> np.ndarray:
+        """Adjoint state v: linearized operator, source -z Gamma (sigma + 2 mu |u|).
+
+        tol is the relative residual of the solve, newton.linear_tol if None.
+        """
         fz = sigma + 2.0 * mu * np.abs(u)
         rhs = -(self.lumped * z * self.gruneisen * fz)[self.op.interior]
-        return self.op.solve_linearized(u, sigma, mu, rhs, tol=self.newton.linear_tol)
+        return self.op.solve_linearized(u, sigma, mu, rhs,
+                                        tol=self.newton.linear_tol if tol is None else tol)
 
-    def gradient(self, sigma, mu, states=None):
+    def gradient(self, sigma, mu, states=None, adjoint_tol=None):
         """Riesz representers (g_sigma, g_mu) of the derivative of Phi.
 
         g_sigma = sum_j (z_j Gamma u_j + v_j u_j) + kappa * M^-1 K1 sigma
-        and the mu analog with |u_j| u_j in place of u_j.
+        and the mu analog with |u_j| u_j in place of u_j. The adjoint
+        states v_j are solved to adjoint_tol (newton.linear_tol if None)
+        and kept in self.adjoints.
         """
         sigma = as_field(self.mesh, sigma)
         mu = as_field(self.mesh, mu)
         us, zs = states if states is not None else self.forward_states(sigma, mu)
         g_sigma = np.zeros(self.mesh.node_count)
         g_mu = np.zeros(self.mesh.node_count)
+        self.adjoints = []
         for u, z in zip(us, zs):
-            v = self.solve_adjoint(sigma, mu, u, z)
+            v = self.solve_adjoint(sigma, mu, u, z, adjoint_tol)
+            self.adjoints.append(v)
             g_sigma += z * self.gruneisen * u + v * u
             g_mu += (z * self.gruneisen + v) * np.abs(u) * u
         if self.kappa != 0.0:
@@ -233,7 +274,7 @@ def gauss_newton_metric(gruneisen, us, reg, mu_only: bool = False):
 
 
 def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig, *,
-            mu_only: bool = False, newton: NewtonConfig | None = None):
+            mu_only: bool = False, newton: NewtonConfig | None = None, u0=None):
     """Projected limited-memory BFGS minimization of Phi.
 
     op is the forward operator of the known diffusion gamma and gruneisen the
@@ -257,6 +298,12 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     objective history is strictly decreasing over accepted steps. The
     gradient at an accepted point reuses the forward states of its
     line-search trial.
+
+    u0, when given, holds one nodal field per source, the Newton start of
+    the first forward solves (later ones warm-start from the previous
+    states), as in solve_semilinear; reconstruct passes the direct fit's
+    densities u_j*. With noisy data every later solve runs to the
+    tolerances of the module docstring's rules.
     """
     mesh = op.mesh
     kappa = auto_kappa(mesh, data) if cfg.kappa == "auto" else float(cfg.kappa)
@@ -286,18 +333,50 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
         return np.clip(x, cfg.bound_floor, cfg.bound_ceiling)
 
     report = LsqReport(kappa=kappa)
+    if u0 is not None:
+        if len(u0) != data.size:
+            raise ValidationError(f"u0 needs one field per source ({data.size}), "
+                                  f"got {len(u0)}")
+        ev._warm = list(u0)
 
-    def evaluate(xv):
-        """Objective value and the forward states it was computed from."""
+    # The tolerances of the module docstring's rules, for noisy data only;
+    # None keeps newton's, as for the first states and the first gradient.
+    noisy = data.noise_level > 0.0
+    adjoint_tol = None
+    adjoint_norms = []
+
+    def evaluate(xv, slope=None):
+        """Objective value and the forward states it was computed from.
+
+        slope (the Armijo slope of a line-search trial) sets each source's
+        Newton tolerance by the adjoint identity once a gradient exists.
+        """
         s, m = fields_of(xv)
-        states = ev.forward_states(s, m)
+        tols = None
+        if noisy and slope is not None:
+            share = ARMIJO_SHARE * 1e-4 * abs(slope) / data.size
+            tols = [max(ev.newton.residual_tol, share / vn) if vn > 0.0
+                    else ev.newton.residual_tol for vn in adjoint_norms]
+        states = ev.forward_states(s, m, residual_tols=tols)
         val, _ = ev.objective(s, m, states=states)
         return val, states
 
     def derivatives(xv, states):
         """Gradient and initial inverse metric from the forward states at xv."""
-        gs, gm = ev.gradient(*fields_of(xv), states=states)
+        gs, gm = ev.gradient(*fields_of(xv), states=states, adjoint_tol=adjoint_tol)
         return pack(gs, gm), gauss_newton_metric(ev.gruneisen, states[0], reg, mu_only)
+
+    def next_tolerances(g, states):
+        """The adjoint tolerance of the next gradient (Carter's rule) and the
+        norms ||v_j|| that set the next line search's Newton tolerances."""
+        us = states[0]
+        a = pack(sum(v * u for v, u in zip(ev.adjoints, us)),
+                 sum(v * np.abs(u) * u for v, u in zip(ev.adjoints, us)))
+        a_norm = np.sqrt(dot(a, a))
+        target = GRADIENT_SHARE * max(threshold, np.sqrt(dot(g, g)))
+        tol = (FORCING_MAX if a_norm == 0.0 else
+               min(FORCING_MAX, max(ev.newton.linear_tol, target / a_norm)))
+        return tol, [float(np.linalg.norm(v)) for v in ev.adjoints]
 
     f, states = evaluate(x)
     g, h0 = derivatives(x, states)
@@ -313,6 +392,8 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
         g_ref += pack(z * a, z * b)
     report.reference_grad_norm = np.sqrt(dot(g_ref, g_ref))
     threshold = cfg.grad_tol * report.reference_grad_norm
+    if noisy:
+        adjoint_tol, adjoint_norms = next_tolerances(g, states)
 
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
@@ -349,7 +430,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
             if slope >= 0.0:
                 alpha *= 0.5
                 continue
-            f_trial, states = evaluate(x_trial)
+            f_trial, states = evaluate(x_trial, slope)
             if f_trial <= f + 1e-4 * slope:
                 accepted = True
                 break
@@ -372,6 +453,8 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
                 rho_hist.pop(0)
 
         x, f, g = x_trial, f_trial, g_new
+        if noisy:
+            adjoint_tol, adjoint_norms = next_tolerances(g, states)
         report.iterations += 1
         report.objective_history.append(f)
         report.grad_norm_history.append(np.sqrt(dot(g, g)))

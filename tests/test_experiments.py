@@ -9,7 +9,7 @@ import pytest
 import weakref
 
 import tppat
-from tppat import direct, experiments, fem, forward, transfer
+from tppat import direct, experiments, fem, forward, metrics, transfer
 from tppat.config import default_config
 from tppat.errors import ValidationError
 from tppat.experiments import (noise_stream_seed, prepare_data, reconstruct,
@@ -261,6 +261,27 @@ def test_sweep_assembles_each_stiffness_matrix_once(monkeypatch, which, assembli
     table = run_experiment(which, cfg)
     assert len({(eps, seed) for _, eps, seed, _ in table.rows}) == 3
     assert assembled == [81] * assemblies
+
+
+@pytest.mark.parametrize("which", ["I", "III"])
+def test_sweep_integrates_each_truth_norm_once(monkeypatch, which):
+    cfg = quick_config(n=8, levels=(0.0, 2.0, 5.0), seeds=(3, 4))
+    bundle = prepare_data(cfg)
+    truths = (bundle.coeffs.single_photon, bundle.coeffs.two_photon)
+    integrated = []
+    norm = metrics.squared_l2_norm
+
+    def recording(values, mesh):
+        integrated.append(any(np.array_equal(values, t) for t in truths))
+        return norm(values, mesh)
+
+    monkeypatch.setattr(metrics, "squared_l2_norm", recording)
+    monkeypatch.setattr(experiments, "squared_l2_norm", recording)
+    table = run_experiment(which, cfg, bundle=bundle)
+    # one error norm per table row, one truth norm per recovered coefficient
+    assert len(table.rows) == 5 * len(experiments.COEFFS_RECOVERED[which])
+    assert integrated.count(False) == len(table.rows)
+    assert integrated.count(True) == len(experiments.COEFFS_RECOVERED[which])
 
 
 @pytest.mark.parametrize("which, data_n", [

@@ -190,6 +190,22 @@ def test_solve_nonconvergence_reports_residual():
     assert err.value.residual is not None
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
+def test_solve_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # rejected before the first iteration: the preconditioner is never applied
+    op = ForwardOperator(build_square_mesh(8), 1.0)
+    applied = []
+
+    def recording(r):
+        applied.append(r)
+        return r
+
+    rhs = np.ones(op.K_ii.shape[0])
+    with pytest.raises(ValidationError, match="tolerance"):
+        solve_linear(op.K_ii, rhs, tol, preconditioner=recording)
+    assert applied == []
+
+
 @pytest.mark.parametrize("n", [2, 5])
 def test_assembled_matrices_symmetric(n):
     m = build_square_mesh(n)

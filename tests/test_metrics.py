@@ -11,7 +11,7 @@ from tppat.fem import CoefficientSet
 from tppat.forward import BoundarySource, ForwardOperator, solve_semilinear
 from tppat.gradcheck import _fd_directional_derivative as fd_directional_derivative
 from tppat.mesh import Mesh, build_square_mesh, load_mesh
-from tppat.metrics import _squared_l2_norm, relative_l2_error
+from tppat.metrics import relative_l2_error, squared_l2_norm
 
 from oracle import assemble_weighted_mass
 from properties import check_comparison, check_max_principle, check_positivity
@@ -41,6 +41,16 @@ def test_relative_error_zero_truth_rejected():
     m = build_square_mesh(2)
     with pytest.raises(ValidationError):
         relative_l2_error(np.ones(m.node_count), np.zeros(m.node_count), m)
+
+
+def test_relative_error_with_the_truth_norm_given_is_bitwise_the_same():
+    m = build_square_mesh(5)
+    rng = np.random.default_rng(2)
+    t = rng.uniform(1.0, 2.0, m.node_count)
+    r = t + rng.uniform(-0.1, 0.1, m.node_count)
+    assert relative_l2_error(r, t, m, squared_l2_norm(t, m)) == relative_l2_error(r, t, m)
+    with pytest.raises(ValidationError):
+        relative_l2_error(r, np.zeros(m.node_count), m, 0.0)
 
 
 def test_relative_error_scale_invariant():
@@ -113,7 +123,7 @@ def test_relative_error_equals_the_consistent_mass_matrix_norms(seed, n, kind, o
     assert relative_l2_error(reconstructed, truth, mesh) == pytest.approx(
         expected, rel=1e-13, abs=0.0)
     # each norm alone, which a ratio of two equally wrong norms would hide
-    assert _squared_l2_norm(truth, mesh) == pytest.approx(
+    assert squared_l2_norm(truth, mesh) == pytest.approx(
         truth @ (M @ truth), rel=1e-13, abs=0.0)
 
 
