@@ -139,8 +139,7 @@ class ExperimentConfig:
         print("seeds = " + ", ".join(str(s) for s in self.seeds), file=out)
         print("\n[lsq]", file=out)
         ls = self.lsq
-        kappa = ls.kappa if isinstance(ls.kappa, str) else f"{ls.kappa:g}"
-        print(f"kappa = {kappa}", file=out)
+        print(f"kappa = {ls.kappa:g}", file=out)
         print(f"grad_tol = {ls.grad_tol:g}", file=out)
         print(f"max_iterations = {ls.max_iterations}", file=out)
         print(f"history = {ls.history}", file=out)
@@ -249,7 +248,7 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
             cfg.seeds = parse_number_list(sec["seeds"], "[noise] seeds", conv=int)
 
     if parser.has_section("lsq"):
-        convs = {"kappa": _kappa, "grad_tol": float, "max_iterations": int,
+        convs = {"kappa": float, "grad_tol": float, "max_iterations": int,
                  "history": int, "bound_floor": float, "bound_ceiling": float}
         sec = _known_keys(parser, "lsq", convs)
         cfg.lsq = LsqConfig(**{key: _conv(sec[key], f"[lsq] {key}", conv)
@@ -265,11 +264,6 @@ def _known_keys(parser, heading, keys):
         if key not in keys:
             raise ValidationError(f"[{heading}] unknown key {key!r}")
     return sec
-
-
-def _kappa(text):
-    text = text.strip()
-    return text if text == "auto" else float(text)
 
 
 def _conv(text, context, conv):

@@ -52,8 +52,7 @@ class DataBundle:
     located in the data mesh; prepare_data builds each once. Every
     reconstruction job uses them, including jobs running at once on the
     thread pool, so they are read-only: nothing may modify them or their
-    arrays. The one lazy member, operator.K1, is assembled by the first
-    least-squares job that needs it.
+    arrays.
     """
 
     config: ExperimentConfig

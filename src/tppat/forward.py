@@ -29,7 +29,6 @@ below linear_tol). A warm start is taken as given, and the linearized
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,22 +154,6 @@ class ForwardOperator:
         sine = fem.grid_sine_basis(mesh)
         self.sine = None if sine is None else tuple(a.astype(np.float32) for a in sine)
         self.lumped = fem.lumped_mass(mesh)
-        self._K1 = None
-        self._K1_lock = threading.Lock()
-
-    @property
-    def K1(self):
-        """Unit-diffusion stiffness of the mesh (the least-squares regularizer's).
-
-        Assembled once, on first use, so direct reconstructions never pay for
-        it; the lock keeps jobs that start at once on a thread pool from
-        assembling it twice.
-        """
-        with self._K1_lock:
-            if self._K1 is None:
-                self._K1 = fem.assemble_stiffness(self.mesh,
-                                                  np.ones(self.mesh.node_count))
-        return self._K1
 
     def preconditioner(self, reaction_diag_interior):
         """Sine-transform preconditioner for K_ii + diag(w), or None (Jacobi).

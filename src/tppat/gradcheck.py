@@ -18,7 +18,7 @@ from .config import ExperimentConfig
 from .errors import ValidationError, require_count
 from .experiments import prepare_data
 from .forward import NewtonConfig
-from .lsq import Evaluator, auto_kappa
+from .lsq import Evaluator
 
 # finite-difference step, relative to the largest coefficient value
 STEP_SCALE = 1e-6
@@ -61,9 +61,9 @@ def gradient_check(cfg: ExperimentConfig, directions: int = 20,
 
     The trial point is a random within-bounds perturbation of the true
     coefficients, so the misfit (and its gradient) is genuinely nonzero.
-    The data are the clean data, the weight is auto_kappa's, and the FD
-    step is STEP_SCALE times the coefficient field scale. directions must
-    be an integer >= 1.
+    The data are the clean data, the weight is cfg.lsq.kappa, so the check
+    covers the objective the config minimizes, and the FD step is STEP_SCALE
+    times the coefficient field scale. directions must be an integer >= 1.
     """
     require_count(directions, "directions")
     if cfg.data_mesh_n not in (None, cfg.mesh_n):
@@ -74,7 +74,6 @@ def gradient_check(cfg: ExperimentConfig, directions: int = 20,
     bundle = prepare_data(cfg, newton=newton)
     mesh = bundle.mesh
     data = bundle.datum_set(0.0, seed)
-    kap = auto_kappa(mesh, data)
 
     rng = np.random.default_rng(seed)
     n = mesh.node_count
@@ -85,11 +84,12 @@ def gradient_check(cfg: ExperimentConfig, directions: int = 20,
     step = STEP_SCALE * scale
 
     def phi(x):
-        ev = Evaluator(bundle.operator, bundle.coeffs.gruneisen, data, kap, newton)
+        ev = Evaluator(bundle.operator, bundle.coeffs.gruneisen, data, cfg.lsq.kappa,
+                       newton)
         value, _ = ev.objective(x[:n], x[n:])
         return value
 
-    ev = Evaluator(bundle.operator, bundle.coeffs.gruneisen, data, kap, newton)
+    ev = Evaluator(bundle.operator, bundle.coeffs.gruneisen, data, cfg.lsq.kappa, newton)
     g_sigma, g_mu = ev.gradient(sigma, mu)
     weights = np.concatenate([ev.lumped, ev.lumped])
     grad = np.concatenate([g_sigma, g_mu])

@@ -5,7 +5,9 @@ Minimizes
     Phi(sigma, mu) = 1/2 sum_j ||Gamma sigma u_j + Gamma mu |u_j| u_j - H_j||^2
                      + kappa/2 (||grad sigma||^2 + ||grad mu||^2)
 
-over nodal coefficient fields, subject to box bounds. Each evaluation solves
+over nodal coefficient fields, subject to box bounds. The weight kappa >= 0
+is 0 by default (LsqConfig), which leaves the misfit alone; the regularizer's
+stiffness is assembled only for kappa > 0. Each evaluation solves
 the J semilinear forward problems; gradients come from one adjoint solve per
 source with the same linearized operator as the forward Newton step, so they
 are exact for the discrete objective (finite differences of Phi agree to
@@ -47,6 +49,7 @@ direct.NOISE_SAFETY does for the direct solves.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,7 +59,6 @@ from .errors import SolverError, ValidationError, require_count
 from .fem import as_field, positive_field
 from .forward import FORCING_MAX, ForwardOperator, NewtonConfig, solve_semilinear
 from .direct import DatumSet
-from .mesh import Mesh
 
 # Shares of the least-squares tolerance rules for noisy data (module docstring):
 # the adjoint error's share of the gradient norm it may perturb, and the
@@ -69,7 +71,7 @@ ARMIJO_SHARE = 0.1
 class LsqConfig:
     """Least-squares settings; the fields are the keys of a config's [lsq] section."""
 
-    kappa: str | float = "auto"      # "auto" = auto_kappa(mesh, data)
+    kappa: float = 0.0
     grad_tol: float = 1e-6
     max_iterations: int = 300
     history: int = 10
@@ -77,10 +79,11 @@ class LsqConfig:
     bound_ceiling: float = 0.5
 
     def __post_init__(self):
-        if isinstance(self.kappa, str):
-            if self.kappa != "auto":
-                raise ValidationError("lsq kappa must be a number or 'auto'")
-        elif not (math.isfinite(self.kappa) and self.kappa >= 0.0):
+        for name in ("kappa", "grad_tol", "bound_floor", "bound_ceiling"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"lsq {name} must be a real number, got {value!r}")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
             raise ValidationError("lsq kappa must be finite and nonnegative")
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
             raise ValidationError("lsq grad_tol must be finite and positive")
@@ -97,7 +100,6 @@ class LsqReport:
     objective_history: list = field(default_factory=list)
     grad_norm_history: list = field(default_factory=list)
     step_lengths: list = field(default_factory=list)
-    kappa: float = 0.0
     reference_grad_norm: float = 0.0   # grad_tol times this is the stop threshold
     message: str = ""
 
@@ -120,14 +122,6 @@ class LsqReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def auto_kappa(mesh: Mesh, data: DatumSet) -> float:
-    """Default regularization weight 1e-8 * (RMS datum scale)^2."""
-    m = fem.lumped_mass(mesh)
-    area = float(m.sum())
-    scale2 = max(float((m * H * H).sum()) / area for H in data.data)
-    return 1e-8 * scale2
-
-
 class Evaluator:
     """Objective/gradient engine for fixed (op, Gamma, data, kappa).
 
@@ -138,7 +132,8 @@ class Evaluator:
     adjoint solves run to newton.linear_tol, which keeps the gradient exact
     for the discrete objective to that tolerance. forward_states and
     gradient take looser per-call tolerances (run_lsq's rules for noisy
-    data). The regularizer uses the unit-diffusion stiffness op.K1.
+    data). The regularizer's unit-diffusion stiffness K1 is assembled here
+    when kappa != 0; with kappa = 0 it is None and Phi is the misfit alone.
     """
 
     def __init__(self, op: ForwardOperator, gruneisen, data: DatumSet, kappa: float,
@@ -149,6 +144,8 @@ class Evaluator:
         data.validate(op.mesh)
         self.data = data
         self.kappa = float(kappa)
+        self.K1 = (fem.assemble_stiffness(op.mesh, np.ones(op.mesh.node_count))
+                   if self.kappa != 0.0 else None)
         self.newton = newton or NewtonConfig()
         self.lumped = op.lumped
         self._warm = [None] * data.size
@@ -179,8 +176,8 @@ class Evaluator:
         return us, zs
 
     def regularizer(self, sigma, mu) -> float:
-        K1 = self.op.K1
-        return 0.5 * (float(sigma @ (K1 @ sigma)) + float(mu @ (K1 @ mu)))
+        """R(sigma, mu) = 1/2 (sigma.K1 sigma + mu.K1 mu); needs kappa != 0."""
+        return 0.5 * (float(sigma @ (self.K1 @ sigma)) + float(mu @ (self.K1 @ mu)))
 
     def objective(self, sigma, mu, states=None):
         """Phi value plus the per-source misfit contributions."""
@@ -188,7 +185,9 @@ class Evaluator:
         mu = as_field(self.mesh, mu)
         us, zs = states if states is not None else self.forward_states(sigma, mu)
         misfits = [0.5 * float((self.lumped * z * z).sum()) for z in zs]
-        value = sum(misfits) + self.kappa * self.regularizer(sigma, mu)
+        value = sum(misfits)
+        if self.K1 is not None:
+            value += self.kappa * self.regularizer(sigma, mu)
         return value, misfits
 
     def solve_adjoint(self, sigma, mu, u, z, tol=None) -> np.ndarray:
@@ -220,9 +219,9 @@ class Evaluator:
             self.adjoints.append(v)
             g_sigma += z * self.gruneisen * u + v * u
             g_mu += (z * self.gruneisen + v) * np.abs(u) * u
-        if self.kappa != 0.0:
-            g_sigma += self.kappa * (self.op.K1 @ sigma) / self.lumped
-            g_mu += self.kappa * (self.op.K1 @ mu) / self.lumped
+        if self.K1 is not None:
+            g_sigma += self.kappa * (self.K1 @ sigma) / self.lumped
+            g_mu += self.kappa * (self.K1 @ mu) / self.lumped
         return g_sigma, g_mu
 
 
@@ -278,12 +277,12 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     """Projected limited-memory BFGS minimization of Phi.
 
     op is the forward operator of the known diffusion gamma and gruneisen the
-    known Gamma; init = (sigma0, mu0) within the bounds. With
-    mu_only, sigma stays at sigma0 and only mu is fitted. Returns
-    (sigma, mu, LsqReport). Inner products use the lumped-mass metric. The
-    two-loop recursion starts from gauss_newton_metric, rebuilt from the
-    forward states of each accepted iterate (no extra solve) and scaled by
-    s.y / y.H0y once history exists.
+    known Gamma; init = (sigma0, mu0), with the fitted fields within the
+    bounds. With mu_only, sigma stays at sigma0, which may lie outside the
+    bounds, and only mu is fitted. Returns (sigma, mu, LsqReport). Inner
+    products use the lumped-mass metric. The two-loop recursion starts from
+    gauss_newton_metric, rebuilt from the forward states of each accepted
+    iterate (no extra solve) and scaled by s.y / y.H0y once history exists.
 
     Terminates when the lumped-L2 gradient norm is at most grad_tol times
     the reference norm (converged, possibly after 0 iterations), at the
@@ -306,11 +305,11 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     tolerances of the module docstring's rules.
     """
     mesh = op.mesh
-    kappa = auto_kappa(mesh, data) if cfg.kappa == "auto" else float(cfg.kappa)
-    ev = Evaluator(op, gruneisen, data, kappa, newton)
+    ev = Evaluator(op, gruneisen, data, cfg.kappa, newton)
     sigma = as_field(mesh, init[0])
     mu = as_field(mesh, init[1])
-    for name, arr in (("sigma", sigma), ("mu", mu)):
+    fitted = (("mu", mu),) if mu_only else (("sigma", sigma), ("mu", mu))
+    for name, arr in fitted:
         if arr.min() < cfg.bound_floor - 1e-15 or arr.max() > cfg.bound_ceiling + 1e-15:
             raise ValidationError(f"initial {name} violates the projection bounds")
 
@@ -318,7 +317,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     n = mesh.node_count
     x = mu if mu_only else np.concatenate([sigma, mu])
     w = ev.lumped if mu_only else np.concatenate([ev.lumped, ev.lumped])
-    reg = kappa * op.K1.diagonal() / ev.lumped
+    reg = 0.0 if ev.K1 is None else ev.kappa * ev.K1.diagonal() / ev.lumped
 
     def pack(gs, gm):
         return gm if mu_only else np.concatenate([gs, gm])
@@ -332,7 +331,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     def project(x):
         return np.clip(x, cfg.bound_floor, cfg.bound_ceiling)
 
-    report = LsqReport(kappa=kappa)
+    report = LsqReport()
     if u0 is not None:
         if len(u0) != data.size:
             raise ValidationError(f"u0 needs one field per source ({data.size}), "

@@ -63,6 +63,15 @@ def test_config_negative_noise_rejected(tmp_path):
         load_config(path)
 
 
+def test_config_kappa_auto_is_a_bad_number(tmp_path):
+    text = default_config().canonical_text()
+    assert "\nkappa = 0\n" in text
+    path = tmp_path / "cfg.ini"
+    path.write_text(text.replace("\nkappa = 0\n", "\nkappa = auto\n"))
+    with pytest.raises(ValidationError, match=r"\[lsq\] kappa: bad number 'auto'"):
+        load_config(path)
+
+
 NUMBERISH = st.sampled_from(["nan", "inf", "-inf", "1e400", "1e306", "-1", "0", "-0",
                              "1e-300", "0.3", " 2 ", "7", "1_0", "auto", "", "1,2"])
 TEXT = st.one_of(st.text(max_size=20), NUMBERISH,
@@ -134,7 +143,7 @@ def assert_in_range(cfg):
     for e in cfg.noise_levels:                   # the noise streams can be seeded
         np.random.default_rng(noise_stream_seed(cfg.seeds[0], 0, e))
     ls = cfg.lsq
-    assert ls.kappa == "auto" or (math.isfinite(ls.kappa) and ls.kappa >= 0.0)
+    assert math.isfinite(ls.kappa) and ls.kappa >= 0.0
     assert math.isfinite(ls.grad_tol) and ls.grad_tol > 0.0
     assert ls.max_iterations >= 1 and ls.history >= 1
     assert 0.0 < ls.bound_floor < ls.bound_ceiling < math.inf

@@ -68,13 +68,25 @@ def test_experiment_iv_recovers_both():
 @pytest.mark.parametrize("which", ["II", "IV"])
 def test_least_squares_runs_with_one_source(which):
     # one datum has no pair fit to start from: IV starts sigma at the
-    # midpoint of the bounds and mu from the fit with that sigma
+    # midpoint of the bounds and mu from the fit with that sigma, and the
+    # unregularized fit still converges
     cfg = quick_config(n=8, levels=(0.0, 2.0))
     cfg.sources = cfg.sources[:1]
     bundle = prepare_data(cfg)
     for eps in cfg.noise_levels:
         fields = reconstruct(which, bundle, bundle.datum_set(eps, 3))
         assert np.all(np.isfinite(fields["sigma"])) and np.all(np.isfinite(fields["mu"]))
+        report = fields["lsq_report"]
+        assert report.converged, (eps, report.iterations, report.message)
+
+
+def test_experiment_ii_takes_a_known_sigma_outside_the_bounds():
+    # II fits mu alone, so only mu0 must lie within [bound_floor, bound_ceiling]
+    cfg = quick_config(n=8)
+    cfg.phantom.single_photon.background = 0.6
+    assert cfg.phantom.single_photon.background > cfg.lsq.bound_ceiling
+    table = run_experiment("II", cfg)
+    assert table.mean_errors()[("mu", 0.0)] <= 1e-6
 
 
 def test_unknown_experiment_rejected():
@@ -245,10 +257,12 @@ def test_bundle_operator_gives_bitwise_the_fields_of_a_fresh_one():
     assert np.array_equal(shared[0], fresh[0]) and np.array_equal(shared[1], fresh[1])
 
 
-@pytest.mark.parametrize("which, assemblies", [("III", 1), ("IV", 2)])
-def test_sweep_assembles_each_stiffness_matrix_once(monkeypatch, which, assemblies):
-    # the operator's K, and for least squares its unit-diffusion K1 shared by
-    # every job; the direct sweep never assembles K1
+@pytest.mark.parametrize("which, kappa, assemblies", [
+    pytest.param("III", 0.0, 1, id="III-1"), pytest.param("IV", 0.0, 1, id="IV-1"),
+    pytest.param("IV", 1e-6, 1 + 3, id="IV-kappa-4")])
+def test_sweep_assembles_each_stiffness_matrix_once(monkeypatch, which, kappa, assemblies):
+    # the operator's K once per sweep; least squares with kappa > 0 adds the
+    # regularizer's unit-diffusion K1 once per job (3 jobs here)
     assembled = []
     assemble = fem.assemble_stiffness
 
@@ -258,6 +272,7 @@ def test_sweep_assembles_each_stiffness_matrix_once(monkeypatch, which, assembli
 
     monkeypatch.setattr(fem, "assemble_stiffness", counting)
     cfg = quick_config(n=8, levels=(0.0, 2.0), seeds=(3, 4))
+    cfg.lsq.kappa = kappa
     table = run_experiment(which, cfg)
     assert len({(eps, seed) for _, eps, seed, _ in table.rows}) == 3
     assert assembled == [81] * assemblies

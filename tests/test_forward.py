@@ -1,7 +1,3 @@
-import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -464,31 +460,6 @@ def test_operator_rejects_a_nonpositive_or_nonfinite_diffusion(bad):
     gamma[5] = bad
     with pytest.raises(ValidationError, match="coefficient diffusion"):
         ForwardOperator(mesh, gamma)
-
-
-def test_unit_stiffness_is_assembled_once_under_concurrent_first_use(monkeypatch):
-    assembled = []
-    assemble = fem.assemble_stiffness
-
-    def slow_counting(mesh, gamma):
-        assembled.append(1)
-        time.sleep(0.01)                # widen the window a lost check would need
-        return assemble(mesh, gamma)
-
-    mesh = build_square_mesh(4)
-    op = ForwardOperator(mesh, 0.3)
-    monkeypatch.setattr(fem, "assemble_stiffness", slow_counting)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(lambda: op.K1) for _ in range(32)]
-            matrices = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(assembled) == 1
-    assert all(K is matrices[0] for K in matrices)
-    assert abs(matrices[0] - assemble(mesh, np.ones(mesh.node_count))).max() == 0.0
 
 
 @pytest.mark.parametrize("name", ["single_photon", "two_photon"])

@@ -12,7 +12,7 @@ from tppat.experiments import prepare_data, reconstruct
 from tppat.forward import BoundarySource, ForwardOperator, NewtonConfig, solve_semilinear
 from tppat.gradcheck import _fd_directional_derivative as fd_directional_derivative
 from tppat.gradcheck import gradient_check
-from tppat.lsq import Evaluator, LsqConfig, auto_kappa, gauss_newton_metric, run_lsq
+from tppat.lsq import Evaluator, LsqConfig, gauss_newton_metric, run_lsq
 from tppat.mesh import build_square_mesh
 from tppat.metrics import relative_l2_error
 
@@ -62,7 +62,7 @@ def test_objective_affine_in_kappa(bundle8):
     n = b.mesh.node_count
     trial = (b.coeffs.single_photon * (1 + 0.1 * rng.uniform(-1, 1, n)),
              b.coeffs.two_photon * (1 + 0.1 * rng.uniform(-1, 1, n)))
-    R = evaluator(b).regularizer(*trial)
+    R = evaluator(b, kappa=1.0).regularizer(*trial)
     v1, _ = evaluator(b, kappa=0.5).objective(*trial)
     v2, _ = evaluator(b, kappa=1.0).objective(*trial)
     assert v2 - v1 == pytest.approx(0.5 * R, rel=1e-12)
@@ -206,7 +206,7 @@ def test_run_lsq_solves_each_trial_point_once(bundle8, monkeypatch):
     monkeypatch.setattr(Evaluator, "forward_states", recording_forward_states)
     monkeypatch.setattr(Evaluator, "gradient", recording_gradient)
     n = b.mesh.node_count
-    cfg = LsqConfig(kappa=auto_kappa(b.mesh, datum(b)), max_iterations=25)
+    cfg = LsqConfig(kappa=0.0, max_iterations=25)
     _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b),
                            (np.full(n, 0.26), np.full(n, 0.26)), cfg, newton=TIGHT)
     assert report.iterations >= 5
@@ -219,7 +219,7 @@ def test_run_lsq_solves_each_trial_point_once(bundle8, monkeypatch):
 def test_run_lsq_objective_strictly_decreasing(bundle8):
     b = bundle8
     n = b.mesh.node_count
-    cfg = LsqConfig(kappa=auto_kappa(b.mesh, datum(b)), grad_tol=1e-3,
+    cfg = LsqConfig(kappa=0.0, grad_tol=1e-3,
                     max_iterations=25, bound_floor=0.02,
                     bound_ceiling=0.5)
     init = (np.full(n, 0.26), np.full(n, 0.26))
@@ -301,22 +301,20 @@ def test_lsq_config_validation():
         for name in ("kappa", "grad_tol", "bound_floor", "bound_ceiling"):
             with pytest.raises(ValidationError):
                 LsqConfig(**{name: bad})
+    # a bool, None, a string or any other value that is not a real number
+    for bad in (True, False, None, "0.1", "auto", 0.1j, [0.1]):
+        for name in ("kappa", "grad_tol", "bound_floor", "bound_ceiling"):
+            with pytest.raises(ValidationError, match=f"lsq {name} must be a real number"):
+                LsqConfig(**{name: bad})
+    cfg = LsqConfig(kappa=np.float32(0.5), grad_tol=np.float64(1e-3), bound_floor=0.25,
+                    bound_ceiling=np.int64(1))
+    assert (cfg.kappa, cfg.grad_tol, cfg.bound_ceiling) == (0.5, 1e-3, 1)
 
 
 def test_lsq_config_defaults_are_the_experiment_defaults():
     cfg = LsqConfig()
     assert (cfg.kappa, cfg.grad_tol, cfg.max_iterations, cfg.history,
-            cfg.bound_floor, cfg.bound_ceiling) == ("auto", 1e-6, 300, 10, 0.02, 0.5)
-
-
-def test_run_lsq_resolves_auto_kappa(bundle8):
-    b = bundle8
-    n = b.mesh.node_count
-    ds = datum(b)
-    init = (np.full(n, 0.26), np.full(n, 0.26))
-    _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, ds,
-                           init, LsqConfig(max_iterations=1), newton=TIGHT)
-    assert report.kappa == auto_kappa(b.mesh, ds)
+            cfg.bound_floor, cfg.bound_ceiling) == (0.0, 1e-6, 300, 10, 0.02, 0.5)
 
 
 def test_report_csv_format(bundle8, tmp_path):
@@ -335,15 +333,6 @@ def test_report_csv_format(bundle8, tmp_path):
     # the run's status sits on the last row only
     assert all(ln.endswith(",,") for ln in lines[1:-1])
     assert lines[-1].split(",")[4:] == [str(int(report.converged)), report.message]
-
-
-def test_auto_kappa_scales_with_data(bundle8):
-    b = bundle8
-    ds = datum(b)
-    k1 = auto_kappa(b.mesh, ds)
-    scaled = DatumSet(sources=list(ds.sources), data=[3.0 * H for H in ds.data])
-    k2 = auto_kappa(b.mesh, scaled)
-    assert k2 == pytest.approx(9.0 * k1, rel=1e-12)
 
 
 def test_forward_failure_names_source(bundle8):
