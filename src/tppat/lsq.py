@@ -44,6 +44,24 @@ last gradient: to first order a Newton residual F_j moves Phi by <v_j, F_j>,
 so the objective error stays a share of the Armijo decrease. Noiseless data,
 and data without noise metadata, keep newton's tolerances throughout, as
 direct.NOISE_SAFETY does for the direct solves.
+
+Noisy data also stop the run once it has fitted the coefficients as well as
+the noise lets it. The noise misfit
+
+    Phi_noise = 1/2 (epsilon/100)^2 sum_j sum_i m_i H_ji^2
+
+is the expected misfit at the truth under forward.add_noise, whose
+multiplier has standard deviation epsilon/100, taken with the noisy datum H
+as given (the clean one is unknown to a reconstruction). A run stops as
+converged, with the message "noise level reached", when the quasi-Newton
+model predicts a decrease lambda^2/2 = -1/2 <g, d> still to come (the
+Newton decrement, Boyd & Vandenberghe 2004, 9.5.1) of at most NOISE_SHARE
+Phi_noise: the iterate is then within about sqrt(NOISE_SHARE) of the
+noise's spread from the model's minimizer, so further iterations fit the
+noise rather than the coefficients (the discrepancy principle, Morozov
+1966). The test costs no solve. With the crime guard the datum's transfer
+averages the noise, so Phi_noise overestimates the misfit the noise leaves
+there.
 """
 
 from __future__ import annotations
@@ -65,6 +83,9 @@ from .direct import DatumSet
 # forward error's share of the Armijo decrease of a line-search trial.
 GRADIENT_SHARE = 0.1
 ARMIJO_SHARE = 0.1
+# The share of the noise misfit Phi_noise below which the predicted decrease
+# of a quasi-Newton step stops a run on noisy data (module docstring).
+NOISE_SHARE = 1e-4
 
 
 @dataclass
@@ -101,6 +122,7 @@ class LsqReport:
     grad_norm_history: list = field(default_factory=list)
     step_lengths: list = field(default_factory=list)
     reference_grad_norm: float = 0.0   # grad_tol times this is the stop threshold
+    noise_misfit: float = 0.0          # Phi_noise of the noise stop; 0 when it is off
     message: str = ""
 
     def save(self, path):
@@ -285,9 +307,15 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     iterate (no extra solve) and scaled by s.y / y.H0y once history exists.
 
     Terminates when the lumped-L2 gradient norm is at most grad_tol times
-    the reference norm (converged, possibly after 0 iterations), at the
-    iteration cap, or when the line search cannot make progress (best
-    iterate returned, converged=False). The reference is taken at a fixed
+    the reference norm (converged, possibly after 0 iterations), on noisy
+    data when the two-loop direction d (before the steepest-descent
+    fallback and the projection) is a descent direction whose predicted
+    decrease -1/2 <g, d> is at most NOISE_SHARE times the noise misfit
+    (converged, message "noise level reached"; the module docstring), at
+    the iteration cap, or when the line search cannot make progress (best
+    iterate returned, converged=False). The report keeps the noise misfit as
+    noise_misfit, 0.0 on noiseless data and data without noise metadata,
+    which the noise test leaves alone. The reference is taken at a fixed
     point, not at the start: it is the norm of the misfit part of the
     gradient, sum_j z_j Gamma u_j and sum_j z_j Gamma |u_j| u_j, at the
     midpoint of the bounds (sigma0 itself with mu_only), with the start's
@@ -393,12 +421,15 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     threshold = cfg.grad_tol * report.reference_grad_norm
     if noisy:
         adjoint_tol, adjoint_norms = next_tolerances(g, states)
+        report.noise_misfit = 0.5 * (data.noise_level * 1e-2) ** 2 * sum(
+            float((ev.lumped * H * H).sum()) for H in ev.data.data)
+    noise_floor = NOISE_SHARE * report.noise_misfit
 
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     rho_hist: list[float] = []
 
-    for it in range(cfg.max_iterations):
+    for it in range(cfg.max_iterations + 1):
         if report.grad_norm_history[-1] <= threshold:
             report.converged = True
             break
@@ -417,7 +448,15 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
             bi = ri * dot(yi, q)
             q += (ai - bi) * si
         d = -q
-        if dot(g, d) >= 0.0:
+        gd = dot(g, d)
+        if 0.0 < -0.5 * gd <= noise_floor:
+            report.converged = True
+            report.message = "noise level reached"
+            break
+        if it == cfg.max_iterations:
+            report.message = "iteration cap reached"
+            break
+        if gd >= 0.0:
             d = -g.copy()
 
         alpha = 1.0
@@ -458,11 +497,6 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
         report.objective_history.append(f)
         report.grad_norm_history.append(np.sqrt(dot(g, g)))
         report.step_lengths.append(alpha)
-    else:
-        if report.grad_norm_history[-1] <= threshold:
-            report.converged = True
-        else:
-            report.message = "iteration cap reached"
 
     s_fin, m_fin = fields_of(x)
     return s_fin.copy(), m_fin.copy(), report

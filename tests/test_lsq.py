@@ -277,6 +277,17 @@ def test_mu_only_mode_keeps_sigma_fixed(bundle8):
     assert report.objective_history[-1] < report.objective_history[0]
 
 
+def test_run_lsq_stops_at_the_iteration_cap(bundle8):
+    b = bundle8
+    n = b.mesh.node_count
+    _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b),
+                           (np.full(n, 0.26), np.full(n, 0.26)),
+                           LsqConfig(max_iterations=2), newton=TIGHT)
+    assert (report.iterations, report.converged) == (2, False)
+    assert report.message == "iteration cap reached"
+    assert len(report.objective_history) == len(report.grad_norm_history) == 3
+
+
 def test_lsq_config_validation():
     with pytest.raises(ValidationError):
         LsqConfig(grad_tol=0.0)
@@ -442,13 +453,20 @@ def lsq_start(bundle, ds, mu_only):
 
 
 def test_stop_test_does_not_depend_on_the_start(bundle16):
+    # the gradient test on the noisy datum without its noise metadata, which
+    # the noise test leaves alone; with the metadata both starts share one
+    # noise misfit
     b = bundle16
     cfg = LsqConfig()
     ds = b.datum_set(2.0, 101)
     n = b.mesh.node_count
     mid = 0.5 * (cfg.bound_floor + cfg.bound_ceiling)
-    runs = [run_lsq(b.operator, b.coeffs.gruneisen, ds, init, cfg)
-            for init in ((np.full(n, mid), np.full(n, mid)), lsq_start(b, ds, False)[0])]
+    inits = ((np.full(n, mid), np.full(n, mid)), lsq_start(b, ds, False)[0])
+    noisy = [run_lsq(b.operator, b.coeffs.gruneisen, ds, init, cfg)[2] for init in inits]
+    assert all(r.converged for r in noisy)
+    assert noisy[0].noise_misfit == noisy[1].noise_misfit > 0.0
+    runs = [run_lsq(b.operator, b.coeffs.gruneisen, stripped(ds), init, cfg)
+            for init in inits]
     reports = [r for _, _, r in runs]
     assert all(r.converged for r in reports)
     # the start near the minimizer has a gradient 1e-3 of the midpoint's, yet
@@ -510,10 +528,13 @@ def test_noise_aware_tolerances_keep_every_job(n, eps, seed, mu_only):
     # the error of its own values, so a converged run may stop one iteration
     # earlier or later, with the fields as close as the stop test puts them.
     # Where the line search fails (IV at 5 %, bounds active; ROADMAP item 2)
-    # both runs stop at an arbitrary point of the same crawl.
+    # both runs stop at an arbitrary point of the same crawl. The noise test
+    # is off: it stops only the run with the metadata.
     b = default_bundle(n)
-    (sigma, mu, report), (sigma_ref, mu_ref, ref) = lsq_pair_runs(
-        b, b.datum_set(eps, seed), mu_only)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lsq, "NOISE_SHARE", 0.0)
+        (sigma, mu, report), (sigma_ref, mu_ref, ref) = lsq_pair_runs(
+            b, b.datum_set(eps, seed), mu_only)
     assert (report.converged, report.message) == (ref.converged, ref.message)
     gap = max(max_relative_gap(sigma, sigma_ref), max_relative_gap(mu, mu_ref))
     if ref.converged:
@@ -521,6 +542,54 @@ def test_noise_aware_tolerances_keep_every_job(n, eps, seed, mu_only):
         assert gap <= 1e-3
     else:
         assert gap <= 1e-2
+
+
+# c of the noise stop's bound on Phi: the largest of 332 noise-stopped runs
+# (n = 8/16/24, eps = 1/2/5, random seeds, II and IV) came to 1.54.
+NOISE_STOP_PHI_FACTOR = 3.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([8, 16, 24]), eps=st.sampled_from([1.0, 2.0, 5.0]),
+       seed=st.integers(1, 2**31 - 1), mu_only=st.booleans())
+def test_noise_stop_ends_a_prefix_of_the_run_without_it(n, eps, seed, mu_only):
+    # each run against the same job with NOISE_SHARE = 0. The two agree until
+    # the noise test fires, so a run it stops is a prefix of the other, whose
+    # Phi ends at most NOISE_STOP_PHI_FACTOR * NOISE_SHARE * Phi_noise lower;
+    # a run it does not stop, and every noiseless run or run on data without
+    # noise metadata, is bitwise the other.
+    b = default_bundle(n)
+    noisy = b.datum_set(eps, seed)
+    for ds in (noisy, b.datum_set(0.0, seed), stripped(noisy)):
+        init, stars = lsq_start(b, ds, mu_only)
+        runs = []
+        for share in (lsq.NOISE_SHARE, 0.0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lsq, "NOISE_SHARE", share)
+                runs.append(run_lsq(b.operator, b.coeffs.gruneisen, ds, init,
+                                    b.config.lsq, mu_only=mu_only, u0=stars))
+        (sigma, mu, report), (sigma_off, mu_off, off) = runs
+        assert (report.noise_misfit > 0.0) == (ds is noisy)
+        if report.message != "noise level reached":
+            assert report == off
+            assert np.array_equal(sigma, sigma_off) and np.array_equal(mu, mu_off)
+            continue
+        assert ds is noisy and report.converged
+        k = report.iterations
+        assert k <= off.iterations
+        assert off.objective_history[:k + 1] == report.objective_history
+        gap = report.objective_history[-1] - off.objective_history[-1]
+        assert gap <= NOISE_STOP_PHI_FACTOR * lsq.NOISE_SHARE * report.noise_misfit
+
+
+def test_noise_stop_ends_the_crawl_of_a_noisy_job():
+    # n = 8, IV, eps = 5, seed 102: without the noise test the line search
+    # accepts decreases below the forward solves' accuracy for 8 iterations,
+    # then fails
+    b = default_bundle(8)
+    report = reconstruct("IV", b, b.datum_set(5.0, 102))["lsq_report"]
+    assert report.converged and report.message == "noise level reached"
+    assert report.iterations <= 3
 
 
 def test_noise_aware_tolerances_save_preconditioner_applications(monkeypatch):
@@ -587,10 +656,12 @@ def test_noiseless_least_squares_keeps_newtons_tolerances(bundle16, monkeypatch,
 @pytest.mark.parametrize("mu_only", [False, True])
 def test_noisy_least_squares_loosens_only_after_the_first_gradient(bundle16, monkeypatch,
                                                                    mu_only):
+    # the noise test off, so that the run iterates past the first gradient
     b = bundle16
     newton = NewtonConfig()
     ds = b.datum_set(2.0, 101)
     init, stars = lsq_start(b, ds, mu_only)
+    monkeypatch.setattr(lsq, "NOISE_SHARE", 0.0)
     forward, adjoint = recorded_tolerances(monkeypatch)
     _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, ds, init, LsqConfig(),
                            mu_only=mu_only, u0=stars)
@@ -610,8 +681,10 @@ def test_noisy_gradients_stay_within_their_share_of_the_gradient(bundle16, monke
     # every gradient after the first, against the same gradient solved to
     # linear_tol from the same states: the adjoint error stays below the
     # larger of the stop threshold and the previous gradient norm. The tight
-    # grad_tol runs on until that bound, not FORCING_MAX, sets the tolerance.
+    # grad_tol runs on, with the noise test off, until that bound, not
+    # FORCING_MAX, sets the tolerance.
     b = bundle16
+    monkeypatch.setattr(lsq, "NOISE_SHARE", 0.0)
     ds = b.datum_set(2.0, 101)
     init, stars = lsq_start(b, ds, mu_only=False)
     tols, gaps = [], []
