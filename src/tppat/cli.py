@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__, fem, transfer
 from .config import default_config, load_config, parse_number_list, write_config
 from .errors import SolverError, ValidationError
-from .experiments import run_experiment, run_forward, write_manifest
+from .experiments import EXPERIMENTS, run_experiment, run_forward, write_manifest
 from .gradcheck import gradient_check
 from .mesh import build_square_mesh, load_mesh, save_mesh
 
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("experiment", help="run experiment I, II, III or IV")
-    p.add_argument("--which", required=True, choices=["I", "II", "III", "IV"])
+    p.add_argument("--which", required=True, choices=EXPERIMENTS)
     common(p)
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for independent jobs")

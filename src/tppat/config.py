@@ -19,6 +19,7 @@ g(x, y) = a + bx*x + by*y restricted to the boundary.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io
 import math
 from dataclasses import dataclass, field
@@ -39,6 +40,8 @@ COEFF_SECTIONS = {
 
 SOURCE_PARAMETERS = {"constant": ("value",), "affine": ("a", "bx", "by")}
 INCLUSION_PARAMETERS = ("center", "size", "value")
+# the [lsq] keys, in LsqConfig field order, with the type of each default
+LSQ_CONVERTERS = {f.name: type(f.default) for f in dataclasses.fields(LsqConfig)}
 
 
 def _expect_keys(params, keys, context):
@@ -138,13 +141,9 @@ class ExperimentConfig:
         print("levels = " + ", ".join(f"{e:g}" for e in self.noise_levels), file=out)
         print("seeds = " + ", ".join(str(s) for s in self.seeds), file=out)
         print("\n[lsq]", file=out)
-        ls = self.lsq
-        print(f"kappa = {ls.kappa:g}", file=out)
-        print(f"grad_tol = {ls.grad_tol:g}", file=out)
-        print(f"max_iterations = {ls.max_iterations}", file=out)
-        print(f"history = {ls.history}", file=out)
-        print(f"bound_floor = {ls.bound_floor:g}", file=out)
-        print(f"bound_ceiling = {ls.bound_ceiling:g}", file=out)
+        for key, conv in LSQ_CONVERTERS.items():
+            value = getattr(self.lsq, key)
+            print(f"{key} = {value:g}" if conv is float else f"{key} = {value}", file=out)
         return out.getvalue()
 
 
@@ -248,11 +247,9 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
             cfg.seeds = parse_number_list(sec["seeds"], "[noise] seeds", conv=int)
 
     if parser.has_section("lsq"):
-        convs = {"kappa": float, "grad_tol": float, "max_iterations": int,
-                 "history": int, "bound_floor": float, "bound_ceiling": float}
-        sec = _known_keys(parser, "lsq", convs)
+        sec = _known_keys(parser, "lsq", LSQ_CONVERTERS)
         cfg.lsq = LsqConfig(**{key: _conv(sec[key], f"[lsq] {key}", conv)
-                               for key, conv in convs.items() if key in sec})
+                               for key, conv in LSQ_CONVERTERS.items() if key in sec})
 
     return cfg.validate()
 

@@ -136,16 +136,15 @@ def recover_all_fields(op: ForwardOperator, Gamma, data: DatumSet) -> list:
             for g, H in zip(data.sources, data.data)]
 
 
-def fit_pair_pointwise(mesh: Mesh, u_stars: list, ratios: list,
-                       spread_threshold: float = SPREAD_THRESHOLD,
-                       sigma_known=None):
+def fit_pair_pointwise(mesh: Mesh, u_stars: list, ratios: list, sigma_known=None):
     """Per-node least-squares fit of sigma + mu |u_j*| = r_j over J rows.
 
     Solves the J x 2 system with rows [1, |u_j*|] through its normal
     equations at every node, or with sigma_known the J x 1 system with rows
     [|u_j*|] for mu alone. Nodes with a nonpositive recovered density, or
-    (pair only) a degenerate |u_j*| spread, are flagged and filled from the
-    nearest well-conditioned node (Euclidean distance, lowest index on ties).
+    (pair only) a degenerate |u_j*| spread (max - min below SPREAD_THRESHOLD
+    times max), are flagged and filled from the nearest well-conditioned
+    node (Euclidean distance, lowest index on ties).
     Returns (sigma, mu, ConditionReport); with sigma_known, sigma is that
     field.
     """
@@ -165,7 +164,7 @@ def fit_pair_pointwise(mesh: Mesh, u_stars: list, ratios: list,
         condition = np.where(s2 > 0.0, 1.0, np.inf)
     else:
         spread = A.max(axis=0) - A.min(axis=0)
-        flagged |= spread < spread_threshold * A.max(axis=0)
+        flagged |= spread < SPREAD_THRESHOLD * A.max(axis=0)
         s1 = A.sum(axis=0)
         b0 = R.sum(axis=0)
         b1 = (A * R).sum(axis=0)
@@ -201,8 +200,7 @@ def fit_pair_pointwise(mesh: Mesh, u_stars: list, ratios: list,
     return sigma, mu, report
 
 
-def recover_pair(op: ForwardOperator, Gamma, data: DatumSet,
-                 spread_threshold: float = SPREAD_THRESHOLD, sigma_known=None,
+def recover_pair(op: ForwardOperator, Gamma, data: DatumSet, sigma_known=None,
                  stars=None):
     """(sigma, mu), or mu with sigma_known, by pointwise least squares.
 
@@ -219,5 +217,4 @@ def recover_pair(op: ForwardOperator, Gamma, data: DatumSet,
     if stars is None:
         stars = recover_all_fields(op, Gamma, data)
     ratios = [H / (Gamma * u) for H, u in zip(data.data, stars)]
-    return fit_pair_pointwise(op.mesh, stars, ratios, spread_threshold,
-                              sigma_known=sigma_known)
+    return fit_pair_pointwise(op.mesh, stars, ratios, sigma_known=sigma_known)

@@ -128,7 +128,7 @@ def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
 
 
 def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
-                 max_iterations: int | None = None, preconditioner=None, shift=0.0):
+                 preconditioner=None, shift=0.0):
     """Preconditioned conjugate gradients for the SPD system (A + diag(shift)) x = b.
 
     shift (an array of one value per row, or a scalar) is added to the
@@ -138,8 +138,8 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     definite P; the default is Jacobi, z = r / (diag(A) + shift). Returns x
     with relative residual ||(A + diag(shift)) x - b|| / ||b|| <= tol (x = 0
     when b = 0). Raises ValidationError, before any iteration, unless tol is
-    finite and positive, and SolverError with the final residual on
-    non-convergence.
+    finite and positive, and SolverError with the final residual when
+    max(1000, 20 n) iterations do not reach tol.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"CG tolerance must be finite and positive, got {tol!r}")
@@ -149,8 +149,7 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n)
-    if max_iterations is None:
-        max_iterations = max(1000, 20 * n)
+    max_iterations = max(1000, 20 * n)
 
     diag = A.diagonal() + shift
     if np.any(diag <= 0.0):

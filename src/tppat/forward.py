@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .errors import SolverError, ValidationError, require_count
+from .errors import SolverError, ValidationError
 from .fem import CoefficientSet, as_field
 from .mesh import Mesh
 
@@ -80,22 +80,24 @@ class BoundarySource:
 # Forcing term of the inexact Newton step (see the module docstring).
 FORCING_MAX = 0.01
 FORCING_SAFETY = 0.1
+# Backtracking factor of the Newton line search, and the Newton step cap.
+DAMPING = 0.5
+NEWTON_MAX_ITERATIONS = 50
 
 
 @dataclass
 class NewtonConfig:
-    """Newton settings for solve_semilinear.
+    """Newton tolerances for solve_semilinear.
 
-    residual_tol bounds the interior residual norm at convergence; damping is
-    the backtracking factor. linear_tol is the floor of the forcing term of
-    every Newton step and of the cold start, and the relative tolerance of
-    the adjoint solves of the least-squares gradient. Both tolerances must
-    be finite and positive, and max_iterations an integer >= 1.
+    residual_tol bounds the interior residual norm at convergence. linear_tol
+    is the floor of the forcing term of every Newton step and of the cold
+    start, and the relative tolerance of the adjoint solves of the
+    least-squares gradient. Both must be finite and positive. The
+    backtracking factor and the step cap are the module constants DAMPING
+    and NEWTON_MAX_ITERATIONS.
     """
 
     residual_tol: float = 1e-10
-    max_iterations: int = 50
-    damping: float = 0.5
     linear_tol: float = fem.DEFAULT_TOL
 
     def __post_init__(self):
@@ -103,9 +105,6 @@ class NewtonConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{name} must be finite and positive, got {value!r}")
-        require_count(self.max_iterations, "max_iterations")
-        if not 0.0 < self.damping < 1.0:
-            raise ValidationError("damping factor must lie in (0, 1)")
 
 
 @dataclass
@@ -226,13 +225,14 @@ def solve_semilinear(op: ForwardOperator, sigma, mu, g: BoundarySource,
 
     sigma and mu must be finite and positive, and g a source on op's mesh.
     Returns (u, report) with u matching g exactly on boundary nodes and the
-    interior residual norm at most cfg.residual_tol. Accepted steps never
-    increase the residual norm (backtracking with factor cfg.damping). Each
-    step's linear solve runs only to the relative residual eta_k of the
-    module docstring, never below cfg.linear_tol. The initial iterate is the
-    solution of the linear problem with mu = 0, solved only to the relative
-    residual max(FORCING_MAX, cfg.linear_tol), unless a warm start u0 is
-    supplied.
+    interior residual norm at most cfg.residual_tol within
+    NEWTON_MAX_ITERATIONS steps, or raises SolverError with the report.
+    Accepted steps never increase the residual norm (backtracking with
+    factor DAMPING). Each step's linear solve runs only to the relative
+    residual eta_k of the module docstring, never below cfg.linear_tol. The
+    initial iterate is the solution of the linear problem with mu = 0,
+    solved only to the relative residual max(FORCING_MAX, cfg.linear_tol),
+    unless a warm start u0 is supplied.
     """
     cfg = cfg or NewtonConfig()
     mesh = op.mesh
@@ -252,7 +252,7 @@ def solve_semilinear(op: ForwardOperator, sigma, mu, g: BoundarySource,
     rnorm = float(np.linalg.norm(F))
     report.residual_history.append(rnorm)
 
-    for _ in range(cfg.max_iterations):
+    for _ in range(NEWTON_MAX_ITERATIONS):
         if rnorm <= cfg.residual_tol:
             report.converged = True
             return u, report
@@ -270,7 +270,7 @@ def solve_semilinear(op: ForwardOperator, sigma, mu, g: BoundarySource,
                 u, F, rnorm = trial, F_trial, rnorm_trial
                 accepted = True
                 break
-            alpha *= cfg.damping
+            alpha *= DAMPING
         if not accepted:
             raise SolverError(
                 f"Newton line search stalled at residual {rnorm:.3e}",
@@ -283,7 +283,7 @@ def solve_semilinear(op: ForwardOperator, sigma, mu, g: BoundarySource,
         return u, report
     raise SolverError(
         f"Newton did not reach residual {cfg.residual_tol:g} in "
-        f"{cfg.max_iterations} iterations (residual {rnorm:.3e})",
+        f"{NEWTON_MAX_ITERATIONS} iterations (residual {rnorm:.3e})",
         residual=rnorm, report=report)
 
 

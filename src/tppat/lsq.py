@@ -66,6 +66,7 @@ there.
 
 from __future__ import annotations
 
+import collections
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -133,13 +134,10 @@ class LsqReport:
         """
         lines = ["iteration,objective,grad_norm,step_length,converged,message"]
         last = len(self.objective_history) - 1
-        for k, obj in enumerate(self.objective_history):
-            gn = self.grad_norm_history[k] if k < len(self.grad_norm_history) else ""
-            st = self.step_lengths[k - 1] if 0 < k <= len(self.step_lengths) else ""
-            gn = f"{gn:.17g}" if gn != "" else ""
-            st = f"{st:.17g}" if st != "" else ""
+        for k, (obj, gn) in enumerate(zip(self.objective_history, self.grad_norm_history)):
+            st = f"{self.step_lengths[k - 1]:.17g}" if k > 0 else ""
             status = f"{int(self.converged)},{self.message}" if k == last else ","
-            lines.append(f"{k},{obj:.17g},{gn},{st},{status}")
+            lines.append(f"{k},{obj:.17g},{gn:.17g},{st},{status}")
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -425,9 +423,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
             float((ev.lumped * H * H).sum()) for H in ev.data.data)
     noise_floor = NOISE_SHARE * report.noise_misfit
 
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    pairs = collections.deque(maxlen=int(cfg.history))   # (s, y, 1 / s.y), oldest first
 
     for it in range(cfg.max_iterations + 1):
         if report.grad_norm_history[-1] <= threshold:
@@ -437,14 +433,15 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
         # two-loop recursion in the lumped-mass metric
         q = g.copy()
         alphas = []
-        for si, yi, ri in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+        for si, yi, ri in reversed(pairs):
             ai = ri * dot(si, q)
             alphas.append(ai)
             q -= ai * yi
         q = h0(q)
-        if y_hist:
-            q *= dot(s_hist[-1], y_hist[-1]) / dot(y_hist[-1], h0(y_hist[-1]))
-        for si, yi, ri, ai in zip(s_hist, y_hist, rho_hist, reversed(alphas)):
+        if pairs:
+            s_last, y_last, _ = pairs[-1]
+            q *= dot(s_last, y_last) / dot(y_last, h0(y_last))
+        for (si, yi, ri), ai in zip(pairs, reversed(alphas)):
             bi = ri * dot(yi, q)
             q += (ai - bi) * si
         d = -q
@@ -482,13 +479,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
         y_vec = g_new - g
         sy = dot(s_vec, y_vec)
         if sy > 1e-12 * np.sqrt(dot(s_vec, s_vec) * dot(y_vec, y_vec)):
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > cfg.history:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+            pairs.append((s_vec, y_vec, 1.0 / sy))
 
         x, f, g = x_trial, f_trial, g_new
         if noisy:

@@ -40,7 +40,6 @@ class Mesh:
     nodes : (N, 2) float array of node coordinates.
     triangles : (T, 3) int array of node indices, counterclockwise.
     boundary_edges : (B, 2) int array of node-index pairs on the boundary.
-    boundary_nodes : frozenset of node indices on the boundary.
     boundary_list : read-only int array of the boundary nodes, increasing
         (the stable ordering for I/O and boundary data).
     interior_list : read-only int array of the other nodes, increasing.
@@ -51,7 +50,6 @@ class Mesh:
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
-    boundary_nodes: frozenset = field(init=False)
     boundary_list: np.ndarray = field(init=False, repr=False)
     interior_list: np.ndarray = field(init=False, repr=False)
     areas: np.ndarray = field(init=False, repr=False)
@@ -73,7 +71,6 @@ class Mesh:
         boundary = np.unique(bedges)
         interior = np.ones(len(nodes), dtype=bool)
         interior[boundary] = False
-        object.__setattr__(self, "boundary_nodes", frozenset(boundary.tolist()))
         object.__setattr__(self, "boundary_list", boundary)
         object.__setattr__(self, "interior_list", np.nonzero(interior)[0])
         for arr in (self.nodes, self.triangles, self.boundary_edges,

@@ -45,8 +45,9 @@ def apply_dirichlet(A: sp.spmatrix, b: np.ndarray, boundary_values: dict,
     non-boundary nodes are rejected.
     """
     if mesh is not None:
+        boundary = set(mesh.boundary_list.tolist())
         for node in boundary_values:
-            if int(node) not in mesh.boundary_nodes:
+            if int(node) not in boundary:
                 raise ValidationError(
                     f"Dirichlet value specified for non-boundary node {node}")
     n = A.shape[0]

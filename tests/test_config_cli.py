@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from tppat.config import (COEFF_SECTIONS, SOURCE_PARAMETERS, SourceSpec, default
                           load_config, parse_config, write_config)
 from tppat.errors import ValidationError
 from tppat.experiments import noise_stream_seed
+from tppat.lsq import LsqConfig
 from tppat.mesh import build_square_mesh, load_mesh
 from tppat.phantoms import SHAPES
 
@@ -37,6 +39,19 @@ def test_default_config_valid_and_roundtrips(tmp_path):
     write_config(cfg, path)
     cfg2 = load_config(path)
     assert cfg2.canonical_text() == cfg.canonical_text()
+
+
+def test_lsq_section_roundtrips_to_identical_bytes(tmp_path):
+    # integer keys print as integers: %g would write 1234567 as 1.23457e+06
+    cfg = default_config()
+    cfg.lsq = LsqConfig(kappa=2.5e-3, grad_tol=3e-7, max_iterations=1234567, history=7)
+    first, second = tmp_path / "first.ini", tmp_path / "second.ini"
+    write_config(cfg, first)
+    loaded = load_config(first)
+    write_config(loaded, second)
+    assert "\nmax_iterations = 1234567\n" in first.read_text()
+    assert loaded.lsq == cfg.lsq
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_config_missing_section_rejected(tmp_path):
@@ -76,8 +91,7 @@ NUMBERISH = st.sampled_from(["nan", "inf", "-inf", "1e400", "1e306", "-1", "0", 
                              "1e-300", "0.3", " 2 ", "7", "1_0", "auto", "", "1,2"])
 TEXT = st.one_of(st.text(max_size=20), NUMBERISH,
                  st.lists(NUMBERISH, max_size=4).map(", ".join))
-LSQ_KEYS = ("kappa", "grad_tol", "max_iterations", "history", "bound_floor",
-            "bound_ceiling")
+LSQ_KEYS = tuple(f.name for f in dataclasses.fields(LsqConfig))
 
 
 BAD_NUMBER = st.sampled_from(["nan", "inf", "1e400", "-1", "0", "x"])

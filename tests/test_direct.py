@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracle import mu_from_set_loop
 from test_forward import count_grid_preconditioner_applications, jittered_mesh
+from tppat import direct
 from tppat.config import default_config
 from tppat.direct import (DatumSet, fit_pair_pointwise, recover_all_fields,
                           recover_field, recover_pair)
@@ -256,7 +257,7 @@ def test_recover_pair_identical_sources_degenerate(bundle16):
         recover_pair(b.operator, b.coeffs.gruneisen, ds)
 
 
-def test_recover_pair_flags_and_fills_degenerate_nodes(bundle16):
+def test_recover_pair_flags_and_fills_degenerate_nodes(bundle16, monkeypatch):
     # a spread threshold inside the observed spread distribution forces the
     # fallback path on part of the mesh only
     b = bundle16
@@ -264,9 +265,8 @@ def test_recover_pair_flags_and_fills_degenerate_nodes(bundle16):
     stars = recover_all_fields(b.operator, b.coeffs.gruneisen, ds)
     A = np.abs(np.stack(stars))
     rel_spread = (A.max(axis=0) - A.min(axis=0)) / A.max(axis=0)
-    threshold = float(np.quantile(rel_spread, 0.3))
-    sigma, mu, report = recover_pair(b.operator, b.coeffs.gruneisen, ds,
-                                     spread_threshold=threshold)
+    monkeypatch.setattr(direct, "SPREAD_THRESHOLD", float(np.quantile(rel_spread, 0.3)))
+    sigma, mu, report = recover_pair(b.operator, b.coeffs.gruneisen, ds)
     assert report.flagged.any()
     assert not report.flagged.all()
     for i in np.nonzero(report.flagged)[0]:

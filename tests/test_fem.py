@@ -110,7 +110,7 @@ def test_dirichlet_all_boundary_problem():
     # on the n=1 mesh every node is on the boundary
     m = build_square_mesh(1)
     K = assemble_stiffness(m, np.ones(4))
-    values = {int(i): float(i) + 0.5 for i in m.boundary_nodes}
+    values = {int(i): float(i) + 0.5 for i in m.boundary_list}
     A, b = apply_dirichlet(K, np.zeros(4), values, mesh=m)
     x = solve_linear(A, b, 1e-12)
     for node, val in values.items():
@@ -121,7 +121,7 @@ def test_dirichlet_homogeneous_zeroes_rhs():
     m = build_square_mesh(3)
     K = assemble_stiffness(m, np.ones(m.node_count))
     b = np.ones(m.node_count)
-    values = {int(i): 0.0 for i in m.boundary_nodes}
+    values = {int(i): 0.0 for i in m.boundary_list}
     _, b2 = apply_dirichlet(K, b, values, mesh=m)
     assert np.all(b2[m.boundary_list] == 0.0)
 
@@ -130,7 +130,7 @@ def test_dirichlet_preserves_symmetry():
     m = build_square_mesh(4)
     rng = np.random.default_rng(2)
     K = assemble_stiffness(m, rng.uniform(0.5, 2.0, m.node_count))
-    values = {int(i): rng.uniform(-1, 1) for i in m.boundary_nodes}
+    values = {int(i): rng.uniform(-1, 1) for i in m.boundary_list}
     A, _ = apply_dirichlet(K, np.zeros(m.node_count), values, mesh=m)
     diff = (A - A.T).toarray()
     assert np.abs(diff).max() == 0.0
@@ -148,7 +148,7 @@ def test_p1_reproduces_linear_solution_exactly():
     # u = x is harmonic; P1 reproduces linears so the solve is exact
     m = build_square_mesh(4)
     K = assemble_stiffness(m, np.ones(m.node_count))
-    values = {int(i): float(m.nodes[i, 0]) for i in m.boundary_nodes}
+    values = {int(i): float(m.nodes[i, 0]) for i in m.boundary_list}
     A, b = apply_dirichlet(K, np.zeros(m.node_count), values, mesh=m)
     x = solve_linear(A, b, 1e-13)
     assert np.abs(x - m.nodes[:, 0]).max() <= 1e-12
@@ -182,12 +182,14 @@ def test_solve_zero_rhs():
 
 
 def test_solve_nonconvergence_reports_residual():
+    # condition number 1e12: round-off keeps CG from a relative residual of
+    # 1e-14, so it stops at its cap of max(1000, 20 n) iterations
     rng = np.random.default_rng(4)
-    B = rng.standard_normal((40, 40))
-    A = sp.csr_matrix(B @ B.T + 0.1 * np.eye(40))
-    with pytest.raises(SolverError) as err:
-        solve_linear(A, rng.standard_normal(40), 1e-14, max_iterations=2)
-    assert err.value.residual is not None
+    Q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    A = sp.csr_matrix((Q * np.logspace(0.0, -12.0, 40)) @ Q.T)
+    with pytest.raises(SolverError, match="in 1000 iterations") as err:
+        solve_linear(A, rng.standard_normal(40), 1e-14)
+    assert err.value.residual > 1e-14
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
@@ -235,7 +237,7 @@ def test_h_refinement_second_order():
         f = 2.0 * np.pi ** 2 * exact
         K = assemble_stiffness(m, np.ones(m.node_count))
         b = lumped_mass(m) * f
-        A, b = apply_dirichlet(K, b, {int(i): 0.0 for i in m.boundary_nodes}, mesh=m)
+        A, b = apply_dirichlet(K, b, {int(i): 0.0 for i in m.boundary_list}, mesh=m)
         u = solve_linear(A, b, 1e-12)
         M = assemble_weighted_mass(m, np.ones(m.node_count))
         diff = u - exact

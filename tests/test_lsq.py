@@ -346,11 +346,12 @@ def test_report_csv_format(bundle8, tmp_path):
     assert lines[-1].split(",")[4:] == [str(int(report.converged)), report.message]
 
 
-def test_forward_failure_names_source(bundle8):
+def test_forward_failure_names_source(bundle8, monkeypatch):
+    monkeypatch.setattr("tppat.forward.NEWTON_MAX_ITERATIONS", 1)
     b = bundle8
     ds = datum(b)
     ev = Evaluator(b.operator, b.coeffs.gruneisen, ds, kappa=0.0,
-                   newton=NewtonConfig(residual_tol=1e-16, max_iterations=1))
+                   newton=NewtonConfig(residual_tol=1e-16))
     from tppat.errors import SolverError
     with pytest.raises(SolverError) as err:
         ev.forward_states(b.coeffs.single_photon, b.coeffs.two_photon)

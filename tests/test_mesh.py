@@ -11,14 +11,14 @@ def test_smallest_grid_counts():
     m = build_square_mesh(1)
     assert m.node_count == 4
     assert m.triangle_count == 2
-    assert len(m.boundary_nodes) == 4
+    assert len(m.boundary_list) == 4
 
 
 def test_n2_counts():
     m = build_square_mesh(2)
     assert m.node_count == 9
     assert m.triangle_count == 8
-    assert len(m.boundary_nodes) == 8
+    assert len(m.boundary_list) == 8
 
 
 def test_benchmark_scale_element_count():
@@ -46,7 +46,7 @@ def test_boundary_edge_count(n):
     # 4n sides of length 2/n on a perimeter of length 8
     m = build_square_mesh(n)
     assert len(m.boundary_edges) == 4 * n
-    assert len(m.boundary_nodes) == 4 * n
+    assert len(m.boundary_list) == 4 * n
 
 
 def test_all_triangles_counterclockwise():
@@ -62,7 +62,7 @@ def test_roundtrip_identity(tmp_path):
     assert np.array_equal(m.nodes, m2.nodes)
     assert np.array_equal(m.triangles, m2.triangles)
     assert np.array_equal(m.boundary_edges, m2.boundary_edges)
-    assert m.boundary_nodes == m2.boundary_nodes
+    assert np.array_equal(m.boundary_list, m2.boundary_list)
 
 
 def test_roundtrip_larger_mesh(tmp_path):
@@ -169,8 +169,8 @@ def test_mesh_is_immutable():
 def test_interior_and_boundary_partition():
     m = build_square_mesh(4)
     assert len(m.interior_list) + len(m.boundary_list) == m.node_count
-    assert set(m.interior_list).isdisjoint(m.boundary_nodes)
-    assert m.boundary_list.tolist() == sorted(m.boundary_nodes)
+    assert set(m.interior_list).isdisjoint(m.boundary_list)
+    assert m.boundary_list.tolist() == sorted(set(m.boundary_edges.ravel().tolist()))
     assert np.all(np.diff(m.interior_list) > 0)
 
 
