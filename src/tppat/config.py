@@ -44,6 +44,13 @@ INCLUSION_PARAMETERS = ("center", "size", "value")
 LSQ_CONVERTERS = {f.name: type(f.default) for f in dataclasses.fields(LsqConfig)}
 
 
+def _number(value) -> str:
+    """value as :g where that reads back as the same float, else as repr."""
+    value = float(value)
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def _expect_keys(params, keys, context):
     """Reject packed parameters other than keys, naming the first odd key."""
     odd = sorted(set(keys) ^ set(params))
@@ -76,7 +83,7 @@ class SourceSpec:
         return src.require_strictly_positive()
 
     def describe(self) -> str:
-        items = "; ".join(f"{k} = {self.params[k]:g}" for k in sorted(self.params))
+        items = "; ".join(f"{k} = {_number(self.params[k])}" for k in sorted(self.params))
         return f"{self.kind}; {items}"
 
 
@@ -120,7 +127,7 @@ class ExperimentConfig:
         return self
 
     def canonical_text(self) -> str:
-        """Normalized echo of the configuration, stable across runs."""
+        """Normalized echo of the configuration, stable across runs and exact."""
         out = io.StringIO()
         print("[mesh]", file=out)
         print(f"n = {self.mesh_n}", file=out)
@@ -129,21 +136,22 @@ class ExperimentConfig:
         for name, section in COEFF_SECTIONS.items():
             pf = getattr(self.phantom, name)
             print(f"\n[{section}]", file=out)
-            print(f"background = {pf.background:g}", file=out)
+            print(f"background = {_number(pf.background)}", file=out)
             for k, inc in enumerate(pf.inclusions, start=1):
                 print(f"inclusion{k} = {inc.shape}; "
-                      f"center = {inc.center[0]:g}, {inc.center[1]:g}; "
-                      f"size = {inc.size:g}; value = {inc.value:g}", file=out)
+                      f"center = {_number(inc.center[0])}, {_number(inc.center[1])}; "
+                      f"size = {_number(inc.size)}; value = {_number(inc.value)}",
+                      file=out)
         print("\n[sources]", file=out)
         for k, s in enumerate(self.sources, start=1):
             print(f"source{k} = {s.describe()}", file=out)
         print("\n[noise]", file=out)
-        print("levels = " + ", ".join(f"{e:g}" for e in self.noise_levels), file=out)
+        print("levels = " + ", ".join(map(_number, self.noise_levels)), file=out)
         print("seeds = " + ", ".join(str(s) for s in self.seeds), file=out)
         print("\n[lsq]", file=out)
         for key, conv in LSQ_CONVERTERS.items():
             value = getattr(self.lsq, key)
-            print(f"{key} = {value:g}" if conv is float else f"{key} = {value}", file=out)
+            print(f"{key} = {_number(value) if conv is float else value}", file=out)
         return out.getvalue()
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import fem
 from .errors import ValidationError
 from .fem import as_field, positive_field, write_columns
-from .forward import BoundarySource, ForwardOperator
+from .forward import ForwardOperator
 from .mesh import Mesh
 
 SPREAD_THRESHOLD = 1e-6
@@ -109,30 +109,21 @@ class ConditionReport:
                       np.asarray(self.flagged, dtype=np.int64).tolist())
 
 
-def recover_field(op: ForwardOperator, Gamma, H, g: BoundarySource,
-                  tol: float = fem.DEFAULT_TOL) -> np.ndarray:
-    """Photon density u* from one datum: -div(gamma grad u*) = -H/Gamma, u* = g.
-
-    gamma is the diffusion of op; Gamma must be finite and positive. tol is
-    the relative residual of the linear solve.
-    """
-    Gamma = positive_field(op.mesh, Gamma, "gruneisen")
-    H = as_field(op.mesh, H)
-    return op.solve_reaction(np.zeros(op.mesh.node_count), g,
-                             load_nodal=-H / Gamma, tol=tol)
-
-
 def recover_all_fields(op: ForwardOperator, Gamma, data: DatumSet) -> list:
-    """One linear solve per datum (recover_field), all with the operator op.
+    """Photon densities u_j*, one linear solve per datum with the operator op.
 
+    Each solves -div(gamma grad u_j*) = -H_j / Gamma with u_j* = g_j on the
+    boundary, gamma the diffusion of op; Gamma must be finite and positive.
     Each solve runs to the relative residual
     max(fem.DEFAULT_TOL, NOISE_SAFETY * epsilon / 100) for the noise level
     epsilon of the data (DatumSet.noise_level): fem.DEFAULT_TOL for
     noiseless data or data without noise metadata, 2e-5 at epsilon = 2.
     """
     data.validate(op.mesh)
+    Gamma = positive_field(op.mesh, Gamma, "gruneisen")
     tol = max(fem.DEFAULT_TOL, NOISE_SAFETY * data.noise_level / 100.0)
-    return [recover_field(op, Gamma, H, g, tol)
+    return [op.solve_reaction(np.zeros(op.mesh.node_count), g, load_nodal=-H / Gamma,
+                              tol=tol)
             for g, H in zip(data.sources, data.data)]
 
 

@@ -135,43 +135,39 @@ def prepare_data(cfg: ExperimentConfig, newton: NewtonConfig | None = None,
 def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
     """Run one experiment's reconstruction. Returns {coefficient: field}.
 
-    The least-squares experiments start from the direct fit of the same
-    datum, clipped to the bounds: II from experiment I's fit (sigma known),
-    IV from experiment III's pair fit, and their first forward solves from
-    its densities u_j*, solved once for both. Nodes the direct fit flags
-    carry its nearest-neighbour fill. With one source the pair fit does not
-    exist, so
-    IV starts sigma at the midpoint of the bounds and mu from the fit with
-    that sigma. I and II hold sigma at its true value and return it as well.
+    Every experiment starts with the direct fit of the datum: its densities
+    u_j* (direct.recover_all_fields) and the pointwise fit on them
+    (direct.recover_pair), I and II with sigma known, III and IV for the
+    pair. I and III return that fit. II and IV refine it, clipped to the
+    bounds, by least squares, whose first forward solves start from the
+    u_j*. Nodes the direct fit flags carry its nearest-neighbour fill. With
+    one source the pair fit does not exist, so IV starts sigma at the
+    midpoint of the bounds and mu from the fit with that sigma. I and II
+    hold sigma at its true value and return it as well.
     """
+    if which not in EXPERIMENTS:
+        raise ValidationError(f"unknown experiment {which!r}; expected one of "
+                              f"{', '.join(EXPERIMENTS)}")
     cfg = bundle.config
     op = bundle.operator
     Gamma = bundle.coeffs.gruneisen
+    lo, hi = cfg.lsq.bound_floor, cfg.lsq.bound_ceiling
+    if which in ("I", "II"):
+        sigma_known = bundle.coeffs.single_photon
+    elif which == "IV" and datum_set.size == 1:
+        sigma_known = np.full(bundle.mesh.node_count, 0.5 * (lo + hi))
+    else:
+        sigma_known = None
+    stars = direct.recover_all_fields(op, Gamma, datum_set)
+    sigma, mu, report = direct.recover_pair(op, Gamma, datum_set,
+                                            sigma_known=sigma_known, stars=stars)
     if which in ("I", "III"):
-        sigma_known = bundle.coeffs.single_photon if which == "I" else None
-        sigma, mu, report = direct.recover_pair(op, Gamma, datum_set,
-                                                sigma_known=sigma_known)
         return {"sigma": sigma, "mu": mu, "condition_report": report}
-    if which in ("II", "IV"):
-        mu_only = which == "II"
-        lo, hi = cfg.lsq.bound_floor, cfg.lsq.bound_ceiling
-        if mu_only:
-            sigma_known = bundle.coeffs.single_photon
-        elif datum_set.size == 1:
-            sigma_known = np.full(bundle.mesh.node_count, 0.5 * (lo + hi))
-        else:
-            sigma_known = None
-        stars = direct.recover_all_fields(op, Gamma, datum_set)
-        sigma0, mu0, _ = direct.recover_pair(op, Gamma, datum_set,
-                                             sigma_known=sigma_known, stars=stars)
-        if sigma_known is None:
-            sigma0 = np.clip(sigma0, lo, hi)
-        sigma, mu, report = lsq.run_lsq(op, Gamma, datum_set,
-                                        (sigma0, np.clip(mu0, lo, hi)),
-                                        cfg.lsq, mu_only=mu_only, u0=stars)
-        return {"sigma": sigma, "mu": mu, "lsq_report": report}
-    raise ValidationError(f"unknown experiment {which!r}; expected one of "
-                          f"{', '.join(EXPERIMENTS)}")
+    if sigma_known is None:
+        sigma = np.clip(sigma, lo, hi)
+    sigma, mu, report = lsq.run_lsq(op, Gamma, datum_set, (sigma, np.clip(mu, lo, hi)),
+                                    cfg.lsq, mu_only=which == "II", u0=stars)
+    return {"sigma": sigma, "mu": mu, "lsq_report": report}
 
 
 ALGORITHMS = {"I": "direct", "II": "lsq", "III": "direct", "IV": "lsq"}

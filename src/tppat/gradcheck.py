@@ -1,11 +1,12 @@
 """Finite-difference verification of adjoint gradients.
 
 Evaluates the least-squares objective as a pure function of the stacked
-(sigma, mu) vector (fresh solver state per call, tight tolerances) and
-compares its central finite differences against the adjoint gradient in
-random directions (_fd_directional_derivative, the package's one finite
-difference). With the discretization used here the adjoint gradient is
-exact, so disagreement should sit at the solver-tolerance floor.
+(sigma, mu) vector (one Evaluator, cold Newton starts at every point, tight
+tolerances) and compares its central finite differences against the
+adjoint gradient in random directions (_fd_directional_derivative, the
+package's one finite difference). With the discretization used here the
+adjoint gradient is exact, so disagreement should sit at the
+solver-tolerance floor.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def gradient_check(cfg: ExperimentConfig, directions: int = 20,
     coefficients, so the misfit (and its gradient) is genuinely nonzero.
     The data are the clean data, the weight is cfg.lsq.kappa, so the check
     covers the objective the config minimizes, and the FD step is STEP_SCALE
-    times the coefficient field scale. directions must be an integer >= 1.
+    times the coefficient field scale. One Evaluator serves every value, each
+    from cold Newton starts. directions must be an integer >= 1.
     """
     require_count(directions, "directions")
     if cfg.data_mesh_n not in (None, cfg.mesh_n):
@@ -83,14 +85,13 @@ def gradient_check(cfg: ExperimentConfig, directions: int = 20,
     scale = float(np.max(np.abs(x0)))
     step = STEP_SCALE * scale
 
-    def phi(x):
-        ev = Evaluator(bundle.operator, bundle.coeffs.gruneisen, data, cfg.lsq.kappa,
-                       newton)
-        value, _ = ev.objective(x[:n], x[n:])
-        return value
-
     ev = Evaluator(bundle.operator, bundle.coeffs.gruneisen, data, cfg.lsq.kappa, newton)
-    g_sigma, g_mu = ev.gradient(sigma, mu)
+
+    def phi(x):
+        s, m = x[:n], x[n:]
+        return ev.objective(s, m, ev.forward_states(s, m))
+
+    g_sigma, g_mu, _ = ev.gradient(sigma, mu, ev.forward_states(sigma, mu))
     weights = np.concatenate([ev.lumped, ev.lumped])
     grad = np.concatenate([g_sigma, g_mu])
 

@@ -146,7 +146,8 @@ class Evaluator:
     """Objective/gradient engine for fixed (op, Gamma, data, kappa).
 
     The forward operator op fixes the mesh and the known diffusion gamma.
-    The per-source Newton solves warm-start from the previous evaluation.
+    It keeps no state between calls: forward_states takes each source's
+    Newton start, and objective and gradient the forward states they use.
     Forward solves stop at newton.residual_tol, with each Newton step's
     linear solve only as tight as its forcing term (solve_semilinear); the
     adjoint solves run to newton.linear_tol, which keeps the gradient exact
@@ -168,14 +169,13 @@ class Evaluator:
                    if self.kappa != 0.0 else None)
         self.newton = newton or NewtonConfig()
         self.lumped = op.lumped
-        self._warm = [None] * data.size
-        self.adjoints = []      # the adjoint states v_j of the last gradient
 
-    def forward_states(self, sigma, mu, residual_tols=None):
+    def forward_states(self, sigma, mu, u0=None, residual_tols=None):
         """Solve the J forward problems; returns (us, zs).
 
-        residual_tols, when given, holds one interior residual tolerance per
-        source in place of newton.residual_tol.
+        u0 holds one Newton start per source (None: cold starts), and
+        residual_tols, when given, one interior residual tolerance per source
+        in place of newton.residual_tol.
         """
         us, zs = [], []
         for j, (g, H) in enumerate(zip(self.data.sources, self.data.data)):
@@ -184,31 +184,25 @@ class Evaluator:
                 newton = replace(newton, residual_tol=residual_tols[j])
             try:
                 u, _ = solve_semilinear(self.op, sigma, mu, g, newton,
-                                        u0=self._warm[j])
+                                        u0=None if u0 is None else u0[j])
             except SolverError as exc:
                 raise SolverError(
                     f"forward solve failed for source {j}: {exc}",
                     residual=exc.residual, report=exc.report) from exc
-            self._warm[j] = u
             z = self.gruneisen * (sigma * u + mu * np.abs(u) * u) - H
             us.append(u)
             zs.append(z)
         return us, zs
 
-    def regularizer(self, sigma, mu) -> float:
-        """R(sigma, mu) = 1/2 (sigma.K1 sigma + mu.K1 mu); needs kappa != 0."""
-        return 0.5 * (float(sigma @ (self.K1 @ sigma)) + float(mu @ (self.K1 @ mu)))
-
-    def objective(self, sigma, mu, states=None):
-        """Phi value plus the per-source misfit contributions."""
+    def objective(self, sigma, mu, states) -> float:
+        """Phi at (sigma, mu), from the forward states (us, zs) there."""
         sigma = as_field(self.mesh, sigma)
         mu = as_field(self.mesh, mu)
-        us, zs = states if states is not None else self.forward_states(sigma, mu)
-        misfits = [0.5 * float((self.lumped * z * z).sum()) for z in zs]
-        value = sum(misfits)
+        value = sum(0.5 * float((self.lumped * z * z).sum()) for z in states[1])
         if self.K1 is not None:
-            value += self.kappa * self.regularizer(sigma, mu)
-        return value, misfits
+            value += self.kappa * (0.5 * (float(sigma @ (self.K1 @ sigma))
+                                          + float(mu @ (self.K1 @ mu))))
+        return value
 
     def solve_adjoint(self, sigma, mu, u, z, tol=None) -> np.ndarray:
         """Adjoint state v: linearized operator, source -z Gamma (sigma + 2 mu |u|).
@@ -220,29 +214,28 @@ class Evaluator:
         return self.op.solve_linearized(u, sigma, mu, rhs,
                                         tol=self.newton.linear_tol if tol is None else tol)
 
-    def gradient(self, sigma, mu, states=None, adjoint_tol=None):
-        """Riesz representers (g_sigma, g_mu) of the derivative of Phi.
+    def gradient(self, sigma, mu, states, adjoint_tol=None):
+        """(g_sigma, g_mu, vs) from the forward states (us, zs) at (sigma, mu).
 
+        g_sigma and g_mu are the Riesz representers of the derivative of Phi,
         g_sigma = sum_j (z_j Gamma u_j + v_j u_j) + kappa * M^-1 K1 sigma
         and the mu analog with |u_j| u_j in place of u_j. The adjoint
-        states v_j are solved to adjoint_tol (newton.linear_tol if None)
-        and kept in self.adjoints.
+        states vs = [v_j] are solved to adjoint_tol (newton.linear_tol if None).
         """
         sigma = as_field(self.mesh, sigma)
         mu = as_field(self.mesh, mu)
-        us, zs = states if states is not None else self.forward_states(sigma, mu)
         g_sigma = np.zeros(self.mesh.node_count)
         g_mu = np.zeros(self.mesh.node_count)
-        self.adjoints = []
-        for u, z in zip(us, zs):
+        vs = []
+        for u, z in zip(*states):
             v = self.solve_adjoint(sigma, mu, u, z, adjoint_tol)
-            self.adjoints.append(v)
+            vs.append(v)
             g_sigma += z * self.gruneisen * u + v * u
             g_mu += (z * self.gruneisen + v) * np.abs(u) * u
         if self.K1 is not None:
             g_sigma += self.kappa * (self.K1 @ sigma) / self.lumped
             g_mu += self.kappa * (self.K1 @ mu) / self.lumped
-        return g_sigma, g_mu
+        return g_sigma, g_mu, vs
 
 
 def gauss_newton_metric(gruneisen, us, reg, mu_only: bool = False):
@@ -325,10 +318,10 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     line-search trial.
 
     u0, when given, holds one nodal field per source, the Newton start of
-    the first forward solves (later ones warm-start from the previous
-    states), as in solve_semilinear; reconstruct passes the direct fit's
-    densities u_j*. With noisy data every later solve runs to the
-    tolerances of the module docstring's rules.
+    the first forward solves (None: cold); reconstruct passes the direct
+    fit's densities u_j*. Every later solve starts from the states of the
+    previous evaluation, a rejected line-search trial included, and with
+    noisy data runs to the tolerances of the module docstring's rules.
     """
     mesh = op.mesh
     ev = Evaluator(op, gruneisen, data, cfg.kappa, newton)
@@ -358,11 +351,9 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
         return np.clip(x, cfg.bound_floor, cfg.bound_ceiling)
 
     report = LsqReport()
-    if u0 is not None:
-        if len(u0) != data.size:
-            raise ValidationError(f"u0 needs one field per source ({data.size}), "
-                                  f"got {len(u0)}")
-        ev._warm = list(u0)
+    if u0 is not None and len(u0) != data.size:
+        raise ValidationError(f"u0 needs one field per source ({data.size}), "
+                              f"got {len(u0)}")
 
     # The tolerances of the module docstring's rules, for noisy data only;
     # None keeps newton's, as for the first states and the first gradient.
@@ -370,8 +361,8 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     adjoint_tol = None
     adjoint_norms = []
 
-    def evaluate(xv, slope=None):
-        """Objective value and the forward states it was computed from.
+    def evaluate(xv, start, slope=None):
+        """Objective value and forward states at xv, Newton started from start.
 
         slope (the Armijo slope of a line-search trial) sets each source's
         Newton tolerance by the adjoint identity once a gradient exists.
@@ -382,29 +373,28 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
             share = ARMIJO_SHARE * 1e-4 * abs(slope) / data.size
             tols = [max(ev.newton.residual_tol, share / vn) if vn > 0.0
                     else ev.newton.residual_tol for vn in adjoint_norms]
-        states = ev.forward_states(s, m, residual_tols=tols)
-        val, _ = ev.objective(s, m, states=states)
-        return val, states
+        states = ev.forward_states(s, m, u0=start, residual_tols=tols)
+        return ev.objective(s, m, states), states
 
     def derivatives(xv, states):
-        """Gradient and initial inverse metric from the forward states at xv."""
-        gs, gm = ev.gradient(*fields_of(xv), states=states, adjoint_tol=adjoint_tol)
-        return pack(gs, gm), gauss_newton_metric(ev.gruneisen, states[0], reg, mu_only)
+        """Gradient, initial inverse metric and adjoint states at xv."""
+        gs, gm, vs = ev.gradient(*fields_of(xv), states, adjoint_tol=adjoint_tol)
+        return (pack(gs, gm), gauss_newton_metric(ev.gruneisen, states[0], reg, mu_only),
+                vs)
 
-    def next_tolerances(g, states):
+    def next_tolerances(g, us, vs):
         """The adjoint tolerance of the next gradient (Carter's rule) and the
         norms ||v_j|| that set the next line search's Newton tolerances."""
-        us = states[0]
-        a = pack(sum(v * u for v, u in zip(ev.adjoints, us)),
-                 sum(v * np.abs(u) * u for v, u in zip(ev.adjoints, us)))
+        a = pack(sum(v * u for v, u in zip(vs, us)),
+                 sum(v * np.abs(u) * u for v, u in zip(vs, us)))
         a_norm = np.sqrt(dot(a, a))
         target = GRADIENT_SHARE * max(threshold, np.sqrt(dot(g, g)))
         tol = (FORCING_MAX if a_norm == 0.0 else
                min(FORCING_MAX, max(ev.newton.linear_tol, target / a_norm)))
-        return tol, [float(np.linalg.norm(v)) for v in ev.adjoints]
+        return tol, [float(np.linalg.norm(v)) for v in vs]
 
-    f, states = evaluate(x)
-    g, h0 = derivatives(x, states)
+    f, states = evaluate(x, u0)
+    g, h0, vs = derivatives(x, states)
     report.objective_history.append(f)
     report.grad_norm_history.append(np.sqrt(dot(g, g)))
 
@@ -418,7 +408,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     report.reference_grad_norm = np.sqrt(dot(g_ref, g_ref))
     threshold = cfg.grad_tol * report.reference_grad_norm
     if noisy:
-        adjoint_tol, adjoint_norms = next_tolerances(g, states)
+        adjoint_tol, adjoint_norms = next_tolerances(g, states[0], vs)
         report.noise_misfit = 0.5 * (data.noise_level * 1e-2) ** 2 * sum(
             float((ev.lumped * H * H).sum()) for H in ev.data.data)
     noise_floor = NOISE_SHARE * report.noise_misfit
@@ -465,7 +455,8 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
             if slope >= 0.0:
                 alpha *= 0.5
                 continue
-            f_trial, states = evaluate(x_trial, slope)
+            # each solve starts from the last evaluation's, rejected or not
+            f_trial, states = evaluate(x_trial, states[0], slope)
             if f_trial <= f + 1e-4 * slope:
                 accepted = True
                 break
@@ -474,7 +465,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
             report.message = "line search failed; returning best iterate"
             break
 
-        g_new, h0 = derivatives(x_trial, states)
+        g_new, h0, vs = derivatives(x_trial, states)
         s_vec = x_trial - x
         y_vec = g_new - g
         sy = dot(s_vec, y_vec)
@@ -483,7 +474,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
 
         x, f, g = x_trial, f_trial, g_new
         if noisy:
-            adjoint_tol, adjoint_norms = next_tolerances(g, states)
+            adjoint_tol, adjoint_norms = next_tolerances(g, states[0], vs)
         report.iterations += 1
         report.objective_history.append(f)
         report.grad_norm_history.append(np.sqrt(dot(g, g)))

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from tppat import fem, gradcheck
 from tppat.cli import build_parser, main
-from tppat.config import (COEFF_SECTIONS, SOURCE_PARAMETERS, SourceSpec, default_config,
-                          load_config, parse_config, write_config)
+from tppat.config import (COEFF_SECTIONS, SOURCE_PARAMETERS, ExperimentConfig, SourceSpec,
+                          default_config, load_config, parse_config, write_config)
 from tppat.errors import ValidationError
 from tppat.experiments import noise_stream_seed
 from tppat.lsq import LsqConfig
 from tppat.mesh import build_square_mesh, load_mesh
-from tppat.phantoms import SHAPES
+from tppat.phantoms import SHAPES, Inclusion, Phantom, PhantomField
 
 
 def small_config(tmp_path, n=6, levels="0, 2", seeds="5", data_n=None):
@@ -52,6 +52,56 @@ def test_lsq_section_roundtrips_to_identical_bytes(tmp_path):
     assert "\nmax_iterations = 1234567\n" in first.read_text()
     assert loaded.lsq == cfg.lsq
     assert second.read_bytes() == first.read_bytes()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+PHANTOM_FIELD = st.builds(
+    PhantomField, background=POSITIVE,
+    inclusions=st.lists(st.builds(Inclusion, shape=st.sampled_from(SHAPES),
+                                  center=st.tuples(FINITE, FINITE), size=POSITIVE,
+                                  value=POSITIVE), max_size=2))
+SOURCE = st.one_of(
+    st.builds(lambda v: SourceSpec("constant", {"value": v}), FINITE),
+    st.builds(lambda a, bx, by: SourceSpec("affine", {"a": a, "bx": bx, "by": by}),
+              FINITE, FINITE, FINITE))
+
+
+@st.composite
+def configs(draw):
+    """A valid config with arbitrary finite values in every float field."""
+    floor, ceiling = sorted(draw(st.lists(POSITIVE, min_size=2, max_size=2, unique=True)))
+    lsq = LsqConfig(kappa=draw(st.floats(min_value=0.0, allow_infinity=False)),
+                    grad_tol=draw(POSITIVE), bound_floor=floor, bound_ceiling=ceiling)
+    # levels with distinct file tags and noise streams, as validate asks
+    levels = st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=4,
+                      unique_by=(lambda e: f"{e:g}", lambda e: round(1000.0 * e)))
+    return ExperimentConfig(
+        phantom=Phantom(*(draw(PHANTOM_FIELD) for _ in COEFF_SECTIONS)),
+        sources=draw(st.lists(SOURCE, min_size=1, max_size=3)),
+        noise_levels=draw(levels), seeds=[draw(st.integers(0, 2**63))],
+        lsq=lsq).validate()
+
+
+def test_config_echo_keeps_digits_beyond_the_sixth():
+    cfg = default_config()
+    cfg.phantom.two_photon.background = 0.123456789
+    cfg.lsq.kappa = 0.00123456789
+    text = cfg.canonical_text()
+    assert "\nbackground = 0.123456789\n" in text
+    assert "\nkappa = 0.00123456789\n" in text
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=configs())
+def test_config_echo_reproduces_every_value(cfg, tmp_path_factory):
+    # the phantom, source, noise and [lsq] values survive write_config and
+    # load_config exactly, and the echo of the loaded config is the same bytes
+    path = tmp_path_factory.mktemp("echo") / "cfg.ini"
+    write_config(cfg, path)
+    loaded = load_config(path)
+    assert loaded == cfg
+    assert loaded.canonical_text() == path.read_text()
 
 
 def test_config_missing_section_rejected(tmp_path):

@@ -9,8 +9,7 @@ from oracle import mu_from_set_loop
 from test_forward import count_grid_preconditioner_applications, jittered_mesh
 from tppat import direct
 from tppat.config import default_config
-from tppat.direct import (DatumSet, fit_pair_pointwise, recover_all_fields,
-                          recover_field, recover_pair)
+from tppat.direct import DatumSet, fit_pair_pointwise, recover_all_fields, recover_pair
 from tppat.errors import ValidationError
 from tppat.experiments import noise_stream_seed, prepare_data
 from tppat.fem import clip_nonnegative
@@ -27,9 +26,14 @@ def bundle16():
     return prepare_data(cfg)
 
 
+def recover_one(op, Gamma, H, g):
+    """The density u* of one noiseless datum: recover_all_fields on one source."""
+    return recover_all_fields(op, Gamma, DatumSet(sources=[g], data=[H]))[0]
+
+
 def test_recover_field_matches_forward_solution(bundle16):
     b = bundle16
-    u_star = recover_field(b.operator, b.coeffs.gruneisen, b.H_clean[0], b.sources[0])
+    u_star = recover_one(b.operator, b.coeffs.gruneisen, b.H_clean[0], b.sources[0])
     err = relative_l2_error(u_star, b.u_clean[0], b.mesh)
     assert err <= 1e-8 * 100.0
 
@@ -38,7 +42,7 @@ def test_recover_field_zero_datum_constant_source():
     mesh = build_square_mesh(5)
     n = mesh.node_count
     g = BoundarySource.constant(mesh, 2.5)
-    u_star = recover_field(ForwardOperator(mesh, 0.3), np.ones(n), np.zeros(n), g)
+    u_star = recover_one(ForwardOperator(mesh, 0.3), np.ones(n), np.zeros(n), g)
     assert np.abs(u_star - 2.5).max() <= 1e-9
 
 
@@ -48,15 +52,15 @@ def test_recover_field_rejects_a_nonpositive_or_nonfinite_gruneisen(bad):
     Gamma = np.ones(mesh.node_count)
     Gamma[5] = bad
     with pytest.raises(ValidationError, match="coefficient gruneisen"):
-        recover_field(ForwardOperator(mesh, 0.3), Gamma, np.zeros(mesh.node_count),
-                      BoundarySource.constant(mesh, 1.0))
+        recover_one(ForwardOperator(mesh, 0.3), Gamma, np.zeros(mesh.node_count),
+                    BoundarySource.constant(mesh, 1.0))
 
 
 def test_recover_field_depends_only_on_ratio(bundle16):
     b = bundle16
-    u1 = recover_field(b.operator, b.coeffs.gruneisen, b.H_clean[0], b.sources[0])
-    u2 = recover_field(b.operator, 2.0 * b.coeffs.gruneisen, 2.0 * b.H_clean[0],
-                       b.sources[0])
+    u1 = recover_one(b.operator, b.coeffs.gruneisen, b.H_clean[0], b.sources[0])
+    u2 = recover_one(b.operator, 2.0 * b.coeffs.gruneisen, 2.0 * b.H_clean[0],
+                     b.sources[0])
     assert np.array_equal(u1, u2)
 
 
@@ -201,7 +205,7 @@ def test_pointwise_fit_fills_each_flagged_node_from_the_nearest_good_node(case):
 def test_recover_mu_noiseless_full_field(bundle16):
     # the J = 1 fit on self-generated data recovers mu exactly
     b = bundle16
-    u_star = recover_field(b.operator, b.coeffs.gruneisen, b.H_clean[1], b.sources[1])
+    u_star = recover_one(b.operator, b.coeffs.gruneisen, b.H_clean[1], b.sources[1])
     ratio = b.H_clean[1] / (b.coeffs.gruneisen * u_star)
     _, mu, report = fit_pair_pointwise(b.mesh, [u_star], [ratio],
                                        sigma_known=b.coeffs.single_photon)

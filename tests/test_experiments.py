@@ -92,6 +92,31 @@ def test_experiment_ii_takes_a_known_sigma_outside_the_bounds():
 def test_unknown_experiment_rejected():
     with pytest.raises(ValidationError):
         run_experiment("V", quick_config())
+    bundle = prepare_data(quick_config())
+    with pytest.raises(ValidationError, match="unknown experiment"):
+        reconstruct("V", bundle, bundle.datum_set(0.0, 3))
+
+
+@pytest.mark.parametrize("which", ["I", "II", "III", "IV"])
+def test_every_experiment_solves_the_direct_densities_once(monkeypatch, which):
+    # one path for I-IV: reconstruct solves the densities u_j* once and hands
+    # them to the pointwise fit, which then solves nothing again
+    bundle = prepare_data(quick_config())
+    calls = []
+    recover_all_fields, recover_pair = direct.recover_all_fields, direct.recover_pair
+
+    def recording_fields(*args):
+        calls.append(recover_all_fields(*args))
+        return calls[-1]
+
+    def recording_pair(*args, stars=None, **kwargs):
+        calls.append(stars)
+        return recover_pair(*args, stars=stars, **kwargs)
+
+    monkeypatch.setattr(direct, "recover_all_fields", recording_fields)
+    monkeypatch.setattr(direct, "recover_pair", recording_pair)
+    reconstruct(which, bundle, bundle.datum_set(0.0, 3))
+    assert len(calls) == 2 and calls[1] is calls[0]
 
 
 def test_sweep_without_noise_levels_rejected_before_setup(monkeypatch, tmp_path):

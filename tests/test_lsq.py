@@ -33,27 +33,42 @@ def datum(bundle, eps=0.0, seed=1):
 
 
 def evaluator(bundle, kappa=0.0, newton=TIGHT):
-    """A fresh (cold-started) evaluator at the bundle's true Gamma and gamma."""
+    """An evaluator at the bundle's true Gamma and gamma."""
     return Evaluator(bundle.operator, bundle.coeffs.gruneisen, datum(bundle),
                      kappa=kappa, newton=newton)
 
 
+def phi(ev, sigma, mu):
+    """Phi at (sigma, mu) from cold-started forward states."""
+    return ev.objective(sigma, mu, ev.forward_states(sigma, mu))
+
+
 def test_objective_zero_at_truth(bundle8):
     b = bundle8
-    value, misfits = evaluator(b).objective(b.coeffs.single_photon,
-                                            b.coeffs.two_photon)
+    value = phi(evaluator(b), b.coeffs.single_photon, b.coeffs.two_photon)
     scale = max(float(np.abs(H).max()) for H in b.H_clean) ** 2
     assert value <= 1e-16 * scale
-    assert len(misfits) == 4
 
 
 def test_regularizer_vanishes_for_constants(bundle8):
     b = bundle8
     n = b.mesh.node_count
     trial = (np.full(n, 0.2), np.full(n, 0.08))
-    v0, _ = evaluator(b, kappa=0.0).objective(*trial)
-    v1, _ = evaluator(b, kappa=10.0).objective(*trial)
-    assert v1 == v0
+    assert phi(evaluator(b, kappa=10.0), *trial) == phi(evaluator(b, kappa=0.0), *trial)
+
+
+def test_forward_states_depend_only_on_their_arguments(bundle8):
+    # one evaluator at A, at B, then at A again: the second visit to A
+    # starts cold as the first did, not from the states at B
+    b = bundle8
+    ev = evaluator(b, newton=NewtonConfig())
+    a = (b.coeffs.single_photon, b.coeffs.two_photon)
+    far = (1.5 * a[0], 0.5 * a[1])
+    first = ev.forward_states(*a)
+    ev.forward_states(*far)
+    again = ev.forward_states(*a)
+    for x, y in zip(first[0] + first[1], again[0] + again[1]):
+        assert np.array_equal(x, y)
 
 
 def test_objective_affine_in_kappa(bundle8):
@@ -62,9 +77,10 @@ def test_objective_affine_in_kappa(bundle8):
     n = b.mesh.node_count
     trial = (b.coeffs.single_photon * (1 + 0.1 * rng.uniform(-1, 1, n)),
              b.coeffs.two_photon * (1 + 0.1 * rng.uniform(-1, 1, n)))
-    R = evaluator(b, kappa=1.0).regularizer(*trial)
-    v1, _ = evaluator(b, kappa=0.5).objective(*trial)
-    v2, _ = evaluator(b, kappa=1.0).objective(*trial)
+    K1 = fem.assemble_stiffness(b.mesh, np.ones(n))
+    R = 0.5 * sum(float(c @ (K1 @ c)) for c in trial)
+    v1 = phi(evaluator(b, kappa=0.5), *trial)
+    v2 = phi(evaluator(b, kappa=1.0), *trial)
     assert v2 - v1 == pytest.approx(0.5 * R, rel=1e-12)
 
 
@@ -89,7 +105,9 @@ def test_adjoint_linear_in_residual(bundle8):
 
 def test_gradient_vanishes_at_noiseless_truth(bundle8):
     b = bundle8
-    g_sigma, g_mu = evaluator(b).gradient(b.coeffs.single_photon, b.coeffs.two_photon)
+    ev = evaluator(b)
+    truth = (b.coeffs.single_photon, b.coeffs.two_photon)
+    g_sigma, g_mu, _ = ev.gradient(*truth, ev.forward_states(*truth))
     scale = float(np.abs(b.coeffs.single_photon).max())
     assert np.abs(g_sigma).max() <= 1e-8 * scale
     assert np.abs(g_mu).max() <= 1e-8 * scale
@@ -147,16 +165,15 @@ def test_adjoint_gradient_matches_central_differences_on_random_meshes(
     data = DatumSet(sources=sources, data=data)
     sigma, mu = in_bounds(), in_bounds()
     x0 = np.concatenate([sigma, mu])
-    grad = np.concatenate(Evaluator(op, gruneisen, data, kappa, TIGHT).gradient(sigma, mu))
+    ev = Evaluator(op, gruneisen, data, kappa, TIGHT)
+    g_sigma, g_mu, _ = ev.gradient(sigma, mu, ev.forward_states(sigma, mu))
+    grad = np.concatenate([g_sigma, g_mu])
     weights = np.concatenate([op.lumped, op.lumped])
-
-    def phi(x):
-        # a fresh evaluator per point: no warm start carries over
-        return Evaluator(op, gruneisen, data, kappa, TIGHT).objective(x[:m], x[m:])[0]
 
     for d in rng.uniform(-1.0, 1.0, (2, 2 * m)):
         adjoint = float((weights * grad * d).sum())
-        fd = fd_directional_derivative(phi, x0, d, 1e-6 * float(np.abs(x0).max()))
+        fd = fd_directional_derivative(lambda x: phi(ev, x[:m], x[m:]), x0, d,
+                                       1e-6 * float(np.abs(x0).max()))
         assert abs(adjoint - fd) <= 1e-5 * max(abs(adjoint), abs(fd))
 
 
@@ -168,7 +185,8 @@ def test_kappa_only_gradient_is_stiffness_term(bundle8):
     ds = datum(b)
     kappa = 2.5
     ev = Evaluator(b.operator, b.coeffs.gruneisen, ds, kappa=kappa, newton=TIGHT)
-    g_sigma, g_mu = ev.gradient(b.coeffs.single_photon, b.coeffs.two_photon)
+    truth = (b.coeffs.single_photon, b.coeffs.two_photon)
+    g_sigma, g_mu, _ = ev.gradient(*truth, ev.forward_states(*truth))
     K1 = fem.assemble_stiffness(mesh, np.ones(mesh.node_count))
     m = fem.lumped_mass(mesh)
     expected_sigma = kappa * (K1 @ b.coeffs.single_photon) / m
@@ -192,16 +210,18 @@ def test_run_lsq_stationary_at_truth(bundle8):
 
 def test_run_lsq_solves_each_trial_point_once(bundle8, monkeypatch):
     b = bundle8
-    points, gradient_states = [], []
+    points, starts, solved, gradient_states = [], [], [], []
     forward_states, gradient = Evaluator.forward_states, Evaluator.gradient
 
-    def recording_forward_states(self, sigma, mu, residual_tols=None):
+    def recording_forward_states(self, sigma, mu, u0=None, residual_tols=None):
         points.append(np.concatenate([sigma, mu]))
-        return forward_states(self, sigma, mu, residual_tols=residual_tols)
+        starts.append(u0)
+        solved.append(forward_states(self, sigma, mu, u0, residual_tols))
+        return solved[-1]
 
-    def recording_gradient(self, sigma, mu, states=None, adjoint_tol=None):
-        gradient_states.append(states is not None)
-        return gradient(self, sigma, mu, states=states, adjoint_tol=adjoint_tol)
+    def recording_gradient(self, sigma, mu, states, adjoint_tol=None):
+        gradient_states.append(states is solved[-1])
+        return gradient(self, sigma, mu, states, adjoint_tol)
 
     monkeypatch.setattr(Evaluator, "forward_states", recording_forward_states)
     monkeypatch.setattr(Evaluator, "gradient", recording_gradient)
@@ -214,6 +234,9 @@ def test_run_lsq_solves_each_trial_point_once(bundle8, monkeypatch):
     assert gradient_states == [True] * (report.iterations + 1)
     assert len(points) >= report.iterations + 1
     assert not any(np.array_equal(p, q) for p, q in zip(points, points[1:]))
+    # each solve starts from the previous evaluation's, accepted or not
+    assert starts[0] is None
+    assert all(u0 is states[0] for u0, states in zip(starts[1:], solved))
 
 
 def test_run_lsq_objective_strictly_decreasing(bundle8):
@@ -691,13 +714,14 @@ def test_noisy_gradients_stay_within_their_share_of_the_gradient(bundle16, monke
     tols, gaps = [], []
     gradient = Evaluator.gradient
 
-    def checking(self, sigma, mu, states=None, adjoint_tol=None):
-        g = np.concatenate(gradient(self, sigma, mu, states, adjoint_tol))
-        exact = np.concatenate(gradient(self, sigma, mu, states))
+    def checking(self, sigma, mu, states, adjoint_tol=None):
+        g_sigma, g_mu, vs = gradient(self, sigma, mu, states, adjoint_tol)
+        g = np.concatenate([g_sigma, g_mu])
+        exact = np.concatenate(gradient(self, sigma, mu, states)[:2])
         w = np.concatenate([self.lumped, self.lumped])
         tols.append(adjoint_tol)
         gaps.append((np.sqrt((w * (g - exact) ** 2).sum()), np.sqrt((w * g * g).sum())))
-        return g[:len(sigma)], g[len(sigma):]
+        return g_sigma, g_mu, vs
 
     monkeypatch.setattr(Evaluator, "gradient", checking)
     cfg = LsqConfig(grad_tol=1e-9, max_iterations=40)
