@@ -211,7 +211,8 @@ def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
     """Run one experiment across noise levels and seeds; optionally write files.
 
     bundle, when given, must be prepare_data's bundle of this cfg, and
-    threads (the number of job workers) an integer >= 1.
+    threads (the number of job workers) an integer >= 1. A config the
+    experiment cannot run (III with one source) is rejected before setup.
     """
     require_count(threads, "threads")
     if which not in EXPERIMENTS:
@@ -219,6 +220,9 @@ def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
                               f"{', '.join(EXPERIMENTS)}")
     if not cfg.noise_levels:
         raise ValidationError("an experiment needs at least one noise level")
+    if which == "III" and len(cfg.sources) < 2:
+        raise ValidationError(f"experiment III fits (sigma, mu) pointwise and needs at "
+                              f"least 2 sources, got {len(cfg.sources)}")
     if bundle is not None and bundle.config is not cfg:
         raise ValidationError("the bundle was prepared from another config")
     bundle = bundle or prepare_data(cfg, threads=threads)

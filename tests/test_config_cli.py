@@ -473,6 +473,18 @@ def test_cli_experiment_rejects_fewer_than_one_thread(tmp_path, threads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["experiment", "--which", "III"], ["recon-direct"]])
+def test_cli_experiment_iii_rejects_one_source(command, tmp_path, capsys):
+    cfg = default_config()
+    cfg.mesh_n = 4
+    cfg.sources = cfg.sources[:1]
+    write_config(cfg, tmp_path / "one.ini")
+    out = tmp_path / "x"
+    assert main(command + ["--config", str(tmp_path / "one.ini"), "--out", str(out)]) == 1
+    assert "experiment III" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["forward"], ["recon-direct"], ["recon-lsq"],
                                      ["experiment", "--which", "I"], ["gradcheck"]])
 def test_cli_threads_option_is_on_the_job_commands(command, tmp_path, capsys):

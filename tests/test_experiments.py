@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weakref
 
@@ -12,8 +13,9 @@ import tppat
 from tppat import direct, experiments, fem, forward, metrics, transfer
 from tppat.config import default_config
 from tppat.errors import ValidationError
-from tppat.experiments import (noise_stream_seed, prepare_data, reconstruct,
-                               run_experiment, run_forward)
+from tppat.experiments import (COEFFS_RECOVERED, EXPERIMENTS, noise_stream_seed,
+                               prepare_data, reconstruct, run_experiment, run_forward)
+from tppat.lsq import LsqConfig
 
 
 def quick_config(n=6, levels=(0.0,), seeds=(3,)):
@@ -78,6 +80,60 @@ def test_least_squares_runs_with_one_source(which):
         assert np.all(np.isfinite(fields["sigma"])) and np.all(np.isfinite(fields["mu"]))
         report = fields["lsq_report"]
         assert report.converged, (eps, report.iterations, report.message)
+
+
+@pytest.mark.parametrize("bundled", [False, True])
+def test_experiment_iii_with_one_source_is_rejected_before_setup(monkeypatch, bundled):
+    # the pair fit needs two sources, so the sweep fails before any solve,
+    # naming the experiment and the source count
+    cfg = quick_config(n=4)
+    cfg.sources = cfg.sources[:1]
+    bundle = prepare_data(cfg) if bundled else None
+    calls = []
+    monkeypatch.setattr(experiments, "prepare_data", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValidationError, match=r"experiment III .* 2 sources, got 1"):
+        run_experiment("III", cfg, bundle=bundle)
+    assert calls == []
+
+
+@st.composite
+def small_configs(draw):
+    cfg = default_config()
+    cfg.mesh_n = draw(st.integers(4, 8))
+    cfg.data_mesh_n = draw(st.none() | st.integers(4, 12))
+    cfg.sources = draw(st.lists(st.sampled_from(cfg.sources), min_size=1, max_size=4,
+                                unique_by=id))
+    cfg.noise_levels = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0, 10.0]),
+                                     min_size=1, max_size=2, unique=True))
+    cfg.seeds = [draw(st.integers(0, 999))]
+    floor = draw(st.sampled_from([0.001, 0.02, 0.1, 0.3]))
+    cfg.lsq = LsqConfig(bound_floor=floor,
+                        bound_ceiling=floor + draw(st.sampled_from([0.01, 0.2, 1.0])),
+                        max_iterations=draw(st.integers(1, 40)))
+    return cfg.validate()
+
+
+@settings(max_examples=12, deadline=None)
+@given(cfg=small_configs(), which=st.sampled_from(EXPERIMENTS))
+def test_a_sweep_either_runs_or_is_rejected_before_setup(cfg, which):
+    # every config the validator passes either gives a table with an error
+    # per job and coefficient, or fails before any solve
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return prepare_data(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "prepare_data", counting)
+        try:
+            table = run_experiment(which, cfg)
+        except ValidationError:
+            assert calls == []
+            return
+    assert len(calls) == 1
+    assert len(table.rows) == len(cfg.noise_levels) * len(COEFFS_RECOVERED[which])
+    assert all(np.isfinite(row[3]) for row in table.rows)
 
 
 def test_experiment_ii_takes_a_known_sigma_outside_the_bounds():

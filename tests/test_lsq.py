@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tppat import fem, lsq
 from tppat.config import default_config
-from tppat.direct import DatumSet, recover_all_fields, recover_pair
+from tppat.direct import NOISE_SAFETY, DatumSet, recover_all_fields, recover_pair
 from tppat.errors import ValidationError
 from tppat.experiments import prepare_data, reconstruct
 from tppat.forward import BoundarySource, ForwardOperator, NewtonConfig, solve_semilinear
@@ -677,9 +677,18 @@ def test_noiseless_least_squares_keeps_newtons_tolerances(bundle16, monkeypatch,
     assert adjoint == [NewtonConfig().linear_tol] * (4 * (report.iterations + 1))
 
 
+def first_tolerances(bundle, ds, newton):
+    """The first states' residual tolerances and the first gradient's adjoint
+    tolerance of run_lsq on the noisy datum set ds, by the noise-level rule."""
+    rel = NOISE_SAFETY * ds.noise_level / 100.0
+    op = bundle.operator
+    forward = [max(newton.residual_tol, rel * float(np.linalg.norm(
+        (op.lumped * H / bundle.coeffs.gruneisen)[op.interior]))) for H in ds.data]
+    return forward, max(newton.linear_tol, rel)
+
+
 @pytest.mark.parametrize("mu_only", [False, True])
-def test_noisy_least_squares_loosens_only_after_the_first_gradient(bundle16, monkeypatch,
-                                                                   mu_only):
+def test_noisy_least_squares_solves_to_the_noise_level(bundle16, monkeypatch, mu_only):
     # the noise test off, so that the run iterates past the first gradient
     b = bundle16
     newton = NewtonConfig()
@@ -690,9 +699,12 @@ def test_noisy_least_squares_loosens_only_after_the_first_gradient(bundle16, mon
     _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, ds, init, LsqConfig(),
                            mu_only=mu_only, u0=stars)
     assert report.iterations >= 2
-    # the first states and the first gradient as without noise
-    assert forward[:4] == [newton.residual_tol] * 4
-    assert adjoint[:4] == [newton.linear_tol] * 4
+    # the first states and the first gradient to the noise level, as the
+    # direct densities
+    first_forward, first_adjoint = first_tolerances(b, ds, newton)
+    assert forward[:4] == first_forward
+    assert min(first_forward) > newton.residual_tol
+    assert adjoint[:4] == [first_adjoint] * 4 and first_adjoint == 2e-5
     # the later ones within their floors and the forcing cap, and looser
     assert len(adjoint) == 4 * (report.iterations + 1)
     assert all(newton.linear_tol <= t <= lsq.FORCING_MAX for t in adjoint[4:])
@@ -702,11 +714,12 @@ def test_noisy_least_squares_loosens_only_after_the_first_gradient(bundle16, mon
 
 
 def test_noisy_gradients_stay_within_their_share_of_the_gradient(bundle16, monkeypatch):
-    # every gradient after the first, against the same gradient solved to
-    # linear_tol from the same states: the adjoint error stays below the
-    # larger of the stop threshold and the previous gradient norm. The tight
-    # grad_tol runs on, with the noise test off, until that bound, not
-    # FORCING_MAX, sets the tolerance.
+    # every gradient against the same gradient solved to linear_tol from the
+    # same states: the first one's adjoint error stays below GRADIENT_SHARE
+    # times its norm, and each later one's below the larger of the stop
+    # threshold and the previous gradient norm. The tight grad_tol runs on,
+    # with the noise test off, until that bound, not FORCING_MAX, sets the
+    # tolerance.
     b = bundle16
     monkeypatch.setattr(lsq, "NOISE_SHARE", 0.0)
     ds = b.datum_set(2.0, 101)
@@ -728,10 +741,45 @@ def test_noisy_gradients_stay_within_their_share_of_the_gradient(bundle16, monke
     _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, ds, init, cfg, u0=stars)
     threshold = cfg.grad_tol * report.reference_grad_norm
     assert len(gaps) == report.iterations + 1 >= 8
-    assert tols[0] is None and gaps[0][0] == 0.0
+    assert tols[0] == first_tolerances(b, ds, NewtonConfig())[1]
+    assert 0.0 < gaps[0][0] <= lsq.GRADIENT_SHARE * gaps[0][1]
     assert min(tols[1:]) < 0.01 * lsq.FORCING_MAX
     for (_, previous), (gap, _) in zip(gaps, gaps[1:]):
         assert gap <= max(threshold, previous)
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.sampled_from([8, 12, 16]), eps=st.floats(0.5, 10.0),
+       seed=st.integers(1, 2**31 - 1), which=st.sampled_from(["II", "IV"]))
+def test_first_evaluation_to_the_noise_level_matches_the_tight_one(n, eps, seed, which):
+    # the first objective and gradient of a noisy run against the same run on
+    # the datum without noise metadata, whose solves keep newton's tolerances:
+    # the objective within ARMIJO_SHARE * 1e-4 * |f|, the gradient within
+    # GRADIENT_SHARE of its norm
+    b = default_bundle(n)
+    ds = b.datum_set(eps, seed)
+    mu_only = which == "II"
+    init, stars = lsq_start(b, ds, mu_only)
+    firsts = []
+    for data in (ds, stripped(ds)):
+        recorded = []
+        gradient = Evaluator.gradient
+
+        def recording(self, sigma, mu, states, adjoint_tol=None):
+            out = gradient(self, sigma, mu, states, adjoint_tol)
+            recorded.append(out[1] if mu_only else np.concatenate(out[:2]))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Evaluator, "gradient", recording)
+            _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, data, init,
+                                   LsqConfig(max_iterations=1), mu_only=mu_only, u0=stars)
+        firsts.append((report.objective_history[0], recorded[0]))
+    (f, g), (f_tight, g_tight) = firsts
+    w = np.resize(b.operator.lumped, len(g))
+    assert abs(f - f_tight) <= lsq.ARMIJO_SHARE * 1e-4 * abs(f_tight)
+    assert (np.sqrt((w * (g - g_tight) ** 2).sum())
+            <= lsq.GRADIENT_SHARE * np.sqrt((w * g_tight ** 2).sum()))
 
 
 @pytest.mark.parametrize("which", ["II", "IV"])
