@@ -14,18 +14,23 @@ are exact for the discrete objective (finite differences of Phi agree to
 solver tolerance). The quadrature is the lumped nodal rule used throughout
 the forward discretization.
 
-The optimizer is limited-memory BFGS with projection onto the bounds and
-Armijo backtracking. Inner products use the lumped-mass metric, which makes
-gradient norms mesh-resolution invariant. The initial inverse Hessian of the
-two-loop recursion is the pointwise Gauss-Newton metric of the data term
-(see gauss_newton_metric): for fixed photon densities the datum fixes
-(sigma, mu) node by node, so this metric captures most of the misfit Hessian
-and the iteration count stays nearly flat in the mesh size.
+The optimizer is a projected pointwise Gauss-Newton iteration with Armijo
+backtracking. For fixed photon densities the datum fixes (sigma, mu) node
+by node, so the Gauss-Newton matrix of the data term is block diagonal,
+one 2x2 block per node (see gauss_newton_step), and the step solves these
+blocks with the forward states of the current iterate (no extra solve).
+Bounds are treated by the two-metric projection of Bertsekas (1982): a
+component at a bound whose gradient points out of the box is held, the
+other component at its node takes its own 1x1 step, and the trial point is
+projected onto the bounds. Inner products use the lumped-mass metric, which
+makes gradient norms mesh-resolution invariant.
 
-The stop test compares the gradient norm with grad_tol times a reference
-taken at the midpoint of the bounds, not at the start (see run_lsq), so a
-start near the minimizer, such as the direct fit of the same datum, stops
-early instead of chasing a tolerance set by its own small gradient.
+The stop test compares the norm of the reduced gradient, the gradient with
+the held components dropped, with grad_tol times a reference taken at the
+midpoint of the bounds, not at the start (see run_lsq), so a start near the
+minimizer, such as the direct fit of the same datum, stops early instead of
+chasing a tolerance set by its own small gradient. The reduced gradient can
+vanish where a bound is active at the minimizer.
 
 On noisy data (DatumSet.noise_level > 0) every PDE of a run is solved only
 as accurately as the fit needs. The first evaluation follows the noise level
@@ -40,11 +45,14 @@ solves at the relative residual max(linear_tol, NOISE_SAFETY * epsilon/100).
 The adjoint solves of every later gradient stop at the relative residual
 
     tau = min(FORCING_MAX, max(linear_tol,
-                               GRADIENT_SHARE * max(threshold, ||g_prev||) / ||A_prev||)),
+                               GRADIENT_SHARE * max(threshold, ||g_prev||) / A_prev)),
 
-with g_prev the previous gradient and A_prev = sum_j v_j (u_j, |u_j| u_j)
-its adjoint part: the gradient error stays a share of the gradient it
-perturbs (inexact gradients, Carter 1991). A line-search trial with Armijo
+with g_prev the previous reduced gradient and A_prev = sum_j ||v_j (u_j,
+|u_j| u_j)|| the summed norms of its adjoint parts: the gradient error
+stays a share of the gradient it perturbs (inexact gradients, Carter 1991).
+The error of v_j perturbs source j's part alone, and the parts can cancel
+in their sum, so the norm of the sum would underrate the error near a
+minimizer. A line-search trial with Armijo
 slope s solves source j to the interior residual
 max(residual_tol, ARMIJO_SHARE * 1e-4 |s| / (J ||v_j||)), with v_j from the
 last gradient: to first order a Newton residual F_j moves Phi by <v_j, F_j>,
@@ -60,7 +68,7 @@ the noise lets it. The noise misfit
 is the expected misfit at the truth under forward.add_noise, whose
 multiplier has standard deviation epsilon/100, taken with the noisy datum H
 as given (the clean one is unknown to a reconstruction). A run stops as
-converged, with the message "noise level reached", when the quasi-Newton
+converged, with the message "noise level reached", when the Gauss-Newton
 model predicts a decrease lambda^2/2 = -1/2 <g, d> still to come (the
 Newton decrement, Boyd & Vandenberghe 2004, 9.5.1) of at most NOISE_SHARE
 Phi_noise: the iterate is then within about sqrt(NOISE_SHARE) of the
@@ -73,7 +81,6 @@ there.
 
 from __future__ import annotations
 
-import collections
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -92,7 +99,7 @@ from .direct import NOISE_SAFETY, DatumSet
 GRADIENT_SHARE = 0.1
 ARMIJO_SHARE = 0.1
 # The share of the noise misfit Phi_noise below which the predicted decrease
-# of a quasi-Newton step stops a run on noisy data (module docstring).
+# of a Gauss-Newton step stops a run on noisy data (module docstring).
 NOISE_SHARE = 1e-4
 
 
@@ -103,7 +110,6 @@ class LsqConfig:
     kappa: float = 0.0
     grad_tol: float = 1e-6
     max_iterations: int = 300
-    history: int = 10
     bound_floor: float = 0.02
     bound_ceiling: float = 0.5
 
@@ -118,8 +124,7 @@ class LsqConfig:
             raise ValidationError("lsq grad_tol must be finite and positive")
         if not (0.0 < self.bound_floor < self.bound_ceiling < math.inf):
             raise ValidationError("lsq bounds must satisfy 0 < floor < ceiling < inf")
-        for name in ("max_iterations", "history"):
-            require_count(getattr(self, name), f"lsq {name}")
+        require_count(self.max_iterations, "lsq max_iterations")
 
 
 @dataclass
@@ -245,84 +250,78 @@ class Evaluator:
         return g_sigma, g_mu, vs
 
 
-def gauss_newton_metric(gruneisen, us, reg, mu_only: bool = False):
-    """Initial L-BFGS inverse metric q -> H0 q from the forward states us.
+def gauss_newton_step(gruneisen, us, reg, g, held):
+    """Projected pointwise Gauss-Newton step (d_sigma, d_mu) from the forward states us.
 
     At node i, a_j = Gamma_i u_j,i and b_j = Gamma_i |u_j,i| u_j,i are the
     derivatives of the residual z_j with respect to sigma_i and mu_i with u
-    frozen. B_i = sum_j [a_j, b_j]^T [a_j, b_j] + reg_i I, with reg =
-    kappa * diag(K1) / m, is the pointwise Gauss-Newton matrix (its (2, 2)
-    entry alone with mu_only), and H0 applies B_i^-1 to the components of
-    node i; q is mu alone or (sigma, mu) stacked, as in run_lsq. The gradient
-    is the lumped-metric Riesz representer, so H0 g is the Gauss-Newton step
-    of the data term, and H0 is self-adjoint in the lumped metric because
-    sigma_i and mu_i share the weight m_i.
+    frozen, and B_i = sum_j [a_j, b_j]^T [a_j, b_j] + reg_i I, with reg =
+    kappa * diag(K1) / m, is the pointwise Gauss-Newton matrix. g = (g_sigma,
+    g_mu) is the lumped-metric gradient, so the step -B_i^-1 g_i is the
+    Gauss-Newton step of the data term at node i. Where B_i is nearly rank
+    one (det B_i <= 1e-12 (tr B_i)^2: one source with kappa = 0, equal |u_j|
+    at the node, or Gamma_i = 0) the step is the pseudo-inverse one,
+    -B_i g_i / (tr B_i)^2, exact for a rank-one B_i.
 
-    Where B_i is singular or nearly so (det B_i <= 1e-12 (tr B_i)^2, e.g.
-    one source with kappa = 0, equal |u_j| at the node, or Gamma_i = 0), it
-    is replaced by beta I, with beta the mean eigenvalue of the regular
-    blocks (1 if there are none), so H0 is finite and positive definite at
-    every node.
+    held = (held_sigma, held_mu) marks the components the bounds hold (see
+    run_lsq; mu_only holds every sigma). A held component does not move, and
+    the other one at its node steps by -g_f / B_ff, its own 1x1 block. A
+    component whose block is zero does not move either.
     """
     a = np.asarray(gruneisen) * np.asarray(us)
     b = a * np.abs(us)
-    bb = (b * b).sum(axis=0) + reg
-    if mu_only:
-        with np.errstate(divide="ignore"):
-            c22 = 1.0 / bb
-        ok = np.isfinite(c22) & (c22 > 0.0)
-        c22[~ok] = 1.0 / bb[ok].mean() if ok.any() else 1.0
-        return lambda q: c22 * q
-
     aa = (a * a).sum(axis=0) + reg
+    bb = (b * b).sum(axis=0) + reg
     ab = (a * b).sum(axis=0)
+    (gs, gm), (held_s, held_m) = g, held
     det = aa * bb - ab * ab
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c11, c12, c22 = bb / det, -ab / det, aa / det
-        ok = det > 1e-12 * (aa + bb) ** 2
-    ok &= np.isfinite(c11) & np.isfinite(c12) & np.isfinite(c22)
-    beta = float(0.5 * (aa + bb)[ok].mean()) if ok.any() else 1.0
-    c11[~ok] = c22[~ok] = 1.0 / beta
-    c12[~ok] = 0.0
-    n = len(c11)
-
-    def apply(q):
-        qs, qm = q[:n], q[n:]
-        return np.concatenate([c11 * qs + c12 * qm, c12 * qs + c22 * qm])
-    return apply
+    tr2 = (aa + bb) ** 2
+    regular = det > 1e-12 * tr2
+    # the step is -num / den: B_i^-1 g_i, B_i g_i / (tr B_i)^2, or g_f / B_ff
+    # where the other component is held
+    den = np.where(regular, det, tr2)
+    num_s = np.where(held_m, gs, np.where(regular, bb * gs - ab * gm, aa * gs + ab * gm))
+    num_m = np.where(held_s, gm, np.where(regular, aa * gm - ab * gs, ab * gs + bb * gm))
+    den_s = np.where(held_m, aa, den)
+    den_m = np.where(held_s, bb, den)
+    d_s = np.divide(num_s, den_s, out=np.zeros_like(num_s), where=~held_s & (den_s > 0.0))
+    d_m = np.divide(num_m, den_m, out=np.zeros_like(num_m), where=~held_m & (den_m > 0.0))
+    return -d_s, -d_m
 
 
 def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig, *,
             mu_only: bool = False, newton: NewtonConfig | None = None, u0=None):
-    """Projected limited-memory BFGS minimization of Phi.
+    """Projected pointwise Gauss-Newton minimization of Phi.
 
     op is the forward operator of the known diffusion gamma and gruneisen the
     known Gamma; init = (sigma0, mu0), with the fitted fields within the
     bounds. With mu_only, sigma stays at sigma0, which may lie outside the
     bounds, and only mu is fitted. Returns (sigma, mu, LsqReport). Inner
-    products use the lumped-mass metric. The two-loop recursion starts from
-    gauss_newton_metric, rebuilt from the forward states of each accepted
-    iterate (no extra solve) and scaled by s.y / y.H0y once history exists.
+    products use the lumped-mass metric. Each iteration takes the step of
+    gauss_newton_step from the forward states of the current iterate (no
+    extra solve) and backtracks along its projection onto the bounds until
+    the Armijo test holds. A fitted component is held when it sits at a
+    bound and its gradient points out of the box; the reduced gradient is
+    the gradient with the held components set to 0.
 
-    Terminates when the lumped-L2 gradient norm is at most grad_tol times
-    the reference norm (converged, possibly after 0 iterations), on noisy
-    data when the two-loop direction d (before the steepest-descent
-    fallback and the projection) is a descent direction whose predicted
-    decrease -1/2 <g, d> is at most NOISE_SHARE times the noise misfit
-    (converged, message "noise level reached"; the module docstring), at
-    the iteration cap, or when the line search cannot make progress (best
-    iterate returned, converged=False). The report keeps the noise misfit as
+    Terminates when the lumped-L2 norm of the reduced gradient is at most
+    grad_tol times the reference norm (converged, possibly after 0
+    iterations), on noisy data when the step d predicts a decrease
+    -1/2 <g, d> of at most NOISE_SHARE times the noise misfit (converged,
+    message "noise level reached"; the module docstring), at the iteration
+    cap, or when the line search cannot make progress (best iterate
+    returned, converged=False). The report keeps the noise misfit as
     noise_misfit, 0.0 on noiseless data and data without noise metadata,
     which the noise test leaves alone. The reference is taken at a fixed
     point, not at the start: it is the norm of the misfit part of the
     gradient, sum_j z_j Gamma u_j and sum_j z_j Gamma |u_j| u_j, at the
-    midpoint of the bounds (sigma0 itself with mu_only), with the start's
-    forward states u_j frozen. So it costs no solve and moves with the start
-    only through those states. The report keeps it as
-    reference_grad_norm; grad_norm_history[0] is the start's own norm. The
-    objective history is strictly decreasing over accepted steps. The
-    gradient at an accepted point reuses the forward states of its
-    line-search trial.
+    midpoint of the bounds (sigma0 itself with mu_only), with u_j frozen at
+    u0 when it is given and at the start's forward states otherwise. So it
+    costs no solve, and with u0 it does not depend on the start. The report
+    keeps it as reference_grad_norm; grad_norm_history holds the reduced
+    gradient norms, the start's first. The objective history is strictly
+    decreasing over accepted steps. The gradient at an accepted point reuses
+    the forward states of its line-search trial.
 
     u0, when given, holds one nodal field per source, the Newton start of
     the first forward solves (None: cold); reconstruct passes the direct
@@ -330,10 +329,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     previous evaluation, a rejected line-search trial included. With noisy
     data every PDE, the first states and the first gradient included, is
     solved only as accurately as the fit needs (the module docstring's
-    rules). On the lsq_pair benchmark (experiment IV, n=32, seed 1) solving
-    the first evaluation this way, not to newton's tolerances, cuts a run
-    unit's preconditioner applications from 576 to 445 and its Newton steps
-    from 51 to 39, and raises jobs_per_s by about 23 % (2-vCPU Xeon).
+    rules).
     """
     mesh = op.mesh
     ev = Evaluator(op, gruneisen, data, cfg.kappa, newton)
@@ -353,14 +349,23 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     def pack(gs, gm):
         return gm if mu_only else np.concatenate([gs, gm])
 
-    def fields_of(x):
-        return (sigma, x) if mu_only else (x[:n], x[n:])
+    def split(v, sigma_part):
+        """The sigma and mu parts of v, a vector like x; with mu_only,
+        sigma_part stands in for the sigma part."""
+        return (sigma_part, v) if mu_only else (v[:n], v[n:])
 
     def dot(a, b):
         return float((w * a * b).sum())
 
     def project(x):
         return np.clip(x, cfg.bound_floor, cfg.bound_ceiling)
+
+    def hold(xv, gv):
+        """The held components at xv and the norm of the reduced gradient."""
+        held = (((xv <= cfg.bound_floor) & (gv > 0.0))
+                | ((xv >= cfg.bound_ceiling) & (gv < 0.0)))
+        reduced = np.where(held, 0.0, gv)
+        return held, np.sqrt(dot(reduced, reduced))
 
     report = LsqReport()
     if u0 is not None and len(u0) != data.size:
@@ -385,7 +390,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
         Newton tolerance by the adjoint identity once a gradient exists;
         without it the first evaluation's tolerances apply.
         """
-        s, m = fields_of(xv)
+        s, m = split(xv, sigma)
         tols = first_tols
         if noisy and slope is not None:
             share = ARMIJO_SHARE * 1e-4 * abs(slope) / data.size
@@ -394,31 +399,31 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
         states = ev.forward_states(s, m, u0=start, residual_tols=tols)
         return ev.objective(s, m, states), states
 
-    def derivatives(xv, states):
-        """Gradient, initial inverse metric and adjoint states at xv."""
-        gs, gm, vs = ev.gradient(*fields_of(xv), states, adjoint_tol=adjoint_tol)
-        return (pack(gs, gm), gauss_newton_metric(ev.gruneisen, states[0], reg, mu_only),
-                vs)
+    def gradient(xv, states):
+        """Gradient and adjoint states at xv."""
+        gs, gm, vs = ev.gradient(*split(xv, sigma), states, adjoint_tol=adjoint_tol)
+        return pack(gs, gm), vs
 
-    def next_tolerances(g, us, vs):
-        """The adjoint tolerance of the next gradient (Carter's rule) and the
-        norms ||v_j|| that set the next line search's Newton tolerances."""
-        a = pack(sum(v * u for v, u in zip(vs, us)),
-                 sum(v * np.abs(u) * u for v, u in zip(vs, us)))
-        a_norm = np.sqrt(dot(a, a))
-        target = GRADIENT_SHARE * max(threshold, np.sqrt(dot(g, g)))
+    def next_tolerances(g_norm, us, vs):
+        """The adjoint tolerance of the next gradient (Carter's rule, from the
+        reduced gradient norm g_norm) and the norms ||v_j|| that set the next
+        line search's Newton tolerances."""
+        parts = (pack(v * u, v * np.abs(u) * u) for v, u in zip(vs, us))
+        a_norm = sum(np.sqrt(dot(a, a)) for a in parts)
+        target = GRADIENT_SHARE * max(threshold, g_norm)
         tol = (FORCING_MAX if a_norm == 0.0 else
                min(FORCING_MAX, max(ev.newton.linear_tol, target / a_norm)))
         return tol, [float(np.linalg.norm(v)) for v in vs]
 
     f, states = evaluate(x, u0)
-    g, h0, vs = derivatives(x, states)
+    g, vs = gradient(x, states)
+    held, g_norm = hold(x, g)
     report.objective_history.append(f)
-    report.grad_norm_history.append(np.sqrt(dot(g, g)))
+    report.grad_norm_history.append(g_norm)
 
     mid = 0.5 * (cfg.bound_floor + cfg.bound_ceiling)
     g_ref = np.zeros_like(x)
-    for u, H in zip(states[0], ev.data.data):
+    for u, H in zip(states[0] if u0 is None else u0, ev.data.data):
         a = ev.gruneisen * u
         b = a * np.abs(u)
         z = (sigma if mu_only else mid) * a + mid * b - H
@@ -426,33 +431,19 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     report.reference_grad_norm = np.sqrt(dot(g_ref, g_ref))
     threshold = cfg.grad_tol * report.reference_grad_norm
     if noisy:
-        adjoint_tol, adjoint_norms = next_tolerances(g, states[0], vs)
+        adjoint_tol, adjoint_norms = next_tolerances(g_norm, states[0], vs)
         report.noise_misfit = 0.5 * (data.noise_level * 1e-2) ** 2 * sum(
             float((ev.lumped * H * H).sum()) for H in ev.data.data)
     noise_floor = NOISE_SHARE * report.noise_misfit
-
-    pairs = collections.deque(maxlen=int(cfg.history))   # (s, y, 1 / s.y), oldest first
 
     for it in range(cfg.max_iterations + 1):
         if report.grad_norm_history[-1] <= threshold:
             report.converged = True
             break
 
-        # two-loop recursion in the lumped-mass metric
-        q = g.copy()
-        alphas = []
-        for si, yi, ri in reversed(pairs):
-            ai = ri * dot(si, q)
-            alphas.append(ai)
-            q -= ai * yi
-        q = h0(q)
-        if pairs:
-            s_last, y_last, _ = pairs[-1]
-            q *= dot(s_last, y_last) / dot(y_last, h0(y_last))
-        for (si, yi, ri), ai in zip(pairs, reversed(alphas)):
-            bi = ri * dot(yi, q)
-            q += (ai - bi) * si
-        d = -q
+        # with mu_only, every sigma component counts as held
+        d = pack(*gauss_newton_step(ev.gruneisen, states[0], reg, split(g, np.zeros(n)),
+                                    split(held, np.ones(n, dtype=bool))))
         gd = dot(g, d)
         if 0.0 < -0.5 * gd <= noise_floor:
             report.converged = True
@@ -461,8 +452,6 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
         if it == cfg.max_iterations:
             report.message = "iteration cap reached"
             break
-        if gd >= 0.0:
-            d = -g.copy()
 
         alpha = 1.0
         accepted = False
@@ -483,20 +472,15 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
             report.message = "line search failed; returning best iterate"
             break
 
-        g_new, h0, vs = derivatives(x_trial, states)
-        s_vec = x_trial - x
-        y_vec = g_new - g
-        sy = dot(s_vec, y_vec)
-        if sy > 1e-12 * np.sqrt(dot(s_vec, s_vec) * dot(y_vec, y_vec)):
-            pairs.append((s_vec, y_vec, 1.0 / sy))
-
-        x, f, g = x_trial, f_trial, g_new
+        x, f = x_trial, f_trial
+        g, vs = gradient(x, states)
+        held, g_norm = hold(x, g)
         if noisy:
-            adjoint_tol, adjoint_norms = next_tolerances(g, states[0], vs)
+            adjoint_tol, adjoint_norms = next_tolerances(g_norm, states[0], vs)
         report.iterations += 1
         report.objective_history.append(f)
-        report.grad_norm_history.append(np.sqrt(dot(g, g)))
+        report.grad_norm_history.append(g_norm)
         report.step_lengths.append(alpha)
 
-    s_fin, m_fin = fields_of(x)
+    s_fin, m_fin = split(x, sigma)
     return s_fin.copy(), m_fin.copy(), report

@@ -44,7 +44,7 @@ def test_default_config_valid_and_roundtrips(tmp_path):
 def test_lsq_section_roundtrips_to_identical_bytes(tmp_path):
     # integer keys print as integers: %g would write 1234567 as 1.23457e+06
     cfg = default_config()
-    cfg.lsq = LsqConfig(kappa=2.5e-3, grad_tol=3e-7, max_iterations=1234567, history=7)
+    cfg.lsq = LsqConfig(kappa=2.5e-3, grad_tol=3e-7, max_iterations=1234567)
     first, second = tmp_path / "first.ini", tmp_path / "second.ini"
     write_config(cfg, first)
     loaded = load_config(first)
@@ -209,7 +209,7 @@ def assert_in_range(cfg):
     ls = cfg.lsq
     assert math.isfinite(ls.kappa) and ls.kappa >= 0.0
     assert math.isfinite(ls.grad_tol) and ls.grad_tol > 0.0
-    assert ls.max_iterations >= 1 and ls.history >= 1
+    assert ls.max_iterations >= 1
     assert 0.0 < ls.bound_floor < ls.bound_ceiling < math.inf
     for name in COEFF_SECTIONS:
         pf = getattr(cfg.phantom, name)
@@ -282,6 +282,19 @@ def test_parse_config_rejects_unknown_keys(section, key):
     parser.set(section, key, "5")
     with pytest.raises(ValidationError, match=rf"\[{section}\] unknown key '{key}'"):
         parse_config(parser)
+
+
+def test_cli_rejects_the_removed_lsq_history_key(tmp_path, capsys):
+    # the L-BFGS memory is gone with L-BFGS: a config that still sets it is an
+    # error before any work, not a key silently ignored
+    path = tmp_path / "old.ini"
+    path.write_text(default_config().canonical_text().replace(
+        "[lsq]\n", "[lsq]\nhistory = 10\n", 1))
+    out = tmp_path / "x"
+    assert main(["experiment", "--which", "IV", "--config", str(path),
+                 "--out", str(out)]) == 1
+    assert "[lsq] unknown key 'history'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_source_spec_validation():
