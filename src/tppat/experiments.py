@@ -86,6 +86,14 @@ class DataBundle:
         return DatumSet(sources=list(self.sources), data=fields, meta=meta)
 
 
+def _map_jobs(function, items, threads: int) -> list:
+    """[function(item) for item in items], on threads workers when threads > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(function, items))
+    return [function(item) for item in items]
+
+
 def prepare_data(cfg: ExperimentConfig, newton: NewtonConfig | None = None,
                  threads: int = 1) -> DataBundle:
     """Solve the forward problems at the true coefficients.
@@ -114,11 +122,7 @@ def prepare_data(cfg: ExperimentConfig, newton: NewtonConfig | None = None,
         return solve_semilinear(operator, data_coeffs.single_photon,
                                 data_coeffs.two_photon, g, newton)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve_one, data_sources))
-    else:
-        results = [solve_one(g) for g in data_sources]
+    results = _map_jobs(solve_one, data_sources, threads)
     u_clean = [u for u, _ in results]
     reports = [r for _, r in results]
     H_clean = [compute_datum(data_coeffs, u) for u in u_clean]
@@ -194,16 +198,16 @@ class ExperimentTable:
     def save(self, directory):
         directory = Path(directory)
         algo = ALGORITHMS[self.experiment]
-        lines = ["experiment,algorithm,coefficient,epsilon,seed,error_percent"]
-        for coeff, eps, seed, err in self.rows:
-            lines.append(f"{self.experiment},{algo},{coeff},{eps:g},{seed},{err:.17g}")
-        (directory / "errors.csv").write_text("\n".join(lines) + "\n",
-                                              encoding="ascii")
-        lines = ["experiment,algorithm,coefficient,epsilon,mean_error_percent"]
-        for (coeff, eps), err in self.mean_errors().items():
-            lines.append(f"{self.experiment},{algo},{coeff},{eps:g},{err:.17g}")
-        (directory / "errors_mean.csv").write_text("\n".join(lines) + "\n",
-                                                   encoding="ascii")
+        prefix = f"{self.experiment},{algo},"
+        columns = list(zip(*self.rows)) or [()] * 4
+        fem.write_columns(directory / "errors.csv",
+                          "experiment,algorithm,coefficient,epsilon,seed,error_percent",
+                          prefix + "%s,%g,%d,%.17g\n", *columns)
+        means = self.mean_errors()
+        fem.write_columns(directory / "errors_mean.csv",
+                          "experiment,algorithm,coefficient,epsilon,mean_error_percent",
+                          prefix + "%s,%g,%.17g\n", [c for c, _ in means],
+                          [e for _, e in means], list(means.values()))
 
 
 def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
@@ -242,11 +246,7 @@ def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
         datum_set = bundle.datum_set(eps, seed)
         return reconstruct(which, bundle, datum_set)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_job, jobs))
-    else:
-        outcomes = [run_job(job) for job in jobs]
+    outcomes = _map_jobs(run_job, jobs, threads)
 
     keep_fields: dict = {}
     for (eps, seed), fields in zip(jobs, outcomes):
@@ -285,12 +285,12 @@ def run_forward(cfg: ExperimentConfig, output_dir) -> DataBundle:
     if bundle.crime_guard:
         save_mesh(bundle.data_mesh, outdir / "data_mesh.txt")
 
-    lines = ["source,iterations,converged,final_residual"]
-    for j, report in enumerate(bundle.reports, start=1):
-        lines.append(f"{j},{report.iterations},{int(report.converged)},"
-                     f"{report.residual_history[-1]:.17g}")
-    (outdir / "forward_report.csv").write_text("\n".join(lines) + "\n",
-                                               encoding="ascii")
+    reports = bundle.reports
+    fem.write_columns(outdir / "forward_report.csv",
+                      "source,iterations,converged,final_residual", "%d,%d,%d,%.17g\n",
+                      range(1, len(reports) + 1), [r.iterations for r in reports],
+                      [r.converged for r in reports],
+                      [r.residual_history[-1] for r in reports])
 
     for j, (u, H) in enumerate(zip(bundle.u_clean, bundle.H_clean), start=1):
         fem.save_field(outdir / f"u{j}.csv", u)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fem
 from .config import ExperimentConfig
 from .errors import ValidationError, require_count
 from .experiments import prepare_data
@@ -48,12 +49,10 @@ class GradCheckResult:
         return float(self.relative_errors.max())
 
     def save(self, path):
-        lines = ["direction,adjoint,fd,relative_error"]
-        for k in range(len(self.relative_errors)):
-            lines.append(f"{k},{self.adjoint_values[k]:.17g},"
-                         f"{self.fd_values[k]:.17g},{self.relative_errors[k]:.17g}")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+        fem.write_columns(path, "direction,adjoint,fd,relative_error",
+                          "%d,%.17g,%.17g,%.17g\n", range(len(self.relative_errors)),
+                          self.adjoint_values.tolist(), self.fd_values.tolist(),
+                          self.relative_errors.tolist())
 
 
 def gradient_check(cfg: ExperimentConfig, directions: int = 20,

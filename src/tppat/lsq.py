@@ -264,7 +264,7 @@ def gauss_newton_step(gruneisen, us, reg, g, held):
     -B_i g_i / (tr B_i)^2, exact for a rank-one B_i.
 
     held = (held_sigma, held_mu) marks the components the bounds hold (see
-    run_lsq; mu_only holds every sigma). A held component does not move, and
+    run_lsq; a pinned component is held). A held component does not move, and
     the other one at its node steps by -g_f / B_ff, its own 1x1 block. A
     component whose block is zero does not move either.
     """
@@ -295,14 +295,17 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
 
     op is the forward operator of the known diffusion gamma and gruneisen the
     known Gamma; init = (sigma0, mu0), with the fitted fields within the
-    bounds. With mu_only, sigma stays at sigma0, which may lie outside the
-    bounds, and only mu is fitted. Returns (sigma, mu, LsqReport). Inner
+    bounds. The iterate is sigma and mu stacked, with II and IV on one
+    iteration: with mu_only, sigma is pinned by its own bounds lo = hi =
+    sigma0 (which may lie outside [bound_floor, bound_ceiling]) and always
+    held, so only mu is fitted; sigma's metric weight is then 0, so no norm
+    or inner product sees it. Returns (sigma, mu, LsqReport). Inner
     products use the lumped-mass metric. Each iteration takes the step of
     gauss_newton_step from the forward states of the current iterate (no
     extra solve) and backtracks along its projection onto the bounds until
-    the Armijo test holds. A fitted component is held when it sits at a
-    bound and its gradient points out of the box; the reduced gradient is
-    the gradient with the held components set to 0.
+    the Armijo test holds. A component is held when it sits at a bound and
+    its gradient points out of the box; the reduced gradient is the gradient
+    with the held components set to 0.
 
     Terminates when the lumped-L2 norm of the reduced gradient is at most
     grad_tol times the reference norm (converged, possibly after 0
@@ -315,7 +318,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     which the noise test leaves alone. The reference is taken at a fixed
     point, not at the start: it is the norm of the misfit part of the
     gradient, sum_j z_j Gamma u_j and sum_j z_j Gamma |u_j| u_j, at the
-    midpoint of the bounds (sigma0 itself with mu_only), with u_j frozen at
+    midpoint of the bounds (with sigma0 for a pinned sigma), with u_j frozen at
     u0 when it is given and at the start's forward states otherwise. So it
     costs no solve, and with u0 it does not depend on the start. The report
     keeps it as reference_grad_norm; grad_norm_history holds the reduced
@@ -333,37 +336,27 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     """
     mesh = op.mesh
     ev = Evaluator(op, gruneisen, data, cfg.kappa, newton)
-    sigma = as_field(mesh, init[0])
-    mu = as_field(mesh, init[1])
-    fitted = (("mu", mu),) if mu_only else (("sigma", sigma), ("mu", mu))
-    for name, arr in fitted:
-        if arr.min() < cfg.bound_floor - 1e-15 or arr.max() > cfg.bound_ceiling + 1e-15:
-            raise ValidationError(f"initial {name} violates the projection bounds")
-
-    # the iterate x is mu alone, or sigma and mu stacked; w holds its metric weights
     n = mesh.node_count
-    x = mu if mu_only else np.concatenate([sigma, mu])
-    w = ev.lumped if mu_only else np.concatenate([ev.lumped, ev.lumped])
+    # the iterate x is sigma and mu stacked; with mu_only, sigma is not free:
+    # its bounds lo = hi = sigma0 pin it, and it is always held
+    x = np.concatenate([as_field(mesh, init[0]), as_field(mesh, init[1])])
+    free = np.repeat([not mu_only, True], n)
+    outside = free & ((x < cfg.bound_floor - 1e-15) | (x > cfg.bound_ceiling + 1e-15))
+    if outside.any():
+        name = "sigma" if outside[:n].any() else "mu"
+        raise ValidationError(f"initial {name} violates the projection bounds")
+    lo = np.where(free, cfg.bound_floor, x)
+    hi = np.where(free, cfg.bound_ceiling, x)
+    # metric weights; 0 on a pinned component, so that no norm sees it
+    w = np.concatenate([ev.lumped, ev.lumped]) * free
     reg = 0.0 if ev.K1 is None else ev.kappa * ev.K1.diagonal() / ev.lumped
-
-    def pack(gs, gm):
-        return gm if mu_only else np.concatenate([gs, gm])
-
-    def split(v, sigma_part):
-        """The sigma and mu parts of v, a vector like x; with mu_only,
-        sigma_part stands in for the sigma part."""
-        return (sigma_part, v) if mu_only else (v[:n], v[n:])
 
     def dot(a, b):
         return float((w * a * b).sum())
 
-    def project(x):
-        return np.clip(x, cfg.bound_floor, cfg.bound_ceiling)
-
     def hold(xv, gv):
         """The held components at xv and the norm of the reduced gradient."""
-        held = (((xv <= cfg.bound_floor) & (gv > 0.0))
-                | ((xv >= cfg.bound_ceiling) & (gv < 0.0)))
+        held = ~free | ((xv <= lo) & (gv > 0.0)) | ((xv >= hi) & (gv < 0.0))
         reduced = np.where(held, 0.0, gv)
         return held, np.sqrt(dot(reduced, reduced))
 
@@ -390,25 +383,19 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
         Newton tolerance by the adjoint identity once a gradient exists;
         without it the first evaluation's tolerances apply.
         """
-        s, m = split(xv, sigma)
         tols = first_tols
         if noisy and slope is not None:
             share = ARMIJO_SHARE * 1e-4 * abs(slope) / data.size
             tols = [max(ev.newton.residual_tol, share / vn) if vn > 0.0
                     else ev.newton.residual_tol for vn in adjoint_norms]
-        states = ev.forward_states(s, m, u0=start, residual_tols=tols)
-        return ev.objective(s, m, states), states
-
-    def gradient(xv, states):
-        """Gradient and adjoint states at xv."""
-        gs, gm, vs = ev.gradient(*split(xv, sigma), states, adjoint_tol=adjoint_tol)
-        return pack(gs, gm), vs
+        states = ev.forward_states(xv[:n], xv[n:], u0=start, residual_tols=tols)
+        return ev.objective(xv[:n], xv[n:], states), states
 
     def next_tolerances(g_norm, us, vs):
         """The adjoint tolerance of the next gradient (Carter's rule, from the
         reduced gradient norm g_norm) and the norms ||v_j|| that set the next
         line search's Newton tolerances."""
-        parts = (pack(v * u, v * np.abs(u) * u) for v, u in zip(vs, us))
+        parts = (np.concatenate([v * u, v * np.abs(u) * u]) for v, u in zip(vs, us))
         a_norm = sum(np.sqrt(dot(a, a)) for a in parts)
         target = GRADIENT_SHARE * max(threshold, g_norm)
         tol = (FORCING_MAX if a_norm == 0.0 else
@@ -416,34 +403,35 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
         return tol, [float(np.linalg.norm(v)) for v in vs]
 
     f, states = evaluate(x, u0)
-    g, vs = gradient(x, states)
-    held, g_norm = hold(x, g)
-    report.objective_history.append(f)
-    report.grad_norm_history.append(g_norm)
-
-    mid = 0.5 * (cfg.bound_floor + cfg.bound_ceiling)
+    ref = np.where(free, 0.5 * (cfg.bound_floor + cfg.bound_ceiling), x)
     g_ref = np.zeros_like(x)
     for u, H in zip(states[0] if u0 is None else u0, ev.data.data):
         a = ev.gruneisen * u
         b = a * np.abs(u)
-        z = (sigma if mu_only else mid) * a + mid * b - H
-        g_ref += pack(z * a, z * b)
+        z = ref[:n] * a + ref[n:] * b - H
+        g_ref += np.concatenate([z * a, z * b])
     report.reference_grad_norm = np.sqrt(dot(g_ref, g_ref))
     threshold = cfg.grad_tol * report.reference_grad_norm
     if noisy:
-        adjoint_tol, adjoint_norms = next_tolerances(g_norm, states[0], vs)
         report.noise_misfit = 0.5 * (data.noise_level * 1e-2) ** 2 * sum(
             float((ev.lumped * H * H).sum()) for H in ev.data.data)
     noise_floor = NOISE_SHARE * report.noise_misfit
 
     for it in range(cfg.max_iterations + 1):
-        if report.grad_norm_history[-1] <= threshold:
+        # the gradient at x, from the forward states of its evaluation
+        gs, gm, vs = ev.gradient(x[:n], x[n:], states, adjoint_tol=adjoint_tol)
+        g = np.concatenate([gs, gm])
+        held, g_norm = hold(x, g)
+        if noisy:
+            adjoint_tol, adjoint_norms = next_tolerances(g_norm, states[0], vs)
+        report.objective_history.append(f)
+        report.grad_norm_history.append(g_norm)
+        if g_norm <= threshold:
             report.converged = True
             break
 
-        # with mu_only, every sigma component counts as held
-        d = pack(*gauss_newton_step(ev.gruneisen, states[0], reg, split(g, np.zeros(n)),
-                                    split(held, np.ones(n, dtype=bool))))
+        d = np.concatenate(gauss_newton_step(ev.gruneisen, states[0], reg,
+                                             (gs, gm), (held[:n], held[n:])))
         gd = dot(g, d)
         if 0.0 < -0.5 * gd <= noise_floor:
             report.converged = True
@@ -456,7 +444,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
         alpha = 1.0
         accepted = False
         for _ in range(35):
-            x_trial = project(x + alpha * d)
+            x_trial = np.clip(x + alpha * d, lo, hi)
             step = x_trial - x
             slope = dot(g, step)
             if slope >= 0.0:
@@ -473,14 +461,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
             break
 
         x, f = x_trial, f_trial
-        g, vs = gradient(x, states)
-        held, g_norm = hold(x, g)
-        if noisy:
-            adjoint_tol, adjoint_norms = next_tolerances(g_norm, states[0], vs)
         report.iterations += 1
-        report.objective_history.append(f)
-        report.grad_norm_history.append(g_norm)
         report.step_lengths.append(alpha)
 
-    s_fin, m_fin = split(x, sigma)
-    return s_fin.copy(), m_fin.copy(), report
+    return x[:n].copy(), x[n:].copy(), report

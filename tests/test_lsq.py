@@ -688,6 +688,47 @@ def test_one_source_ii_at_five_percent_converges_with_nodes_at_the_floor(source,
     assert np.array_equal(fields["sigma"], b.coeffs.single_photon)
 
 
+@pytest.mark.parametrize("sources, n, eps, seed", [((0, 1, 2, 3), 16, 2.0, 101),
+                                                   ((0,), 8, 5.0, 3)])
+def test_ii_norms_are_those_of_the_mu_part_alone(monkeypatch, sources, n, eps, seed):
+    # II's reference and reduced gradient norms against the same norms of mu
+    # alone, from u0 and from each gradient run_lsq takes: the pinned sigma
+    # must not enter a norm. The second job starts with mu nodes held at the
+    # floor. run_lsq sums over sigma's zero-weight terms as well, which may
+    # move the last digit.
+    b = source_bundle(n, sources)
+    cfg = b.config.lsq
+    ds = b.datum_set(eps, seed)
+    (sigma0, mu0), stars = lsq_start(b, ds, mu_only=True)
+    recorded = []
+    gradient = Evaluator.gradient
+
+    def recording(self, sigma, mu, states, adjoint_tol=None):
+        out = gradient(self, sigma, mu, states, adjoint_tol)
+        recorded.append((mu.copy(), out[1]))
+        return out
+
+    monkeypatch.setattr(Evaluator, "gradient", recording)
+    sigma, _, report = run_lsq(b.operator, b.coeffs.gruneisen, ds, (sigma0, mu0), cfg,
+                               mu_only=True, u0=stars)
+    m = b.operator.lumped
+    mid = 0.5 * (cfg.bound_floor + cfg.bound_ceiling)
+    g_ref = 0.0
+    for u, H in zip(stars, ds.data):
+        a = b.coeffs.gruneisen * u
+        g_ref = g_ref + (sigma0 * a + mid * a * np.abs(u) - H) * a * np.abs(u)
+    norms = []
+    for mu, g_mu in recorded:
+        held = (((mu <= cfg.bound_floor) & (g_mu > 0.0))
+                | ((mu >= cfg.bound_ceiling) & (g_mu < 0.0)))
+        reduced = np.where(held, 0.0, g_mu)
+        norms.append(np.sqrt((m * reduced * reduced).sum()))
+    assert report.converged and np.array_equal(sigma, sigma0)
+    assert report.reference_grad_norm == pytest.approx(np.sqrt((m * g_ref ** 2).sum()),
+                                                       rel=1e-12)
+    assert report.grad_norm_history == pytest.approx(norms, rel=1e-12)
+
+
 @pytest.mark.parametrize("seed", range(101, 106))
 def test_every_default_iv_job_at_five_percent_converges(bundle16, seed):
     b = bundle16
