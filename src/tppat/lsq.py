@@ -37,11 +37,15 @@ as accurately as the fit needs. The first evaluation follows the noise level
 epsilon (percent), as direct.recover_all_fields does: source j's first
 forward solve stops at the interior residual
 
-    max(residual_tol, NOISE_SAFETY * epsilon/100 * ||(m H_j / Gamma)[interior]||),
+    max(residual_tol, ARMIJO_SHARE * NOISE_SAFETY * epsilon/100
+                      * ||(m H_j / Gamma)[interior]||),
 
-a NOISE_SAFETY share of the perturbation the noise puts on the datum term
-m H_j / Gamma of the forward residual, and the first gradient's adjoint
-solves at the relative residual max(linear_tol, NOISE_SAFETY * epsilon/100).
+an ARMIJO_SHARE of the NOISE_SAFETY share of the perturbation the noise
+puts on the datum term m H_j / Gamma of the forward residual: the first
+objective is the base of the first Armijo test, and the NOISE_SAFETY share
+alone let its error pass ARMIJO_SHARE * 1e-4 |f|. The first gradient's
+adjoint solves stop at the relative residual max(linear_tol, NOISE_SAFETY *
+epsilon/100).
 The adjoint solves of every later gradient stop at the relative residual
 
     tau = min(FORCING_MAX, max(linear_tol,
@@ -95,7 +99,8 @@ from .direct import NOISE_SAFETY, DatumSet
 
 # Shares of the least-squares tolerance rules for noisy data (module docstring):
 # the adjoint error's share of the gradient norm it may perturb, and the
-# forward error's share of the Armijo decrease of a line-search trial.
+# forward error's share of the Armijo decrease of a line-search trial (and of
+# the noise-level accuracy of the first states).
 GRADIENT_SHARE = 0.1
 ARMIJO_SHARE = 0.1
 # The share of the noise misfit Phi_noise below which the predicted decrease
@@ -372,8 +377,8 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     adjoint_norms = []
     if noisy:
         rel = NOISE_SAFETY * data.noise_level / 100.0
-        first_tols = [max(ev.newton.residual_tol, rel * float(np.linalg.norm(
-            (ev.lumped * H / ev.gruneisen)[op.interior]))) for H in data.data]
+        first_tols = [max(ev.newton.residual_tol, ARMIJO_SHARE * rel * float(
+            np.linalg.norm((ev.lumped * H / ev.gruneisen)[op.interior]))) for H in data.data]
         adjoint_tol = max(ev.newton.linear_tol, rel)
 
     def evaluate(xv, start, slope=None):

@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tppat import fem, lsq
 from tppat.config import default_config
@@ -820,7 +820,7 @@ def first_tolerances(bundle, ds, newton):
     tolerance of run_lsq on the noisy datum set ds, by the noise-level rule."""
     rel = NOISE_SAFETY * ds.noise_level / 100.0
     op = bundle.operator
-    forward = [max(newton.residual_tol, rel * float(np.linalg.norm(
+    forward = [max(newton.residual_tol, lsq.ARMIJO_SHARE * rel * float(np.linalg.norm(
         (op.lumped * H / bundle.coeffs.gruneisen)[op.interior]))) for H in ds.data]
     return forward, max(newton.linear_tol, rel)
 
@@ -889,6 +889,8 @@ def test_noisy_gradients_stay_within_their_share_of_the_gradient(bundle16, monke
 @settings(max_examples=8, deadline=None)
 @given(n=st.sampled_from([8, 12, 16]), eps=st.floats(0.5, 10.0),
        seed=st.integers(1, 2**31 - 1), which=st.sampled_from(["II", "IV"]))
+@example(n=12, eps=6.392578125, seed=1, which="II")
+@example(n=8, eps=7.288876098220151, seed=1438946864, which="II")
 def test_first_evaluation_to_the_noise_level_matches_the_tight_one(n, eps, seed, which):
     # the first objective and gradient of a noisy run against the same run on
     # the datum without noise metadata, whose solves keep newton's tolerances:
