@@ -41,10 +41,11 @@ forward solve stops at the interior residual
                       * ||(m H_j / Gamma)[interior]||),
 
 an ARMIJO_SHARE of the NOISE_SAFETY share of the perturbation the noise
-puts on the datum term m H_j / Gamma of the forward residual: the first
-objective is the base of the first Armijo test, and the NOISE_SAFETY share
-alone let its error pass ARMIJO_SHARE * 1e-4 |f|. The first gradient's
-adjoint solves stop at the relative residual max(linear_tol, NOISE_SAFETY *
+puts on the datum term m H_j / Gamma of the forward residual. The first
+objective is the base of the first Armijo test, so its forward error gets
+the line search's ARMIJO_SHARE; the NOISE_SAFETY share alone does not keep
+that error within ARMIJO_SHARE * 1e-4 |f|. The first gradient's adjoint
+solves stop at the relative residual max(linear_tol, NOISE_SAFETY *
 epsilon/100).
 The adjoint solves of every later gradient stop at the relative residual
 
