@@ -102,8 +102,13 @@ class ConditionReport:
     filled_from: np.ndarray
 
     def save(self, path):
-        """CSV ``node,condition,flag``, one row per node."""
-        write_columns(path, "node,condition,flag", "%d,%.17g,%d\n",
+        """CSV ``node,condition,flag``, one row per node.
+
+        The condition number is written to six significant digits (``%.6g``,
+        ``inf`` where the fit is singular): nothing reads it back, and six
+        digits state it fully at about half the cost of ``%.17g``.
+        """
+        write_columns(path, "node,condition,flag", "%d,%.6g,%d\n",
                       range(len(self.condition)),
                       np.asarray(self.condition, dtype=float).tolist(),
                       np.asarray(self.flagged, dtype=np.int64).tolist())

@@ -4,7 +4,10 @@ Coefficients live as nodal fields (piecewise-linear interpolants). Stiffness
 integrals and the lumped mass are evaluated exactly, from the triangle areas
 the mesh keeps. The linear solver is preconditioned conjugate gradients
 (solve_linear), which is deterministic and keeps the Dirichlet-eliminated SPD
-structure assumptions explicit; its default preconditioner is Jacobi.
+structure assumptions explicit; its default preconditioner is Jacobi. It
+tests the residual right after each update, so it applies the
+preconditioner once per iteration and never to a residual that already
+meets the tolerance.
 grid_sine_basis gives the sine transform that diagonalizes the
 constant-coefficient operator on the build_square_mesh grid (Concus & Golub
 1973). forward.ForwardOperator, which holds the Dirichlet operator of one
@@ -128,18 +131,23 @@ def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
 
 
 def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
-                 preconditioner=None, shift=0.0):
+                 preconditioner=None, shift=0.0, diagonal=None):
     """Preconditioned conjugate gradients for the SPD system (A + diag(shift)) x = b.
 
     shift (an array of one value per row, or a scalar) is added to the
     diagonal without forming the sum: CG applies A @ p + shift * p, or
-    A @ p alone when shift is zero everywhere.
+    A @ p alone when shift is zero everywhere. diagonal, when given, must be
+    A.diagonal(), which a caller solving many systems with one A keeps
+    instead of extracting it per solve.
     preconditioner maps a residual r to z = P^-1 r for a symmetric positive
-    definite P; the default is Jacobi, z = r / (diag(A) + shift). Returns x
-    with relative residual ||(A + diag(shift)) x - b|| / ||b|| <= tol (x = 0
-    when b = 0). Raises ValidationError, before any iteration, unless tol is
-    finite and positive, and SolverError with the final residual when
-    max(1000, 20 n) iterations do not reach tol.
+    definite P; the default is Jacobi, z = r / (diag(A) + shift). It is
+    applied once per iteration, never after the residual update that meets
+    the tolerance. Returns x with relative residual
+    ||(A + diag(shift)) x - b|| / ||b|| <= tol (x = 0 when b = 0, or when
+    tol >= 1). Raises ValidationError, before any iteration, unless tol is
+    finite and positive, SolverError unless diag(A) + shift is positive, and
+    SolverError with the final residual when max(1000, 20 n) iterations do
+    not reach tol.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"CG tolerance must be finite and positive, got {tol!r}")
@@ -151,7 +159,7 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
         return np.zeros(n)
     max_iterations = max(1000, 20 * n)
 
-    diag = A.diagonal() + shift
+    diag = (A.diagonal() if diagonal is None else diagonal) + shift
     if np.any(diag <= 0.0):
         raise SolverError("matrix diagonal must be positive for CG")
     if np.any(shift):
@@ -167,14 +175,14 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
 
     x = np.zeros(n)
     r = b.copy()
+    target = tol * bnorm
+    if bnorm <= target:
+        return x
     z = preconditioner(r)
     p = z.copy()
     rz = float(r @ z)
-    target = tol * bnorm
 
     for _ in range(max_iterations):
-        if np.linalg.norm(r) <= target:
-            return x
         Ap = matvec(p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
@@ -183,9 +191,12 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
+        if np.linalg.norm(r) <= target:
+            return x
         z = preconditioner(r)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
 
     res = float(np.linalg.norm(b - matvec(x))) / bnorm
@@ -273,7 +284,8 @@ def load_field(path, mesh: Mesh | None = None) -> np.ndarray:
     """Read a nodal field CSV: the header, then rows 'node,value' numbering
     the nodes 0, 1, 2, ... (and, given a mesh, exactly its nodes). Blank lines
     are skipped. Every error is a MeshFormatError naming its 1-based line; a
-    count off the mesh's names the first extra row or the end of the file."""
+    count off the mesh's names the first extra row or the end of the file,
+    and a file that cannot be read names its path."""
     numbers, texts = _read_lines(path)
     if numbers[0] != 1 or texts[:1] != ["node,value"]:
         raise MeshFormatError("expected header 'node,value'", line=1)

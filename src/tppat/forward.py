@@ -120,9 +120,10 @@ class ForwardOperator:
     Every solve with the diffusion gamma goes through one instance: Newton
     steps, linearized (sensitivity, adjoint) and reaction solves. It rejects
     a gamma that is not finite and positive, and keeps the stiffness K, its
-    interior block K_ii and the interior-boundary coupling K_ib; a solve
-    hands K_ii and the reaction diagonal w to CG separately, so no matrix is
-    built per solve. On the build_square_mesh grid (recognized from the node
+    interior block K_ii with that block's diagonal, and the interior-boundary
+    coupling K_ib; a solve hands K_ii, its diagonal and the reaction diagonal
+    w to CG separately, so no matrix is built and no diagonal extracted per
+    solve. On the build_square_mesh grid (recognized from the node
     coordinates in row-major order) the hypotenuse couplings of the right
     triangles vanish, and K_ii drops the stored zeros, which leaves its
     matvec bitwise unchanged. For constant gamma K_ii is then gamma times
@@ -149,6 +150,7 @@ class ForwardOperator:
         self.K_ii = self.K[self.interior][:, self.interior].tocsr()
         self.K_ii.eliminate_zeros()
         self.K_ib = self.K[self.interior][:, self.boundary].tocsr()
+        self.K_ii_diagonal = self.K_ii.diagonal()
         self.gamma_mean = float(gamma.mean())
         sine = fem.grid_sine_basis(mesh)
         self.sine = None if sine is None else tuple(a.astype(np.float32) for a in sine)
@@ -179,7 +181,8 @@ class ForwardOperator:
         """Interior x with (K_ii + diag(w)) x = rhs to relative residual tol."""
         return fem.solve_linear(
             self.K_ii, rhs, tol, shift=reaction_diag_interior,
-            preconditioner=self.preconditioner(reaction_diag_interior))
+            preconditioner=self.preconditioner(reaction_diag_interior),
+            diagonal=self.K_ii_diagonal)
 
     def expand(self, x_interior: np.ndarray, boundary_values) -> np.ndarray:
         """Nodal field from interior values and boundary values (array or scalar)."""

@@ -176,10 +176,14 @@ def save_mesh(mesh: Mesh, path) -> None:
 
 def _read_lines(path):
     """The 1-based numbers of a file's non-blank lines, then the number one
-    past its last line, and the stripped texts of those lines. A byte that
-    is not ASCII raises a MeshFormatError naming its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    past its last line, and the stripped texts of those lines. A file that
+    cannot be read raises a MeshFormatError naming its path, and a byte that
+    is not ASCII one naming its line."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise MeshFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
         raw = data.decode("ascii").splitlines()
     except UnicodeDecodeError as exc:
@@ -267,7 +271,9 @@ def load_mesh(path) -> Mesh:
     whose signed area overflows and bytes that are not ASCII are rejected.
     Every error is a MeshFormatError naming its 1-based line: the first
     offending line, the line past the end of a truncated file, or the
-    boundary_edges header when the mesh as a whole does not conform.
+    boundary_edges header when the mesh as a whole does not conform. A file
+    that cannot be read (missing, a directory) is a MeshFormatError naming
+    its path.
     """
     numbers, texts = _read_lines(path)
     pos = 0

@@ -25,13 +25,21 @@ the reference for their arrays and their error lines.
 The mu-only pointwise fit (direct.fit_pair_pointwise with sigma known) sums
 over the data in one reduction; mu_from_set_loop is the per-datum
 accumulation it replaced, the reference for its bits.
+
+fem.solve_linear tests its residual right after each update and so never
+applies its preconditioner after the last iteration; solve_linear_top_test,
+the loop it replaced, tests at the top of each iteration and applies it once
+more. It is the reference for the bits of x and for the count of
+applications.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
 
 from tppat import fem
-from tppat.errors import MeshFormatError, ValidationError
+from tppat.errors import MeshFormatError, SolverError, ValidationError
 from tppat.mesh import Mesh
 
 
@@ -89,7 +97,7 @@ def save_condition_rows(path, report) -> None:
     lines = ["node,condition,flag"]
     for i in range(len(report.condition)):
         cond, flag = float(report.condition[i]), int(report.flagged[i])
-        lines.append(f"{i},{cond:.17g},{flag}")
+        lines.append(f"{i},{cond:.6g},{flag}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -162,6 +170,63 @@ def mu_from_set_loop(data, Gamma, u_stars, sigma_known) -> np.ndarray:
         num += a * (r - sigma_known)
         den += a * a
     return num / den
+
+
+def solve_linear_top_test(A, b, tol=fem.DEFAULT_TOL, preconditioner=None, shift=0.0):
+    """fem.solve_linear with the stop test at the top of each iteration."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"CG tolerance must be finite and positive, got {tol!r}")
+    A = A.tocsr()
+    b = np.asarray(b, dtype=float)
+    n = A.shape[0]
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return np.zeros(n)
+    max_iterations = max(1000, 20 * n)
+
+    diag = A.diagonal() + shift
+    if np.any(diag <= 0.0):
+        raise SolverError("matrix diagonal must be positive for CG")
+    if np.any(shift):
+        def matvec(p):
+            return A @ p + shift * p
+    else:
+        matvec = A.dot
+    if preconditioner is None:
+        inv_diag = 1.0 / diag
+
+        def preconditioner(r):
+            return inv_diag * r
+
+    x = np.zeros(n)
+    r = b.copy()
+    z = preconditioner(r)
+    p = z.copy()
+    rz = float(r @ z)
+    target = tol * bnorm
+
+    for _ in range(max_iterations):
+        if np.linalg.norm(r) <= target:
+            return x
+        Ap = matvec(p)
+        pAp = float(p @ Ap)
+        if pAp <= 0.0:
+            raise SolverError("matrix is not positive definite (p^T A p <= 0)",
+                              residual=float(np.linalg.norm(r)) / bnorm)
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        z = preconditioner(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+
+    res = float(np.linalg.norm(b - matvec(x))) / bnorm
+    if res <= tol:
+        return x
+    raise SolverError(
+        f"CG failed to reach tol {tol:g} in {max_iterations} iterations "
+        f"(relative residual {res:.3e})", residual=res)
 
 
 def _expect_header(token_line, keyword, lineno):

@@ -532,6 +532,26 @@ def test_cli_transfer_roundtrip(tmp_path):
     assert np.allclose(vals, 1.25, atol=1e-13)
 
 
+@pytest.mark.parametrize("option", ["--source-mesh", "--field"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_cli_transfer_unreadable_file_exits_1_with_one_error_line(tmp_path, capsys,
+                                                                  option, kind):
+    assert main(["mesh", "--n", "4", "--out", str(tmp_path / "m")]) == 0
+    mesh_path = tmp_path / "m" / "mesh.txt"
+    field_path = tmp_path / "f.csv"
+    fem.save_field(field_path, np.ones(25))
+    bad = tmp_path / "absent.txt" if kind == "missing" else tmp_path
+    paths = {"--source-mesh": mesh_path, "--field": field_path, option: bad}
+    capsys.readouterr()
+    assert main(["transfer", "--source-mesh", str(paths["--source-mesh"]),
+                 "--target-mesh", str(mesh_path), "--field", str(paths["--field"]),
+                 "--out", str(tmp_path / "t.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_cli_exit_code_on_bad_config(tmp_path):
     path = tmp_path / "broken.ini"
     path.write_text("[mesh]\nn = not_a_number\n")

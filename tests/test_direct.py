@@ -375,12 +375,12 @@ def bundle32():
 @pytest.mark.parametrize("epsilon", [1.0, 2.0, 5.0])
 def test_noisy_direct_solves_need_few_preconditioner_applications(bundle32, epsilon,
                                                                    monkeypatch):
-    # each direct solve takes 10 applications at DEFAULT_TOL at n = 32
+    # each direct solve takes 9 applications at DEFAULT_TOL at n = 32, and 3-4 here
     b = bundle32
     applications = count_grid_preconditioner_applications(monkeypatch)
     recover_pair(b.operator, b.coeffs.gruneisen, b.datum_set(epsilon, 7))
     assert len(applications) == len(b.sources)
-    assert max(applications) <= 6, applications
+    assert max(applications) <= 5, applications
 
 
 @functools.lru_cache(maxsize=None)

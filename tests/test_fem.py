@@ -16,7 +16,8 @@ from tppat.forward import ForwardOperator
 from tppat.mesh import build_square_mesh
 
 from oracle import (apply_dirichlet, assemble_stiffness_einsum, assemble_weighted_mass,
-                    lumped_mass_add_at, save_condition_rows, save_field_rows)
+                    lumped_mass_add_at, save_condition_rows, save_field_rows,
+                    solve_linear_top_test)
 from test_forward import jittered_mesh
 
 # Degree-5 Gauss rule on the triangle (7 points, barycentric), used as an
@@ -369,7 +370,65 @@ def test_solve_linear_takes_a_preconditioner():
 
     x = solve_linear(sp.csr_matrix(A), b, 1e-12, preconditioner=exact)
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
-    assert len(applications) <= 3
+    assert len(applications) == 1
+
+
+def random_spd_system(kind, size, seed, shifted):
+    """(A, shift, preconditioner) of a random sparse SPD system.
+
+    kind "sine" is the interior block of a random-diffusion grid operator
+    with its sine preconditioner; "jacobi" and "exact" are B B^T plus a
+    positive diagonal, B sparse, with z = r / diag(A + shift) or the exact
+    inverse of A + diag(shift). shifted draws a nonnegative shift per row.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "sine":
+        mesh = build_square_mesh(size)
+        op = ForwardOperator(mesh, rng.uniform(0.2, 2.0, mesh.node_count))
+        A = op.K_ii
+    else:
+        m = size * size
+        B = sp.random(m, m, density=3.0 / m, random_state=rng)
+        A = (B @ B.T + sp.diags(rng.uniform(0.1, 2.0, m))).tocsr()
+    shift = rng.uniform(0.0, 1.0, A.shape[0]) if shifted else 0.0
+    if kind == "sine":
+        return A, shift, op.preconditioner(shift)
+    if kind == "jacobi":
+        inv_diag = 1.0 / (A.diagonal() + shift)
+        return A, shift, lambda r: inv_diag * r
+    inverse = np.linalg.inv((A + sp.diags(np.broadcast_to(shift, A.shape[0]))).toarray())
+    return A, shift, lambda r: inverse @ r
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["jacobi", "exact", "sine"]), size=st.integers(2, 9),
+       seed=st.integers(0, 2**32 - 1), shifted=st.booleans(),
+       log_tol=st.floats(-12.0, -1.0))
+@example(kind="sine", size=9, seed=1, shifted=True, log_tol=-12.0)
+@example(kind="exact", size=2, seed=2, shifted=False, log_tol=-1.0)
+def test_cg_applies_its_preconditioner_once_per_iteration(kind, size, seed, shifted,
+                                                          log_tol):
+    # the same iterations as the top-test loop, so the same bits of x, with
+    # one application fewer: none after the update that meets the tolerance
+    A, shift, preconditioner = random_spd_system(kind, size, seed, shifted)
+    tol = 10.0 ** log_tol
+    b = np.random.default_rng(seed + 1).standard_normal(A.shape[0])
+    counts = {}
+
+    def counted(name):
+        counts[name] = 0
+
+        def apply(r):
+            counts[name] += 1
+            return preconditioner(r)
+        return apply
+
+    x = solve_linear(A, b, tol, preconditioner=counted("new"), shift=shift)
+    reference = solve_linear_top_test(A, b, tol, preconditioner=counted("old"), shift=shift)
+    assert x.tobytes() == reference.tobytes()
+    assert counts["new"] == counts["old"] - 1 >= 1
+    if kind == "jacobi":           # the default preconditioner is this Jacobi
+        assert solve_linear(A, b, tol, shift=shift).tobytes() == x.tobytes()
 
 
 def test_field_shape_check():
