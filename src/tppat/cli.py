@@ -27,7 +27,8 @@ from pathlib import Path
 from . import __version__, fem, transfer
 from .config import default_config, load_config, parse_number_list, write_config
 from .errors import SolverError, ValidationError
-from .experiments import EXPERIMENTS, run_experiment, run_forward, write_manifest
+from .experiments import (EXPERIMENTS, POOL_MIN_NODES, run_experiment, run_forward,
+                          write_manifest)
 from .gradcheck import gradient_check
 from .mesh import build_square_mesh, load_mesh, save_mesh
 
@@ -164,7 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True, choices=EXPERIMENTS)
     common(p)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for independent jobs")
+                   help="at most this many worker threads for independent jobs; "
+                        f"on a mesh of fewer than {POOL_MIN_NODES} nodes they run "
+                        "serially")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("transfer", help="interpolate a field between meshes")

@@ -12,8 +12,10 @@ L2 errors against the generating phantom. Synthetic data come from forward
 solves with the true coefficients; when the config sets a separate data mesh,
 data are generated there, noise is applied on the data mesh, and the noisy
 datum is interpolated onto the reconstruction mesh (inversion-crime guard).
-Everything is deterministic given the config and seeds; sweeps parallelize
-over (noise level, seed) jobs without affecting results.
+Everything is deterministic given the config and seeds. With threads > 1,
+the setup solves and the (noise level, seed) jobs run on a thread pool when
+the mesh they solve on has at least POOL_MIN_NODES nodes, and serially
+otherwise; neither changes results.
 """
 
 from __future__ import annotations
@@ -86,9 +88,22 @@ class DataBundle:
         return DatumSet(sources=list(self.sources), data=fields, meta=meta)
 
 
-def _map_jobs(function, items, threads: int) -> list:
-    """[function(item) for item in items], on threads workers when threads > 1."""
-    if threads > 1:
+# Fewest mesh nodes at which solves go to the thread pool. On smaller meshes
+# each numpy and BLAS call releases the GIL too briefly for two workers to
+# beat one: on 2 CPUs, serial sweeps of III and IV beat 2-thread ones in
+# most alternating pairs up to n=96 (9409 nodes), and 2 threads won from
+# n=112 (12769 nodes) up.
+POOL_MIN_NODES = 10000
+
+
+def _map_jobs(function, items, threads: int, mesh: Mesh) -> list:
+    """[function(item) for item in items], in item order.
+
+    Runs on up to threads workers when there is more than one item and the
+    mesh the items solve on has at least POOL_MIN_NODES nodes; serially
+    otherwise.
+    """
+    if threads > 1 and len(items) > 1 and mesh.node_count >= POOL_MIN_NODES:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(function, items))
     return [function(item) for item in items]
@@ -101,7 +116,8 @@ def prepare_data(cfg: ExperimentConfig, newton: NewtonConfig | None = None,
     Builds one forward operator per mesh. The data-mesh operator serves the
     setup Newton solves; with the crime guard it is dropped before the
     reconstruction-mesh operator is built, so the two never coexist. threads
-    (an integer >= 1) is the number of workers for those solves.
+    (an integer >= 1) is the most workers for those solves; they use the pool
+    only on a data mesh of at least POOL_MIN_NODES nodes.
     """
     require_count(threads, "threads")
     cfg.validate()
@@ -122,7 +138,7 @@ def prepare_data(cfg: ExperimentConfig, newton: NewtonConfig | None = None,
         return solve_semilinear(operator, data_coeffs.single_photon,
                                 data_coeffs.two_photon, g, newton)
 
-    results = _map_jobs(solve_one, data_sources, threads)
+    results = _map_jobs(solve_one, data_sources, threads, data_mesh)
     u_clean = [u for u, _ in results]
     reports = [r for _, r in results]
     H_clean = [compute_datum(data_coeffs, u) for u in u_clean]
@@ -215,8 +231,10 @@ def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
     """Run one experiment across noise levels and seeds; optionally write files.
 
     bundle, when given, must be prepare_data's bundle of this cfg, and
-    threads (the number of job workers) an integer >= 1. A config the
-    experiment cannot run (III with one source) is rejected before setup.
+    threads (the most job workers) an integer >= 1. The jobs use the pool
+    only on a reconstruction mesh of at least POOL_MIN_NODES nodes, and the
+    setup only on such a data mesh. A config the experiment cannot run (III
+    with one source) is rejected before setup.
     """
     require_count(threads, "threads")
     if which not in EXPERIMENTS:
@@ -246,7 +264,7 @@ def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
         datum_set = bundle.datum_set(eps, seed)
         return reconstruct(which, bundle, datum_set)
 
-    outcomes = _map_jobs(run_job, jobs, threads)
+    outcomes = _map_jobs(run_job, jobs, threads, bundle.mesh)
 
     keep_fields: dict = {}
     for (eps, seed), fields in zip(jobs, outcomes):

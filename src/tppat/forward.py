@@ -147,9 +147,10 @@ class ForwardOperator:
         self.interior = mesh.interior_list
         self.boundary = mesh.boundary_list
         self.K = fem.assemble_stiffness(mesh, gamma)
-        self.K_ii = self.K[self.interior][:, self.interior].tocsr()
+        rows = self.K[self.interior]
+        self.K_ii = rows[:, self.interior].tocsr()
         self.K_ii.eliminate_zeros()
-        self.K_ib = self.K[self.interior][:, self.boundary].tocsr()
+        self.K_ib = rows[:, self.boundary].tocsr()
         self.K_ii_diagonal = self.K_ii.diagonal()
         self.gamma_mean = float(gamma.mean())
         sine = fem.grid_sine_basis(mesh)

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 
+from tppat import experiments
 from tppat.cli import main
 from tppat.config import default_config, write_config
 from tppat.direct import recover_pair
@@ -252,7 +253,10 @@ def test_criterion_7_oracle_equivalence():
            f"(<= 1e-10); boundary traces reproduce (1, 1) to {trace_gap:.2e}")
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, monkeypatch):
+    # a mesh this small runs its jobs serially; with every mesh size on the
+    # pool the 4-thread run really runs them at once
+    monkeypatch.setattr(experiments, "POOL_MIN_NODES", 0)
     cfg = default_config()
     cfg.mesh_n = 6
     cfg.noise_levels = [0.0, 2.0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tppat import fem, gradcheck
+from tppat import experiments, fem, gradcheck
 from tppat.cli import build_parser, main
 from tppat.config import (COEFF_SECTIONS, SOURCE_PARAMETERS, ExperimentConfig, SourceSpec,
                           default_config, load_config, parse_config, write_config)
@@ -429,7 +429,9 @@ def test_cli_experiment_runs_and_tabulates(tmp_path):
     assert (out / "manifest.txt").exists()
 
 
-def test_cli_experiment_threads_do_not_change_outputs(tmp_path):
+def test_cli_experiment_threads_do_not_change_outputs(tmp_path, monkeypatch):
+    # every mesh size goes to the pool, so the jobs really run at once
+    monkeypatch.setattr(experiments, "POOL_MIN_NODES", 0)
     cfg_path = small_config(tmp_path, n=6, levels="0, 2", seeds="3, 4")
     out1 = tmp_path / "t1"
     out2 = tmp_path / "t2"

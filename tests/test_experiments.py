@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from tppat.errors import ValidationError
 from tppat.experiments import (COEFFS_RECOVERED, EXPERIMENTS, noise_stream_seed,
                                prepare_data, reconstruct, run_experiment, run_forward)
 from tppat.lsq import LsqConfig
+from tppat.mesh import build_square_mesh
 
 
 def quick_config(n=6, levels=(0.0,), seeds=(3,)):
@@ -387,7 +390,9 @@ def test_sweep_integrates_each_truth_norm_once(monkeypatch, which):
     pytest.param("III", 11, id="III-crime-guard"),
 ])
 def test_threads_share_the_bundle_operator_without_changing_outputs(which, data_n,
-                                                                   tmp_path):
+                                                                   tmp_path, monkeypatch):
+    # every mesh size goes to the pool, so the jobs really run at once
+    monkeypatch.setattr(experiments, "POOL_MIN_NODES", 0)
     cfg = quick_config(n=8, levels=(0.0, 1.0, 2.0, 5.0), seeds=(3, 4))
     cfg.data_mesh_n = data_n
     bundle = prepare_data(cfg)
@@ -399,3 +404,68 @@ def test_threads_share_the_bundle_operator_without_changing_outputs(which, data_
     assert "errors.csv" in trees[0]
     assert ("condition_eps5.csv" in trees[0]) == (which in ("I", "III"))
     assert trees[0] == trees[1]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every thread pool experiments builds, in order."""
+    built = []
+
+    class Spy(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", Spy)
+    return built
+
+
+@pytest.mark.parametrize("data_n, min_nodes, setup_pooled, jobs_pooled", [
+    pytest.param(None, 50, False, False, id="below"),
+    pytest.param(None, 49, True, True, id="at"),
+    pytest.param(8, 81, True, False, id="crime-guard-data-mesh-only"),
+    pytest.param(4, 49, False, True, id="crime-guard-reconstruction-mesh-only"),
+])
+def test_threads_use_the_pool_only_on_meshes_of_pool_min_nodes(data_n, min_nodes,
+                                                               setup_pooled, jobs_pooled,
+                                                               pools, monkeypatch):
+    # setup solves on the data mesh (81 nodes at n=8, 25 at n=4), the jobs on
+    # the n=6 reconstruction mesh (49 nodes)
+    assert [build_square_mesh(n).node_count for n in (4, 6, 8)] == [25, 49, 81]
+    cfg = quick_config(n=6, levels=(0.0, 2.0), seeds=(3, 4))
+    cfg.data_mesh_n = data_n
+    serial = run_experiment("III", cfg).rows
+    assert pools == []
+    monkeypatch.setattr(experiments, "POOL_MIN_NODES", min_nodes)
+    bundle = prepare_data(cfg, threads=2)
+    assert pools == [2] * setup_pooled
+    table = run_experiment("III", cfg, threads=2, bundle=bundle)
+    assert pools == [2] * (setup_pooled + jobs_pooled)
+    assert table.rows == serial
+
+
+def test_one_setup_solve_and_one_job_run_serially(pools, monkeypatch):
+    monkeypatch.setattr(experiments, "POOL_MIN_NODES", 0)
+    cfg = quick_config()
+    cfg.sources = cfg.sources[:1]
+    run_experiment("I", cfg, threads=2)
+    assert pools == []
+
+
+def test_pooled_results_come_back_in_item_order(pools, monkeypatch):
+    monkeypatch.setattr(experiments, "POOL_MIN_NODES", 0)
+    last_started = threading.Event()
+    finished = []
+
+    def job(item):
+        if item == 0:           # the first item finishes after the last starts
+            last_started.wait(timeout=10)
+        if item == 3:
+            last_started.set()
+        finished.append(item)
+        return 10 * item
+
+    results = experiments._map_jobs(job, [0, 1, 2, 3], 2, build_square_mesh(2))
+    assert pools == [2]
+    assert finished[-1] == 0
+    assert results == [0, 10, 20, 30]
