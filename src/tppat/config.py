@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .forward import BoundarySource
+from .forward import BoundarySource, check_noise_level, noise_stream_seed
 from .lsq import LsqConfig
 from .mesh import Mesh
 from .phantoms import Inclusion, Phantom, PhantomField
@@ -106,13 +106,11 @@ class ExperimentConfig:
             raise ValidationError("config needs a phantom")
         if not self.sources:
             raise ValidationError("config needs at least one source")
-        # noise seed material includes round(1000 * level)
-        if not all(e >= 0.0 and math.isfinite(1000.0 * e) for e in self.noise_levels):
-            raise ValidationError("noise levels must be finite and nonnegative")
-        # two levels must not share an output file tag or a noise stream
+        # valid levels, no two sharing an output file tag or a noise stream
         seen: dict = {}
         for e in self.noise_levels:
-            for key in (f"the file tag eps{e:g}", f"the noise stream {round(1000.0 * e)}"):
+            stream = noise_stream_seed(0, 0, check_noise_level(e))[-1]
+            for key in (f"the file tag eps{e:g}", f"the noise stream {stream}"):
                 if key in seen:
                     raise ValidationError(f"noise levels {seen[key]!r} and {e!r} "
                                           f"share {key}")

@@ -20,13 +20,12 @@ spirit of the inexact Newton forcing terms of forward.py: with noise level
 epsilon (percent, DatumSet.noise_level) the solve stops at the relative
 residual max(fem.DEFAULT_TOL, NOISE_SAFETY * epsilon / 100), a thousand
 times below the relative perturbation that add_noise puts on the right-hand
-side. Noiseless data, and data without noise metadata, are solved to
-fem.DEFAULT_TOL, so noiseless recovery stays exact to solver precision.
+side. Data with noise_level 0 are solved to fem.DEFAULT_TOL, so noiseless
+recovery stays exact to solver precision.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ import numpy as np
 from . import fem
 from .errors import ValidationError
 from .fem import as_field, positive_field, write_columns
-from .forward import ForwardOperator
+from .forward import ForwardOperator, check_noise_level, noise_std
 from .mesh import Mesh
 
 SPREAD_THRESHOLD = 1e-6
@@ -44,10 +43,15 @@ NOISE_SAFETY = 1e-3
 
 @dataclass
 class DatumSet:
-    """Per-illumination internal data H_j paired with boundary sources g_j."""
+    """Per-illumination internal data H_j paired with boundary sources g_j.
+
+    noise_level is the data's noise level epsilon (percent, 0 when
+    noiseless). meta holds free-form records that the library never reads.
+    """
 
     sources: list
     data: list
+    noise_level: float = 0.0
     meta: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -55,27 +59,11 @@ class DatumSet:
             raise ValidationError("sources and data lists must have equal length")
         if len(self.sources) < 1:
             raise ValidationError("a datum set needs at least one source")
-        if not self.meta:
-            self.meta = [{} for _ in self.sources]
-        if len(self.meta) != len(self.sources):
-            raise ValidationError("metadata list length must match sources")
+        self.noise_level = check_noise_level(self.noise_level)
 
     @property
     def size(self) -> int:
         return len(self.sources)
-
-    @property
-    def noise_level(self) -> float:
-        """Largest meta "epsilon" (percent), or 0 when no entry has one.
-
-        Raises ValidationError on a negative or non-finite epsilon.
-        """
-        levels = [float(m["epsilon"]) for m in self.meta if "epsilon" in m]
-        for eps in levels:
-            if not (math.isfinite(eps) and eps >= 0.0):
-                raise ValidationError(
-                    f"datum noise level must be finite and nonnegative, got {eps!r}")
-        return max(levels, default=0.0)
 
     def validate(self, mesh: Mesh):
         for k, H in enumerate(self.data):
@@ -121,12 +109,12 @@ def recover_all_fields(op: ForwardOperator, Gamma, data: DatumSet) -> list:
     boundary, gamma the diffusion of op; Gamma must be finite and positive.
     Each solve runs to the relative residual
     max(fem.DEFAULT_TOL, NOISE_SAFETY * epsilon / 100) for the noise level
-    epsilon of the data (DatumSet.noise_level): fem.DEFAULT_TOL for
-    noiseless data or data without noise metadata, 2e-5 at epsilon = 2.
+    epsilon of the data (DatumSet.noise_level): fem.DEFAULT_TOL at
+    noise_level 0, 2e-5 at epsilon = 2.
     """
     data.validate(op.mesh)
     Gamma = positive_field(op.mesh, Gamma, "gruneisen")
-    tol = max(fem.DEFAULT_TOL, NOISE_SAFETY * data.noise_level / 100.0)
+    tol = max(fem.DEFAULT_TOL, NOISE_SAFETY * noise_std(data.noise_level))
     return [op.solve_reaction(np.zeros(op.mesh.node_count), g, load_nodal=-H / Gamma,
                               tol=tol)
             for g, H in zip(data.sources, data.data)]

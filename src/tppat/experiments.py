@@ -32,16 +32,11 @@ from .config import ExperimentConfig
 from .direct import DatumSet
 from .errors import ValidationError, require_count
 from .forward import (ForwardOperator, NewtonConfig, add_noise, compute_datum,
-                      solve_semilinear)
+                      noise_stream_seed, solve_semilinear)
 from .mesh import Mesh, build_square_mesh, save_mesh
 from .metrics import relative_l2_error, squared_l2_norm
 
 EXPERIMENTS = ("I", "II", "III", "IV")
-
-
-def noise_stream_seed(base_seed: int, source_index: int, epsilon: float) -> list:
-    """Deterministic per-(source, noise level) seed material."""
-    return [int(base_seed), int(source_index), int(round(epsilon * 1000))]
 
 
 @dataclass
@@ -74,18 +69,22 @@ class DataBundle:
     def crime_guard(self) -> bool:
         return self.data_mesh is not self.mesh
 
+    def noisy_data(self, epsilon: float, seed: int) -> list:
+        """The J noisy data on the data mesh for one (epsilon, seed)."""
+        return [add_noise(H, epsilon, noise_stream_seed(seed, j, epsilon))
+                for j, H in enumerate(self.H_clean)]
+
     def datum_set(self, epsilon: float, seed: int) -> DatumSet:
-        """Noisy data on the reconstruction mesh for one (epsilon, seed)."""
-        fields = []
-        meta = []
-        for j, H in enumerate(self.H_clean):
-            noisy = add_noise(H, epsilon, noise_stream_seed(seed, j, epsilon))
-            if self.crime_guard:
-                noisy = transfer.transfer_field(self.data_mesh, self.mesh, noisy,
-                                                locator=self.locator)
-            fields.append(noisy)
-            meta.append({"epsilon": epsilon, "seed": seed})
-        return DatumSet(sources=list(self.sources), data=fields, meta=meta)
+        """Noisy data on the reconstruction mesh for one (epsilon, seed).
+
+        meta repeats (epsilon, seed) per source; the library does not read it.
+        """
+        fields = self.noisy_data(epsilon, seed)
+        if self.crime_guard:
+            fields = [transfer.transfer_field(self.data_mesh, self.mesh, H,
+                                              locator=self.locator) for H in fields]
+        return DatumSet(sources=list(self.sources), data=fields, noise_level=epsilon,
+                        meta=[{"epsilon": epsilon, "seed": seed} for _ in fields])
 
 
 # Fewest mesh nodes at which solves go to the thread pool. On smaller meshes
@@ -253,18 +252,11 @@ def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
                    for coeff in COEFFS_RECOVERED[which]}
     table = ExperimentTable(experiment=which)
 
-    jobs = []
-    for eps in cfg.noise_levels:
-        seeds = [cfg.seeds[0]] if eps == 0.0 else cfg.seeds
-        for seed in seeds:
-            jobs.append((eps, seed))
-
-    def run_job(job):
-        eps, seed = job
-        datum_set = bundle.datum_set(eps, seed)
-        return reconstruct(which, bundle, datum_set)
-
-    outcomes = _map_jobs(run_job, jobs, threads, bundle.mesh)
+    # noiseless data run once, with the first seed
+    jobs = [(eps, seed) for eps in cfg.noise_levels
+            for seed in (cfg.seeds[:1] if eps == 0.0 else cfg.seeds)]
+    outcomes = _map_jobs(lambda job: reconstruct(which, bundle, bundle.datum_set(*job)),
+                         jobs, threads, bundle.mesh)
 
     keep_fields: dict = {}
     for (eps, seed), fields in zip(jobs, outcomes):
@@ -313,8 +305,8 @@ def run_forward(cfg: ExperimentConfig, output_dir) -> DataBundle:
     for j, (u, H) in enumerate(zip(bundle.u_clean, bundle.H_clean), start=1):
         fem.save_field(outdir / f"u{j}.csv", u)
         fem.save_field(outdir / f"H{j}.csv", H)
-        for eps in cfg.noise_levels:
-            noisy = add_noise(H, eps, noise_stream_seed(seed, j - 1, eps))
+    for eps in cfg.noise_levels:
+        for j, noisy in enumerate(bundle.noisy_data(eps, seed), start=1):
             fem.save_field(outdir / f"H{j}_eps{eps:g}_seed{seed}.csv", noisy)
 
     write_manifest(outdir, cfg, command="forward", base_seed=seed)

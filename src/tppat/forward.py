@@ -301,14 +301,36 @@ def compute_datum(coeffs: CoefficientSet, u: np.ndarray) -> np.ndarray:
                                + coeffs.two_photon * np.abs(u) * u)
 
 
+def check_noise_level(epsilon) -> float:
+    """epsilon as a float if it is a noise level (percent), else ValidationError.
+
+    A level is finite and nonnegative, with 1000 epsilon finite so that
+    noise_stream_seed can seed its stream.
+    """
+    epsilon = float(epsilon)
+    if not (epsilon >= 0.0 and math.isfinite(1000.0 * epsilon)):
+        raise ValidationError(f"noise level must be finite and nonnegative, with "
+                              f"1000 * level finite, got {epsilon!r}")
+    return epsilon
+
+
+def noise_stream_seed(base_seed: int, source_index: int, epsilon: float) -> list:
+    """Deterministic per-(source, noise level) seed material."""
+    return [int(base_seed), int(source_index), int(round(epsilon * 1000))]
+
+
+def noise_std(epsilon: float) -> float:
+    """Relative standard deviation epsilon/100 of add_noise's multiplier."""
+    return epsilon / 100.0
+
+
 def add_noise(H: np.ndarray, epsilon: float, seed) -> np.ndarray:
     """Multiply each nodal value by 1 + sqrt(3) * epsilon/100 * r, r ~ U[-1, 1].
 
-    epsilon is the noise level in percent (the standard deviation of the
-    multiplier is epsilon/100). Deterministic for a given seed.
+    epsilon is the noise level in percent, so the multiplier has standard
+    deviation noise_std(epsilon). Deterministic for a given seed.
     """
-    if epsilon < 0.0:
-        raise ValidationError(f"noise level must be nonnegative, got {epsilon}")
+    epsilon = check_noise_level(epsilon)
     H = np.asarray(H, dtype=float)
     if epsilon == 0.0:
         return H.copy()

@@ -61,9 +61,9 @@ minimizer. A line-search trial with Armijo
 slope s solves source j to the interior residual
 max(residual_tol, ARMIJO_SHARE * 1e-4 |s| / (J ||v_j||)), with v_j from the
 last gradient: to first order a Newton residual F_j moves Phi by <v_j, F_j>,
-so the objective error stays a share of the Armijo decrease. Noiseless data,
-and data without noise metadata, keep newton's tolerances throughout, as
-direct.NOISE_SAFETY does for the direct solves.
+so the objective error stays a share of the Armijo decrease. Data with
+noise_level 0 keep newton's tolerances throughout, as direct.NOISE_SAFETY
+does for the direct solves.
 
 Noisy data also stop the run once it has fitted the coefficients as well as
 the noise lets it. The noise misfit
@@ -95,7 +95,7 @@ import numpy as np
 from . import fem
 from .errors import SolverError, ValidationError, require_count
 from .fem import as_field, positive_field
-from .forward import FORCING_MAX, ForwardOperator, NewtonConfig, solve_semilinear
+from .forward import FORCING_MAX, ForwardOperator, NewtonConfig, noise_std, solve_semilinear
 from .direct import NOISE_SAFETY, DatumSet
 
 # Shares of the least-squares tolerance rules for noisy data (module docstring):
@@ -320,9 +320,9 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     message "noise level reached"; the module docstring), at the iteration
     cap, or when the line search cannot make progress (best iterate
     returned, converged=False). The report keeps the noise misfit as
-    noise_misfit, 0.0 on noiseless data and data without noise metadata,
-    which the noise test leaves alone. The reference is taken at a fixed
-    point, not at the start: it is the norm of the misfit part of the
+    noise_misfit, 0.0 on data with noise_level 0, which the noise test
+    leaves alone. The reference is taken at a fixed point, not at the
+    start: it is the norm of the misfit part of the
     gradient, sum_j z_j Gamma u_j and sum_j z_j Gamma |u_j| u_j, at the
     midpoint of the bounds (with sigma0 for a pinned sigma), with u_j frozen at
     u0 when it is given and at the start's forward states otherwise. So it
@@ -377,7 +377,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     first_tols = adjoint_tol = None
     adjoint_norms = []
     if noisy:
-        rel = NOISE_SAFETY * data.noise_level / 100.0
+        rel = NOISE_SAFETY * noise_std(data.noise_level)
         first_tols = [max(ev.newton.residual_tol, ARMIJO_SHARE * rel * float(
             np.linalg.norm((ev.lumped * H / ev.gruneisen)[op.interior]))) for H in data.data]
         adjoint_tol = max(ev.newton.linear_tol, rel)
@@ -419,7 +419,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     report.reference_grad_norm = np.sqrt(dot(g_ref, g_ref))
     threshold = cfg.grad_tol * report.reference_grad_norm
     if noisy:
-        report.noise_misfit = 0.5 * (data.noise_level * 1e-2) ** 2 * sum(
+        report.noise_misfit = 0.5 * noise_std(data.noise_level) ** 2 * sum(
             float((ev.lumped * H * H).sum()) for H in ev.data.data)
     noise_floor = NOISE_SHARE * report.noise_misfit
 

@@ -210,6 +210,36 @@ def test_criterion_6_noise_stability_trend():
            + ("; " + "; ".join(problems) if problems else ""))
 
 
+def test_criterion_6_direct_error_linear_in_noise_level():
+    # the paper's stability estimates: the direct error grows linearly in
+    # epsilon with a mesh-independent constant, so each mean error / epsilon
+    # lies within 10 % of its coefficient's mean ratio (worst 2.2 %). II and
+    # IV are not checked, nor the crime guard, whose interpolation error
+    # adds a floor that does not depend on epsilon
+    ratios: dict = {}
+    for n in (16, 32, 64):
+        cfg = default_config()
+        cfg.mesh_n = n
+        cfg.noise_levels = [1.0, 2.0, 5.0]
+        cfg.seeds = list(range(111, 121))
+        bundle = prepare_data(cfg)
+        for which in ("I", "III"):
+            means = run_experiment(which, cfg, bundle=bundle).mean_errors()
+            for (coeff, eps), err in means.items():
+                ratios.setdefault(f"{which} {coeff}", []).append(err / eps)
+    problems = []
+    for label, values in ratios.items():
+        mean = float(np.mean(values))
+        worst = max(abs(r / mean - 1.0) for r in values)
+        if worst > 0.1:
+            problems.append(f"{label}: error / eps {min(values):.3f}-{max(values):.3f} "
+                            f"strays {worst:.1%} from {mean:.3f}")
+    report(6, len(ratios) == 3 and not problems,
+           f"direct error / eps within 10 % of one constant per coefficient over "
+           f"n = 16/32/64 and eps = 1/2/5"
+           + ("; " + "; ".join(problems) if problems else ""))
+
+
 def test_criterion_7_oracle_equivalence():
     # dense brute-force Newton on the 9-node mesh
     mesh = build_square_mesh(2)

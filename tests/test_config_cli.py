@@ -11,7 +11,7 @@ from tppat.cli import build_parser, main
 from tppat.config import (COEFF_SECTIONS, SOURCE_PARAMETERS, ExperimentConfig, SourceSpec,
                           default_config, load_config, parse_config, write_config)
 from tppat.errors import ValidationError
-from tppat.experiments import noise_stream_seed
+from tppat.forward import noise_stream_seed
 from tppat.lsq import LsqConfig
 from tppat.mesh import build_square_mesh, load_mesh
 from tppat.phantoms import SHAPES, Inclusion, Phantom, PhantomField

@@ -11,10 +11,10 @@ from tppat import direct
 from tppat.config import default_config
 from tppat.direct import DatumSet, fit_pair_pointwise, recover_all_fields, recover_pair
 from tppat.errors import ValidationError
-from tppat.experiments import noise_stream_seed, prepare_data
+from tppat.experiments import prepare_data
 from tppat.fem import clip_nonnegative
 from tppat.forward import (BoundarySource, ForwardOperator, add_noise, compute_datum,
-                           solve_semilinear)
+                           noise_stream_seed, solve_semilinear)
 from tppat.mesh import build_square_mesh
 from tppat.metrics import relative_l2_error
 
@@ -319,34 +319,16 @@ def test_clip_nonnegative():
     assert np.array_equal(out, [0.0, 0.0, 0.7])
 
 
-@pytest.mark.parametrize("meta, level", [
-    ([], 0.0),
-    ([{}, {"seed": 3}], 0.0),
-    ([{"epsilon": 0.0}, {"epsilon": 0.0}], 0.0),
-    ([{"epsilon": 2}, {}], 2.0),
-    ([{"epsilon": 1.0}, {"epsilon": 5.0}], 5.0),
-])
-def test_datum_set_noise_level_is_the_largest_epsilon(bundle16, meta, level):
-    b = bundle16
-    J = len(meta) or 2
-    data = DatumSet(sources=b.sources[:J], data=b.H_clean[:J], meta=meta)
-    assert data.noise_level == level
-
-
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, np.inf])
 def test_datum_set_noise_level_rejects_a_negative_or_nonfinite_epsilon(bundle16, bad):
     b = bundle16
-    data = DatumSet(sources=b.sources[:2], data=b.H_clean[:2],
-                    meta=[{"epsilon": 1.0}, {"epsilon": bad}])
     with pytest.raises(ValidationError, match="noise level must be finite and nonnegative"):
-        data.noise_level
-    with pytest.raises(ValidationError, match="noise level must be finite and nonnegative"):
-        recover_pair(b.operator, b.coeffs.gruneisen, data)
+        DatumSet(sources=b.sources[:2], data=b.H_clean[:2], noise_level=bad)
 
 
 def test_direct_solves_run_to_the_noise_matched_tolerance(bundle16, monkeypatch):
-    # max(DEFAULT_TOL, NOISE_SAFETY * epsilon / 100): noiseless data and data
-    # without noise metadata keep the 1e-10 solves
+    # max(DEFAULT_TOL, NOISE_SAFETY * epsilon / 100): noiseless data and
+    # noisy data at noise_level 0 keep the 1e-10 solves
     b = bundle16
     received = []
     solve = ForwardOperator.solve
@@ -405,15 +387,13 @@ def test_noise_matched_recovery_moves_far_less_than_the_noise(n, mesh_seed, epsi
                                                               seed):
     # experiments I and III: the fields at the noise-matched tolerance lie
     # within 1 % of the noise's own effect of a DEFAULT_TOL recovery of the
-    # same datum (no meta, so noise_level 0), in the max norm
+    # same datum at noise_level 0, in the max norm
     op, coeffs, sources, H = clean_problem(n, mesh_seed)
     noisy = [add_noise(h, epsilon, noise_stream_seed(seed, j, epsilon))
              for j, h in enumerate(H)]
-    matched = DatumSet(sources=list(sources), data=noisy,
-                       meta=[{"epsilon": epsilon, "seed": seed}] * len(H))
+    matched = DatumSet(sources=list(sources), data=noisy, noise_level=epsilon)
     tight = DatumSet(sources=list(sources), data=list(noisy))
-    clean = DatumSet(sources=list(sources), data=list(H),
-                     meta=[{"epsilon": 0.0}] * len(H))
+    clean = DatumSet(sources=list(sources), data=list(H), noise_level=0.0)
     Gamma = coeffs.gruneisen
     for sigma_known in (coeffs.single_photon, None):
         fields = [recover_pair(op, Gamma, data, sigma_known=sigma_known)

@@ -15,8 +15,9 @@ import tppat
 from tppat import direct, experiments, fem, forward, metrics, transfer
 from tppat.config import default_config
 from tppat.errors import ValidationError
-from tppat.experiments import (COEFFS_RECOVERED, EXPERIMENTS, noise_stream_seed,
-                               prepare_data, reconstruct, run_experiment, run_forward)
+from tppat.experiments import (COEFFS_RECOVERED, EXPERIMENTS, prepare_data, reconstruct,
+                               run_experiment, run_forward)
+from tppat.forward import add_noise, noise_stream_seed
 from tppat.lsq import LsqConfig
 from tppat.mesh import build_square_mesh
 
@@ -275,10 +276,27 @@ def test_bundle_datum_set_matches_noise_model():
     cfg = quick_config(levels=(2.0,), seeds=(9,))
     bundle = prepare_data(cfg)
     ds = bundle.datum_set(2.0, 9)
-    from tppat.forward import add_noise
     expected = add_noise(bundle.H_clean[0], 2.0, noise_stream_seed(9, 0, 2.0))
     assert np.array_equal(ds.data[0], expected)
+    assert ds.noise_level == 2.0
     assert ds.meta[0] == {"epsilon": 2.0, "seed": 9}
+
+
+@pytest.mark.parametrize("data_n", [None, 12])
+def test_forward_files_are_the_data_the_experiments_reconstruct_from(tmp_path, data_n):
+    # run_forward writes the noisy data on the data mesh; moved onto the
+    # reconstruction mesh (crime guard only), they are datum_set's, bitwise
+    cfg = quick_config(n=8, levels=(0.0, 2.0), seeds=(5,))
+    cfg.data_mesh_n = data_n
+    bundle = run_forward(cfg, tmp_path)
+    reconstruction = prepare_data(cfg)
+    for eps in cfg.noise_levels:
+        ds = reconstruction.datum_set(eps, 5)
+        for j, expected in enumerate(ds.data, start=1):
+            H = fem.load_field(tmp_path / f"H{j}_eps{eps:g}_seed5.csv", bundle.data_mesh)
+            if bundle.crime_guard:
+                H = transfer.transfer_field(bundle.data_mesh, bundle.mesh, H)
+            assert np.array_equal(H, expected), (eps, j)
 
 
 def test_import_leaves_scipy_linalg_unloaded():

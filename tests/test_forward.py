@@ -447,8 +447,9 @@ def test_noise_deterministic_and_seed_sensitive():
 
 
 def test_noise_rejects_negative_level():
-    with pytest.raises(ValidationError):
-        add_noise(np.ones(3), -1.0, seed=0)
+    for level in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="noise level must be finite"):
+            add_noise(np.ones(3), level, seed=0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.3, np.nan, np.inf])

@@ -523,9 +523,9 @@ def lsq_start(bundle, ds, mu_only):
 
 
 def test_stop_test_does_not_depend_on_the_start(bundle16):
-    # the gradient test on the noisy datum without its noise metadata, which
-    # the noise test leaves alone; with the metadata both starts share one
-    # noise misfit
+    # the gradient test on the noisy datum at noise_level 0, which the noise
+    # test leaves alone; at its noise level both starts share one noise
+    # misfit
     b = bundle16
     cfg = LsqConfig()
     ds = b.datum_set(2.0, 101)
@@ -578,7 +578,7 @@ def test_noiseless_direct_start_converges_without_iterating(bundle16):
 # warm start from the direct densities (experiments.reconstruct).
 
 def stripped(ds):
-    """ds without its noise metadata: run_lsq then keeps newton's tolerances."""
+    """ds at noise_level 0: run_lsq then keeps newton's tolerances."""
     return DatumSet(sources=list(ds.sources), data=list(ds.data))
 
 
@@ -800,8 +800,8 @@ def recorded_tolerances(monkeypatch):
 @pytest.mark.parametrize("metadata", [True, False])
 def test_noiseless_least_squares_keeps_newtons_tolerances(bundle16, monkeypatch,
                                                           metadata):
-    # from the midpoint, so that the run iterates: at epsilon = 0, and for data
-    # without noise metadata, every solve runs at newton's tolerances
+    # from the midpoint, so that the run iterates: at epsilon = 0, and for
+    # noisy data at noise_level 0, every solve runs at newton's tolerances
     b = bundle16
     ds = b.datum_set(0.0, 101)
     if not metadata:
@@ -893,7 +893,7 @@ def test_noisy_gradients_stay_within_their_share_of_the_gradient(bundle16, monke
 @example(n=8, eps=7.288876098220151, seed=1438946864, which="II")
 def test_first_evaluation_to_the_noise_level_matches_the_tight_one(n, eps, seed, which):
     # the first objective and gradient of a noisy run against the same run on
-    # the datum without noise metadata, whose solves keep newton's tolerances:
+    # the datum at noise_level 0, whose solves keep newton's tolerances:
     # the objective within ARMIJO_SHARE * 1e-4 * |f|, the gradient within
     # GRADIENT_SHARE of its norm
     b = default_bundle(n)
