@@ -11,6 +11,11 @@ reconstructions (fit_pair_pointwise):
 * the pair (sigma, mu): the J x 2 system with rows [1, |u_j*|], for J >= 2,
   which is well posed wherever the |u_j*| are not all (nearly) equal.
 
+The noise of forward.add_noise is multiplicative, so the noise on r_j is
+proportional to r_j, and the fit weighs row j by 1 / r_j^2, the noise's own
+metric (generalized least squares); lsq weighs its residuals the same way.
+recover_pair therefore needs every datum finite and positive.
+
 Nodes where some recovered density is not positive, or (pair only) where
 the |u_j*| spread degenerates (possible under noise), are flagged in the
 condition report and filled from the nearest well-conditioned node.
@@ -73,13 +78,30 @@ class DatumSet:
                 raise ValidationError("a source does not match the mesh boundary")
         return self
 
+    def require_positive(self):
+        """self if every datum is finite and positive at every node.
+
+        Both fits weigh datum j by 1 / H_j^2 (module docstring), which needs
+        this; else ValidationError names the first source that breaks it.
+        Multiplicative noise keeps a positive datum positive for epsilon <
+        100 / sqrt(3).
+        """
+        for j, H in enumerate(self.data):
+            H = np.asarray(H, dtype=float)
+            if not (H.min() > 0.0 and H.max() < np.inf):    # a NaN fails the first
+                raise ValidationError(f"datum of source {j} has a nonpositive or "
+                                      f"non-finite node value; the fits weigh it "
+                                      f"by 1 / H^2")
+        return self
+
 
 @dataclass
 class ConditionReport:
     """Per-node conditioning of the pointwise least-squares fit.
 
-    condition: 2-norm condition number of the J x 2 design matrix (of the
-    J x 1 one with sigma known: 1 wherever some |u_j*| > 0).
+    condition: 2-norm condition number of the whitened J x 2 design matrix,
+    rows [1, |u_j*|] / r_j (of the J x 1 one with sigma known: 1 wherever
+    some |u_j*| / r_j is not 0).
     flagged: nodes where some recovered density was not positive, or (pair
     only) whose |u_j*| spread fell below the threshold; their values were
     copied from filled_from.
@@ -121,14 +143,19 @@ def recover_all_fields(op: ForwardOperator, Gamma, data: DatumSet) -> list:
 
 
 def fit_pair_pointwise(mesh: Mesh, u_stars: list, ratios: list, sigma_known=None):
-    """Per-node least-squares fit of sigma + mu |u_j*| = r_j over J rows.
+    """Per-node weighted least-squares fit of sigma + mu |u_j*| = r_j over J rows.
 
-    Solves the J x 2 system with rows [1, |u_j*|] through its normal
-    equations at every node, or with sigma_known the J x 1 system with rows
-    [|u_j*|] for mu alone. Nodes with a nonpositive recovered density, or
-    (pair only) a degenerate |u_j*| spread (max - min below SPREAD_THRESHOLD
-    times max), are flagged and filled from the nearest well-conditioned
-    node (Euclidean distance, lowest index on ties).
+    Row j has the weight 1 / r_j^2, since add_noise's multiplicative noise
+    on H_j gives r_j a standard deviation proportional to r_j (generalized
+    least squares, Aitken 1935). So each node solves, through its normal
+    equations, the whitened J x 2 system with rows [1, |u_j*|] / r_j and
+    right-hand side 1, or with sigma_known the J x 1 system with rows
+    |u_j*| / r_j and right-hand side 1 - sigma / r_j for mu alone. Every
+    ratio must be finite and nonzero, except at a flagged node, where such a
+    row gets weight 0. Nodes with a nonpositive recovered density, or (pair
+    only) a degenerate |u_j*| spread (max - min below SPREAD_THRESHOLD times
+    max), are flagged and filled from the nearest well-conditioned node
+    (Euclidean distance, lowest index on ties).
     Returns (sigma, mu, ConditionReport); with sigma_known, sigma is that
     field.
     """
@@ -140,26 +167,37 @@ def fit_pair_pointwise(mesh: Mesh, u_stars: list, ratios: list, sigma_known=None
     A = np.abs(stars)                                    # (J, N)
     R = np.stack([as_field(mesh, r) for r in ratios])
     flagged = stars.min(axis=0) <= 0.0
-    s2 = (A * A).sum(axis=0)
+    if sigma_known is None:
+        flagged |= A.max(axis=0) - A.min(axis=0) < SPREAD_THRESHOLD * A.max(axis=0)
+    usable = np.isfinite(R) & (R != 0.0)
+    if not usable.all():
+        if not (usable | flagged).all():
+            raise ValidationError("pointwise fit needs finite nonzero ratios at the "
+                                  "nodes it does not flag")
+        R[~usable] = np.inf             # weight 0, at flagged nodes only
+    # the whitened rows [Q, P] = [1, |u_j*|] / r_j: with the weights W = Q^2
+    # the right-hand sides W R and W A R are Q and P themselves
+    Q = np.reciprocal(R, out=R)
+    P = np.multiply(A, Q, out=A)
+    s1 = np.einsum("jn,jn->n", P, Q)
+    s2 = np.einsum("jn,jn->n", P, P)
+    b1 = P.sum(axis=0)
 
     if sigma_known is not None:
         sigma = as_field(mesh, sigma_known)
-        mu = (A * (R - sigma)).sum(axis=0) / np.where(flagged, 1.0, s2)
+        mu = (b1 - sigma * s1) / np.where(flagged, 1.0, s2)
         condition = np.where(s2 > 0.0, 1.0, np.inf)
     else:
-        spread = A.max(axis=0) - A.min(axis=0)
-        flagged |= spread < SPREAD_THRESHOLD * A.max(axis=0)
-        s1 = A.sum(axis=0)
-        b0 = R.sum(axis=0)
-        b1 = (A * R).sum(axis=0)
-        det = J * s2 - s1 * s1
+        s0 = np.einsum("jn,jn->n", Q, Q)
+        b0 = Q.sum(axis=0)
+        det = s0 * s2 - s1 * s1
         safe = np.where(flagged, 1.0, det)
         sigma = (s2 * b0 - s1 * b1) / safe
-        mu = (J * b1 - s1 * b0) / safe
+        mu = (s0 * b1 - s1 * b0) / safe
 
-        # cond_2 of the design matrix = sqrt of eigenvalue ratio of the normal matrix
-        tr = J + s2
-        disc = np.sqrt(np.maximum((J - s2) ** 2 + 4.0 * s1 * s1, 0.0))
+        # cond_2 of the whitened design = sqrt of eigenvalue ratio of the normal matrix
+        tr = s0 + s2
+        disc = np.sqrt(np.maximum((s0 - s2) ** 2 + 4.0 * s1 * s1, 0.0))
         lam_max = 0.5 * (tr + disc)
         lam_min = 0.5 * (tr - disc)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -189,14 +227,16 @@ def recover_pair(op: ForwardOperator, Gamma, data: DatumSet, sigma_known=None,
     """(sigma, mu), or mu with sigma_known, by pointwise least squares.
 
     Returns (sigma, mu, ConditionReport). Requires strictly positive
-    sources, J >= 2 of them for the pair. One linear solve per datum with op
-    recovers u_j* (recover_all_fields), then each node solves its small
-    least-squares system over all J data (see fit_pair_pointwise). stars,
-    when given, must be recover_all_fields(op, Gamma, data), which is then
-    not solved again.
+    sources, J >= 2 of them for the pair, and data that are finite and
+    positive at every node (DatumSet.require_positive). One linear solve
+    per datum with op recovers u_j* (recover_all_fields), then each node
+    solves its small weighted least-squares system over all J data (see
+    fit_pair_pointwise). stars, when given, must be
+    recover_all_fields(op, Gamma, data), which is then not solved again.
     """
     for g in data.sources:
         g.require_strictly_positive()
+    data.require_positive()
     Gamma = as_field(op.mesh, Gamma)
     if stars is None:
         stars = recover_all_fields(op, Gamma, data)

@@ -2,14 +2,24 @@
 
 Minimizes
 
-    Phi(sigma, mu) = 1/2 sum_j ||Gamma sigma u_j + Gamma mu |u_j| u_j - H_j||^2
-                     + kappa/2 (||grad sigma||^2 + ||grad mu||^2)
+    Phi(sigma, mu) = 1/2 sum_j sum_i m_i W_ji z_ji^2
+                     + kappa/2 (||grad sigma||^2 + ||grad mu||^2),
+    z_j = Gamma sigma u_j + Gamma mu |u_j| u_j - H_j,   W_j = 1 / H_j^2,
 
-over nodal coefficient fields, subject to box bounds. The weight kappa >= 0
+over nodal coefficient fields, subject to box bounds. forward.add_noise is
+multiplicative, so the noise on H_ji has a standard deviation proportional
+to H_ji, and the weights W_j whiten it: Phi's misfit is the noise's own
+metric (generalized least squares, Aitken 1935; Kaipio & Somersalo 2005,
+ch. 3), the one direct.fit_pair_pointwise weighs its ratios by. With the
+densities frozen at the direct fit's u_j*, z_j / H_j is that fit's weighted
+residual, so a run started from the direct fit starts at, or next to, its
+minimizer. The weights apply at every noise level and need every datum
+finite and positive (DatumSet.require_positive). The weight kappa >= 0
 is 0 by default (LsqConfig), which leaves the misfit alone; the regularizer's
 stiffness is assembled only for kappa > 0. Each evaluation solves
 the J semilinear forward problems; gradients come from one adjoint solve per
-source with the same linearized operator as the forward Newton step, so they
+source, with the weighted residual W_j z_j as its source and the same
+linearized operator as the forward Newton step, so they
 are exact for the discrete objective (finite differences of Phi agree to
 solver tolerance). The quadrature is the lumped nodal rule used throughout
 the forward discretization.
@@ -68,11 +78,12 @@ does for the direct solves.
 Noisy data also stop the run once it has fitted the coefficients as well as
 the noise lets it. The noise misfit
 
-    Phi_noise = 1/2 (epsilon/100)^2 sum_j sum_i m_i H_ji^2
+    Phi_noise = 1/2 (epsilon/100)^2 J sum_i m_i
 
 is the expected misfit at the truth under forward.add_noise, whose
-multiplier has standard deviation epsilon/100, taken with the noisy datum H
-as given (the clean one is unknown to a reconstruction). A run stops as
+multiplier has standard deviation epsilon/100, in the weighted metric with
+the noisy datum H as given (the clean one is unknown to a reconstruction),
+where each whitened residual has that standard deviation. A run stops as
 converged, with the message "noise level reached", when the Gauss-Newton
 model predicts a decrease lambda^2/2 = -1/2 <g, d> still to come (the
 Newton decrement, Boyd & Vandenberghe 2004, 9.5.1) of at most NOISE_SHARE
@@ -171,8 +182,11 @@ class Evaluator:
     adjoint solves run to newton.linear_tol, which keeps the gradient exact
     for the discrete objective to that tolerance. forward_states and
     gradient take looser per-call tolerances (run_lsq's rules for noisy
-    data). The regularizer's unit-diffusion stiffness K1 is assembled here
-    when kappa != 0; with kappa = 0 it is None and Phi is the misfit alone.
+    data). The misfit weights W_j = 1 / H_j^2 (weights, one row per source)
+    and the regularizer's unit-diffusion stiffness K1 are set up here, K1
+    only when kappa != 0; with kappa = 0 it is None and Phi is the misfit
+    alone. A datum that is not finite and positive at every node raises
+    ValidationError.
     """
 
     def __init__(self, op: ForwardOperator, gruneisen, data: DatumSet, kappa: float,
@@ -180,8 +194,10 @@ class Evaluator:
         self.op = op
         self.mesh = op.mesh
         self.gruneisen = positive_field(op.mesh, gruneisen, "gruneisen")
-        data.validate(op.mesh)
+        data.validate(op.mesh).require_positive()
         self.data = data
+        # W_j = 1 / H_j^2, the multiplicative noise's metric (module docstring)
+        self.weights = 1.0 / np.square(np.stack(data.data))
         self.kappa = float(kappa)
         self.K1 = (fem.assemble_stiffness(op.mesh, np.ones(op.mesh.node_count))
                    if self.kappa != 0.0 else None)
@@ -216,7 +232,8 @@ class Evaluator:
         """Phi at (sigma, mu), from the forward states (us, zs) there."""
         sigma = as_field(self.mesh, sigma)
         mu = as_field(self.mesh, mu)
-        value = sum(0.5 * float((self.lumped * z * z).sum()) for z in states[1])
+        value = sum(0.5 * float((self.lumped * w * z * z).sum())
+                    for w, z in zip(self.weights, states[1]))
         if self.K1 is not None:
             value += self.kappa * (0.5 * (float(sigma @ (self.K1 @ sigma))
                                           + float(mu @ (self.K1 @ mu))))
@@ -225,7 +242,9 @@ class Evaluator:
     def solve_adjoint(self, sigma, mu, u, z, tol=None) -> np.ndarray:
         """Adjoint state v: linearized operator, source -z Gamma (sigma + 2 mu |u|).
 
-        tol is the relative residual of the solve, newton.linear_tol if None.
+        z is the weighted residual W_j z_j of one source, as gradient passes
+        it; tol is the relative residual of the solve, newton.linear_tol if
+        None.
         """
         fz = sigma + 2.0 * mu * np.abs(u)
         rhs = -(self.lumped * z * self.gruneisen * fz)[self.op.interior]
@@ -236,7 +255,7 @@ class Evaluator:
         """(g_sigma, g_mu, vs) from the forward states (us, zs) at (sigma, mu).
 
         g_sigma and g_mu are the Riesz representers of the derivative of Phi,
-        g_sigma = sum_j (z_j Gamma u_j + v_j u_j) + kappa * M^-1 K1 sigma
+        g_sigma = sum_j (W_j z_j Gamma u_j + v_j u_j) + kappa * M^-1 K1 sigma
         and the mu analog with |u_j| u_j in place of u_j. The adjoint
         states vs = [v_j] are solved to adjoint_tol (newton.linear_tol if None).
         """
@@ -245,11 +264,12 @@ class Evaluator:
         g_sigma = np.zeros(self.mesh.node_count)
         g_mu = np.zeros(self.mesh.node_count)
         vs = []
-        for u, z in zip(*states):
-            v = self.solve_adjoint(sigma, mu, u, z, adjoint_tol)
+        for u, z, w in zip(*states, self.weights):
+            wz = w * z
+            v = self.solve_adjoint(sigma, mu, u, wz, adjoint_tol)
             vs.append(v)
-            g_sigma += z * self.gruneisen * u + v * u
-            g_mu += (z * self.gruneisen + v) * np.abs(u) * u
+            g_sigma += wz * self.gruneisen * u + v * u
+            g_mu += (wz * self.gruneisen + v) * np.abs(u) * u
         if self.K1 is not None:
             g_sigma += self.kappa * (self.K1 @ sigma) / self.lumped
             g_mu += self.kappa * (self.K1 @ mu) / self.lumped
@@ -259,12 +279,14 @@ class Evaluator:
 def gauss_newton_step(gruneisen, us, reg, g, held):
     """Projected pointwise Gauss-Newton step (d_sigma, d_mu) from the forward states us.
 
-    At node i, a_j = Gamma_i u_j,i and b_j = Gamma_i |u_j,i| u_j,i are the
-    derivatives of the residual z_j with respect to sigma_i and mu_i with u
-    frozen, and B_i = sum_j [a_j, b_j]^T [a_j, b_j] + reg_i I, with reg =
-    kappa * diag(K1) / m, is the pointwise Gauss-Newton matrix. g = (g_sigma,
-    g_mu) is the lumped-metric gradient, so the step -B_i^-1 g_i is the
-    Gauss-Newton step of the data term at node i. Where B_i is nearly rank
+    gruneisen is Gamma, or one row per source of the whitened gains
+    sqrt(W_j) Gamma, as run_lsq passes them. At node i, a_j = Gamma_i u_j,i
+    and b_j = Gamma_i |u_j,i| u_j,i are the derivatives of the (whitened)
+    residual with respect to sigma_i and mu_i with u frozen, and B_i =
+    sum_j [a_j, b_j]^T [a_j, b_j] + reg_i I, with reg = kappa * diag(K1) / m,
+    is the pointwise Gauss-Newton matrix. g = (g_sigma, g_mu) is the
+    lumped-metric gradient, so the step -B_i^-1 g_i is the Gauss-Newton step
+    of the data term at node i. Where B_i is nearly rank
     one (det B_i <= 1e-12 (tr B_i)^2: one source with kappa = 0, equal |u_j|
     at the node, or Gamma_i = 0) the step is the pseudo-inverse one,
     -B_i g_i / (tr B_i)^2, exact for a rank-one B_i.
@@ -322,8 +344,8 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     returned, converged=False). The report keeps the noise misfit as
     noise_misfit, 0.0 on data with noise_level 0, which the noise test
     leaves alone. The reference is taken at a fixed point, not at the
-    start: it is the norm of the misfit part of the
-    gradient, sum_j z_j Gamma u_j and sum_j z_j Gamma |u_j| u_j, at the
+    start: it is the norm of the misfit part of the gradient, sum_j W_j z_j
+    Gamma u_j and sum_j W_j z_j Gamma |u_j| u_j, at the
     midpoint of the bounds (with sigma0 for a pinned sigma), with u_j frozen at
     u0 when it is given and at the start's forward states otherwise. So it
     costs no solve, and with u0 it does not depend on the start. The report
@@ -356,6 +378,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     # metric weights; 0 on a pinned component, so that no norm sees it
     w = np.concatenate([ev.lumped, ev.lumped]) * free
     reg = 0.0 if ev.K1 is None else ev.kappa * ev.K1.diagonal() / ev.lumped
+    gains = np.sqrt(ev.weights) * ev.gruneisen     # the whitened residuals' Gamma
 
     def dot(a, b):
         return float((w * a * b).sum())
@@ -411,16 +434,16 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     f, states = evaluate(x, u0)
     ref = np.where(free, 0.5 * (cfg.bound_floor + cfg.bound_ceiling), x)
     g_ref = np.zeros_like(x)
-    for u, H in zip(states[0] if u0 is None else u0, ev.data.data):
+    for u, H, wv in zip(states[0] if u0 is None else u0, ev.data.data, ev.weights):
         a = ev.gruneisen * u
         b = a * np.abs(u)
-        z = ref[:n] * a + ref[n:] * b - H
-        g_ref += np.concatenate([z * a, z * b])
+        wz = wv * (ref[:n] * a + ref[n:] * b - H)
+        g_ref += np.concatenate([wz * a, wz * b])
     report.reference_grad_norm = np.sqrt(dot(g_ref, g_ref))
     threshold = cfg.grad_tol * report.reference_grad_norm
     if noisy:
-        report.noise_misfit = 0.5 * noise_std(data.noise_level) ** 2 * sum(
-            float((ev.lumped * H * H).sum()) for H in ev.data.data)
+        report.noise_misfit = (0.5 * noise_std(data.noise_level) ** 2 * data.size
+                               * float(ev.lumped.sum()))
     noise_floor = NOISE_SHARE * report.noise_misfit
 
     for it in range(cfg.max_iterations + 1):
@@ -436,7 +459,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
             report.converged = True
             break
 
-        d = np.concatenate(gauss_newton_step(ev.gruneisen, states[0], reg,
+        d = np.concatenate(gauss_newton_step(gains, states[0], reg,
                                              (gs, gm), (held[:n], held[n:])))
         gd = dot(g, d)
         if 0.0 < -0.5 * gd <= noise_floor:

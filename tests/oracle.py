@@ -23,8 +23,9 @@ load_mesh_lines and load_field_lines are the per-line readers they replaced,
 the reference for their arrays and their error lines.
 
 The mu-only pointwise fit (direct.fit_pair_pointwise with sigma known) sums
-over the data in one reduction; mu_from_set_loop is the per-datum
-accumulation it replaced, the reference for its bits.
+its weighted normal equations over the data in one reduction;
+mu_from_set_loop is the per-datum accumulation it replaced, the reference
+for its bits.
 
 fem.solve_linear tests its residual right after each update and so never
 applies its preconditioner after the last iteration; solve_linear_top_test,
@@ -159,17 +160,21 @@ def assemble_weighted_mass(mesh, weight) -> sp.csr_matrix:
 def mu_from_set_loop(data, Gamma, u_stars, sigma_known) -> np.ndarray:
     """mu with sigma known, accumulated one datum at a time.
 
-    Minimizes sum_j (mu |u_j*| - (r_j - sigma))^2 per node, with
-    r_j = H_j / (Gamma u_j*).
+    Minimizes sum_j (mu |u_j*| - (r_j - sigma))^2 / r_j^2 per node, with
+    r_j = H_j / (Gamma u_j*): the whitened rows p_j = |u_j*| q_j, q_j = 1 / r_j,
+    with right-hand sides 1 - sigma q_j, so that
+    mu = (sum_j p_j - sigma sum_j p_j q_j) / sum_j p_j^2.
     """
-    num = np.zeros(len(sigma_known))
-    den = np.zeros(len(sigma_known))
+    p_sum = np.zeros(len(sigma_known))
+    pq_sum = np.zeros(len(sigma_known))
+    pp_sum = np.zeros(len(sigma_known))
     for H, u_star in zip(data, u_stars):
-        a = np.abs(u_star)
-        r = H / (Gamma * u_star)
-        num += a * (r - sigma_known)
-        den += a * a
-    return num / den
+        q = 1.0 / (H / (Gamma * u_star))
+        p = np.abs(u_star) * q
+        p_sum += p
+        pq_sum += p * q
+        pp_sum += p * p
+    return (p_sum - sigma_known * pq_sum) / pp_sum
 
 
 def solve_linear_top_test(A, b, tol=fem.DEFAULT_TOL, preconditioner=None, shift=0.0):

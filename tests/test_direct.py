@@ -202,6 +202,71 @@ def test_pointwise_fit_fills_each_flagged_node_from_the_nearest_good_node(case):
             assert sigma[i] == sigma[nearest]
 
 
+def log_uniform(low, high):
+    return st.floats(np.log10(low), np.log10(high)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def exact_ratios(draw):
+    """Exact ratios r_j = sigma + mu |u_j*| on MESH3, all positive.
+
+    The |u_j*| at a node are spaced as in pointwise_data and scaled by a
+    factor over six decades; sigma and mu share a scale over twelve, so the
+    fit's weights 1 / r_j^2 range over twenty-four. sigma and mu |u_j*| stay
+    within a factor 33 of each other, so that the pair is conditioned well
+    enough for 1e-12.
+    """
+    J = draw(st.integers(2, 5))
+    u_scale, scale = draw(log_uniform(1e-3, 1e3)), draw(log_uniform(1e-6, 1e6))
+    base = draw(node_values(0.5, 2.0))
+    gaps = draw(hnp.arrays(float, (J, MESH3.node_count), elements=st.floats(0.0, 0.25)))
+    A = u_scale * base * (1.0 + 0.5 * np.arange(J)[:, None] + gaps)
+    sigma = scale * draw(node_values(0.2, 1.0))
+    mu = scale / u_scale * draw(node_values(0.2, 1.0))
+    return list(A), list(sigma + mu * A), sigma, mu
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_ratios())
+def test_weighted_fit_of_exact_ratios_returns_the_coefficients(case):
+    # the weights 1 / r_j^2 bias no fit of exact data: the pair and mu with
+    # sigma known come back to 1e-12 relative at every node
+    stars, ratios, sigma_true, mu_true = case
+    sigma, mu, report = fit_pair_pointwise(MESH3, stars, ratios)
+    assert not report.flagged.any()
+    assert np.all(np.abs(sigma - sigma_true) <= 1e-12 * sigma_true)
+    assert np.all(np.abs(mu - mu_true) <= 1e-12 * mu_true)
+    _, mu, _ = fit_pair_pointwise(MESH3, stars, ratios, sigma_known=sigma_true)
+    assert np.all(np.abs(mu - mu_true) <= 1e-12 * mu_true)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_datum_set_requires_finite_positive_data_naming_the_source(bad):
+    data = [np.ones(MESH3.node_count) for _ in range(3)]
+    data[1][7] = bad
+    ds = DatumSet(sources=[BoundarySource.constant(MESH3, 1.0)] * 3, data=data)
+    with pytest.raises(ValidationError, match="datum of source 1 has a nonpositive or "
+                                              "non-finite node value"):
+        ds.require_positive()
+    data[1][7] = 1e-300
+    assert ds.require_positive() is ds
+
+
+def test_pointwise_fit_rejects_a_zero_or_nonfinite_ratio_at_a_node_it_keeps():
+    # at a flagged node such a row gets weight 0 instead, with no warning
+    n = MESH3.node_count
+    stars = [np.ones(n), np.full(n, 2.0)]
+    stars[0][3] = -1.0
+    for bad in (0.0, np.nan, np.inf):
+        ratios = [np.ones(n), np.full(n, 1.5)]
+        ratios[0][3] = bad
+        _, _, report = fit_pair_pointwise(MESH3, stars, ratios)
+        assert np.nonzero(report.flagged)[0].tolist() == [3]
+        ratios[1][4] = bad
+        with pytest.raises(ValidationError, match="finite nonzero ratios"):
+            fit_pair_pointwise(MESH3, stars, ratios)
+
+
 def test_recover_mu_noiseless_full_field(bundle16):
     # the J = 1 fit on self-generated data recovers mu exactly
     b = bundle16

@@ -510,6 +510,20 @@ def bundle16():
     return default_bundle(16)
 
 
+def test_data_the_weights_cannot_use_are_rejected_naming_the_source(bundle16):
+    # at epsilon = 60 > 100 / sqrt(3) add_noise's multiplier reaches below 0,
+    # so some datum has a nonpositive node value, where the weight 1 / H^2
+    # of both fits would not describe the noise
+    b = bundle16
+    ds = b.datum_set(60.0, 1)
+    first = next(j for j, H in enumerate(ds.data) if H.min() <= 0.0)
+    for fit in (lambda: Evaluator(b.operator, b.coeffs.gruneisen, ds, 0.0),
+                lambda: recover_pair(b.operator, b.coeffs.gruneisen, ds)):
+        with pytest.raises(ValidationError, match=f"datum of source {first} has a "
+                                                  f"nonpositive or non-finite"):
+            fit()
+
+
 def lsq_start(bundle, ds, mu_only):
     """The start and densities reconstruct hands run_lsq for II (mu_only) or IV."""
     cfg = bundle.config.lsq
@@ -714,9 +728,9 @@ def test_ii_norms_are_those_of_the_mu_part_alone(monkeypatch, sources, n, eps, s
     m = b.operator.lumped
     mid = 0.5 * (cfg.bound_floor + cfg.bound_ceiling)
     g_ref = 0.0
-    for u, H in zip(stars, ds.data):
+    for u, H in zip(stars, ds.data):                  # residuals weighted by 1 / H^2
         a = b.coeffs.gruneisen * u
-        g_ref = g_ref + (sigma0 * a + mid * a * np.abs(u) - H) * a * np.abs(u)
+        g_ref = g_ref + (sigma0 * a + mid * a * np.abs(u) - H) / H ** 2 * a * np.abs(u)
     norms = []
     for mu, g_mu in recorded:
         held = (((mu <= cfg.bound_floor) & (g_mu > 0.0))
@@ -827,11 +841,18 @@ def first_tolerances(bundle, ds, newton):
 
 @pytest.mark.parametrize("mu_only", [False, True])
 def test_noisy_least_squares_solves_to_the_noise_level(bundle16, monkeypatch, mu_only):
-    # the noise test off, so that the run iterates past the first gradient
+    # the noise test off, so that the run iterates past the first gradient.
+    # II's weighted direct fit starts so close to the minimizer that every
+    # trial's Armijo slope keeps its tolerance at the floor, so mu starts at
+    # the midpoint of the bounds instead
     b = bundle16
     newton = NewtonConfig()
     ds = b.datum_set(2.0, 101)
     init, stars = lsq_start(b, ds, mu_only)
+    if mu_only:
+        cfg = b.config.lsq
+        init = (init[0], np.full(b.mesh.node_count,
+                                 0.5 * (cfg.bound_floor + cfg.bound_ceiling)))
     monkeypatch.setattr(lsq, "NOISE_SHARE", 0.0)
     forward, adjoint = recorded_tolerances(monkeypatch)
     _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, ds, init, LsqConfig(),
