@@ -37,7 +37,7 @@ import numpy as np
 
 from . import fem
 from .errors import ValidationError
-from .fem import as_field, positive_field, write_columns
+from .fem import as_field, as_fields, positive_field, write_columns
 from .forward import ForwardOperator, check_noise_level, noise_std
 from .mesh import Mesh
 
@@ -163,9 +163,9 @@ def fit_pair_pointwise(mesh: Mesh, u_stars: list, ratios: list, sigma_known=None
     if J < (1 if sigma_known is not None else 2) or J != len(ratios):
         raise ValidationError("pointwise fit needs matching field lists, J >= 2 "
                               "(J >= 1 with sigma known)")
-    stars = np.stack([as_field(mesh, u) for u in u_stars])
-    A = np.abs(stars)                                    # (J, N)
-    R = np.stack([as_field(mesh, r) for r in ratios])
+    stars = as_fields(mesh, u_stars)                     # (J, N)
+    A = np.abs(stars)
+    R = as_fields(mesh, ratios)
     flagged = stars.min(axis=0) <= 0.0
     if sigma_known is None:
         flagged |= A.max(axis=0) - A.min(axis=0) < SPREAD_THRESHOLD * A.max(axis=0)

@@ -33,15 +33,27 @@ from .mesh import Mesh, _first, _parse_rows, _read_lines
 DEFAULT_TOL = 1e-10
 
 
-def as_field(mesh: Mesh, values) -> np.ndarray:
-    """Coerce to a float array with one value per mesh node."""
+def _node_values(mesh: Mesh, values) -> np.ndarray:
+    """values as a float array, a scalar or one value per mesh node."""
     arr = np.asarray(values, dtype=float)
-    if np.isscalar(values) or arr.ndim == 0:
-        return np.full(mesh.node_count, float(arr))
-    if arr.shape != (mesh.node_count,):
+    if arr.ndim != 0 and arr.shape != (mesh.node_count,):
         raise ValidationError(
             f"field has {arr.shape} values, mesh has {mesh.node_count} nodes")
-    return arr.copy()
+    return arr
+
+
+def as_field(mesh: Mesh, values) -> np.ndarray:
+    """Coerce to a float array with one value per mesh node."""
+    arr = _node_values(mesh, values)
+    return np.full(mesh.node_count, float(arr)) if arr.ndim == 0 else arr.copy()
+
+
+def as_fields(mesh: Mesh, fields) -> np.ndarray:
+    """Coerce each of fields as as_field does, into one (len(fields), nodes) array."""
+    out = np.empty((len(fields), mesh.node_count))
+    for row, values in zip(out, fields):
+        row[:] = _node_values(mesh, values)
+    return out
 
 
 @dataclass

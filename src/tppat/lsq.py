@@ -42,10 +42,11 @@ minimizer, such as the direct fit of the same datum, stops early instead of
 chasing a tolerance set by its own small gradient. The reduced gradient can
 vanish where a bound is active at the minimizer.
 
-On noisy data (DatumSet.noise_level > 0) every PDE of a run is solved only
-as accurately as the fit needs. The first evaluation follows the noise level
-epsilon (percent), as direct.recover_all_fields does: source j's first
-forward solve stops at the interior residual
+On noisy data (DatumSet.noise_level > 0) the first states and every
+gradient are solved only as accurately as the noise lets the fit use them,
+as direct.recover_all_fields solves the direct densities. With the noise
+level epsilon (percent), source j's first forward solve stops at the
+interior residual
 
     max(residual_tol, ARMIJO_SHARE * NOISE_SAFETY * epsilon/100
                       * ||(m H_j / Gamma)[interior]||),
@@ -54,24 +55,11 @@ an ARMIJO_SHARE of the NOISE_SAFETY share of the perturbation the noise
 puts on the datum term m H_j / Gamma of the forward residual. The first
 objective is the base of the first Armijo test, so its forward error gets
 the line search's ARMIJO_SHARE; the NOISE_SAFETY share alone does not keep
-that error within ARMIJO_SHARE * 1e-4 |f|. The first gradient's adjoint
-solves stop at the relative residual max(linear_tol, NOISE_SAFETY *
-epsilon/100).
-The adjoint solves of every later gradient stop at the relative residual
-
-    tau = min(FORCING_MAX, max(linear_tol,
-                               GRADIENT_SHARE * max(threshold, ||g_prev||) / A_prev)),
-
-with g_prev the previous reduced gradient and A_prev = sum_j ||v_j (u_j,
-|u_j| u_j)|| the summed norms of its adjoint parts: the gradient error
-stays a share of the gradient it perturbs (inexact gradients, Carter 1991).
-The error of v_j perturbs source j's part alone, and the parts can cancel
-in their sum, so the norm of the sum would underrate the error near a
-minimizer. A line-search trial with Armijo
-slope s solves source j to the interior residual
-max(residual_tol, ARMIJO_SHARE * 1e-4 |s| / (J ||v_j||)), with v_j from the
-last gradient: to first order a Newton residual F_j moves Phi by <v_j, F_j>,
-so the objective error stays a share of the Armijo decrease. Data with
+that error within ARMIJO_SHARE * 1e-4 |f|. Every adjoint solve stops at the
+relative residual max(linear_tol, NOISE_SAFETY * epsilon/100), the direct
+densities' tolerance. Line-search trials solve to residual_tol, since they
+decide the Armijo test and become the next iterate's states; most noisy
+runs stop at the noise level before their first trial. Data with
 noise_level 0 keep newton's tolerances throughout, as direct.NOISE_SAFETY
 does for the direct solves.
 
@@ -106,14 +94,11 @@ import numpy as np
 from . import fem
 from .errors import SolverError, ValidationError, require_count
 from .fem import as_field, positive_field
-from .forward import FORCING_MAX, ForwardOperator, NewtonConfig, noise_std, solve_semilinear
+from .forward import ForwardOperator, NewtonConfig, noise_std, solve_semilinear
 from .direct import NOISE_SAFETY, DatumSet
 
-# Shares of the least-squares tolerance rules for noisy data (module docstring):
-# the adjoint error's share of the gradient norm it may perturb, and the
-# forward error's share of the Armijo decrease of a line-search trial (and of
-# the noise-level accuracy of the first states).
-GRADIENT_SHARE = 0.1
+# The first states' share of the noise-level accuracy on noisy data, the
+# share of the first Armijo decrease their error may take (module docstring).
 ARMIJO_SHARE = 0.1
 # The share of the noise misfit Phi_noise below which the predicted decrease
 # of a Gauss-Newton step stops a run on noisy data (module docstring).
@@ -181,11 +166,11 @@ class Evaluator:
     linear solve only as tight as its forcing term (solve_semilinear); the
     adjoint solves run to newton.linear_tol, which keeps the gradient exact
     for the discrete objective to that tolerance. forward_states and
-    gradient take looser per-call tolerances (run_lsq's rules for noisy
-    data). The misfit weights W_j = 1 / H_j^2 (weights, one row per source)
-    and the regularizer's unit-diffusion stiffness K1 are set up here, K1
-    only when kappa != 0; with kappa = 0 it is None and Phi is the misfit
-    alone. A datum that is not finite and positive at every node raises
+    gradient take looser per-call tolerances (run_lsq's noise-level rule).
+    The misfit weights W_j = 1 / H_j^2 (weights, one row per source) and
+    the regularizer's unit-diffusion stiffness K1 are set up here, K1 only
+    when kappa != 0; with kappa = 0 it is None and Phi is the misfit alone.
+    A datum that is not finite and positive at every node raises
     ValidationError.
     """
 
@@ -358,9 +343,9 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     the first forward solves (None: cold); reconstruct passes the direct
     fit's densities u_j*. Every later solve starts from the states of the
     previous evaluation, a rejected line-search trial included. With noisy
-    data every PDE, the first states and the first gradient included, is
-    solved only as accurately as the fit needs (the module docstring's
-    rules).
+    data the first states and every gradient are solved only to the noise
+    level, and line-search trials to newton's residual_tol (the module
+    docstring's rule).
     """
     mesh = op.mesh
     ev = Evaluator(op, gruneisen, data, cfg.kappa, newton)
@@ -394,44 +379,22 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
         raise ValidationError(f"u0 needs one field per source ({data.size}), "
                               f"got {len(u0)}")
 
-    # The tolerances of the module docstring's rules, for noisy data only;
-    # None keeps newton's. The first evaluation's follow the noise level.
+    # The noise-level tolerances of the module docstring, for noisy data
+    # only; None keeps newton's.
     noisy = data.noise_level > 0.0
     first_tols = adjoint_tol = None
-    adjoint_norms = []
     if noisy:
         rel = NOISE_SAFETY * noise_std(data.noise_level)
         first_tols = [max(ev.newton.residual_tol, ARMIJO_SHARE * rel * float(
             np.linalg.norm((ev.lumped * H / ev.gruneisen)[op.interior]))) for H in data.data]
         adjoint_tol = max(ev.newton.linear_tol, rel)
 
-    def evaluate(xv, start, slope=None):
-        """Objective value and forward states at xv, Newton started from start.
-
-        slope (the Armijo slope of a line-search trial) sets each source's
-        Newton tolerance by the adjoint identity once a gradient exists;
-        without it the first evaluation's tolerances apply.
-        """
-        tols = first_tols
-        if noisy and slope is not None:
-            share = ARMIJO_SHARE * 1e-4 * abs(slope) / data.size
-            tols = [max(ev.newton.residual_tol, share / vn) if vn > 0.0
-                    else ev.newton.residual_tol for vn in adjoint_norms]
+    def evaluate(xv, start, tols=None):
+        """Objective value and forward states at xv, Newton started from start."""
         states = ev.forward_states(xv[:n], xv[n:], u0=start, residual_tols=tols)
         return ev.objective(xv[:n], xv[n:], states), states
 
-    def next_tolerances(g_norm, us, vs):
-        """The adjoint tolerance of the next gradient (Carter's rule, from the
-        reduced gradient norm g_norm) and the norms ||v_j|| that set the next
-        line search's Newton tolerances."""
-        parts = (np.concatenate([v * u, v * np.abs(u) * u]) for v, u in zip(vs, us))
-        a_norm = sum(np.sqrt(dot(a, a)) for a in parts)
-        target = GRADIENT_SHARE * max(threshold, g_norm)
-        tol = (FORCING_MAX if a_norm == 0.0 else
-               min(FORCING_MAX, max(ev.newton.linear_tol, target / a_norm)))
-        return tol, [float(np.linalg.norm(v)) for v in vs]
-
-    f, states = evaluate(x, u0)
+    f, states = evaluate(x, u0, first_tols)
     ref = np.where(free, 0.5 * (cfg.bound_floor + cfg.bound_ceiling), x)
     g_ref = np.zeros_like(x)
     for u, H, wv in zip(states[0] if u0 is None else u0, ev.data.data, ev.weights):
@@ -448,11 +411,9 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
 
     for it in range(cfg.max_iterations + 1):
         # the gradient at x, from the forward states of its evaluation
-        gs, gm, vs = ev.gradient(x[:n], x[n:], states, adjoint_tol=adjoint_tol)
+        gs, gm, _ = ev.gradient(x[:n], x[n:], states, adjoint_tol=adjoint_tol)
         g = np.concatenate([gs, gm])
         held, g_norm = hold(x, g)
-        if noisy:
-            adjoint_tol, adjoint_norms = next_tolerances(g_norm, states[0], vs)
         report.objective_history.append(f)
         report.grad_norm_history.append(g_norm)
         if g_norm <= threshold:
@@ -480,7 +441,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
                 alpha *= 0.5
                 continue
             # each solve starts from the last evaluation's, rejected or not
-            f_trial, states = evaluate(x_trial, states[0], slope)
+            f_trial, states = evaluate(x_trial, states[0])
             if f_trial <= f + 1e-4 * slope:
                 accepted = True
                 break

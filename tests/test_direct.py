@@ -267,6 +267,17 @@ def test_pointwise_fit_rejects_a_zero_or_nonfinite_ratio_at_a_node_it_keeps():
             fit_pair_pointwise(MESH3, stars, ratios)
 
 
+@pytest.mark.parametrize("which", [0, 1])
+def test_pointwise_fit_rejects_a_field_of_the_wrong_length(which):
+    # a density (which = 0) or a ratio (which = 1) with one value too many
+    n = MESH3.node_count
+    inputs = [[np.ones(n), np.full(n, 2.0)], [np.ones(n), np.full(n, 1.5)]]
+    inputs[which][1] = np.ones(n + 1)
+    with pytest.raises(ValidationError,
+                       match=rf"field has \({n + 1},\) values, mesh has {n} nodes"):
+        fit_pair_pointwise(MESH3, *inputs)
+
+
 def test_recover_mu_noiseless_full_field(bundle16):
     # the J = 1 fit on self-generated data recovers mu exactly
     b = bundle16
