@@ -1,13 +1,29 @@
-"""P1 finite-element assembly and sparse linear solves.
+"""P1 finite-element assembly and banded linear solves.
 
 Coefficients live as nodal fields (piecewise-linear interpolants). Stiffness
 integrals and the lumped mass are evaluated exactly, from the triangle areas
-the mesh keeps. The linear solver is preconditioned conjugate gradients
-(solve_linear), which is deterministic and keeps the Dirichlet-eliminated SPD
-structure assumptions explicit; its default preconditioner is Jacobi. It
-tests the residual right after each update, so it applies the
-preconditioner once per iteration and never to a residual that already
-meets the tolerance.
+the mesh keeps.
+
+Matrices are BandedOperator: a symmetric matrix held as its diagonal and one
+band per node-number offset o, A[i, i + o] = A[i + o, i] = band_o[i], with
+only the bands that hold a nonzero entry. assemble_stiffness sums the upper
+triangle of the triangle-local matrices into the bands with np.bincount,
+keyed by (offset, row), so it sorts nothing. Storage and a matvec cost
+bands x nodes, so the form suits a numbering with few distinct neighbour
+offsets: on the row-major build_square_mesh grid, where every solve of the
+command line runs, K and its interior block each have just the two bands of
+the 5-point stencil, and the jittered meshes of the tests keep that
+numbering. A randomly numbered mesh still gives the right operator, at up
+to nodes x nodes cost. The form replaces scipy.sparse, which the solves
+needed only for COO to CSR assembly, slicing and the CSR matvec, and whose
+import adds about 22 MB of resident memory to a run; the package needs
+numpy only.
+
+The linear solver is preconditioned conjugate gradients (solve_linear),
+which is deterministic and keeps the Dirichlet-eliminated SPD structure
+assumptions explicit; its default preconditioner is Jacobi. It tests the
+residual right after each update, so it applies the preconditioner once
+per iteration and never to a residual that already meets the tolerance.
 grid_sine_basis gives the sine transform that diagonalizes the
 constant-coefficient operator on the build_square_mesh grid (Concus & Golub
 1973). forward.ForwardOperator, which holds the Dirichlet operator of one
@@ -25,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import MeshFormatError, SolverError, ValidationError
 from .mesh import Mesh, _first, _parse_rows, _read_lines
@@ -110,7 +125,91 @@ def _p1_gradients(mesh: Mesh) -> np.ndarray:
     return grads
 
 
-def assemble_stiffness(mesh: Mesh, gamma) -> sp.csr_matrix:
+class BandedOperator:
+    """A symmetric matrix held as its diagonal and one band per node-number offset.
+
+    A[i, i] = diag[i], and A[i, i + o] = A[i + o, i] = band[i] for each offset
+    o in offsets (positive, increasing) with its band of n - o values. Every
+    other entry is zero, and only offsets with a nonzero entry have a band,
+    so storage and a matvec cost one pass over the nodes for the diagonal
+    and for each band. The operator holds no per-call state: one instance
+    can serve many solves and threads at once.
+    """
+
+    def __init__(self, diag: np.ndarray, offsets, bands):
+        self.diag = diag
+        self.offsets = tuple(int(o) for o in offsets)
+        self.bands = tuple(bands)
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of A (the stored array itself)."""
+        return self.diag
+
+    def matvec(self, x: np.ndarray, diagonal=None) -> np.ndarray:
+        """A x, or (A - diag(A) + diag(diagonal)) x when diagonal is given.
+
+        Each row is summed in ascending column order, as a CSR row with
+        sorted indices is: a row whose entries cancel exactly gives exactly 0
+        on a constant x. The farthest lower band writes the rows it reaches
+        instead of adding to zeros, which saves a pass over the nodes.
+        """
+        diagonal = self.diag if diagonal is None else diagonal
+        if not self.offsets:
+            return diagonal * x
+        far = self.offsets[-1]
+        y = np.empty(len(x))
+        y[:far] = 0.0
+        np.multiply(self.bands[-1], x[:-far], out=y[far:])
+        for o, band in zip(self.offsets[-2::-1], self.bands[-2::-1]):
+            rows = y[o:]
+            rows += band * x[:-o]
+        y += diagonal * x
+        for o, band in zip(self.offsets, self.bands):
+            rows = y[:-o]
+            rows += band * x[o:]
+        return y
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.matvec(x)
+
+    def restrict(self, nodes) -> "BandedOperator":
+        """The block A[nodes][:, nodes] of increasing nodes, numbered by position in nodes."""
+        nodes = np.asarray(nodes)
+        n = len(self.diag)
+        position = np.full(n, -1)
+        position[nodes] = np.arange(len(nodes))
+        rows, cols, values = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
+        for o, band in zip(self.offsets, self.bands):
+            r, c = position[:n - o], position[o:]
+            kept = (r >= 0) & (c >= 0) & (band != 0.0)
+            rows.append(r[kept])
+            cols.append(c[kept])
+            values.append(band[kept])
+        r = np.concatenate(rows)
+        return _from_upper(self.diag[nodes], r, np.concatenate(cols) - r,
+                           np.concatenate(values))
+
+
+def _from_upper(diag: np.ndarray, rows, offs, values) -> BandedOperator:
+    """BandedOperator with diagonal diag and A[r, r + o] the sum of its values.
+
+    rows, offs (each offset positive) and values list the entries above the
+    diagonal, summed by position in their order; bands whose entries are all
+    zero are dropped.
+    """
+    n = len(diag)
+    present = np.zeros(n, dtype=bool)
+    present[offs] = True
+    offsets = np.flatnonzero(present)
+    slot = np.cumsum(present) - 1
+    table = np.bincount(slot[offs] * n + rows, weights=values,
+                        minlength=len(offsets) * n).reshape(len(offsets), n)
+    kept = table.any(axis=1)
+    return BandedOperator(diag, offsets[kept],
+                          [band[:n - o] for band, o in zip(table[kept], offsets[kept])])
+
+
+def assemble_stiffness(mesh: Mesh, gamma) -> BandedOperator:
     """Stiffness matrix K[i,j] = ∫ gamma ∇phi_i·∇phi_j, gamma piecewise linear.
 
     Since P1 gradients are constant per triangle the integral is exact with
@@ -133,24 +232,23 @@ def lumped_mass(mesh: Mesh) -> np.ndarray:
                        minlength=mesh.node_count)
 
 
-def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
+def _scatter(mesh: Mesh, local: np.ndarray) -> BandedOperator:
+    """The assembled operator of the symmetric (T, 3, 3) triangle-local matrices."""
     t = mesh.triangles
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
-    n = mesh.node_count
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n))
-    return mat.tocsr()
+    diag = np.bincount(t.ravel(), weights=np.diagonal(local, axis1=1, axis2=2).ravel(),
+                       minlength=mesh.node_count)
+    first, second = t[:, [0, 0, 1]], t[:, [1, 2, 2]]
+    return _from_upper(diag, np.minimum(first, second).ravel(),
+                       np.abs(second - first).ravel(), local[:, [0, 0, 1], [1, 2, 2]].ravel())
 
 
-def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
-                 preconditioner=None, shift=0.0, diagonal=None):
+def solve_linear(A: BandedOperator, b: np.ndarray, tol: float = DEFAULT_TOL,
+                 preconditioner=None, shift=0.0):
     """Preconditioned conjugate gradients for the SPD system (A + diag(shift)) x = b.
 
     shift (an array of one value per row, or a scalar) is added to the
-    diagonal without forming the sum: CG applies A @ p + shift * p, or
-    A @ p alone when shift is zero everywhere. diagonal, when given, must be
-    A.diagonal(), which a caller solving many systems with one A keeps
-    instead of extracting it per solve.
+    diagonal once per solve, and each matvec takes the sum in place of
+    diag(A) (BandedOperator.matvec), so no matrix is formed.
     preconditioner maps a residual r to z = P^-1 r for a symmetric positive
     definite P; the default is Jacobi, z = r / (diag(A) + shift). It is
     applied once per iteration, never after the residual update that meets
@@ -163,22 +261,16 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"CG tolerance must be finite and positive, got {tol!r}")
-    A = A.tocsr()
     b = np.asarray(b, dtype=float)
-    n = A.shape[0]
+    n = len(b)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n)
     max_iterations = max(1000, 20 * n)
 
-    diag = (A.diagonal() if diagonal is None else diagonal) + shift
+    diag = A.diagonal() + shift
     if np.any(diag <= 0.0):
         raise SolverError("matrix diagonal must be positive for CG")
-    if np.any(shift):
-        def matvec(p):
-            return A @ p + shift * p
-    else:
-        matvec = A.dot
     if preconditioner is None:
         inv_diag = 1.0 / diag
 
@@ -195,7 +287,7 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     rz = float(r @ z)
 
     for _ in range(max_iterations):
-        Ap = matvec(p)
+        Ap = A.matvec(p, diag)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             raise SolverError("matrix is not positive definite (p^T A p <= 0)",
@@ -211,7 +303,7 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
         p += z
         rz = rz_new
 
-    res = float(np.linalg.norm(b - matvec(x))) / bnorm
+    res = float(np.linalg.norm(b - A.matvec(x, diag))) / bnorm
     if res <= tol:
         return x
     raise SolverError(

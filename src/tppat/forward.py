@@ -119,23 +119,24 @@ class ForwardOperator:
 
     Every solve with the diffusion gamma goes through one instance: Newton
     steps, linearized (sensitivity, adjoint) and reaction solves. It rejects
-    a gamma that is not finite and positive, and keeps the stiffness K, its
-    interior block K_ii with that block's diagonal, and the interior-boundary
-    coupling K_ib; a solve hands K_ii, its diagonal and the reaction diagonal
-    w to CG separately, so no matrix is built and no diagonal extracted per
-    solve. On the build_square_mesh grid (recognized from the node
-    coordinates in row-major order) the hypotenuse couplings of the right
-    triangles vanish, and K_ii drops the stored zeros, which leaves its
-    matvec bitwise unchanged. For constant gamma K_ii is then gamma times
-    the 5-point operator T (x) I + I (x) T, which the sine transform
-    diagonalizes: grid solves are preconditioned with the exact inverse of
-    mean(gamma) (T (x) I + I (x) T) + mean(w) I, spectrally equivalent to
-    K_ii + diag(w) with h-independent bounds for gamma and w bounded above
-    and below. The sine basis and eigenvalues are kept in float32 and the
-    preconditioner is applied in float32, half the cost of its four dense
-    products; CG, the matvec and the residuals stay float64, so a solve
-    still reaches its tolerance and its result moves only at round-off.
-    Other meshes use Jacobi.
+    a gamma that is not finite and positive, and keeps the stiffness K and
+    its interior block K_ii, both fem.BandedOperator; a solve hands K_ii and
+    the reaction diagonal w to CG, whose matvec takes diag(K_ii) + w in
+    place of K_ii's diagonal, so no matrix is built per solve. The boundary
+    lift of solve_reaction is K applied to the boundary values. On the
+    build_square_mesh grid (recognized from the node coordinates in
+    row-major order) the hypotenuse couplings of the right triangles vanish,
+    so K_ii has just the two bands of the 5-point stencil, offsets 1 and
+    n - 1. For constant gamma K_ii is then gamma times the 5-point operator
+    T (x) I + I (x) T, which the sine transform diagonalizes: grid solves
+    are preconditioned with the exact inverse of mean(gamma) (T (x) I +
+    I (x) T) + mean(w) I, spectrally equivalent to K_ii + diag(w) with
+    h-independent bounds for gamma and w bounded above and below. The sine
+    basis and eigenvalues are kept in float32 and the preconditioner is
+    applied in float32, half the cost of its four dense products; CG, the
+    matvec and the residuals stay float64, so a solve still reaches its
+    tolerance and its result moves only at round-off. Other meshes use
+    Jacobi.
 
     The operator holds no per-solve state: one instance can serve many
     solves and threads at once.
@@ -147,11 +148,7 @@ class ForwardOperator:
         self.interior = mesh.interior_list
         self.boundary = mesh.boundary_list
         self.K = fem.assemble_stiffness(mesh, gamma)
-        rows = self.K[self.interior]
-        self.K_ii = rows[:, self.interior].tocsr()
-        self.K_ii.eliminate_zeros()
-        self.K_ib = rows[:, self.boundary].tocsr()
-        self.K_ii_diagonal = self.K_ii.diagonal()
+        self.K_ii = self.K.restrict(self.interior)
         self.gamma_mean = float(gamma.mean())
         sine = fem.grid_sine_basis(mesh)
         self.sine = None if sine is None else tuple(a.astype(np.float32) for a in sine)
@@ -182,8 +179,7 @@ class ForwardOperator:
         """Interior x with (K_ii + diag(w)) x = rhs to relative residual tol."""
         return fem.solve_linear(
             self.K_ii, rhs, tol, shift=reaction_diag_interior,
-            preconditioner=self.preconditioner(reaction_diag_interior),
-            diagonal=self.K_ii_diagonal)
+            preconditioner=self.preconditioner(reaction_diag_interior))
 
     def expand(self, x_interior: np.ndarray, boundary_values) -> np.ndarray:
         """Nodal field from interior values and boundary values (array or scalar)."""
@@ -216,7 +212,7 @@ class ForwardOperator:
         tol is the relative residual of the linear solve.
         """
         w = (self.lumped * as_field(self.mesh, weight))[self.interior]
-        rhs = -(self.K_ib @ g.values)
+        rhs = -(self.K @ self.expand(0.0, g.values))[self.interior]
         if load_nodal is not None:
             rhs = rhs + (self.lumped * as_field(self.mesh, load_nodal))[self.interior]
         x = self.solve(w, rhs, tol)

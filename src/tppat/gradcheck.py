@@ -90,7 +90,7 @@ def gradient_check(cfg: ExperimentConfig, directions: int = 20,
         s, m = x[:n], x[n:]
         return ev.objective(s, m, ev.forward_states(s, m))
 
-    g_sigma, g_mu, _ = ev.gradient(sigma, mu, ev.forward_states(sigma, mu))
+    g_sigma, g_mu = ev.gradient(sigma, mu, ev.forward_states(sigma, mu))
     weights = np.concatenate([ev.lumped, ev.lumped])
     grad = np.concatenate([g_sigma, g_mu])
 

@@ -237,28 +237,26 @@ class Evaluator:
                                         tol=self.newton.linear_tol if tol is None else tol)
 
     def gradient(self, sigma, mu, states, adjoint_tol=None):
-        """(g_sigma, g_mu, vs) from the forward states (us, zs) at (sigma, mu).
+        """(g_sigma, g_mu) from the forward states (us, zs) at (sigma, mu).
 
         g_sigma and g_mu are the Riesz representers of the derivative of Phi,
         g_sigma = sum_j (W_j z_j Gamma u_j + v_j u_j) + kappa * M^-1 K1 sigma
         and the mu analog with |u_j| u_j in place of u_j. The adjoint
-        states vs = [v_j] are solved to adjoint_tol (newton.linear_tol if None).
+        states v_j are solved to adjoint_tol (newton.linear_tol if None).
         """
         sigma = as_field(self.mesh, sigma)
         mu = as_field(self.mesh, mu)
         g_sigma = np.zeros(self.mesh.node_count)
         g_mu = np.zeros(self.mesh.node_count)
-        vs = []
         for u, z, w in zip(*states, self.weights):
             wz = w * z
             v = self.solve_adjoint(sigma, mu, u, wz, adjoint_tol)
-            vs.append(v)
             g_sigma += wz * self.gruneisen * u + v * u
             g_mu += (wz * self.gruneisen + v) * np.abs(u) * u
         if self.K1 is not None:
             g_sigma += self.kappa * (self.K1 @ sigma) / self.lumped
             g_mu += self.kappa * (self.K1 @ mu) / self.lumped
-        return g_sigma, g_mu, vs
+        return g_sigma, g_mu
 
 
 def gauss_newton_step(gruneisen, us, reg, g, held):
@@ -411,7 +409,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
 
     for it in range(cfg.max_iterations + 1):
         # the gradient at x, from the forward states of its evaluation
-        gs, gm, _ = ev.gradient(x[:n], x[n:], states, adjoint_tol=adjoint_tol)
+        gs, gm = ev.gradient(x[:n], x[n:], states, adjoint_tol=adjoint_tol)
         g = np.concatenate([gs, gm])
         held, g_norm = hold(x, g)
         report.objective_history.append(f)

@@ -32,6 +32,12 @@ applies its preconditioner after the last iteration; solve_linear_top_test,
 the loop it replaced, tests at the top of each iteration and applies it once
 more. It is the reference for the bits of x and for the count of
 applications.
+
+The library holds its matrices as fem.BandedOperator, a diagonal and one
+band per node-number offset. dense, csr and banded convert between that
+form and dense or scipy.sparse matrices, so that the oracles here, which
+keep scipy.sparse, can be compared with it; stiffness_coo is the COO to CSR
+assembly of every local entry that the banded assembly replaced.
 """
 
 import math
@@ -83,6 +89,43 @@ def apply_dirichlet(A: sp.spmatrix, b: np.ndarray, boundary_values: dict,
     return A.tocsr(), b
 
 
+def dense(A: fem.BandedOperator) -> np.ndarray:
+    """The dense matrix of a fem.BandedOperator."""
+    D = np.diag(A.diagonal())
+    for o, band in zip(A.offsets, A.bands):
+        D += np.diag(band, o) + np.diag(band, -o)
+    return D
+
+
+def csr(A: fem.BandedOperator) -> sp.csr_matrix:
+    """The scipy.sparse CSR matrix of a fem.BandedOperator, indices sorted."""
+    n = len(A.diagonal())
+    return sp.diags([A.diagonal(), *A.bands, *A.bands],
+                    [0, *A.offsets, *(-o for o in A.offsets)], shape=(n, n), format="csr")
+
+
+def banded(A) -> fem.BandedOperator:
+    """The fem.BandedOperator of the diagonal and upper triangle of A (dense or sparse)."""
+    A = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
+    offsets = [o for o in range(1, len(A)) if np.any(np.diagonal(A, o))]
+    return fem.BandedOperator(np.diagonal(A).copy(), offsets,
+                              [np.diagonal(A, o).copy() for o in offsets])
+
+
+def _coo_scatter(mesh, local) -> sp.csr_matrix:
+    """CSR matrix of every entry of the (T, 3, 3) local matrices, summed by COO to CSR."""
+    t = mesh.triangles
+    rows = np.repeat(t, 3, axis=1).ravel()
+    cols = np.tile(t, (1, 3)).ravel()
+    n = mesh.node_count
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def stiffness_coo(mesh, gamma) -> sp.csr_matrix:
+    """The stiffness matrix of fem.assemble_stiffness, both triangles assembled by COO."""
+    return _coo_scatter(mesh, _stiffness_local_einsum(mesh, gamma))
+
+
 def save_field_rows(path, values) -> None:
     """fem.save_field, one f-string per row."""
     values = np.asarray(values, dtype=float)
@@ -118,13 +161,17 @@ def save_mesh_rows(mesh, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def assemble_stiffness_einsum(mesh, gamma) -> sp.csr_matrix:
-    """fem.assemble_stiffness with the local matrices from np.einsum."""
+def _stiffness_local_einsum(mesh, gamma) -> np.ndarray:
+    """The (T, 3, 3) local stiffness matrices of fem.assemble_stiffness, by np.einsum."""
     gamma = fem.as_field(mesh, gamma)
     grads = fem._p1_gradients(mesh)
     gbar = gamma[mesh.triangles].mean(axis=1)
-    local = np.einsum("tid,tjd->tij", grads, grads) * (gbar * mesh.areas)[:, None, None]
-    return fem._scatter(mesh, local)
+    return np.einsum("tid,tjd->tij", grads, grads) * (gbar * mesh.areas)[:, None, None]
+
+
+def assemble_stiffness_einsum(mesh, gamma) -> fem.BandedOperator:
+    """fem.assemble_stiffness with the local matrices from np.einsum."""
+    return fem._scatter(mesh, _stiffness_local_einsum(mesh, gamma))
 
 
 def lumped_mass_add_at(mesh) -> np.ndarray:
@@ -154,7 +201,7 @@ def assemble_weighted_mass(mesh, weight) -> sp.csr_matrix:
             else:
                 coeff = 2.0 * w[:, i] + 2.0 * w[:, j] + w[:, k]
             local[:, i, j] = coeff * area / 60.0
-    return fem._scatter(mesh, local)
+    return _coo_scatter(mesh, local)
 
 
 def mu_from_set_loop(data, Gamma, u_stars, sigma_known) -> np.ndarray:
@@ -178,12 +225,15 @@ def mu_from_set_loop(data, Gamma, u_stars, sigma_known) -> np.ndarray:
 
 
 def solve_linear_top_test(A, b, tol=fem.DEFAULT_TOL, preconditioner=None, shift=0.0):
-    """fem.solve_linear with the stop test at the top of each iteration."""
+    """fem.solve_linear with the stop test at the top of each iteration.
+
+    A is a fem.BandedOperator, whose matvec takes diag(A) + shift as
+    fem.solve_linear's does.
+    """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"CG tolerance must be finite and positive, got {tol!r}")
-    A = A.tocsr()
     b = np.asarray(b, dtype=float)
-    n = A.shape[0]
+    n = len(b)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n)
@@ -192,11 +242,9 @@ def solve_linear_top_test(A, b, tol=fem.DEFAULT_TOL, preconditioner=None, shift=
     diag = A.diagonal() + shift
     if np.any(diag <= 0.0):
         raise SolverError("matrix diagonal must be positive for CG")
-    if np.any(shift):
-        def matvec(p):
-            return A @ p + shift * p
-    else:
-        matvec = A.dot
+
+    def matvec(p):
+        return A.matvec(p, diag)
     if preconditioner is None:
         inv_diag = 1.0 / diag
 

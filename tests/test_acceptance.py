@@ -21,6 +21,7 @@ from tppat.gradcheck import gradient_check
 from tppat.mesh import build_square_mesh
 from tppat.metrics import relative_l2_error
 
+from oracle import dense
 from properties import check_comparison, check_max_principle, check_positivity
 from sensitivity import (CoefficientPerturbation, boundary_traces, datum_derivative,
                          perturbed_coefficients, solve_sensitivity)
@@ -286,7 +287,7 @@ def test_criterion_7_oracle_equivalence():
                             np.full(n, 0.15))
     g = BoundarySource.constant(mesh, 1.0)
 
-    K = assemble_stiffness(mesh, coeffs.diffusion).toarray()
+    K = dense(assemble_stiffness(mesh, coeffs.diffusion))
     m = lumped_mass(mesh)
     bl = mesh.boundary_list
     u_dense = np.zeros(n)

@@ -15,10 +15,10 @@ from tppat.fem import (CoefficientSet, assemble_stiffness, clip_nonnegative, loa
 from tppat.forward import ForwardOperator
 from tppat.mesh import build_square_mesh
 
-from oracle import (apply_dirichlet, assemble_stiffness_einsum, assemble_weighted_mass,
-                    lumped_mass_add_at, save_condition_rows, save_field_rows,
-                    solve_linear_top_test)
-from test_forward import jittered_mesh
+from oracle import (apply_dirichlet, assemble_stiffness_einsum, assemble_weighted_mass, banded,
+                    csr, dense, lumped_mass_add_at, save_condition_rows, save_field_rows,
+                    solve_linear_top_test, stiffness_coo)
+from test_forward import jittered_mesh, permuted_mesh
 
 # Degree-5 Gauss rule on the triangle (7 points, barycentric), used as an
 # independent quadrature oracle for mass-matrix entries (cubic integrands).
@@ -51,7 +51,7 @@ def quadrature_mass_oracle(mesh, weight):
 def test_stiffness_matches_hand_computation_on_two_triangles():
     # two right triangles on (-1,1)^2; integration by hand gives this matrix
     m = build_square_mesh(1)
-    K = assemble_stiffness(m, np.ones(4)).toarray()
+    K = dense(assemble_stiffness(m, np.ones(4)))
     expected = np.array([
         [1.0, -0.5, -0.5, 0.0],
         [-0.5, 1.0, 0.0, -0.5],
@@ -74,8 +74,8 @@ def test_stiffness_linear_in_gamma():
     m = build_square_mesh(3)
     rng = np.random.default_rng(1)
     gamma = rng.uniform(0.5, 1.5, m.node_count)
-    K1 = assemble_stiffness(m, gamma).toarray()
-    K2 = assemble_stiffness(m, 2.0 * gamma).toarray()
+    K1 = dense(assemble_stiffness(m, gamma))
+    K2 = dense(assemble_stiffness(m, 2.0 * gamma))
     assert np.array_equal(K2, 2.0 * K1)
 
 
@@ -110,17 +110,17 @@ def test_lumped_mass_is_row_sum():
 def test_dirichlet_all_boundary_problem():
     # on the n=1 mesh every node is on the boundary
     m = build_square_mesh(1)
-    K = assemble_stiffness(m, np.ones(4))
+    K = csr(assemble_stiffness(m, np.ones(4)))
     values = {int(i): float(i) + 0.5 for i in m.boundary_list}
     A, b = apply_dirichlet(K, np.zeros(4), values, mesh=m)
-    x = solve_linear(A, b, 1e-12)
+    x = solve_linear(banded(A), b, 1e-12)
     for node, val in values.items():
         assert x[node] == pytest.approx(val, abs=1e-12)
 
 
 def test_dirichlet_homogeneous_zeroes_rhs():
     m = build_square_mesh(3)
-    K = assemble_stiffness(m, np.ones(m.node_count))
+    K = csr(assemble_stiffness(m, np.ones(m.node_count)))
     b = np.ones(m.node_count)
     values = {int(i): 0.0 for i in m.boundary_list}
     _, b2 = apply_dirichlet(K, b, values, mesh=m)
@@ -130,7 +130,7 @@ def test_dirichlet_homogeneous_zeroes_rhs():
 def test_dirichlet_preserves_symmetry():
     m = build_square_mesh(4)
     rng = np.random.default_rng(2)
-    K = assemble_stiffness(m, rng.uniform(0.5, 2.0, m.node_count))
+    K = csr(assemble_stiffness(m, rng.uniform(0.5, 2.0, m.node_count)))
     values = {int(i): rng.uniform(-1, 1) for i in m.boundary_list}
     A, _ = apply_dirichlet(K, np.zeros(m.node_count), values, mesh=m)
     diff = (A - A.T).toarray()
@@ -139,7 +139,7 @@ def test_dirichlet_preserves_symmetry():
 
 def test_dirichlet_rejects_interior_node():
     m = build_square_mesh(3)
-    K = assemble_stiffness(m, np.ones(m.node_count))
+    K = csr(assemble_stiffness(m, np.ones(m.node_count)))
     interior = int(m.interior_list[0])
     with pytest.raises(ValidationError):
         apply_dirichlet(K, np.zeros(m.node_count), {interior: 1.0}, mesh=m)
@@ -148,21 +148,21 @@ def test_dirichlet_rejects_interior_node():
 def test_p1_reproduces_linear_solution_exactly():
     # u = x is harmonic; P1 reproduces linears so the solve is exact
     m = build_square_mesh(4)
-    K = assemble_stiffness(m, np.ones(m.node_count))
+    K = csr(assemble_stiffness(m, np.ones(m.node_count)))
     values = {int(i): float(m.nodes[i, 0]) for i in m.boundary_list}
     A, b = apply_dirichlet(K, np.zeros(m.node_count), values, mesh=m)
-    x = solve_linear(A, b, 1e-13)
+    x = solve_linear(banded(A), b, 1e-13)
     assert np.abs(x - m.nodes[:, 0]).max() <= 1e-12
 
 
 def test_solve_identity():
-    A = sp.identity(5, format="csr")
+    A = banded(np.eye(5))
     b = np.arange(5.0)
     assert np.allclose(solve_linear(A, b, 1e-12), b, atol=1e-12)
 
 
 def test_solve_two_by_two():
-    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    A = banded(np.array([[2.0, 1.0], [1.0, 2.0]]))
     x = solve_linear(A, np.array([3.0, 3.0]), 1e-12)
     assert np.allclose(x, [1.0, 1.0], atol=1e-10)
 
@@ -172,13 +172,13 @@ def test_solve_against_dense_factorization():
     B = rng.standard_normal((50, 50))
     A = B @ B.T + 50.0 * np.eye(50)
     b = rng.standard_normal(50)
-    x = solve_linear(sp.csr_matrix(A), b, 1e-12)
+    x = solve_linear(banded(A), b, 1e-12)
     x_oracle = np.linalg.solve(A, b)
     assert np.linalg.norm(x - x_oracle) <= 1e-8 * np.linalg.norm(x_oracle)
 
 
 def test_solve_zero_rhs():
-    A = sp.identity(4, format="csr")
+    A = banded(np.eye(4))
     assert np.all(solve_linear(A, np.zeros(4), 1e-12) == 0.0)
 
 
@@ -187,7 +187,7 @@ def test_solve_nonconvergence_reports_residual():
     # 1e-14, so it stops at its cap of max(1000, 20 n) iterations
     rng = np.random.default_rng(4)
     Q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
-    A = sp.csr_matrix((Q * np.logspace(0.0, -12.0, 40)) @ Q.T)
+    A = banded((Q * np.logspace(0.0, -12.0, 40)) @ Q.T)
     with pytest.raises(SolverError, match="in 1000 iterations") as err:
         solve_linear(A, rng.standard_normal(40), 1e-14)
     assert err.value.residual > 1e-14
@@ -203,7 +203,7 @@ def test_solve_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
         applied.append(r)
         return r
 
-    rhs = np.ones(op.K_ii.shape[0])
+    rhs = np.ones(len(op.interior))
     with pytest.raises(ValidationError, match="tolerance"):
         solve_linear(op.K_ii, rhs, tol, preconditioner=recording)
     assert applied == []
@@ -211,12 +211,19 @@ def test_solve_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
 
 @pytest.mark.parametrize("n", [2, 5])
 def test_assembled_matrices_symmetric(n):
-    m = build_square_mesh(n)
+    # the banded stiffness holds one triangle of a symmetric matrix; it is
+    # the stiffness assembled from every local entry (both triangles), which
+    # is symmetric, also on a jittered mesh numbered at random (many bands)
     rng = np.random.default_rng(5)
-    for build in (assemble_stiffness, assemble_weighted_mass):
-        A = build(m, rng.uniform(0.1, 1.0, m.node_count))
-        gap = np.abs((A - A.T).toarray()).max()
-        assert gap <= 1e-14 * np.abs(A.toarray()).max()
+    for m in (build_square_mesh(n), permuted_mesh(jittered_mesh(n, n, 0.1 / n), n)):
+        for build in (stiffness_coo, assemble_weighted_mass):
+            gamma = rng.uniform(0.1, 1.0, m.node_count)
+            A = build(m, gamma)
+            gap = np.abs((A - A.T).toarray()).max()
+            assert gap <= 1e-14 * np.abs(A.toarray()).max()
+            if build is stiffness_coo:
+                K = dense(assemble_stiffness(m, gamma))
+                assert np.abs(K - A.toarray()).max() <= 1e-14 * np.abs(K).max()
 
 
 def test_stiffness_positive_semidefinite():
@@ -236,10 +243,10 @@ def test_h_refinement_second_order():
         x, y = m.nodes[:, 0], m.nodes[:, 1]
         exact = np.sin(np.pi * x) * np.sin(np.pi * y)
         f = 2.0 * np.pi ** 2 * exact
-        K = assemble_stiffness(m, np.ones(m.node_count))
+        K = csr(assemble_stiffness(m, np.ones(m.node_count)))
         b = lumped_mass(m) * f
         A, b = apply_dirichlet(K, b, {int(i): 0.0 for i in m.boundary_list}, mesh=m)
-        u = solve_linear(A, b, 1e-12)
+        u = solve_linear(banded(A), b, 1e-12)
         M = assemble_weighted_mass(m, np.ones(m.node_count))
         diff = u - exact
         errors.append(np.sqrt(diff @ (M @ diff)))
@@ -297,8 +304,8 @@ def test_sine_preconditioner_inverts_constant_coefficient_grid_operator(n, react
     w = np.full(len(system.interior), reaction)
     x = np.random.default_rng(n).standard_normal(len(system.interior))
     inverse = float64_sine_inverse(mesh, 0.3, reaction)
-    A = system.K_ii + sp.diags(w)
-    assert np.linalg.norm(inverse(A @ x) - x) <= 1e-12 * np.linalg.norm(x)
+    Ax = system.K_ii.matvec(x, system.K_ii.diagonal() + w)
+    assert np.linalg.norm(inverse(Ax) - x) <= 1e-12 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("reaction", [0.0, 0.07])
@@ -327,26 +334,37 @@ def test_assembly_is_bitwise_the_einsum_and_add_at_forms(n, seed, jitter):
     mesh = jittered_mesh(n, seed, jitter / n)
     gamma = np.random.default_rng(seed).uniform(0.1, 1.0, mesh.node_count)
     K, K_ref = assemble_stiffness(mesh, gamma), assemble_stiffness_einsum(mesh, gamma)
-    for name in ("data", "indices", "indptr"):
-        assert getattr(K, name).tobytes() == getattr(K_ref, name).tobytes(), name
+    assert K.diagonal().tobytes() == K_ref.diagonal().tobytes()
+    assert K.offsets == K_ref.offsets
+    for band, band_ref in zip(K.bands, K_ref.bands):
+        assert band.tobytes() == band_ref.tobytes()
     assert lumped_mass(mesh).tobytes() == lumped_mass_add_at(mesh).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 7, 32])
 def test_grid_interior_block_stores_no_zeros_and_keeps_its_matvec(n):
+    # K_ii keeps the two bands of the 5-point stencil and no zero band (the
+    # hypotenuse couplings vanish); it is K's interior block, and its matvec
+    # is bitwise the sorted CSR block's and the full K's on the interior
     mesh = build_square_mesh(n)
     rng = np.random.default_rng(n)
     gamma = rng.uniform(0.1, 1.0, mesh.node_count)
     system = ForwardOperator(mesh, gamma)
     inner = system.interior
-    unpruned = assemble_stiffness(mesh, gamma)[inner][:, inner].tocsr()
+    K = assemble_stiffness(mesh, gamma)
+    block = csr(K)[inner][:, inner].tocsr()
+    block.sort_indices()
     m = n - 1
-    assert np.all(system.K_ii.data != 0.0)
-    assert system.K_ii.nnz == 5 * m * m - 4 * m          # the 5-point stencil
-    assert abs(system.K_ii - unpruned).max() == 0.0
+    K_ii = system.K_ii
+    assert K_ii.offsets == ((1, m) if m > 1 else ())
+    assert all(np.any(band != 0.0) for band in K_ii.bands)
+    stored = np.count_nonzero(K_ii.diagonal()) + 2 * sum(map(np.count_nonzero, K_ii.bands))
+    assert stored == 5 * m * m - 4 * m                   # the 5-point stencil
+    assert np.array_equal(dense(K_ii), block.toarray())
     for _ in range(3):
         p = rng.standard_normal(len(inner))
-        assert np.array_equal(system.K_ii @ p, unpruned @ p)
+        assert np.array_equal(K_ii @ p, block @ p)
+        assert np.array_equal(K_ii @ p, (K @ system.expand(p, 0.0))[inner])
 
 
 def test_sine_preconditioner_falls_back_to_jacobi_when_indefinite():
@@ -368,7 +386,7 @@ def test_solve_linear_takes_a_preconditioner():
         applications.append(1)
         return inverse @ r
 
-    x = solve_linear(sp.csr_matrix(A), b, 1e-12, preconditioner=exact)
+    x = solve_linear(banded(A), b, 1e-12, preconditioner=exact)
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
     assert len(applications) == 1
 
@@ -389,14 +407,14 @@ def random_spd_system(kind, size, seed, shifted):
     else:
         m = size * size
         B = sp.random(m, m, density=3.0 / m, random_state=rng)
-        A = (B @ B.T + sp.diags(rng.uniform(0.1, 2.0, m))).tocsr()
-    shift = rng.uniform(0.0, 1.0, A.shape[0]) if shifted else 0.0
+        A = banded(B @ B.T + sp.diags(rng.uniform(0.1, 2.0, m)))
+    shift = rng.uniform(0.0, 1.0, len(A.diagonal())) if shifted else 0.0
     if kind == "sine":
         return A, shift, op.preconditioner(shift)
     if kind == "jacobi":
         inv_diag = 1.0 / (A.diagonal() + shift)
         return A, shift, lambda r: inv_diag * r
-    inverse = np.linalg.inv((A + sp.diags(np.broadcast_to(shift, A.shape[0]))).toarray())
+    inverse = np.linalg.inv(dense(A) + np.diag(np.broadcast_to(shift, len(A.diagonal()))))
     return A, shift, lambda r: inverse @ r
 
 
@@ -412,7 +430,7 @@ def test_cg_applies_its_preconditioner_once_per_iteration(kind, size, seed, shif
     # one application fewer: none after the update that meets the tolerance
     A, shift, preconditioner = random_spd_system(kind, size, seed, shifted)
     tol = 10.0 ** log_tol
-    b = np.random.default_rng(seed + 1).standard_normal(A.shape[0])
+    b = np.random.default_rng(seed + 1).standard_normal(len(A.diagonal()))
     counts = {}
 
     def counted(name):

@@ -11,7 +11,7 @@ from tppat.forward import (FORCING_MAX, BoundarySource, ForwardOperator, NewtonC
                            add_noise, compute_datum, solve_semilinear)
 from tppat.mesh import Mesh, build_square_mesh
 
-from oracle import apply_dirichlet
+from oracle import apply_dirichlet, banded, csr, dense
 
 
 def jittered_mesh(n, seed, amplitude):
@@ -56,11 +56,11 @@ def test_mu_zero_matches_linear_solve():
     g = BoundarySource.from_function(mesh, lambda x, y: 1.5 + 0.3 * x)
 
     # independent path: assemble and solve the linear system directly
-    K = fem.assemble_stiffness(mesh, gamma)
+    K = csr(fem.assemble_stiffness(mesh, gamma))
     A = K + sp.diags(fem.lumped_mass(mesh) * sigma)
     bc = dict(zip(mesh.boundary_list.tolist(), g.values))
     A, b = apply_dirichlet(A, np.zeros(n), bc, mesh=mesh)
-    u_linear = fem.solve_linear(A, b, 1e-13)
+    u_linear = fem.solve_linear(banded(A), b, 1e-13)
 
     u, report = solve(mesh, coeffs, g,
                       NewtonConfig(residual_tol=1e-12, linear_tol=1e-13))
@@ -71,7 +71,7 @@ def test_mu_zero_matches_linear_solve():
 def dense_newton_oracle(mesh, coeffs, g, tol=1e-14):
     """Brute-force full Newton on the dense assembled system."""
     n = mesh.node_count
-    K = fem.assemble_stiffness(mesh, coeffs.diffusion).toarray()
+    K = dense(fem.assemble_stiffness(mesh, coeffs.diffusion))
     m = fem.lumped_mass(mesh)
     bl = mesh.boundary_list
     gvals = g.values
@@ -108,21 +108,34 @@ def test_matches_dense_newton_oracle_on_n2():
     assert np.abs(u - u_oracle).max() <= 1e-10
 
 
-def test_non_grid_mesh_takes_the_jacobi_path_and_matches_dense_oracle():
-    base = build_square_mesh(6)
-    mesh = jittered_mesh(6, 8, 0.05)
-    coeffs = constant_coeffs(mesh, diffusion=0.3, sigma=0.2, mu=0.15)
-    op = ForwardOperator(mesh, coeffs.diffusion)
-    assert ForwardOperator(base, coeffs.diffusion).sine is not None
-    assert op.sine is None
-    assert op.preconditioner(np.ones(len(mesh.interior_list))) is None
+def permuted_mesh(mesh, seed):
+    """mesh with its node numbers randomly permuted: old node i becomes perm[i]."""
+    perm = np.random.default_rng(seed).permutation(mesh.node_count)
+    nodes = np.empty_like(mesh.nodes)
+    nodes[perm] = mesh.nodes
+    return Mesh(nodes=nodes, triangles=perm[mesh.triangles],
+                boundary_edges=perm[mesh.boundary_edges])
 
-    g = BoundarySource.from_function(mesh, lambda x, y: 1.0 + 0.5 * x - 0.2 * y)
-    u_oracle = dense_newton_oracle(mesh, coeffs, g)
-    u, report = solve_semilinear(op, coeffs.single_photon, coeffs.two_photon, g,
-                                 NewtonConfig(residual_tol=1e-13, linear_tol=1e-14))
-    assert report.converged
-    assert np.abs(u - u_oracle).max() <= 1e-10
+
+def test_non_grid_mesh_takes_the_jacobi_path_and_matches_dense_oracle():
+    # the jittered mesh keeps the grid's numbering and its few bands; its
+    # permuted numbering spreads the stiffness over many bands
+    base = build_square_mesh(6)
+    jittered = jittered_mesh(6, 8, 0.05)
+    assert ForwardOperator(base, 0.3).sine is not None
+    for mesh, min_bands in ((jittered, 2), (permuted_mesh(jittered, 9), 10)):
+        coeffs = constant_coeffs(mesh, diffusion=0.3, sigma=0.2, mu=0.15)
+        op = ForwardOperator(mesh, coeffs.diffusion)
+        assert op.sine is None
+        assert op.preconditioner(np.ones(len(mesh.interior_list))) is None
+        assert len(op.K_ii.offsets) >= min_bands
+
+        g = BoundarySource.from_function(mesh, lambda x, y: 1.0 + 0.5 * x - 0.2 * y)
+        u_oracle = dense_newton_oracle(mesh, coeffs, g)
+        u, report = solve_semilinear(op, coeffs.single_photon, coeffs.two_photon, g,
+                                     NewtonConfig(residual_tol=1e-13, linear_tol=1e-14))
+        assert report.converged
+        assert np.abs(u - u_oracle).max() <= 1e-10
 
 
 def count_grid_preconditioner_applications(monkeypatch):
@@ -173,7 +186,7 @@ def test_shifted_cg_matches_dense_solve(jitter):
     assert (preconditioner is None) == (jitter > 0.0)     # sine on the grid, else Jacobi
     tol = 1e-12
     x = fem.solve_linear(system.K_ii, b, tol, preconditioner=preconditioner, shift=w)
-    A = (system.K_ii + sp.diags(w)).toarray()
+    A = dense(system.K_ii) + np.diag(w)
     x_dense = np.linalg.solve(A, b)
     assert np.linalg.norm(A @ x - b) <= tol * np.linalg.norm(b)
     assert np.linalg.norm(x - x_dense) <= tol * np.linalg.cond(A) * np.linalg.norm(x_dense)
@@ -305,7 +318,7 @@ def test_grid_solves_match_dense_solves_and_newton_descends(n, seed, contrast, d
     w_sigma = (op.lumped * coeffs.single_photon)[op.interior]
     for w in (np.zeros(len(op.interior)), w_sigma, 10.0 ** decade * w_sigma):
         rhs = rng.standard_normal(len(op.interior))
-        A = (op.K_ii + sp.diags(w)).toarray()
+        A = dense(op.K_ii) + np.diag(w)
         x_dense = np.linalg.solve(A, rhs)
         for tol in (1e-10, 1e-12):
             x = op.solve(w, rhs, tol)
