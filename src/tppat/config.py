@@ -77,9 +77,9 @@ class SourceSpec:
         if self.kind == "constant":
             src = BoundarySource.constant(mesh, self.params["value"])
         else:
-            a, bx, by = self.params["a"], self.params["bx"], self.params["by"]
-            src = BoundarySource.from_function(
-                mesh, lambda x, y: a + bx * x + by * y)
+            x, y = mesh.nodes[mesh.boundary_list].T
+            src = BoundarySource(mesh, self.params["a"] + self.params["bx"] * x
+                                 + self.params["by"] * y)
         return src.require_strictly_positive()
 
     def describe(self) -> str:

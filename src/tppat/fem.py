@@ -6,9 +6,11 @@ the mesh keeps.
 
 Matrices are BandedOperator: a symmetric matrix held as its diagonal and one
 band per node-number offset o, A[i, i + o] = A[i + o, i] = band_o[i], with
-only the bands that hold a nonzero entry. assemble_stiffness sums the upper
-triangle of the triangle-local matrices into the bands with np.bincount,
-keyed by (offset, row), so it sorts nothing. Storage and a matvec cost
+only the bands that hold a nonzero entry. assemble_stiffness forms only the
+six distinct entries of each symmetric triangle-local matrix, from the P1
+gradient components held as six contiguous arrays over the triangles, and
+sums the diagonal and upper ones into the bands with np.bincount, keyed by
+(offset, row), so it sorts nothing. Storage and a matvec cost
 bands x nodes, so the form suits a numbering with few distinct neighbour
 offsets: on the row-major build_square_mesh grid, where every solve of the
 command line runs, K and its interior block each have just the two bands of
@@ -108,23 +110,6 @@ def positive_field(mesh: Mesh, values, name: str) -> np.ndarray:
     return values
 
 
-def _p1_gradients(mesh: Mesh) -> np.ndarray:
-    """(T, 3, 2) gradients of each triangle's three P1 basis functions."""
-    p = mesh.nodes
-    t = mesh.triangles
-    a, b, c = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
-    # grad phi_i = perp(edge opposite i) / (2 area)
-    grads = np.empty((len(t), 3, 2))
-    grads[:, 0, 0] = b[:, 1] - c[:, 1]
-    grads[:, 0, 1] = c[:, 0] - b[:, 0]
-    grads[:, 1, 0] = c[:, 1] - a[:, 1]
-    grads[:, 1, 1] = a[:, 0] - c[:, 0]
-    grads[:, 2, 0] = a[:, 1] - b[:, 1]
-    grads[:, 2, 1] = b[:, 0] - a[:, 0]
-    grads /= (2.0 * mesh.areas)[:, None, None]
-    return grads
-
-
 class BandedOperator:
     """A symmetric matrix held as its diagonal and one band per node-number offset.
 
@@ -215,15 +200,29 @@ def assemble_stiffness(mesh: Mesh, gamma) -> BandedOperator:
     Since P1 gradients are constant per triangle the integral is exact with
     the mean of the vertex values of gamma (equivalently the mid-edge rule).
     K is symmetric positive semidefinite with constants in its kernel.
+
+    Each gradient component is one contiguous array over the triangles: the
+    gradient of phi_i is the edge opposite vertex i turned a quarter, over
+    2|T|. Only the six distinct entries of each symmetric local matrix are
+    formed, (gx_i gx_j + gy_i gy_j) gbar |T| with gbar the mean of the three
+    vertex values of gamma: the diagonal and (0, 1), (0, 2), (1, 2).
     """
     gamma = as_field(mesh, gamma)
-    grads = _p1_gradients(mesh)
-    gbar = gamma[mesh.triangles].mean(axis=1)
-    gx, gy = grads[:, :, 0], grads[:, :, 1]
-    local = gx[:, :, None] * gx[:, None, :]
-    local += gy[:, :, None] * gy[:, None, :]
-    local *= (gbar * mesh.areas)[:, None, None]
-    return _scatter(mesh, local)
+    t = mesh.triangles
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    xa, xb, xc = x[t[:, 0]], x[t[:, 1]], x[t[:, 2]]
+    ya, yb, yc = y[t[:, 0]], y[t[:, 1]], y[t[:, 2]]
+    det = 2.0 * mesh.areas
+    gx = ((yb - yc) / det, (yc - ya) / det, (ya - yb) / det)
+    gy = ((xc - xb) / det, (xa - xc) / det, (xb - xa) / det)
+    w = gamma[t].mean(axis=1) * mesh.areas
+    diag = np.empty((len(t), 3))
+    upper = np.empty((len(t), 3))
+    for k in range(3):
+        diag[:, k] = (gx[k] * gx[k] + gy[k] * gy[k]) * w
+    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        upper[:, k] = (gx[i] * gx[j] + gy[i] * gy[j]) * w
+    return _scatter(mesh, diag, upper)
 
 
 def lumped_mass(mesh: Mesh) -> np.ndarray:
@@ -232,14 +231,17 @@ def lumped_mass(mesh: Mesh) -> np.ndarray:
                        minlength=mesh.node_count)
 
 
-def _scatter(mesh: Mesh, local: np.ndarray) -> BandedOperator:
-    """The assembled operator of the symmetric (T, 3, 3) triangle-local matrices."""
+def _scatter(mesh: Mesh, diag: np.ndarray, upper: np.ndarray) -> BandedOperator:
+    """The assembled operator of symmetric triangle-local matrices.
+
+    diag holds the (T, 3) diagonals of the local matrices, and upper their
+    (T, 3) entries (0, 1), (0, 2) and (1, 2).
+    """
     t = mesh.triangles
-    diag = np.bincount(t.ravel(), weights=np.diagonal(local, axis1=1, axis2=2).ravel(),
-                       minlength=mesh.node_count)
+    diag = np.bincount(t.ravel(), weights=diag.ravel(), minlength=mesh.node_count)
     first, second = t[:, [0, 0, 1]], t[:, [1, 2, 2]]
     return _from_upper(diag, np.minimum(first, second).ravel(),
-                       np.abs(second - first).ravel(), local[:, [0, 0, 1], [1, 2, 2]].ravel())
+                       np.abs(second - first).ravel(), upper.ravel())
 
 
 def solve_linear(A: BandedOperator, b: np.ndarray, tol: float = DEFAULT_TOL,

@@ -61,10 +61,6 @@ class BoundarySource:
     def constant(cls, mesh: Mesh, value: float) -> "BoundarySource":
         return cls(mesh, np.full(len(mesh.boundary_list), float(value)))
 
-    @classmethod
-    def from_function(cls, mesh: Mesh, fn) -> "BoundarySource":
-        return cls(mesh, [float(fn(x, y)) for x, y in mesh.nodes[mesh.boundary_list]])
-
     @property
     def min_value(self) -> float:
         return float(self.values.min())

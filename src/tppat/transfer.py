@@ -30,56 +30,64 @@ _OUTSIDE_TOL = 1e-6
 
 
 class _TriangleLocator:
-    """Bucket table of a mesh's triangles, for locating points in the mesh."""
+    """Bucket table of a mesh's triangles, for locating points in the mesh.
+
+    The vertex coordinates are kept as six contiguous arrays over the
+    triangles (ax, ay, bx, by, cx, cy), so every read is a 1-D gather.
+    """
 
     def __init__(self, mesh: Mesh):
         t = mesh.triangles
-        p = mesh.nodes
-        self.a = p[t[:, 0]]
-        self.b = p[t[:, 1]]
-        self.c = p[t[:, 2]]
+        x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+        self.ax, self.bx, self.cx = x[t[:, 0]], x[t[:, 1]], x[t[:, 2]]
+        self.ay, self.by, self.cy = y[t[:, 0]], y[t[:, 1]], y[t[:, 2]]
         self.det = 2.0 * mesh.areas
 
-        self.lo = p.min(axis=0)
-        self.span = np.maximum(p.max(axis=0) - self.lo, 1e-300)
+        self.lo = mesh.nodes.min(axis=0)
+        self.span = np.maximum(mesh.nodes.max(axis=0) - self.lo, 1e-300)
         self.nb = max(1, int(np.sqrt(len(t) / 2.0)))
-        tmin = np.minimum(np.minimum(self.a, self.b), self.c)
-        tmax = np.maximum(np.maximum(self.a, self.b), self.c)
-        i0 = self._cells(tmin)
-        i1 = self._cells(tmax)
+        col0, row0 = self._cells(np.minimum(np.minimum(self.ax, self.bx), self.cx),
+                                 np.minimum(np.minimum(self.ay, self.by), self.cy))
+        col1, row1 = self._cells(np.maximum(np.maximum(self.ax, self.bx), self.cx),
+                                 np.maximum(np.maximum(self.ay, self.by), self.cy))
         # every (bucket, triangle) pair of each triangle's bounding-box range;
-        # a stable sort keeps ascending triangle order inside each bucket
-        height = i1[:, 1] - i0[:, 1] + 1
-        tri, offset = _expand((i1[:, 0] - i0[:, 0] + 1) * height)
-        bucket = ((i0[tri, 0] + offset // height[tri]) * self.nb
-                  + i0[tri, 1] + offset % height[tri])
+        # a stable sort keeps ascending triangle order inside each bucket, and
+        # on keys that fit 16 bits numpy's stable sort is a radix sort
+        height = row1 - row0 + 1
+        tri, offset = _expand((col1 - col0 + 1) * height)
+        across, up = np.divmod(offset, height[tri])
+        bucket = (col0 * self.nb + row0)[tri] + across * self.nb + up
+        if self.nb * self.nb <= 1 << 16:
+            bucket = bucket.astype(np.uint16)
         self.bucket_tris = tri[np.argsort(bucket, kind="stable")]
         self.bucket_ptr = np.zeros(self.nb * self.nb + 1, dtype=np.int64)
         np.cumsum(np.bincount(bucket, minlength=self.nb * self.nb),
                   out=self.bucket_ptr[1:])
 
-    def _cells(self, xy: np.ndarray) -> np.ndarray:
-        """Bucket column and row of each point, clipped to the grid."""
-        return np.clip((xy - self.lo) / self.span * self.nb,
-                       0, self.nb - 1).astype(np.int64)
+    def _cells(self, x: np.ndarray, y: np.ndarray):
+        """Bucket column and row of each point (x, y), clipped to the grid."""
+        col = np.clip((x - self.lo[0]) / self.span[0] * self.nb, 0, self.nb - 1)
+        row = np.clip((y - self.lo[1]) / self.span[1] * self.nb, 0, self.nb - 1)
+        return col.astype(np.int64), row.astype(np.int64)
 
     def _bary(self, k: np.ndarray, x: np.ndarray, y: np.ndarray):
-        ax, ay = self.a[k, 0], self.a[k, 1]
-        bx, by = self.b[k, 0], self.b[k, 1]
-        cx, cy = self.c[k, 0], self.c[k, 1]
+        ax, ay = self.ax[k], self.ay[k]
+        bx, by = self.bx[k], self.by[k]
+        cx, cy = self.cx[k], self.cy[k]
         det = self.det[k]
         l1 = ((by - cy) * (x - cx) + (cx - bx) * (y - cy)) / det
         l2 = ((cy - ay) * (x - cx) + (ax - cx) * (y - cy)) / det
         return l1, l2, 1.0 - l1 - l2
 
-    def _pick(self, points: np.ndarray, counts: np.ndarray, cand: np.ndarray):
-        """Best candidate per point; ``cand`` lists each point's ``counts`` triangles.
+    def _pick(self, x: np.ndarray, y: np.ndarray, counts: np.ndarray, owner: np.ndarray,
+              cand: np.ndarray):
+        """Best candidate per point (x, y); ``cand`` lists each point's ``counts``
+        triangles, and ``owner`` the point of each candidate.
 
         The first candidate within ``_EDGE_TOL`` wins; failing that, the one
         with the least violation, the first one on ties.
         """
-        owner, _ = _expand(counts)
-        lams = self._bary(cand, points[owner, 0], points[owner, 1])
+        lams = self._bary(cand, x[owner], y[owner])
         violation = -np.minimum(np.minimum(lams[0], lams[1]), lams[2])
         key = np.where(violation <= _EDGE_TOL, -np.inf, violation)
         starts = np.cumsum(counts) - counts
@@ -99,8 +107,9 @@ class _TriangleLocator:
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         if not np.isfinite(points).all():
             raise ValidationError("target points must have finite coordinates")
-        cell = self._cells(points)
-        bucket = cell[:, 0] * self.nb + cell[:, 1]
+        x, y = points[:, 0], points[:, 1]
+        col, row = self._cells(x, y)
+        bucket = col * self.nb + row
         begin = self.bucket_ptr[bucket]
         counts = self.bucket_ptr[bucket + 1] - begin
         tri = np.empty(len(points), dtype=np.int64)
@@ -111,11 +120,13 @@ class _TriangleLocator:
         if hit.size:
             owner, offset = _expand(counts[hit])
             cand = self.bucket_tris[begin[hit][owner] + offset]
-            tri[hit], lams[hit], violation[hit] = self._pick(points[hit], counts[hit], cand)
+            tri[hit], lams[hit], violation[hit] = self._pick(
+                x[hit], y[hit], counts[hit], owner, cand)
 
         every = np.arange(len(self.det))
         for i in np.flatnonzero(counts == 0):       # empty bucket: scan everything
-            k, lam, v = self._pick(points[i:i + 1], np.array([len(every)]), every)
+            k, lam, v = self._pick(x[i:i + 1], y[i:i + 1], np.array([len(every)]),
+                                   np.zeros_like(every), every)
             tri[i], lams[i], violation[i] = k[0], lam[0], v[0]
 
         outside = np.flatnonzero(violation > _OUTSIDE_TOL)

@@ -8,10 +8,11 @@ two.
 The library writes CSV columns with one %-format call per file; the
 per-row f-string writers below are the reference for their bytes.
 
-The library writes the local stiffness products out and sums the lumped
-mass with np.bincount; assemble_stiffness_einsum and lumped_mass_add_at are
-the np.einsum and np.add.at forms they replaced, the reference for their
-bits.
+The library forms the six distinct local stiffness entries from contiguous
+gradient components and sums the lumped mass with np.bincount;
+assemble_stiffness_einsum, from the (T, 3, 3) gradient products of
+_p1_gradients, and lumped_mass_add_at are the np.einsum and np.add.at forms
+they replaced, the reference for their bits.
 
 The library measures relative L2 errors with the exact P1 triangle rule
 (metrics.relative_l2_error); assemble_weighted_mass, the consistent mass
@@ -161,17 +162,36 @@ def save_mesh_rows(mesh, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _p1_gradients(mesh: Mesh) -> np.ndarray:
+    """(T, 3, 2) gradients of each triangle's three P1 basis functions."""
+    p = mesh.nodes
+    t = mesh.triangles
+    a, b, c = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
+    # grad phi_i = perp(edge opposite i) / (2 area)
+    grads = np.empty((len(t), 3, 2))
+    grads[:, 0, 0] = b[:, 1] - c[:, 1]
+    grads[:, 0, 1] = c[:, 0] - b[:, 0]
+    grads[:, 1, 0] = c[:, 1] - a[:, 1]
+    grads[:, 1, 1] = a[:, 0] - c[:, 0]
+    grads[:, 2, 0] = a[:, 1] - b[:, 1]
+    grads[:, 2, 1] = b[:, 0] - a[:, 0]
+    grads /= (2.0 * mesh.areas)[:, None, None]
+    return grads
+
+
 def _stiffness_local_einsum(mesh, gamma) -> np.ndarray:
     """The (T, 3, 3) local stiffness matrices of fem.assemble_stiffness, by np.einsum."""
     gamma = fem.as_field(mesh, gamma)
-    grads = fem._p1_gradients(mesh)
+    grads = _p1_gradients(mesh)
     gbar = gamma[mesh.triangles].mean(axis=1)
     return np.einsum("tid,tjd->tij", grads, grads) * (gbar * mesh.areas)[:, None, None]
 
 
 def assemble_stiffness_einsum(mesh, gamma) -> fem.BandedOperator:
     """fem.assemble_stiffness with the local matrices from np.einsum."""
-    return fem._scatter(mesh, _stiffness_local_einsum(mesh, gamma))
+    local = _stiffness_local_einsum(mesh, gamma)
+    return fem._scatter(mesh, np.diagonal(local, axis1=1, axis2=2),
+                        local[:, [0, 0, 1], [1, 2, 2]])
 
 
 def lumped_mass_add_at(mesh) -> np.ndarray:

@@ -144,9 +144,9 @@ def _random_theory_configuration(rng, meshes):
     bx, by = rng.uniform(-0.5, 0.5, 2)
     a = max(rng.uniform(eps, 2.0), eps + abs(bx) + abs(by))
     gap = rng.uniform(0.1, 0.5)
-    g_small = BoundarySource.from_function(mesh, lambda px, py: a + bx * px + by * py)
-    g_large = BoundarySource.from_function(
-        mesh, lambda px, py: a + bx * px + by * py + gap)
+    px, py = mesh.nodes[mesh.boundary_list].T
+    g_small = BoundarySource(mesh, a + bx * px + by * py)
+    g_large = BoundarySource(mesh, a + bx * px + by * py + gap)
     return mesh, coeffs, g_small, g_large
 
 

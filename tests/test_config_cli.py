@@ -311,6 +311,17 @@ def test_source_spec_validation():
     assert g.min_value > 0.0
 
 
+@pytest.mark.parametrize("n", [8, 96, 128])
+def test_affine_source_is_the_per_node_formula_in_boundary_order(n):
+    # the one array expression over the boundary nodes gives the bits of
+    # evaluating a + bx x + by y node by node, in mesh.boundary_list order
+    mesh = build_square_mesh(n)
+    for a, bx, by in ((1.4, 0.6, 0.0), (1.75, 0.0, -1.0), (2.5, 0.3, -0.7)):
+        g = SourceSpec("affine", {"a": a, "bx": bx, "by": by}).build(mesh)
+        expected = [a + bx * x + by * y for x, y in mesh.nodes[mesh.boundary_list].tolist()]
+        assert g.values.tobytes() == np.array(expected).tobytes()
+
+
 def test_cli_mesh_command(tmp_path):
     out = tmp_path / "m"
     assert main(["mesh", "--n", "4", "--out", str(out)]) == 0

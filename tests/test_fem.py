@@ -330,6 +330,7 @@ def test_sine_preconditioner_applies_the_float64_inverse_in_single_precision(n, 
 @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), jitter=st.sampled_from([0.0, 0.3]))
 @example(n=128, seed=1, jitter=0.0)
 @example(n=128, seed=2, jitter=0.3)
+@example(n=96, seed=3, jitter=0.0)
 def test_assembly_is_bitwise_the_einsum_and_add_at_forms(n, seed, jitter):
     mesh = jittered_mesh(n, seed, jitter / n)
     gamma = np.random.default_rng(seed).uniform(0.1, 1.0, mesh.node_count)

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from tppat import fem, forward
-from tppat.config import default_config
+from tppat.config import SourceSpec, default_config
 from tppat.errors import SolverError, ValidationError
 from tppat.fem import CoefficientSet
 from tppat.forward import (FORCING_MAX, BoundarySource, ForwardOperator, NewtonConfig,
@@ -53,7 +53,7 @@ def test_mu_zero_matches_linear_solve():
     gamma = rng.uniform(0.2, 0.6, n)
     sigma = rng.uniform(0.05, 0.2, n)
     coeffs = CoefficientSet(np.ones(n), gamma, sigma, np.full(n, 1e-300))
-    g = BoundarySource.from_function(mesh, lambda x, y: 1.5 + 0.3 * x)
+    g = BoundarySource(mesh, 1.5 + 0.3 * mesh.nodes[mesh.boundary_list, 0])
 
     # independent path: assemble and solve the linear system directly
     K = csr(fem.assemble_stiffness(mesh, gamma))
@@ -130,7 +130,8 @@ def test_non_grid_mesh_takes_the_jacobi_path_and_matches_dense_oracle():
         assert op.preconditioner(np.ones(len(mesh.interior_list))) is None
         assert len(op.K_ii.offsets) >= min_bands
 
-        g = BoundarySource.from_function(mesh, lambda x, y: 1.0 + 0.5 * x - 0.2 * y)
+        x, y = mesh.nodes[mesh.boundary_list].T
+        g = BoundarySource(mesh, 1.0 + 0.5 * x - 0.2 * y)
         u_oracle = dense_newton_oracle(mesh, coeffs, g)
         u, report = solve_semilinear(op, coeffs.single_photon, coeffs.two_photon, g,
                                      NewtonConfig(residual_tol=1e-13, linear_tol=1e-14))
@@ -336,7 +337,8 @@ def test_grid_solves_match_dense_solves_and_newton_descends(n, seed, contrast, d
 def test_boundary_values_exact():
     mesh = build_square_mesh(5)
     coeffs = constant_coeffs(mesh)
-    g = BoundarySource.from_function(mesh, lambda x, y: 1.0 + 0.5 * x * y + y)
+    x, y = mesh.nodes[mesh.boundary_list].T
+    g = BoundarySource(mesh, 1.0 + 0.5 * x * y + y)
     u, _ = solve(mesh, coeffs, g)
     assert np.array_equal(u[mesh.boundary_list], g.values)
 
@@ -390,11 +392,11 @@ def test_boundary_source_validation():
 
 def test_boundary_source_values_are_read_only_and_in_boundary_order():
     mesh = build_square_mesh(3)
-    g = BoundarySource.from_function(mesh, lambda x, y: x + 10.0 * y)
+    g = SourceSpec("affine", {"a": 25.0, "bx": 1.0, "by": 10.0}).build(mesh)
     x, y = mesh.nodes[mesh.boundary_list].T
-    assert np.array_equal(g.values, x + 10.0 * y)
+    assert np.array_equal(g.values, 25.0 + x + 10.0 * y)
     assert np.array_equal(BoundarySource.constant(mesh, 0.7).values,
-                          BoundarySource.from_function(mesh, lambda x, y: 0.7).values)
+                          np.full(len(mesh.boundary_list), 0.7))
     with pytest.raises(ValueError):
         g.values[0] = 1.0
 

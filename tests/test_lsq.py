@@ -523,18 +523,42 @@ def iterating_bundle(n, variant):
     return prepare_data(cfg)
 
 
+def start_predicted_decrease(bundle, ds):
+    """-1/2 <g, d> of IV's first Gauss-Newton step from reconstruct's start,
+    with run_lsq's noise-level tolerances: the decrease its noise stop tests."""
+    cfg = bundle.config.lsq
+    (sigma, mu), stars = lsq_start(bundle, ds, mu_only=False)
+    forward, adjoint = first_tolerances(bundle, ds, NewtonConfig())
+    ev = Evaluator(bundle.operator, bundle.coeffs.gruneisen, ds, cfg.kappa)
+    states = ev.forward_states(sigma, mu, u0=stars, residual_tols=forward)
+    g = ev.gradient(sigma, mu, states, adjoint_tol=adjoint)
+    held = [((x <= cfg.bound_floor) & (gx > 0.0)) | ((x >= cfg.bound_ceiling) & (gx < 0.0))
+            for x, gx in zip((sigma, mu), g)]
+    reg = 0.0 if ev.K1 is None else ev.kappa * ev.K1.diagonal() / ev.lumped
+    d = gauss_newton_step(np.sqrt(ev.weights) * ev.gruneisen, states[0], reg, g, held)
+    return -0.5 * sum(float((ev.lumped * gx * dx).sum()) for gx, dx in zip(g, d))
+
+
 @settings(max_examples=8, deadline=None)
 @given(n=st.sampled_from([8, 16]), eps=st.sampled_from([1.0, 2.0, 5.0]),
        seed=st.integers(1, 2**31 - 1), variant=st.sampled_from(["one source", "kappa"]))
+@example(n=8, eps=5.0, seed=3714, variant="kappa")
 def test_iterating_noisy_jobs_descend_to_the_noise_level(n, eps, seed, variant):
-    # one-source IV starts sigma at the midpoint of the bounds, and kappa > 0
-    # moves the minimizer off the direct fit, so these jobs take steps: with
-    # the trials solved to residual_tol and the gradients to the noise level,
+    # one-source IV starts sigma at the midpoint of the bounds, so it takes
+    # steps; kappa > 0 moves the minimizer off the direct fit, which mostly
+    # makes the run step too, but a start whose predicted decrease is already
+    # within the noise stop's share ends there after 0 iterations. With the
+    # trials solved to residual_tol and the gradients to the noise level,
     # every step lowers Phi and the run ends at the noise level
     b = iterating_bundle(n, variant)
-    report = reconstruct("IV", b, b.datum_set(eps, seed))["lsq_report"]
+    ds = b.datum_set(eps, seed)
+    report = reconstruct("IV", b, ds)["lsq_report"]
     assert report.converged and report.message == "noise level reached"
-    assert report.iterations >= 1
+    if variant == "one source":
+        assert report.iterations >= 1
+    elif report.iterations == 0:
+        decrease = start_predicted_decrease(b, ds)
+        assert 0.0 < decrease <= lsq.NOISE_SHARE * report.noise_misfit
     history = report.objective_history
     assert all(later < earlier for earlier, later in zip(history, history[1:]))
 

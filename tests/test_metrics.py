@@ -132,7 +132,7 @@ def forward_state(n=8, gmin=1.0):
     N = mesh.node_count
     coeffs = CoefficientSet(np.ones(N), np.full(N, 0.25),
                             np.full(N, 0.12), np.full(N, 0.06))
-    g = BoundarySource.from_function(mesh, lambda x, y: gmin + 0.4 * (x + 1.0))
+    g = BoundarySource(mesh, gmin + 0.4 * (mesh.nodes[mesh.boundary_list, 0] + 1.0))
     u, _ = solve_semilinear(ForwardOperator(mesh, coeffs.diffusion),
                             coeffs.single_photon, coeffs.two_photon, g)
     return mesh, coeffs, g, u

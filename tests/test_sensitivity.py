@@ -35,7 +35,8 @@ def setup_state(n=8, seed=0):
         diffusion=rng.uniform(0.2, 0.4, N),
         single_photon=rng.uniform(0.08, 0.2, N),
         two_photon=rng.uniform(0.04, 0.1, N))
-    g = BoundarySource.from_function(mesh, lambda x, y: 1.5 + 0.4 * x - 0.3 * y)
+    x, y = mesh.nodes[mesh.boundary_list].T
+    g = BoundarySource(mesh, 1.5 + 0.4 * x - 0.3 * y)
     u, _ = solve(mesh, coeffs, g)
     pert = CoefficientPerturbation(
         d_gamma=0.1 * coeffs.diffusion * rng.uniform(-1, 1, N),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tppat.config import default_config
 from tppat.errors import ValidationError
@@ -205,9 +205,12 @@ MESH_PAIRS = st.one_of(
 @given(pair=MESH_PAIRS, stretch=st.sampled_from([0.0, 1e-13, 1e-9]),
        seed=st.integers(0, 2**32 - 1),
        coeffs=st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+@example(pair=(128, 96), stretch=0.0, seed=35, coeffs=(0.5, 2.0, -3.0))
 def test_vectorized_transfer_matches_scalar_oracle(pair, stretch, seed, coeffs):
     # a stretched target puts boundary nodes just outside the source mesh,
-    # where the least-violation rule picks the triangle
+    # where the least-violation rule picks the triangle; the example is the
+    # crime guard's meshes, where every fourth source grid line is a target
+    # line, so many target nodes lie on edges that several candidates share
     ns, nt = pair
     src = build_square_mesh(ns)
     square = build_square_mesh(nt)
@@ -252,8 +255,8 @@ def test_point_in_empty_bucket_scans_every_triangle():
     # (2.5, 1.5) is in the empty bucket, 1e-9 above the bottom row
     dst = mesh_from_triangles([(0.5, 0.5), (2.5, 0.5), (2.5, 1.5)], [(0, 1, 2)])
     grid = _TriangleLocator(src)
-    bucket = grid._cells(dst.nodes[2:])[0]
-    lo, hi = grid.bucket_ptr[bucket[0] * grid.nb + bucket[1]:][:2]
+    col, row = grid._cells(dst.nodes[2:, 0], dst.nodes[2:, 1])
+    lo, hi = grid.bucket_ptr[col[0] * grid.nb + row[0]:][:2]
     assert lo == hi                                     # the bucket is empty
     loc = make_locator(src, dst)
     rng = np.random.default_rng(3)
