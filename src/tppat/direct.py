@@ -137,9 +137,7 @@ def recover_all_fields(op: ForwardOperator, Gamma, data: DatumSet) -> list:
     data.validate(op.mesh)
     Gamma = positive_field(op.mesh, Gamma, "gruneisen")
     tol = max(fem.DEFAULT_TOL, NOISE_SAFETY * noise_std(data.noise_level))
-    return [op.solve_reaction(np.zeros(op.mesh.node_count), g, load_nodal=-H / Gamma,
-                              tol=tol)
-            for g, H in zip(data.sources, data.data)]
+    return [op.solve_reaction(g, -H / Gamma, tol) for g, H in zip(data.sources, data.data)]
 
 
 def fit_pair_pointwise(mesh: Mesh, u_stars: list, ratios: list, sigma_known=None):

@@ -12,7 +12,7 @@ discretization of the linearized equation used by the sensitivity and adjoint
 solves. Newton with backtracking damping is then globally robust and the
 adjoint gradients downstream are exact for the discrete objective.
 
-Every linear solve (Newton step, linearized and reaction solves) goes through
+Every linear solve (Newton steps, linearized solves, solve_reaction) goes through
 ForwardOperator.solve: preconditioned CG on the interior block, with the
 sine-transform preconditioner on the build_square_mesh grid and Jacobi on
 other meshes. Newton is inexact (Dembo, Eisenstat & Steihaug 1982): step k
@@ -20,10 +20,12 @@ solves its linear system only to the relative residual
 eta_k = min(FORCING_MAX, max(||F_k||, FORCING_SAFETY * residual_tol / ||F_k||)),
 never below linear_tol. The first term keeps the local convergence
 quadratic, the second stops a step from solving past the nonlinear target.
-The cold start, the linear problem with mu = 0, differs from the answer by
-the whole mu |u| u term, so it too is solved only to FORCING_MAX (never
-below linear_tol). A warm start is taken as given, and the linearized
-(adjoint) solves run to their given tolerance.
+A cold solve starts from g extended by zero, e. There |u| vanishes inside,
+so the first step solves the linear problem with mu = 0 (K_ii + diag(m
+sigma), right-hand side -(K e) on the interior), to FORCING_MAX like any
+step far from the answer, and the line search guards it as it guards every
+other step. A warm start is taken as given on the interior, and the
+linearized (adjoint) solves run to their given tolerance.
 """
 
 from __future__ import annotations
@@ -86,11 +88,10 @@ class NewtonConfig:
     """Newton tolerances for solve_semilinear.
 
     residual_tol bounds the interior residual norm at convergence. linear_tol
-    is the floor of the forcing term of every Newton step and of the cold
-    start, and the relative tolerance of the adjoint solves of the
-    least-squares gradient. Both must be finite and positive. The
-    backtracking factor and the step cap are the module constants DAMPING
-    and NEWTON_MAX_ITERATIONS.
+    is the floor of the forcing term of every Newton step, and the relative
+    tolerance of the adjoint solves of the least-squares gradient. Both must
+    be finite and positive. The backtracking factor and the step cap are the
+    module constants DAMPING and NEWTON_MAX_ITERATIONS.
     """
 
     residual_tol: float = 1e-10
@@ -105,6 +106,15 @@ class NewtonConfig:
 
 @dataclass
 class SolverReport:
+    """What solve_semilinear did.
+
+    iterations counts the accepted Newton steps, at most
+    NEWTON_MAX_ITERATIONS; on a cold start the first of them is the mu = 0
+    solve from g extended by zero. residual_history holds the interior
+    residual norm at the start and after each step (iterations + 1 entries,
+    never rising).
+    """
+
     iterations: int = 0
     residual_history: list = field(default_factory=list)
     converged: bool = False
@@ -114,8 +124,8 @@ class ForwardOperator:
     """The discrete Dirichlet operator of -div(gamma grad .) for one (mesh, gamma).
 
     Every solve with the diffusion gamma goes through one instance: Newton
-    steps, linearized (sensitivity, adjoint) and reaction solves. It rejects
-    a gamma that is not finite and positive, and keeps the stiffness K and
+    steps, linearized (sensitivity, adjoint) solves and solve_reaction. It
+    rejects a gamma that is not finite and positive, and keeps the stiffness K and
     its interior block K_ii, both fem.BandedOperator; a solve hands K_ii and
     the reaction diagonal w to CG, whose matvec takes diag(K_ii) + w in
     place of K_ii's diagonal, so no matrix is built per solve. The boundary
@@ -201,18 +211,16 @@ class ForwardOperator:
         x = self.solve(self.jacobian_diag(u, sigma, mu), rhs_interior, tol)
         return self.expand(x, 0.0)
 
-    def solve_reaction(self, weight, g: BoundarySource, load_nodal=None,
+    def solve_reaction(self, g: BoundarySource, load_nodal,
                        tol: float = fem.DEFAULT_TOL) -> np.ndarray:
-        """Solve -div(gamma grad u) + weight * u = load with u = g on the boundary.
+        """Solve -div(gamma grad u) = load with u = g on the boundary.
 
-        tol is the relative residual of the linear solve.
+        load_nodal is the nodal load, lumped like the reaction terms; tol is
+        the relative residual of the linear solve.
         """
-        w = (self.lumped * as_field(self.mesh, weight))[self.interior]
-        rhs = -(self.K @ self.expand(0.0, g.values))[self.interior]
-        if load_nodal is not None:
-            rhs = rhs + (self.lumped * as_field(self.mesh, load_nodal))[self.interior]
-        x = self.solve(w, rhs, tol)
-        return self.expand(x, g.values)
+        rhs = (self.lumped * as_field(self.mesh, load_nodal)
+               - self.K @ self.expand(0.0, g.values))[self.interior]
+        return self.expand(self.solve(0.0, rhs, tol), g.values)
 
 
 def solve_semilinear(op: ForwardOperator, sigma, mu, g: BoundarySource,
@@ -226,9 +234,9 @@ def solve_semilinear(op: ForwardOperator, sigma, mu, g: BoundarySource,
     Accepted steps never increase the residual norm (backtracking with
     factor DAMPING). Each step's linear solve runs only to the relative
     residual eta_k of the module docstring, never below cfg.linear_tol. The
-    initial iterate is the solution of the linear problem with mu = 0,
-    solved only to the relative residual max(FORCING_MAX, cfg.linear_tol),
-    unless a warm start u0 is supplied.
+    initial iterate is g extended by zero, or the warm start u0 with its
+    boundary values replaced by g; from g extended by zero the first step is
+    the linear solve with mu = 0 (module docstring).
     """
     cfg = cfg or NewtonConfig()
     mesh = op.mesh
@@ -237,50 +245,39 @@ def solve_semilinear(op: ForwardOperator, sigma, mu, g: BoundarySource,
     if g.values.shape != mesh.boundary_list.shape:
         raise ValidationError("boundary source does not match the mesh")
 
-    if u0 is None:
-        u = op.solve_reaction(sigma, g, tol=max(FORCING_MAX, cfg.linear_tol))
-    else:
-        u = as_field(mesh, u0)
-        u[op.boundary] = g.values
-
-    report = SolverReport()
+    u = op.expand(0.0 if u0 is None else as_field(mesh, u0)[op.interior], g.values)
     F = op.residual_interior(u, sigma, mu)
     rnorm = float(np.linalg.norm(F))
-    report.residual_history.append(rnorm)
+    report = SolverReport(residual_history=[rnorm])
 
-    for _ in range(NEWTON_MAX_ITERATIONS):
-        if rnorm <= cfg.residual_tol:
-            report.converged = True
-            return u, report
+    while rnorm > cfg.residual_tol:
+        if report.iterations == NEWTON_MAX_ITERATIONS:
+            raise SolverError(
+                f"Newton did not reach residual {cfg.residual_tol:g} in "
+                f"{NEWTON_MAX_ITERATIONS} iterations (residual {rnorm:.3e})",
+                residual=rnorm, report=report)
         eta = min(FORCING_MAX, max(rnorm, FORCING_SAFETY * cfg.residual_tol / rnorm))
         delta = op.expand(op.solve(op.jacobian_diag(u, sigma, mu), -F,
                                    max(eta, cfg.linear_tol)), 0.0)
 
         alpha = 1.0
-        accepted = False
         for _ in range(40):
             trial = u + alpha * delta
             F_trial = op.residual_interior(trial, sigma, mu)
             rnorm_trial = float(np.linalg.norm(F_trial))
             if rnorm_trial < rnorm:
-                u, F, rnorm = trial, F_trial, rnorm_trial
-                accepted = True
                 break
             alpha *= DAMPING
-        if not accepted:
+        else:
             raise SolverError(
                 f"Newton line search stalled at residual {rnorm:.3e}",
                 residual=rnorm, report=report)
+        u, F, rnorm = trial, F_trial, rnorm_trial
         report.iterations += 1
         report.residual_history.append(rnorm)
 
-    if rnorm <= cfg.residual_tol:
-        report.converged = True
-        return u, report
-    raise SolverError(
-        f"Newton did not reach residual {cfg.residual_tol:g} in "
-        f"{NEWTON_MAX_ITERATIONS} iterations (residual {rnorm:.3e})",
-        residual=rnorm, report=report)
+    report.converged = True
+    return u, report
 
 
 def compute_datum(coeffs: CoefficientSet, u: np.ndarray) -> np.ndarray:

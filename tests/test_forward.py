@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tppat import fem, forward
 from tppat.config import SourceSpec, default_config
@@ -170,7 +170,7 @@ def test_grid_solves_need_few_preconditioner_applications(n, monkeypatch):
         g = spec.build(mesh)
         u, _ = solve_semilinear(op, coeffs.single_photon, coeffs.two_photon, g)
         op.solve_linearized(u, coeffs.single_photon, coeffs.two_photon, rhs)
-        op.solve_reaction(np.zeros(mesh.node_count), g, load_nodal=-u)
+        op.solve_reaction(g, -u)
     assert len(applications) >= 3 * len(cfg.sources)
     assert max(applications) <= 20, applications
 
@@ -244,10 +244,11 @@ def test_inexact_newton_needs_fewer_preconditioner_applications(monkeypatch):
         _, report = solve_semilinear(op, coeffs.single_photon, coeffs.two_photon,
                                      spec.build(mesh), newton)
         assert report.converged
-        assert tols[0] == max(FORCING_MAX, newton.linear_tol)  # the cold start
+        # first step, from g extended by zero
+        assert tols[0] == max(FORCING_MAX, newton.linear_tol)
         assert all(newton.linear_tol <= t <= FORCING_MAX for t in tols[1:])
     # Every solve run to linear_tol took 31 + 42 + 42 + 42 = 157 (9-11 per solve);
-    # the forcing term on the Newton steps cut that to 83, and on the cold start to 50.
+    # the forcing term on the later steps cut that to 83, and on the first step to 50.
     assert sum(applications) <= 55, applications
 
 
@@ -288,18 +289,62 @@ def test_inexact_newton_keeps_the_newton_contract(n, seed, contrast, grid):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
        contrast=st.floats(1.0, 10.0), grid=st.booleans())
+@example(n=10, seed=8116, contrast=10.0, grid=False)   # a gap of 2 without the - 1
+@example(n=2, seed=2, contrast=6.0, grid=True)     # the full step raises the residual
 def test_loose_cold_start_matches_a_tight_warm_start(n, seed, contrast, grid):
     _, coeffs, g, op = random_problem(n, seed, contrast, grid)
+    sigma, mu = coeffs.single_photon, coeffs.two_photon
     newton = NewtonConfig()
-    tight = op.solve_reaction(coeffs.single_photon, g, tol=newton.linear_tol)
-    cold, cold_report = solve_semilinear(op, coeffs.single_photon, coeffs.two_photon,
-                                         g, newton)
-    warm, warm_report = solve_semilinear(op, coeffs.single_photon, coeffs.two_photon,
-                                         g, newton, u0=tight)
+    # the cold solve's first step, the mu = 0 solve from g extended by zero,
+    # with its linear solve run to linear_tol and its backtracking kept
+    e = op.expand(0.0, g.values)
+    F = op.residual_interior(e, sigma, mu)
+    delta = op.solve_linearized(e, sigma, mu, -F, tol=newton.linear_tol)
+    alpha = 1.0
+    while np.linalg.norm(op.residual_interior(e + alpha * delta, sigma, mu)) \
+            >= np.linalg.norm(F):
+        alpha *= forward.DAMPING
+    tight = e + alpha * delta
+    cold, cold_report = solve_semilinear(op, sigma, mu, g, newton)
+    warm, warm_report = solve_semilinear(op, sigma, mu, g, newton, u0=tight)
     for report in (cold_report, warm_report):
         assert_descends_to(report, newton.residual_tol)
     assert np.linalg.norm(cold - warm) <= 1e-8 * np.linalg.norm(warm)
-    assert abs(cold_report.iterations - warm_report.iterations) <= 1
+    # the cold count includes the mu = 0 step the warm start was given
+    assert abs(cold_report.iterations - 1 - warm_report.iterations) <= 1
+
+
+def test_cold_newton_starts_from_g_extended_by_zero():
+    # the first step from e (g extended by zero) is the mu = 0 solve, line
+    # searched like every other step
+    cfg = default_config()
+    mesh = build_square_mesh(32)
+    coeffs = cfg.phantom.coefficients(mesh)
+    op = ForwardOperator(mesh, coeffs.diffusion)
+    sigma, mu = coeffs.single_photon, coeffs.two_photon
+    for spec in cfg.sources:
+        g = spec.build(mesh)
+        e = op.expand(0.0, g.values)
+        F = op.residual_interior(e, sigma, mu)
+        first = e + op.solve_linearized(e, sigma, mu, -F, tol=FORCING_MAX)
+        _, report = solve_semilinear(op, sigma, mu, g)
+        assert report.residual_history[0] == np.linalg.norm(F)
+        assert report.residual_history[1] == np.linalg.norm(
+            op.residual_interior(first, sigma, mu))
+        assert report.iterations == len(report.residual_history) - 1
+
+    # strongly absorbing: the undamped mu = 0 solve would raise the residual
+    # from 23.0 at e to 528
+    coeffs = constant_coeffs(mesh, diffusion=0.2, sigma=0.1, mu=50.0)
+    op = ForwardOperator(mesh, coeffs.diffusion)
+    sigma, mu = coeffs.single_photon, coeffs.two_photon
+    g = BoundarySource.constant(mesh, 10.0)
+    e = op.expand(0.0, g.values)
+    _, report = solve_semilinear(op, sigma, mu, g)
+    hist = report.residual_history
+    assert hist[0] == np.linalg.norm(op.residual_interior(e, sigma, mu))
+    assert 22.9 <= hist[0] <= 23.1
+    assert_descends_to(report, NewtonConfig().residual_tol)
 
 
 @settings(max_examples=40, deadline=None)
