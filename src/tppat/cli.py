@@ -13,7 +13,7 @@ Subcommands::
 recon-direct and recon-lsq run the one (noise level, seed) job of --noise
 (one level, 0 without it) and the first seed, and write that experiment's
 output tree and manifest. Only experiment runs several jobs, so only it
-takes --threads.
+takes --threads. gradcheck checks the clean data, so it takes no --noise.
 
 Exit codes: 0 success, 1 validation error, 2 solver failure.
 """
@@ -38,7 +38,7 @@ def _load_config(args):
         cfg = load_config(args.config)
     else:
         cfg = default_config()
-    if getattr(args, "noise", None):
+    if getattr(args, "noise", None) is not None:
         cfg.noise_levels = parse_number_list(args.noise, "--noise")
     if getattr(args, "seed", None) is not None:
         cfg.seeds = [args.seed]
@@ -83,7 +83,7 @@ def cmd_gradcheck(args):
 def cmd_recon(args):
     """recon-direct and recon-lsq: experiment III or IV as one job."""
     cfg = _load_config(args)
-    if not args.noise:
+    if args.noise is None:
         cfg.noise_levels = [0.0]
     elif len(cfg.noise_levels) != 1:
         raise ValidationError(f"{args.command} takes one --noise level")
@@ -132,12 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, noise=True):
         p.add_argument("--config", help="configuration file (INI); "
                                         "defaults to the built-in phantom")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="base RNG seed override")
-        p.add_argument("--noise", help="comma-separated noise levels override")
+        if noise:
+            p.add_argument("--noise", help="comma-separated noise levels override")
 
     p = sub.add_parser("mesh", help="build a structured mesh of (-1,1)^2")
     p.add_argument("--n", type=int, required=True, help="subdivisions per side")
@@ -157,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recon, which="IV")
 
     p = sub.add_parser("gradcheck", help="adjoint-gradient finite-difference check")
-    common(p)
+    common(p, noise=False)
     p.add_argument("--directions", type=int, default=20)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -14,7 +14,8 @@ reconstructions (fit_pair_pointwise):
 The noise of forward.add_noise is multiplicative, so the noise on r_j is
 proportional to r_j, and the fit weighs row j by 1 / r_j^2, the noise's own
 metric (generalized least squares); lsq weighs its residuals the same way.
-recover_pair therefore needs every datum finite and positive.
+So every datum must be finite and positive, which a DatumSet checks when
+it is made.
 
 Nodes where some recovered density is not positive, or (pair only) where
 the |u_j*| spread degenerates (possible under noise), are flagged in the
@@ -50,8 +51,12 @@ NOISE_SAFETY = 1e-3
 class DatumSet:
     """Per-illumination internal data H_j paired with boundary sources g_j.
 
-    noise_level is the data's noise level epsilon (percent, 0 when
-    noiseless). meta holds free-form records that the library never reads.
+    Checked once, when made: the J >= 1 sources are strictly positive on
+    the first one's mesh, and each datum is finite and positive at every
+    node, as both fits weigh it by 1 / H_j^2 (module docstring). data holds
+    read-only float copies. noise_level is the data's noise level epsilon
+    (percent, 0 when noiseless). meta holds free-form records that the
+    library never reads.
     """
 
     sources: list
@@ -65,34 +70,22 @@ class DatumSet:
         if len(self.sources) < 1:
             raise ValidationError("a datum set needs at least one source")
         self.noise_level = check_noise_level(self.noise_level)
-
-    @property
-    def size(self) -> int:
-        return len(self.sources)
-
-    def validate(self, mesh: Mesh):
-        for k, H in enumerate(self.data):
-            self.data[k] = as_field(mesh, H)
+        mesh = self.sources[0].mesh
         for g in self.sources:
             if g.values.shape != mesh.boundary_list.shape:
                 raise ValidationError("a source does not match the mesh boundary")
-        return self
-
-    def require_positive(self):
-        """self if every datum is finite and positive at every node.
-
-        Both fits weigh datum j by 1 / H_j^2 (module docstring), which needs
-        this; else ValidationError names the first source that breaks it.
-        Multiplicative noise keeps a positive datum positive for epsilon <
-        100 / sqrt(3).
-        """
+            g.require_strictly_positive()
+        self.data = [as_field(mesh, H) for H in self.data]
         for j, H in enumerate(self.data):
-            H = np.asarray(H, dtype=float)
             if not (H.min() > 0.0 and H.max() < np.inf):    # a NaN fails the first
                 raise ValidationError(f"datum of source {j} has a nonpositive or "
                                       f"non-finite node value; the fits weigh it "
                                       f"by 1 / H^2")
-        return self
+            H.setflags(write=False)
+
+    @property
+    def size(self) -> int:
+        return len(self.sources)
 
 
 @dataclass
@@ -128,13 +121,15 @@ def recover_all_fields(op: ForwardOperator, Gamma, data: DatumSet) -> list:
     """Photon densities u_j*, one linear solve per datum with the operator op.
 
     Each solves -div(gamma grad u_j*) = -H_j / Gamma with u_j* = g_j on the
-    boundary, gamma the diffusion of op; Gamma must be finite and positive.
+    boundary, gamma the diffusion of op; Gamma must be finite and positive,
+    and data on op's mesh.
     Each solve runs to the relative residual
     max(fem.DEFAULT_TOL, NOISE_SAFETY * epsilon / 100) for the noise level
     epsilon of the data (DatumSet.noise_level): fem.DEFAULT_TOL at
     noise_level 0, 2e-5 at epsilon = 2.
     """
-    data.validate(op.mesh)
+    if data.data[0].shape != (op.mesh.node_count,):
+        raise ValidationError("the datum set is on another mesh than the operator")
     Gamma = positive_field(op.mesh, Gamma, "gruneisen")
     tol = max(fem.DEFAULT_TOL, NOISE_SAFETY * noise_std(data.noise_level))
     return [op.solve_reaction(g, -H / Gamma, tol) for g, H in zip(data.sources, data.data)]
@@ -224,17 +219,13 @@ def recover_pair(op: ForwardOperator, Gamma, data: DatumSet, sigma_known=None,
                  stars=None):
     """(sigma, mu), or mu with sigma_known, by pointwise least squares.
 
-    Returns (sigma, mu, ConditionReport). Requires strictly positive
-    sources, J >= 2 of them for the pair, and data that are finite and
-    positive at every node (DatumSet.require_positive). One linear solve
-    per datum with op recovers u_j* (recover_all_fields), then each node
+    Returns (sigma, mu, ConditionReport). Requires J >= 2 sources for the
+    pair. One linear solve per datum with op recovers u_j*
+    (recover_all_fields), then each node
     solves its small weighted least-squares system over all J data (see
     fit_pair_pointwise). stars, when given, must be
     recover_all_fields(op, Gamma, data), which is then not solved again.
     """
-    for g in data.sources:
-        g.require_strictly_positive()
-    data.require_positive()
     Gamma = as_field(op.mesh, Gamma)
     if stars is None:
         stars = recover_all_fields(op, Gamma, data)

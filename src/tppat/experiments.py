@@ -163,7 +163,7 @@ def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
     one source the pair fit does not exist, so IV starts sigma at the
     midpoint of the bounds and mu from the fit with that sigma. I and II
     hold sigma at its true value and return it as well. Data that both fits
-    cannot weigh (DatumSet.require_positive) are rejected before any solve.
+    cannot weigh never get here: a DatumSet rejects them when it is made.
     """
     if which not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {which!r}; expected one of "
@@ -178,7 +178,6 @@ def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
         sigma_known = np.full(bundle.mesh.node_count, 0.5 * (lo + hi))
     else:
         sigma_known = None
-    datum_set.require_positive()
     stars = direct.recover_all_fields(op, Gamma, datum_set)
     sigma, mu, report = direct.recover_pair(op, Gamma, datum_set,
                                             sigma_known=sigma_known, stars=stars)

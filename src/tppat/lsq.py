@@ -14,14 +14,14 @@ ch. 3), the one direct.fit_pair_pointwise weighs its ratios by. With the
 densities frozen at the direct fit's u_j*, z_j / H_j is that fit's weighted
 residual, so a run started from the direct fit starts at, or next to, its
 minimizer. The weights apply at every noise level and need every datum
-finite and positive (DatumSet.require_positive). The weight kappa >= 0
-is 0 by default (LsqConfig), which leaves the misfit alone; the regularizer's
-stiffness is assembled only for kappa > 0. Each evaluation solves
-the J semilinear forward problems; gradients come from one adjoint solve per
-source, with the weighted residual W_j z_j as its source and the same
-linearized operator as the forward Newton step, so they
-are exact for the discrete objective (finite differences of Phi agree to
-solver tolerance). The quadrature is the lumped nodal rule used throughout
+finite and positive, which a DatumSet checks when it is made. The weight
+kappa >= 0 is 0 by default (LsqConfig), which leaves the misfit alone; the
+regularizer's stiffness is assembled only for kappa > 0. Each evaluation
+solves the J semilinear forward problems; gradients come from one adjoint
+solve per source, with the weighted residual W_j z_j as its source and the
+same linearized operator as the forward Newton step, so they are exact for
+the discrete objective (finite differences of Phi agree to solver
+tolerance). The quadrature is the lumped nodal rule used throughout
 the forward discretization.
 
 The optimizer is a projected pointwise Gauss-Newton iteration with Armijo
@@ -170,8 +170,6 @@ class Evaluator:
     The misfit weights W_j = 1 / H_j^2 (weights, one row per source) and
     the regularizer's unit-diffusion stiffness K1 are set up here, K1 only
     when kappa != 0; with kappa = 0 it is None and Phi is the misfit alone.
-    A datum that is not finite and positive at every node raises
-    ValidationError.
     """
 
     def __init__(self, op: ForwardOperator, gruneisen, data: DatumSet, kappa: float,
@@ -179,7 +177,6 @@ class Evaluator:
         self.op = op
         self.mesh = op.mesh
         self.gruneisen = positive_field(op.mesh, gruneisen, "gruneisen")
-        data.validate(op.mesh).require_positive()
         self.data = data
         # W_j = 1 / H_j^2, the multiplicative noise's metric (module docstring)
         self.weights = 1.0 / np.square(np.stack(data.data))

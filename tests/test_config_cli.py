@@ -470,6 +470,16 @@ def test_cli_gradcheck_rejects_crime_guard_config(tmp_path):
     assert not (tmp_path / "gc").exists()
 
 
+def test_cli_gradcheck_takes_no_noise_level(tmp_path, capsys):
+    # the check runs on the clean data, so a level would go unused
+    out = tmp_path / "gc"
+    with pytest.raises(SystemExit) as exit_:
+        main(["gradcheck", "--noise", "5", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --noise 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("directions", ["0", "-2"])
 def test_cli_gradcheck_rejects_fewer_than_one_direction(tmp_path, directions):
     cfg_path = small_config(tmp_path, n=4)
@@ -612,6 +622,8 @@ def test_cli_noise_and_seed_overrides(tmp_path):
     ["forward", "--noise", "0.0001,0.0002"],
     ["recon-lsq", "--noise", "1,2"],
     ["experiment", "--which", "III", "--noise", ","],
+    ["experiment", "--which", "I", "--noise", ""],
+    ["recon-direct", "--noise", ""],
 ])
 def test_cli_bad_noise_or_seed_exits_1(tmp_path, argv):
     cfg_path = small_config(tmp_path, n=4)

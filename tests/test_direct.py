@@ -15,6 +15,7 @@ from tppat.experiments import prepare_data
 from tppat.fem import clip_nonnegative
 from tppat.forward import (BoundarySource, ForwardOperator, add_noise, compute_datum,
                            noise_stream_seed, solve_semilinear)
+from tppat.lsq import Evaluator
 from tppat.mesh import build_square_mesh
 from tppat.metrics import relative_l2_error
 
@@ -39,10 +40,11 @@ def test_recover_field_matches_forward_solution(bundle16):
 
 
 def test_recover_field_zero_datum_constant_source():
+    # a zero datum makes no DatumSet (the fits weigh it by 1 / H^2), so the
+    # density solve itself takes the zero load: u* = g
     mesh = build_square_mesh(5)
-    n = mesh.node_count
     g = BoundarySource.constant(mesh, 2.5)
-    u_star = recover_one(ForwardOperator(mesh, 0.3), np.ones(n), np.zeros(n), g)
+    u_star = ForwardOperator(mesh, 0.3).solve_reaction(g, np.zeros(mesh.node_count))
     assert np.abs(u_star - 2.5).max() <= 1e-9
 
 
@@ -52,7 +54,7 @@ def test_recover_field_rejects_a_nonpositive_or_nonfinite_gruneisen(bad):
     Gamma = np.ones(mesh.node_count)
     Gamma[5] = bad
     with pytest.raises(ValidationError, match="coefficient gruneisen"):
-        recover_one(ForwardOperator(mesh, 0.3), Gamma, np.zeros(mesh.node_count),
+        recover_one(ForwardOperator(mesh, 0.3), Gamma, np.ones(mesh.node_count),
                     BoundarySource.constant(mesh, 1.0))
 
 
@@ -241,15 +243,47 @@ def test_weighted_fit_of_exact_ratios_returns_the_coefficients(case):
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-def test_datum_set_requires_finite_positive_data_naming_the_source(bad):
-    data = [np.ones(MESH3.node_count) for _ in range(3)]
-    data[1][7] = bad
-    ds = DatumSet(sources=[BoundarySource.constant(MESH3, 1.0)] * 3, data=data)
-    with pytest.raises(ValidationError, match="datum of source 1 has a nonpositive or "
-                                              "non-finite node value"):
-        ds.require_positive()
-    data[1][7] = 1e-300
-    assert ds.require_positive() is ds
+@settings(max_examples=50, deadline=None)
+@given(rows=hnp.arrays(float, (3, MESH3.node_count), elements=st.floats(1e-300, 1e300)),
+       source=st.integers(0, 2), node=st.integers(0, MESH3.node_count - 1),
+       size=st.floats(1e-300, 1e300), flip=st.booleans())
+def test_datum_set_requires_finite_positive_data_naming_the_source(bad, rows, source,
+                                                                   node, size, flip):
+    # each kind of value the weights 1 / H^2 cannot use, drawn in its
+    # variants: a negative of any size, 0 and inf of either sign
+    value = bad * size if bad < 0.0 else (-bad if flip else bad)
+    sources = [BoundarySource.constant(MESH3, 1.0)] * 3
+    data = [row.copy() for row in rows]
+    passed = list(data)
+    ds = DatumSet(sources=sources, data=passed)
+    # positive finite data are kept as read-only copies; the caller's list
+    # and arrays stay as they were
+    assert len(passed) == 3 and all(H is row for H, row in zip(passed, data))
+    assert all(H.flags.writeable for H in data) and np.array_equal(np.stack(data), rows)
+    for kept, H in zip(ds.data, data):
+        assert kept is not H and not kept.flags.writeable and np.array_equal(kept, H)
+    data[source][node] = value
+    with pytest.raises(ValidationError, match=f"datum of source {source} has a "
+                                              f"nonpositive or non-finite node value"):
+        DatumSet(sources=sources, data=data)
+
+
+def test_a_datum_set_and_its_fits_reject_another_mesh():
+    # sources and data share the first source's mesh, and a fit with an
+    # operator on another mesh rejects the set before any solve
+    mesh, other = build_square_mesh(3), build_square_mesh(4)
+    g = BoundarySource.constant(mesh, 1.0)
+    H = np.ones(mesh.node_count)
+    with pytest.raises(ValidationError, match="a source does not match the mesh boundary"):
+        DatumSet(sources=[g, BoundarySource.constant(other, 1.0)], data=[H, H])
+    with pytest.raises(ValidationError, match="field has"):
+        DatumSet(sources=[g], data=[np.ones(other.node_count)])
+    ds = DatumSet(sources=[g, g], data=[H, H])
+    op = ForwardOperator(other, 0.3)
+    with pytest.raises(ValidationError, match="the datum set is on another mesh"):
+        recover_all_fields(op, 1.0, ds)
+    with pytest.raises(ValidationError, match="boundary source does not match the mesh"):
+        Evaluator(op, 1.0, ds, 0.0).forward_states(1.0, 1.0)
 
 
 def test_pointwise_fit_rejects_a_zero_or_nonfinite_ratio_at_a_node_it_keeps():

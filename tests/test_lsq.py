@@ -8,7 +8,7 @@ from tppat import direct, fem, lsq
 from tppat.config import default_config
 from tppat.direct import NOISE_SAFETY, DatumSet, recover_all_fields, recover_pair
 from tppat.errors import ValidationError
-from tppat.experiments import EXPERIMENTS, prepare_data, reconstruct
+from tppat.experiments import EXPERIMENTS, prepare_data, reconstruct, run_experiment
 from tppat.forward import BoundarySource, ForwardOperator, NewtonConfig, solve_semilinear
 from tppat.gradcheck import _fd_directional_derivative as fd_directional_derivative
 from tppat.gradcheck import gradient_check
@@ -567,21 +567,21 @@ def test_data_the_weights_cannot_use_are_rejected_naming_the_source(bundle16,
                                                                     monkeypatch):
     # at epsilon = 60 > 100 / sqrt(3) add_noise's multiplier reaches below 0,
     # so some datum has a nonpositive node value, where the weight 1 / H^2
-    # of both fits would not describe the noise; reconstruct rejects it
-    # before any density solve
+    # of both fits would not describe the noise; the datum set rejects it
+    # when it is made, so no sweep at that level solves a density
     b = bundle16
-    ds = b.datum_set(60.0, 1)
-    first = next(j for j, H in enumerate(ds.data) if H.min() <= 0.0)
     solves = []
     monkeypatch.setattr(direct, "recover_all_fields",
                         lambda *args: solves.append(args) or recover_all_fields(*args))
-    fits = [lambda: Evaluator(b.operator, b.coeffs.gruneisen, ds, 0.0),
-            lambda: recover_pair(b.operator, b.coeffs.gruneisen, ds)]
-    fits += [functools.partial(reconstruct, which, b, ds) for which in EXPERIMENTS]
-    for fit in fits:
-        with pytest.raises(ValidationError, match=f"datum of source {first} has a "
-                                                  f"nonpositive or non-finite"):
-            fit()
+    monkeypatch.setattr(b.config, "noise_levels", [60.0])
+    for seed in (1, b.config.seeds[0]):
+        first = next(j for j, H in enumerate(b.noisy_data(60.0, seed)) if H.min() <= 0.0)
+        match = f"datum of source {first} has a nonpositive or non-finite"
+        with pytest.raises(ValidationError, match=match):
+            b.datum_set(60.0, seed)
+    for which in EXPERIMENTS:           # each sweep stops at its first job, seeds[0]
+        with pytest.raises(ValidationError, match=match):
+            run_experiment(which, b.config, bundle=b)
     assert solves == []
 
 
