@@ -157,11 +157,11 @@ def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
     Every experiment starts with the direct fit of the datum: its densities
     u_j* (direct.recover_all_fields) and the pointwise fit on them
     (direct.recover_pair), I and II with sigma known, III and IV for the
-    pair. I and III return that fit. II and IV refine it, clipped to the
-    bounds, by least squares, whose first forward solves start from the
-    u_j*. Nodes the direct fit flags carry its nearest-neighbour fill. With
-    one source the pair fit does not exist, so IV starts sigma at the
-    midpoint of the bounds and mu from the fit with that sigma. I and II
+    pair. I and III return that fit. II and IV refine it by least squares,
+    which projects it onto the bounds and starts its first forward solves
+    from the u_j*. Nodes the direct fit flags carry its nearest-neighbour
+    fill. With one source the pair fit does not exist, so IV starts sigma at
+    the midpoint of the bounds and mu from the fit with that sigma. I and II
     hold sigma at its true value and return it as well. Data that both fits
     cannot weigh never get here: a DatumSet rejects them when it is made.
     """
@@ -171,11 +171,11 @@ def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
     cfg = bundle.config
     op = bundle.operator
     Gamma = bundle.coeffs.gruneisen
-    lo, hi = cfg.lsq.bound_floor, cfg.lsq.bound_ceiling
     if which in ("I", "II"):
         sigma_known = bundle.coeffs.single_photon
     elif which == "IV" and datum_set.size == 1:
-        sigma_known = np.full(bundle.mesh.node_count, 0.5 * (lo + hi))
+        sigma_known = np.full(bundle.mesh.node_count,
+                              0.5 * (cfg.lsq.bound_floor + cfg.lsq.bound_ceiling))
     else:
         sigma_known = None
     stars = direct.recover_all_fields(op, Gamma, datum_set)
@@ -183,10 +183,8 @@ def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
                                             sigma_known=sigma_known, stars=stars)
     if which in ("I", "III"):
         return {"sigma": sigma, "mu": mu, "condition_report": report}
-    if sigma_known is None:
-        sigma = np.clip(sigma, lo, hi)
-    sigma, mu, report = lsq.run_lsq(op, Gamma, datum_set, (sigma, np.clip(mu, lo, hi)),
-                                    cfg.lsq, mu_only=which == "II", u0=stars)
+    sigma, mu, report = lsq.run_lsq(op, Gamma, datum_set, (sigma, mu), cfg.lsq,
+                                    mu_only=which == "II", u0=stars)
     return {"sigma": sigma, "mu": mu, "lsq_report": report}
 
 

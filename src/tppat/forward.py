@@ -44,9 +44,9 @@ from .mesh import Mesh
 class BoundarySource:
     """Photon source strength g on the boundary nodes of a mesh.
 
-    values holds one real strength per boundary node, in mesh.boundary_list
-    order (read-only). Several reconstruction routines require g > 0; see
-    require_strictly_positive.
+    values holds one finite real strength per boundary node, in
+    mesh.boundary_list order (read-only). Several reconstruction routines
+    require g > 0; see require_strictly_positive.
     """
 
     def __init__(self, mesh: Mesh, values):
@@ -55,6 +55,9 @@ class BoundarySource:
             raise ValidationError(
                 f"boundary source needs one value per boundary node "
                 f"({len(mesh.boundary_list)}), got shape {values.shape}")
+        nonfinite = values[~np.isfinite(values)]
+        if nonfinite.size:
+            raise ValidationError(f"boundary source value {nonfinite[0]:g} is not finite")
         values.setflags(write=False)
         self.mesh = mesh
         self.values = values

@@ -59,9 +59,9 @@ that error within ARMIJO_SHARE * 1e-4 |f|. Every adjoint solve stops at the
 relative residual max(linear_tol, NOISE_SAFETY * epsilon/100), the direct
 densities' tolerance. Line-search trials solve to residual_tol, since they
 decide the Armijo test and become the next iterate's states; most noisy
-runs stop at the noise level before their first trial. Data with
-noise_level 0 keep newton's tolerances throughout, as direct.NOISE_SAFETY
-does for the direct solves.
+runs stop at the noise level before their first trial. At noise_level 0
+both rules give newton's tolerances, as direct.NOISE_SAFETY does for the
+direct solves.
 
 Noisy data also stop the run once it has fitted the coefficients as well as
 the noise lets it. The noise misfit
@@ -302,13 +302,13 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     """Projected pointwise Gauss-Newton minimization of Phi.
 
     op is the forward operator of the known diffusion gamma and gruneisen the
-    known Gamma; init = (sigma0, mu0), with the fitted fields within the
-    bounds. The iterate is sigma and mu stacked, with II and IV on one
-    iteration: with mu_only, sigma is pinned by its own bounds lo = hi =
-    sigma0 (which may lie outside [bound_floor, bound_ceiling]) and always
-    held, so only mu is fitted; sigma's metric weight is then 0, so no norm
-    or inner product sees it. Returns (sigma, mu, LsqReport). Inner
-    products use the lumped-mass metric. Each iteration takes the step of
+    known Gamma; init = (sigma0, mu0), any start: its fitted fields are
+    projected onto the bounds. The iterate is sigma and mu stacked, with II
+    and IV on one iteration: with mu_only, sigma is pinned by its own bounds
+    lo = hi = sigma0 (which may lie outside [bound_floor, bound_ceiling])
+    and always held, so only mu is fitted; sigma's metric weight is then 0,
+    so no norm or inner product sees it. Returns (sigma, mu, LsqReport).
+    Inner products use the lumped-mass metric. Each iteration takes the step of
     gauss_newton_step from the forward states of the current iterate (no
     extra solve) and backtracks along its projection onto the bounds until
     the Armijo test holds. A component is held when it sits at a bound and
@@ -349,12 +349,10 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     # its bounds lo = hi = sigma0 pin it, and it is always held
     x = np.concatenate([as_field(mesh, init[0]), as_field(mesh, init[1])])
     free = np.repeat([not mu_only, True], n)
-    outside = free & ((x < cfg.bound_floor - 1e-15) | (x > cfg.bound_ceiling + 1e-15))
-    if outside.any():
-        name = "sigma" if outside[:n].any() else "mu"
-        raise ValidationError(f"initial {name} violates the projection bounds")
     lo = np.where(free, cfg.bound_floor, x)
     hi = np.where(free, cfg.bound_ceiling, x)
+    # the start is projected onto the box, as every line-search trial is
+    x = np.clip(x, lo, hi)
     # metric weights; 0 on a pinned component, so that no norm sees it
     w = np.concatenate([ev.lumped, ev.lumped]) * free
     reg = 0.0 if ev.K1 is None else ev.kappa * ev.K1.diagonal() / ev.lumped
@@ -374,15 +372,12 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
         raise ValidationError(f"u0 needs one field per source ({data.size}), "
                               f"got {len(u0)}")
 
-    # The noise-level tolerances of the module docstring, for noisy data
-    # only; None keeps newton's.
-    noisy = data.noise_level > 0.0
-    first_tols = adjoint_tol = None
-    if noisy:
-        rel = NOISE_SAFETY * noise_std(data.noise_level)
-        first_tols = [max(ev.newton.residual_tol, ARMIJO_SHARE * rel * float(
-            np.linalg.norm((ev.lumped * H / ev.gruneisen)[op.interior]))) for H in data.data]
-        adjoint_tol = max(ev.newton.linear_tol, rel)
+    # The noise-level tolerances of the module docstring; at noise level 0
+    # they are newton's.
+    rel = NOISE_SAFETY * noise_std(data.noise_level)
+    first_tols = [max(ev.newton.residual_tol, ARMIJO_SHARE * rel * float(
+        np.linalg.norm((ev.lumped * H / ev.gruneisen)[op.interior]))) for H in data.data]
+    adjoint_tol = max(ev.newton.linear_tol, rel)
 
     def evaluate(xv, start, tols=None):
         """Objective value and forward states at xv, Newton started from start."""
@@ -399,9 +394,8 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
         g_ref += np.concatenate([wz * a, wz * b])
     report.reference_grad_norm = np.sqrt(dot(g_ref, g_ref))
     threshold = cfg.grad_tol * report.reference_grad_norm
-    if noisy:
-        report.noise_misfit = (0.5 * noise_std(data.noise_level) ** 2 * data.size
-                               * float(ev.lumped.sum()))
+    report.noise_misfit = (0.5 * noise_std(data.noise_level) ** 2 * data.size
+                           * float(ev.lumped.sum()))
     noise_floor = NOISE_SHARE * report.noise_misfit
 
     for it in range(cfg.max_iterations + 1):

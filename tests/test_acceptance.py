@@ -236,14 +236,20 @@ def _linearity_problems(experiments):
         for which in experiments:
             for (coeff, eps), err in _stability_means(n, which).items():
                 ratios.setdefault(f"{which} {coeff}", []).append(err / eps)
+    return sorted(ratios), _spread_problems(ratios, "error / eps")
+
+
+def _spread_problems(ratios, what):
+    """The coefficients of ratios ({label: values}) whose values stray more
+    than 10 % from their mean, each as a line naming what they are."""
     problems = []
     for label, values in ratios.items():
         mean = float(np.mean(values))
         worst = max(abs(r / mean - 1.0) for r in values)
         if worst > 0.1:
-            problems.append(f"{label}: error / eps {min(values):.3f}-{max(values):.3f} "
+            problems.append(f"{label}: {what} {min(values):.3f}-{max(values):.3f} "
                             f"strays {worst:.1%} from {mean:.3f}")
-    return sorted(ratios), problems
+    return problems
 
 
 def test_criterion_6_direct_error_linear_in_noise_level():
@@ -276,6 +282,36 @@ def test_criterion_6_least_squares_error_linear_in_noise_level():
     report(6, len(labels) == 3 and not problems,
            f"least-squares error / eps within 10 % of one constant per coefficient, "
            f"II and IV within 2 % of I and III over n = 16/32/64 and eps = 1/2/5"
+           + ("; " + "; ".join(problems) if problems else ""))
+
+
+def test_criterion_6_crime_guard_noise_adds_in_quadrature():
+    # with the crime guard the data carry an interpolation floor a(h), and
+    # the direct error adds the noise to it in quadrature, err(eps) =
+    # sqrt(a(h)^2 + (b eps)^2): each sqrt(err(eps)^2 - err(0)^2) / eps at
+    # 24 <- 32 and 48 <- 64, eps = 1/2/5, seeds 111-120, lies within 10 % of
+    # its coefficient's mean b (worst 5.5 %; b is 0.78 for I mu and 0.71/1.48
+    # for III sigma/mu, and 96 <- 128 gives the same). The linear form
+    # a(h) + b eps does not hold: (err(eps) - err(0)) / eps strays up to
+    # 88 % from its mean. A noisy error below the floor counts as b = 0
+    ratios: dict = {}
+    for n in (24, 48):
+        cfg = default_config()
+        cfg.mesh_n = n
+        cfg.data_mesh_n = 4 * n // 3
+        cfg.noise_levels = [0.0, 1.0, 2.0, 5.0]
+        cfg.seeds = list(range(111, 121))
+        bundle = prepare_data(cfg)
+        for which in ("I", "III"):
+            means = run_experiment(which, cfg, bundle=bundle).mean_errors()
+            for (coeff, eps), err in means.items():
+                if eps > 0.0:
+                    noise = max(err ** 2 - means[(coeff, 0.0)] ** 2, 0.0)
+                    ratios.setdefault(f"{which} {coeff}", []).append(np.sqrt(noise) / eps)
+    problems = _spread_problems(ratios, "sqrt(err^2 - err(0)^2) / eps")
+    report(6, len(ratios) == 3 and not problems,
+           f"crime-guard error sqrt(err^2 - err(0)^2) / eps within 10 % of one "
+           f"constant per coefficient over 24 <- 32, 48 <- 64 and eps = 1/2/5"
            + ("; " + "; ".join(problems) if problems else ""))
 
 

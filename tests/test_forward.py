@@ -433,6 +433,12 @@ def test_boundary_source_validation():
     g = BoundarySource.constant(mesh, 0.0)
     with pytest.raises(ValidationError):
         g.require_strictly_positive()
+    # a non-finite value is rejected when the source is made, naming it
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.ones(len(mesh.boundary_list))
+        values[1] = bad
+        with pytest.raises(ValidationError, match=f"source value {bad:g} is not finite"):
+            BoundarySource(mesh, values)
 
 
 def test_boundary_source_values_are_read_only_and_in_boundary_order():

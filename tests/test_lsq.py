@@ -295,13 +295,35 @@ def test_fit_with_a_binding_bound_converges_on_the_reduced_gradient(bundle8):
     assert cfg.bound_floor <= mu.min() and mu.max() <= cfg.bound_ceiling
 
 
-def test_run_lsq_rejects_out_of_bounds_init(bundle8):
+@settings(max_examples=20, deadline=None)
+@given(mu_only=st.booleans(), eps=st.sampled_from([0.0, 2.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(mu_only=False, eps=0.0, seed=0)
+@example(mu_only=True, eps=2.0, seed=0)
+def test_run_lsq_projects_any_start_onto_its_box(bundle8, mu_only, eps, seed):
+    # II (sigma pinned, inside or outside the box) and IV, from starts whose
+    # nodes lie inside, on and outside the box: the run is bit for bit the
+    # run from the start's projection, its fields and every report history
     b = bundle8
     n = b.mesh.node_count
-    cfg = LsqConfig(bound_floor=0.1, bound_ceiling=0.2)
-    with pytest.raises(ValidationError):
-        run_lsq(b.operator, b.coeffs.gruneisen, datum(b),
-                (np.full(n, 0.5), np.full(n, 0.15)), cfg)
+    lo, hi = 0.1, 0.2
+    cfg = LsqConfig(bound_floor=lo, bound_ceiling=hi, max_iterations=3)
+    rng = np.random.default_rng(seed)
+    # one of five kinds per node: inside, on the floor, on the ceiling,
+    # below the floor, above the ceiling
+    kinds = [rng.uniform(lo, hi, 2 * n), np.full(2 * n, lo), np.full(2 * n, hi),
+             rng.uniform(0.01, lo, 2 * n), rng.uniform(hi, 0.6, 2 * n)]
+    start = np.choose(rng.integers(0, len(kinds), 2 * n), kinds)
+    sigma, mu = start[:n], start[n:]
+    projected = (sigma if mu_only else np.clip(sigma, lo, hi), np.clip(mu, lo, hi))
+    ds = datum(b, eps)
+    (s1, m1, r1), (s2, m2, r2) = (
+        run_lsq(b.operator, b.coeffs.gruneisen, ds, init, cfg, mu_only=mu_only)
+        for init in ((sigma, mu), projected))
+    assert s1.tobytes() == s2.tobytes() and m1.tobytes() == m2.tobytes()
+    assert r1 == r2
+    if mu_only:
+        assert s1.tobytes() == sigma.tobytes()
 
 
 def test_mu_only_mode_keeps_sigma_fixed(bundle8):
