@@ -46,7 +46,9 @@ class DataBundle:
     operator is the forward operator of the true diffusion on the
     reconstruction mesh, through which every reconstruction solve gets the
     mesh and gamma, and locator (crime guard only) the reconstruction nodes
-    located in the data mesh; prepare_data builds each once. Every
+    located in the data mesh; prepare_data builds each once. Without the
+    crime guard u_clean is on the reconstruction mesh too, and every job
+    starts its direct density solves from it (reconstruct). Every
     reconstruction job uses them, including jobs running at once on the
     thread pool, so they are read-only: nothing may modify them or their
     arrays.
@@ -157,7 +159,10 @@ def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
     Every experiment starts with the direct fit of the datum: its densities
     u_j* (direct.recover_all_fields) and the pointwise fit on them
     (direct.recover_pair), I and II with sigma known, III and IV for the
-    pair. I and III return that fit. II and IV refine it by least squares,
+    pair. Without the crime guard the density solves start from the
+    bundle's clean forward fields u_clean, which already solve them for
+    noiseless data; with it they start cold, as u_clean is on the data
+    mesh. I and III return that fit. II and IV refine it by least squares,
     which projects it onto the bounds and starts its first forward solves
     from the u_j*. Nodes the direct fit flags carry its nearest-neighbour
     fill. With one source the pair fit does not exist, so IV starts sigma at
@@ -178,7 +183,8 @@ def reconstruct(which: str, bundle: DataBundle, datum_set: DatumSet):
                               0.5 * (cfg.lsq.bound_floor + cfg.lsq.bound_ceiling))
     else:
         sigma_known = None
-    stars = direct.recover_all_fields(op, Gamma, datum_set)
+    stars = direct.recover_all_fields(
+        op, Gamma, datum_set, u0=None if bundle.crime_guard else bundle.u_clean)
     sigma, mu, report = direct.recover_pair(op, Gamma, datum_set,
                                             sigma_known=sigma_known, stars=stars)
     if which in ("I", "III"):

@@ -245,7 +245,7 @@ def _scatter(mesh: Mesh, diag: np.ndarray, upper: np.ndarray) -> BandedOperator:
 
 
 def solve_linear(A: BandedOperator, b: np.ndarray, tol: float = DEFAULT_TOL,
-                 preconditioner=None, shift=0.0):
+                 preconditioner=None, shift=0.0, x0=None):
     """Preconditioned conjugate gradients for the SPD system (A + diag(shift)) x = b.
 
     shift (an array of one value per row, or a scalar) is added to the
@@ -254,18 +254,30 @@ def solve_linear(A: BandedOperator, b: np.ndarray, tol: float = DEFAULT_TOL,
     preconditioner maps a residual r to z = P^-1 r for a symmetric positive
     definite P; the default is Jacobi, z = r / (diag(A) + shift). It is
     applied once per iteration, never after the residual update that meets
-    the tolerance. Returns x with relative residual
-    ||(A + diag(shift)) x - b|| / ||b|| <= tol (x = 0 when b = 0, or when
-    tol >= 1). Raises ValidationError, before any iteration, unless tol is
-    finite and positive, SolverError unless diag(A) + shift is positive, and
-    SolverError with the final residual when max(1000, 20 n) iterations do
-    not reach tol.
+    the tolerance. CG starts from x0 (one value per row) when given, with
+    the residual b - (A + diag(shift)) x0, and from 0 otherwise; the stop
+    test is against the full right-hand side either way. Returns x with
+    relative residual ||(A + diag(shift)) x - b|| / ||b|| <= tol: x = 0 when
+    b = 0, x0 itself when x0 already meets the test, and x = 0 when tol >= 1
+    without x0. Raises ValidationError, before any iteration, unless tol is
+    finite and positive and b and x0 are finite, SolverError unless
+    diag(A) + shift is positive, and SolverError with the final residual
+    when max(1000, 20 n) iterations do not reach tol.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"CG tolerance must be finite and positive, got {tol!r}")
     b = np.asarray(b, dtype=float)
     n = len(b)
     bnorm = float(np.linalg.norm(b))
+    if not math.isfinite(bnorm):        # a NaN or an infinity in b
+        raise ValidationError("CG right-hand side has non-finite values")
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != b.shape:
+            raise ValidationError(f"CG start has {x0.shape} values, right-hand side "
+                                  f"has {b.shape}")
+        if not np.isfinite(x0).all():
+            raise ValidationError("CG start has non-finite values")
     if bnorm == 0.0:
         return np.zeros(n)
     max_iterations = max(1000, 20 * n)
@@ -279,11 +291,15 @@ def solve_linear(A: BandedOperator, b: np.ndarray, tol: float = DEFAULT_TOL,
         def preconditioner(r):
             return inv_diag * r
 
-    x = np.zeros(n)
-    r = b.copy()
     target = tol * bnorm
-    if bnorm <= target:
-        return x
+    if x0 is None:
+        x = np.zeros(n)
+        r = b.copy()
+    else:
+        x = x0.copy()
+        r = b - A.matvec(x0, diag)
+    if np.linalg.norm(r) <= target:
+        return x if x0 is None else x0
     z = preconditioner(r)
     p = z.copy()
     rz = float(r @ z)

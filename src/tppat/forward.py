@@ -184,11 +184,15 @@ class ForwardOperator:
             return (S @ (y * inv_eig) @ S).ravel().astype(np.float64)
         return apply
 
-    def solve(self, reaction_diag_interior, rhs: np.ndarray, tol: float) -> np.ndarray:
-        """Interior x with (K_ii + diag(w)) x = rhs to relative residual tol."""
+    def solve(self, reaction_diag_interior, rhs: np.ndarray, tol: float,
+              x0: np.ndarray | None = None) -> np.ndarray:
+        """Interior x with (K_ii + diag(w)) x = rhs to relative residual tol.
+
+        CG starts from the interior values x0 when given (fem.solve_linear).
+        """
         return fem.solve_linear(
             self.K_ii, rhs, tol, shift=reaction_diag_interior,
-            preconditioner=self.preconditioner(reaction_diag_interior))
+            preconditioner=self.preconditioner(reaction_diag_interior), x0=x0)
 
     def expand(self, x_interior: np.ndarray, boundary_values) -> np.ndarray:
         """Nodal field from interior values and boundary values (array or scalar)."""
@@ -215,15 +219,21 @@ class ForwardOperator:
         return self.expand(x, 0.0)
 
     def solve_reaction(self, g: BoundarySource, load_nodal,
-                       tol: float = fem.DEFAULT_TOL) -> np.ndarray:
+                       tol: float = fem.DEFAULT_TOL,
+                       u0: np.ndarray | None = None) -> np.ndarray:
         """Solve -div(gamma grad u) = load with u = g on the boundary.
 
         load_nodal is the nodal load, lumped like the reaction terms; tol is
-        the relative residual of the linear solve.
+        the relative residual of the linear solve, tested against its full
+        right-hand side. The solve starts from g extended by zero, or from
+        the nodal field u0 with its boundary values replaced by g, as in
+        solve_semilinear: a u0 that already meets tol comes back with only
+        its boundary replaced.
         """
         rhs = (self.lumped * as_field(self.mesh, load_nodal)
                - self.K @ self.expand(0.0, g.values))[self.interior]
-        return self.expand(self.solve(0.0, rhs, tol), g.values)
+        x0 = None if u0 is None else as_field(self.mesh, u0)[self.interior]
+        return self.expand(self.solve(0.0, rhs, tol, x0=x0), g.values)
 
 
 def solve_semilinear(op: ForwardOperator, sigma, mu, g: BoundarySource,

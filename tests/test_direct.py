@@ -9,12 +9,13 @@ from oracle import mu_from_set_loop
 from test_forward import count_grid_preconditioner_applications, jittered_mesh
 from tppat import direct
 from tppat.config import default_config
-from tppat.direct import DatumSet, fit_pair_pointwise, recover_all_fields, recover_pair
+from tppat.direct import (NOISE_SAFETY, DatumSet, fit_pair_pointwise, recover_all_fields,
+                          recover_pair)
 from tppat.errors import ValidationError
-from tppat.experiments import prepare_data
-from tppat.fem import clip_nonnegative
+from tppat.experiments import prepare_data, reconstruct
+from tppat.fem import DEFAULT_TOL, clip_nonnegative, solve_linear
 from tppat.forward import (BoundarySource, ForwardOperator, add_noise, compute_datum,
-                           noise_stream_seed, solve_semilinear)
+                           noise_std, noise_stream_seed, solve_semilinear)
 from tppat.lsq import Evaluator
 from tppat.mesh import build_square_mesh
 from tppat.metrics import relative_l2_error
@@ -443,9 +444,9 @@ def test_direct_solves_run_to_the_noise_matched_tolerance(bundle16, monkeypatch)
     received = []
     solve = ForwardOperator.solve
 
-    def recording(self, w, rhs, tol):
+    def recording(self, w, rhs, tol, x0=None):
         received.append(tol)
-        return solve(self, w, rhs, tol)
+        return solve(self, w, rhs, tol, x0=x0)
 
     monkeypatch.setattr(ForwardOperator, "solve", recording)
     J = len(b.sources)
@@ -477,17 +478,17 @@ def test_noisy_direct_solves_need_few_preconditioner_applications(bundle32, epsi
 
 @functools.lru_cache(maxsize=None)
 def clean_problem(n, mesh_seed):
-    """(operator, coefficients, sources, clean data) of the default phantom
-    on the grid (mesh_seed None) or a jittered mesh (Jacobi path)."""
+    """(operator, coefficients, sources, clean data, clean forward fields) of
+    the default phantom on the grid (mesh_seed None) or a jittered mesh
+    (Jacobi path)."""
     mesh = build_square_mesh(n) if mesh_seed is None else jittered_mesh(n, mesh_seed, 0.3 / n)
     cfg = default_config()
     coeffs = cfg.phantom.coefficients(mesh)
     sources = [spec.build(mesh) for spec in cfg.sources]
     op = ForwardOperator(mesh, coeffs.diffusion)
-    H = [compute_datum(coeffs, solve_semilinear(op, coeffs.single_photon,
-                                                coeffs.two_photon, g)[0])
+    U = [solve_semilinear(op, coeffs.single_photon, coeffs.two_photon, g)[0]
          for g in sources]
-    return op, coeffs, sources, H
+    return op, coeffs, sources, [compute_datum(coeffs, u) for u in U], U
 
 
 @settings(max_examples=25, deadline=None)
@@ -498,7 +499,7 @@ def test_noise_matched_recovery_moves_far_less_than_the_noise(n, mesh_seed, epsi
     # experiments I and III: the fields at the noise-matched tolerance lie
     # within 1 % of the noise's own effect of a DEFAULT_TOL recovery of the
     # same datum at noise_level 0, in the max norm
-    op, coeffs, sources, H = clean_problem(n, mesh_seed)
+    op, coeffs, sources, H, _ = clean_problem(n, mesh_seed)
     noisy = [add_noise(h, epsilon, noise_stream_seed(seed, j, epsilon))
              for j, h in enumerate(H)]
     matched = DatumSet(sources=list(sources), data=noisy, noise_level=epsilon)
@@ -512,3 +513,101 @@ def test_noise_matched_recovery_moves_far_less_than_the_noise(n, mesh_seed, epsi
             moved = np.abs(fields[0][k] - fields[1][k]).max()
             noise_effect = np.abs(fields[1][k] - fields[2][k]).max()
             assert moved <= 0.01 * noise_effect, (k, moved, noise_effect)
+
+
+# The density solves from a start (experiments.reconstruct starts them from
+# the bundle's clean forward fields).
+
+def density_rhs(op, Gamma, g, H):
+    """The right-hand side b of the interior system K_ii u*_interior = b."""
+    return (op.lumped * (-H / Gamma) - op.K @ op.expand(0.0, g.values))[op.interior]
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(4, 24), mesh_seed=st.one_of(st.none(), st.integers(0, 3)),
+       epsilon=st.sampled_from([0.0, 1.0, 2.0, 5.0]), seed=st.integers(0, 2**16),
+       start=st.sampled_from(["none", "zeros", "clean", "random"]))
+def test_densities_from_any_start_meet_the_noise_matched_residual(n, mesh_seed, epsilon,
+                                                                  seed, start):
+    # the start changes where CG begins, not where it stops: every density
+    # meets max(DEFAULT_TOL, NOISE_SAFETY epsilon / 100) against its full
+    # right-hand side and equals g on the boundary, even from a start whose
+    # boundary values are wrong
+    op, coeffs, sources, H, U = clean_problem(n, mesh_seed)
+    noisy = [add_noise(h, epsilon, noise_stream_seed(seed, j, epsilon))
+             for j, h in enumerate(H)]
+    data = DatumSet(sources=list(sources), data=noisy, noise_level=epsilon)
+    rng = np.random.default_rng(seed)
+    N = op.mesh.node_count
+    u0 = {"none": None, "zeros": [np.zeros(N)] * len(U), "clean": U,
+          "random": [rng.uniform(-1.0, 2.0, N) for _ in U]}[start]
+    stars = recover_all_fields(op, coeffs.gruneisen, data, u0=u0)
+    tol = max(DEFAULT_TOL, NOISE_SAFETY * noise_std(epsilon))
+    for g, h, u in zip(sources, noisy, stars):
+        rhs = density_rhs(op, coeffs.gruneisen, g, h)
+        assert np.array_equal(u[op.boundary], g.values)
+        assert np.linalg.norm(rhs - op.K_ii @ u[op.interior]) <= tol * np.linalg.norm(rhs)
+
+
+def test_densities_without_a_start_are_the_cold_solve(bundle16):
+    # without u0, bitwise CG from zero, at DEFAULT_TOL and at a noise-matched
+    # tolerance
+    b = bundle16
+    op = b.operator
+    for epsilon in (0.0, 2.0):
+        ds = b.datum_set(epsilon, 5)
+        tol = max(DEFAULT_TOL, NOISE_SAFETY * noise_std(epsilon))
+        stars = recover_all_fields(op, b.coeffs.gruneisen, ds)
+        for g, H, u in zip(ds.sources, ds.data, stars):
+            rhs = density_rhs(op, b.coeffs.gruneisen, g, H)
+            cold = solve_linear(op.K_ii, rhs, tol, shift=0.0,
+                                preconditioner=op.preconditioner(0.0))
+            assert u.tobytes() == op.expand(cold, g.values).tobytes()
+
+
+def test_density_starts_of_another_count_or_mesh_are_rejected(bundle16):
+    b = bundle16
+    ds = b.datum_set(0.0, 5)
+    other = build_square_mesh(8)
+    for u0, match in ((b.u_clean[:-1], "density starts"),
+                      (b.u_clean + b.u_clean[:1], "density starts"),
+                      ([np.zeros(other.node_count)] * ds.size, "mesh has")):
+        with pytest.raises(ValidationError, match=match):
+            recover_all_fields(b.operator, b.coeffs.gruneisen, ds, u0=u0)
+
+
+@pytest.mark.parametrize("n, most", [(32, 2), (128, 1)])
+def test_jobs_start_their_densities_from_the_clean_forward_fields(n, most, monkeypatch):
+    # through reconstruct: noiseless densities need no iteration, and noisy
+    # ones at most `most` (one at n = 128; at n = 32 the second source's
+    # first step ends 1.3-1.4 times above its bound, so it takes two), where
+    # cold solves take 3-4
+    cfg = default_config()
+    cfg.mesh_n = n
+    b = prepare_data(cfg)
+    applications = count_grid_preconditioner_applications(monkeypatch)
+    for epsilon in (0.0, 1.0, 2.0, 5.0):
+        ds = b.datum_set(epsilon, 7)
+        applications.clear()
+        recover_all_fields(b.operator, b.coeffs.gruneisen, ds)
+        cold = list(applications)
+        applications.clear()
+        reconstruct("III", b, ds)
+        if epsilon == 0.0:
+            assert applications == [0] * ds.size
+        else:
+            assert max(applications) <= most < min(cold), (applications, cold)
+
+
+def test_crime_guard_jobs_solve_their_densities_cold():
+    # u_clean is on the data mesh, so a crime-guard job starts from zero:
+    # bitwise the direct fit of the cold densities
+    cfg = default_config()
+    cfg.mesh_n, cfg.data_mesh_n = 16, 24
+    b = prepare_data(cfg)
+    for epsilon in (0.0, 2.0):
+        ds = b.datum_set(epsilon, 5)
+        fields = reconstruct("III", b, ds)
+        sigma, mu, _ = recover_pair(b.operator, b.coeffs.gruneisen, ds)
+        assert fields["sigma"].tobytes() == sigma.tobytes()
+        assert fields["mu"].tobytes() == mu.tobytes()

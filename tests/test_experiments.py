@@ -165,8 +165,8 @@ def test_every_experiment_solves_the_direct_densities_once(monkeypatch, which):
     calls = []
     recover_all_fields, recover_pair = direct.recover_all_fields, direct.recover_pair
 
-    def recording_fields(*args):
-        calls.append(recover_all_fields(*args))
+    def recording_fields(*args, **kwargs):
+        calls.append(recover_all_fields(*args, **kwargs))
         return calls[-1]
 
     def recording_pair(*args, stars=None, **kwargs):

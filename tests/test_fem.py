@@ -450,6 +450,69 @@ def test_cg_applies_its_preconditioner_once_per_iteration(kind, size, seed, shif
         assert solve_linear(A, b, tol, shift=shift).tobytes() == x.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["jacobi", "exact", "sine"]), size=st.integers(2, 9),
+       seed=st.integers(0, 2**32 - 1), shifted=st.booleans(),
+       log_tol=st.floats(-10.0, -1.0), log_offset=st.floats(-14.0, 1.0))
+@example(kind="sine", size=9, seed=1, shifted=True, log_tol=-10.0, log_offset=-14.0)
+def test_cg_from_a_start_meets_the_tolerance_of_the_full_right_hand_side(
+        kind, size, seed, shifted, log_tol, log_offset):
+    # the start moves only where CG begins: the stop test is ||b - A x|| <=
+    # tol ||b|| whatever x0 is, a start that already meets it comes back
+    # itself with no preconditioner applied, and the zero start is bitwise
+    # the cold solve
+    A, shift, preconditioner = random_spd_system(kind, size, seed, shifted)
+    tol = 10.0 ** log_tol
+    rng = np.random.default_rng(seed + 1)
+    b = rng.standard_normal(len(A.diagonal()))
+    exact = solve_linear(A, b, 1e-13, preconditioner=preconditioner, shift=shift)
+    x0 = exact + 10.0 ** log_offset * np.linalg.norm(exact) * rng.standard_normal(len(b))
+    applied = []
+
+    def counted(r):
+        applied.append(1)
+        return preconditioner(r)
+
+    x = solve_linear(A, b, tol, preconditioner=counted, shift=shift, x0=x0)
+    shifted_A = dense(A) + np.diag(np.broadcast_to(shift, len(b)))
+    meets = np.linalg.norm(b - shifted_A @ x0) <= tol * np.linalg.norm(b)
+    assert (x is x0) == meets == (applied == [])
+    assert np.linalg.norm(b - shifted_A @ x) <= tol * np.linalg.norm(b)
+    cold = solve_linear(A, b, tol, preconditioner=preconditioner, shift=shift)
+    zero = solve_linear(A, b, tol, preconditioner=preconditioner, shift=shift,
+                        x0=np.zeros(len(b)))
+    assert zero.tobytes() == cold.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(position=st.integers(0, 48), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       where=st.sampled_from(["b", "b, zero start", "x0"]))
+def test_cg_rejects_a_non_finite_right_hand_side_or_start_before_iterating(position,
+                                                                           bad, where):
+    # a NaN would run CG to its iteration cap and fail with a NaN residual,
+    # and an infinity in b would pass the stop test with x = 0
+    op = ForwardOperator(build_square_mesh(8), 1.0)        # 49 interior nodes
+    applied = []
+
+    def recording(r):
+        applied.append(r)
+        return r
+
+    b = np.ones(len(op.interior))
+    x0 = None if where == "b" else np.zeros(len(b))
+    (x0 if where == "x0" else b)[position] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        solve_linear(op.K_ii, b, 1e-10, preconditioner=recording, x0=x0)
+    assert applied == []
+
+
+def test_cg_rejects_a_start_of_another_length():
+    op = ForwardOperator(build_square_mesh(8), 1.0)
+    with pytest.raises(ValidationError, match="CG start has"):
+        solve_linear(op.K_ii, np.ones(len(op.interior)), 1e-10,
+                     x0=np.zeros(len(op.interior) + 1))
+
+
 def test_field_shape_check():
     m = build_square_mesh(2)
     with pytest.raises(ValidationError):

@@ -594,7 +594,8 @@ def test_data_the_weights_cannot_use_are_rejected_naming_the_source(bundle16,
     b = bundle16
     solves = []
     monkeypatch.setattr(direct, "recover_all_fields",
-                        lambda *args: solves.append(args) or recover_all_fields(*args))
+                        lambda *args, **kwargs: solves.append(args)
+                        or recover_all_fields(*args, **kwargs))
     monkeypatch.setattr(b.config, "noise_levels", [60.0])
     for seed in (1, b.config.seeds[0]):
         first = next(j for j, H in enumerate(b.noisy_data(60.0, seed)) if H.min() <= 0.0)
@@ -608,9 +609,12 @@ def test_data_the_weights_cannot_use_are_rejected_naming_the_source(bundle16,
 
 
 def lsq_start(bundle, ds, mu_only):
-    """The start and densities reconstruct hands run_lsq for II (mu_only) or IV."""
+    """The start and densities reconstruct hands run_lsq for II (mu_only) or IV,
+    the densities solved as reconstruct solves them (from u_clean without
+    the crime guard)."""
     cfg = bundle.config.lsq
-    stars = recover_all_fields(bundle.operator, bundle.coeffs.gruneisen, ds)
+    stars = recover_all_fields(bundle.operator, bundle.coeffs.gruneisen, ds,
+                               u0=None if bundle.crime_guard else bundle.u_clean)
     sigma_known = bundle.coeffs.single_photon if mu_only else None
     sigma, mu, _ = recover_pair(bundle.operator, bundle.coeffs.gruneisen, ds,
                                 sigma_known=sigma_known, stars=stars)
