@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .errors import MeshFormatError, SolverError, TppatError, ValidationError
 from .fem import CoefficientSet
-from .forward import BoundarySource, NewtonConfig, SolverReport
+from .forward import BoundarySource, SolverReport
 from .mesh import Mesh, build_square_mesh, load_mesh, save_mesh
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "CoefficientSet",
     "Mesh",
     "MeshFormatError",
-    "NewtonConfig",
     "SolverError",
     "SolverReport",
     "TppatError",

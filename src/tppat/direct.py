@@ -24,14 +24,14 @@ condition report and filled from the nearest well-conditioned node.
 Each density is solved only as accurately as its datum is known, in the
 spirit of the inexact Newton forcing terms of forward.py: with noise level
 epsilon (percent, DatumSet.noise_level) the solve stops at the relative
-residual max(fem.DEFAULT_TOL, NOISE_SAFETY * epsilon / 100), a thousand
-times below the relative perturbation that add_noise puts on the right-hand
-side. Data with noise_level 0 are solved to fem.DEFAULT_TOL, so noiseless
-recovery stays exact to solver precision. The stop test is against the
-full right-hand side, whatever the start: experiments.reconstruct starts
-each solve from the clean forward field of its source, which already meets
-it for noiseless data (no iteration) and leaves about one iteration for
-noisy data.
+residual DatumSet.noise_tol = max(fem.DEFAULT_TOL, NOISE_SAFETY * epsilon /
+100), a thousand times below the relative perturbation that add_noise puts
+on the right-hand side; lsq's adjoint solves share it. Data with
+noise_level 0 are solved to fem.DEFAULT_TOL, so noiseless recovery stays
+exact to solver precision. The stop test is against the full right-hand
+side, whatever the start: experiments.reconstruct starts each solve from
+the clean forward field of its source, which already meets it for noiseless
+data (no iteration) and leaves about one iteration for noisy data.
 """
 
 from __future__ import annotations
@@ -91,6 +91,12 @@ class DatumSet:
     def size(self) -> int:
         return len(self.sources)
 
+    @property
+    def noise_tol(self) -> float:
+        """Relative residual of the direct density and lsq adjoint solves
+        (module docstring): max(fem.DEFAULT_TOL, NOISE_SAFETY * noise_level / 100)."""
+        return max(fem.DEFAULT_TOL, NOISE_SAFETY * noise_std(self.noise_level))
+
 
 @dataclass
 class ConditionReport:
@@ -127,7 +133,7 @@ def recover_all_fields(op: ForwardOperator, Gamma, data: DatumSet, u0=None) -> l
     Each solves -div(gamma grad u_j*) = -H_j / Gamma with u_j* = g_j on the
     boundary, gamma the diffusion of op; Gamma must be finite and positive,
     and data on op's mesh.
-    Each solve runs to the relative residual
+    Each solve runs to the relative residual data.noise_tol,
     max(fem.DEFAULT_TOL, NOISE_SAFETY * epsilon / 100) for the noise level
     epsilon of the data (DatumSet.noise_level): fem.DEFAULT_TOL at
     noise_level 0, 2e-5 at epsilon = 2. u0, when given, holds one nodal
@@ -142,8 +148,7 @@ def recover_all_fields(op: ForwardOperator, Gamma, data: DatumSet, u0=None) -> l
     if len(starts) != data.size:
         raise ValidationError(f"{len(starts)} density starts for {data.size} sources")
     Gamma = positive_field(op.mesh, Gamma, "gruneisen")
-    tol = max(fem.DEFAULT_TOL, NOISE_SAFETY * noise_std(data.noise_level))
-    return [op.solve_reaction(g, -H / Gamma, tol, u)
+    return [op.solve_reaction(g, -H / Gamma, data.noise_tol, u)
             for g, H, u in zip(data.sources, data.data, starts)]
 
 

@@ -31,8 +31,8 @@ from . import direct, fem, lsq, transfer
 from .config import ExperimentConfig
 from .direct import DatumSet
 from .errors import ValidationError, require_count
-from .forward import (ForwardOperator, NewtonConfig, add_noise, compute_datum,
-                      noise_stream_seed, solve_semilinear)
+from .forward import (ForwardOperator, add_noise, compute_datum, noise_stream_seed,
+                      solve_semilinear)
 from .mesh import Mesh, build_square_mesh, save_mesh
 from .metrics import relative_l2_error, squared_l2_norm
 
@@ -110,8 +110,7 @@ def _map_jobs(function, items, threads: int, mesh: Mesh) -> list:
     return [function(item) for item in items]
 
 
-def prepare_data(cfg: ExperimentConfig, newton: NewtonConfig | None = None,
-                 threads: int = 1) -> DataBundle:
+def prepare_data(cfg: ExperimentConfig, threads: int = 1) -> DataBundle:
     """Solve the forward problems at the true coefficients.
 
     Builds one forward operator per mesh. The data-mesh operator serves the
@@ -132,12 +131,11 @@ def prepare_data(cfg: ExperimentConfig, newton: NewtonConfig | None = None,
     sources = [s.build(mesh) for s in cfg.sources]
     data_sources = ([s.build(data_mesh) for s in cfg.sources]
                     if data_mesh is not mesh else sources)
-    newton = newton or NewtonConfig()
     operator = ForwardOperator(data_mesh, data_coeffs.diffusion)
 
     def solve_one(g):
         return solve_semilinear(operator, data_coeffs.single_photon,
-                                data_coeffs.two_photon, g, newton)
+                                data_coeffs.two_photon, g)
 
     results = _map_jobs(solve_one, data_sources, threads, data_mesh)
     u_clean = [u for u, _ in results]

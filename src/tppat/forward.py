@@ -17,9 +17,11 @@ ForwardOperator.solve: preconditioned CG on the interior block, with the
 sine-transform preconditioner on the build_square_mesh grid and Jacobi on
 other meshes. Newton is inexact (Dembo, Eisenstat & Steihaug 1982): step k
 solves its linear system only to the relative residual
-eta_k = min(FORCING_MAX, max(||F_k||, FORCING_SAFETY * residual_tol / ||F_k||)),
-never below linear_tol. The first term keeps the local convergence
-quadratic, the second stops a step from solving past the nonlinear target.
+eta_k = min(FORCING_MAX, max(||F_k||, FORCING_SAFETY * residual_tol / ||F_k||)).
+The first term keeps the local convergence quadratic, the second stops a
+step from solving past the nonlinear target. Since max(r, c / r) >= sqrt(c),
+eta_k >= min(FORCING_MAX, sqrt(FORCING_SAFETY * residual_tol)), 3.2e-6 at
+the default RESIDUAL_TOL, so CG takes eta_k as it is, with no floor.
 A cold solve starts from g extended by zero, e. There |u| vanishes inside,
 so the first step solves the linear problem with mu = 0 (K_ii + diag(m
 sigma), right-hand side -(K e) on the interior), to FORCING_MAX like any
@@ -84,27 +86,8 @@ FORCING_SAFETY = 0.1
 # Backtracking factor of the Newton line search, and the Newton step cap.
 DAMPING = 0.5
 NEWTON_MAX_ITERATIONS = 50
-
-
-@dataclass
-class NewtonConfig:
-    """Newton tolerances for solve_semilinear.
-
-    residual_tol bounds the interior residual norm at convergence. linear_tol
-    is the floor of the forcing term of every Newton step, and the relative
-    tolerance of the adjoint solves of the least-squares gradient. Both must
-    be finite and positive. The backtracking factor and the step cap are the
-    module constants DAMPING and NEWTON_MAX_ITERATIONS.
-    """
-
-    residual_tol: float = 1e-10
-    linear_tol: float = fem.DEFAULT_TOL
-
-    def __post_init__(self):
-        for name in ("residual_tol", "linear_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+# Default bound on the interior residual norm of a converged Newton solve.
+RESIDUAL_TOL = 1e-10
 
 
 @dataclass
@@ -237,41 +220,46 @@ class ForwardOperator:
 
 
 def solve_semilinear(op: ForwardOperator, sigma, mu, g: BoundarySource,
-                     cfg: NewtonConfig | None = None, u0: np.ndarray | None = None):
+                     residual_tol: float = RESIDUAL_TOL, u0: np.ndarray | None = None):
     """Newton solve of the discrete semilinear problem with the diffusion of op.
 
-    sigma and mu must be finite and positive, and g a source on op's mesh.
-    Returns (u, report) with u matching g exactly on boundary nodes and the
-    interior residual norm at most cfg.residual_tol within
-    NEWTON_MAX_ITERATIONS steps, or raises SolverError with the report.
-    Accepted steps never increase the residual norm (backtracking with
-    factor DAMPING). Each step's linear solve runs only to the relative
-    residual eta_k of the module docstring, never below cfg.linear_tol. The
-    initial iterate is g extended by zero, or the warm start u0 with its
-    boundary values replaced by g; from g extended by zero the first step is
-    the linear solve with mu = 0 (module docstring).
+    sigma and mu must be finite and positive, g a source on op's mesh, and
+    residual_tol finite and positive. Returns (u, report) with u matching g
+    exactly on boundary nodes and the interior residual norm at most
+    residual_tol within NEWTON_MAX_ITERATIONS steps, or raises SolverError
+    with the report. Accepted steps never increase the residual norm
+    (backtracking with factor DAMPING). Each step's linear solve runs only
+    to the relative residual eta_k of the module docstring. The initial
+    iterate is g extended by zero, or the warm start u0, whose interior
+    values must be finite, with its boundary values replaced by g; from g
+    extended by zero the first step is the linear solve with mu = 0 (module
+    docstring).
     """
-    cfg = cfg or NewtonConfig()
+    if not (math.isfinite(residual_tol) and residual_tol > 0.0):
+        raise ValidationError(f"residual_tol must be finite and positive, "
+                              f"got {residual_tol!r}")
     mesh = op.mesh
     sigma = fem.positive_field(mesh, sigma, "single_photon")
     mu = fem.positive_field(mesh, mu, "two_photon")
     if g.values.shape != mesh.boundary_list.shape:
         raise ValidationError("boundary source does not match the mesh")
+    start = 0.0 if u0 is None else as_field(mesh, u0)[op.interior]
+    if not np.isfinite(start).all():
+        raise ValidationError("Newton start u0 has non-finite interior values")
 
-    u = op.expand(0.0 if u0 is None else as_field(mesh, u0)[op.interior], g.values)
+    u = op.expand(start, g.values)
     F = op.residual_interior(u, sigma, mu)
     rnorm = float(np.linalg.norm(F))
     report = SolverReport(residual_history=[rnorm])
 
-    while rnorm > cfg.residual_tol:
+    while rnorm > residual_tol:
         if report.iterations == NEWTON_MAX_ITERATIONS:
             raise SolverError(
-                f"Newton did not reach residual {cfg.residual_tol:g} in "
+                f"Newton did not reach residual {residual_tol:g} in "
                 f"{NEWTON_MAX_ITERATIONS} iterations (residual {rnorm:.3e})",
                 residual=rnorm, report=report)
-        eta = min(FORCING_MAX, max(rnorm, FORCING_SAFETY * cfg.residual_tol / rnorm))
-        delta = op.expand(op.solve(op.jacobian_diag(u, sigma, mu), -F,
-                                   max(eta, cfg.linear_tol)), 0.0)
+        eta = min(FORCING_MAX, max(rnorm, FORCING_SAFETY * residual_tol / rnorm))
+        delta = op.expand(op.solve(op.jacobian_diag(u, sigma, mu), -F, eta), 0.0)
 
         alpha = 1.0
         for _ in range(40):

@@ -1,12 +1,12 @@
 """Finite-difference verification of adjoint gradients.
 
 Evaluates the least-squares objective as a pure function of the stacked
-(sigma, mu) vector (one Evaluator, cold Newton starts at every point, tight
-tolerances) and compares its central finite differences against the
-adjoint gradient in random directions (_fd_directional_derivative, the
-package's one finite difference). With the discretization used here the
-adjoint gradient is exact, so disagreement should sit at the
-solver-tolerance floor.
+(sigma, mu) vector (one Evaluator, cold Newton starts at every point,
+forward and adjoint solves to TIGHT_TOL) and compares its central finite
+differences against the adjoint gradient in random directions
+(_fd_directional_derivative, the package's one finite difference). With the
+discretization used here the adjoint gradient is exact, so disagreement
+should sit at the solver-tolerance floor.
 """
 
 from __future__ import annotations
@@ -19,11 +19,13 @@ from . import fem
 from .config import ExperimentConfig
 from .errors import ValidationError, require_count
 from .experiments import prepare_data
-from .forward import NewtonConfig
 from .lsq import Evaluator
 
 # finite-difference step, relative to the largest coefficient value
 STEP_SCALE = 1e-6
+# Newton residual and adjoint relative residual of every solve of the check,
+# below the defaults so that solver error stays under the FD truncation error
+TIGHT_TOL = 1e-12
 
 
 def _fd_directional_derivative(functional, point, direction, step: float) -> float:
@@ -64,15 +66,15 @@ def gradient_check(cfg: ExperimentConfig, directions: int = 20,
     The data are the clean data, the weight is cfg.lsq.kappa, so the check
     covers the objective the config minimizes, and the FD step is STEP_SCALE
     times the coefficient field scale. One Evaluator serves every value, each
-    from cold Newton starts. directions must be an integer >= 1.
+    from cold Newton starts, with the forward and adjoint solves run to
+    TIGHT_TOL. directions must be an integer >= 1.
     """
     require_count(directions, "directions")
     if cfg.data_mesh_n not in (None, cfg.mesh_n):
         raise ValidationError("gradient check expects data and reconstruction "
                               "on the same mesh; leave [mesh] data_n unset "
                               "or equal to n")
-    newton = NewtonConfig(residual_tol=1e-12, linear_tol=1e-12)
-    bundle = prepare_data(cfg, newton=newton)
+    bundle = prepare_data(cfg)
     mesh = bundle.mesh
     data = bundle.datum_set(0.0, seed)
 
@@ -84,13 +86,15 @@ def gradient_check(cfg: ExperimentConfig, directions: int = 20,
     scale = float(np.max(np.abs(x0)))
     step = STEP_SCALE * scale
 
-    ev = Evaluator(bundle.operator, bundle.coeffs.gruneisen, data, cfg.lsq.kappa, newton)
+    ev = Evaluator(bundle.operator, bundle.coeffs.gruneisen, data, cfg.lsq.kappa)
+    tols = [TIGHT_TOL] * data.size
 
     def phi(x):
         s, m = x[:n], x[n:]
-        return ev.objective(s, m, ev.forward_states(s, m))
+        return ev.objective(s, m, ev.forward_states(s, m, residual_tols=tols))
 
-    g_sigma, g_mu = ev.gradient(sigma, mu, ev.forward_states(sigma, mu))
+    states = ev.forward_states(sigma, mu, residual_tols=tols)
+    g_sigma, g_mu = ev.gradient(sigma, mu, states, adjoint_tol=TIGHT_TOL)
     weights = np.concatenate([ev.lumped, ev.lumped])
     grad = np.concatenate([g_sigma, g_mu])
 

@@ -48,7 +48,7 @@ as direct.recover_all_fields solves the direct densities. With the noise
 level epsilon (percent), source j's first forward solve stops at the
 interior residual
 
-    max(residual_tol, ARMIJO_SHARE * NOISE_SAFETY * epsilon/100
+    max(RESIDUAL_TOL, ARMIJO_SHARE * NOISE_SAFETY * epsilon/100
                       * ||(m H_j / Gamma)[interior]||),
 
 an ARMIJO_SHARE of the NOISE_SAFETY share of the perturbation the noise
@@ -56,12 +56,12 @@ puts on the datum term m H_j / Gamma of the forward residual. The first
 objective is the base of the first Armijo test, so its forward error gets
 the line search's ARMIJO_SHARE; the NOISE_SAFETY share alone does not keep
 that error within ARMIJO_SHARE * 1e-4 |f|. Every adjoint solve stops at the
-relative residual max(linear_tol, NOISE_SAFETY * epsilon/100), the direct
-densities' tolerance. Line-search trials solve to residual_tol, since they
-decide the Armijo test and become the next iterate's states; most noisy
-runs stop at the noise level before their first trial. At noise_level 0
-both rules give newton's tolerances, as direct.NOISE_SAFETY does for the
-direct solves.
+relative residual DatumSet.noise_tol, max(fem.DEFAULT_TOL, NOISE_SAFETY *
+epsilon/100), the direct densities' tolerance. Line-search trials solve to
+forward.RESIDUAL_TOL, since they decide the Armijo test and become the next
+iterate's states; most noisy runs stop at the noise level before their
+first trial. At noise_level 0 both rules give the default tolerances,
+RESIDUAL_TOL and fem.DEFAULT_TOL, as they do for the direct solves.
 
 Noisy data also stop the run once it has fitted the coefficients as well as
 the noise lets it. The noise misfit
@@ -87,14 +87,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fem
 from .errors import SolverError, ValidationError, require_count
 from .fem import as_field, positive_field
-from .forward import ForwardOperator, NewtonConfig, noise_std, solve_semilinear
+from .forward import RESIDUAL_TOL, ForwardOperator, noise_std, solve_semilinear
 from .direct import NOISE_SAFETY, DatumSet
 
 # The first states' share of the noise-level accuracy on noisy data, the
@@ -162,18 +162,17 @@ class Evaluator:
     The forward operator op fixes the mesh and the known diffusion gamma.
     It keeps no state between calls: forward_states takes each source's
     Newton start, and objective and gradient the forward states they use.
-    Forward solves stop at newton.residual_tol, with each Newton step's
+    Forward solves stop at forward.RESIDUAL_TOL, with each Newton step's
     linear solve only as tight as its forcing term (solve_semilinear); the
-    adjoint solves run to newton.linear_tol, which keeps the gradient exact
+    adjoint solves run to fem.DEFAULT_TOL, which keeps the gradient exact
     for the discrete objective to that tolerance. forward_states and
-    gradient take looser per-call tolerances (run_lsq's noise-level rule).
+    gradient take other tolerances per call (run_lsq's noise-level rule).
     The misfit weights W_j = 1 / H_j^2 (weights, one row per source) and
     the regularizer's unit-diffusion stiffness K1 are set up here, K1 only
     when kappa != 0; with kappa = 0 it is None and Phi is the misfit alone.
     """
 
-    def __init__(self, op: ForwardOperator, gruneisen, data: DatumSet, kappa: float,
-                 newton: NewtonConfig | None = None):
+    def __init__(self, op: ForwardOperator, gruneisen, data: DatumSet, kappa: float):
         self.op = op
         self.mesh = op.mesh
         self.gruneisen = positive_field(op.mesh, gruneisen, "gruneisen")
@@ -183,7 +182,6 @@ class Evaluator:
         self.kappa = float(kappa)
         self.K1 = (fem.assemble_stiffness(op.mesh, np.ones(op.mesh.node_count))
                    if self.kappa != 0.0 else None)
-        self.newton = newton or NewtonConfig()
         self.lumped = op.lumped
 
     def forward_states(self, sigma, mu, u0=None, residual_tols=None):
@@ -191,16 +189,15 @@ class Evaluator:
 
         u0 holds one Newton start per source (None: cold starts), and
         residual_tols, when given, one interior residual tolerance per source
-        in place of newton.residual_tol.
+        in place of forward.RESIDUAL_TOL.
         """
         us, zs = [], []
         for j, (g, H) in enumerate(zip(self.data.sources, self.data.data)):
-            newton = self.newton
-            if residual_tols is not None:
-                newton = replace(newton, residual_tol=residual_tols[j])
             try:
-                u, _ = solve_semilinear(self.op, sigma, mu, g, newton,
-                                        u0=None if u0 is None else u0[j])
+                u, _ = solve_semilinear(
+                    self.op, sigma, mu, g,
+                    RESIDUAL_TOL if residual_tols is None else residual_tols[j],
+                    u0=None if u0 is None else u0[j])
             except SolverError as exc:
                 raise SolverError(
                     f"forward solve failed for source {j}: {exc}",
@@ -221,25 +218,23 @@ class Evaluator:
                                           + float(mu @ (self.K1 @ mu))))
         return value
 
-    def solve_adjoint(self, sigma, mu, u, z, tol=None) -> np.ndarray:
+    def solve_adjoint(self, sigma, mu, u, z, tol=fem.DEFAULT_TOL) -> np.ndarray:
         """Adjoint state v: linearized operator, source -z Gamma (sigma + 2 mu |u|).
 
         z is the weighted residual W_j z_j of one source, as gradient passes
-        it; tol is the relative residual of the solve, newton.linear_tol if
-        None.
+        it; tol is the relative residual of the solve.
         """
         fz = sigma + 2.0 * mu * np.abs(u)
         rhs = -(self.lumped * z * self.gruneisen * fz)[self.op.interior]
-        return self.op.solve_linearized(u, sigma, mu, rhs,
-                                        tol=self.newton.linear_tol if tol is None else tol)
+        return self.op.solve_linearized(u, sigma, mu, rhs, tol=tol)
 
-    def gradient(self, sigma, mu, states, adjoint_tol=None):
+    def gradient(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL):
         """(g_sigma, g_mu) from the forward states (us, zs) at (sigma, mu).
 
         g_sigma and g_mu are the Riesz representers of the derivative of Phi,
         g_sigma = sum_j (W_j z_j Gamma u_j + v_j u_j) + kappa * M^-1 K1 sigma
         and the mu analog with |u_j| u_j in place of u_j. The adjoint
-        states v_j are solved to adjoint_tol (newton.linear_tol if None).
+        states v_j are solved to the relative residual adjoint_tol.
         """
         sigma = as_field(self.mesh, sigma)
         mu = as_field(self.mesh, mu)
@@ -298,7 +293,7 @@ def gauss_newton_step(gruneisen, us, reg, g, held):
 
 
 def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig, *,
-            mu_only: bool = False, newton: NewtonConfig | None = None, u0=None):
+            mu_only: bool = False, u0=None):
     """Projected pointwise Gauss-Newton minimization of Phi.
 
     op is the forward operator of the known diffusion gamma and gruneisen the
@@ -339,11 +334,11 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     fit's densities u_j*. Every later solve starts from the states of the
     previous evaluation, a rejected line-search trial included. With noisy
     data the first states and every gradient are solved only to the noise
-    level, and line-search trials to newton's residual_tol (the module
+    level, and line-search trials to forward.RESIDUAL_TOL (the module
     docstring's rule).
     """
     mesh = op.mesh
-    ev = Evaluator(op, gruneisen, data, cfg.kappa, newton)
+    ev = Evaluator(op, gruneisen, data, cfg.kappa)
     n = mesh.node_count
     # the iterate x is sigma and mu stacked; with mu_only, sigma is not free:
     # its bounds lo = hi = sigma0 pin it, and it is always held
@@ -373,11 +368,10 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
                               f"got {len(u0)}")
 
     # The noise-level tolerances of the module docstring; at noise level 0
-    # they are newton's.
+    # they are the defaults.
     rel = NOISE_SAFETY * noise_std(data.noise_level)
-    first_tols = [max(ev.newton.residual_tol, ARMIJO_SHARE * rel * float(
+    first_tols = [max(RESIDUAL_TOL, ARMIJO_SHARE * rel * float(
         np.linalg.norm((ev.lumped * H / ev.gruneisen)[op.interior]))) for H in data.data]
-    adjoint_tol = max(ev.newton.linear_tol, rel)
 
     def evaluate(xv, start, tols=None):
         """Objective value and forward states at xv, Newton started from start."""
@@ -400,7 +394,7 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
 
     for it in range(cfg.max_iterations + 1):
         # the gradient at x, from the forward states of its evaluation
-        gs, gm = ev.gradient(x[:n], x[n:], states, adjoint_tol=adjoint_tol)
+        gs, gm = ev.gradient(x[:n], x[n:], states, adjoint_tol=data.noise_tol)
         g = np.concatenate([gs, gm])
         held, g_norm = hold(x, g)
         report.objective_history.append(f)

@@ -17,7 +17,7 @@ from tppat.config import default_config
 from tppat.errors import ValidationError
 from tppat.experiments import (COEFFS_RECOVERED, EXPERIMENTS, prepare_data, reconstruct,
                                run_experiment, run_forward)
-from tppat.forward import NewtonConfig, add_noise, noise_stream_seed
+from tppat.forward import RESIDUAL_TOL, add_noise, noise_stream_seed
 from tppat.lsq import LsqConfig
 from tppat.mesh import build_square_mesh
 
@@ -270,12 +270,11 @@ def test_run_forward_reports_converged_solves(tmp_path):
     lines = (tmp_path / "forward_report.csv").read_text().splitlines()
     assert lines[0] == "source,iterations,converged,final_residual"
     assert len(lines) == 5
-    tol = NewtonConfig().residual_tol     # run_forward solves with the defaults
     for line, report in zip(lines[1:], bundle.reports):
         _, iterations, converged, final_residual = line.split(",")
         assert int(iterations) == len(report.residual_history) - 1 >= 1
         assert converged == "1"
-        assert float(final_residual) <= tol
+        assert float(final_residual) <= RESIDUAL_TOL     # run_forward's default
 
 
 def test_bundle_datum_set_matches_noise_model():

@@ -9,7 +9,7 @@ from tppat.config import default_config
 from tppat.direct import NOISE_SAFETY, DatumSet, recover_all_fields, recover_pair
 from tppat.errors import ValidationError
 from tppat.experiments import EXPERIMENTS, prepare_data, reconstruct, run_experiment
-from tppat.forward import BoundarySource, ForwardOperator, NewtonConfig, solve_semilinear
+from tppat.forward import RESIDUAL_TOL, BoundarySource, ForwardOperator, solve_semilinear
 from tppat.gradcheck import _fd_directional_derivative as fd_directional_derivative
 from tppat.gradcheck import gradient_check
 from tppat.lsq import Evaluator, LsqConfig, gauss_newton_step, run_lsq
@@ -18,29 +18,34 @@ from tppat.metrics import relative_l2_error
 
 from test_forward import jittered_mesh
 
-TIGHT = NewtonConfig(residual_tol=1e-12, linear_tol=1e-12)
+# Newton residual and adjoint relative residual of the exactness tests' solves
+TIGHT = 1e-12
 
 
 @pytest.fixture(scope="module")
 def bundle8():
     cfg = default_config()
     cfg.mesh_n = 8
-    return prepare_data(cfg, newton=TIGHT)
+    return prepare_data(cfg)
 
 
 def datum(bundle, eps=0.0, seed=1):
     return bundle.datum_set(eps, seed)
 
 
-def evaluator(bundle, kappa=0.0, newton=TIGHT):
+def evaluator(bundle, kappa=0.0):
     """An evaluator at the bundle's true Gamma and gamma."""
-    return Evaluator(bundle.operator, bundle.coeffs.gruneisen, datum(bundle),
-                     kappa=kappa, newton=newton)
+    return Evaluator(bundle.operator, bundle.coeffs.gruneisen, datum(bundle), kappa=kappa)
+
+
+def tight_states(ev, sigma, mu):
+    """Cold-started forward states at (sigma, mu), each solved to TIGHT."""
+    return ev.forward_states(sigma, mu, residual_tols=[TIGHT] * ev.data.size)
 
 
 def phi(ev, sigma, mu):
-    """Phi at (sigma, mu) from cold-started forward states."""
-    return ev.objective(sigma, mu, ev.forward_states(sigma, mu))
+    """Phi at (sigma, mu) from tight cold-started forward states."""
+    return ev.objective(sigma, mu, tight_states(ev, sigma, mu))
 
 
 def test_objective_zero_at_truth(bundle8):
@@ -61,7 +66,7 @@ def test_forward_states_depend_only_on_their_arguments(bundle8):
     # one evaluator at A, at B, then at A again: the second visit to A
     # starts cold as the first did, not from the states at B
     b = bundle8
-    ev = evaluator(b, newton=NewtonConfig())
+    ev = evaluator(b)
     a = (b.coeffs.single_photon, b.coeffs.two_photon)
     far = (1.5 * a[0], 0.5 * a[1])
     first = ev.forward_states(*a)
@@ -86,7 +91,7 @@ def test_objective_affine_in_kappa(bundle8):
 
 def test_adjoint_zero_residual(bundle8):
     b = bundle8
-    ev = evaluator(b, newton=NewtonConfig())
+    ev = evaluator(b)
     v = ev.solve_adjoint(b.coeffs.single_photon, b.coeffs.two_photon,
                          b.u_clean[0], np.zeros(b.mesh.node_count))
     assert np.all(v == 0.0)
@@ -96,7 +101,7 @@ def test_adjoint_linear_in_residual(bundle8):
     b = bundle8
     rng = np.random.default_rng(1)
     z = rng.uniform(-1, 1, b.mesh.node_count)
-    ev = evaluator(b, newton=NewtonConfig())
+    ev = evaluator(b)
     sigma, mu, u = b.coeffs.single_photon, b.coeffs.two_photon, b.u_clean[0]
     v1 = ev.solve_adjoint(sigma, mu, u, z)
     v2 = ev.solve_adjoint(sigma, mu, u, 2.0 * z)
@@ -107,7 +112,7 @@ def test_gradient_vanishes_at_noiseless_truth(bundle8):
     b = bundle8
     ev = evaluator(b)
     truth = (b.coeffs.single_photon, b.coeffs.two_photon)
-    g_sigma, g_mu = ev.gradient(*truth, ev.forward_states(*truth))
+    g_sigma, g_mu = ev.gradient(*truth, tight_states(ev, *truth), adjoint_tol=TIGHT)
     scale = float(np.abs(b.coeffs.single_photon).max())
     assert np.abs(g_sigma).max() <= 1e-8 * scale
     assert np.abs(g_mu).max() <= 1e-8 * scale
@@ -127,7 +132,10 @@ def test_adjoint_solves_run_at_linear_tol(bundle8, monkeypatch):
 
     monkeypatch.setattr(ForwardOperator, "solve", recording)
     ev.gradient(sigma, mu, states)
-    assert tols == [TIGHT.linear_tol] * 4
+    assert tols == [fem.DEFAULT_TOL] * 4
+    tols.clear()
+    ev.gradient(sigma, mu, states, adjoint_tol=TIGHT)
+    assert tols == [TIGHT] * 4
 
 
 def test_gradient_matches_finite_differences_small():
@@ -165,8 +173,8 @@ def test_adjoint_gradient_matches_central_differences_on_random_meshes(
     data = DatumSet(sources=sources, data=data)
     sigma, mu = in_bounds(), in_bounds()
     x0 = np.concatenate([sigma, mu])
-    ev = Evaluator(op, gruneisen, data, kappa, TIGHT)
-    g_sigma, g_mu = ev.gradient(sigma, mu, ev.forward_states(sigma, mu))
+    ev = Evaluator(op, gruneisen, data, kappa)
+    g_sigma, g_mu = ev.gradient(sigma, mu, tight_states(ev, sigma, mu), adjoint_tol=TIGHT)
     grad = np.concatenate([g_sigma, g_mu])
     weights = np.concatenate([op.lumped, op.lumped])
 
@@ -184,9 +192,9 @@ def test_kappa_only_gradient_is_stiffness_term(bundle8):
     mesh = b.mesh
     ds = datum(b)
     kappa = 2.5
-    ev = Evaluator(b.operator, b.coeffs.gruneisen, ds, kappa=kappa, newton=TIGHT)
+    ev = Evaluator(b.operator, b.coeffs.gruneisen, ds, kappa=kappa)
     truth = (b.coeffs.single_photon, b.coeffs.two_photon)
-    g_sigma, g_mu = ev.gradient(*truth, ev.forward_states(*truth))
+    g_sigma, g_mu = ev.gradient(*truth, tight_states(ev, *truth), adjoint_tol=TIGHT)
     K1 = fem.assemble_stiffness(mesh, np.ones(mesh.node_count))
     m = fem.lumped_mass(mesh)
     expected_sigma = kappa * (K1 @ b.coeffs.single_photon) / m
@@ -201,7 +209,7 @@ def test_run_lsq_stationary_at_truth(bundle8):
     cfg = LsqConfig(kappa=0.0, bound_floor=0.01, bound_ceiling=1.0)
     sigma, mu, report = run_lsq(
         b.operator, b.coeffs.gruneisen, datum(b),
-        (b.coeffs.single_photon, b.coeffs.two_photon), cfg, newton=TIGHT)
+        (b.coeffs.single_photon, b.coeffs.two_photon), cfg)
     assert report.iterations <= 1
     assert report.converged
     assert np.array_equal(sigma, b.coeffs.single_photon)
@@ -219,7 +227,7 @@ def test_run_lsq_solves_each_trial_point_once(bundle8, monkeypatch):
         solved.append(forward_states(self, sigma, mu, u0, residual_tols))
         return solved[-1]
 
-    def recording_gradient(self, sigma, mu, states, adjoint_tol=None):
+    def recording_gradient(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL):
         gradient_states.append(states is solved[-1])
         return gradient(self, sigma, mu, states, adjoint_tol)
 
@@ -228,7 +236,7 @@ def test_run_lsq_solves_each_trial_point_once(bundle8, monkeypatch):
     n = b.mesh.node_count
     cfg = LsqConfig(kappa=0.0, max_iterations=25)
     _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b),
-                           (np.full(n, 0.26), np.full(n, 0.26)), cfg, newton=TIGHT)
+                           (np.full(n, 0.26), np.full(n, 0.26)), cfg)
     assert report.iterations >= 5
     # one gradient per accepted point, from the states of its Armijo trial
     assert gradient_states == [True] * (report.iterations + 1)
@@ -246,8 +254,7 @@ def test_run_lsq_objective_strictly_decreasing(bundle8):
                     max_iterations=25, bound_floor=0.02,
                     bound_ceiling=0.5)
     init = (np.full(n, 0.26), np.full(n, 0.26))
-    _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b), init, cfg,
-                           newton=TIGHT)
+    _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b), init, cfg)
     hist = report.objective_history
     assert len(hist) >= 2
     assert all(hist[k + 1] < hist[k] for k in range(len(hist) - 1))
@@ -261,8 +268,7 @@ def test_run_lsq_deep_misfit_reduction(bundle8):
     cfg = LsqConfig(kappa=0.0, grad_tol=1e-30, max_iterations=800,
                     bound_floor=0.02, bound_ceiling=0.5)
     init = (np.full(n, 0.26), np.full(n, 0.26))
-    _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b), init, cfg,
-                           newton=TIGHT)
+    _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b), init, cfg)
     hist = report.objective_history
     assert hist[-1] <= 1e-10 * hist[0]
 
@@ -273,8 +279,7 @@ def test_run_lsq_respects_bounds(bundle8):
     cfg = LsqConfig(kappa=0.0, grad_tol=1e-4, max_iterations=40,
                     bound_floor=0.1, bound_ceiling=0.2)
     init = (np.full(n, 0.15), np.full(n, 0.15))
-    sigma, mu, _ = run_lsq(b.operator, b.coeffs.gruneisen, datum(b), init, cfg,
-                           newton=TIGHT)
+    sigma, mu, _ = run_lsq(b.operator, b.coeffs.gruneisen, datum(b), init, cfg)
     assert sigma.min() >= 0.1 and sigma.max() <= 0.2
     assert mu.min() >= 0.1 and mu.max() <= 0.2
 
@@ -288,7 +293,7 @@ def test_fit_with_a_binding_bound_converges_on_the_reduced_gradient(bundle8):
     cfg = LsqConfig(bound_ceiling=0.2)
     mid = 0.5 * (cfg.bound_floor + cfg.bound_ceiling)
     sigma, mu, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b),
-                                (np.full(n, mid), np.full(n, mid)), cfg, newton=TIGHT)
+                                (np.full(n, mid), np.full(n, mid)), cfg)
     assert (report.converged, report.message) == (True, "")
     assert report.grad_norm_history[-1] <= cfg.grad_tol * report.reference_grad_norm
     assert np.any(sigma == cfg.bound_ceiling) and sigma.max() == cfg.bound_ceiling
@@ -333,7 +338,7 @@ def test_mu_only_mode_keeps_sigma_fixed(bundle8):
                     bound_floor=0.02, bound_ceiling=0.5)
     init = (b.coeffs.single_photon, np.full(n, 0.26))
     sigma, mu, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b), init, cfg,
-                                mu_only=True, newton=TIGHT)
+                                mu_only=True)
     assert np.array_equal(sigma, b.coeffs.single_photon)
     assert report.objective_history[-1] < report.objective_history[0]
 
@@ -343,7 +348,7 @@ def test_run_lsq_stops_at_the_iteration_cap(bundle8):
     n = b.mesh.node_count
     _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b),
                            (np.full(n, 0.26), np.full(n, 0.26)),
-                           LsqConfig(max_iterations=2), newton=TIGHT)
+                           LsqConfig(max_iterations=2))
     assert (report.iterations, report.converged) == (2, False)
     assert report.message == "iteration cap reached"
     assert len(report.objective_history) == len(report.grad_norm_history) == 3
@@ -392,8 +397,7 @@ def test_report_csv_format(bundle8, tmp_path):
     cfg = LsqConfig(kappa=0.0, grad_tol=1e-3, max_iterations=5,
                     bound_floor=0.02, bound_ceiling=0.5)
     init = (np.full(n, 0.26), np.full(n, 0.26))
-    _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b), init, cfg,
-                           newton=TIGHT)
+    _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b), init, cfg)
     path = tmp_path / "report.csv"
     report.save(path)
     lines = path.read_text().splitlines()
@@ -408,11 +412,11 @@ def test_forward_failure_names_source(bundle8, monkeypatch):
     monkeypatch.setattr("tppat.forward.NEWTON_MAX_ITERATIONS", 1)
     b = bundle8
     ds = datum(b)
-    ev = Evaluator(b.operator, b.coeffs.gruneisen, ds, kappa=0.0,
-                   newton=NewtonConfig(residual_tol=1e-16))
+    ev = Evaluator(b.operator, b.coeffs.gruneisen, ds, kappa=0.0)
     from tppat.errors import SolverError
     with pytest.raises(SolverError) as err:
-        ev.forward_states(b.coeffs.single_photon, b.coeffs.two_photon)
+        ev.forward_states(b.coeffs.single_photon, b.coeffs.two_photon,
+                          residual_tols=[1e-16] * ds.size)
     assert "source 0" in str(err.value)
 
 
@@ -550,7 +554,7 @@ def start_predicted_decrease(bundle, ds):
     with run_lsq's noise-level tolerances: the decrease its noise stop tests."""
     cfg = bundle.config.lsq
     (sigma, mu), stars = lsq_start(bundle, ds, mu_only=False)
-    forward, adjoint = first_tolerances(bundle, ds, NewtonConfig())
+    forward, adjoint = first_tolerances(bundle, ds)
     ev = Evaluator(bundle.operator, bundle.coeffs.gruneisen, ds, cfg.kappa)
     states = ev.forward_states(sigma, mu, u0=stars, residual_tols=forward)
     g = ev.gradient(sigma, mu, states, adjoint_tol=adjoint)
@@ -679,7 +683,7 @@ def test_noiseless_direct_start_converges_without_iterating(bundle16):
 # warm start from the direct densities (experiments.reconstruct).
 
 def stripped(ds):
-    """ds at noise_level 0: run_lsq then keeps newton's tolerances."""
+    """ds at noise_level 0: run_lsq then keeps the default tolerances."""
     return DatumSet(sources=list(ds.sources), data=list(ds.data))
 
 
@@ -804,7 +808,7 @@ def test_ii_norms_are_those_of_the_mu_part_alone(monkeypatch, sources, n, eps, s
     recorded = []
     gradient = Evaluator.gradient
 
-    def recording(self, sigma, mu, states, adjoint_tol=None):
+    def recording(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL):
         out = gradient(self, sigma, mu, states, adjoint_tol)
         recorded.append((mu.copy(), out[1]))
         return out
@@ -885,12 +889,12 @@ def recorded_tolerances(monkeypatch):
     solve = lsq.solve_semilinear
     solve_adjoint = Evaluator.solve_adjoint
 
-    def recording(op, sigma, mu, g, cfg=None, u0=None):
-        forward.append(cfg.residual_tol)
-        return solve(op, sigma, mu, g, cfg, u0=u0)
+    def recording(op, sigma, mu, g, residual_tol=RESIDUAL_TOL, u0=None):
+        forward.append(residual_tol)
+        return solve(op, sigma, mu, g, residual_tol, u0=u0)
 
-    def recording_adjoint(self, sigma, mu, u, z, tol=None):
-        adjoint.append(self.newton.linear_tol if tol is None else tol)
+    def recording_adjoint(self, sigma, mu, u, z, tol=fem.DEFAULT_TOL):
+        adjoint.append(tol)
         return solve_adjoint(self, sigma, mu, u, z, tol)
 
     monkeypatch.setattr(lsq, "solve_semilinear", recording)
@@ -902,7 +906,7 @@ def recorded_tolerances(monkeypatch):
 def test_noiseless_least_squares_keeps_newtons_tolerances(bundle16, monkeypatch,
                                                           metadata):
     # from the midpoint, so that the run iterates: at epsilon = 0, and for
-    # noisy data at noise_level 0, every solve runs at newton's tolerances
+    # noisy data at noise_level 0, every solve runs at the default tolerances
     b = bundle16
     ds = b.datum_set(0.0, 101)
     if not metadata:
@@ -912,25 +916,24 @@ def test_noiseless_least_squares_keeps_newtons_tolerances(bundle16, monkeypatch,
     _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, ds,
                            (np.full(n, 0.26), np.full(n, 0.26)), LsqConfig())
     assert report.iterations >= 3
-    assert forward == [NewtonConfig().residual_tol] * len(forward)
-    assert adjoint == [NewtonConfig().linear_tol] * (4 * (report.iterations + 1))
+    assert forward == [RESIDUAL_TOL] * len(forward)
+    assert adjoint == [fem.DEFAULT_TOL] * (4 * (report.iterations + 1))
 
 
-def first_tolerances(bundle, ds, newton):
+def first_tolerances(bundle, ds):
     """The first states' residual tolerances and every gradient's adjoint
     tolerance of run_lsq on the noisy datum set ds, by the noise-level rule."""
     rel = NOISE_SAFETY * ds.noise_level / 100.0
     op = bundle.operator
-    forward = [max(newton.residual_tol, lsq.ARMIJO_SHARE * rel * float(np.linalg.norm(
+    forward = [max(RESIDUAL_TOL, lsq.ARMIJO_SHARE * rel * float(np.linalg.norm(
         (op.lumped * H / bundle.coeffs.gruneisen)[op.interior]))) for H in ds.data]
-    return forward, max(newton.linear_tol, rel)
+    return forward, max(fem.DEFAULT_TOL, rel)
 
 
 @pytest.mark.parametrize("mu_only", [False, True])
 def test_noisy_least_squares_solves_to_the_noise_level(bundle16, monkeypatch, mu_only):
     # the noise test off, so that the run iterates past the first gradient
     b = bundle16
-    newton = NewtonConfig()
     ds = b.datum_set(2.0, 101)
     init, stars = lsq_start(b, ds, mu_only)
     monkeypatch.setattr(lsq, "NOISE_SHARE", 0.0)
@@ -939,18 +942,18 @@ def test_noisy_least_squares_solves_to_the_noise_level(bundle16, monkeypatch, mu
                            mu_only=mu_only, u0=stars)
     assert report.iterations >= 2
     # the first states and every gradient to the noise level, as the direct
-    # densities; the line-search trials to newton's residual_tol
-    first_forward, first_adjoint = first_tolerances(b, ds, newton)
+    # densities; the line-search trials to RESIDUAL_TOL
+    first_forward, first_adjoint = first_tolerances(b, ds)
     assert forward[:4] == first_forward
-    assert min(first_forward) > newton.residual_tol
+    assert min(first_forward) > RESIDUAL_TOL
     assert first_adjoint == 2e-5
     assert adjoint == [first_adjoint] * (4 * (report.iterations + 1))
     assert len(forward) >= 4 * (report.iterations + 1)
-    assert forward[4:] == [newton.residual_tol] * (len(forward) - 4)
+    assert forward[4:] == [RESIDUAL_TOL] * (len(forward) - 4)
 
 
 def test_noisy_gradients_stay_within_their_share_of_the_gradient(bundle16, monkeypatch):
-    # every gradient against the same gradient solved to linear_tol from the
+    # every gradient against the same gradient solved to fem.DEFAULT_TOL from the
     # same states: the first one's adjoint error stays below a tenth of its
     # norm, and each later one's below the larger of the stop threshold and
     # the previous gradient norm. The tight grad_tol runs on, with the noise
@@ -962,7 +965,7 @@ def test_noisy_gradients_stay_within_their_share_of_the_gradient(bundle16, monke
     tols, gaps = [], []
     gradient = Evaluator.gradient
 
-    def checking(self, sigma, mu, states, adjoint_tol=None):
+    def checking(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL):
         g_sigma, g_mu = gradient(self, sigma, mu, states, adjoint_tol)
         g = np.concatenate([g_sigma, g_mu])
         exact = np.concatenate(gradient(self, sigma, mu, states))
@@ -976,7 +979,7 @@ def test_noisy_gradients_stay_within_their_share_of_the_gradient(bundle16, monke
     _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, ds, init, cfg, u0=stars)
     threshold = cfg.grad_tol * report.reference_grad_norm
     assert len(gaps) == report.iterations + 1 >= 8
-    assert tols == [first_tolerances(b, ds, NewtonConfig())[1]] * len(tols)
+    assert tols == [first_tolerances(b, ds)[1]] * len(tols)
     assert 0.0 < gaps[0][0] <= 0.1 * gaps[0][1]
     for (_, previous), (gap, _) in zip(gaps, gaps[1:]):
         assert gap <= max(threshold, previous)
@@ -989,7 +992,7 @@ def test_noisy_gradients_stay_within_their_share_of_the_gradient(bundle16, monke
 @example(n=8, eps=7.288876098220151, seed=1438946864, which="II")
 def test_first_evaluation_to_the_noise_level_matches_the_tight_one(n, eps, seed, which):
     # the first objective and gradient of a noisy run against the same run on
-    # the datum at noise_level 0, whose solves keep newton's tolerances:
+    # the datum at noise_level 0, whose solves keep the default tolerances:
     # the objective within ARMIJO_SHARE * 1e-4 * |f|, the gradient within a
     # tenth of its norm
     b = default_bundle(n)
@@ -1001,7 +1004,7 @@ def test_first_evaluation_to_the_noise_level_matches_the_tight_one(n, eps, seed,
         recorded = []
         gradient = Evaluator.gradient
 
-        def recording(self, sigma, mu, states, adjoint_tol=None):
+        def recording(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL):
             out = gradient(self, sigma, mu, states, adjoint_tol)
             recorded.append(out[1] if mu_only else np.concatenate(out))
             return out

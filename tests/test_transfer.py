@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from tppat.config import default_config
 from tppat.errors import ValidationError
 from tppat.experiments import prepare_data, run_experiment
+from tppat.fem import CoefficientSet
 from tppat.mesh import Mesh, build_square_mesh
 from tppat.transfer import _TriangleLocator, make_locator, transfer_field
 
@@ -203,6 +204,46 @@ def test_crime_guard_floor_falls_with_n_at_a_fixed_ratio():
                        run_experiment("III", cfg, bundle=bundle).mean_errors()[("sigma", 0.0)]))
     for coarse, fine in zip(floors, floors[1:]):
         assert fine[0] < coarse[0] and fine[1] < coarse[1]
+
+
+class SmoothBumps:
+    """The default phantom with each inclusion replaced by a Gaussian bump
+    v exp(-|x - c|^2 / R^2): same centre c, R the inclusion's radius or
+    half-width, v its contrast over the background."""
+
+    @staticmethod
+    def coefficients(mesh):
+        x, y = mesh.nodes.T
+
+        def bump(background, v, cx, cy, radius):
+            return background + v * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / radius ** 2)
+
+        return CoefficientSet(gruneisen=np.ones(mesh.node_count),
+                              diffusion=bump(0.2, 0.1, -0.45, 0.4, 0.3),
+                              single_photon=bump(0.15, 0.15, 0.45, 0.4, 0.25),
+                              two_photon=bump(0.05, 0.05, 0.0, -0.4, 0.3))
+
+
+def test_crime_guard_pipeline_is_second_order_on_smooth_coefficients():
+    # the guarded direct pipeline (forward solves on the data mesh, transfer,
+    # density solves, pointwise fit) on the non-nested pairs 24 <- 32,
+    # 48 <- 64 and 96 <- 128. Noiseless mean errors measured: III
+    # sigma/mu 0.222/0.200, 0.056/0.051 and 0.0141/0.0128 %, I mu 0.457,
+    # 0.116 and 0.029 %: rates of 1.97 to 1.99. The default phantom's
+    # discontinuities, not the pipeline, set its slow floor.
+    errors = []
+    for n in (24, 48, 96):
+        cfg = default_config()
+        cfg.phantom = SmoothBumps()
+        cfg.mesh_n = n
+        cfg.data_mesh_n = 4 * n // 3
+        cfg.noise_levels = [0.0]
+        bundle = prepare_data(cfg)
+        iii = run_experiment("III", cfg, bundle=bundle).mean_errors()
+        errors.append((iii[("sigma", 0.0)], iii[("mu", 0.0)],
+                       run_experiment("I", cfg, bundle=bundle).mean_errors()[("mu", 0.0)]))
+    rates = [np.log2(np.divide(coarse, fine)) for coarse, fine in zip(errors, errors[1:])]
+    assert np.min(rates) >= 1.8, (errors, rates)
 
 
 def test_point_outside_source_mesh_rejected():
