@@ -42,7 +42,7 @@ import numpy as np
 
 from . import fem
 from .errors import ValidationError
-from .fem import as_field, as_fields, positive_field, write_columns
+from .fem import as_field, positive_field, write_columns
 from .forward import ForwardOperator, check_noise_level, noise_std
 from .mesh import Mesh
 
@@ -51,7 +51,7 @@ SPREAD_THRESHOLD = 1e-6
 NOISE_SAFETY = 1e-3
 
 
-@dataclass
+@dataclass(eq=False)
 class DatumSet:
     """Per-illumination internal data H_j paired with boundary sources g_j.
 
@@ -79,7 +79,7 @@ class DatumSet:
             if g.values.shape != mesh.boundary_list.shape:
                 raise ValidationError("a source does not match the mesh boundary")
             g.require_strictly_positive()
-        self.data = [as_field(mesh, H) for H in self.data]
+        self.data = [as_field(mesh, H).copy() for H in self.data]
         for j, H in enumerate(self.data):
             if not (H.min() > 0.0 and H.max() < np.inf):    # a NaN fails the first
                 raise ValidationError(f"datum of source {j} has a nonpositive or "
@@ -98,7 +98,7 @@ class DatumSet:
         return max(fem.DEFAULT_TOL, NOISE_SAFETY * noise_std(self.noise_level))
 
 
-@dataclass
+@dataclass(eq=False)
 class ConditionReport:
     """Per-node conditioning of the pointwise least-squares fit.
 
@@ -166,16 +166,16 @@ def fit_pair_pointwise(mesh: Mesh, u_stars: list, ratios: list, sigma_known=None
     only) a degenerate |u_j*| spread (max - min below SPREAD_THRESHOLD times
     max), are flagged and filled from the nearest well-conditioned node
     (Euclidean distance, lowest index on ties).
-    Returns (sigma, mu, ConditionReport); with sigma_known, sigma is that
-    field.
+    Returns (sigma, mu, ConditionReport); with sigma_known, sigma is a copy
+    of that field.
     """
     J = len(u_stars)
     if J < (1 if sigma_known is not None else 2) or J != len(ratios):
         raise ValidationError("pointwise fit needs matching field lists, J >= 2 "
                               "(J >= 1 with sigma known)")
-    stars = as_fields(mesh, u_stars)                     # (J, N)
+    stars = np.array([as_field(mesh, u) for u in u_stars])     # (J, N)
     A = np.abs(stars)
-    R = as_fields(mesh, ratios)
+    R = np.array([as_field(mesh, r) for r in ratios])
     flagged = stars.min(axis=0) <= 0.0
     if sigma_known is None:
         flagged |= A.max(axis=0) - A.min(axis=0) < SPREAD_THRESHOLD * A.max(axis=0)
@@ -194,7 +194,7 @@ def fit_pair_pointwise(mesh: Mesh, u_stars: list, ratios: list, sigma_known=None
     b1 = P.sum(axis=0)
 
     if sigma_known is not None:
-        sigma = as_field(mesh, sigma_known)
+        sigma = as_field(mesh, sigma_known).copy()
         mu = (b1 - sigma * s1) / np.where(flagged, 1.0, s2)
         condition = np.where(s2 > 0.0, 1.0, np.inf)
     else:

@@ -39,7 +39,7 @@ from .metrics import relative_l2_error, squared_l2_norm
 EXPERIMENTS = ("I", "II", "III", "IV")
 
 
-@dataclass
+@dataclass(eq=False)
 class DataBundle:
     """Clean synthetic data plus everything needed to reconstruct.
 

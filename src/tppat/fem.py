@@ -50,35 +50,31 @@ from .mesh import Mesh, _first, _parse_rows, _read_lines
 DEFAULT_TOL = 1e-10
 
 
-def _node_values(mesh: Mesh, values) -> np.ndarray:
-    """values as a float array, a scalar or one value per mesh node."""
+def as_field(mesh: Mesh, values) -> np.ndarray:
+    """values as a float64 array with one value per mesh node, without a copy.
+
+    A scalar is broadcast to every node, a float64 nodal array comes back as
+    it is, and anything else is converted. The result may be values itself:
+    a caller that keeps the field, or writes to it, copies it.
+    """
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 0 and arr.shape != (mesh.node_count,):
+    if arr.ndim == 0:
+        return np.full(mesh.node_count, float(arr))
+    if arr.shape != (mesh.node_count,):
         raise ValidationError(
             f"field has {arr.shape} values, mesh has {mesh.node_count} nodes")
     return arr
 
 
-def as_field(mesh: Mesh, values) -> np.ndarray:
-    """Coerce to a float array with one value per mesh node."""
-    arr = _node_values(mesh, values)
-    return np.full(mesh.node_count, float(arr)) if arr.ndim == 0 else arr.copy()
-
-
-def as_fields(mesh: Mesh, fields) -> np.ndarray:
-    """Coerce each of fields as as_field does, into one (len(fields), nodes) array."""
-    out = np.empty((len(fields), mesh.node_count))
-    for row, values in zip(out, fields):
-        row[:] = _node_values(mesh, values)
-    return out
-
-
-@dataclass
+@dataclass(eq=False)
 class CoefficientSet:
     """The quadruple (Gamma, gamma, sigma, mu) of positive nodal fields.
 
     gruneisen: photoacoustic efficiency Gamma; diffusion: gamma;
     single_photon: sigma; two_photon: mu. All must be bounded away from zero.
+    The set checks nothing itself: each solve checks the fields it takes
+    (positive_field), and phantoms.PhantomField checks the values of the
+    fields it samples when it is made.
     """
 
     gruneisen: np.ndarray
@@ -86,22 +82,14 @@ class CoefficientSet:
     single_photon: np.ndarray
     two_photon: np.ndarray
 
-    def validate(self, mesh: Mesh):
-        """Check every field; coerce (and copy) only those not yet nodal float arrays."""
-        for name in ("gruneisen", "diffusion", "single_photon", "two_photon"):
-            setattr(self, name, positive_field(mesh, getattr(self, name), name))
-        return self
-
 
 def positive_field(mesh: Mesh, values, name: str) -> np.ndarray:
-    """values as a nodal float field, checked finite and positive everywhere.
+    """as_field(mesh, values), checked finite and positive everywhere.
 
-    Coerces (and copies) only values that are not yet a nodal float array.
-    name is the coefficient the ValidationError names.
+    Like as_field it does not copy a float64 nodal array. name is the
+    coefficient the ValidationError names.
     """
-    if not (isinstance(values, np.ndarray) and values.dtype == np.float64
-            and values.shape == (mesh.node_count,)):
-        values = as_field(mesh, values)
+    values = as_field(mesh, values)
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"coefficient {name} has non-finite values")
     if values.min() <= 0.0:

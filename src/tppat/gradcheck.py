@@ -39,7 +39,7 @@ def _fd_directional_derivative(functional, point, direction, step: float) -> flo
     return (fp - fm) / (2.0 * step)
 
 
-@dataclass
+@dataclass(eq=False)
 class GradCheckResult:
     relative_errors: np.ndarray
     adjoint_values: np.ndarray

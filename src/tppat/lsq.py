@@ -208,9 +208,7 @@ class Evaluator:
         return us, zs
 
     def objective(self, sigma, mu, states) -> float:
-        """Phi at (sigma, mu), from the forward states (us, zs) there."""
-        sigma = as_field(self.mesh, sigma)
-        mu = as_field(self.mesh, mu)
+        """Phi at the nodal fields (sigma, mu), from the forward states (us, zs) there."""
         value = sum(0.5 * float((self.lumped * w * z * z).sum())
                     for w, z in zip(self.weights, states[1]))
         if self.K1 is not None:
@@ -229,15 +227,13 @@ class Evaluator:
         return self.op.solve_linearized(u, sigma, mu, rhs, tol=tol)
 
     def gradient(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL):
-        """(g_sigma, g_mu) from the forward states (us, zs) at (sigma, mu).
+        """(g_sigma, g_mu) from the forward states (us, zs) at the nodal fields (sigma, mu).
 
         g_sigma and g_mu are the Riesz representers of the derivative of Phi,
         g_sigma = sum_j (W_j z_j Gamma u_j + v_j u_j) + kappa * M^-1 K1 sigma
         and the mu analog with |u_j| u_j in place of u_j. The adjoint
         states v_j are solved to the relative residual adjoint_tol.
         """
-        sigma = as_field(self.mesh, sigma)
-        mu = as_field(self.mesh, mu)
         g_sigma = np.zeros(self.mesh.node_count)
         g_mu = np.zeros(self.mesh.node_count)
         for u, z, w in zip(*states, self.weights):

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import MeshFormatError, ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Conforming triangulation with boundary tagging.
 

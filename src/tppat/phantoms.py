@@ -2,8 +2,9 @@
 
 A phantom field is a constant background overwritten by disk or square
 inclusions, sampled at the mesh nodes. Inclusions later in the list win where
-they overlap. Values are dimensionless coefficient magnitudes and must stay
-within the positivity bounds enforced by CoefficientSet.
+they overlap. Values are dimensionless coefficient magnitudes, checked
+finite and positive when a PhantomField is made; every solve checks the
+fields it takes again (fem.positive_field).
 """
 
 from __future__ import annotations
@@ -78,4 +79,4 @@ class Phantom:
             diffusion=self.diffusion.sample(mesh),
             single_photon=self.single_photon.sample(mesh),
             two_photon=self.two_photon.sample(mesh),
-        ).validate(mesh)
+        )

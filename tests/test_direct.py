@@ -59,6 +59,53 @@ def test_recover_field_rejects_a_nonpositive_or_nonfinite_gruneisen(bad):
                     BoundarySource.constant(mesh, 1.0))
 
 
+@pytest.mark.parametrize("solve, name", [
+    ("ForwardOperator", "diffusion"), ("recover_all_fields", "gruneisen"),
+    ("solve_semilinear", "single_photon"), ("solve_semilinear", "two_photon"),
+    ("Evaluator", "gruneisen")])
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_each_solve_names_the_coefficient_it_rejects(solve, name, bad):
+    # a CoefficientSet checks nothing: each solve checks the fields it takes
+    mesh = build_square_mesh(3)
+    n = mesh.node_count
+    fields = {"gruneisen": np.ones(n), "diffusion": np.full(n, 0.3),
+              "single_photon": np.full(n, 0.1), "two_photon": np.full(n, 0.2)}
+    fields[name][5] = bad
+    g = BoundarySource.constant(mesh, 1.0)
+    data = DatumSet(sources=[g], data=[np.ones(n)])
+    calls = {
+        "ForwardOperator": lambda: ForwardOperator(mesh, fields["diffusion"]),
+        "recover_all_fields": lambda: recover_all_fields(
+            ForwardOperator(mesh, 0.3), fields["gruneisen"], data),
+        "solve_semilinear": lambda: solve_semilinear(
+            ForwardOperator(mesh, 0.3), fields["single_photon"], fields["two_photon"], g),
+        "Evaluator": lambda: Evaluator(ForwardOperator(mesh, 0.3), fields["gruneisen"],
+                                       data, 0.0),
+    }
+    with pytest.raises(ValidationError, match=f"coefficient {name}"):
+        calls[solve]()
+
+
+def test_datum_set_keeps_its_own_read_only_data():
+    mesh = build_square_mesh(3)
+    H = np.ones(mesh.node_count)
+    ds = DatumSet(sources=[BoundarySource.constant(mesh, 1.0)], data=[H])
+    H[4] = 7.0
+    assert np.all(ds.data[0] == 1.0)
+    with pytest.raises(ValueError):
+        ds.data[0][4] = 7.0
+
+
+def test_fit_with_sigma_known_returns_a_copy_of_it():
+    mesh = build_square_mesh(1)
+    n = mesh.node_count
+    s = np.full(n, 2.0)
+    sigma, mu, _ = fit_pair_pointwise(mesh, [np.full(n, 2.0)], [np.full(n, 8.0)],
+                                      sigma_known=s)
+    assert sigma is not s and np.array_equal(sigma, s)
+    assert np.allclose(mu, 3.0, rtol=0.0, atol=1e-14)
+
+
 def test_recover_field_depends_only_on_ratio(bundle16):
     b = bundle16
     u1 = recover_one(b.operator, b.coeffs.gruneisen, b.H_clean[0], b.sources[0])

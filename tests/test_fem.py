@@ -10,8 +10,8 @@ from hypothesis.extra import numpy as hnp
 from tppat import fem
 from tppat.direct import ConditionReport
 from tppat.errors import MeshFormatError, SolverError, ValidationError
-from tppat.fem import (CoefficientSet, assemble_stiffness, clip_nonnegative, load_field,
-                       lumped_mass, save_field, solve_linear)
+from tppat.fem import (assemble_stiffness, clip_nonnegative, load_field, lumped_mass,
+                       positive_field, save_field, solve_linear)
 from tppat.forward import ForwardOperator
 from tppat.mesh import build_square_mesh
 
@@ -255,37 +255,36 @@ def test_h_refinement_second_order():
         assert 1.8 <= rate <= 2.2, f"observed rates {rates}"
 
 
-def test_coefficient_set_bounds():
+def test_positive_field_bounds():
     m = build_square_mesh(2)
     n = m.node_count
-    good = CoefficientSet(np.ones(n), np.ones(n), np.ones(n), np.ones(n))
-    good.validate(m)
-    bad = CoefficientSet(np.ones(n), np.ones(n), np.zeros(n), np.ones(n))
-    with pytest.raises(ValidationError):
-        bad.validate(m)
+    assert np.array_equal(positive_field(m, np.ones(n), "single_photon"), np.ones(n))
+    with pytest.raises(ValidationError, match="coefficient single_photon"):
+        positive_field(m, np.zeros(n), "single_photon")
 
 
-def test_coefficient_set_validate_coerces_only_what_it_must():
+def test_positive_field_coerces_only_what_it_must():
+    # a float64 nodal array is neither copied nor converted; anything else
+    # comes back as a new float64 nodal array
     m = build_square_mesh(2)
     n = m.node_count
-    fields = [np.ones(n), np.full(n, 2.0), np.full(n, 3.0), np.full(n, 4.0)]
-    coeffs = CoefficientSet(*fields).validate(m)
-    kept = (coeffs.gruneisen, coeffs.diffusion, coeffs.single_photon, coeffs.two_photon)
-    assert all(a is b for a, b in zip(kept, fields))
-    mixed = CoefficientSet(1, [2] * n, np.full(n, 3, dtype=np.int64),
-                           np.full(n, 4.0, dtype=np.float32)).validate(m)
-    for name, value in [("gruneisen", 1.0), ("diffusion", 2.0),
-                        ("single_photon", 3.0), ("two_photon", 4.0)]:
-        field = getattr(mixed, name)
-        assert field.dtype == np.float64 and field.shape == (n,)
-        assert np.all(field == value)
-    for bad in (np.nan, np.inf, 0.0, -1.0):
+    field = np.full(n, 2.0)
+    assert fem.as_field(m, field) is field
+    assert positive_field(m, field, "diffusion") is field
+    for values, value in [(1, 1.0), (2.5, 2.5), ([2] * n, 2.0),
+                          (np.full(n, 3, dtype=np.int64), 3.0),
+                          (np.full(n, 4.0, dtype=np.float32), 4.0)]:
+        out = positive_field(m, values, "diffusion")
+        assert out is not values
+        assert out.dtype == np.float64 and out.shape == (n,)
+        assert np.all(out == value)
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0):
         vals = np.ones(n)
         vals[3] = bad
-        with pytest.raises(ValidationError):
-            CoefficientSet(np.ones(n), vals, np.ones(n), np.ones(n)).validate(m)
-    with pytest.raises(ValidationError):
-        CoefficientSet(np.ones(n), np.ones(n + 1), np.ones(n), np.ones(n)).validate(m)
+        with pytest.raises(ValidationError, match="coefficient diffusion"):
+            positive_field(m, vals, "diffusion")
+    with pytest.raises(ValidationError, match="field has"):
+        positive_field(m, np.ones(n + 1), "diffusion")
 
 
 def float64_sine_inverse(mesh, gamma_mean, reaction_mean):

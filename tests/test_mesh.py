@@ -1,10 +1,49 @@
 import numpy as np
 import pytest
 
+from tppat.config import default_config
+from tppat.direct import ConditionReport, DatumSet
 from tppat.errors import MeshFormatError, ValidationError
+from tppat.experiments import prepare_data
+from tppat.fem import CoefficientSet
+from tppat.forward import BoundarySource
+from tppat.gradcheck import GradCheckResult
 from tppat.mesh import Mesh, build_square_mesh, load_mesh, save_mesh
 
 from oracle import save_mesh_rows
+
+
+def small_bundle():
+    cfg = default_config()
+    cfg.mesh_n = 4
+    return prepare_data(cfg)
+
+
+MESH4 = build_square_mesh(4)
+ONES = np.ones(MESH4.node_count)
+G4 = BoundarySource.constant(MESH4, 1.0)
+# every dataclass that holds arrays, made anew on each call
+ARRAY_DATACLASSES = {
+    "Mesh": lambda: build_square_mesh(4),
+    "CoefficientSet": lambda: CoefficientSet(ONES, ONES, ONES, ONES),
+    "DatumSet": lambda: DatumSet(sources=[G4], data=[ONES]),
+    "ConditionReport": lambda: ConditionReport(ONES, ONES == 0.0, np.arange(len(ONES))),
+    "DataBundle": small_bundle,
+    "GradCheckResult": lambda: GradCheckResult(ONES, ONES, ONES, 1e-6),
+}
+
+
+def test_a_mesh_keys_a_dict_and_sits_in_a_set():
+    a = build_square_mesh(4)
+    assert {a: 1}[a] == 1
+    assert a in {a} and len({a, build_square_mesh(4)}) == 2
+
+
+@pytest.mark.parametrize("name", ARRAY_DATACLASSES)
+def test_array_dataclasses_compare_by_identity(name):
+    a, b = ARRAY_DATACLASSES[name](), ARRAY_DATACLASSES[name]()
+    assert a == a
+    assert a != b
 
 
 def test_smallest_grid_counts():
