@@ -21,17 +21,23 @@ needed only for COO to CSR assembly, slicing and the CSR matvec, and whose
 import adds about 22 MB of resident memory to a run; the package needs
 numpy only.
 
-The linear solver is preconditioned conjugate gradients (solve_linear),
-which is deterministic and keeps the Dirichlet-eliminated SPD structure
-assumptions explicit; its default preconditioner is Jacobi. It tests the
-residual right after each update, so it applies the preconditioner once
-per iteration and never to a residual that already meets the tolerance.
+The linear solver is preconditioned conjugate gradients
+(ConjugateGradient), which is deterministic and keeps the
+Dirichlet-eliminated SPD structure assumptions explicit; its default
+preconditioner is Jacobi. It tests the residual right after each update, so
+it applies the preconditioner once per iteration and never to a residual
+that already meets the tolerance. A solve is resumable: run(tol) pauses
+right after the test that meets tol, and a later run to a tighter
+tolerance continues the same iteration, so a solve taken first loosely and
+then tightly costs the iterations of the tight one and gives its x bitwise
+(lsq.run_lsq decides its stop tests on such loose solves). solve_linear is
+one run to one tolerance.
 grid_sine_basis gives the sine transform that diagonalizes the
 constant-coefficient operator on the build_square_mesh grid (Concus & Golub
 1973). forward.ForwardOperator, which holds the Dirichlet operator of one
 diffusion field, preconditions its grid solves with it, so they need about
 ten iterations at any mesh size; it applies the transform in float32, while
-solve_linear keeps its iterates, residuals and stop test in float64.
+CG keeps its iterates, residuals and stop test in float64.
 
 Nodal fields serialize as CSV with header ``node,value``, one row per node in
 mesh order; load_field reads them with the row parser of mesh.load_mesh.
@@ -232,89 +238,139 @@ def _scatter(mesh: Mesh, diag: np.ndarray, upper: np.ndarray) -> BandedOperator:
                        np.abs(second - first).ravel(), upper.ravel())
 
 
-def solve_linear(A: BandedOperator, b: np.ndarray, tol: float = DEFAULT_TOL,
-                 preconditioner=None, shift=0.0, x0=None):
-    """Preconditioned conjugate gradients for the SPD system (A + diag(shift)) x = b.
+class ConjugateGradient:
+    """Preconditioned conjugate gradients for the SPD system (A + diag(shift)) x = b,
+    resumable: run(tol) iterates until the relative residual is at most tol,
+    and a later run(tol2) continues the same iteration from there.
 
     shift (an array of one value per row, or a scalar) is added to the
-    diagonal once per solve, and each matvec takes the sum in place of
-    diag(A) (BandedOperator.matvec), so no matrix is formed.
-    preconditioner maps a residual r to z = P^-1 r for a symmetric positive
-    definite P; the default is Jacobi, z = r / (diag(A) + shift). It is
-    applied once per iteration, never after the residual update that meets
-    the tolerance. CG starts from x0 (one value per row) when given, with
-    the residual b - (A + diag(shift)) x0, and from 0 otherwise; the stop
-    test is against the full right-hand side either way. Returns x with
-    relative residual ||(A + diag(shift)) x - b|| / ||b|| <= tol: x = 0 when
+    diagonal once, and each matvec takes the sum in place of diag(A)
+    (BandedOperator.matvec), so no matrix is formed. preconditioner maps a
+    residual r to z = P^-1 r for a symmetric positive definite P; the default
+    is Jacobi, z = r / (diag(A) + shift). CG starts from x0 (one value per
+    row) when given, with the residual b - (A + diag(shift)) x0, and from 0
+    otherwise; the stop test is against the full right-hand side either way.
+
+    Each iteration updates x and the residual r and tests ||r|| right away; a
+    run pauses there, before the next preconditioner application, so the
+    preconditioner is applied once per iteration and never to a residual
+    that meets the tolerance. A pause therefore changes nothing in the
+    sequence: run(t1) then run(t2) with t2 < t1 gives bitwise the x and the
+    iteration count of run(t2) alone, and a run whose tolerance the residual
+    already meets does no iteration. residual_norm is ||r|| where the last
+    run stopped (||b|| before any iteration), bnorm is ||b||, and iterations
+    counts every iteration so far. r is the recursively updated residual,
+    which agrees with b - (A + diag(shift)) x to round-off.
+
+    Raises ValidationError, before any iteration, unless b and x0 are
+    finite, and SolverError unless diag(A) + shift is positive (not checked
+    when b = 0).
+    """
+
+    def __init__(self, A: BandedOperator, b: np.ndarray, preconditioner=None,
+                 shift=0.0, x0=None):
+        b = np.asarray(b, dtype=float)
+        n = len(b)
+        self.bnorm = float(np.linalg.norm(b))
+        if not math.isfinite(self.bnorm):        # a NaN or an infinity in b
+            raise ValidationError("CG right-hand side has non-finite values")
+        if x0 is not None:
+            x0 = np.asarray(x0, dtype=float)
+            if x0.shape != b.shape:
+                raise ValidationError(f"CG start has {x0.shape} values, right-hand side "
+                                      f"has {b.shape}")
+            if not np.isfinite(x0).all():
+                raise ValidationError("CG start has non-finite values")
+        self.A, self.b, self.shift = A, b, shift
+        self.iterations = 0
+        self.max_iterations = max(1000, 20 * n)
+        self.start = None
+        self.p = self.rz = None
+        if self.bnorm == 0.0:
+            self.x = np.zeros(n)
+            self.r = b
+            self.residual_norm = 0.0
+            return
+        self.diag = A.diagonal() + shift
+        if np.any(self.diag <= 0.0):
+            raise SolverError("matrix diagonal must be positive for CG")
+        if preconditioner is None:
+            inv_diag = 1.0 / self.diag
+
+            def preconditioner(r):
+                return inv_diag * r
+        self.preconditioner = preconditioner
+        if x0 is None:
+            self.x = np.zeros(n)
+            self.r = b.copy()
+        else:
+            self.start = x0
+            self.x = x0.copy()
+            self.r = b - A.matvec(x0, self.diag)
+        self.residual_norm = float(np.linalg.norm(self.r))
+
+    def run(self, tol: float) -> np.ndarray:
+        """x with relative residual ||(A + diag(shift)) x - b|| / ||b|| <= tol.
+
+        Continues the iteration from where the last run paused. The result is
+        the solver's own iterate, which a later run updates in place: x = 0
+        when b = 0, x0 itself while x0 meets every tolerance asked so far, and
+        x = 0 when tol >= 1 without x0. Raises ValidationError, before any
+        iteration, unless tol is finite and positive, and SolverError with
+        the final residual when max(1000, 20 n) iterations in all do not
+        reach tol.
+        """
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValidationError(f"CG tolerance must be finite and positive, got {tol!r}")
+        target = tol * self.bnorm
+        if self.residual_norm <= target:
+            return self.x if self.start is None or self.iterations else self.start
+        A, diag, preconditioner = self.A, self.diag, self.preconditioner
+        x, r, p, rz = self.x, self.r, self.p, self.rz
+        rnorm = self.residual_norm
+        while rnorm > target:
+            if self.iterations == self.max_iterations:
+                res = float(np.linalg.norm(self.b - A.matvec(x, diag))) / self.bnorm
+                if res <= tol:
+                    rnorm = res * self.bnorm
+                    break
+                raise SolverError(
+                    f"CG failed to reach tol {tol:g} in {self.max_iterations} "
+                    f"iterations (relative residual {res:.3e})", residual=res)
+            z = preconditioner(r)
+            rz_new = float(r @ z)
+            if p is None:
+                p = z.copy()
+            else:
+                p *= rz_new / rz
+                p += z
+            rz = rz_new
+            Ap = A.matvec(p, diag)
+            pAp = float(p @ Ap)
+            if pAp <= 0.0:
+                raise SolverError("matrix is not positive definite (p^T A p <= 0)",
+                                  residual=float(np.linalg.norm(r)) / self.bnorm)
+            alpha = rz / pAp
+            x += alpha * p
+            r -= alpha * Ap
+            rnorm = float(np.linalg.norm(r))
+            self.iterations += 1
+        self.p, self.rz, self.residual_norm = p, rz, rnorm
+        return x
+
+
+def solve_linear(A: BandedOperator, b: np.ndarray, tol: float = DEFAULT_TOL,
+                 preconditioner=None, shift=0.0, x0=None):
+    """One ConjugateGradient run to tol: x with relative residual at most tol.
+
+    The arguments are those of ConjugateGradient and of its run; x = 0 when
     b = 0, x0 itself when x0 already meets the test, and x = 0 when tol >= 1
     without x0. Raises ValidationError, before any iteration, unless tol is
-    finite and positive and b and x0 are finite, SolverError unless
-    diag(A) + shift is positive, and SolverError with the final residual
-    when max(1000, 20 n) iterations do not reach tol.
+    finite and positive and b and x0 are finite, SolverError unless diag(A)
+    + shift is positive, and SolverError with the final residual when
+    max(1000, 20 n) iterations do not reach tol.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"CG tolerance must be finite and positive, got {tol!r}")
-    b = np.asarray(b, dtype=float)
-    n = len(b)
-    bnorm = float(np.linalg.norm(b))
-    if not math.isfinite(bnorm):        # a NaN or an infinity in b
-        raise ValidationError("CG right-hand side has non-finite values")
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != b.shape:
-            raise ValidationError(f"CG start has {x0.shape} values, right-hand side "
-                                  f"has {b.shape}")
-        if not np.isfinite(x0).all():
-            raise ValidationError("CG start has non-finite values")
-    if bnorm == 0.0:
-        return np.zeros(n)
-    max_iterations = max(1000, 20 * n)
-
-    diag = A.diagonal() + shift
-    if np.any(diag <= 0.0):
-        raise SolverError("matrix diagonal must be positive for CG")
-    if preconditioner is None:
-        inv_diag = 1.0 / diag
-
-        def preconditioner(r):
-            return inv_diag * r
-
-    target = tol * bnorm
-    if x0 is None:
-        x = np.zeros(n)
-        r = b.copy()
-    else:
-        x = x0.copy()
-        r = b - A.matvec(x0, diag)
-    if np.linalg.norm(r) <= target:
-        return x if x0 is None else x0
-    z = preconditioner(r)
-    p = z.copy()
-    rz = float(r @ z)
-
-    for _ in range(max_iterations):
-        Ap = A.matvec(p, diag)
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise SolverError("matrix is not positive definite (p^T A p <= 0)",
-                              residual=float(np.linalg.norm(r)) / bnorm)
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        if np.linalg.norm(r) <= target:
-            return x
-        z = preconditioner(r)
-        rz_new = float(r @ z)
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
-
-    res = float(np.linalg.norm(b - A.matvec(x, diag))) / bnorm
-    if res <= tol:
-        return x
-    raise SolverError(
-        f"CG failed to reach tol {tol:g} in {max_iterations} iterations "
-        f"(relative residual {res:.3e})", residual=res)
+    return ConjugateGradient(A, b, preconditioner, shift, x0).run(tol)
 
 
 def grid_sine_basis(mesh: Mesh):

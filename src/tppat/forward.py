@@ -130,6 +130,15 @@ class ForwardOperator:
     tolerance and its result moves only at round-off. Other meshes use
     Jacobi.
 
+    spectral_floor is a lower bound on lambda_min(K_ii): min(gamma) times
+    the least eigenvalue of T (x) I + I (x) T on the grid, from the float64
+    eigenvalues, and 0 on other meshes. It holds because K = sum_T
+    gammabar_T K_T with each K_T positive semidefinite and each gammabar_T
+    >= min(gamma), so K - min(gamma) K(1) is positive semidefinite, and so
+    is its interior block. Then spectral_floor + min(w) <= lambda_min(K_ii +
+    diag(w)), which bounds the error of a loose linearized solve by its
+    residual (lsq.run_lsq's stop certificates).
+
     The operator holds no per-solve state: one instance can serve many
     solves and threads at once.
     """
@@ -144,6 +153,7 @@ class ForwardOperator:
         self.gamma_mean = float(gamma.mean())
         sine = fem.grid_sine_basis(mesh)
         self.sine = None if sine is None else tuple(a.astype(np.float32) for a in sine)
+        self.spectral_floor = 0.0 if sine is None else float(gamma.min() * sine[1].min())
         self.lumped = fem.lumped_mass(mesh)
 
     def preconditioner(self, reaction_diag_interior):
@@ -176,6 +186,12 @@ class ForwardOperator:
         return fem.solve_linear(
             self.K_ii, rhs, tol, shift=reaction_diag_interior,
             preconditioner=self.preconditioner(reaction_diag_interior), x0=x0)
+
+    def solver(self, reaction_diag_interior, rhs: np.ndarray) -> fem.ConjugateGradient:
+        """The resumable CG of solve for (K_ii + diag(w)) x = rhs, from 0, not yet run."""
+        return fem.ConjugateGradient(self.K_ii, rhs,
+                                     self.preconditioner(reaction_diag_interior),
+                                     reaction_diag_interior)
 
     def expand(self, x_interior: np.ndarray, boundary_values) -> np.ndarray:
         """Nodal field from interior values and boundary values (array or scalar)."""

@@ -27,7 +27,7 @@ the forward discretization.
 The optimizer is a projected pointwise Gauss-Newton iteration with Armijo
 backtracking. For fixed photon densities the datum fixes (sigma, mu) node
 by node, so the Gauss-Newton matrix of the data term is block diagonal,
-one 2x2 block per node (see gauss_newton_step), and the step solves these
+one 2x2 block per node (see gauss_newton_blocks), and the step solves these
 blocks with the forward states of the current iterate (no extra solve).
 Bounds are treated by the two-metric projection of Bertsekas (1982): a
 component at a bound whose gradient points out of the box is held, the
@@ -81,6 +81,43 @@ noise rather than the coefficients (the discrepancy principle, Morozov
 1966). The test costs no solve. With the crime guard the datum's transfer
 averages the noise, so Phi_noise overestimates the misfit the noise leaves
 there.
+
+Each iterate first decides its two stop tests on adjoints solved only as
+far as the decision needs (the inexact-gradient idea of Carter 1991 and of
+Heinkenschloss & Vicente 2001, applied to the stop decision alone). Adjoint
+j solves (K_ii + diag(w_j)) v_j = b_j, w_j = m (sigma + 2 mu |u_j|); with
+lambda_j = ForwardOperator.spectral_floor + min(w_j) <= lambda_min of that
+operator, a CG residual of norm rho_j leaves ||dv_j||_2 <= rho_j /
+lambda_j. With maxima over the interior nodes, where dv_j lives:
+
+* Gradient test. The gradient's error is sum_j dv_j (u_j, |u_j| u_j), so
+  ||dg||_M <= E_g = sqrt(max m) sum_j (rho_j / lambda_j) ||u_j||_inf
+  sqrt(1 + ||u_j||_inf^2). Dropping the held components is 1-Lipschitz in
+  each component, even where the held set flips, so ||red g~||_M + E_g <=
+  threshold proves that the exact reduced gradient meets the test: the run
+  stops, converged, with an empty message.
+* Noise test. At node i, dg_i = A_i^T c_i with A_i the whitened rows (a_j,
+  b_j) of gauss_newton_blocks and c_ji = dv_ji H_ji / Gamma_i, and every
+  branch of the step (the 2x2 block, the 1x1 block beside a held
+  component, the near-rank-one pseudo-inverse) has d_i = -P_i g_i with
+  A_i P_i A_i^T <= I. So sqrt(2 q), q = -1/2 <g, d>, moves by at most
+  ||c||_M <= E_n = sqrt(max m) sqrt(sum_j (max|H_j / Gamma| rho_j /
+  lambda_j)^2), whatever the conditioning of the blocks. When the gradient
+  test fails for certain, ||red g~||_M - E_g > threshold, and q~ > 0 with
+  sqrt(2 q~) + E_n <= sqrt(2 NOISE_SHARE Phi_noise), the exact decrement
+  under the held set of the first-pass gradient g~ meets the noise test:
+  the run stops with "noise level reached".
+
+Each adjoint's first run stops at the relative residual max(noise_tol,
+a_j / ||b_j||), a_j = STOP_SHARE times the looser of the residual norms
+that keep source j's term of E_g within threshold and its term of E_n
+within sqrt(2 NOISE_SHARE Phi_noise); on a noiseless start at the truth
+b_j is that small, and the solve takes no iteration. The target only sets
+the cost; the certificate decides the stop. When it certifies none, the
+same CG solves (fem.ConjugateGradient) continue to noise_tol and the
+iterate's tests and step proceed on that gradient, which is bitwise the one
+solved to noise_tol at once. A stop's grad_norm in the report is the norm
+of the gradient it was decided on: the first pass's when that certified it.
 """
 
 from __future__ import annotations
@@ -103,6 +140,9 @@ ARMIJO_SHARE = 0.1
 # The share of the noise misfit Phi_noise below which the predicted decrease
 # of a Gauss-Newton step stops a run on noisy data (module docstring).
 NOISE_SHARE = 1e-4
+# Each source's share of the error budget of the first-pass stop tests
+# (module docstring).
+STOP_SHARE = 0.1
 
 
 @dataclass
@@ -166,7 +206,9 @@ class Evaluator:
     linear solve only as tight as its forcing term (solve_semilinear); the
     adjoint solves run to fem.DEFAULT_TOL, which keeps the gradient exact
     for the discrete objective to that tolerance. forward_states and
-    gradient take other tolerances per call (run_lsq's noise-level rule).
+    gradient take other tolerances per call (run_lsq's noise-level rule),
+    and gradient continues resumable adjoint solves (adjoints) that an
+    earlier call at the same point ran more loosely (run_lsq's first pass).
     The misfit weights W_j = 1 / H_j^2 (weights, one row per source) and
     the regularizer's unit-diffusion stiffness K1 are set up here, K1 only
     when kappa != 0; with kappa = 0 it is None and Phi is the misfit alone.
@@ -216,29 +258,55 @@ class Evaluator:
                                           + float(mu @ (self.K1 @ mu))))
         return value
 
-    def solve_adjoint(self, sigma, mu, u, z, tol=fem.DEFAULT_TOL) -> np.ndarray:
-        """Adjoint state v: linearized operator, source -z Gamma (sigma + 2 mu |u|).
+    def adjoint_source(self, sigma, mu, u, z) -> np.ndarray:
+        """Interior source -(m z Gamma (sigma + 2 mu |u|)) of an adjoint solve.
 
-        z is the weighted residual W_j z_j of one source, as gradient passes
-        it; tol is the relative residual of the solve.
+        z is the weighted residual W_j z_j of one source, as gradient passes it.
         """
         fz = sigma + 2.0 * mu * np.abs(u)
-        rhs = -(self.lumped * z * self.gruneisen * fz)[self.op.interior]
-        return self.op.solve_linearized(u, sigma, mu, rhs, tol=tol)
+        return -(self.lumped * z * self.gruneisen * fz)[self.op.interior]
 
-    def gradient(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL):
+    def solve_adjoint(self, sigma, mu, u, z, tol=fem.DEFAULT_TOL) -> np.ndarray:
+        """Adjoint state v: linearized operator, source adjoint_source(sigma, mu, u, z).
+
+        tol is the relative residual of the solve.
+        """
+        return self.op.solve_linearized(u, sigma, mu, self.adjoint_source(sigma, mu, u, z),
+                                        tol=tol)
+
+    def adjoints(self, sigma, mu, states) -> list:
+        """One resumable adjoint solve per source (ForwardOperator.solver), none run yet.
+
+        gradient continues them; their interior values are those of
+        solve_adjoint at each tolerance a run reaches.
+        """
+        return [self.op.solver(self.op.jacobian_diag(u, sigma, mu),
+                               self.adjoint_source(sigma, mu, u, w * z))
+                for u, z, w in zip(*states, self.weights)]
+
+    def gradient(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL, adjoints=None):
         """(g_sigma, g_mu) from the forward states (us, zs) at the nodal fields (sigma, mu).
 
         g_sigma and g_mu are the Riesz representers of the derivative of Phi,
         g_sigma = sum_j (W_j z_j Gamma u_j + v_j u_j) + kappa * M^-1 K1 sigma
         and the mu analog with |u_j| u_j in place of u_j. The adjoint
-        states v_j are solved to the relative residual adjoint_tol.
+        states v_j are solved to the relative residual adjoint_tol, one
+        tolerance for all sources or one per source. adjoints, when given,
+        holds the resumable solves of Evaluator.adjoints at the same point,
+        which this call continues to adjoint_tol: a gradient taken first
+        loosely and then to adjoint_tol from the same solves is bitwise the
+        one taken to adjoint_tol at once. Without them each v_j is
+        solve_adjoint's.
         """
+        tols = np.broadcast_to(adjoint_tol, (self.data.size,))
         g_sigma = np.zeros(self.mesh.node_count)
         g_mu = np.zeros(self.mesh.node_count)
-        for u, z, w in zip(*states, self.weights):
+        for j, (u, z, w) in enumerate(zip(*states, self.weights)):
             wz = w * z
-            v = self.solve_adjoint(sigma, mu, u, wz, adjoint_tol)
+            if adjoints is None:
+                v = self.solve_adjoint(sigma, mu, u, wz, float(tols[j]))
+            else:
+                v = self.op.expand(adjoints[j].run(float(tols[j])), 0.0)
             g_sigma += wz * self.gruneisen * u + v * u
             g_mu += (wz * self.gruneisen + v) * np.abs(u) * u
         if self.K1 is not None:
@@ -247,32 +315,39 @@ class Evaluator:
         return g_sigma, g_mu
 
 
-def gauss_newton_step(gruneisen, us, reg, g, held):
-    """Projected pointwise Gauss-Newton step (d_sigma, d_mu) from the forward states us.
+def gauss_newton_blocks(gruneisen, us, reg):
+    """The pointwise Gauss-Newton matrices B_i = [[aa, ab], [ab, bb]] from the
+    forward states us, as (aa, bb, ab) with one value per node each.
 
     gruneisen is Gamma, or one row per source of the whitened gains
     sqrt(W_j) Gamma, as run_lsq passes them. At node i, a_j = Gamma_i u_j,i
     and b_j = Gamma_i |u_j,i| u_j,i are the derivatives of the (whitened)
     residual with respect to sigma_i and mu_i with u frozen, and B_i =
-    sum_j [a_j, b_j]^T [a_j, b_j] + reg_i I, with reg = kappa * diag(K1) / m,
-    is the pointwise Gauss-Newton matrix. g = (g_sigma, g_mu) is the
-    lumped-metric gradient, so the step -B_i^-1 g_i is the Gauss-Newton step
-    of the data term at node i. Where B_i is nearly rank
-    one (det B_i <= 1e-12 (tr B_i)^2: one source with kappa = 0, equal |u_j|
-    at the node, or Gamma_i = 0) the step is the pseudo-inverse one,
-    -B_i g_i / (tr B_i)^2, exact for a rank-one B_i.
+    sum_j [a_j, b_j]^T [a_j, b_j] + reg_i I, with reg = kappa * diag(K1) / m.
+    They depend on the states alone, so every step from one iterate shares
+    them.
+    """
+    a = np.asarray(gruneisen) * np.asarray(us)
+    b = a * np.abs(us)
+    return (a * a).sum(axis=0) + reg, (b * b).sum(axis=0) + reg, (a * b).sum(axis=0)
+
+
+def gauss_newton_step(blocks, g, held):
+    """Projected pointwise Gauss-Newton step (d_sigma, d_mu) with the matrices
+    blocks of gauss_newton_blocks.
+
+    g = (g_sigma, g_mu) is the lumped-metric gradient, so the step -B_i^-1
+    g_i is the Gauss-Newton step of the data term at node i. Where B_i is
+    nearly rank one (det B_i <= 1e-12 (tr B_i)^2: one source with kappa = 0,
+    equal |u_j| at the node, or Gamma_i = 0) the step is the pseudo-inverse
+    one, -B_i g_i / (tr B_i)^2, exact for a rank-one B_i.
 
     held = (held_sigma, held_mu) marks the components the bounds hold (see
     run_lsq; a pinned component is held). A held component does not move, and
     the other one at its node steps by -g_f / B_ff, its own 1x1 block. A
     component whose block is zero does not move either.
     """
-    a = np.asarray(gruneisen) * np.asarray(us)
-    b = a * np.abs(us)
-    aa = (a * a).sum(axis=0) + reg
-    bb = (b * b).sum(axis=0) + reg
-    ab = (a * b).sum(axis=0)
-    (gs, gm), (held_s, held_m) = g, held
+    (aa, bb, ab), (gs, gm), (held_s, held_m) = blocks, g, held
     det = aa * bb - ab * ab
     tr2 = (aa + bb) ** 2
     regular = det > 1e-12 * tr2
@@ -312,7 +387,10 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     -1/2 <g, d> of at most NOISE_SHARE times the noise misfit (converged,
     message "noise level reached"; the module docstring), at the iteration
     cap, or when the line search cannot make progress (best iterate
-    returned, converged=False). The report keeps the noise misfit as
+    returned, converged=False). Each iterate's two stop tests are first
+    decided on a gradient from loosely solved adjoints, whose error bounds
+    certify a stop for the exact gradient or send the same solves on to
+    noise_tol (the module docstring). The report keeps the noise misfit as
     noise_misfit, 0.0 on data with noise_level 0, which the noise test
     leaves alone. The reference is taken at a fixed point, not at the
     start: it is the norm of the misfit part of the gradient, sum_j W_j z_j
@@ -321,7 +399,8 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     u0 when it is given and at the start's forward states otherwise. So it
     costs no solve, and with u0 it does not depend on the start. The report
     keeps it as reference_grad_norm; grad_norm_history holds the reduced
-    gradient norms, the start's first. The objective history is strictly
+    gradient norms, the start's first, each from the gradient its point's
+    tests were decided on. The objective history is strictly
     decreasing over accepted steps. The gradient at an accepted point reuses
     the forward states of its line-search trial.
 
@@ -388,19 +467,70 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
                            * float(ev.lumped.sum()))
     noise_floor = NOISE_SHARE * report.noise_misfit
 
+    # The first pass's error bounds (module docstring): its gradient is
+    # within E_g = sum_j e_j rho_j of the exact one and its sqrt(2 q) within
+    # E_n = sqrt(sum_j (h_j rho_j)^2), with rho_j adjoint j's residual norm
+    root_m = math.sqrt(float(ev.lumped[op.interior].max()))
+    h_max = [float((H / ev.gruneisen)[op.interior].max()) for H in data.data]
+    noise_room = math.sqrt(2.0 * noise_floor)
+
+    def first_pass(xv, states, adjoints):
+        """The first-pass gradient at xv, its held set and reduced norm, and
+        the bounds E_g and E_n on its errors.
+
+        states are the forward states at xv and adjoints their resumable
+        adjoint solves, which this runs only as far as the module
+        docstring's rule asks."""
+        e, h, tols = [], [], []
+        for u, solve, hj in zip(states[0], adjoints, h_max):
+            # lambda_j <= lambda_min(K_ii + diag(w_j)), w_j the solve's shift
+            lam = op.spectral_floor + float(solve.shift.min())
+            top = float(np.abs(u[op.interior]).max())
+            e.append(root_m * top * math.sqrt(1.0 + top * top) / lam)
+            h.append(root_m * hj / lam)
+            # the residual norm that keeps this source's error within its
+            # share of the looser budget
+            budget = STOP_SHARE * max(threshold / e[-1], noise_room / h[-1])
+            tols.append(max(data.noise_tol, budget / solve.bnorm)
+                        if solve.bnorm > budget else 1.0)
+        g = np.concatenate(ev.gradient(xv[:n], xv[n:], states, tols, adjoints))
+        held, g_norm = hold(xv, g)
+        rho = [solve.residual_norm for solve in adjoints]
+        return (g, held, g_norm, sum(ej * r for ej, r in zip(e, rho)),
+                math.sqrt(sum((hj * r) ** 2 for hj, r in zip(h, rho))))
+
     for it in range(cfg.max_iterations + 1):
-        # the gradient at x, from the forward states of its evaluation
-        gs, gm = ev.gradient(x[:n], x[n:], states, adjoint_tol=data.noise_tol)
-        g = np.concatenate([gs, gm])
-        held, g_norm = hold(x, g)
+        # the gradient at x, from the forward states of its evaluation: first
+        # from adjoints solved only as far as the stop tests need, then, unless
+        # that certifies a stop, from the same solves continued to noise_tol
+        adjoints = ev.adjoints(x[:n], x[n:], states)
+        g, held, g_norm, e_g, e_n = first_pass(x, states, adjoints)
+        blocks, stop = None, None
+        if g_norm + e_g <= threshold:
+            stop = ""
+        elif g_norm - e_g > threshold and noise_floor > 0.0:
+            blocks = gauss_newton_blocks(gains, states[0], reg)
+            d = np.concatenate(gauss_newton_step(blocks, (g[:n], g[n:]),
+                                                 (held[:n], held[n:])))
+            q = -0.5 * dot(g, d)
+            if q > 0.0 and math.sqrt(2.0 * q) + e_n <= noise_room:
+                stop = "noise level reached"
+        if stop is None:
+            g = np.concatenate(ev.gradient(x[:n], x[n:], states, data.noise_tol, adjoints))
+            held, g_norm = hold(x, g)
         report.objective_history.append(f)
         report.grad_norm_history.append(g_norm)
+        if stop is not None:
+            report.converged = True
+            report.message = stop
+            break
         if g_norm <= threshold:
             report.converged = True
             break
 
-        d = np.concatenate(gauss_newton_step(gains, states[0], reg,
-                                             (gs, gm), (held[:n], held[n:])))
+        if blocks is None:
+            blocks = gauss_newton_blocks(gains, states[0], reg)
+        d = np.concatenate(gauss_newton_step(blocks, (g[:n], g[n:]), (held[:n], held[n:])))
         gd = dot(g, d)
         if 0.0 < -0.5 * gd <= noise_floor:
             report.converged = True

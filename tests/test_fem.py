@@ -484,6 +484,55 @@ def test_cg_from_a_start_meets_the_tolerance_of_the_full_right_hand_side(
 
 
 @settings(max_examples=60, deadline=None)
+@given(size=st.integers(2, 9), jitter=st.sampled_from([0.0, 0.05]),
+       sine=st.booleans(), seed=st.integers(0, 2**32 - 1), started=st.booleans(),
+       log_tols=st.lists(st.floats(-12.0, 0.5), min_size=2, max_size=2, unique=True))
+@example(size=9, jitter=0.0, sine=True, seed=1, started=False, log_tols=[-2.0, -12.0])
+@example(size=5, jitter=0.05, sine=False, seed=2, started=True, log_tols=[0.5, -10.0])
+def test_resumed_cg_continues_the_one_shot_iteration(size, jitter, sine, seed, started,
+                                                     log_tols):
+    # run(t1) then run(t2), t1 > t2, is solve_linear(..., t2): the same bits
+    # of x and the same preconditioner applications in all; a later run to
+    # any t >= t2 iterates no more, and each run leaves its residual within
+    # its tolerance. The sine preconditioner on the grid, Jacobi otherwise
+    mesh = jittered_mesh(size, seed % 1000, jitter)
+    rng = np.random.default_rng(seed)
+    op = ForwardOperator(mesh, rng.uniform(0.2, 2.0, mesh.node_count))
+    m = len(op.interior)
+    shift = rng.uniform(0.0, 1.0, m)
+    b = rng.standard_normal(m)
+    x0 = rng.standard_normal(m) if started else None
+    t1, t2 = sorted(10.0 ** np.array(log_tols), reverse=True)
+    if sine and jitter == 0.0:
+        preconditioner = op.preconditioner(shift)
+    else:
+        inv_diag = 1.0 / (op.K_ii.diagonal() + shift)
+
+        def preconditioner(r):
+            return inv_diag * r
+    applied = []
+
+    def counted(r):
+        applied.append(1)
+        return preconditioner(r)
+
+    one_shot = solve_linear(op.K_ii, b, t2, counted, shift, x0)
+    once = len(applied)
+    applied.clear()
+    cg = fem.ConjugateGradient(op.K_ii, b, counted, shift, x0)
+    cg.run(t1)
+    assert cg.residual_norm <= t1 * np.linalg.norm(b)
+    x = cg.run(t2)
+    assert x.tobytes() == one_shot.tobytes()
+    assert len(applied) == once == cg.iterations
+    assert cg.residual_norm <= t2 * np.linalg.norm(b)
+    for t in (t2, t1, 10.0 ** rng.uniform(np.log10(t2), 1.0)):
+        assert cg.run(t).tobytes() == one_shot.tobytes()
+        assert len(applied) == once
+        assert cg.residual_norm <= t * np.linalg.norm(b)
+
+
+@settings(max_examples=60, deadline=None)
 @given(position=st.integers(0, 48), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
        where=st.sampled_from(["b", "b, zero start", "x0"]))
 def test_cg_rejects_a_non_finite_right_hand_side_or_start_before_iterating(position,

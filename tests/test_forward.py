@@ -172,6 +172,38 @@ def test_grid_solves_need_few_preconditioner_applications(n, monkeypatch):
     assert max(applications) <= 20, applications
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 7), mesh_kind=st.sampled_from(["grid", "permuted", "jittered"]),
+       seed=st.integers(0, 2**32 - 1), constant=st.booleans())
+@example(n=7, mesh_kind="grid", seed=0, constant=True)
+def test_spectral_floor_bounds_the_least_eigenvalue(n, mesh_kind, seed, constant):
+    # spectral_floor + min(w) <= lambda_min(K_ii + diag(w)) for variable gamma
+    # and positive w; on the grid min(gamma) times the least eigenvalue of
+    # the 5-point operator, which constant gamma and w attain (to the round-off
+    # of eigvalsh); 0 off the grid, where the sine basis is not recognized
+    rng = np.random.default_rng(seed)
+    mesh = {"grid": lambda: build_square_mesh(n),
+            "permuted": lambda: permuted_mesh(build_square_mesh(n), seed),
+            "jittered": lambda: jittered_mesh(n, seed, 0.3 / n)}[mesh_kind]()
+    if constant:
+        gamma, w = rng.uniform(0.1, 2.0), np.full(len(mesh.interior_list), rng.uniform(0.0, 1.0))
+    else:
+        gamma = rng.uniform(0.1, 2.0, mesh.node_count)
+        w = rng.uniform(1e-6, 1.0, len(mesh.interior_list))
+    op = ForwardOperator(mesh, gamma)
+    least = np.linalg.eigvalsh(dense(op.K_ii) + np.diag(w)).min()
+    slack = 1e-12 * np.abs(dense(op.K_ii)).sum(axis=1).max()
+    bound = op.spectral_floor + w.min()
+    assert bound <= least + slack
+    if mesh_kind == "grid":
+        assert op.spectral_floor == pytest.approx(np.min(gamma) * 4.0 * (1.0 - np.cos(np.pi / n)),
+                                                  rel=1e-14)
+        if constant:
+            assert bound >= least - slack
+    else:
+        assert op.spectral_floor == 0.0
+
+
 @pytest.mark.parametrize("jitter", [0.0, 0.04], ids=["grid", "jittered"])
 def test_shifted_cg_matches_dense_solve(jitter):
     mesh = jittered_mesh(8, 5, jitter)

@@ -12,7 +12,8 @@ from tppat.experiments import EXPERIMENTS, prepare_data, reconstruct, run_experi
 from tppat.forward import RESIDUAL_TOL, BoundarySource, ForwardOperator, solve_semilinear
 from tppat.gradcheck import _fd_directional_derivative as fd_directional_derivative
 from tppat.gradcheck import gradient_check
-from tppat.lsq import Evaluator, LsqConfig, gauss_newton_step, run_lsq
+from tppat.lsq import (Evaluator, LsqConfig, gauss_newton_blocks, gauss_newton_step,
+                       run_lsq)
 from tppat.mesh import build_square_mesh
 from tppat.metrics import relative_l2_error
 
@@ -46,6 +47,13 @@ def tight_states(ev, sigma, mu):
 def phi(ev, sigma, mu):
     """Phi at (sigma, mu) from tight cold-started forward states."""
     return ev.objective(sigma, mu, tight_states(ev, sigma, mu))
+
+
+def first_pass(adjoint_tol):
+    """Whether an Evaluator.gradient call is run_lsq's first pass at a point,
+    which passes one adjoint tolerance per source; a gradient a step uses
+    passes DatumSet.noise_tol alone."""
+    return np.ndim(adjoint_tol) == 1
 
 
 def test_objective_zero_at_truth(bundle8):
@@ -227,9 +235,10 @@ def test_run_lsq_solves_each_trial_point_once(bundle8, monkeypatch):
         solved.append(forward_states(self, sigma, mu, u0, residual_tols))
         return solved[-1]
 
-    def recording_gradient(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL):
-        gradient_states.append(states is solved[-1])
-        return gradient(self, sigma, mu, states, adjoint_tol)
+    def recording_gradient(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL,
+                           adjoints=None):
+        gradient_states.append((first_pass(adjoint_tol), states is solved[-1]))
+        return gradient(self, sigma, mu, states, adjoint_tol, adjoints)
 
     monkeypatch.setattr(Evaluator, "forward_states", recording_forward_states)
     monkeypatch.setattr(Evaluator, "gradient", recording_gradient)
@@ -238,8 +247,13 @@ def test_run_lsq_solves_each_trial_point_once(bundle8, monkeypatch):
     _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b),
                            (np.full(n, 0.26), np.full(n, 0.26)), cfg)
     assert report.iterations >= 5
-    # one gradient per accepted point, from the states of its Armijo trial
-    assert gradient_states == [True] * (report.iterations + 1)
+    # one first-pass gradient per accepted point, from the states of its
+    # Armijo trial, each continued at most once, from the same states
+    firsts = [first for first, _ in gradient_states]
+    assert firsts.count(True) == report.iterations + 1
+    assert firsts[0] and all(previous for previous, first in zip(firsts, firsts[1:])
+                             if not first)
+    assert all(latest for _, latest in gradient_states)
     assert len(points) >= report.iterations + 1
     assert not any(np.array_equal(p, q) for p, q in zip(points, points[1:]))
     # each solve starts from the previous evaluation's, accepted or not
@@ -452,7 +466,7 @@ def expected_step(gruneisen, us, reg, g, held):
 
 
 def assert_matches_expected_step(gruneisen, us, reg, g, held):
-    steps = np.array(gauss_newton_step(gruneisen, us, reg, g, held))
+    steps = np.array(gauss_newton_step(gauss_newton_blocks(gruneisen, us, reg), g, held))
     expected, tols = expected_step(gruneisen, us, reg, g, held)
     assert np.all(np.isfinite(steps))
     assert np.all(steps[np.array(held)] == 0.0)
@@ -506,7 +520,7 @@ def test_gauss_newton_step_on_regular_rank_one_and_held_nodes(mu_only):
         g = (np.zeros(5), g[1])
         held = (np.ones(5, dtype=bool), held[1])
     assert_matches_expected_step(gruneisen, us, reg, g, held)
-    d_sigma, d_mu = gauss_newton_step(gruneisen, us, reg, g, held)
+    d_sigma, d_mu = gauss_newton_step(gauss_newton_blocks(gruneisen, us, reg), g, held)
     if not mu_only:
         # a_j = b_j = 1 at node 0: B_0 = [[2, 2], [2, 2]], B_0^+ = B_0 / 16
         assert np.allclose([d_sigma[0], d_mu[0]], [-0.1875, -0.1875], rtol=1e-15, atol=0)
@@ -561,7 +575,8 @@ def start_predicted_decrease(bundle, ds):
     held = [((x <= cfg.bound_floor) & (gx > 0.0)) | ((x >= cfg.bound_ceiling) & (gx < 0.0))
             for x, gx in zip((sigma, mu), g)]
     reg = 0.0 if ev.K1 is None else ev.kappa * ev.K1.diagonal() / ev.lumped
-    d = gauss_newton_step(np.sqrt(ev.weights) * ev.gruneisen, states[0], reg, g, held)
+    blocks = gauss_newton_blocks(np.sqrt(ev.weights) * ev.gruneisen, states[0], reg)
+    d = gauss_newton_step(blocks, g, held)
     return -0.5 * sum(float((ev.lumped * gx * dx).sum()) for gx, dx in zip(g, d))
 
 
@@ -808,9 +823,9 @@ def test_ii_norms_are_those_of_the_mu_part_alone(monkeypatch, sources, n, eps, s
     recorded = []
     gradient = Evaluator.gradient
 
-    def recording(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL):
-        out = gradient(self, sigma, mu, states, adjoint_tol)
-        recorded.append((mu.copy(), out[1]))
+    def recording(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL, adjoints=None):
+        out = gradient(self, sigma, mu, states, adjoint_tol, adjoints)
+        recorded.append((first_pass(adjoint_tol), mu.copy(), out[1]))
         return out
 
     monkeypatch.setattr(Evaluator, "gradient", recording)
@@ -823,11 +838,15 @@ def test_ii_norms_are_those_of_the_mu_part_alone(monkeypatch, sources, n, eps, s
         a = b.coeffs.gruneisen * u
         g_ref = g_ref + (sigma0 * a + mid * a * np.abs(u) - H) / H ** 2 * a * np.abs(u)
     norms = []
-    for mu, g_mu in recorded:
+    for first, mu, g_mu in recorded:
         held = (((mu <= cfg.bound_floor) & (g_mu > 0.0))
                 | ((mu >= cfg.bound_ceiling) & (g_mu < 0.0)))
         reduced = np.where(held, 0.0, g_mu)
-        norms.append(np.sqrt((m * reduced * reduced).sum()))
+        norm = np.sqrt((m * reduced * reduced).sum())
+        if first:
+            norms.append(norm)
+        else:        # continued to noise_tol, this gradient replaces its first pass
+            norms[-1] = norm
     assert report.converged and np.array_equal(sigma, sigma0)
     assert report.reference_grad_norm == pytest.approx(np.sqrt((m * g_ref ** 2).sum()),
                                                        rel=1e-12)
@@ -884,22 +903,37 @@ def test_noise_aware_tolerances_save_preconditioner_applications(monkeypatch):
 
 
 def recorded_tolerances(monkeypatch):
-    """Record each forward solve's residual_tol and each adjoint solve's tol."""
-    forward, adjoint = [], []
+    """Record each forward solve's residual_tol and the adjoint tolerances of
+    each gradient: first passes, which hold one per source, in a list of their
+    own."""
+    forward, adjoint, firsts = [], [], []
     solve = lsq.solve_semilinear
-    solve_adjoint = Evaluator.solve_adjoint
+    gradient = Evaluator.gradient
 
     def recording(op, sigma, mu, g, residual_tol=RESIDUAL_TOL, u0=None):
         forward.append(residual_tol)
         return solve(op, sigma, mu, g, residual_tol, u0=u0)
 
-    def recording_adjoint(self, sigma, mu, u, z, tol=fem.DEFAULT_TOL):
-        adjoint.append(tol)
-        return solve_adjoint(self, sigma, mu, u, z, tol)
+    def recording_gradient(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL,
+                           adjoints=None):
+        (firsts if first_pass(adjoint_tol) else adjoint).append(adjoint_tol)
+        return gradient(self, sigma, mu, states, adjoint_tol, adjoints)
 
     monkeypatch.setattr(lsq, "solve_semilinear", recording)
-    monkeypatch.setattr(Evaluator, "solve_adjoint", recording_adjoint)
-    return forward, adjoint
+    monkeypatch.setattr(Evaluator, "gradient", recording_gradient)
+    return forward, adjoint, firsts
+
+
+def assert_steps_continue_to(report, adjoint, firsts, tol):
+    """Every gradient a step or a stop decision used ran its adjoints to tol,
+    continued from a first pass, one of which each point took: all but the
+    last point's are continued, and the last one's too unless it certified
+    the stop."""
+    assert len(firsts) == report.iterations + 1
+    assert all(len(t) == 4 and min(t) >= tol for t in firsts)
+    assert adjoint == [tol] * len(adjoint)
+    assert len(adjoint) == report.iterations + 1 or (
+        len(adjoint) == report.iterations and report.converged)
 
 
 @pytest.mark.parametrize("metadata", [True, False])
@@ -911,13 +945,13 @@ def test_noiseless_least_squares_keeps_newtons_tolerances(bundle16, monkeypatch,
     ds = b.datum_set(0.0, 101)
     if not metadata:
         ds = stripped(b.datum_set(2.0, 101))
-    forward, adjoint = recorded_tolerances(monkeypatch)
+    forward, adjoint, firsts = recorded_tolerances(monkeypatch)
     n = b.mesh.node_count
     _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, ds,
                            (np.full(n, 0.26), np.full(n, 0.26)), LsqConfig())
     assert report.iterations >= 3
     assert forward == [RESIDUAL_TOL] * len(forward)
-    assert adjoint == [fem.DEFAULT_TOL] * (4 * (report.iterations + 1))
+    assert_steps_continue_to(report, adjoint, firsts, fem.DEFAULT_TOL)
 
 
 def first_tolerances(bundle, ds):
@@ -937,7 +971,7 @@ def test_noisy_least_squares_solves_to_the_noise_level(bundle16, monkeypatch, mu
     ds = b.datum_set(2.0, 101)
     init, stars = lsq_start(b, ds, mu_only)
     monkeypatch.setattr(lsq, "NOISE_SHARE", 0.0)
-    forward, adjoint = recorded_tolerances(monkeypatch)
+    forward, adjoint, firsts = recorded_tolerances(monkeypatch)
     _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, ds, init, LsqConfig(),
                            mu_only=mu_only, u0=stars)
     assert report.iterations >= 2
@@ -947,7 +981,7 @@ def test_noisy_least_squares_solves_to_the_noise_level(bundle16, monkeypatch, mu
     assert forward[:4] == first_forward
     assert min(first_forward) > RESIDUAL_TOL
     assert first_adjoint == 2e-5
-    assert adjoint == [first_adjoint] * (4 * (report.iterations + 1))
+    assert_steps_continue_to(report, adjoint, firsts, first_adjoint)
     assert len(forward) >= 4 * (report.iterations + 1)
     assert forward[4:] == [RESIDUAL_TOL] * (len(forward) - 4)
 
@@ -965,8 +999,10 @@ def test_noisy_gradients_stay_within_their_share_of_the_gradient(bundle16, monke
     tols, gaps = [], []
     gradient = Evaluator.gradient
 
-    def checking(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL):
-        g_sigma, g_mu = gradient(self, sigma, mu, states, adjoint_tol)
+    def checking(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL, adjoints=None):
+        g_sigma, g_mu = gradient(self, sigma, mu, states, adjoint_tol, adjoints)
+        if first_pass(adjoint_tol):
+            return g_sigma, g_mu
         g = np.concatenate([g_sigma, g_mu])
         exact = np.concatenate(gradient(self, sigma, mu, states))
         w = np.concatenate([self.lumped, self.lumped])
@@ -1004,10 +1040,12 @@ def test_first_evaluation_to_the_noise_level_matches_the_tight_one(n, eps, seed,
         recorded = []
         gradient = Evaluator.gradient
 
-        def recording(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL):
-            out = gradient(self, sigma, mu, states, adjoint_tol)
-            recorded.append(out[1] if mu_only else np.concatenate(out))
-            return out
+        def recording(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL, adjoints=None):
+            # the gradient a step from the first point uses, which its first
+            # pass may make unnecessary: the adjoints to the noise level
+            noise_level = gradient(self, sigma, mu, states, self.data.noise_tol)
+            recorded.append(noise_level[1] if mu_only else np.concatenate(noise_level))
+            return gradient(self, sigma, mu, states, adjoint_tol, adjoints)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Evaluator, "gradient", recording)
@@ -1019,6 +1057,103 @@ def test_first_evaluation_to_the_noise_level_matches_the_tight_one(n, eps, seed,
     assert abs(f - f_tight) <= lsq.ARMIJO_SHARE * 1e-4 * abs(f_tight)
     assert (np.sqrt((w * (g - g_tight) ** 2).sum())
             <= 0.1 * np.sqrt((w * g_tight ** 2).sum()))
+
+
+@functools.lru_cache(maxsize=None)
+def lsq_variant_bundle(n, kappa, ceiling, one_source):
+    """prepare_data of the default config at mesh size n with the given kappa,
+    bound_ceiling and the first default source alone or all four."""
+    cfg = default_config()
+    cfg.mesh_n = n
+    cfg.lsq.kappa = kappa
+    cfg.lsq.bound_ceiling = ceiling
+    if one_source:
+        cfg.sources = cfg.sources[:1]
+    return prepare_data(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([8, 12, 16]), eps=st.sampled_from([0.0, 1.0, 2.0, 5.0]),
+       seed=st.integers(1, 2**31 - 1), which=st.sampled_from(["II", "IV"]),
+       kappa=st.sampled_from([0.0, 1e-3]), ceiling=st.sampled_from([0.5, 0.25]),
+       one_source=st.booleans())
+@example(n=16, eps=0.0, seed=101, which="IV", kappa=0.0, ceiling=0.5, one_source=False)
+@example(n=16, eps=2.0, seed=101, which="IV", kappa=0.0, ceiling=0.5, one_source=False)
+@example(n=16, eps=0.0, seed=101, which="IV", kappa=0.0, ceiling=0.25, one_source=False)
+@example(n=12, eps=2.0, seed=5, which="IV", kappa=0.0, ceiling=0.5, one_source=True)
+@example(n=12, eps=0.0, seed=5, which="IV", kappa=1e-3, ceiling=0.5, one_source=False)
+@example(n=8, eps=5.0, seed=3, which="II", kappa=0.0, ceiling=0.5, one_source=True)
+def test_a_stop_on_the_first_pass_holds_for_the_exact_gradient(n, eps, seed, which, kappa,
+                                                              ceiling, one_source):
+    # a run that stops on a first-pass gradient against the gradient at the
+    # same point and states with its adjoints solved to 1e-12, under the held
+    # set the run used: a gradient stop has its reduced norm within the
+    # threshold; a noise stop has it above, and its decrement within the
+    # noise floor
+    b = lsq_variant_bundle(n, kappa, ceiling, one_source)
+    calls = []
+    gradient = Evaluator.gradient
+
+    def recording(self, sigma, mu, states, adjoint_tol=fem.DEFAULT_TOL, adjoints=None):
+        out = gradient(self, sigma, mu, states, adjoint_tol, adjoints)
+        calls.append((self, sigma.copy(), mu.copy(), states, adjoint_tol, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Evaluator, "gradient", recording)
+        fields = reconstruct(which, b, b.datum_set(eps, seed))
+    report = fields["lsq_report"]
+    ev, sigma, mu, states, adjoint_tol, first = calls[-1]
+    if not first_pass(adjoint_tol):
+        return                    # decided on adjoints solved to noise_tol
+    cfg = b.config.lsq
+    assert report.converged
+    assert np.array_equal(sigma, fields["sigma"]) and np.array_equal(mu, fields["mu"])
+    nodes = b.mesh.node_count
+    free = np.repeat([which == "IV", True], nodes)
+    x, g_first = np.concatenate([sigma, mu]), np.concatenate(first)
+    held = ~free | ((x <= cfg.bound_floor) & (g_first > 0.0)) \
+        | ((x >= cfg.bound_ceiling) & (g_first < 0.0))
+    exact = np.concatenate(ev.gradient(sigma, mu, states, adjoint_tol=1e-12))
+    w = np.concatenate([ev.lumped, ev.lumped]) * free
+    reduced = np.where(held, 0.0, exact)
+    norm = np.sqrt((w * reduced * reduced).sum())
+    threshold = cfg.grad_tol * report.reference_grad_norm
+    if report.message == "":
+        assert norm <= threshold
+        return
+    assert report.message == "noise level reached" and norm > threshold
+    reg = 0.0 if ev.K1 is None else ev.kappa * ev.K1.diagonal() / ev.lumped
+    blocks = gauss_newton_blocks(np.sqrt(ev.weights) * ev.gruneisen, states[0], reg)
+    d = np.concatenate(gauss_newton_step(blocks, (exact[:nodes], exact[nodes:]),
+                                         (held[:nodes], held[nodes:])))
+    assert -0.5 * (w * exact * d).sum() <= lsq.NOISE_SHARE * report.noise_misfit
+
+
+def test_the_noiseless_default_iv_job_takes_no_adjoint_iteration(monkeypatch):
+    # the default n = 32 job starts at the truth to solver precision, so its
+    # first pass certifies the gradient stop from adjoints at x = 0; a
+    # recording preconditioner on each adjoint solve counts the iterations
+    b = default_bundle(32)
+    applied, solves = [], []
+    solver = ForwardOperator.solver
+
+    def recording(self, w, rhs):
+        solve = solver(self, w, rhs)
+        apply = solve.preconditioner
+
+        def counted(r):
+            applied.append(1)
+            return apply(r)
+        solve.preconditioner = counted
+        solves.append(solve)
+        return solve
+
+    monkeypatch.setattr(ForwardOperator, "solver", recording)
+    report = reconstruct("IV", b, b.datum_set(0.0, 101))["lsq_report"]
+    assert report.converged and report.message == "" and report.iterations == 0
+    assert len(solves) == 4 and applied == []
+    assert report.grad_norm_history[0] <= b.config.lsq.grad_tol * report.reference_grad_norm
 
 
 @pytest.mark.parametrize("which", ["II", "IV"])
