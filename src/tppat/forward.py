@@ -137,7 +137,7 @@ class ForwardOperator:
     >= min(gamma), so K - min(gamma) K(1) is positive semidefinite, and so
     is its interior block. Then spectral_floor + min(w) <= lambda_min(K_ii +
     diag(w)), which bounds the error of a loose linearized solve by its
-    residual (lsq.run_lsq's stop certificates).
+    residual (the error bounds of lsq.run_lsq's stop rule).
 
     The operator holds no per-solve state: one instance can serve many
     solves and threads at once.

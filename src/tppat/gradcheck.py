@@ -4,9 +4,12 @@ Evaluates the least-squares objective as a pure function of the stacked
 (sigma, mu) vector (one Evaluator, cold Newton starts at every point,
 forward and adjoint solves to TIGHT_TOL) and compares its central finite
 differences against the adjoint gradient in random directions
-(_fd_directional_derivative, the package's one finite difference). With the
-discretization used here the adjoint gradient is exact, so disagreement
-should sit at the solver-tolerance floor.
+(_fd_directional_derivative, the package's one finite difference). The
+gradient is Evaluator.gradient's, from the resumable adjoint solves of
+Evaluator.adjoints that lsq.run_lsq also runs, here run to TIGHT_TOL at
+once, so the check covers the path the fit takes. With the discretization
+used here the adjoint gradient is exact, so disagreement should sit at the
+solver-tolerance floor.
 """
 
 from __future__ import annotations

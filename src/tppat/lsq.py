@@ -82,42 +82,57 @@ noise rather than the coefficients (the discrepancy principle, Morozov
 averages the noise, so Phi_noise overestimates the misfit the noise leaves
 there.
 
-Each iterate first decides its two stop tests on adjoints solved only as
-far as the decision needs (the inexact-gradient idea of Carter 1991 and of
-Heinkenschloss & Vicente 2001, applied to the stop decision alone). Adjoint
-j solves (K_ii + diag(w_j)) v_j = b_j, w_j = m (sigma + 2 mu |u_j|); with
-lambda_j = ForwardOperator.spectral_floor + min(w_j) <= lambda_min of that
-operator, a CG residual of norm rho_j leaves ||dv_j||_2 <= rho_j /
-lambda_j. With maxima over the interior nodes, where dv_j lives:
+Each iterate decides both stop tests by one rule, on a gradient g~ from
+adjoints solved to some tolerance and on bounds E_g and E_n on the errors
+those solves leave (the inexact-gradient idea of Carter 1991 and of
+Heinkenschloss & Vicente 2001, applied to the stop decision alone):
 
-* Gradient test. The gradient's error is sum_j dv_j (u_j, |u_j| u_j), so
-  ||dg||_M <= E_g = sqrt(max m) sum_j (rho_j / lambda_j) ||u_j||_inf
-  sqrt(1 + ||u_j||_inf^2). Dropping the held components is 1-Lipschitz in
-  each component, even where the held set flips, so ||red g~||_M + E_g <=
-  threshold proves that the exact reduced gradient meets the test: the run
-  stops, converged, with an empty message.
-* Noise test. At node i, dg_i = A_i^T c_i with A_i the whitened rows (a_j,
-  b_j) of gauss_newton_blocks and c_ji = dv_ji H_ji / Gamma_i, and every
-  branch of the step (the 2x2 block, the 1x1 block beside a held
-  component, the near-rank-one pseudo-inverse) has d_i = -P_i g_i with
-  A_i P_i A_i^T <= I. So sqrt(2 q), q = -1/2 <g, d>, moves by at most
-  ||c||_M <= E_n = sqrt(max m) sqrt(sum_j (max|H_j / Gamma| rho_j /
-  lambda_j)^2), whatever the conditioning of the blocks. When the gradient
-  test fails for certain, ||red g~||_M - E_g > threshold, and q~ > 0 with
-  sqrt(2 q~) + E_n <= sqrt(2 NOISE_SHARE Phi_noise), the exact decrement
-  under the held set of the first-pass gradient g~ meets the noise test:
-  the run stops with "noise level reached".
+* Gradient test. ||red g~||_M + E_g <= threshold stops the run, converged,
+  with an empty message.
+* Noise test, on noisy data where the gradient test fails for certain,
+  ||red g~||_M - E_g > threshold. With d~ the step from g~ and q~ = -1/2
+  <g~, d~>, q~ > 0 and sqrt(2 q~) + E_n <= sqrt(2 NOISE_SHARE Phi_noise)
+  stops the run, converged, with "noise level reached".
+
+Once the solves reach noise_tol the bounds are 0, and the tests are the
+exact ones, ||red g||_M <= threshold and 0 < q <= NOISE_SHARE Phi_noise.
+So an iterate takes at most two passes over the same resumable adjoint
+solves (Evaluator.adjoints): the first runs each adjoint only as far as the
+decision needs and bounds its error; unless that decides a stop, the second
+continues the same CG solves (fem.ConjugateGradient) to noise_tol with zero
+bounds, and the step is taken from its gradient, which is bitwise the one
+solved to noise_tol at once.
+
+The first pass's bounds hold for the exact gradient. Adjoint j solves
+(K_ii + diag(w_j)) v_j = b_j, w_j = m (sigma + 2 mu |u_j|); with lambda_j =
+ForwardOperator.spectral_floor + min(w_j) <= lambda_min of that operator, a
+CG residual of norm rho_j leaves ||dv_j||_2 <= rho_j / lambda_j. With
+maxima over the interior nodes, where dv_j lives:
+
+* The gradient's error is sum_j dv_j (u_j, |u_j| u_j), so ||dg||_M <= E_g =
+  sqrt(max m) sum_j (rho_j / lambda_j) ||u_j||_inf sqrt(1 +
+  ||u_j||_inf^2). Dropping the held components is 1-Lipschitz in each
+  component, even where the held set flips, so a gradient test met with
+  E_g holds for the exact reduced gradient.
+* At node i, dg_i = A_i^T c_i with A_i the whitened rows (a_j, b_j) of
+  gauss_newton_blocks and c_ji = dv_ji H_ji / Gamma_i, and every branch of
+  the step (the 2x2 block, the 1x1 block beside a held component, the
+  near-rank-one pseudo-inverse) has d_i = -P_i g_i with A_i P_i A_i^T <= I.
+  So sqrt(2 q), q = -1/2 <g, d>, moves by at most ||c||_M <= E_n = sqrt(max
+  m) sqrt(sum_j (max|H_j / Gamma| rho_j / lambda_j)^2), whatever the
+  conditioning of the blocks: a noise test met with E_n holds for the exact
+  decrement under the held set of g~.
 
 Each adjoint's first run stops at the relative residual max(noise_tol,
 a_j / ||b_j||), a_j = STOP_SHARE times the looser of the residual norms
 that keep source j's term of E_g within threshold and its term of E_n
 within sqrt(2 NOISE_SHARE Phi_noise); on a noiseless start at the truth
-b_j is that small, and the solve takes no iteration. The target only sets
-the cost; the certificate decides the stop. When it certifies none, the
-same CG solves (fem.ConjugateGradient) continue to noise_tol and the
-iterate's tests and step proceed on that gradient, which is bitwise the one
-solved to noise_tol at once. A stop's grad_norm in the report is the norm
-of the gradient it was decided on: the first pass's when that certified it.
+b_j is that small, and the solve takes no iteration. An adjoint with b_j =
+0 (every one on a mesh with no interior node) is exact with no iteration:
+rho_j = 0, and its terms of the bounds are 0. The target only sets the
+cost; the bounds decide the stop. A stop's grad_norm in the report is the
+norm of the gradient it was decided on: the first pass's when that decided
+it.
 """
 
 from __future__ import annotations
@@ -171,7 +186,6 @@ class LsqConfig:
 
 @dataclass
 class LsqReport:
-    iterations: int = 0
     converged: bool = False
     objective_history: list = field(default_factory=list)
     grad_norm_history: list = field(default_factory=list)
@@ -179,6 +193,11 @@ class LsqReport:
     reference_grad_norm: float = 0.0   # grad_tol times this is the stop threshold
     noise_misfit: float = 0.0          # Phi_noise of the noise stop; 0 when it is off
     message: str = ""
+
+    @property
+    def iterations(self) -> int:
+        """The number of accepted steps."""
+        return len(self.step_lengths)
 
     def save(self, path):
         """Per-iteration history; the last row also carries the run's status.
@@ -207,8 +226,8 @@ class Evaluator:
     adjoint solves run to fem.DEFAULT_TOL, which keeps the gradient exact
     for the discrete objective to that tolerance. forward_states and
     gradient take other tolerances per call (run_lsq's noise-level rule),
-    and gradient continues resumable adjoint solves (adjoints) that an
-    earlier call at the same point ran more loosely (run_lsq's first pass).
+    and gradient can continue resumable adjoint solves (adjoints) that an
+    earlier call at the same point ran more loosely (run_lsq's two passes).
     The misfit weights W_j = 1 / H_j^2 (weights, one row per source) and
     the regularizer's unit-diffusion stiffness K1 are set up here, K1 only
     when kappa != 0; with kappa = 0 it is None and Phi is the misfit alone.
@@ -277,8 +296,9 @@ class Evaluator:
     def adjoints(self, sigma, mu, states) -> list:
         """One resumable adjoint solve per source (ForwardOperator.solver), none run yet.
 
-        gradient continues them; their interior values are those of
-        solve_adjoint at each tolerance a run reaches.
+        Solve j is the linearized operator at u_j with adjoint_source(sigma,
+        mu, u_j, W_j z_j) as its right-hand side, from the forward states
+        (us, zs); gradient runs them, each to the tolerance it is given.
         """
         return [self.op.solver(self.op.jacobian_diag(u, sigma, mu),
                                self.adjoint_source(sigma, mu, u, w * z))
@@ -290,23 +310,21 @@ class Evaluator:
         g_sigma and g_mu are the Riesz representers of the derivative of Phi,
         g_sigma = sum_j (W_j z_j Gamma u_j + v_j u_j) + kappa * M^-1 K1 sigma
         and the mu analog with |u_j| u_j in place of u_j. The adjoint
-        states v_j are solved to the relative residual adjoint_tol, one
-        tolerance for all sources or one per source. adjoints, when given,
-        holds the resumable solves of Evaluator.adjoints at the same point,
-        which this call continues to adjoint_tol: a gradient taken first
-        loosely and then to adjoint_tol from the same solves is bitwise the
-        one taken to adjoint_tol at once. Without them each v_j is
-        solve_adjoint's.
+        states v_j come from the resumable solves adjoints of
+        Evaluator.adjoints at the same point (built here when None), each
+        run on to the relative residual adjoint_tol, one tolerance for all
+        sources or one per source. A gradient taken first loosely and then
+        to adjoint_tol from the same solves is bitwise the one taken to
+        adjoint_tol at once.
         """
+        if adjoints is None:
+            adjoints = self.adjoints(sigma, mu, states)
         tols = np.broadcast_to(adjoint_tol, (self.data.size,))
         g_sigma = np.zeros(self.mesh.node_count)
         g_mu = np.zeros(self.mesh.node_count)
-        for j, (u, z, w) in enumerate(zip(*states, self.weights)):
+        for u, z, w, solve, tol in zip(*states, self.weights, adjoints, tols):
             wz = w * z
-            if adjoints is None:
-                v = self.solve_adjoint(sigma, mu, u, wz, float(tols[j]))
-            else:
-                v = self.op.expand(adjoints[j].run(float(tols[j])), 0.0)
+            v = self.op.expand(solve.run(float(tol)), 0.0)
             g_sigma += wz * self.gruneisen * u + v * u
             g_mu += (wz * self.gruneisen + v) * np.abs(u) * u
         if self.K1 is not None:
@@ -381,16 +399,18 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     its gradient points out of the box; the reduced gradient is the gradient
     with the held components set to 0.
 
-    Terminates when the lumped-L2 norm of the reduced gradient is at most
-    grad_tol times the reference norm (converged, possibly after 0
-    iterations), on noisy data when the step d predicts a decrease
-    -1/2 <g, d> of at most NOISE_SHARE times the noise misfit (converged,
-    message "noise level reached"; the module docstring), at the iteration
-    cap, or when the line search cannot make progress (best iterate
-    returned, converged=False). Each iterate's two stop tests are first
-    decided on a gradient from loosely solved adjoints, whose error bounds
-    certify a stop for the exact gradient or send the same solves on to
-    noise_tol (the module docstring). The report keeps the noise misfit as
+    Terminates by the one stop rule of the module docstring: when the
+    lumped-L2 norm of the reduced gradient, plus the bound E_g on its error,
+    is at most grad_tol times the reference norm (converged, possibly after
+    0 iterations); on noisy data when the step d predicts a decrease q =
+    -1/2 <g, d> > 0 with sqrt(2 q), plus the bound E_n on its error, at most
+    sqrt(2 NOISE_SHARE) times that of the noise misfit (converged, message
+    "noise level reached"); at the iteration cap; or when the line search
+    cannot make progress (best iterate returned, converged=False). Each
+    iterate first decides on adjoints solved only as far as the decision
+    needs, with their bounds, and then, unless that stops the run, on the
+    same solves continued to noise_tol, whose bounds are 0, so that its
+    tests are the exact ones. The report keeps the noise misfit as
     noise_misfit, 0.0 on data with noise_level 0, which the noise test
     leaves alone. The reference is taken at a fixed point, not at the
     start: it is the norm of the misfit part of the gradient, sum_j W_j z_j
@@ -469,79 +489,75 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
 
     # The first pass's error bounds (module docstring): its gradient is
     # within E_g = sum_j e_j rho_j of the exact one and its sqrt(2 q) within
-    # E_n = sqrt(sum_j (h_j rho_j)^2), with rho_j adjoint j's residual norm
-    root_m = math.sqrt(float(ev.lumped[op.interior].max()))
-    h_max = [float((H / ev.gruneisen)[op.interior].max()) for H in data.data]
+    # E_n = sqrt(sum_j (h_j rho_j)^2), with rho_j adjoint j's residual norm;
+    # the continued pass has e_j = h_j = 0. The maxima are over the interior
+    # nodes, and 0 on a mesh with none, where every b_j = 0.
+    root_m = math.sqrt(float(ev.lumped[op.interior].max(initial=0.0)))
+    h_max = [float((H / ev.gruneisen)[op.interior].max(initial=0.0)) for H in data.data]
     noise_room = math.sqrt(2.0 * noise_floor)
+    continued = (data.noise_tol, [0.0] * data.size, [0.0] * data.size)
 
-    def first_pass(xv, states, adjoints):
-        """The first-pass gradient at xv, its held set and reduced norm, and
-        the bounds E_g and E_n on its errors.
+    def first_pass(u, solve, hj):
+        """Adjoint solve's first-pass tolerance and its factors e_j and h_j,
+        with u its source's forward state and hj its max|H_j / Gamma|."""
+        if solve.bnorm == 0.0:          # exact with no iteration: rho_j = 0
+            return 1.0, 0.0, 0.0
+        # lambda_j <= lambda_min(K_ii + diag(w_j)), w_j the solve's shift
+        lam = op.spectral_floor + float(solve.shift.min())
+        top = float(np.abs(u[op.interior]).max())
+        e = root_m * top * math.sqrt(1.0 + top * top) / lam
+        h = root_m * hj / lam
+        # the residual norm that keeps this source's error within its share
+        # of the looser budget
+        budget = STOP_SHARE * max(threshold / e, noise_room / h)
+        return (max(data.noise_tol, budget / solve.bnorm) if solve.bnorm > budget
+                else 1.0), e, h
 
-        states are the forward states at xv and adjoints their resumable
-        adjoint solves, which this runs only as far as the module
-        docstring's rule asks."""
-        e, h, tols = [], [], []
-        for u, solve, hj in zip(states[0], adjoints, h_max):
-            # lambda_j <= lambda_min(K_ii + diag(w_j)), w_j the solve's shift
-            lam = op.spectral_floor + float(solve.shift.min())
-            top = float(np.abs(u[op.interior]).max())
-            e.append(root_m * top * math.sqrt(1.0 + top * top) / lam)
-            h.append(root_m * hj / lam)
-            # the residual norm that keeps this source's error within its
-            # share of the looser budget
-            budget = STOP_SHARE * max(threshold / e[-1], noise_room / h[-1])
-            tols.append(max(data.noise_tol, budget / solve.bnorm)
-                        if solve.bnorm > budget else 1.0)
-        g = np.concatenate(ev.gradient(xv[:n], xv[n:], states, tols, adjoints))
-        held, g_norm = hold(xv, g)
-        rho = [solve.residual_norm for solve in adjoints]
-        return (g, held, g_norm, sum(ej * r for ej, r in zip(e, rho)),
-                math.sqrt(sum((hj * r) ** 2 for hj, r in zip(h, rho))))
+    def newton_step(g, held):
+        """The step of gauss_newton_step at x; the blocks of x's forward
+        states are built at its first call there."""
+        nonlocal blocks
+        if blocks is None:
+            blocks = gauss_newton_blocks(gains, states[0], reg)
+        return np.concatenate(gauss_newton_step(blocks, (g[:n], g[n:]),
+                                                (held[:n], held[n:])))
 
     for it in range(cfg.max_iterations + 1):
-        # the gradient at x, from the forward states of its evaluation: first
-        # from adjoints solved only as far as the stop tests need, then, unless
-        # that certifies a stop, from the same solves continued to noise_tol
+        # the stop rule at x, from the forward states of its evaluation: first
+        # on adjoints solved only as far as it needs, then, unless that stops
+        # the run, on the same solves continued to noise_tol with zero bounds
         adjoints = ev.adjoints(x[:n], x[n:], states)
-        g, held, g_norm, e_g, e_n = first_pass(x, states, adjoints)
-        blocks, stop = None, None
-        if g_norm + e_g <= threshold:
-            stop = ""
-        elif g_norm - e_g > threshold and noise_floor > 0.0:
-            blocks = gauss_newton_blocks(gains, states[0], reg)
-            d = np.concatenate(gauss_newton_step(blocks, (g[:n], g[n:]),
-                                                 (held[:n], held[n:])))
-            q = -0.5 * dot(g, d)
-            if q > 0.0 and math.sqrt(2.0 * q) + e_n <= noise_room:
-                stop = "noise level reached"
-        if stop is None:
-            g = np.concatenate(ev.gradient(x[:n], x[n:], states, data.noise_tol, adjoints))
+        first = zip(*map(first_pass, states[0], adjoints, h_max))
+        blocks = stop = None
+        for tols, e, h in (first, continued):
+            g = np.concatenate(ev.gradient(x[:n], x[n:], states, tols, adjoints))
             held, g_norm = hold(x, g)
+            rho = [solve.residual_norm for solve in adjoints]
+            e_g = sum(ej * r for ej, r in zip(e, rho))
+            d = None
+            if g_norm + e_g <= threshold:
+                stop = ""
+            elif g_norm - e_g > threshold and noise_floor > 0.0:
+                d = newton_step(g, held)
+                q = -0.5 * dot(g, d)
+                e_n = math.sqrt(sum((hj * r) ** 2 for hj, r in zip(h, rho)))
+                if q > 0.0 and math.sqrt(2.0 * q) + e_n <= noise_room:
+                    stop = "noise level reached"
+            if stop is not None:
+                break
         report.objective_history.append(f)
         report.grad_norm_history.append(g_norm)
         if stop is not None:
             report.converged = True
             report.message = stop
             break
-        if g_norm <= threshold:
-            report.converged = True
-            break
-
-        if blocks is None:
-            blocks = gauss_newton_blocks(gains, states[0], reg)
-        d = np.concatenate(gauss_newton_step(blocks, (g[:n], g[n:]), (held[:n], held[n:])))
-        gd = dot(g, d)
-        if 0.0 < -0.5 * gd <= noise_floor:
-            report.converged = True
-            report.message = "noise level reached"
-            break
         if it == cfg.max_iterations:
             report.message = "iteration cap reached"
             break
 
+        if d is None:
+            d = newton_step(g, held)
         alpha = 1.0
-        accepted = False
         for _ in range(35):
             x_trial = np.clip(x + alpha * d, lo, hi)
             step = x_trial - x
@@ -552,15 +568,13 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
             # each solve starts from the last evaluation's, rejected or not
             f_trial, states = evaluate(x_trial, states[0])
             if f_trial <= f + 1e-4 * slope:
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             report.message = "line search failed; returning best iterate"
             break
 
         x, f = x_trial, f_trial
-        report.iterations += 1
         report.step_lengths.append(alpha)
 
     return x[:n].copy(), x[n:].copy(), report

@@ -132,13 +132,13 @@ def test_adjoint_solves_run_at_linear_tol(bundle8, monkeypatch):
     sigma, mu = b.coeffs.single_photon * 1.1, b.coeffs.two_photon * 0.9
     states = ev.forward_states(sigma, mu)
     tols = []
-    solve = ForwardOperator.solve
+    run = fem.ConjugateGradient.run
 
-    def recording(self, w, rhs, tol):
+    def recording(self, tol):
         tols.append(tol)
-        return solve(self, w, rhs, tol)
+        return run(self, tol)
 
-    monkeypatch.setattr(ForwardOperator, "solve", recording)
+    monkeypatch.setattr(fem.ConjugateGradient, "run", recording)
     ev.gradient(sigma, mu, states)
     assert tols == [fem.DEFAULT_TOL] * 4
     tols.clear()
@@ -692,6 +692,23 @@ def test_noiseless_direct_start_converges_without_iterating(bundle16):
         assert report.converged and report.iterations == 0 and report.message == ""
         assert len(report.grad_norm_history) == 1
         assert np.array_equal(sigma, init[0]) and np.array_equal(mu, init[1])
+
+
+@pytest.mark.parametrize("eps", [0.0, 2.0])
+@pytest.mark.parametrize("which, direct", [("II", "I"), ("IV", "III")])
+def test_least_squares_runs_on_a_mesh_with_no_interior_node(which, direct, eps):
+    # at n = 1 every node is on the boundary, so every adjoint has a zero
+    # right-hand side and is exact with no iteration: the run stops by the
+    # gradient test at its start, the direct fit
+    b = default_bundle(1)
+    assert len(b.operator.interior) == 0
+    ds = b.datum_set(eps, 101)
+    fields = reconstruct(which, b, ds)
+    report = fields["lsq_report"]
+    assert report.converged and report.iterations == 0 and report.message == ""
+    start = reconstruct(direct, b, ds)
+    for coeff in ("sigma", "mu"):
+        assert np.array_equal(fields[coeff], start[coeff])
 
 
 # Least squares on noisy data: the tolerance rules of the lsq module and the
