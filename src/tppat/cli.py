@@ -50,9 +50,7 @@ def cmd_mesh(args):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     save_mesh(mesh, outdir / "mesh.txt")
-    (outdir / "manifest.txt").write_text(
-        f"tppat manifest\nversion = {__version__}\ncommand = mesh --n {args.n}\n",
-        encoding="ascii")
+    write_manifest(outdir, cfg=None, command=f"mesh --n {args.n}")
     print(f"mesh: {mesh.node_count} nodes, {mesh.triangle_count} triangles, "
           f"{len(mesh.boundary_edges)} boundary edges -> {outdir / 'mesh.txt'}")
     return 0

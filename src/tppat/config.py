@@ -23,6 +23,7 @@ import dataclasses
 import io
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import ValidationError
 from .forward import BoundarySource, check_noise_level, noise_stream_seed
@@ -59,17 +60,24 @@ def _expect_keys(params, keys, context):
         raise ValidationError(f"{context}: {state} key {odd[0]!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceSpec:
+    """One boundary illumination of a config's [sources] section.
+
+    Frozen, with params a read-only mapping of floats: the check in
+    __post_init__ is the only one. Build a changed one with
+    dataclasses.replace.
+    """
+
     kind: str                      # "constant" | "affine"
-    params: dict
+    params: MappingProxyType       # parameter name -> float, read-only
 
     def __post_init__(self):
         if self.kind not in SOURCE_PARAMETERS:
             raise ValidationError(f"unknown source kind {self.kind!r}")
         _expect_keys(self.params, SOURCE_PARAMETERS[self.kind], f"source {self.kind!r}")
-        self.params = {k: _conv(v, f"source {self.kind!r} {k}", float)
-                       for k, v in self.params.items()}
+        object.__setattr__(self, "params", MappingProxyType(
+            {k: _conv(v, f"source {self.kind!r} {k}", float) for k, v in self.params.items()}))
         if not all(math.isfinite(v) for v in self.params.values()):
             raise ValidationError(f"source {self.kind!r}: parameters must be finite")
 
@@ -89,6 +97,13 @@ class SourceSpec:
 
 @dataclass
 class ExperimentConfig:
+    """A run's settings: meshes, phantom, sources, noise and [lsq].
+
+    The one mutable settings record: a caller may set its fields one by one,
+    and validate() then checks them. The records it holds (Phantom,
+    SourceSpec, LsqConfig) are frozen and were checked when they were made.
+    """
+
     mesh_n: int = 32
     data_mesh_n: int | None = None       # different mesh = inversion-crime guard on
     phantom: Phantom = None

@@ -113,24 +113,23 @@ def _map_jobs(function, items, threads: int, mesh: Mesh) -> list:
 def prepare_data(cfg: ExperimentConfig, threads: int = 1) -> DataBundle:
     """Solve the forward problems at the true coefficients.
 
-    Builds one forward operator per mesh. The data-mesh operator serves the
-    setup Newton solves; with the crime guard it is dropped before the
-    reconstruction-mesh operator is built, so the two never coexist. threads
-    (an integer >= 1) is the most workers for those solves; they use the pool
-    only on a data mesh of at least POOL_MIN_NODES nodes.
+    Builds each mesh's truth (mesh, coefficients, sources) by one path, the
+    data mesh's first, and one forward operator per mesh. The data-mesh
+    operator serves the setup Newton solves; with the crime guard it is
+    dropped before the reconstruction mesh's truth and operator are built,
+    so the two operators never coexist. threads (an integer >= 1) is the
+    most workers for those solves; they use the pool only on a data mesh of
+    at least POOL_MIN_NODES nodes.
     """
     require_count(threads, "threads")
     cfg.validate()
-    mesh = build_square_mesh(cfg.mesh_n)
-    if cfg.data_mesh_n is not None and cfg.data_mesh_n != cfg.mesh_n:
-        data_mesh = build_square_mesh(cfg.data_mesh_n)
-    else:
-        data_mesh = mesh
-    coeffs = cfg.phantom.coefficients(mesh)
-    data_coeffs = cfg.phantom.coefficients(data_mesh) if data_mesh is not mesh else coeffs
-    sources = [s.build(mesh) for s in cfg.sources]
-    data_sources = ([s.build(data_mesh) for s in cfg.sources]
-                    if data_mesh is not mesh else sources)
+
+    def truth(n):
+        mesh = build_square_mesh(n)
+        return mesh, cfg.phantom.coefficients(mesh), [s.build(mesh) for s in cfg.sources]
+
+    data_n = cfg.data_mesh_n or cfg.mesh_n
+    data_mesh, data_coeffs, data_sources = truth(data_n)
     operator = ForwardOperator(data_mesh, data_coeffs.diffusion)
 
     def solve_one(g):
@@ -141,11 +140,14 @@ def prepare_data(cfg: ExperimentConfig, threads: int = 1) -> DataBundle:
     u_clean = [u for u, _ in results]
     reports = [r for _, r in results]
     H_clean = [compute_datum(data_coeffs, u) for u in u_clean]
-    if data_mesh is not mesh:
+    if data_n == cfg.mesh_n:
+        mesh, coeffs, sources, locator = data_mesh, data_coeffs, data_sources, None
+    else:
         operator = None         # release the data-mesh operator before the next
+        mesh, coeffs, sources = truth(cfg.mesh_n)
         operator = ForwardOperator(mesh, coeffs.diffusion)
-    # built here, before any job thread can reach datum_set
-    locator = transfer.make_locator(data_mesh, mesh) if data_mesh is not mesh else None
+        # built here, before any job thread can reach datum_set
+        locator = transfer.make_locator(data_mesh, mesh)
     return DataBundle(config=cfg, mesh=mesh, data_mesh=data_mesh, coeffs=coeffs,
                       sources=sources, u_clean=u_clean, H_clean=H_clean,
                       reports=reports, operator=operator, locator=locator)
@@ -316,12 +318,14 @@ def run_forward(cfg: ExperimentConfig, output_dir) -> DataBundle:
     return bundle
 
 
-def write_manifest(directory, cfg: ExperimentConfig, command: str,
+def write_manifest(directory, cfg: ExperimentConfig | None, command: str,
                    base_seed: int | None = None) -> None:
     """Reproducibility record: versions, command, seeds, config echo.
 
-    Deliberately excludes anything that varies between equivalent runs
-    (timestamps, host paths, thread counts) so reruns are byte-identical.
+    Every manifest.txt is written here. cfg None (tppat mesh, which reads no
+    config) writes the header alone. Deliberately excludes anything that
+    varies between equivalent runs (timestamps, host paths, thread counts)
+    so reruns are byte-identical.
     """
     parts = [
         "tppat manifest",
@@ -331,5 +335,6 @@ def write_manifest(directory, cfg: ExperimentConfig, command: str,
     if base_seed is not None:
         parts.append(f"base_seed = {base_seed}")
     parts.append("")
-    parts.append(cfg.canonical_text())
+    if cfg is not None:
+        parts.append(cfg.canonical_text())
     Path(directory, "manifest.txt").write_text("\n".join(parts), encoding="ascii")

@@ -160,9 +160,13 @@ NOISE_SHARE = 1e-4
 STOP_SHARE = 0.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class LsqConfig:
-    """Least-squares settings; the fields are the keys of a config's [lsq] section."""
+    """Least-squares settings; the fields are the keys of a config's [lsq] section.
+
+    Frozen, so the check in __post_init__ is the only one: build a
+    changed one with dataclasses.replace, which checks it again.
+    """
 
     kappa: float = 0.0
     grad_tol: float = 1e-6

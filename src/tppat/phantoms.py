@@ -1,16 +1,20 @@
 """Synthetic coefficient phantoms: smooth background plus inclusions.
 
 A phantom field is a constant background overwritten by disk or square
-inclusions, sampled at the mesh nodes. Inclusions later in the list win where
-they overlap. Values are dimensionless coefficient magnitudes, checked
-finite and positive when a PhantomField is made; every solve checks the
-fields it takes again (fem.positive_field).
+inclusions, sampled at the mesh nodes. Inclusions later in the tuple win
+where they overlap. Values are dimensionless coefficient magnitudes, checked
+finite and positive when an Inclusion or PhantomField is made; every solve
+checks the fields it takes again (fem.positive_field).
+
+Inclusion, PhantomField and Phantom are frozen: each is checked when it is
+made and cannot change afterwards. Build a changed one with
+dataclasses.replace, which checks it again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +25,7 @@ from .mesh import Mesh
 SHAPES = ("disk", "square")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Inclusion:
     shape: str
     center: tuple
@@ -36,6 +40,9 @@ class Inclusion:
             raise ValidationError("inclusion size must be finite and positive")
         if len(self.center) != 2 or not all(map(math.isfinite, self.center)):
             raise ValidationError("inclusion center must be finite (x, y)")
+        if not 0.0 < self.value < math.inf:
+            raise ValidationError("inclusion values must be finite and positive")
+        object.__setattr__(self, "center", tuple(self.center))
 
     def contains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         cx, cy = self.center
@@ -44,17 +51,15 @@ class Inclusion:
         return (np.abs(x - cx) <= self.size) & (np.abs(y - cy) <= self.size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhantomField:
     background: float
-    inclusions: list = field(default_factory=list)
+    inclusions: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "inclusions", tuple(self.inclusions))
         if not 0.0 < self.background < math.inf:
             raise ValidationError("phantom background must be finite and positive")
-        for inc in self.inclusions:
-            if not 0.0 < inc.value < math.inf:
-                raise ValidationError("inclusion values must be finite and positive")
 
     def sample(self, mesh: Mesh) -> np.ndarray:
         x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
@@ -64,7 +69,7 @@ class PhantomField:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class Phantom:
     """Coefficient phantom for all four fields."""
 

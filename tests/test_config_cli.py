@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tppat
 from tppat import experiments, fem, gradcheck
 from tppat.cli import build_parser, main
 from tppat.config import (COEFF_SECTIONS, SOURCE_PARAMETERS, ExperimentConfig, SourceSpec,
@@ -85,11 +86,56 @@ def configs(draw):
 
 def test_config_echo_keeps_digits_beyond_the_sixth():
     cfg = default_config()
-    cfg.phantom.two_photon.background = 0.123456789
-    cfg.lsq.kappa = 0.00123456789
+    cfg.phantom = dataclasses.replace(cfg.phantom, two_photon=dataclasses.replace(
+        cfg.phantom.two_photon, background=0.123456789))
+    cfg.lsq = dataclasses.replace(cfg.lsq, kappa=0.00123456789)
     text = cfg.canonical_text()
     assert "\nbackground = 0.123456789\n" in text
     assert "\nkappa = 0.00123456789\n" in text
+
+
+SETTINGS_RECORDS = {
+    "LsqConfig": lambda cfg: cfg.lsq,
+    "SourceSpec": lambda cfg: cfg.sources[2],
+    "Inclusion": lambda cfg: cfg.phantom.diffusion.inclusions[0],
+    "PhantomField": lambda cfg: cfg.phantom.diffusion,
+    "Phantom": lambda cfg: cfg.phantom,
+}
+
+
+@pytest.mark.parametrize("record", SETTINGS_RECORDS.values(), ids=SETTINGS_RECORDS)
+def test_settings_records_reject_assignment_to_every_field(record):
+    """A settings record is checked when it is made and cannot change after.
+
+    When the records were mutable, cfg.lsq.bound_floor = 0.6 on the default
+    config passed validate(): experiment IV (n = 32, eps = 0, seed 101) then
+    ran to sigma 215 % and mu 795 % error, and its manifest echoed a config
+    that load_config rejects.
+    """
+    value = record(default_config())
+    for f in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, f.name, getattr(value, f.name))
+
+
+def test_settings_records_hold_no_mutable_container():
+    cfg = default_config()
+    with pytest.raises(TypeError):
+        SourceSpec("constant", {"value": 0.5}).params["value"] = 1.0
+    inclusion = cfg.phantom.diffusion.inclusions[0]
+    built = PhantomField(background=0.2, inclusions=[inclusion])
+    for pf in (built, *(getattr(cfg.phantom, name) for name in COEFF_SECTIONS)):
+        assert isinstance(pf.inclusions, tuple)
+    assert built == cfg.phantom.diffusion
+    # a changed record is a new one, checked again
+    with pytest.raises(ValidationError, match="lsq bounds must satisfy"):
+        dataclasses.replace(cfg.lsq, bound_floor=0.6)
+    with pytest.raises(ValidationError, match="inclusion size"):
+        dataclasses.replace(inclusion, size=-0.3)
+    # the run's own record stays mutable, and validate() checks its fields
+    cfg.seeds = [-1]
+    with pytest.raises(ValidationError, match="seeds must be nonnegative"):
+        cfg.validate()
 
 
 @settings(max_examples=200, deadline=None)
@@ -327,6 +373,30 @@ def test_cli_mesh_command(tmp_path):
     assert main(["mesh", "--n", "4", "--out", str(out)]) == 0
     mesh = load_mesh(out / "mesh.txt")
     assert mesh.triangle_count == 32
+
+
+def test_cli_mesh_manifest_is_the_header_alone(tmp_path):
+    out = tmp_path / "m"
+    assert main(["mesh", "--n", "4", "--out", str(out)]) == 0
+    assert (out / "manifest.txt").read_bytes() == (
+        f"tppat manifest\nversion = {tppat.__version__}\ncommand = mesh --n 4\n"
+        .encode("ascii"))
+
+
+@pytest.mark.parametrize("which", experiments.EXPERIMENTS)
+def test_a_manifest_reruns_its_run(which, tmp_path):
+    # the config echo of a manifest, from its [mesh] line on, is a config
+    # that runs the same sweep again, to the same bytes
+    cfg_path = small_config(tmp_path, n=6, levels="0", seeds="3, 4")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["experiment", "--which", which, "--config", str(cfg_path),
+                 "--noise", "0,2", "--out", str(first)]) == 0
+    manifest = (first / "manifest.txt").read_text()
+    echo = tmp_path / "echo.ini"
+    echo.write_text(manifest[manifest.index("[mesh]\n"):])
+    assert main(["experiment", "--which", which, "--config", str(echo),
+                 "--out", str(second)]) == 0
+    assert read_tree(first) == read_tree(second)
 
 
 def test_cli_mesh_rejects_bad_n(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -27,7 +28,7 @@ def quick_config(n=6, levels=(0.0,), seeds=(3,)):
     cfg.mesh_n = n
     cfg.noise_levels = list(levels)
     cfg.seeds = list(seeds)
-    cfg.lsq.max_iterations = 60
+    cfg.lsq = dataclasses.replace(cfg.lsq, max_iterations=60)
     return cfg
 
 
@@ -42,7 +43,8 @@ def test_experiment_i_flags_and_fills_nonpositive_nodes_instead_of_aborting(tmp_
     # a strongly absorbing background at 20 % noise drives the recovered
     # density nonpositive at some nodes of both jobs
     cfg = quick_config(n=8, levels=(0.0, 20.0), seeds=(101, 102))
-    cfg.phantom.single_photon.background = 20.0
+    cfg.phantom = dataclasses.replace(cfg.phantom, single_photon=dataclasses.replace(
+        cfg.phantom.single_photon, background=20.0))
     bundle = prepare_data(cfg)
     table = run_experiment("I", cfg, output_dir=tmp_path, bundle=bundle)
     assert len(table.rows) == 3
@@ -143,7 +145,8 @@ def test_a_sweep_either_runs_or_is_rejected_before_setup(cfg, which):
 def test_experiment_ii_takes_a_known_sigma_outside_the_bounds():
     # II fits mu alone, so only mu0 must lie within [bound_floor, bound_ceiling]
     cfg = quick_config(n=8)
-    cfg.phantom.single_photon.background = 0.6
+    cfg.phantom = dataclasses.replace(cfg.phantom, single_photon=dataclasses.replace(
+        cfg.phantom.single_photon, background=0.6))
     assert cfg.phantom.single_photon.background > cfg.lsq.bound_ceiling
     table = run_experiment("II", cfg)
     assert table.mean_errors()[("mu", 0.0)] <= 1e-6
@@ -214,7 +217,8 @@ def test_bundle_of_another_config_rejected(tmp_path):
     # settings from the bundle's: one sweep would mix two configs
     bundle = prepare_data(quick_config())
     other = quick_config()
-    other.phantom.two_photon.background = 0.07
+    other.phantom = dataclasses.replace(other.phantom, two_photon=dataclasses.replace(
+        other.phantom.two_photon, background=0.07))
     with pytest.raises(ValidationError, match="another config"):
         run_experiment("III", other, output_dir=tmp_path / "x", bundle=bundle)
     assert not (tmp_path / "x").exists()
@@ -378,7 +382,7 @@ def test_sweep_assembles_each_stiffness_matrix_once(monkeypatch, which, kappa, a
 
     monkeypatch.setattr(fem, "assemble_stiffness", counting)
     cfg = quick_config(n=8, levels=(0.0, 2.0), seeds=(3, 4))
-    cfg.lsq.kappa = kappa
+    cfg.lsq = dataclasses.replace(cfg.lsq, kappa=kappa)
     table = run_experiment(which, cfg)
     assert len({(eps, seed) for _, eps, seed, _ in table.rows}) == 3
     assert assembled == [81] * assemblies

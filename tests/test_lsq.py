@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -559,7 +560,7 @@ def iterating_bundle(n, variant):
     if variant == "one source":
         cfg.sources = cfg.sources[:1]
     else:
-        cfg.lsq.kappa = 1e-3
+        cfg.lsq = dataclasses.replace(cfg.lsq, kappa=1e-3)
     return prepare_data(cfg)
 
 
@@ -1082,8 +1083,7 @@ def lsq_variant_bundle(n, kappa, ceiling, one_source):
     bound_ceiling and the first default source alone or all four."""
     cfg = default_config()
     cfg.mesh_n = n
-    cfg.lsq.kappa = kappa
-    cfg.lsq.bound_ceiling = ceiling
+    cfg.lsq = dataclasses.replace(cfg.lsq, kappa=kappa, bound_ceiling=ceiling)
     if one_source:
         cfg.sources = cfg.sources[:1]
     return prepare_data(cfg)
