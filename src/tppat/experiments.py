@@ -237,13 +237,15 @@ def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
     bundle, when given, must be prepare_data's bundle of this cfg, and
     threads (the most job workers) an integer >= 1. The jobs use the pool
     only on a reconstruction mesh of at least POOL_MIN_NODES nodes, and the
-    setup only on such a data mesh. A config the experiment cannot run (III
-    with one source) is rejected before setup.
+    setup only on such a data mesh. cfg is validated here, with or without
+    a bundle, as it may have changed since prepare_data. A config the
+    experiment cannot run (III with one source) is rejected before setup.
     """
     require_count(threads, "threads")
     if which not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {which!r}; expected one of "
                               f"{', '.join(EXPERIMENTS)}")
+    cfg.validate()
     if not cfg.noise_levels:
         raise ValidationError("an experiment needs at least one noise level")
     if which == "III" and len(cfg.sources) < 2:

@@ -383,13 +383,16 @@ def test_cli_mesh_manifest_is_the_header_alone(tmp_path):
         .encode("ascii"))
 
 
-@pytest.mark.parametrize("which", experiments.EXPERIMENTS)
-def test_a_manifest_reruns_its_run(which, tmp_path):
+@pytest.mark.parametrize("which, small", [pytest.param(w, True, id=w)
+                                          for w in experiments.EXPERIMENTS]
+                         + [pytest.param("IV", False, id="IV-default-seed7")])
+def test_a_manifest_reruns_its_run(which, small, tmp_path):
     # the config echo of a manifest, from its [mesh] line on, is a config
-    # that runs the same sweep again, to the same bytes
-    cfg_path = small_config(tmp_path, n=6, levels="0", seeds="3, 4")
+    # that runs the same sweep again, to the same bytes, overrides included
+    options = (["--config", str(small_config(tmp_path, n=6, levels="0", seeds="3, 4"))]
+               if small else ["--seed", "7"])
     first, second = tmp_path / "first", tmp_path / "second"
-    assert main(["experiment", "--which", which, "--config", str(cfg_path),
+    assert main(["experiment", "--which", which, *options,
                  "--noise", "0,2", "--out", str(first)]) == 0
     manifest = (first / "manifest.txt").read_text()
     echo = tmp_path / "echo.ini"
@@ -474,24 +477,30 @@ def test_cli_recon_lsq(tmp_path):
             "errors.csv"} <= names
 
 
-@pytest.mark.parametrize("recon, experiment", [
-    pytest.param(["recon-direct", "--noise", "2", "--seed", "5"],
-                 ["experiment", "--which", "III", "--noise", "2", "--seed", "5"],
-                 id="direct"),
-    pytest.param(["recon-lsq", "--seed", "5"],
-                 ["experiment", "--which", "IV", "--noise", "0", "--seed", "5"],
-                 id="lsq"),
+RECON_DIRECT = (["recon-direct", "--noise", "2", "--seed", "5"],
+                ["experiment", "--which", "III", "--noise", "2", "--seed", "5"])
+RECON_LSQ = (["recon-lsq", "--seed", "5"],
+             ["experiment", "--which", "IV", "--noise", "0", "--seed", "5"])
+
+
+@pytest.mark.parametrize("recon, experiment, small", [
+    pytest.param(*RECON_DIRECT, True, id="direct"),
+    pytest.param(*RECON_LSQ, True, id="lsq"),
     pytest.param(["recon-direct", "--noise", "2"],
-                 ["experiment", "--which", "III", "--noise", "2", "--seed", "3"],
+                 ["experiment", "--which", "III", "--noise", "2", "--seed", "3"], True,
                  id="first-config-seed"),
+    pytest.param(*RECON_DIRECT, False, id="direct-default"),
+    pytest.param(*RECON_LSQ, False, id="lsq-default"),
 ])
-def test_cli_recon_is_one_job_of_the_experiment(recon, experiment, tmp_path):
-    # the config sweeps two levels and two seeds; the recon command runs one job
-    cfg_path = small_config(tmp_path, n=6, levels="0, 2", seeds="3, 4")
+def test_cli_recon_is_one_job_of_the_experiment(recon, experiment, small, tmp_path):
+    # the small config sweeps two levels and two seeds, the default one four
+    # and ten; the recon command runs one job
+    options = (["--config", str(small_config(tmp_path, n=6, levels="0, 2", seeds="3, 4"))]
+               if small else [])
     trees = []
     for tag, argv in (("recon", recon), ("experiment", experiment)):
         out = tmp_path / tag
-        assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(argv + options + ["--out", str(out)]) == 0
         trees.append(read_tree(out))
     assert trees[0] == trees[1]
     assert len(trees[0]["errors.csv"].splitlines()) == 3     # header, sigma, mu
@@ -523,14 +532,23 @@ def test_cli_experiment_threads_do_not_change_outputs(tmp_path, monkeypatch):
     assert read_tree(out1) == read_tree(out2)
 
 
-def test_cli_gradcheck(tmp_path):
-    cfg_path = small_config(tmp_path, n=5)
+@pytest.mark.parametrize("n, kappa", [pytest.param(5, 0.0, id="n5"),
+                                      pytest.param(32, 0.0, id="n32"),
+                                      pytest.param(32, 1e-3, id="n32-kappa")])
+def test_cli_gradcheck(n, kappa, tmp_path):
+    # with kappa > 0 the gradient holds the regularizer's, which applies the
+    # unit-diffusion stiffness
+    cfg = default_config()
+    cfg.mesh_n = n
+    cfg.lsq = dataclasses.replace(cfg.lsq, kappa=kappa)
+    write_config(cfg, tmp_path / "config.ini")
     out = tmp_path / "gc"
-    assert main(["gradcheck", "--config", str(cfg_path), "--out", str(out),
+    assert main(["gradcheck", "--config", str(tmp_path / "config.ini"), "--out", str(out),
                  "--directions", "3"]) == 0
     lines = (out / "gradcheck.csv").read_text().splitlines()
     assert lines[0] == "direction,adjoint,fd,relative_error"
     assert len(lines) == 4
+    assert all(float(line.split(",")[3]) <= 1e-6 for line in lines[1:])
 
 
 def test_cli_gradcheck_rejects_crime_guard_config(tmp_path):
@@ -582,7 +600,6 @@ def test_cli_experiment_rejects_fewer_than_one_thread(tmp_path, threads):
 @pytest.mark.parametrize("command", [["experiment", "--which", "III"], ["recon-direct"]])
 def test_cli_experiment_iii_rejects_one_source(command, tmp_path, capsys):
     cfg = default_config()
-    cfg.mesh_n = 4
     cfg.sources = cfg.sources[:1]
     write_config(cfg, tmp_path / "one.ini")
     out = tmp_path / "x"
@@ -712,6 +729,9 @@ def test_cli_experiment_needs_a_noise_level_and_forward_does_not(tmp_path):
     out = tmp_path / "x"
     assert main(["experiment", "--which", "I", "--config", str(cfg_path),
                  "--out", str(out)]) == 1
+    assert not out.exists()
+    # so does an empty --noise override of the default config's levels
+    assert main(["experiment", "--which", "I", "--noise", "", "--out", str(out)]) == 1
     assert not out.exists()
     assert main(["forward", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert not any("_eps" in p.name for p in out.iterdir())

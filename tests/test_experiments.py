@@ -14,13 +14,14 @@ import weakref
 
 import tppat
 from tppat import direct, experiments, fem, forward, metrics, transfer
-from tppat.config import default_config
+from tppat.config import default_config, write_config
 from tppat.errors import ValidationError
 from tppat.experiments import (COEFFS_RECOVERED, EXPERIMENTS, prepare_data, reconstruct,
                                run_experiment, run_forward)
 from tppat.forward import RESIDUAL_TOL, add_noise, noise_stream_seed
 from tppat.lsq import LsqConfig
 from tppat.mesh import build_square_mesh
+from tppat.phantoms import SHAPES, Inclusion, Phantom, PhantomField
 
 
 def quick_config(n=6, levels=(0.0,), seeds=(3,)):
@@ -102,11 +103,23 @@ def test_experiment_iii_with_one_source_is_rejected_before_setup(monkeypatch, bu
     assert calls == []
 
 
+def phantom_fields(scale):
+    """A background and 0-2 inclusions, each value within a factor 2 of scale."""
+    value = st.floats(0.5 * scale, 2.0 * scale)
+    coordinate = st.floats(-0.8, 0.8)
+    inclusion = st.builds(Inclusion, st.sampled_from(SHAPES),
+                          st.tuples(coordinate, coordinate), st.floats(0.1, 0.5), value)
+    return st.builds(PhantomField, value, st.lists(inclusion, max_size=2))
+
+
 @st.composite
 def small_configs(draw):
     cfg = default_config()
-    cfg.mesh_n = draw(st.integers(4, 8))
+    cfg.mesh_n = draw(st.integers(1, 8))
     cfg.data_mesh_n = draw(st.none() | st.integers(4, 12))
+    cfg.phantom = draw(st.builds(Phantom, **{
+        f.name: phantom_fields(getattr(cfg.phantom, f.name).background)
+        for f in dataclasses.fields(Phantom)}))
     cfg.sources = draw(st.lists(st.sampled_from(cfg.sources), min_size=1, max_size=4,
                                 unique_by=id))
     cfg.noise_levels = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0, 10.0]),
@@ -119,27 +132,62 @@ def small_configs(draw):
     return cfg.validate()
 
 
+# run_lsq's stops: (converged, message)
+LSQ_STOPS = {(True, ""), (True, "noise level reached"), (False, "iteration cap reached"),
+             (False, "line search failed; returning best iterate")}
+
+
 @settings(max_examples=12, deadline=None)
 @given(cfg=small_configs(), which=st.sampled_from(EXPERIMENTS))
-def test_a_sweep_either_runs_or_is_rejected_before_setup(cfg, which):
-    # every config the validator passes either gives a table with an error
-    # per job and coefficient, or fails before any solve
-    calls = []
+def test_a_sweep_either_runs_or_is_rejected_before_setup(cfg, which, tmp_path_factory):
+    # every config the validator passes either fails before any solve, or
+    # keeps the contract on every job: noiseless direct fits exact to solver
+    # precision on unflagged nodes (without the crime guard), least squares
+    # within its bounds, strictly descending and stopped for a stated reason
+    # (not always converged), and one and two workers writing the same tree
+    bundles, jobs = [], []
 
     def counting(*args, **kwargs):
-        calls.append(args)
-        return prepare_data(*args, **kwargs)
+        bundles.append(prepare_data(*args, **kwargs))
+        return bundles[-1]
 
+    def recording(experiment, bundle, datum_set):
+        jobs.append((datum_set.noise_level, reconstruct(experiment, bundle, datum_set)))
+        return jobs[-1][1]
+
+    out = tmp_path_factory.mktemp("sweep")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "prepare_data", counting)
+        mp.setattr(experiments, "reconstruct", recording)
+        mp.setattr(experiments, "POOL_MIN_NODES", 0)
         try:
-            table = run_experiment(which, cfg)
+            table = run_experiment(which, cfg, output_dir=out / "t1")
         except ValidationError:
-            assert calls == []
+            assert bundles == []
             return
-    assert len(calls) == 1
+        run_experiment(which, cfg, output_dir=out / "t2", threads=2)
+    assert len(bundles) == 2
     assert len(table.rows) == len(cfg.noise_levels) * len(COEFFS_RECOVERED[which])
     assert all(np.isfinite(row[3]) for row in table.rows)
+    trees = [{p.name: p.read_bytes() for p in sorted((out / t).iterdir())}
+             for t in ("t1", "t2")]
+    assert trees[0] == trees[1]
+    truth = {"sigma": bundles[0].coeffs.single_photon, "mu": bundles[0].coeffs.two_photon}
+    for eps, fields in jobs:
+        if "condition_report" in fields and eps == 0.0 and not bundles[0].crime_guard:
+            report = fields["condition_report"]
+            bound = 1e-8 * np.maximum(1.0, report.condition)
+            for coeff in COEFFS_RECOVERED[which]:
+                error = np.abs(fields[coeff] - truth[coeff]) / truth[coeff]
+                assert np.all((error <= bound)[~report.flagged]), coeff
+        if "lsq_report" in fields:
+            report = fields["lsq_report"]
+            for coeff in COEFFS_RECOVERED[which]:
+                assert np.all(fields[coeff] >= cfg.lsq.bound_floor)
+                assert np.all(fields[coeff] <= cfg.lsq.bound_ceiling)
+            history = report.objective_history
+            assert all(b < a for a, b in zip(history, history[1:]))
+            assert (report.converged, report.message) in LSQ_STOPS
 
 
 def test_experiment_ii_takes_a_known_sigma_outside_the_bounds():
@@ -225,6 +273,18 @@ def test_bundle_of_another_config_rejected(tmp_path):
     assert run_experiment("III", bundle.config, bundle=bundle).rows
 
 
+def test_a_config_changed_after_setup_is_validated_with_its_bundle(tmp_path):
+    # the bundle is still this cfg's, but cfg no longer passes validate():
+    # unchecked, the sweep ran four jobs whose files share the tag eps2
+    cfg = quick_config()
+    bundle = prepare_data(cfg)
+    cfg.seeds = [3, 3]
+    cfg.noise_levels = [2.0, 2.0000001]
+    with pytest.raises(ValidationError, match="share the file tag eps2"):
+        run_experiment("III", cfg, output_dir=tmp_path / "x", bundle=bundle)
+    assert not (tmp_path / "x").exists()
+
+
 def test_experiment_outputs_reconstruction_files(tmp_path):
     cfg = quick_config(levels=(0.0, 2.0), seeds=(3, 4))
     run_experiment("III", cfg, output_dir=tmp_path)
@@ -308,19 +368,35 @@ def test_forward_files_are_the_data_the_experiments_reconstruct_from(tmp_path, d
             assert np.array_equal(H, expected), (eps, j)
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
+    # scipy is a development dependency only: the imports load none of it, and
+    # the command line then runs with every scipy import blocked, for the
+    # least-squares sweep and for the gradient check with kappa > 0, whose
+    # regularizer applies the unit-diffusion stiffness
     src = str(Path(tppat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    cfg = default_config()
+    cfg.lsq = dataclasses.replace(cfg.lsq, kappa=1e-3)
+    write_config(cfg, tmp_path / "kappa.ini")
+    runs = [["experiment", "--which", "IV", "--noise", "0,2", "--out", str(tmp_path / "e4")],
+            ["gradcheck", "--directions", "3", "--config", str(tmp_path / "kappa.ini"),
+             "--out", str(tmp_path / "gc")]]
     code = ("import sys, tppat.experiments, tppat.cli; "
-            "print(' '.join(m for m in sorted(sys.modules) if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout.split()
-    assert out == [], (
-        f"import tppat.experiments, tppat.cli loads {out}: with one BLAS thread the "
+            "print(' '.join(m for m in sorted(sys.modules) if m.split('.')[0] == 'scipy')); "
+            "sys.modules['scipy'] = None; "
+            f"print(*[tppat.cli.main(argv) for argv in {runs!r}])")
+    lines = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True, timeout=120).stdout.splitlines()
+    loaded, codes = lines[0], lines[-1]
+    assert loaded == "", (
+        f"import tppat.experiments, tppat.cli loads {loaded}: with one BLAS thread the "
         f"two imports peak at 29.4 MB resident with numpy alone (26.8 MB), and at "
         f"50.6 MB with scipy.sparse, more than the 10 % peak_rss_mb bound of the "
         f"lsq_pair benchmark workload allows; the runtime needs numpy only")
+    assert codes == "0 0"
+    errors = np.loadtxt(tmp_path / "gc" / "gradcheck.csv", delimiter=",", skiprows=1)[:, 3]
+    assert len(errors) == 3 and np.all(errors <= 1e-6)
 
 
 @pytest.mark.parametrize("which", ["I", "II", "III", "IV"])
