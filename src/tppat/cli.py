@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 validation error, 2 solver failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -34,15 +35,13 @@ from .mesh import build_square_mesh, load_mesh, save_mesh
 
 
 def _load_config(args):
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
-        cfg = default_config()
+    cfg = load_config(args.config) if getattr(args, "config", None) else default_config()
+    changes = {}
     if getattr(args, "noise", None) is not None:
-        cfg.noise_levels = parse_number_list(args.noise, "--noise")
+        changes["noise_levels"] = parse_number_list(args.noise, "--noise")
     if getattr(args, "seed", None) is not None:
-        cfg.seeds = [args.seed]
-    return cfg.validate()
+        changes["seeds"] = [args.seed]
+    return dataclasses.replace(cfg, **changes)
 
 
 def cmd_mesh(args):
@@ -81,12 +80,11 @@ def cmd_gradcheck(args):
 def cmd_recon(args):
     """recon-direct and recon-lsq: experiment III or IV as one job."""
     cfg = _load_config(args)
-    if args.noise is None:
-        cfg.noise_levels = [0.0]
-    elif len(cfg.noise_levels) != 1:
+    if args.noise is not None and len(cfg.noise_levels) != 1:
         raise ValidationError(f"{args.command} takes one --noise level")
-    cfg.seeds = cfg.seeds[:1]
-    return _experiment(args.which, cfg, args.out)
+    levels = [0.0] if args.noise is None else cfg.noise_levels
+    return _experiment(args.which, dataclasses.replace(cfg, noise_levels=levels,
+                                                       seeds=cfg.seeds[:1]), args.out)
 
 
 def cmd_experiment(args):

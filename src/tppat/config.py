@@ -22,10 +22,11 @@ import configparser
 import dataclasses
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .errors import ValidationError
+from .errors import ValidationError, require_count
 from .forward import BoundarySource, check_noise_level, noise_stream_seed
 from .lsq import LsqConfig
 from .mesh import Mesh
@@ -99,9 +100,11 @@ class SourceSpec:
 class ExperimentConfig:
     """A run's settings: meshes, phantom, sources, noise and [lsq].
 
-    The one mutable settings record: a caller may set its fields one by one,
-    and validate() then checks them. The records it holds (Phantom,
-    SourceSpec, LsqConfig) are frozen and were checked when they were made.
+    Checked when it is made, by dataclasses.replace too, which is how a
+    changed config is built. The records it holds (Phantom, SourceSpec,
+    LsqConfig) are frozen and were checked when they were made. A field
+    assigned after that is not checked until validate() runs again, as
+    prepare_data and run_experiment make it do.
     """
 
     mesh_n: int = 32
@@ -112,11 +115,13 @@ class ExperimentConfig:
     seeds: list = field(default_factory=lambda: list(range(101, 111)))
     lsq: LsqConfig = field(default_factory=LsqConfig)
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
-        if self.mesh_n < 1:
-            raise ValidationError("mesh n must be >= 1")
-        if self.data_mesh_n is not None and self.data_mesh_n < 1:
-            raise ValidationError("data mesh n must be >= 1")
+        require_count(self.mesh_n, "mesh n")
+        if self.data_mesh_n is not None:
+            require_count(self.data_mesh_n, "data mesh n")
         if self.phantom is None:
             raise ValidationError("config needs a phantom")
         if not self.sources:
@@ -132,6 +137,9 @@ class ExperimentConfig:
                 seen[key] = e
         if not self.seeds:
             raise ValidationError("config needs at least one seed")
+        for s in self.seeds:
+            if isinstance(s, bool) or not isinstance(s, numbers.Integral):
+                raise ValidationError(f"seeds must be integers, got {s!r}")
         if any(s < 0 for s in self.seeds):
             raise ValidationError("seeds must be nonnegative")
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
@@ -235,44 +243,44 @@ def load_config(path) -> ExperimentConfig:
 
 
 def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
-    cfg = ExperimentConfig(phantom=None)
-
+    kwargs: dict = {}
     if parser.has_section("mesh"):
         sec = _known_keys(parser, "mesh", ("n", "data_n"))
         if "n" in sec:
-            cfg.mesh_n = _conv(sec["n"], "[mesh] n", int)
+            kwargs["mesh_n"] = _conv(sec["n"], "[mesh] n", int)
         if sec.get("data_n", "").strip():
-            cfg.data_mesh_n = _conv(sec["data_n"], "[mesh] data_n", int)
+            kwargs["data_mesh_n"] = _conv(sec["data_n"], "[mesh] data_n", int)
 
     fields = {}
     for name, heading in COEFF_SECTIONS.items():
         if not parser.has_section(heading):
             raise ValidationError(f"config missing section [{heading}]")
         fields[name] = _parse_phantom_field(parser[heading], heading)
-    cfg.phantom = Phantom(**fields)
 
     if not parser.has_section("sources"):
         raise ValidationError("config missing section [sources]")
+    sources = []
     for key in parser["sources"]:
         packed = _parse_packed(parser["sources"][key], f"[sources] {key}")
         try:
-            cfg.sources.append(SourceSpec(kind=packed["kind"], params=packed["params"]))
+            sources.append(SourceSpec(kind=packed["kind"], params=packed["params"]))
         except ValidationError as exc:
             raise ValidationError(f"[sources] {key}: {exc}") from None
 
     if parser.has_section("noise"):
         sec = _known_keys(parser, "noise", ("levels", "seeds"))
         if "levels" in sec:
-            cfg.noise_levels = parse_number_list(sec["levels"], "[noise] levels")
+            kwargs["noise_levels"] = parse_number_list(sec["levels"], "[noise] levels")
         if "seeds" in sec:
-            cfg.seeds = parse_number_list(sec["seeds"], "[noise] seeds", conv=int)
+            kwargs["seeds"] = parse_number_list(sec["seeds"], "[noise] seeds", conv=int)
 
     if parser.has_section("lsq"):
         sec = _known_keys(parser, "lsq", LSQ_CONVERTERS)
-        cfg.lsq = LsqConfig(**{key: _conv(sec[key], f"[lsq] {key}", conv)
-                               for key, conv in LSQ_CONVERTERS.items() if key in sec})
+        kwargs["lsq"] = LsqConfig(**{key: _conv(sec[key], f"[lsq] {key}", conv)
+                                     for key, conv in LSQ_CONVERTERS.items()
+                                     if key in sec})
 
-    return cfg.validate()
+    return ExperimentConfig(phantom=Phantom(**fields), sources=sources, **kwargs)
 
 
 def _known_keys(parser, heading, keys):
@@ -318,7 +326,7 @@ def default_config() -> ExperimentConfig:
         SourceSpec("affine", {"a": 1.75, "bx": 1.0, "by": 0.0}),
         SourceSpec("affine", {"a": 1.75, "bx": 0.0, "by": -1.0}),
     ]
-    return ExperimentConfig(phantom=phantom, sources=sources).validate()
+    return ExperimentConfig(phantom=phantom, sources=sources)
 
 
 def write_config(cfg: ExperimentConfig, path) -> None:

@@ -51,20 +51,20 @@ SPREAD_THRESHOLD = 1e-6
 NOISE_SAFETY = 1e-3
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DatumSet:
     """Per-illumination internal data H_j paired with boundary sources g_j.
 
-    Checked once, when made: the J >= 1 sources are strictly positive on
-    the first one's mesh, and each datum is finite and positive at every
-    node, as both fits weigh it by 1 / H_j^2 (module docstring). data holds
-    read-only float copies. noise_level is the data's noise level epsilon
-    (percent, 0 when noiseless). meta holds free-form records that the
-    library never reads.
+    A value, checked once, when made: the J >= 1 sources are strictly
+    positive on the first one's mesh, and each datum is finite and positive
+    at every node, as both fits weigh it by 1 / H_j^2 (module docstring).
+    Frozen, with sources and data tuples; data holds read-only float
+    copies. noise_level is the data's noise level epsilon (percent, 0 when
+    noiseless). meta holds free-form records that the library never reads.
     """
 
-    sources: list
-    data: list
+    sources: tuple
+    data: tuple
     noise_level: float = 0.0
     meta: list = field(default_factory=list)
 
@@ -73,13 +73,14 @@ class DatumSet:
             raise ValidationError("sources and data lists must have equal length")
         if len(self.sources) < 1:
             raise ValidationError("a datum set needs at least one source")
-        self.noise_level = check_noise_level(self.noise_level)
+        object.__setattr__(self, "noise_level", check_noise_level(self.noise_level))
+        object.__setattr__(self, "sources", tuple(self.sources))
         mesh = self.sources[0].mesh
         for g in self.sources:
             if g.values.shape != mesh.boundary_list.shape:
                 raise ValidationError("a source does not match the mesh boundary")
             g.require_strictly_positive()
-        self.data = [as_field(mesh, H).copy() for H in self.data]
+        object.__setattr__(self, "data", tuple(as_field(mesh, H).copy() for H in self.data))
         for j, H in enumerate(self.data):
             if not (H.min() > 0.0 and H.max() < np.inf):    # a NaN fails the first
                 raise ValidationError(f"datum of source {j} has a nonpositive or "
@@ -98,9 +99,9 @@ class DatumSet:
         return max(fem.DEFAULT_TOL, NOISE_SAFETY * noise_std(self.noise_level))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
-    """Per-node conditioning of the pointwise least-squares fit.
+    """Per-node conditioning of the pointwise least-squares fit; frozen.
 
     condition: 2-norm condition number of the whitened J x 2 design matrix,
     rows [1, |u_j*|] / r_j (of the J x 1 one with sigma known: 1 wherever

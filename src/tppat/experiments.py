@@ -39,7 +39,7 @@ from .metrics import relative_l2_error, squared_l2_norm
 EXPERIMENTS = ("I", "II", "III", "IV")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DataBundle:
     """Clean synthetic data plus everything needed to reconstruct.
 
@@ -50,18 +50,19 @@ class DataBundle:
     crime guard u_clean is on the reconstruction mesh too, and every job
     starts its direct density solves from it (reconstruct). Every
     reconstruction job uses them, including jobs running at once on the
-    thread pool, so they are read-only: nothing may modify them or their
-    arrays.
+    thread pool, so the bundle is a value: frozen, with tuples for its
+    sequences, and prepare_data makes the arrays of u_clean, H_clean and
+    coeffs read-only.
     """
 
     config: ExperimentConfig
     mesh: Mesh                      # reconstruction mesh
     data_mesh: Mesh                 # equals mesh unless the crime guard is on
     coeffs: "fem.CoefficientSet"    # truth on the reconstruction mesh
-    sources: list                   # BoundarySource on the reconstruction mesh
-    u_clean: list                   # forward solutions on the data mesh
-    H_clean: list                   # clean data on the data mesh
-    reports: list
+    sources: tuple                  # BoundarySource on the reconstruction mesh
+    u_clean: tuple                  # forward solutions on the data mesh
+    H_clean: tuple                  # clean data on the data mesh
+    reports: tuple
     operator: ForwardOperator
     # mesh nodes located in data_mesh, for every datum's transfer; None
     # unless the crime guard is on
@@ -85,7 +86,7 @@ class DataBundle:
         if self.crime_guard:
             fields = [transfer.transfer_field(self.data_mesh, self.mesh, H,
                                               locator=self.locator) for H in fields]
-        return DatumSet(sources=list(self.sources), data=fields, noise_level=epsilon,
+        return DatumSet(sources=self.sources, data=fields, noise_level=epsilon,
                         meta=[{"epsilon": epsilon, "seed": seed} for _ in fields])
 
 
@@ -119,14 +120,16 @@ def prepare_data(cfg: ExperimentConfig, threads: int = 1) -> DataBundle:
     dropped before the reconstruction mesh's truth and operator are built,
     so the two operators never coexist. threads (an integer >= 1) is the
     most workers for those solves; they use the pool only on a data mesh of
-    at least POOL_MIN_NODES nodes.
+    at least POOL_MIN_NODES nodes. cfg is checked again first, in case a
+    field was assigned after it was made. The bundle is frozen, and the
+    arrays of its u_clean, H_clean and coeffs are made read-only.
     """
     require_count(threads, "threads")
     cfg.validate()
 
     def truth(n):
         mesh = build_square_mesh(n)
-        return mesh, cfg.phantom.coefficients(mesh), [s.build(mesh) for s in cfg.sources]
+        return mesh, cfg.phantom.coefficients(mesh), tuple(s.build(mesh) for s in cfg.sources)
 
     data_n = cfg.data_mesh_n or cfg.mesh_n
     data_mesh, data_coeffs, data_sources = truth(data_n)
@@ -137,9 +140,9 @@ def prepare_data(cfg: ExperimentConfig, threads: int = 1) -> DataBundle:
                                 data_coeffs.two_photon, g)
 
     results = _map_jobs(solve_one, data_sources, threads, data_mesh)
-    u_clean = [u for u, _ in results]
-    reports = [r for _, r in results]
-    H_clean = [compute_datum(data_coeffs, u) for u in u_clean]
+    u_clean = tuple(u for u, _ in results)
+    reports = tuple(r for _, r in results)
+    H_clean = tuple(compute_datum(data_coeffs, u) for u in u_clean)
     if data_n == cfg.mesh_n:
         mesh, coeffs, sources, locator = data_mesh, data_coeffs, data_sources, None
     else:
@@ -148,6 +151,8 @@ def prepare_data(cfg: ExperimentConfig, threads: int = 1) -> DataBundle:
         operator = ForwardOperator(mesh, coeffs.diffusion)
         # built here, before any job thread can reach datum_set
         locator = transfer.make_locator(data_mesh, mesh)
+    for array in (*u_clean, *H_clean, *vars(coeffs).values()):
+        array.setflags(write=False)
     return DataBundle(config=cfg, mesh=mesh, data_mesh=data_mesh, coeffs=coeffs,
                       sources=sources, u_clean=u_clean, H_clean=H_clean,
                       reports=reports, operator=operator, locator=locator)
@@ -237,9 +242,10 @@ def run_experiment(which: str, cfg: ExperimentConfig, output_dir=None,
     bundle, when given, must be prepare_data's bundle of this cfg, and
     threads (the most job workers) an integer >= 1. The jobs use the pool
     only on a reconstruction mesh of at least POOL_MIN_NODES nodes, and the
-    setup only on such a data mesh. cfg is validated here, with or without
-    a bundle, as it may have changed since prepare_data. A config the
-    experiment cannot run (III with one source) is rejected before setup.
+    setup only on such a data mesh. cfg is checked again here, with or
+    without a bundle, in case a field was assigned after it was made or
+    after prepare_data. A config the experiment cannot run (III with one
+    source) is rejected before setup.
     """
     require_count(threads, "threads")
     if which not in EXPERIMENTS:

@@ -72,7 +72,7 @@ def as_field(mesh: Mesh, values) -> np.ndarray:
     return arr
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CoefficientSet:
     """The quadruple (Gamma, gamma, sigma, mu) of positive nodal fields.
 
@@ -80,7 +80,9 @@ class CoefficientSet:
     single_photon: sigma; two_photon: mu. All must be bounded away from zero.
     The set checks nothing itself: each solve checks the fields it takes
     (positive_field), and phantoms.PhantomField checks the values of the
-    fields it samples when it is made.
+    fields it samples when it is made. Frozen, so its fields stay the
+    arrays it was made with; experiments.prepare_data also makes the arrays
+    of the truth it shares read-only.
     """
 
     gruneisen: np.ndarray

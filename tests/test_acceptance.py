@@ -11,7 +11,7 @@ import numpy as np
 
 from tppat import experiments
 from tppat.cli import main
-from tppat.config import default_config, write_config
+from tppat.config import write_config
 from tppat.direct import recover_pair
 from tppat.experiments import prepare_data, run_experiment
 from tppat.fem import CoefficientSet, assemble_stiffness, lumped_mass
@@ -21,6 +21,7 @@ from tppat.gradcheck import gradient_check
 from tppat.mesh import build_square_mesh
 from tppat.metrics import relative_l2_error
 
+from builders import bundle, config
 from oracle import dense
 from properties import check_comparison, check_max_principle, check_positivity
 from sensitivity import (CoefficientPerturbation, boundary_traces, datum_derivative,
@@ -42,13 +43,12 @@ def report(criterion, passed, detail):
 
 def test_criterion_1_direct_noiseless_exact_recovery():
     start = time.monotonic()
-    cfg = default_config()
-    cfg.mesh_n = 32
-    bundle = prepare_data(cfg)                       # 4 strictly positive sources
-    ds = bundle.datum_set(0.0, cfg.seeds[0])
-    sigma, mu, _ = recover_pair(bundle.operator, bundle.coeffs.gruneisen, ds)
-    err_s = relative_l2_error(sigma, bundle.coeffs.single_photon, bundle.mesh)
-    err_m = relative_l2_error(mu, bundle.coeffs.two_photon, bundle.mesh)
+    cfg = config(mesh_n=32)
+    b = prepare_data(cfg)                            # 4 strictly positive sources
+    ds = b.datum_set(0.0, cfg.seeds[0])
+    sigma, mu, _ = recover_pair(b.operator, b.coeffs.gruneisen, ds)
+    err_s = relative_l2_error(sigma, b.coeffs.single_photon, b.mesh)
+    err_m = relative_l2_error(mu, b.coeffs.two_photon, b.mesh)
     elapsed = time.monotonic() - start
     report(1, err_s <= 0.5 and err_m <= 0.5 and elapsed < 30.0,
            f"direct noiseless n=32: sigma {err_s:.2e}%, mu {err_m:.2e}% "
@@ -57,9 +57,7 @@ def test_criterion_1_direct_noiseless_exact_recovery():
 
 def test_criterion_2_lsq_noiseless_recovery():
     start = time.monotonic()
-    cfg = default_config()
-    cfg.mesh_n = 32
-    cfg.noise_levels = [0.0]
+    cfg = config(mesh_n=32, noise_levels=[0.0])
     err_mu_ii = run_experiment("II", cfg).mean_errors()[("mu", 0.0)]
     means_iv = run_experiment("IV", cfg).mean_errors()
     err_s_iv = means_iv[("sigma", 0.0)]
@@ -78,9 +76,7 @@ def test_criterion_2_lsq_noiseless_recovery():
 
 def test_criterion_3_gradient_correctness():
     start = time.monotonic()
-    cfg = default_config()
-    cfg.mesh_n = 16
-    result = gradient_check(cfg, directions=20, seed=7)
+    result = gradient_check(config(mesh_n=16), directions=20, seed=7)
     elapsed = time.monotonic() - start
     report(3, result.max_relative_error <= 1e-4 and elapsed < 120.0,
            f"adjoint vs central FD, 20 directions on n=16: max relative error "
@@ -88,13 +84,11 @@ def test_criterion_3_gradient_correctness():
 
 
 def test_criterion_4_frechet_linearization_order():
-    cfg = default_config()
-    cfg.mesh_n = 16
     tight = 1e-13       # Newton residual of the base and perturbed states
-    bundle = prepare_data(cfg)
-    mesh, coeffs = bundle.mesh, bundle.coeffs
-    g = bundle.sources[2]
-    u, _ = solve_semilinear(bundle.operator, coeffs.single_photon, coeffs.two_photon,
+    b = prepare_data(config(mesh_n=16))
+    mesh, coeffs = b.mesh, b.coeffs
+    g = b.sources[2]
+    u, _ = solve_semilinear(b.operator, coeffs.single_photon, coeffs.two_photon,
                             g, tight)
     rng = np.random.default_rng(11)
     n = mesh.node_count
@@ -102,7 +96,7 @@ def test_criterion_4_frechet_linearization_order():
         d_gamma=0.1 * coeffs.diffusion * rng.uniform(-1, 1, n),
         d_sigma=0.2 * coeffs.single_photon * rng.uniform(-1, 1, n),
         d_mu=0.2 * coeffs.two_photon * rng.uniform(-1, 1, n))
-    v = solve_sensitivity(bundle.operator, coeffs.single_photon, coeffs.two_photon,
+    v = solve_sensitivity(b.operator, coeffs.single_photon, coeffs.two_photon,
                           u, pert, tol=1e-13)
     dH = datum_derivative(coeffs, u, v, pert)
     H0 = compute_datum(coeffs, u)
@@ -177,8 +171,7 @@ def test_criterion_5_pde_theory_suite():
 
 
 def test_criterion_6_noise_stability_trend():
-    cfg = default_config()
-    cfg.mesh_n = 32
+    cfg = config(mesh_n=32)
     assert cfg.noise_levels == [0.0, 1.0, 2.0, 5.0]
     assert len(cfg.seeds) == 10
 
@@ -186,9 +179,7 @@ def test_criterion_6_noise_stability_trend():
     # the eps=5 reference band is a direct-method statement (checked on the
     # n=32 benchmark mesh above); the least-squares trend is mesh-agnostic,
     # so run it on n=16 to keep the sweep quick
-    cfg_lsq = default_config()
-    cfg_lsq.mesh_n = 16
-    lsq_means = run_experiment("IV", cfg_lsq, threads=2).mean_errors()
+    lsq_means = run_experiment("IV", config(mesh_n=16), threads=2).mean_errors()
 
     problems = []
     for label, means in (("direct", direct_means), ("lsq", lsq_means)):
@@ -214,19 +205,10 @@ def test_criterion_6_noise_stability_trend():
 
 
 @functools.lru_cache(maxsize=None)
-def _stability_bundle(n):
-    """The n x n sweep config of criterion 6's linearity checks, with its data."""
-    cfg = default_config()
-    cfg.mesh_n = n
-    cfg.noise_levels = [1.0, 2.0, 5.0]
-    cfg.seeds = list(range(111, 121))
-    return prepare_data(cfg)
-
-
-@functools.lru_cache(maxsize=None)
 def _stability_means(n, which):
-    bundle = _stability_bundle(n)
-    return run_experiment(which, bundle.config, bundle=bundle).mean_errors()
+    """Mean errors of the n x n sweep of criterion 6's linearity checks."""
+    b = bundle(mesh_n=n, noise_levels=[1.0, 2.0, 5.0], seeds=list(range(111, 121)))
+    return run_experiment(which, b.config, bundle=b).mean_errors()
 
 
 def _linearity_problems(experiments):
@@ -297,14 +279,11 @@ def test_criterion_6_crime_guard_noise_adds_in_quadrature():
     # 88 % from its mean. A noisy error below the floor counts as b = 0
     ratios: dict = {}
     for n in (24, 48):
-        cfg = default_config()
-        cfg.mesh_n = n
-        cfg.data_mesh_n = 4 * n // 3
-        cfg.noise_levels = [0.0, 1.0, 2.0, 5.0]
-        cfg.seeds = list(range(111, 121))
-        bundle = prepare_data(cfg)
+        cfg = config(mesh_n=n, data_mesh_n=4 * n // 3, noise_levels=[0.0, 1.0, 2.0, 5.0],
+                     seeds=list(range(111, 121)))
+        b = prepare_data(cfg)
         for which in ("I", "III"):
-            means = run_experiment(which, cfg, bundle=bundle).mean_errors()
+            means = run_experiment(which, cfg, bundle=b).mean_errors()
             for (coeff, eps), err in means.items():
                 if eps > 0.0:
                     noise = max(err ** 2 - means[(coeff, 0.0)] ** 2, 0.0)
@@ -362,12 +341,8 @@ def test_criterion_8_determinism(tmp_path, monkeypatch):
     # a mesh this small runs its jobs serially; with every mesh size on the
     # pool the 4-thread run really runs them at once
     monkeypatch.setattr(experiments, "POOL_MIN_NODES", 0)
-    cfg = default_config()
-    cfg.mesh_n = 6
-    cfg.noise_levels = [0.0, 2.0]
-    cfg.seeds = [5, 6]
     cfg_path = tmp_path / "config.ini"
-    write_config(cfg, cfg_path)
+    write_config(config(mesh_n=6, noise_levels=[0.0, 2.0], seeds=[5, 6]), cfg_path)
 
     def read_tree(root):
         return {p.name: p.read_bytes() for p in sorted(root.iterdir())

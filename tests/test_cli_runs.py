@@ -12,9 +12,11 @@ import dataclasses
 import pytest
 
 from tppat.cli import main
-from tppat.config import default_config, write_config
+from tppat.config import write_config
 
-DEFAULT = default_config()
+from builders import config
+
+DEFAULT = config()
 NOISE = "noise level reached"
 
 
@@ -157,16 +159,13 @@ ROWS = [
 
 @pytest.mark.parametrize("edit, runs, checks", ROWS)
 def test_cli_run(edit, runs, checks, tmp_path):
-    cfg = default_config()
-    for field, value in edit.items():
-        setattr(cfg, field, value)
-    config = tmp_path / "config.ini"
-    write_config(cfg.validate(), config)
+    path = tmp_path / "config.ini"
+    write_config(config(**edit), path)
     out = tmp_path / "out"
     for name, argv in runs.items():
         argv = [a.format(out=out) for a in argv.split()] + ["--out", str(out / name)]
         if argv[0] not in ("mesh", "transfer"):
-            argv += ["--config", str(config)]
+            argv += ["--config", str(path)]
         assert main(argv) == 0, argv
     for check in checks:
         check(out)

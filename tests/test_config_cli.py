@@ -11,22 +11,21 @@ from tppat import experiments, fem, gradcheck
 from tppat.cli import build_parser, main
 from tppat.config import (COEFF_SECTIONS, SOURCE_PARAMETERS, ExperimentConfig, SourceSpec,
                           default_config, load_config, parse_config, write_config)
+from tppat.direct import ConditionReport
 from tppat.errors import ValidationError
 from tppat.forward import noise_stream_seed
 from tppat.lsq import LsqConfig
 from tppat.mesh import build_square_mesh, load_mesh
 from tppat.phantoms import SHAPES, Inclusion, Phantom, PhantomField
 
+from builders import bundle, config
+
 
 def small_config(tmp_path, n=6, levels="0, 2", seeds="5", data_n=None):
-    cfg = default_config()
-    cfg.mesh_n = n
-    if data_n is not None:
-        cfg.data_mesh_n = data_n
-    cfg.noise_levels = [float(e) for e in levels.split(",")]
-    cfg.seeds = [int(s) for s in seeds.split(",")]
     path = tmp_path / "config.ini"
-    write_config(cfg, path)
+    write_config(config(mesh_n=n, data_mesh_n=data_n,
+                        noise_levels=[float(e) for e in levels.split(",")],
+                        seeds=[int(s) for s in seeds.split(",")]), path)
     return path
 
 
@@ -44,8 +43,7 @@ def test_default_config_valid_and_roundtrips(tmp_path):
 
 def test_lsq_section_roundtrips_to_identical_bytes(tmp_path):
     # integer keys print as integers: %g would write 1234567 as 1.23457e+06
-    cfg = default_config()
-    cfg.lsq = LsqConfig(kappa=2.5e-3, grad_tol=3e-7, max_iterations=1234567)
+    cfg = config(lsq=LsqConfig(kappa=2.5e-3, grad_tol=3e-7, max_iterations=1234567))
     first, second = tmp_path / "first.ini", tmp_path / "second.ini"
     write_config(cfg, first)
     loaded = load_config(first)
@@ -81,45 +79,53 @@ def configs(draw):
         phantom=Phantom(*(draw(PHANTOM_FIELD) for _ in COEFF_SECTIONS)),
         sources=draw(st.lists(SOURCE, min_size=1, max_size=3)),
         noise_levels=draw(levels), seeds=[draw(st.integers(0, 2**63))],
-        lsq=lsq).validate()
+        lsq=lsq)
 
 
 def test_config_echo_keeps_digits_beyond_the_sixth():
-    cfg = default_config()
-    cfg.phantom = dataclasses.replace(cfg.phantom, two_photon=dataclasses.replace(
-        cfg.phantom.two_photon, background=0.123456789))
-    cfg.lsq = dataclasses.replace(cfg.lsq, kappa=0.00123456789)
+    phantom = default_config().phantom
+    cfg = config(phantom=dataclasses.replace(phantom, two_photon=dataclasses.replace(
+        phantom.two_photon, background=0.123456789)), lsq=LsqConfig(kappa=0.00123456789))
     text = cfg.canonical_text()
     assert "\nbackground = 0.123456789\n" in text
     assert "\nkappa = 0.00123456789\n" in text
 
 
+# the settings records, and the data records that every job of a sweep shares
 SETTINGS_RECORDS = {
-    "LsqConfig": lambda cfg: cfg.lsq,
-    "SourceSpec": lambda cfg: cfg.sources[2],
-    "Inclusion": lambda cfg: cfg.phantom.diffusion.inclusions[0],
-    "PhantomField": lambda cfg: cfg.phantom.diffusion,
-    "Phantom": lambda cfg: cfg.phantom,
+    "LsqConfig": lambda: default_config().lsq,
+    "SourceSpec": lambda: default_config().sources[2],
+    "Inclusion": lambda: default_config().phantom.diffusion.inclusions[0],
+    "PhantomField": lambda: default_config().phantom.diffusion,
+    "Phantom": lambda: default_config().phantom,
+    "DatumSet": lambda: bundle(mesh_n=4).datum_set(2.0, 3),
+    "DataBundle": lambda: bundle(mesh_n=4),
+    "CoefficientSet": lambda: bundle(mesh_n=4).coeffs,
+    "ConditionReport": lambda: ConditionReport(np.ones(3), np.zeros(3, bool), np.arange(3)),
 }
 
 
 @pytest.mark.parametrize("record", SETTINGS_RECORDS.values(), ids=SETTINGS_RECORDS)
 def test_settings_records_reject_assignment_to_every_field(record):
-    """A settings record is checked when it is made and cannot change after.
+    """A settings or shared data record is checked when it is made and
+    cannot change after.
 
     When the records were mutable, cfg.lsq.bound_floor = 0.6 on the default
     config passed validate(): experiment IV (n = 32, eps = 0, seed 101) then
     ran to sigma 215 % and mu 795 % error, and its manifest echoed a config
-    that load_config rejects.
+    that load_config rejects. Setting noise_level = -5.0 on the eps = 2,
+    seed 3 datum set at n = 16 bypassed its check, and IV then stopped at
+    "noise level reached" on a noise misfit of 0.02 (eps = 5's) instead of
+    0.0032.
     """
-    value = record(default_config())
+    value = record()
     for f in dataclasses.fields(value):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, f.name, getattr(value, f.name))
 
 
 def test_settings_records_hold_no_mutable_container():
-    cfg = default_config()
+    cfg = config()
     with pytest.raises(TypeError):
         SourceSpec("constant", {"value": 0.5}).params["value"] = 1.0
     inclusion = cfg.phantom.diffusion.inclusions[0]
@@ -132,6 +138,17 @@ def test_settings_records_hold_no_mutable_container():
         dataclasses.replace(cfg.lsq, bound_floor=0.6)
     with pytest.raises(ValidationError, match="inclusion size"):
         dataclasses.replace(inclusion, size=-0.3)
+    with pytest.raises(ValidationError, match="seeds repeat: 3"):
+        dataclasses.replace(cfg, seeds=[3, 3])
+    # the data every job shares: tuples of read-only arrays; writing into
+    # coeffs.single_photon changed the truth that every job is scored against
+    b = bundle(mesh_n=4)
+    ds = b.datum_set(2.0, 3)
+    for sequence in (b.sources, b.u_clean, b.H_clean, b.reports, ds.sources, ds.data):
+        assert isinstance(sequence, tuple)
+    for array in (b.u_clean[0], b.H_clean[0], b.coeffs.single_photon, ds.data[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 99.0
     # the run's own record stays mutable, and validate() checks its fields
     cfg.seeds = [-1]
     with pytest.raises(ValidationError, match="seeds must be nonnegative"):
@@ -538,10 +555,7 @@ def test_cli_experiment_threads_do_not_change_outputs(tmp_path, monkeypatch):
 def test_cli_gradcheck(n, kappa, tmp_path):
     # with kappa > 0 the gradient holds the regularizer's, which applies the
     # unit-diffusion stiffness
-    cfg = default_config()
-    cfg.mesh_n = n
-    cfg.lsq = dataclasses.replace(cfg.lsq, kappa=kappa)
-    write_config(cfg, tmp_path / "config.ini")
+    write_config(config(mesh_n=n, lsq=LsqConfig(kappa=kappa)), tmp_path / "config.ini")
     out = tmp_path / "gc"
     assert main(["gradcheck", "--config", str(tmp_path / "config.ini"), "--out", str(out),
                  "--directions", "3"]) == 0
@@ -599,9 +613,7 @@ def test_cli_experiment_rejects_fewer_than_one_thread(tmp_path, threads):
 
 @pytest.mark.parametrize("command", [["experiment", "--which", "III"], ["recon-direct"]])
 def test_cli_experiment_iii_rejects_one_source(command, tmp_path, capsys):
-    cfg = default_config()
-    cfg.sources = cfg.sources[:1]
-    write_config(cfg, tmp_path / "one.ini")
+    write_config(config(sources=default_config().sources[:1]), tmp_path / "one.ini")
     out = tmp_path / "x"
     assert main(command + ["--config", str(tmp_path / "one.ini"), "--out", str(out)]) == 1
     assert "experiment III" in capsys.readouterr().err
@@ -738,22 +750,34 @@ def test_cli_experiment_needs_a_noise_level_and_forward_does_not(tmp_path):
     assert (out / "H1.csv").exists()
 
 
-@pytest.mark.parametrize("levels, seeds, message", [
-    pytest.param([1.0000001, 1.0000002], [5],
+@pytest.mark.parametrize("changes, message", [
+    pytest.param({"noise_levels": [1.0000001, 1.0000002], "seeds": [5]},
                  r"noise levels 1\.0000001 and 1\.0000002 share the file tag eps1$",
                  id="file-tag"),
-    pytest.param([0.0, 2.0, 2.0], [5],
+    pytest.param({"noise_levels": [0.0, 2.0, 2.0], "seeds": [5]},
                  r"noise levels 2\.0 and 2\.0 share the file tag eps2$", id="repeated-level"),
-    pytest.param([0.0001, 0.0002], [5],
+    pytest.param({"noise_levels": [0.0001, 0.0002], "seeds": [5]},
                  r"noise levels 0\.0001 and 0\.0002 share the noise stream 0$",
                  id="noise-stream"),
-    pytest.param([0.0, 2.0], [5, 6, 5, 7, 6], r"seeds repeat: 5, 6$", id="seeds"),
+    pytest.param({"noise_levels": [0.0, 2.0], "seeds": [5, 6, 5, 7, 6]},
+                 r"seeds repeat: 5, 6$", id="seeds"),
+    # int() ran seed 3.7 as 3 and True as 1, and the manifest echo of
+    # 3.7 did not load; build_square_mesh rejected such an n only at setup
+    pytest.param({"seeds": [3.7, 5]}, r"seeds must be integers, got 3\.7$",
+                 id="fractional-seed"),
+    pytest.param({"seeds": [5, True]}, r"seeds must be integers, got True$",
+                 id="bool-seed"),
+    pytest.param({"seeds": [4, -1]}, r"seeds must be nonnegative$", id="negative-seed"),
+    pytest.param({"mesh_n": True}, r"mesh n must be an integer >= 1, got True$",
+                 id="bool-mesh-n"),
+    pytest.param({"mesh_n": 8.0}, r"mesh n must be an integer >= 1, got 8\.0$",
+                 id="float-mesh-n"),
+    pytest.param({"mesh_n": 0}, r"mesh n must be an integer >= 1, got 0$", id="mesh-n-0"),
+    pytest.param({"data_mesh_n": 12.5}, r"data mesh n must be an integer >= 1, got 12\.5$",
+                 id="float-data-mesh-n"),
 ])
-def test_config_rejects_colliding_noise_levels_and_repeated_seeds(levels, seeds, message):
+def test_config_rejects_colliding_noise_levels_and_repeated_seeds(changes, message):
     # colliding levels would overwrite each other's files and share noise draws;
     # repeated seeds would duplicate error rows
-    cfg = default_config()
-    cfg.noise_levels = levels
-    cfg.seeds = seeds
     with pytest.raises(ValidationError, match=message):
-        cfg.validate()
+        config(**changes)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from builders import bundle, config
 from oracle import mu_from_set_loop
 from test_forward import count_grid_preconditioner_applications, jittered_mesh
 from tppat import direct
-from tppat.config import default_config
 from tppat.direct import (NOISE_SAFETY, DatumSet, fit_pair_pointwise, recover_all_fields,
                           recover_pair)
 from tppat.errors import ValidationError
@@ -21,20 +21,13 @@ from tppat.mesh import build_square_mesh
 from tppat.metrics import relative_l2_error
 
 
-@pytest.fixture(scope="module")
-def bundle16():
-    cfg = default_config()
-    cfg.mesh_n = 16
-    return prepare_data(cfg)
-
-
 def recover_one(op, Gamma, H, g):
     """The density u* of one noiseless datum: recover_all_fields on one source."""
     return recover_all_fields(op, Gamma, DatumSet(sources=[g], data=[H]))[0]
 
 
-def test_recover_field_matches_forward_solution(bundle16):
-    b = bundle16
+def test_recover_field_matches_forward_solution():
+    b = bundle(mesh_n=16)
     u_star = recover_one(b.operator, b.coeffs.gruneisen, b.H_clean[0], b.sources[0])
     err = relative_l2_error(u_star, b.u_clean[0], b.mesh)
     assert err <= 1e-8 * 100.0
@@ -106,8 +99,8 @@ def test_fit_with_sigma_known_returns_a_copy_of_it():
     assert np.allclose(mu, 3.0, rtol=0.0, atol=1e-14)
 
 
-def test_recover_field_depends_only_on_ratio(bundle16):
-    b = bundle16
+def test_recover_field_depends_only_on_ratio():
+    b = bundle(mesh_n=16)
     u1 = recover_one(b.operator, b.coeffs.gruneisen, b.H_clean[0], b.sources[0])
     u2 = recover_one(b.operator, 2.0 * b.coeffs.gruneisen, 2.0 * b.H_clean[0],
                      b.sources[0])
@@ -360,9 +353,9 @@ def test_pointwise_fit_rejects_a_field_of_the_wrong_length(which):
         fit_pair_pointwise(MESH3, *inputs)
 
 
-def test_recover_mu_noiseless_full_field(bundle16):
+def test_recover_mu_noiseless_full_field():
     # the J = 1 fit on self-generated data recovers mu exactly
-    b = bundle16
+    b = bundle(mesh_n=16)
     u_star = recover_one(b.operator, b.coeffs.gruneisen, b.H_clean[1], b.sources[1])
     ratio = b.H_clean[1] / (b.coeffs.gruneisen * u_star)
     _, mu, report = fit_pair_pointwise(b.mesh, [u_star], [ratio],
@@ -371,8 +364,8 @@ def test_recover_mu_noiseless_full_field(bundle16):
     assert not report.flagged.any()
 
 
-def test_recover_mu_from_set_noiseless(bundle16):
-    b = bundle16
+def test_recover_mu_from_set_noiseless():
+    b = bundle(mesh_n=16)
     ds = b.datum_set(0.0, 1)
     sigma, mu, report = recover_pair(b.operator, b.coeffs.gruneisen, ds,
                                      sigma_known=b.coeffs.single_photon)
@@ -394,8 +387,8 @@ def test_pointwise_fit_two_by_two_inversion():
     assert not report.flagged.any()
 
 
-def test_recover_pair_noiseless_exact(bundle16):
-    b = bundle16
+def test_recover_pair_noiseless_exact():
+    b = bundle(mesh_n=16)
     ds = b.datum_set(0.0, 1)
     sigma, mu, report = recover_pair(b.operator, b.coeffs.gruneisen, ds)
     assert relative_l2_error(sigma, b.coeffs.single_photon, b.mesh) <= 0.5
@@ -404,25 +397,25 @@ def test_recover_pair_noiseless_exact(bundle16):
     assert np.all(np.isfinite(report.condition))
 
 
-def test_recover_pair_requires_two_sources(bundle16):
-    b = bundle16
+def test_recover_pair_requires_two_sources():
+    b = bundle(mesh_n=16)
     ds = DatumSet(sources=[b.sources[0]], data=[b.H_clean[0]])
     with pytest.raises(ValidationError):
         recover_pair(b.operator, b.coeffs.gruneisen, ds)
 
 
-def test_recover_pair_identical_sources_degenerate(bundle16):
-    b = bundle16
+def test_recover_pair_identical_sources_degenerate():
+    b = bundle(mesh_n=16)
     ds = DatumSet(sources=[b.sources[0], b.sources[0]],
                   data=[b.H_clean[0], b.H_clean[0].copy()])
     with pytest.raises(ValidationError):
         recover_pair(b.operator, b.coeffs.gruneisen, ds)
 
 
-def test_recover_pair_flags_and_fills_degenerate_nodes(bundle16, monkeypatch):
+def test_recover_pair_flags_and_fills_degenerate_nodes(monkeypatch):
     # a spread threshold inside the observed spread distribution forces the
     # fallback path on part of the mesh only
-    b = bundle16
+    b = bundle(mesh_n=16)
     ds = b.datum_set(0.0, 1)
     stars = recover_all_fields(b.operator, b.coeffs.gruneisen, ds)
     A = np.abs(np.stack(stars))
@@ -438,8 +431,8 @@ def test_recover_pair_flags_and_fills_degenerate_nodes(bundle16, monkeypatch):
         assert mu[i] == mu[j]
 
 
-def test_recover_pair_scale_invariance(bundle16):
-    b = bundle16
+def test_recover_pair_scale_invariance():
+    b = bundle(mesh_n=16)
     ds = b.datum_set(0.0, 1)
     sigma1, mu1, _ = recover_pair(b.operator, b.coeffs.gruneisen, ds)
     scaled = DatumSet(sources=list(ds.sources),
@@ -449,9 +442,9 @@ def test_recover_pair_scale_invariance(bundle16):
     assert np.allclose(mu1, mu2, rtol=1e-12, atol=1e-14)
 
 
-def test_noise_error_roughly_linear_in_level(bundle16):
+def test_noise_error_roughly_linear_in_level():
     # empirical Lipschitz stability: error(eps)/eps bounded across levels
-    b = bundle16
+    b = bundle(mesh_n=16)
     ratios = []
     for eps in (1.0, 2.0, 5.0):
         errs = []
@@ -464,8 +457,8 @@ def test_noise_error_roughly_linear_in_level(bundle16):
     assert max(ratios) <= 3.0 * min(ratios), f"ratios {ratios}"
 
 
-def test_datum_set_validation(bundle16):
-    b = bundle16
+def test_datum_set_validation():
+    b = bundle(mesh_n=16)
     with pytest.raises(ValidationError):
         DatumSet(sources=[b.sources[0]], data=[])
     with pytest.raises(ValidationError):
@@ -478,16 +471,16 @@ def test_clip_nonnegative():
 
 
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, np.inf])
-def test_datum_set_noise_level_rejects_a_negative_or_nonfinite_epsilon(bundle16, bad):
-    b = bundle16
+def test_datum_set_noise_level_rejects_a_negative_or_nonfinite_epsilon(bad):
+    b = bundle(mesh_n=16)
     with pytest.raises(ValidationError, match="noise level must be finite and nonnegative"):
         DatumSet(sources=b.sources[:2], data=b.H_clean[:2], noise_level=bad)
 
 
-def test_direct_solves_run_to_the_noise_matched_tolerance(bundle16, monkeypatch):
+def test_direct_solves_run_to_the_noise_matched_tolerance(monkeypatch):
     # max(DEFAULT_TOL, NOISE_SAFETY * epsilon / 100): noiseless data and
     # noisy data at noise_level 0 keep the 1e-10 solves
-    b = bundle16
+    b = bundle(mesh_n=16)
     received = []
     solve = ForwardOperator.solve
 
@@ -505,18 +498,10 @@ def test_direct_solves_run_to_the_noise_matched_tolerance(bundle16, monkeypatch)
         assert received == [tol] * J
 
 
-@pytest.fixture(scope="module")
-def bundle32():
-    cfg = default_config()
-    cfg.mesh_n = 32
-    return prepare_data(cfg)
-
-
 @pytest.mark.parametrize("epsilon", [1.0, 2.0, 5.0])
-def test_noisy_direct_solves_need_few_preconditioner_applications(bundle32, epsilon,
-                                                                   monkeypatch):
+def test_noisy_direct_solves_need_few_preconditioner_applications(epsilon, monkeypatch):
     # each direct solve takes 9 applications at DEFAULT_TOL at n = 32, and 3-4 here
-    b = bundle32
+    b = bundle(mesh_n=32)
     applications = count_grid_preconditioner_applications(monkeypatch)
     recover_pair(b.operator, b.coeffs.gruneisen, b.datum_set(epsilon, 7))
     assert len(applications) == len(b.sources)
@@ -529,7 +514,7 @@ def clean_problem(n, mesh_seed):
     the default phantom on the grid (mesh_seed None) or a jittered mesh
     (Jacobi path)."""
     mesh = build_square_mesh(n) if mesh_seed is None else jittered_mesh(n, mesh_seed, 0.3 / n)
-    cfg = default_config()
+    cfg = config()
     coeffs = cfg.phantom.coefficients(mesh)
     sources = [spec.build(mesh) for spec in cfg.sources]
     op = ForwardOperator(mesh, coeffs.diffusion)
@@ -596,10 +581,10 @@ def test_densities_from_any_start_meet_the_noise_matched_residual(n, mesh_seed, 
         assert np.linalg.norm(rhs - op.K_ii @ u[op.interior]) <= tol * np.linalg.norm(rhs)
 
 
-def test_densities_without_a_start_are_the_cold_solve(bundle16):
+def test_densities_without_a_start_are_the_cold_solve():
     # without u0, bitwise CG from zero, at DEFAULT_TOL and at a noise-matched
     # tolerance
-    b = bundle16
+    b = bundle(mesh_n=16)
     op = b.operator
     for epsilon in (0.0, 2.0):
         ds = b.datum_set(epsilon, 5)
@@ -612,8 +597,8 @@ def test_densities_without_a_start_are_the_cold_solve(bundle16):
             assert u.tobytes() == op.expand(cold, g.values).tobytes()
 
 
-def test_density_starts_of_another_count_or_mesh_are_rejected(bundle16):
-    b = bundle16
+def test_density_starts_of_another_count_or_mesh_are_rejected():
+    b = bundle(mesh_n=16)
     ds = b.datum_set(0.0, 5)
     other = build_square_mesh(8)
     for u0, match in ((b.u_clean[:-1], "density starts"),
@@ -629,9 +614,7 @@ def test_jobs_start_their_densities_from_the_clean_forward_fields(n, most, monke
     # ones at most `most` (one at n = 128; at n = 32 the second source's
     # first step ends 1.3-1.4 times above its bound, so it takes two), where
     # cold solves take 3-4
-    cfg = default_config()
-    cfg.mesh_n = n
-    b = prepare_data(cfg)
+    b = prepare_data(config(mesh_n=n))
     applications = count_grid_preconditioner_applications(monkeypatch)
     for epsilon in (0.0, 1.0, 2.0, 5.0):
         ds = b.datum_set(epsilon, 7)
@@ -649,9 +632,7 @@ def test_jobs_start_their_densities_from_the_clean_forward_fields(n, most, monke
 def test_crime_guard_jobs_solve_their_densities_cold():
     # u_clean is on the data mesh, so a crime-guard job starts from zero:
     # bitwise the direct fit of the cold densities
-    cfg = default_config()
-    cfg.mesh_n, cfg.data_mesh_n = 16, 24
-    b = prepare_data(cfg)
+    b = prepare_data(config(mesh_n=16, data_mesh_n=24))
     for epsilon in (0.0, 2.0):
         ds = b.datum_set(epsilon, 5)
         fields = reconstruct("III", b, ds)

@@ -1,9 +1,9 @@
-import dataclasses
 import os
 import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ import weakref
 
 import tppat
 from tppat import direct, experiments, fem, forward, metrics, transfer
-from tppat.config import default_config, write_config
+from tppat.config import write_config
 from tppat.errors import ValidationError
 from tppat.experiments import (COEFFS_RECOVERED, EXPERIMENTS, prepare_data, reconstruct,
                                run_experiment, run_forward)
@@ -23,18 +23,14 @@ from tppat.lsq import LsqConfig
 from tppat.mesh import build_square_mesh
 from tppat.phantoms import SHAPES, Inclusion, Phantom, PhantomField
 
+from builders import config
 
-def quick_config(n=6, levels=(0.0,), seeds=(3,)):
-    cfg = default_config()
-    cfg.mesh_n = n
-    cfg.noise_levels = list(levels)
-    cfg.seeds = list(seeds)
-    cfg.lsq = dataclasses.replace(cfg.lsq, max_iterations=60)
-    return cfg
+# the sweep most tests here run, or change: one noiseless job at n = 6
+QUICK = config(mesh_n=6, noise_levels=[0.0], seeds=[3], lsq=LsqConfig(max_iterations=60))
 
 
 def test_experiment_i_direct_mu_only():
-    table = run_experiment("I", quick_config())
+    table = run_experiment("I", QUICK)
     means = table.mean_errors()
     assert set(k[0] for k in means) == {"mu"}
     assert means[("mu", 0.0)] <= 0.5
@@ -43,9 +39,9 @@ def test_experiment_i_direct_mu_only():
 def test_experiment_i_flags_and_fills_nonpositive_nodes_instead_of_aborting(tmp_path):
     # a strongly absorbing background at 20 % noise drives the recovered
     # density nonpositive at some nodes of both jobs
-    cfg = quick_config(n=8, levels=(0.0, 20.0), seeds=(101, 102))
-    cfg.phantom = dataclasses.replace(cfg.phantom, single_photon=dataclasses.replace(
-        cfg.phantom.single_photon, background=20.0))
+    cfg = replace(QUICK, mesh_n=8, noise_levels=[0.0, 20.0], seeds=[101, 102],
+                  phantom=replace(QUICK.phantom, single_photon=replace(
+                      QUICK.phantom.single_photon, background=20.0)))
     bundle = prepare_data(cfg)
     table = run_experiment("I", cfg, output_dir=tmp_path, bundle=bundle)
     assert len(table.rows) == 3
@@ -61,14 +57,14 @@ def test_experiment_i_flags_and_fills_nonpositive_nodes_instead_of_aborting(tmp_
 
 
 def test_experiment_ii_lsq_mu_only():
-    table = run_experiment("II", quick_config())
+    table = run_experiment("II", QUICK)
     means = table.mean_errors()
     assert set(k[0] for k in means) == {"mu"}
     assert means[("mu", 0.0)] <= 1.0
 
 
 def test_experiment_iv_recovers_both():
-    table = run_experiment("IV", quick_config())
+    table = run_experiment("IV", QUICK)
     means = table.mean_errors()
     assert set(k[0] for k in means) == {"sigma", "mu"}
     assert all(np.isfinite(v) for v in means.values())
@@ -79,8 +75,7 @@ def test_least_squares_runs_with_one_source(which):
     # one datum has no pair fit to start from: IV starts sigma at the
     # midpoint of the bounds and mu from the fit with that sigma, and the
     # unregularized fit still converges
-    cfg = quick_config(n=8, levels=(0.0, 2.0))
-    cfg.sources = cfg.sources[:1]
+    cfg = replace(QUICK, mesh_n=8, noise_levels=[0.0, 2.0], sources=QUICK.sources[:1])
     bundle = prepare_data(cfg)
     for eps in cfg.noise_levels:
         fields = reconstruct(which, bundle, bundle.datum_set(eps, 3))
@@ -93,8 +88,7 @@ def test_least_squares_runs_with_one_source(which):
 def test_experiment_iii_with_one_source_is_rejected_before_setup(monkeypatch, bundled):
     # the pair fit needs two sources, so the sweep fails before any solve,
     # naming the experiment and the source count
-    cfg = quick_config(n=4)
-    cfg.sources = cfg.sources[:1]
+    cfg = replace(QUICK, mesh_n=4, sources=QUICK.sources[:1])
     bundle = prepare_data(cfg) if bundled else None
     calls = []
     monkeypatch.setattr(experiments, "prepare_data", lambda *a, **k: calls.append(a))
@@ -114,22 +108,21 @@ def phantom_fields(scale):
 
 @st.composite
 def small_configs(draw):
-    cfg = default_config()
-    cfg.mesh_n = draw(st.integers(1, 8))
-    cfg.data_mesh_n = draw(st.none() | st.integers(4, 12))
-    cfg.phantom = draw(st.builds(Phantom, **{
-        f.name: phantom_fields(getattr(cfg.phantom, f.name).background)
-        for f in dataclasses.fields(Phantom)}))
-    cfg.sources = draw(st.lists(st.sampled_from(cfg.sources), min_size=1, max_size=4,
-                                unique_by=id))
-    cfg.noise_levels = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0, 10.0]),
-                                     min_size=1, max_size=2, unique=True))
-    cfg.seeds = [draw(st.integers(0, 999))]
+    default = config()
     floor = draw(st.sampled_from([0.001, 0.02, 0.1, 0.3]))
-    cfg.lsq = LsqConfig(bound_floor=floor,
-                        bound_ceiling=floor + draw(st.sampled_from([0.01, 0.2, 1.0])),
-                        max_iterations=draw(st.integers(1, 40)))
-    return cfg.validate()
+    return config(
+        mesh_n=draw(st.integers(1, 8)), data_mesh_n=draw(st.none() | st.integers(4, 12)),
+        phantom=draw(st.builds(Phantom, **{
+            f.name: phantom_fields(getattr(default.phantom, f.name).background)
+            for f in fields(Phantom)})),
+        sources=draw(st.lists(st.sampled_from(default.sources), min_size=1, max_size=4,
+                              unique_by=id)),
+        noise_levels=draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0, 10.0]),
+                                   min_size=1, max_size=2, unique=True)),
+        seeds=[draw(st.integers(0, 999))],
+        lsq=LsqConfig(bound_floor=floor,
+                      bound_ceiling=floor + draw(st.sampled_from([0.01, 0.2, 1.0])),
+                      max_iterations=draw(st.integers(1, 40))))
 
 
 # run_lsq's stops: (converged, message)
@@ -192,9 +185,8 @@ def test_a_sweep_either_runs_or_is_rejected_before_setup(cfg, which, tmp_path_fa
 
 def test_experiment_ii_takes_a_known_sigma_outside_the_bounds():
     # II fits mu alone, so only mu0 must lie within [bound_floor, bound_ceiling]
-    cfg = quick_config(n=8)
-    cfg.phantom = dataclasses.replace(cfg.phantom, single_photon=dataclasses.replace(
-        cfg.phantom.single_photon, background=0.6))
+    cfg = replace(QUICK, mesh_n=8, phantom=replace(QUICK.phantom, single_photon=replace(
+        QUICK.phantom.single_photon, background=0.6)))
     assert cfg.phantom.single_photon.background > cfg.lsq.bound_ceiling
     table = run_experiment("II", cfg)
     assert table.mean_errors()[("mu", 0.0)] <= 1e-6
@@ -202,8 +194,8 @@ def test_experiment_ii_takes_a_known_sigma_outside_the_bounds():
 
 def test_unknown_experiment_rejected():
     with pytest.raises(ValidationError):
-        run_experiment("V", quick_config())
-    bundle = prepare_data(quick_config())
+        run_experiment("V", QUICK)
+    bundle = prepare_data(QUICK)
     with pytest.raises(ValidationError, match="unknown experiment"):
         reconstruct("V", bundle, bundle.datum_set(0.0, 3))
 
@@ -212,7 +204,7 @@ def test_unknown_experiment_rejected():
 def test_every_experiment_solves_the_direct_densities_once(monkeypatch, which):
     # one path for I-IV: reconstruct solves the densities u_j* once and hands
     # them to the pointwise fit, which then solves nothing again
-    bundle = prepare_data(quick_config())
+    bundle = prepare_data(QUICK)
     calls = []
     recover_all_fields, recover_pair = direct.recover_all_fields, direct.recover_pair
 
@@ -236,19 +228,18 @@ def test_sweep_without_noise_levels_rejected_before_setup(monkeypatch, tmp_path)
 
     monkeypatch.setattr(experiments, "prepare_data", no_setup)
     with pytest.raises(ValidationError, match="at least one noise level"):
-        run_experiment("III", quick_config(levels=()), output_dir=tmp_path / "x")
+        run_experiment("III", replace(QUICK, noise_levels=[]), output_dir=tmp_path / "x")
     assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("threads", [0, -4, 1.5, True])
 def test_a_worker_count_below_one_or_not_an_integer_is_rejected(threads, monkeypatch,
                                                                 tmp_path):
-    cfg = quick_config()
-    bundle = prepare_data(cfg)
+    bundle = prepare_data(QUICK)
     with pytest.raises(ValidationError, match="threads must be an integer >= 1"):
-        prepare_data(cfg, threads=threads)
+        prepare_data(QUICK, threads=threads)
     with pytest.raises(ValidationError, match="threads must be an integer >= 1"):
-        run_experiment("III", cfg, output_dir=tmp_path / "x", threads=threads,
+        run_experiment("III", QUICK, output_dir=tmp_path / "x", threads=threads,
                        bundle=bundle)
 
     def no_setup(*args, **kwargs):
@@ -256,17 +247,16 @@ def test_a_worker_count_below_one_or_not_an_integer_is_rejected(threads, monkeyp
 
     monkeypatch.setattr(experiments, "prepare_data", no_setup)
     with pytest.raises(ValidationError, match="threads must be an integer >= 1"):
-        run_experiment("III", cfg, output_dir=tmp_path / "x", threads=threads)
+        run_experiment("III", QUICK, output_dir=tmp_path / "x", threads=threads)
     assert not (tmp_path / "x").exists()
 
 
 def test_bundle_of_another_config_rejected(tmp_path):
     # noise levels and seeds come from cfg, the phantom, sources and [lsq]
     # settings from the bundle's: one sweep would mix two configs
-    bundle = prepare_data(quick_config())
-    other = quick_config()
-    other.phantom = dataclasses.replace(other.phantom, two_photon=dataclasses.replace(
-        other.phantom.two_photon, background=0.07))
+    bundle = prepare_data(QUICK)
+    other = replace(QUICK, phantom=replace(QUICK.phantom, two_photon=replace(
+        QUICK.phantom.two_photon, background=0.07)))
     with pytest.raises(ValidationError, match="another config"):
         run_experiment("III", other, output_dir=tmp_path / "x", bundle=bundle)
     assert not (tmp_path / "x").exists()
@@ -276,7 +266,7 @@ def test_bundle_of_another_config_rejected(tmp_path):
 def test_a_config_changed_after_setup_is_validated_with_its_bundle(tmp_path):
     # the bundle is still this cfg's, but cfg no longer passes validate():
     # unchecked, the sweep ran four jobs whose files share the tag eps2
-    cfg = quick_config()
+    cfg = replace(QUICK)
     bundle = prepare_data(cfg)
     cfg.seeds = [3, 3]
     cfg.noise_levels = [2.0, 2.0000001]
@@ -286,7 +276,7 @@ def test_a_config_changed_after_setup_is_validated_with_its_bundle(tmp_path):
 
 
 def test_experiment_outputs_reconstruction_files(tmp_path):
-    cfg = quick_config(levels=(0.0, 2.0), seeds=(3, 4))
+    cfg = replace(QUICK, noise_levels=[0.0, 2.0], seeds=[3, 4])
     run_experiment("III", cfg, output_dir=tmp_path)
     names = {p.name for p in tmp_path.iterdir()}
     for eps in ("eps0", "eps2"):
@@ -298,13 +288,13 @@ def test_experiment_outputs_reconstruction_files(tmp_path):
 
 
 def test_experiment_lsq_outputs_report(tmp_path):
-    cfg = quick_config(n=5)
+    cfg = replace(QUICK, mesh_n=5)
     run_experiment("IV", cfg, output_dir=tmp_path)
     assert (tmp_path / "lsq_report_eps0.csv").exists()
 
 
 def test_noiseless_runs_once_per_level():
-    cfg = quick_config(levels=(0.0,), seeds=(3, 4, 5))
+    cfg = replace(QUICK, noise_levels=[0.0], seeds=[3, 4, 5])
     table = run_experiment("III", cfg)
     assert len(table.rows) == 2          # sigma + mu, one seed only
 
@@ -312,10 +302,7 @@ def test_noiseless_runs_once_per_level():
 def test_direct_pair_midlevel_noise_band():
     # reference results for this benchmark family put the direct pair errors
     # near (1.56%, 5.55%) at the 2% noise level; stay within a factor of two
-    cfg = default_config()
-    cfg.mesh_n = 32
-    cfg.noise_levels = [2.0]
-    means = run_experiment("III", cfg).mean_errors()
+    means = run_experiment("III", config(mesh_n=32, noise_levels=[2.0])).mean_errors()
     assert 1.56 / 2.0 <= means[("sigma", 2.0)] <= 1.56 * 2.0
     assert 5.55 / 2.0 <= means[("mu", 2.0)] <= 5.55 * 2.0
 
@@ -327,8 +314,7 @@ def test_noise_stream_seeds_distinct():
 
 
 def test_run_forward_reports_converged_solves(tmp_path):
-    cfg = quick_config(levels=(0.0, 1.0))
-    cfg.seeds = [11]
+    cfg = replace(QUICK, noise_levels=[0.0, 1.0], seeds=[11])
     bundle = run_forward(cfg, tmp_path)
     assert all(r.converged for r in bundle.reports)
     lines = (tmp_path / "forward_report.csv").read_text().splitlines()
@@ -342,7 +328,7 @@ def test_run_forward_reports_converged_solves(tmp_path):
 
 
 def test_bundle_datum_set_matches_noise_model():
-    cfg = quick_config(levels=(2.0,), seeds=(9,))
+    cfg = replace(QUICK, noise_levels=[2.0], seeds=[9])
     bundle = prepare_data(cfg)
     ds = bundle.datum_set(2.0, 9)
     expected = add_noise(bundle.H_clean[0], 2.0, noise_stream_seed(9, 0, 2.0))
@@ -355,8 +341,7 @@ def test_bundle_datum_set_matches_noise_model():
 def test_forward_files_are_the_data_the_experiments_reconstruct_from(tmp_path, data_n):
     # run_forward writes the noisy data on the data mesh; moved onto the
     # reconstruction mesh (crime guard only), they are datum_set's, bitwise
-    cfg = quick_config(n=8, levels=(0.0, 2.0), seeds=(5,))
-    cfg.data_mesh_n = data_n
+    cfg = replace(QUICK, mesh_n=8, data_mesh_n=data_n, noise_levels=[0.0, 2.0], seeds=[5])
     bundle = run_forward(cfg, tmp_path)
     reconstruction = prepare_data(cfg)
     for eps in cfg.noise_levels:
@@ -376,9 +361,7 @@ def test_import_loads_no_scipy(tmp_path):
     src = str(Path(tppat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    cfg = default_config()
-    cfg.lsq = dataclasses.replace(cfg.lsq, kappa=1e-3)
-    write_config(cfg, tmp_path / "kappa.ini")
+    write_config(config(lsq=LsqConfig(kappa=1e-3)), tmp_path / "kappa.ini")
     runs = [["experiment", "--which", "IV", "--noise", "0,2", "--out", str(tmp_path / "e4")],
             ["gradcheck", "--directions", "3", "--config", str(tmp_path / "kappa.ini"),
              "--out", str(tmp_path / "gc")]]
@@ -420,8 +403,7 @@ def test_sweep_builds_one_operator_per_mesh(monkeypatch, which, data_n, builds):
 
     monkeypatch.setattr(forward.ForwardOperator, "__init__", counting_init)
     monkeypatch.setattr(transfer._TriangleLocator, "locate", counting_locate)
-    cfg = quick_config(n=8, levels=(0.0, 2.0), seeds=(3, 4))
-    cfg.data_mesh_n = data_n
+    cfg = replace(QUICK, mesh_n=8, data_mesh_n=data_n, noise_levels=[0.0, 2.0], seeds=[3, 4])
     bundle = prepare_data(cfg)
     # with the crime guard, the reconstruction nodes are located once, in setup
     assert located == ([bundle.mesh.node_count] if data_n else [])
@@ -434,7 +416,7 @@ def test_sweep_builds_one_operator_per_mesh(monkeypatch, which, data_n, builds):
 
 
 def test_bundle_operator_gives_bitwise_the_fields_of_a_fresh_one():
-    bundle = prepare_data(quick_config(n=6))
+    bundle = prepare_data(QUICK)
     Gamma = bundle.coeffs.gruneisen
     ds = bundle.datum_set(0.0, 3)
     shared = direct.recover_pair(bundle.operator, Gamma, ds)
@@ -457,8 +439,8 @@ def test_sweep_assembles_each_stiffness_matrix_once(monkeypatch, which, kappa, a
         return assemble(mesh, gamma)
 
     monkeypatch.setattr(fem, "assemble_stiffness", counting)
-    cfg = quick_config(n=8, levels=(0.0, 2.0), seeds=(3, 4))
-    cfg.lsq = dataclasses.replace(cfg.lsq, kappa=kappa)
+    cfg = replace(QUICK, mesh_n=8, noise_levels=[0.0, 2.0], seeds=[3, 4],
+                  lsq=replace(QUICK.lsq, kappa=kappa))
     table = run_experiment(which, cfg)
     assert len({(eps, seed) for _, eps, seed, _ in table.rows}) == 3
     assert assembled == [81] * assemblies
@@ -466,7 +448,7 @@ def test_sweep_assembles_each_stiffness_matrix_once(monkeypatch, which, kappa, a
 
 @pytest.mark.parametrize("which", ["I", "III"])
 def test_sweep_integrates_each_truth_norm_once(monkeypatch, which):
-    cfg = quick_config(n=8, levels=(0.0, 2.0, 5.0), seeds=(3, 4))
+    cfg = replace(QUICK, mesh_n=8, noise_levels=[0.0, 2.0, 5.0], seeds=[3, 4])
     bundle = prepare_data(cfg)
     truths = (bundle.coeffs.single_photon, bundle.coeffs.two_photon)
     integrated = []
@@ -495,8 +477,8 @@ def test_threads_share_the_bundle_operator_without_changing_outputs(which, data_
                                                                    tmp_path, monkeypatch):
     # every mesh size goes to the pool, so the jobs really run at once
     monkeypatch.setattr(experiments, "POOL_MIN_NODES", 0)
-    cfg = quick_config(n=8, levels=(0.0, 1.0, 2.0, 5.0), seeds=(3, 4))
-    cfg.data_mesh_n = data_n
+    cfg = replace(QUICK, mesh_n=8, data_mesh_n=data_n, noise_levels=[0.0, 1.0, 2.0, 5.0],
+                  seeds=[3, 4])
     bundle = prepare_data(cfg)
     trees = []
     for threads in (1, 2):
@@ -534,8 +516,7 @@ def test_threads_use_the_pool_only_on_meshes_of_pool_min_nodes(data_n, min_nodes
     # setup solves on the data mesh (81 nodes at n=8, 25 at n=4), the jobs on
     # the n=6 reconstruction mesh (49 nodes)
     assert [build_square_mesh(n).node_count for n in (4, 6, 8)] == [25, 49, 81]
-    cfg = quick_config(n=6, levels=(0.0, 2.0), seeds=(3, 4))
-    cfg.data_mesh_n = data_n
+    cfg = replace(QUICK, data_mesh_n=data_n, noise_levels=[0.0, 2.0], seeds=[3, 4])
     serial = run_experiment("III", cfg).rows
     assert pools == []
     monkeypatch.setattr(experiments, "POOL_MIN_NODES", min_nodes)
@@ -548,9 +529,7 @@ def test_threads_use_the_pool_only_on_meshes_of_pool_min_nodes(data_n, min_nodes
 
 def test_one_setup_solve_and_one_job_run_serially(pools, monkeypatch):
     monkeypatch.setattr(experiments, "POOL_MIN_NODES", 0)
-    cfg = quick_config()
-    cfg.sources = cfg.sources[:1]
-    run_experiment("I", cfg, threads=2)
+    run_experiment("I", replace(QUICK, sources=QUICK.sources[:1]), threads=2)
     assert pools == []
 
 

@@ -1,12 +1,8 @@
-import dataclasses
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tppat import direct, fem, lsq
-from tppat.config import default_config
 from tppat.direct import NOISE_SAFETY, DatumSet, recover_all_fields, recover_pair
 from tppat.errors import ValidationError
 from tppat.experiments import EXPERIMENTS, prepare_data, reconstruct, run_experiment
@@ -18,17 +14,13 @@ from tppat.lsq import (Evaluator, LsqConfig, gauss_newton_blocks, gauss_newton_s
 from tppat.mesh import build_square_mesh
 from tppat.metrics import relative_l2_error
 
+from builders import bundle, config
 from test_forward import jittered_mesh
 
 # Newton residual and adjoint relative residual of the exactness tests' solves
 TIGHT = 1e-12
-
-
-@pytest.fixture(scope="module")
-def bundle8():
-    cfg = default_config()
-    cfg.mesh_n = 8
-    return prepare_data(cfg)
+# the default sources, for configs with some of them only
+SOURCES = config().sources
 
 
 def datum(bundle, eps=0.0, seed=1):
@@ -57,24 +49,24 @@ def first_pass(adjoint_tol):
     return np.ndim(adjoint_tol) == 1
 
 
-def test_objective_zero_at_truth(bundle8):
-    b = bundle8
+def test_objective_zero_at_truth():
+    b = bundle(mesh_n=8)
     value = phi(evaluator(b), b.coeffs.single_photon, b.coeffs.two_photon)
     scale = max(float(np.abs(H).max()) for H in b.H_clean) ** 2
     assert value <= 1e-16 * scale
 
 
-def test_regularizer_vanishes_for_constants(bundle8):
-    b = bundle8
+def test_regularizer_vanishes_for_constants():
+    b = bundle(mesh_n=8)
     n = b.mesh.node_count
     trial = (np.full(n, 0.2), np.full(n, 0.08))
     assert phi(evaluator(b, kappa=10.0), *trial) == phi(evaluator(b, kappa=0.0), *trial)
 
 
-def test_forward_states_depend_only_on_their_arguments(bundle8):
+def test_forward_states_depend_only_on_their_arguments():
     # one evaluator at A, at B, then at A again: the second visit to A
     # starts cold as the first did, not from the states at B
-    b = bundle8
+    b = bundle(mesh_n=8)
     ev = evaluator(b)
     a = (b.coeffs.single_photon, b.coeffs.two_photon)
     far = (1.5 * a[0], 0.5 * a[1])
@@ -85,8 +77,8 @@ def test_forward_states_depend_only_on_their_arguments(bundle8):
         assert np.array_equal(x, y)
 
 
-def test_objective_affine_in_kappa(bundle8):
-    b = bundle8
+def test_objective_affine_in_kappa():
+    b = bundle(mesh_n=8)
     rng = np.random.default_rng(0)
     n = b.mesh.node_count
     trial = (b.coeffs.single_photon * (1 + 0.1 * rng.uniform(-1, 1, n)),
@@ -98,16 +90,16 @@ def test_objective_affine_in_kappa(bundle8):
     assert v2 - v1 == pytest.approx(0.5 * R, rel=1e-12)
 
 
-def test_adjoint_zero_residual(bundle8):
-    b = bundle8
+def test_adjoint_zero_residual():
+    b = bundle(mesh_n=8)
     ev = evaluator(b)
     v = ev.solve_adjoint(b.coeffs.single_photon, b.coeffs.two_photon,
                          b.u_clean[0], np.zeros(b.mesh.node_count))
     assert np.all(v == 0.0)
 
 
-def test_adjoint_linear_in_residual(bundle8):
-    b = bundle8
+def test_adjoint_linear_in_residual():
+    b = bundle(mesh_n=8)
     rng = np.random.default_rng(1)
     z = rng.uniform(-1, 1, b.mesh.node_count)
     ev = evaluator(b)
@@ -117,8 +109,8 @@ def test_adjoint_linear_in_residual(bundle8):
     assert np.abs(v2 - 2.0 * v1).max() <= 1e-9 * np.abs(v1).max()
 
 
-def test_gradient_vanishes_at_noiseless_truth(bundle8):
-    b = bundle8
+def test_gradient_vanishes_at_noiseless_truth():
+    b = bundle(mesh_n=8)
     ev = evaluator(b)
     truth = (b.coeffs.single_photon, b.coeffs.two_photon)
     g_sigma, g_mu = ev.gradient(*truth, tight_states(ev, *truth), adjoint_tol=TIGHT)
@@ -127,8 +119,8 @@ def test_gradient_vanishes_at_noiseless_truth(bundle8):
     assert np.abs(g_mu).max() <= 1e-8 * scale
 
 
-def test_adjoint_solves_run_at_linear_tol(bundle8, monkeypatch):
-    b = bundle8
+def test_adjoint_solves_run_at_linear_tol(monkeypatch):
+    b = bundle(mesh_n=8)
     ev = evaluator(b)
     sigma, mu = b.coeffs.single_photon * 1.1, b.coeffs.two_photon * 0.9
     states = ev.forward_states(sigma, mu)
@@ -148,9 +140,7 @@ def test_adjoint_solves_run_at_linear_tol(bundle8, monkeypatch):
 
 
 def test_gradient_matches_finite_differences_small():
-    cfg = default_config()
-    cfg.mesh_n = 8
-    result = gradient_check(cfg, directions=3, seed=5)
+    result = gradient_check(config(mesh_n=8), directions=3, seed=5)
     assert result.max_relative_error <= 1e-5
 
 
@@ -194,10 +184,10 @@ def test_adjoint_gradient_matches_central_differences_on_random_meshes(
         assert abs(adjoint - fd) <= 1e-5 * max(abs(adjoint), abs(fd))
 
 
-def test_kappa_only_gradient_is_stiffness_term(bundle8):
+def test_kappa_only_gradient_is_stiffness_term():
     # data consistent with the trial point makes the misfit part vanish,
     # leaving exactly kappa * M^-1 K1 applied to each field
-    b = bundle8
+    b = bundle(mesh_n=8)
     mesh = b.mesh
     ds = datum(b)
     kappa = 2.5
@@ -213,8 +203,8 @@ def test_kappa_only_gradient_is_stiffness_term(bundle8):
     assert np.abs(g_mu - expected_mu).max() <= 1e-8
 
 
-def test_run_lsq_stationary_at_truth(bundle8):
-    b = bundle8
+def test_run_lsq_stationary_at_truth():
+    b = bundle(mesh_n=8)
     cfg = LsqConfig(kappa=0.0, bound_floor=0.01, bound_ceiling=1.0)
     sigma, mu, report = run_lsq(
         b.operator, b.coeffs.gruneisen, datum(b),
@@ -225,8 +215,8 @@ def test_run_lsq_stationary_at_truth(bundle8):
     assert np.array_equal(mu, b.coeffs.two_photon)
 
 
-def test_run_lsq_solves_each_trial_point_once(bundle8, monkeypatch):
-    b = bundle8
+def test_run_lsq_solves_each_trial_point_once(monkeypatch):
+    b = bundle(mesh_n=8)
     points, starts, solved, gradient_states = [], [], [], []
     forward_states, gradient = Evaluator.forward_states, Evaluator.gradient
 
@@ -262,8 +252,8 @@ def test_run_lsq_solves_each_trial_point_once(bundle8, monkeypatch):
     assert all(u0 is states[0] for u0, states in zip(starts[1:], solved))
 
 
-def test_run_lsq_objective_strictly_decreasing(bundle8):
-    b = bundle8
+def test_run_lsq_objective_strictly_decreasing():
+    b = bundle(mesh_n=8)
     n = b.mesh.node_count
     cfg = LsqConfig(kappa=0.0, grad_tol=1e-3,
                     max_iterations=25, bound_floor=0.02,
@@ -275,10 +265,10 @@ def test_run_lsq_objective_strictly_decreasing(bundle8):
     assert all(hist[k + 1] < hist[k] for k in range(len(hist) - 1))
 
 
-def test_run_lsq_deep_misfit_reduction(bundle8):
+def test_run_lsq_deep_misfit_reduction():
     # kappa = 0, noiseless consistent data: the misfit is driven to the
     # solver-noise floor, far below 1e-10 of its initial value
-    b = bundle8
+    b = bundle(mesh_n=8)
     n = b.mesh.node_count
     cfg = LsqConfig(kappa=0.0, grad_tol=1e-30, max_iterations=800,
                     bound_floor=0.02, bound_ceiling=0.5)
@@ -288,8 +278,8 @@ def test_run_lsq_deep_misfit_reduction(bundle8):
     assert hist[-1] <= 1e-10 * hist[0]
 
 
-def test_run_lsq_respects_bounds(bundle8):
-    b = bundle8
+def test_run_lsq_respects_bounds():
+    b = bundle(mesh_n=8)
     n = b.mesh.node_count
     cfg = LsqConfig(kappa=0.0, grad_tol=1e-4, max_iterations=40,
                     bound_floor=0.1, bound_ceiling=0.2)
@@ -299,11 +289,11 @@ def test_run_lsq_respects_bounds(bundle8):
     assert mu.min() >= 0.1 and mu.max() <= 0.2
 
 
-def test_fit_with_a_binding_bound_converges_on_the_reduced_gradient(bundle8):
+def test_fit_with_a_binding_bound_converges_on_the_reduced_gradient():
     # noiseless IV with the ceiling below sigma's inclusion (0.3): at the
     # minimizer those nodes sit at the ceiling with the gradient pointing out
     # of the box, so only the reduced gradient can fall below the threshold
-    b = bundle8
+    b = bundle(mesh_n=8)
     n = b.mesh.node_count
     cfg = LsqConfig(bound_ceiling=0.2)
     mid = 0.5 * (cfg.bound_floor + cfg.bound_ceiling)
@@ -320,11 +310,11 @@ def test_fit_with_a_binding_bound_converges_on_the_reduced_gradient(bundle8):
        seed=st.integers(0, 2**32 - 1))
 @example(mu_only=False, eps=0.0, seed=0)
 @example(mu_only=True, eps=2.0, seed=0)
-def test_run_lsq_projects_any_start_onto_its_box(bundle8, mu_only, eps, seed):
+def test_run_lsq_projects_any_start_onto_its_box(mu_only, eps, seed):
     # II (sigma pinned, inside or outside the box) and IV, from starts whose
     # nodes lie inside, on and outside the box: the run is bit for bit the
     # run from the start's projection, its fields and every report history
-    b = bundle8
+    b = bundle(mesh_n=8)
     n = b.mesh.node_count
     lo, hi = 0.1, 0.2
     cfg = LsqConfig(bound_floor=lo, bound_ceiling=hi, max_iterations=3)
@@ -346,8 +336,8 @@ def test_run_lsq_projects_any_start_onto_its_box(bundle8, mu_only, eps, seed):
         assert s1.tobytes() == sigma.tobytes()
 
 
-def test_mu_only_mode_keeps_sigma_fixed(bundle8):
-    b = bundle8
+def test_mu_only_mode_keeps_sigma_fixed():
+    b = bundle(mesh_n=8)
     n = b.mesh.node_count
     cfg = LsqConfig(kappa=0.0, grad_tol=1e-6, max_iterations=60,
                     bound_floor=0.02, bound_ceiling=0.5)
@@ -358,8 +348,8 @@ def test_mu_only_mode_keeps_sigma_fixed(bundle8):
     assert report.objective_history[-1] < report.objective_history[0]
 
 
-def test_run_lsq_stops_at_the_iteration_cap(bundle8):
-    b = bundle8
+def test_run_lsq_stops_at_the_iteration_cap():
+    b = bundle(mesh_n=8)
     n = b.mesh.node_count
     _, _, report = run_lsq(b.operator, b.coeffs.gruneisen, datum(b),
                            (np.full(n, 0.26), np.full(n, 0.26)),
@@ -406,8 +396,8 @@ def test_lsq_config_defaults_are_the_experiment_defaults():
             cfg.bound_floor, cfg.bound_ceiling) == (0.0, 1e-6, 300, 0.02, 0.5)
 
 
-def test_report_csv_format(bundle8, tmp_path):
-    b = bundle8
+def test_report_csv_format(tmp_path):
+    b = bundle(mesh_n=8)
     n = b.mesh.node_count
     cfg = LsqConfig(kappa=0.0, grad_tol=1e-3, max_iterations=5,
                     bound_floor=0.02, bound_ceiling=0.5)
@@ -423,9 +413,9 @@ def test_report_csv_format(bundle8, tmp_path):
     assert lines[-1].split(",")[4:] == [str(int(report.converged)), report.message]
 
 
-def test_forward_failure_names_source(bundle8, monkeypatch):
+def test_forward_failure_names_source(monkeypatch):
     monkeypatch.setattr("tppat.forward.NEWTON_MAX_ITERATIONS", 1)
-    b = bundle8
+    b = bundle(mesh_n=8)
     ds = datum(b)
     ev = Evaluator(b.operator, b.coeffs.gruneisen, ds, kappa=0.0)
     from tppat.errors import SolverError
@@ -530,38 +520,10 @@ def test_gauss_newton_step_on_regular_rank_one_and_held_nodes(mu_only):
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
 def test_noiseless_experiment_iv_converges_in_few_iterations(n):
-    cfg = default_config()
-    cfg.mesh_n = n
-    b = prepare_data(cfg)
+    b = prepare_data(config(mesh_n=n))
     report = reconstruct("IV", b, b.datum_set(0.0, 1))["lsq_report"]
     assert report.converged
     assert report.iterations <= 15
-
-
-@functools.lru_cache(maxsize=None)
-def default_bundle(n):
-    """prepare_data of the default config at mesh size n, built once per n."""
-    cfg = default_config()
-    cfg.mesh_n = n
-    return prepare_data(cfg)
-
-
-@pytest.fixture(scope="module")
-def bundle16():
-    return default_bundle(16)
-
-
-@functools.lru_cache(maxsize=None)
-def iterating_bundle(n, variant):
-    """The default config at mesh size n with one source, or with kappa = 1e-3:
-    the IV jobs that still iterate on noisy data."""
-    cfg = default_config()
-    cfg.mesh_n = n
-    if variant == "one source":
-        cfg.sources = cfg.sources[:1]
-    else:
-        cfg.lsq = dataclasses.replace(cfg.lsq, kappa=1e-3)
-    return prepare_data(cfg)
 
 
 def start_predicted_decrease(bundle, ds):
@@ -592,7 +554,10 @@ def test_iterating_noisy_jobs_descend_to_the_noise_level(n, eps, seed, variant):
     # within the noise stop's share ends there after 0 iterations. With the
     # trials solved to residual_tol and the gradients to the noise level,
     # every step lowers Phi and the run ends at the noise level
-    b = iterating_bundle(n, variant)
+    # the default config with one source, or with kappa = 1e-3: the IV jobs
+    # that still iterate on noisy data
+    b = (bundle(mesh_n=n, sources=SOURCES[:1]) if variant == "one source"
+         else bundle(mesh_n=n, lsq=LsqConfig(kappa=1e-3)))
     ds = b.datum_set(eps, seed)
     report = reconstruct("IV", b, ds)["lsq_report"]
     assert report.converged and report.message == "noise level reached"
@@ -605,13 +570,12 @@ def test_iterating_noisy_jobs_descend_to_the_noise_level(n, eps, seed, variant):
     assert all(later < earlier for earlier, later in zip(history, history[1:]))
 
 
-def test_data_the_weights_cannot_use_are_rejected_naming_the_source(bundle16,
-                                                                    monkeypatch):
+def test_data_the_weights_cannot_use_are_rejected_naming_the_source(monkeypatch):
     # at epsilon = 60 > 100 / sqrt(3) add_noise's multiplier reaches below 0,
     # so some datum has a nonpositive node value, where the weight 1 / H^2
     # of both fits would not describe the noise; the datum set rejects it
     # when it is made, so no sweep at that level solves a density
-    b = bundle16
+    b = prepare_data(config(mesh_n=16))
     solves = []
     monkeypatch.setattr(direct, "recover_all_fields",
                         lambda *args, **kwargs: solves.append(args)
@@ -643,11 +607,11 @@ def lsq_start(bundle, ds, mu_only):
     return (sigma, np.clip(mu, cfg.bound_floor, cfg.bound_ceiling)), stars
 
 
-def test_stop_test_does_not_depend_on_the_start(bundle16):
+def test_stop_test_does_not_depend_on_the_start():
     # the gradient test on the noisy datum at noise_level 0, which the noise
     # test leaves alone; at its noise level both starts share one noise
     # misfit
-    b = bundle16
+    b = bundle(mesh_n=16)
     cfg = LsqConfig()
     ds = b.datum_set(2.0, 101)
     n = b.mesh.node_count
@@ -678,10 +642,10 @@ def test_stop_test_does_not_depend_on_the_start(bundle16):
         assert errors[1] == pytest.approx(errors[0], rel=1e-4)
 
 
-def test_noiseless_direct_start_converges_without_iterating(bundle16):
+def test_noiseless_direct_start_converges_without_iterating():
     # cold, warm from the direct densities, and through reconstruct, which
     # starts warm: the clipped direct fit comes back bitwise
-    b = bundle16
+    b = bundle(mesh_n=16)
     cfg = LsqConfig()
     ds = b.datum_set(0.0, 101)
     init, stars = lsq_start(b, ds, mu_only=False)
@@ -701,7 +665,7 @@ def test_least_squares_runs_on_a_mesh_with_no_interior_node(which, direct, eps):
     # at n = 1 every node is on the boundary, so every adjoint has a zero
     # right-hand side and is exact with no iteration: the run stops by the
     # gradient test at its start, the direct fit
-    b = default_bundle(1)
+    b = bundle(mesh_n=1)
     assert len(b.operator.interior) == 0
     ds = b.datum_set(eps, 101)
     fields = reconstruct(which, b, ds)
@@ -743,7 +707,7 @@ def test_noise_aware_tolerances_keep_every_job(n, eps, seed, mu_only):
     # Should the line search fail, both runs stop at an arbitrary point of the
     # same crawl. The noise test is off: it stops only the run with the
     # metadata.
-    b = default_bundle(n)
+    b = bundle(mesh_n=n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lsq, "NOISE_SHARE", 0.0)
         (sigma, mu, report), (sigma_ref, mu_ref, ref) = lsq_pair_runs(
@@ -771,7 +735,7 @@ def test_noise_stop_ends_a_prefix_of_the_run_without_it(n, eps, seed, mu_only):
     # Phi ends at most NOISE_STOP_PHI_FACTOR * NOISE_SHARE * Phi_noise lower;
     # a run it does not stop, and every noiseless run or run on data without
     # noise metadata, is bitwise the other.
-    b = default_bundle(n)
+    b = bundle(mesh_n=n)
     noisy = b.datum_set(eps, seed)
     for ds in (noisy, b.datum_set(0.0, seed), stripped(noisy)):
         init, stars = lsq_start(b, ds, mu_only)
@@ -799,20 +763,10 @@ def test_noise_stop_ends_the_crawl_of_a_noisy_job():
     # n = 8, IV, eps = 5, seed 102: without the noise test the line search
     # accepts decreases below the forward solves' accuracy for 8 iterations,
     # then fails
-    b = default_bundle(8)
+    b = bundle(mesh_n=8)
     report = reconstruct("IV", b, b.datum_set(5.0, 102))["lsq_report"]
     assert report.converged and report.message == "noise level reached"
     assert report.iterations <= 3
-
-
-@functools.lru_cache(maxsize=None)
-def source_bundle(n, sources):
-    """prepare_data of the default config at mesh size n with the default
-    sources of the given (0-based) indices only."""
-    cfg = default_config()
-    cfg.mesh_n = n
-    cfg.sources = [cfg.sources[k] for k in sources]
-    return prepare_data(cfg)
 
 
 @pytest.mark.parametrize("source, n", [(0, 8), (0, 16), (0, 32), (3, 8)])
@@ -820,7 +774,7 @@ def test_one_source_ii_at_five_percent_converges_with_nodes_at_the_floor(source,
     # the mu-only fit of default source 1 or 4 alone at eps = 5, seed 3,
     # starts with nodes clipped at bound_floor whose gradient points below
     # it; the full gradient cannot vanish there, the reduced one can
-    b = source_bundle(n, (source,))
+    b = bundle(mesh_n=n, sources=[SOURCES[source]])
     fields = reconstruct("II", b, b.datum_set(5.0, 3))
     assert fields["lsq_report"].converged
     assert np.array_equal(fields["sigma"], b.coeffs.single_photon)
@@ -834,7 +788,7 @@ def test_ii_norms_are_those_of_the_mu_part_alone(monkeypatch, sources, n, eps, s
     # must not enter a norm. The second job starts with mu nodes held at the
     # floor. run_lsq sums over sigma's zero-weight terms as well, which may
     # move the last digit.
-    b = source_bundle(n, sources)
+    b = bundle(mesh_n=n, sources=[SOURCES[k] for k in sources])
     cfg = b.config.lsq
     ds = b.datum_set(eps, seed)
     (sigma0, mu0), stars = lsq_start(b, ds, mu_only=True)
@@ -872,8 +826,8 @@ def test_ii_norms_are_those_of_the_mu_part_alone(monkeypatch, sources, n, eps, s
 
 
 @pytest.mark.parametrize("seed", range(101, 106))
-def test_every_default_iv_job_at_five_percent_converges(bundle16, seed):
-    b = bundle16
+def test_every_default_iv_job_at_five_percent_converges(seed):
+    b = bundle(mesh_n=16)
     report = reconstruct("IV", b, b.datum_set(5.0, seed))["lsq_report"]
     assert report.converged and report.message == "noise level reached"
     assert report.iterations <= 3
@@ -885,7 +839,7 @@ def test_every_default_iv_job_at_five_percent_converges(bundle16, seed):
        which=st.sampled_from(["II", "IV"]))
 def test_every_noisy_least_squares_job_converges_within_the_bounds(
         n, eps, sources, seed, which):
-    b = source_bundle(n, tuple(sorted(sources)))
+    b = bundle(mesh_n=n, sources=[SOURCES[k] for k in sorted(sources)])
     lo, hi = b.config.lsq.bound_floor, b.config.lsq.bound_ceiling
     fields = reconstruct(which, b, b.datum_set(eps, seed))
     report = fields["lsq_report"]
@@ -897,7 +851,7 @@ def test_every_noisy_least_squares_job_converges_within_the_bounds(
 
 
 def test_noise_aware_tolerances_save_preconditioner_applications(monkeypatch):
-    b = default_bundle(32)
+    b = bundle(mesh_n=32)
     applied = [0]
     preconditioner = ForwardOperator.preconditioner
 
@@ -955,11 +909,10 @@ def assert_steps_continue_to(report, adjoint, firsts, tol):
 
 
 @pytest.mark.parametrize("metadata", [True, False])
-def test_noiseless_least_squares_keeps_newtons_tolerances(bundle16, monkeypatch,
-                                                          metadata):
+def test_noiseless_least_squares_keeps_newtons_tolerances(monkeypatch, metadata):
     # from the midpoint, so that the run iterates: at epsilon = 0, and for
     # noisy data at noise_level 0, every solve runs at the default tolerances
-    b = bundle16
+    b = bundle(mesh_n=16)
     ds = b.datum_set(0.0, 101)
     if not metadata:
         ds = stripped(b.datum_set(2.0, 101))
@@ -983,9 +936,9 @@ def first_tolerances(bundle, ds):
 
 
 @pytest.mark.parametrize("mu_only", [False, True])
-def test_noisy_least_squares_solves_to_the_noise_level(bundle16, monkeypatch, mu_only):
+def test_noisy_least_squares_solves_to_the_noise_level(monkeypatch, mu_only):
     # the noise test off, so that the run iterates past the first gradient
-    b = bundle16
+    b = bundle(mesh_n=16)
     ds = b.datum_set(2.0, 101)
     init, stars = lsq_start(b, ds, mu_only)
     monkeypatch.setattr(lsq, "NOISE_SHARE", 0.0)
@@ -1004,13 +957,13 @@ def test_noisy_least_squares_solves_to_the_noise_level(bundle16, monkeypatch, mu
     assert forward[4:] == [RESIDUAL_TOL] * (len(forward) - 4)
 
 
-def test_noisy_gradients_stay_within_their_share_of_the_gradient(bundle16, monkeypatch):
+def test_noisy_gradients_stay_within_their_share_of_the_gradient(monkeypatch):
     # every gradient against the same gradient solved to fem.DEFAULT_TOL from the
     # same states: the first one's adjoint error stays below a tenth of its
     # norm, and each later one's below the larger of the stop threshold and
     # the previous gradient norm. The tight grad_tol runs on, with the noise
     # test off, well past the noise level
-    b = bundle16
+    b = bundle(mesh_n=16)
     monkeypatch.setattr(lsq, "NOISE_SHARE", 0.0)
     ds = b.datum_set(2.0, 101)
     init, stars = lsq_start(b, ds, mu_only=False)
@@ -1049,7 +1002,7 @@ def test_first_evaluation_to_the_noise_level_matches_the_tight_one(n, eps, seed,
     # the datum at noise_level 0, whose solves keep the default tolerances:
     # the objective within ARMIJO_SHARE * 1e-4 * |f|, the gradient within a
     # tenth of its norm
-    b = default_bundle(n)
+    b = bundle(mesh_n=n)
     ds = b.datum_set(eps, seed)
     mu_only = which == "II"
     init, stars = lsq_start(b, ds, mu_only)
@@ -1077,18 +1030,6 @@ def test_first_evaluation_to_the_noise_level_matches_the_tight_one(n, eps, seed,
             <= 0.1 * np.sqrt((w * g_tight ** 2).sum()))
 
 
-@functools.lru_cache(maxsize=None)
-def lsq_variant_bundle(n, kappa, ceiling, one_source):
-    """prepare_data of the default config at mesh size n with the given kappa,
-    bound_ceiling and the first default source alone or all four."""
-    cfg = default_config()
-    cfg.mesh_n = n
-    cfg.lsq = dataclasses.replace(cfg.lsq, kappa=kappa, bound_ceiling=ceiling)
-    if one_source:
-        cfg.sources = cfg.sources[:1]
-    return prepare_data(cfg)
-
-
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from([8, 12, 16]), eps=st.sampled_from([0.0, 1.0, 2.0, 5.0]),
        seed=st.integers(1, 2**31 - 1), which=st.sampled_from(["II", "IV"]),
@@ -1107,7 +1048,8 @@ def test_a_stop_on_the_first_pass_holds_for_the_exact_gradient(n, eps, seed, whi
     # set the run used: a gradient stop has its reduced norm within the
     # threshold; a noise stop has it above, and its decrement within the
     # noise floor
-    b = lsq_variant_bundle(n, kappa, ceiling, one_source)
+    b = bundle(mesh_n=n, lsq=LsqConfig(kappa=kappa, bound_ceiling=ceiling),
+               sources=SOURCES[:1] if one_source else SOURCES)
     calls = []
     gradient = Evaluator.gradient
 
@@ -1151,7 +1093,7 @@ def test_the_noiseless_default_iv_job_takes_no_adjoint_iteration(monkeypatch):
     # the default n = 32 job starts at the truth to solver precision, so its
     # first pass certifies the gradient stop from adjoints at x = 0; a
     # recording preconditioner on each adjoint solve counts the iterations
-    b = default_bundle(32)
+    b = bundle(mesh_n=32)
     applied, solves = [], []
     solver = ForwardOperator.solver
 
@@ -1174,9 +1116,8 @@ def test_the_noiseless_default_iv_job_takes_no_adjoint_iteration(monkeypatch):
 
 
 @pytest.mark.parametrize("which", ["II", "IV"])
-def test_first_forward_solves_start_from_the_direct_densities(bundle16, monkeypatch,
-                                                              which):
-    b = bundle16
+def test_first_forward_solves_start_from_the_direct_densities(monkeypatch, which):
+    b = bundle(mesh_n=16)
     steps = []
     solve = lsq.solve_semilinear
 
@@ -1190,8 +1131,8 @@ def test_first_forward_solves_start_from_the_direct_densities(bundle16, monkeypa
     assert len(steps) == 4 and max(steps) <= 1
 
 
-def test_run_lsq_rejects_a_warm_start_of_another_length(bundle8):
-    b = bundle8
+def test_run_lsq_rejects_a_warm_start_of_another_length():
+    b = bundle(mesh_n=8)
     n = b.mesh.node_count
     with pytest.raises(ValidationError, match="u0"):
         run_lsq(b.operator, b.coeffs.gruneisen, datum(b),

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from tppat.config import default_config
 from tppat.direct import ConditionReport, DatumSet
 from tppat.errors import MeshFormatError, ValidationError
 from tppat.experiments import prepare_data
@@ -10,13 +9,8 @@ from tppat.forward import BoundarySource
 from tppat.gradcheck import GradCheckResult
 from tppat.mesh import Mesh, build_square_mesh, load_mesh, save_mesh
 
+from builders import config
 from oracle import save_mesh_rows
-
-
-def small_bundle():
-    cfg = default_config()
-    cfg.mesh_n = 4
-    return prepare_data(cfg)
 
 
 MESH4 = build_square_mesh(4)
@@ -28,7 +22,7 @@ ARRAY_DATACLASSES = {
     "CoefficientSet": lambda: CoefficientSet(ONES, ONES, ONES, ONES),
     "DatumSet": lambda: DatumSet(sources=[G4], data=[ONES]),
     "ConditionReport": lambda: ConditionReport(ONES, ONES == 0.0, np.arange(len(ONES))),
-    "DataBundle": small_bundle,
+    "DataBundle": lambda: prepare_data(config(mesh_n=4)),
     "GradCheckResult": lambda: GradCheckResult(ONES, ONES, ONES, 1e-6),
 }
 

@@ -7,9 +7,14 @@ tests/ (oracle.py, sensitivity.py, properties.py).
 """
 
 import ast
+import importlib
 from pathlib import Path
 
+import pytest
+
 import tppat
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def referenced_names(tree, skip=None):
@@ -77,3 +82,28 @@ def test_the_scan_reports_exactly_the_names_nothing_refers_to(tmp_path):
         "def attribute_user(): return imported(), a.caller()\n")
     assert unused_public_names(tmp_path) == [
         "a.recursive", "a.Orphan", "b.attribute_user"]
+
+
+def traced_names():
+    """The names of LAYERS and JOB_LAYERS in bench/tracer.py, read without
+    importing it."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"), str(TRACER))
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id in ("LAYERS", "JOB_LAYERS")
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
+@pytest.mark.parametrize("name", traced_names())
+def test_every_name_the_benchmark_traces_resolves_in_the_package(name):
+    # the benchmark's tracer wraps these at their binding sites; a renamed or
+    # deleted one fails only there, in a run the test suite does not make.
+    # As the tracer reads them, "module.Class.method" is looked up in the
+    # class __dict__, with init meaning __init__
+    module, *path = name.split(".")
+    owner = importlib.import_module(f"tppat.{module}")
+    if len(path) == 2:
+        owner = getattr(owner, path[0])
+        assert {"init": "__init__"}.get(path[1], path[1]) in owner.__dict__
+    else:
+        assert callable(getattr(owner, path[0], None))

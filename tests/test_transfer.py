@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tppat.config import default_config
 from tppat.errors import ValidationError
 from tppat.experiments import prepare_data, run_experiment
 from tppat.fem import CoefficientSet
 from tppat.mesh import Mesh, build_square_mesh
 from tppat.transfer import _TriangleLocator, make_locator, transfer_field
+
+from builders import config
 
 
 class ScalarLocator:
@@ -162,11 +163,7 @@ def test_locator_for_another_mesh_pair_is_rejected():
 def test_crime_free_reconstruction_stays_accurate():
     # data from a finer mesh, reconstruction on a coarser one: the direct
     # method inherits only the discretization gap
-    cfg = default_config()
-    cfg.mesh_n = 32
-    cfg.data_mesh_n = 64
-    cfg.noise_levels = [0.0]
-    table = run_experiment("III", cfg)
+    table = run_experiment("III", config(mesh_n=32, data_mesh_n=64, noise_levels=[0.0]))
     means = table.mean_errors()
     assert means[("sigma", 0.0)] <= 3.0
     assert means[("mu", 0.0)] <= 3.0
@@ -178,10 +175,7 @@ def test_crime_guard_on_a_non_nested_pair_keeps_its_measured_floor():
     # triangles and take interpolated data. Noiseless mean errors measured
     # for this pair: I mu 6.24 %, III sigma/mu 3.32/2.72 %; the bounds allow
     # about 10 % above them.
-    cfg = default_config()
-    cfg.mesh_n = 24
-    cfg.data_mesh_n = 32
-    cfg.noise_levels = [0.0]
+    cfg = config(mesh_n=24, data_mesh_n=32, noise_levels=[0.0])
     assert run_experiment("I", cfg).mean_errors()[("mu", 0.0)] <= 6.9
     means = run_experiment("III", cfg).mean_errors()
     assert means[("sigma", 0.0)] <= 3.7
@@ -195,10 +189,7 @@ def test_crime_guard_floor_falls_with_n_at_a_fixed_ratio():
     # (2.72/3.19/1.35 %) does not fall monotonically and is not asserted.
     floors = []
     for n in (24, 48, 96):
-        cfg = default_config()
-        cfg.mesh_n = n
-        cfg.data_mesh_n = 4 * n // 3
-        cfg.noise_levels = [0.0]
+        cfg = config(mesh_n=n, data_mesh_n=4 * n // 3, noise_levels=[0.0])
         bundle = prepare_data(cfg)
         floors.append((run_experiment("I", cfg, bundle=bundle).mean_errors()[("mu", 0.0)],
                        run_experiment("III", cfg, bundle=bundle).mean_errors()[("sigma", 0.0)]))
@@ -233,11 +224,8 @@ def test_crime_guard_pipeline_is_second_order_on_smooth_coefficients():
     # discontinuities, not the pipeline, set its slow floor.
     errors = []
     for n in (24, 48, 96):
-        cfg = default_config()
-        cfg.phantom = SmoothBumps()
-        cfg.mesh_n = n
-        cfg.data_mesh_n = 4 * n // 3
-        cfg.noise_levels = [0.0]
+        cfg = config(phantom=SmoothBumps(), mesh_n=n, data_mesh_n=4 * n // 3,
+                     noise_levels=[0.0])
         bundle = prepare_data(cfg)
         iii = run_experiment("III", cfg, bundle=bundle).mean_errors()
         errors.append((iii[("sigma", 0.0)], iii[("mu", 0.0)],
@@ -258,10 +246,7 @@ def test_point_outside_source_mesh_rejected():
 
 
 def test_crime_guard_flag_in_bundle():
-    cfg = default_config()
-    cfg.mesh_n = 8
-    cfg.data_mesh_n = 12
-    bundle = prepare_data(cfg)
+    bundle = prepare_data(config(mesh_n=8, data_mesh_n=12))
     assert bundle.crime_guard
     assert bundle.data_mesh.node_count == 13 * 13
     ds = bundle.datum_set(0.0, 1)
