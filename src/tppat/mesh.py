@@ -131,24 +131,16 @@ def build_square_mesh(n: int) -> Mesh:
 
     Yields (n+1)^2 nodes and 2 n^2 triangles; each grid cell is split along
     its lower-left to upper-right diagonal. Node (i, j) has index
-    j*(n+1) + i and coordinates (-1 + 2i/n, -1 + 2j/n).
+    j*(n+1) + i and coordinates (-1 + 2i/n, -1 + 2j/n). Cell (i, j), with
+    lower-left node (i, j), has index c = j*n + i and holds triangles 2c
+    (lower: below the diagonal) and 2c + 1 (upper).
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValidationError(f"subdivision count must be an integer, got {n!r}")
     if n < 1:
         raise ValidationError(f"subdivision count must be >= 1, got {n}")
     n = int(n)
-    coords = np.linspace(-1.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(coords, coords)           # row-major: index = j*(n+1)+i
-    nodes = np.column_stack([xx.ravel(), yy.ravel()])
-
-    # cell (i, j) in row-major order, lower-left corner ll, split into
-    # (ll, lr, ur) then (ll, ur, ul)
-    ll = np.arange(n * (n + 1)).reshape(n, n + 1)[:, :n].ravel()
-    lr, ul = ll + 1, ll + (n + 1)
-    ur = ul + 1
-    tris = np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
-
+    nodes, tris = _square_grid(n)
     i = np.arange(n)
     top = n * (n + 1)
     left = i * (n + 1)
@@ -158,6 +150,37 @@ def build_square_mesh(n: int) -> Mesh:
     ]).reshape(-1, 2)
 
     return Mesh(nodes=nodes, triangles=tris, boundary_edges=bedges)
+
+
+def _square_grid(n: int):
+    """build_square_mesh(n)'s nodes and triangles."""
+    coords = np.linspace(-1.0, 1.0, n + 1)
+    xx, yy = np.meshgrid(coords, coords)           # row-major: index = j*(n+1)+i
+    nodes = np.column_stack([xx.ravel(), yy.ravel()])
+
+    # cell (i, j) in row-major order, lower-left corner ll, split into
+    # (ll, lr, ur) then (ll, ur, ul)
+    ll = np.arange(n * (n + 1)).reshape(n, n + 1)[:, :n].ravel()
+    lr, ul = ll + 1, ll + (n + 1)
+    ur = ul + 1
+    return nodes, np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
+
+
+def square_grid_size(mesh: Mesh) -> int | None:
+    """n when mesh is build_square_mesh(n)'s grid exactly, else None.
+
+    Exactly means the same node coordinates bit for bit, in the same order,
+    and the same triangles in the same order; a grid read back from
+    save_mesh's file is one.
+    """
+    n = int(np.sqrt(mesh.node_count)) - 1
+    if n < 1 or (n + 1) ** 2 != mesh.node_count or mesh.triangle_count != 2 * n * n:
+        return None
+    nodes, tris = _square_grid(n)
+    if np.array_equal(mesh.nodes.view(np.int64), nodes.view(np.int64)) \
+            and np.array_equal(mesh.triangles, tris):
+        return n
+    return None
 
 
 def save_mesh(mesh: Mesh, path) -> None:

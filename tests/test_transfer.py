@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tppat import transfer
 from tppat.errors import ValidationError
 from tppat.experiments import prepare_data, run_experiment
 from tppat.fem import CoefficientSet
-from tppat.mesh import Mesh, build_square_mesh
+from tppat.mesh import Mesh, build_square_mesh, load_mesh, save_mesh, square_grid_size
 from tppat.transfer import _TriangleLocator, make_locator, transfer_field
 
-from builders import config
+from builders import bundle, config
 
 
 class ScalarLocator:
@@ -266,11 +267,16 @@ MESH_PAIRS = st.one_of(
        seed=st.integers(0, 2**32 - 1),
        coeffs=st.tuples(*[st.floats(-10.0, 10.0)] * 3))
 @example(pair=(128, 96), stretch=0.0, seed=35, coeffs=(0.5, 2.0, -3.0))
+@example(pair=(24, 18), stretch=1e-13, seed=7, coeffs=(1.0, -2.0, 0.5))
+@example(pair=(23, 17), stretch=1e-9, seed=11, coeffs=(-0.5, 1.5, 3.0))
 def test_vectorized_transfer_matches_scalar_oracle(pair, stretch, seed, coeffs):
     # a stretched target puts boundary nodes just outside the source mesh,
     # where the least-violation rule picks the triangle; the example is the
     # crime guard's meshes, where every fourth source grid line is a target
-    # line, so many target nodes lie on edges that several candidates share
+    # line, so many target nodes lie on edges that several candidates share.
+    # Every source here is a builder grid, so the grid path is the one tested.
+    # At stretch 1e-13 and n = 24 the boundary nodes lie 1.2e-12 cell widths
+    # outside, just beyond _EDGE_TOL; at 1e-9 they take the least violation
     ns, nt = pair
     src = build_square_mesh(ns)
     square = build_square_mesh(nt)
@@ -349,3 +355,113 @@ def test_non_finite_target_point_rejected():
         nodes[4] = bad
         with pytest.raises(ValidationError, match="finite"):
             locator.locate(nodes)
+
+
+def bucket_path(src, dst):
+    """vertices, weights, snap and snap_vertices of the bucket locator."""
+    tri, weights = _TriangleLocator(src).locate(dst.nodes)
+    vertices = src.triangles[tri]
+    jmax = np.argmax(weights, axis=1)
+    snap = weights[np.arange(len(tri)), jmax] >= 1.0 - 1e-12
+    return vertices, weights, snap, vertices[snap, jmax[snap]]
+
+
+def assert_same_locator(loc, expected):
+    vertices, weights, snap, snap_vertices = expected
+    assert np.array_equal(loc.vertices, vertices)
+    assert bitwise_equal(loc.weights, weights)
+    assert np.array_equal(loc.snap, snap)
+    assert np.array_equal(loc.snap_vertices, snap_vertices)
+
+
+GRID_PAIRS = [(ns, nt) for ns in range(1, 25) for nt in range(1, 25)] \
+    + [(128, 96), (16, 12), (48, 32)]
+
+
+def test_grid_source_locator_matches_the_bucket_path_bitwise():
+    # every builder-grid pair up to 24 a side and the crime guard's pairs
+    grids = {n: build_square_mesh(n) for n in {n for pair in GRID_PAIRS for n in pair}}
+    for ns, nt in GRID_PAIRS:
+        src, dst = grids[ns], grids[nt]
+        assert_same_locator(make_locator(src, dst), bucket_path(src, dst))
+    b = bundle(mesh_n=12, data_mesh_n=16, noise_levels=[0.0])
+    assert_same_locator(b.locator, bucket_path(b.data_mesh, b.mesh))
+
+
+def _refuse(*args):
+    raise AssertionError("this locator must not be built")
+
+
+def test_builder_grids_take_the_grid_path(monkeypatch, tmp_path):
+    # a grid read back from its file is the same grid
+    save_mesh(build_square_mesh(9), tmp_path / "grid.txt")
+    loaded = load_mesh(tmp_path / "grid.txt")
+    expected = {n: bucket_path(build_square_mesh(n), build_square_mesh(7)) for n in (1, 9, 16)}
+    monkeypatch.setattr(transfer, "_TriangleLocator", _refuse)
+    for src, n in ((build_square_mesh(1), 1), (build_square_mesh(16), 16), (loaded, 9)):
+        assert square_grid_size(src) == n
+        assert_same_locator(make_locator(src, build_square_mesh(7)), expected[n])
+
+
+def _not_quite_grids(n):
+    """Meshes over build_square_mesh(n)'s square that are not that grid."""
+    grid = build_square_mesh(n)
+    ll = np.arange(n * (n + 1)).reshape(n, n + 1)[:, :n].ravel()
+    lr, ul = ll + 1, ll + n + 1
+    flipped = np.column_stack([ll, lr, ul, lr, ul + 1, ul]).reshape(-1, 3)
+    permuted = grid.triangles[np.random.default_rng(4).permutation(grid.triangle_count)]
+    moved = grid.nodes.copy()
+    node = (n // 2) * (n + 1) + n // 3                 # an interior node
+    moved[node, 0] = np.nextafter(moved[node, 0], np.inf)
+    jittered = grid.nodes.copy()
+    inner = grid.interior_list
+    jittered[inner] += np.random.default_rng(5).uniform(-0.3, 0.3, (len(inner), 2)) / n
+    return {"flipped": mesh_from_triangles(grid.nodes, flipped),
+            "permuted": mesh_from_triangles(grid.nodes, permuted),
+            "one-ulp": Mesh(nodes=moved, triangles=grid.triangles,
+                            boundary_edges=grid.boundary_edges),
+            "jittered": Mesh(nodes=jittered, triangles=grid.triangles,
+                             boundary_edges=grid.boundary_edges)}
+
+
+@pytest.mark.parametrize("kind", ["flipped", "permuted", "one-ulp", "jittered"])
+def test_other_sources_keep_the_bucket_path(kind, monkeypatch):
+    src = _not_quite_grids(12)[kind]
+    dst = build_square_mesh(9)
+    assert square_grid_size(src) is None
+    monkeypatch.setattr(transfer, "_GridLocator", _refuse)
+    loc = make_locator(src, dst)
+    oracle = ScalarLocator(src)
+    for i, (x, y) in enumerate(dst.nodes):
+        k, lams = oracle.locate(float(x), float(y))
+        assert np.array_equal(loc.vertices[i], src.triangles[k])
+        assert bitwise_equal(loc.weights[i], lams)
+
+
+def test_grid_source_rejects_a_far_point_as_the_bucket_path_does():
+    src = build_square_mesh(10)
+    points = build_square_mesh(6).nodes.copy()
+    points[[5, 20]] = [[0.3, 1.00002], [-1.0 - 1e-3, 0.0]]
+    messages = []
+    for locator in (transfer._GridLocator(src, 10), _TriangleLocator(src)):
+        with pytest.raises(ValidationError, match=r"point \(0\.3, 1\.00002\) lies outside") as err:
+            locator.locate(points)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_grid_source_takes_the_least_violation_for_a_small_overshoot():
+    # the boundary nodes lie 1e-7 outside, 5e-7 cell widths: within
+    # _OUTSIDE_TOL of the mesh but within _EDGE_TOL of no triangle, so the
+    # least violation decides
+    src = build_square_mesh(10)
+    square = build_square_mesh(7)
+    dst = Mesh(nodes=square.nodes * (1.0 + 1e-7), triangles=square.triangles,
+               boundary_edges=square.boundary_edges)
+    loc = make_locator(src, dst)
+    assert_same_locator(loc, bucket_path(src, dst))
+    # the top-left node is nearest the upper triangle of the top-left cell
+    # (c = 90), 5e-7 cell widths outside its two sides
+    top_left = np.argmin(dst.nodes[:, 0] - dst.nodes[:, 1])
+    assert np.array_equal(loc.vertices[top_left], src.triangles[2 * 90 + 1])
+    assert np.isclose(-loc.weights[top_left].min(), 5e-7, rtol=1e-6)
