@@ -34,10 +34,13 @@ then tightly costs the iterations of the tight one and gives its x bitwise
 one run to one tolerance.
 grid_sine_basis gives the sine transform that diagonalizes the
 constant-coefficient operator on the build_square_mesh grid (Concus & Golub
-1973). forward.ForwardOperator, which holds the Dirichlet operator of one
-diffusion field, preconditions its grid solves with it, so they need about
-ten iterations at any mesh size; it applies the transform in float32, while
-CG keeps its iterates, residuals and stop test in float64.
+1973). A mesh is that grid exactly when mesh.square_grid_size says so (the
+builder's node bits and triangles), the one rule that the spectral floor and
+the transfer's grid path follow too. forward.ForwardOperator, which holds
+the Dirichlet operator of one diffusion field, preconditions its grid solves
+with it, so they need about ten iterations at any mesh size; it applies the
+transform in float32, while CG keeps its iterates, residuals and stop test
+in float64.
 
 Nodal fields serialize as CSV with header ``node,value``, one row per node in
 mesh order; load_field reads them with the row parser of mesh.load_mesh.
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshFormatError, SolverError, ValidationError
-from .mesh import Mesh, _first, _parse_rows, _read_lines
+from .mesh import Mesh, _first, _parse_rows, _read_lines, square_grid_size
 
 DEFAULT_TOL = 1e-10
 
@@ -378,19 +381,14 @@ def solve_linear(A: BandedOperator, b: np.ndarray, tol: float = DEFAULT_TOL,
 def grid_sine_basis(mesh: Mesh):
     """(S, lambda_k + lambda_l) for the interior of a build_square_mesh grid.
 
-    None when the nodes are not that grid in row-major order.
+    None unless mesh.square_grid_size finds mesh to be build_square_mesh(n)'s
+    grid with n >= 2 (n = 1 has no interior node): the one test of the grid,
+    which the transfer's grid path uses too.
     S[k, l] = sqrt(2/n) sin(pi k l / n) is symmetric and orthogonal, and
     diagonalizes T = tridiag(-1, 2, -1) with eigenvalues 2 - 2 cos(pi k / n).
     """
-    n = int(round(np.sqrt(mesh.node_count))) - 1
-    if n < 2 or (n + 1) ** 2 != mesh.node_count:
-        return None
-    coords = np.linspace(-1.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(coords, coords)
-    grid = np.column_stack([xx.ravel(), yy.ravel()])
-    inner = (np.arange(1, n)[:, None] * (n + 1) + np.arange(1, n)).ravel()
-    if not (np.allclose(mesh.nodes, grid, rtol=0.0, atol=1e-12)
-            and np.array_equal(mesh.interior_list, inner)):
+    n = square_grid_size(mesh)
+    if n is None or n < 2:
         return None
     k = np.arange(1, n)
     S = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n)

@@ -111,31 +111,33 @@ class ForwardOperator:
 
     Every solve with the diffusion gamma goes through one instance: Newton
     steps, linearized (sensitivity, adjoint) solves and solve_reaction. It
-    rejects a gamma that is not finite and positive, and keeps the stiffness K and
-    its interior block K_ii, both fem.BandedOperator; a solve hands K_ii and
-    the reaction diagonal w to CG, whose matvec takes diag(K_ii) + w in
-    place of K_ii's diagonal, so no matrix is built per solve. The boundary
-    lift of solve_reaction is K applied to the boundary values. On the
-    build_square_mesh grid (recognized from the node coordinates in
-    row-major order) the hypotenuse couplings of the right triangles vanish,
-    so K_ii has just the two bands of the 5-point stencil, offsets 1 and
-    n - 1. For constant gamma K_ii is then gamma times the 5-point operator
-    T (x) I + I (x) T, which the sine transform diagonalizes: grid solves
-    are preconditioned with the exact inverse of mean(gamma) (T (x) I +
-    I (x) T) + mean(w) I, spectrally equivalent to K_ii + diag(w) with
-    h-independent bounds for gamma and w bounded above and below. The sine
-    basis and eigenvalues are kept in float32 and the preconditioner is
-    applied in float32, half the cost of its four dense products; CG, the
-    matvec and the residuals stay float64, so a solve still reaches its
-    tolerance and its result moves only at round-off. Other meshes use
-    Jacobi.
+    rejects a gamma that is not finite and positive, and keeps the stiffness
+    K and its interior block K_ii, both fem.BandedOperator; a solve hands
+    K_ii and the reaction diagonal w to CG, whose matvec takes diag(K_ii) +
+    w in place of K_ii's diagonal, so no matrix is built per solve. The
+    boundary lift of solve_reaction is K applied to the boundary values. On
+    the build_square_mesh grid (as mesh.square_grid_size decides it: the
+    builder's node bits and triangles) the hypotenuse couplings of the right
+    triangles vanish, so K_ii has just the two bands of the 5-point stencil,
+    offsets 1 and n - 1. For constant gamma K_ii is then gamma times the
+    5-point operator T (x) I + I (x) T, which the sine transform
+    diagonalizes: grid solves are preconditioned with the exact inverse of
+    mean(gamma) (T (x) I + I (x) T) + mean(w) I, spectrally equivalent to
+    K_ii + diag(w) with h-independent bounds for gamma and w bounded above
+    and below. The sine basis and eigenvalues are kept in float32 and the
+    preconditioner is applied in float32, half the cost of its four dense
+    products; CG, the matvec and the residuals stay float64, so a solve
+    still reaches its tolerance and its result moves only at round-off.
+    Other meshes use Jacobi.
 
     spectral_floor is a lower bound on lambda_min(K_ii): min(gamma) times
     the least eigenvalue of T (x) I + I (x) T on the grid, from the float64
-    eigenvalues, and 0 on other meshes. It holds because K = sum_T
-    gammabar_T K_T with each K_T positive semidefinite and each gammabar_T
-    >= min(gamma), so K - min(gamma) K(1) is positive semidefinite, and so
-    is its interior block. Then spectral_floor + min(w) <= lambda_min(K_ii +
+    eigenvalues, and 0 on other meshes, by the same test of the grid. It
+    holds because K = sum_T gammabar_T K_T with each K_T positive
+    semidefinite and each gammabar_T >= min(gamma), so K - min(gamma) K(1)
+    is positive semidefinite, and so is its interior block; that K(1)'s
+    interior block is T (x) I + I (x) T rests on the builder's triangles,
+    which the test checks. Then spectral_floor + min(w) <= lambda_min(K_ii +
     diag(w)), which bounds the error of a loose linearized solve by its
     residual (the error bounds of lsq.run_lsq's stop rule).
 

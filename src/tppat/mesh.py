@@ -171,7 +171,11 @@ def square_grid_size(mesh: Mesh) -> int | None:
 
     Exactly means the same node coordinates bit for bit, in the same order,
     and the same triangles in the same order; a grid read back from
-    save_mesh's file is one.
+    save_mesh's file is one. This is the one test of the grid, and its
+    users take their grid path only where it gives n: the sine-transform
+    preconditioner (fem.grid_sine_basis, n >= 2), the spectral floor of
+    forward.ForwardOperator, whose bound rests on the builder's triangles,
+    and the grid locator of transfer.PairLocator.
     """
     n = int(np.sqrt(mesh.node_count)) - 1
     if n < 1 or (n + 1) ** 2 != mesh.node_count or mesh.triangle_count != 2 * n * n:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from builders import bundle, config
+from builders import bundle, config, jittered_mesh
 from oracle import mu_from_set_loop
-from test_forward import count_grid_preconditioner_applications, jittered_mesh
+from test_forward import count_grid_preconditioner_applications
 from tppat import direct
 from tppat.direct import (NOISE_SAFETY, DatumSet, fit_pair_pointwise, recover_all_fields,
                           recover_pair)

@@ -15,10 +15,10 @@ from tppat.fem import (assemble_stiffness, clip_nonnegative, load_field, lumped_
 from tppat.forward import ForwardOperator
 from tppat.mesh import build_square_mesh
 
+from builders import jittered_mesh, permuted_mesh
 from oracle import (apply_dirichlet, assemble_stiffness_einsum, assemble_weighted_mass, banded,
                     csr, dense, lumped_mass_add_at, save_condition_rows, save_field_rows,
                     solve_linear_top_test, stiffness_coo)
-from test_forward import jittered_mesh, permuted_mesh
 
 # Degree-5 Gauss rule on the triangle (7 points, barycentric), used as an
 # independent quadrature oracle for mass-matrix entries (cubic integrands).

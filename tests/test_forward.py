@@ -3,25 +3,16 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from tppat import fem, forward
+from tppat import fem, forward, transfer
 from tppat.config import SourceSpec, default_config
 from tppat.errors import SolverError, ValidationError
 from tppat.fem import CoefficientSet
 from tppat.forward import (FORCING_MAX, FORCING_SAFETY, RESIDUAL_TOL, BoundarySource,
                            ForwardOperator, add_noise, compute_datum, solve_semilinear)
-from tppat.mesh import Mesh, build_square_mesh
+from tppat.mesh import build_square_mesh, load_mesh, save_mesh, square_grid_size
 
+from builders import jittered_mesh, not_quite_grids, permuted_mesh
 from oracle import apply_dirichlet, banded, csr, dense
-
-
-def jittered_mesh(n, seed, amplitude):
-    """build_square_mesh(n) with interior nodes moved by up to amplitude (Jacobi path)."""
-    base = build_square_mesh(n)
-    nodes = base.nodes.copy()
-    rng = np.random.default_rng(seed)
-    nodes[base.interior_list] += rng.uniform(-amplitude, amplitude,
-                                             (len(base.interior_list), 2))
-    return Mesh(nodes=nodes, triangles=base.triangles, boundary_edges=base.boundary_edges)
 
 
 def constant_coeffs(mesh, gruneisen=1.0, diffusion=0.2, sigma=0.1, mu=0.05):
@@ -106,15 +97,6 @@ def test_matches_dense_newton_oracle_on_n2():
     assert np.abs(u - u_oracle).max() <= 1e-10
 
 
-def permuted_mesh(mesh, seed):
-    """mesh with its node numbers randomly permuted: old node i becomes perm[i]."""
-    perm = np.random.default_rng(seed).permutation(mesh.node_count)
-    nodes = np.empty_like(mesh.nodes)
-    nodes[perm] = mesh.nodes
-    return Mesh(nodes=nodes, triangles=perm[mesh.triangles],
-                boundary_edges=perm[mesh.boundary_edges])
-
-
 def test_non_grid_mesh_takes_the_jacobi_path_and_matches_dense_oracle():
     # the jittered mesh keeps the grid's numbering and its few bands; its
     # permuted numbering spreads the stiffness over many bands
@@ -172,19 +154,52 @@ def test_grid_solves_need_few_preconditioner_applications(n, monkeypatch):
     assert max(applications) <= 20, applications
 
 
+@pytest.mark.parametrize("kind", ["grid-1", "grid-2", "grid-9", "loaded-9",
+                                  "flipped", "permuted", "one-ulp", "jittered"])
+def test_every_grid_decision_agrees(kind, monkeypatch, tmp_path):
+    # the sine basis, the spectral floor and the transfer's locator all take
+    # their grid path exactly when square_grid_size finds the builder's grid
+    # (the sine basis and the floor also need an interior node, which n = 1
+    # lacks)
+    if kind.startswith("grid-"):
+        mesh = build_square_mesh(int(kind[5:]))
+    elif kind == "loaded-9":
+        save_mesh(build_square_mesh(9), tmp_path / "grid.txt")
+        mesh = load_mesh(tmp_path / "grid.txt")
+    else:
+        mesh = not_quite_grids(12)[kind]
+    paths = []
+    for name in ("_GridLocator", "_TriangleLocator"):
+        locator = getattr(transfer, name)
+        monkeypatch.setattr(transfer, name,
+                            lambda *args, name=name, locator=locator:
+                            paths.append(name) or locator(*args))
+    transfer.make_locator(mesh, build_square_mesh(7))
+    grid = square_grid_size(mesh) is not None
+    assert paths == (["_GridLocator"] if grid else ["_TriangleLocator"])
+    op = ForwardOperator(mesh, 0.3)
+    sine = grid and len(mesh.interior_list) > 0
+    assert (op.sine is not None) == sine
+    assert (op.spectral_floor > 0.0) == sine
+
+
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 7), mesh_kind=st.sampled_from(["grid", "permuted", "jittered"]),
+@given(n=st.integers(2, 7),
+       mesh_kind=st.sampled_from(["grid", "permuted", "jittered", "flipped"]),
        seed=st.integers(0, 2**32 - 1), constant=st.booleans())
 @example(n=7, mesh_kind="grid", seed=0, constant=True)
+@example(n=5, mesh_kind="flipped", seed=0, constant=False)
 def test_spectral_floor_bounds_the_least_eigenvalue(n, mesh_kind, seed, constant):
     # spectral_floor + min(w) <= lambda_min(K_ii + diag(w)) for variable gamma
     # and positive w; on the grid min(gamma) times the least eigenvalue of
     # the 5-point operator, which constant gamma and w attain (to the round-off
-    # of eigvalsh); 0 off the grid, where the sine basis is not recognized
+    # of eigvalsh); 0 on every mesh that mesh.square_grid_size does not take
+    # for the builder's grid, the flipped diagonals of the grid's nodes too
     rng = np.random.default_rng(seed)
     mesh = {"grid": lambda: build_square_mesh(n),
             "permuted": lambda: permuted_mesh(build_square_mesh(n), seed),
-            "jittered": lambda: jittered_mesh(n, seed, 0.3 / n)}[mesh_kind]()
+            "jittered": lambda: jittered_mesh(n, seed, 0.3 / n),
+            "flipped": lambda: not_quite_grids(n)["flipped"]}[mesh_kind]()
     if constant:
         gamma, w = rng.uniform(0.1, 2.0), np.full(len(mesh.interior_list), rng.uniform(0.0, 1.0))
     else:

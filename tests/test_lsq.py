@@ -14,8 +14,7 @@ from tppat.lsq import (Evaluator, LsqConfig, gauss_newton_blocks, gauss_newton_s
 from tppat.mesh import build_square_mesh
 from tppat.metrics import relative_l2_error
 
-from builders import bundle, config
-from test_forward import jittered_mesh
+from builders import bundle, config, jittered_mesh
 
 # Newton residual and adjoint relative residual of the exactness tests' solves
 TIGHT = 1e-12

@@ -13,9 +13,9 @@ from tppat.gradcheck import _fd_directional_derivative as fd_directional_derivat
 from tppat.mesh import Mesh, build_square_mesh, load_mesh
 from tppat.metrics import relative_l2_error, squared_l2_norm
 
+from builders import jittered_mesh
 from oracle import assemble_weighted_mass
 from properties import check_comparison, check_max_principle, check_positivity
-from test_forward import jittered_mesh
 
 
 def test_relative_error_identical_fields():

@@ -16,9 +16,9 @@ from tppat.errors import MeshFormatError, ValidationError
 from tppat.fem import load_field, save_field
 from tppat.mesh import Mesh, build_square_mesh, load_mesh, save_mesh
 
+from builders import jittered_mesh
 from oracle import load_field_lines, load_mesh_lines
 from test_fem import ANY_FLOAT64, SPECIAL
-from test_forward import jittered_mesh
 
 KEYWORDS = ("nodes", "triangles", "boundary_edges")
 MESH4 = build_square_mesh(1)

@@ -9,7 +9,7 @@ from tppat.fem import CoefficientSet
 from tppat.mesh import Mesh, build_square_mesh, load_mesh, save_mesh, square_grid_size
 from tppat.transfer import _TriangleLocator, make_locator, transfer_field
 
-from builders import bundle, config
+from builders import bundle, config, mesh_from_triangles, not_quite_grids
 
 
 class ScalarLocator:
@@ -84,16 +84,6 @@ def scalar_transfer(source, target, values):
             out[i] = lams[0] * values[tri[0]] + lams[1] * values[tri[1]] \
                 + lams[2] * values[tri[2]]
     return out
-
-
-def mesh_from_triangles(nodes, tris):
-    """Mesh whose boundary edges are the edges of exactly one triangle."""
-    tris = np.asarray(tris)
-    edges = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]),
-                    axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    return Mesh(nodes=np.asarray(nodes, dtype=float), triangles=tris,
-                boundary_edges=uniq[counts == 1])
 
 
 def bitwise_equal(a, b):
@@ -403,30 +393,9 @@ def test_builder_grids_take_the_grid_path(monkeypatch, tmp_path):
         assert_same_locator(make_locator(src, build_square_mesh(7)), expected[n])
 
 
-def _not_quite_grids(n):
-    """Meshes over build_square_mesh(n)'s square that are not that grid."""
-    grid = build_square_mesh(n)
-    ll = np.arange(n * (n + 1)).reshape(n, n + 1)[:, :n].ravel()
-    lr, ul = ll + 1, ll + n + 1
-    flipped = np.column_stack([ll, lr, ul, lr, ul + 1, ul]).reshape(-1, 3)
-    permuted = grid.triangles[np.random.default_rng(4).permutation(grid.triangle_count)]
-    moved = grid.nodes.copy()
-    node = (n // 2) * (n + 1) + n // 3                 # an interior node
-    moved[node, 0] = np.nextafter(moved[node, 0], np.inf)
-    jittered = grid.nodes.copy()
-    inner = grid.interior_list
-    jittered[inner] += np.random.default_rng(5).uniform(-0.3, 0.3, (len(inner), 2)) / n
-    return {"flipped": mesh_from_triangles(grid.nodes, flipped),
-            "permuted": mesh_from_triangles(grid.nodes, permuted),
-            "one-ulp": Mesh(nodes=moved, triangles=grid.triangles,
-                            boundary_edges=grid.boundary_edges),
-            "jittered": Mesh(nodes=jittered, triangles=grid.triangles,
-                             boundary_edges=grid.boundary_edges)}
-
-
 @pytest.mark.parametrize("kind", ["flipped", "permuted", "one-ulp", "jittered"])
 def test_other_sources_keep_the_bucket_path(kind, monkeypatch):
-    src = _not_quite_grids(12)[kind]
+    src = not_quite_grids(12)[kind]
     dst = build_square_mesh(9)
     assert square_grid_size(src) is None
     monkeypatch.setattr(transfer, "_GridLocator", _refuse)
