@@ -24,6 +24,7 @@ fem.load_field shares; blank lines are skipped and every error names its
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -112,6 +113,18 @@ class Mesh:
             raise ValidationError(
                 "boundary_edges do not match the edges incident to exactly one triangle")
 
+    @cached_property
+    def _square_grid_size(self):
+        """square_grid_size's answer; a Mesh is frozen, so it is decided once."""
+        n = int(np.sqrt(self.node_count)) - 1
+        if n < 1 or (n + 1) ** 2 != self.node_count or self.triangle_count != 2 * n * n:
+            return None
+        nodes, tris = _square_grid(n)
+        if np.array_equal(self.nodes.view(np.int64), nodes.view(np.int64)) \
+                and np.array_equal(self.triangles, tris):
+            return n
+        return None
+
     @property
     def node_count(self):
         return len(self.nodes)
@@ -175,16 +188,10 @@ def square_grid_size(mesh: Mesh) -> int | None:
     users take their grid path only where it gives n: the sine-transform
     preconditioner (fem.grid_sine_basis, n >= 2), the spectral floor of
     forward.ForwardOperator, whose bound rests on the builder's triangles,
-    and the grid locator of transfer.PairLocator.
+    and the grid locator of transfer.PairLocator. The answer is kept on the
+    mesh, so a mesh that several of them ask about is checked once.
     """
-    n = int(np.sqrt(mesh.node_count)) - 1
-    if n < 1 or (n + 1) ** 2 != mesh.node_count or mesh.triangle_count != 2 * n * n:
-        return None
-    nodes, tris = _square_grid(n)
-    if np.array_equal(mesh.nodes.view(np.int64), nodes.view(np.int64)) \
-            and np.array_equal(mesh.triangles, tris):
-        return n
-    return None
+    return mesh._square_grid_size
 
 
 def save_mesh(mesh: Mesh, path) -> None:

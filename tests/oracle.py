@@ -147,6 +147,22 @@ def save_condition_rows(path, report) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def save_gradcheck_rows(path, result) -> None:
+    """gradcheck.GradCheckResult.save, one f-string per row."""
+    lines = ["direction,adjoint,fd,relative_error"]
+    for i in range(len(result.relative_errors)):
+        adjoint, fd = float(result.adjoint_values[i]), float(result.fd_values[i])
+        lines.append(f"{i},{adjoint:.17g},{fd:.17g},{float(result.relative_errors[i]):.17g}")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_column_rows(path, header, row_format, *columns) -> None:
+    """fem.write_columns, one %-format per row."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n" + "".join(row_format % row for row in zip(*columns)))
+
+
 def save_mesh_rows(mesh, path) -> None:
     """mesh.save_mesh, one f-string per row."""
     lines = [f"nodes {mesh.node_count}"]

@@ -287,6 +287,22 @@ def test_experiment_outputs_reconstruction_files(tmp_path):
     assert "manifest.txt" in names
 
 
+def test_sweep_numbers_the_rows_of_each_row_format_once(tmp_path):
+    # 2 L field files (their clipped companions reuse the formatted rows) and
+    # L condition reports share two numbered templates, one per row format;
+    # a second sweep of the same node count builds none
+    cfg = replace(QUICK, mesh_n=8, noise_levels=[0.0, 2.0, 5.0])
+    bundle = prepare_data(cfg)
+    calls = 3 * len(cfg.noise_levels)               # format_columns calls per sweep
+    fem._numbered_rows.cache_clear()
+    run_experiment("III", cfg, output_dir=tmp_path / "a", bundle=bundle)
+    info = fem._numbered_rows.cache_info()
+    assert (info.misses, info.hits) == (2, calls - 2)
+    run_experiment("III", cfg, output_dir=tmp_path / "b", bundle=bundle)
+    info = fem._numbered_rows.cache_info()
+    assert (info.misses, info.hits) == (2, 2 * calls - 2)
+
+
 def test_experiment_lsq_outputs_report(tmp_path):
     cfg = replace(QUICK, mesh_n=5)
     run_experiment("IV", cfg, output_dir=tmp_path)

@@ -13,12 +13,14 @@ from tppat.errors import MeshFormatError, SolverError, ValidationError
 from tppat.fem import (assemble_stiffness, clip_nonnegative, load_field, lumped_mass,
                        positive_field, save_field, solve_linear)
 from tppat.forward import ForwardOperator
+from tppat.gradcheck import GradCheckResult
 from tppat.mesh import build_square_mesh
 
 from builders import jittered_mesh, permuted_mesh
 from oracle import (apply_dirichlet, assemble_stiffness_einsum, assemble_weighted_mass, banded,
                     csr, dense, lumped_mass_add_at, save_condition_rows, save_field_rows,
-                    solve_linear_top_test, stiffness_coo)
+                    save_gradcheck_rows, solve_linear_top_test, stiffness_coo,
+                    write_column_rows)
 
 # Degree-5 Gauss rule on the triangle (7 points, barycentric), used as an
 # independent quadrature oracle for mass-matrix entries (cubic integrands).
@@ -624,8 +626,12 @@ def written_bytes(writer, *args) -> bytes:
 @example(values=np.array([-0.0]))
 @example(values=np.array([5e-324]))
 @example(values=SPECIAL)
+@example(values=np.resize(SPECIAL, 10_001))
 def test_save_field_writes_the_bytes_of_the_row_writer(values):
-    assert written_bytes(save_field, values) == written_bytes(save_field_rows, values)
+    # the reversed values have the same length, so their node numbers come
+    # from the rows that the first file numbered; 10 001 rows reach node 10000
+    for drawn in (values, values[::-1]):
+        assert written_bytes(save_field, drawn) == written_bytes(save_field_rows, drawn)
 
 
 @settings(max_examples=150, deadline=None)
@@ -656,9 +662,37 @@ def test_save_field_writes_the_clipped_companion_of_the_row_writer(values, signs
 @example(columns=(np.array([]), np.array([], dtype=bool)))
 @example(columns=(np.array([np.inf]), np.array([True])))
 @example(columns=(SPECIAL, np.arange(len(SPECIAL)) % 2 == 0))
+@example(columns=(np.resize(SPECIAL, 10_001), np.arange(10_001) % 3 == 0))
 def test_condition_report_writes_the_bytes_of_the_row_writer(columns):
-    condition, flagged = columns
-    report = ConditionReport(condition=condition, flagged=flagged,
-                             filled_from=np.arange(len(condition)))
-    assert (written_bytes(lambda path: report.save(path))
-            == written_bytes(save_condition_rows, report))
+    # written twice, the second time reversed, as in the save_field test
+    for condition, flagged in (columns, (columns[0][::-1], columns[1][::-1])):
+        report = ConditionReport(condition=condition, flagged=flagged,
+                                 filled_from=np.arange(len(condition)))
+        assert (written_bytes(lambda path: report.save(path))
+                == written_bytes(save_condition_rows, report))
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=hnp.arrays(np.float64, st.integers(0, 40), elements=ANY_FLOAT64))
+@example(values=SPECIAL)
+def test_gradcheck_result_writes_the_bytes_of_the_row_writer(values):
+    result = GradCheckResult(relative_errors=np.abs(values), adjoint_values=values,
+                             fd_values=values[::-1].copy(), step=1e-6)
+    assert (written_bytes(lambda path: result.save(path))
+            == written_bytes(save_gradcheck_rows, result))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=hnp.arrays(np.float64, st.integers(0, 40), elements=ANY_FLOAT64),
+       first=st.sampled_from(["from one", "list"]))
+@example(values=SPECIAL, first="from one")
+@example(values=SPECIAL, first="list")
+def test_write_columns_writes_the_bytes_of_the_row_writer(values, first):
+    # only a leading range(n) takes the once-numbered rows; range(1, n + 1)
+    # and the list [0, ..., n - 1] format every column of every row
+    n = len(values)
+    numbers = {"from one": range(1, n + 1), "list": list(range(n))}[first]
+    args = ("node,value,flag", "%d,%.17g,%d\n", numbers, values.tolist(),
+            (values > 0).tolist())
+    assert (written_bytes(fem.write_columns, *args)
+            == written_bytes(write_column_rows, *args))

@@ -7,6 +7,7 @@ from tppat.experiments import prepare_data
 from tppat.fem import CoefficientSet
 from tppat.forward import BoundarySource
 from tppat.gradcheck import GradCheckResult
+from tppat import mesh as mesh_module
 from tppat.mesh import Mesh, build_square_mesh, load_mesh, save_mesh
 
 from builders import config
@@ -132,6 +133,22 @@ def test_clockwise_triangle_is_reoriented(tmp_path):
     assert np.all(m2.areas > 0.0)
     assert {frozenset(t) for t in m2.triangles.tolist()} \
         == {frozenset(t) for t in m.triangles.tolist()}
+
+
+@pytest.mark.parametrize("changes, builds", [
+    ({"mesh_n": 128}, [128, 128]),
+    ({"mesh_n": 96, "data_mesh_n": 128}, [128, 128, 96, 96]),
+])
+def test_setup_checks_each_mesh_for_the_grid_once(changes, builds, monkeypatch):
+    # one build and one grid check per mesh: the crime guard's data mesh is
+    # asked about by its ForwardOperator and then by the transfer's locator,
+    # which reads the answer kept on the mesh
+    calls = []
+    square_grid = mesh_module._square_grid
+    monkeypatch.setattr(mesh_module, "_square_grid",
+                        lambda n: calls.append(n) or square_grid(n))
+    prepare_data(config(**changes))
+    assert calls == builds
 
 
 def written_bytes(writer, mesh, path):
