@@ -30,9 +30,9 @@ by node, so the Gauss-Newton matrix of the data term is block diagonal,
 one 2x2 block per node (see gauss_newton_blocks), and the step solves these
 blocks with the forward states of the current iterate (no extra solve).
 Bounds are treated by the two-metric projection of Bertsekas (1982): a
-component at a bound whose gradient points out of the box is held, the
-other component at its node takes its own 1x1 step, and the trial point is
-projected onto the bounds. Inner products use the lumped-mass metric, which
+component the box holds (_Box states the rule) does not move, the other
+component at its node takes its own 1x1 step, and the trial point is
+projected onto the box. Inner products use the lumped-mass metric, which
 makes gradient norms mesh-resolution invariant.
 
 The stop test compares the norm of the reduced gradient, the gradient with
@@ -364,10 +364,10 @@ def gauss_newton_step(blocks, g, held):
     equal |u_j| at the node, or Gamma_i = 0) the step is the pseudo-inverse
     one, -B_i g_i / (tr B_i)^2, exact for a rank-one B_i.
 
-    held = (held_sigma, held_mu) marks the components the bounds hold (see
-    run_lsq; a pinned component is held). A held component does not move, and
-    the other one at its node steps by -g_f / B_ff, its own 1x1 block. A
-    component whose block is zero does not move either.
+    held = (held_sigma, held_mu) marks the components the box holds
+    (_Box.hold). A held component does not move, and the other one at its
+    node steps by -g_f / B_ff, its own 1x1 block. A component whose block is
+    zero does not move either.
     """
     (aa, bb, ab), (gs, gm), (held_s, held_m) = blocks, g, held
     det = aa * bb - ab * ab
@@ -385,81 +385,88 @@ def gauss_newton_step(blocks, g, held):
     return -d_s, -d_m
 
 
+class _Box:
+    """The box of run_lsq's stacked iterate x = (sigma, mu), with its metric.
+
+    Built from the lumped mass m, the start x, the bounds of cfg and
+    mu_only. A free component has the bounds lo = bound_floor and hi =
+    bound_ceiling, the metric weight m, and the midpoint of the bounds as
+    its value in the reference point mid. A pinned component (sigma, with
+    mu_only) has lo = hi = its start, weight 0 and its start in mid: it is
+    always held, no norm or inner product sees it, and project keeps it
+    where it is, even outside [bound_floor, bound_ceiling]. A free component
+    is held where it sits on a bound and its gradient points out of the box
+    (the two-metric projection of Bertsekas 1982), and free everywhere else,
+    a hair inside a bound included.
+    """
+
+    def __init__(self, lumped, x, cfg: LsqConfig, mu_only: bool):
+        self.free = np.repeat([not mu_only, True], len(lumped))
+        self.lo = np.where(self.free, cfg.bound_floor, x)
+        self.hi = np.where(self.free, cfg.bound_ceiling, x)
+        self.mid = np.where(self.free, 0.5 * (cfg.bound_floor + cfg.bound_ceiling), x)
+        self.w = np.concatenate([lumped, lumped]) * self.free
+
+    def project(self, x):
+        return np.clip(x, self.lo, self.hi)
+
+    def dot(self, a, b) -> float:
+        """The lumped-mass inner product of the free components."""
+        return float((self.w * a * b).sum())
+
+    def hold(self, x, g):
+        """The held components at x under the gradient g, and the norm of the
+        reduced gradient, g with the held components set to 0."""
+        held = ~self.free | ((x <= self.lo) & (g > 0.0)) | ((x >= self.hi) & (g < 0.0))
+        reduced = np.where(held, 0.0, g)
+        return held, np.sqrt(self.dot(reduced, reduced))
+
+
 def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig, *,
             mu_only: bool = False, u0=None):
     """Projected pointwise Gauss-Newton minimization of Phi.
 
     op is the forward operator of the known diffusion gamma and gruneisen the
-    known Gamma; init = (sigma0, mu0), any start: its fitted fields are
-    projected onto the bounds. The iterate is sigma and mu stacked, with II
-    and IV on one iteration: with mu_only, sigma is pinned by its own bounds
-    lo = hi = sigma0 (which may lie outside [bound_floor, bound_ceiling])
-    and always held, so only mu is fitted; sigma's metric weight is then 0,
-    so no norm or inner product sees it. Returns (sigma, mu, LsqReport).
-    Inner products use the lumped-mass metric. Each iteration takes the step of
-    gauss_newton_step from the forward states of the current iterate (no
-    extra solve) and backtracks along its projection onto the bounds until
-    the Armijo test holds. A component is held when it sits at a bound and
-    its gradient points out of the box; the reduced gradient is the gradient
-    with the held components set to 0.
+    known Gamma. The iterate is sigma and mu stacked in one _Box: with
+    mu_only (II) sigma is pinned at sigma0 and only mu is fitted, otherwise
+    (IV) both are. init = (sigma0, mu0) is any start; it is projected onto
+    the box, as every line-search trial is. u0, when given, holds one nodal
+    field per source, the Newton start of the first forward solves (None:
+    cold); reconstruct passes the direct fit's densities u_j*. Every later
+    solve starts from the states of the previous evaluation, a rejected
+    line-search trial included.
 
-    Terminates by the one stop rule of the module docstring: when the
-    lumped-L2 norm of the reduced gradient, plus the bound E_g on its error,
-    is at most grad_tol times the reference norm (converged, possibly after
-    0 iterations); on noisy data when the step d predicts a decrease q =
-    -1/2 <g, d> > 0 with sqrt(2 q), plus the bound E_n on its error, at most
-    sqrt(2 NOISE_SHARE) times that of the noise misfit (converged, message
-    "noise level reached"); at the iteration cap; or when the line search
-    cannot make progress (best iterate returned, converged=False). Each
-    iterate first decides on adjoints solved only as far as the decision
-    needs, with their bounds, and then, unless that stops the run, on the
-    same solves continued to noise_tol, whose bounds are 0, so that its
-    tests are the exact ones. The report keeps the noise misfit as
-    noise_misfit, 0.0 on data with noise_level 0, which the noise test
-    leaves alone. The reference is taken at a fixed point, not at the
-    start: it is the norm of the misfit part of the gradient, sum_j W_j z_j
-    Gamma u_j and sum_j W_j z_j Gamma |u_j| u_j, at the
-    midpoint of the bounds (with sigma0 for a pinned sigma), with u_j frozen at
-    u0 when it is given and at the start's forward states otherwise. So it
-    costs no solve, and with u0 it does not depend on the start. The report
-    keeps it as reference_grad_norm; grad_norm_history holds the reduced
-    gradient norms, the start's first, each from the gradient its point's
-    tests were decided on. The objective history is strictly
-    decreasing over accepted steps. The gradient at an accepted point reuses
-    the forward states of its line-search trial.
+    Each iteration takes the step of gauss_newton_step from the forward
+    states of the current iterate (no extra solve) and backtracks along its
+    projection onto the box until the Armijo test holds; the gradient at an
+    accepted point reuses the forward states of its trial. The run stops by
+    the module docstring's stop rule, at the iteration cap, or when the line
+    search cannot make progress.
 
-    u0, when given, holds one nodal field per source, the Newton start of
-    the first forward solves (None: cold); reconstruct passes the direct
-    fit's densities u_j*. Every later solve starts from the states of the
-    previous evaluation, a rejected line-search trial included. With noisy
-    data the first states and every gradient are solved only to the noise
-    level, and line-search trials to forward.RESIDUAL_TOL (the module
-    docstring's rule).
+    Returns (sigma, mu, LsqReport). In the report:
+    * converged and message: True with "" (the gradient test) or "noise
+      level reached" (the noise test), possibly after 0 iterations; False
+      with "iteration cap reached", or with "line search failed; returning
+      best iterate", the best iterate being returned;
+    * objective_history, strictly decreasing over accepted steps;
+    * grad_norm_history, the reduced gradient norms, the start's first, each
+      from the gradient its point's tests were decided on;
+    * reference_grad_norm, grad_tol times which is the gradient test's
+      threshold: the norm of the misfit part of the gradient, sum_j W_j z_j
+      Gamma u_j and sum_j W_j z_j Gamma |u_j| u_j, at the box's mid, with
+      u_j frozen at u0 when it is given and at the start's forward states
+      otherwise. It costs no solve, and with u0 it does not depend on the
+      start;
+    * noise_misfit, Phi_noise, 0.0 on data with noise_level 0, which the
+      noise test leaves alone.
     """
-    mesh = op.mesh
     ev = Evaluator(op, gruneisen, data, cfg.kappa)
-    n = mesh.node_count
-    # the iterate x is sigma and mu stacked; with mu_only, sigma is not free:
-    # its bounds lo = hi = sigma0 pin it, and it is always held
-    x = np.concatenate([as_field(mesh, init[0]), as_field(mesh, init[1])])
-    free = np.repeat([not mu_only, True], n)
-    lo = np.where(free, cfg.bound_floor, x)
-    hi = np.where(free, cfg.bound_ceiling, x)
-    # the start is projected onto the box, as every line-search trial is
-    x = np.clip(x, lo, hi)
-    # metric weights; 0 on a pinned component, so that no norm sees it
-    w = np.concatenate([ev.lumped, ev.lumped]) * free
+    n = op.mesh.node_count
+    x = np.concatenate([as_field(op.mesh, init[0]), as_field(op.mesh, init[1])])
+    box = _Box(ev.lumped, x, cfg, mu_only)
+    x = box.project(x)
     reg = 0.0 if ev.K1 is None else ev.kappa * ev.K1.diagonal() / ev.lumped
     gains = np.sqrt(ev.weights) * ev.gruneisen     # the whitened residuals' Gamma
-
-    def dot(a, b):
-        return float((w * a * b).sum())
-
-    def hold(xv, gv):
-        """The held components at xv and the norm of the reduced gradient."""
-        held = ~free | ((xv <= lo) & (gv > 0.0)) | ((xv >= hi) & (gv < 0.0))
-        reduced = np.where(held, 0.0, gv)
-        return held, np.sqrt(dot(reduced, reduced))
 
     report = LsqReport()
     if u0 is not None and len(u0) != data.size:
@@ -472,20 +479,15 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
     first_tols = [max(RESIDUAL_TOL, ARMIJO_SHARE * rel * float(
         np.linalg.norm((ev.lumped * H / ev.gruneisen)[op.interior]))) for H in data.data]
 
-    def evaluate(xv, start, tols=None):
-        """Objective value and forward states at xv, Newton started from start."""
-        states = ev.forward_states(xv[:n], xv[n:], u0=start, residual_tols=tols)
-        return ev.objective(xv[:n], xv[n:], states), states
-
-    f, states = evaluate(x, u0, first_tols)
-    ref = np.where(free, 0.5 * (cfg.bound_floor + cfg.bound_ceiling), x)
+    states = ev.forward_states(x[:n], x[n:], u0=u0, residual_tols=first_tols)
+    f = ev.objective(x[:n], x[n:], states)
     g_ref = np.zeros_like(x)
     for u, H, wv in zip(states[0] if u0 is None else u0, ev.data.data, ev.weights):
         a = ev.gruneisen * u
         b = a * np.abs(u)
-        wz = wv * (ref[:n] * a + ref[n:] * b - H)
+        wz = wv * (box.mid[:n] * a + box.mid[n:] * b - H)
         g_ref += np.concatenate([wz * a, wz * b])
-    report.reference_grad_norm = np.sqrt(dot(g_ref, g_ref))
+    report.reference_grad_norm = np.sqrt(box.dot(g_ref, g_ref))
     threshold = cfg.grad_tol * report.reference_grad_norm
     report.noise_misfit = (0.5 * noise_std(data.noise_level) ** 2 * data.size
                            * float(ev.lumped.sum()))
@@ -517,15 +519,6 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
         return (max(data.noise_tol, budget / solve.bnorm) if solve.bnorm > budget
                 else 1.0), e, h
 
-    def newton_step(g, held):
-        """The step of gauss_newton_step at x; the blocks of x's forward
-        states are built at its first call there."""
-        nonlocal blocks
-        if blocks is None:
-            blocks = gauss_newton_blocks(gains, states[0], reg)
-        return np.concatenate(gauss_newton_step(blocks, (g[:n], g[n:]),
-                                                (held[:n], held[n:])))
-
     for it in range(cfg.max_iterations + 1):
         # the stop rule at x, from the forward states of its evaluation: first
         # on adjoints solved only as far as it needs, then, unless that stops
@@ -533,22 +526,28 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
         adjoints = ev.adjoints(x[:n], x[n:], states)
         first = zip(*map(first_pass, states[0], adjoints, h_max))
         blocks = stop = None
-        for tols, e, h in (first, continued):
+        for last, (tols, e, h) in enumerate((first, continued)):
             g = np.concatenate(ev.gradient(x[:n], x[n:], states, tols, adjoints))
-            held, g_norm = hold(x, g)
+            held, g_norm = box.hold(x, g)
             rho = [solve.residual_norm for solve in adjoints]
             e_g = sum(ej * r for ej, r in zip(e, rho))
-            d = None
             if g_norm + e_g <= threshold:
                 stop = ""
-            elif g_norm - e_g > threshold and noise_floor > 0.0:
-                d = newton_step(g, held)
-                q = -0.5 * dot(g, d)
+                break
+            noise_test = g_norm - e_g > threshold and noise_floor > 0.0
+            # the step, for the noise test, or for the line search after the
+            # continued pass (none follows at the cap); x's blocks are built once
+            if noise_test or (last and it < cfg.max_iterations):
+                if blocks is None:
+                    blocks = gauss_newton_blocks(gains, states[0], reg)
+                d = np.concatenate(gauss_newton_step(blocks, (g[:n], g[n:]),
+                                                     (held[:n], held[n:])))
+            if noise_test:
+                q = -0.5 * box.dot(g, d)
                 e_n = math.sqrt(sum((hj * r) ** 2 for hj, r in zip(h, rho)))
                 if q > 0.0 and math.sqrt(2.0 * q) + e_n <= noise_room:
                     stop = "noise level reached"
-            if stop is not None:
-                break
+                    break
         report.objective_history.append(f)
         report.grad_norm_history.append(g_norm)
         if stop is not None:
@@ -559,18 +558,16 @@ def run_lsq(op: ForwardOperator, gruneisen, data: DatumSet, init, cfg: LsqConfig
             report.message = "iteration cap reached"
             break
 
-        if d is None:
-            d = newton_step(g, held)
         alpha = 1.0
         for _ in range(35):
-            x_trial = np.clip(x + alpha * d, lo, hi)
-            step = x_trial - x
-            slope = dot(g, step)
+            x_trial = box.project(x + alpha * d)
+            slope = box.dot(g, x_trial - x)
             if slope >= 0.0:
                 alpha *= 0.5
                 continue
             # each solve starts from the last evaluation's, rejected or not
-            f_trial, states = evaluate(x_trial, states[0])
+            states = ev.forward_states(x_trial[:n], x_trial[n:], u0=states[0])
+            f_trial = ev.objective(x_trial[:n], x_trial[n:], states)
             if f_trial <= f + 1e-4 * slope:
                 break
             alpha *= 0.5
